@@ -1,7 +1,8 @@
 package kspectrum
 
 import (
-	"sort"
+	"slices"
+	"sync"
 
 	"repro/internal/seq"
 )
@@ -148,10 +149,10 @@ func (c *Counter) rehash() {
 // the two parallel slices and returns them — the extraction step of the
 // sharded Build, replacing the map-iterate-then-sort path. Keys are sorted
 // alone and the counts re-fetched by O(1) probe: measurably faster than
-// dragging the counts through the sort in lockstep, because sort.Slice
-// keeps the 8-byte key swaps on its optimized path while a paired
-// sort.Interface pays a dispatched double swap per exchange (~1.6× slower
-// end-to-end on the serial spectrum build).
+// dragging the counts through the sort in lockstep, because slices.Sort
+// orders plain 8-byte words with inlined comparisons and swaps, while a
+// paired sort.Interface pays a dispatched double swap per exchange (~1.6×
+// slower end-to-end on the serial spectrum build).
 func (c *Counter) AppendSortedInto(kmers []seq.Kmer, counts []uint32) ([]seq.Kmer, []uint32) {
 	kstart := len(kmers)
 	for i, v := range c.vals {
@@ -160,7 +161,7 @@ func (c *Counter) AppendSortedInto(kmers []seq.Kmer, counts []uint32) ([]seq.Kme
 		}
 	}
 	added := kmers[kstart:]
-	sort.Slice(added, func(a, b int) bool { return added[a] < added[b] })
+	slices.Sort(added)
 	for _, km := range added {
 		counts = append(counts, c.Get(km))
 	}
@@ -185,8 +186,10 @@ func ApproxAccumulatorBytes(n int) int64 {
 // tileCounter is the paired-uint32-value variant of Counter backing
 // TileSet: per tile it tracks Oc (total occurrences) and Og (high-quality
 // occurrences). A slot is occupied iff Oc is non-zero — every insertion
-// increments Oc, so the invariant holds.
+// increments Oc, so the invariant holds. mu is the stripe lock TileSet
+// takes around a shard's table; the methods themselves do not.
 type tileCounter struct {
+	mu   sync.Mutex
 	keys []seq.Kmer
 	oc   []uint32
 	og   []uint32

@@ -1,7 +1,9 @@
 package kspectrum
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -170,17 +172,11 @@ func TestCounterSpectrumMatchesMapReference(t *testing.T) {
 	}
 }
 
-// TestTileSetMatchesMapReference compares the tileCounter-backed TileSet
-// against a map[seq.Kmer]TileCount reference following the identical
-// traversal (both strands, reversed qualities, high-quality test).
-func TestTileSetMatchesMapReference(t *testing.T) {
-	reads := randomReads(t, 800)
-	const k, overlap = 8, 3
-	const qc = 25
-	ts, err := CountTiles(reads, k, overlap, qc)
-	if err != nil {
-		t.Fatal(err)
-	}
+// mapReferenceTiles is the retained reference for TileSet: a
+// map[seq.Kmer]TileCount filled by the original traversal — the read, then
+// its reverse complement with reversed qualities, every window rescanned
+// for the high-quality test.
+func mapReferenceTiles(reads []seq.Read, k, overlap int, qc byte) map[seq.Kmer]TileCount {
 	ref := map[seq.Kmer]TileCount{}
 	tileLen := 2*k - overlap
 	addStrand := func(bases, qual []byte) {
@@ -214,28 +210,132 @@ func TestTileSetMatchesMapReference(t *testing.T) {
 		}
 		addStrand(rcSeq, rcQual)
 	}
+	return ref
+}
+
+// tileSetEqualsReference checks every count, the size and the Og
+// histogram and quantiles of ts against the map reference.
+func tileSetEqualsReference(t *testing.T, ts *TileSet, ref map[seq.Kmer]TileCount, label string) {
+	t.Helper()
 	if ts.Size() != len(ref) {
-		t.Fatalf("size %d, reference %d", ts.Size(), len(ref))
+		t.Fatalf("%s: size %d, reference %d", label, ts.Size(), len(ref))
 	}
 	for tile, want := range ref {
 		if got := ts.Get(tile); got != want {
-			t.Fatalf("tile %v: got %+v want %+v", tile, got, want)
+			t.Fatalf("%s: tile %v: got %+v want %+v", label, tile, got, want)
 		}
 	}
 	// Histograms agree too (iteration-order independent).
 	wantHist := make([]int, 9)
+	ogs := make([]uint32, 0, len(ref))
 	for _, tc := range ref {
-		idx := int(tc.Og)
-		if idx > 8 {
-			idx = 8
-		}
-		wantHist[idx]++
+		wantHist[min(int(tc.Og), 8)]++
+		ogs = append(ogs, tc.Og)
 	}
 	gotHist := ts.OgHistogram(8)
 	for i := range wantHist {
 		if gotHist[i] != wantHist[i] {
-			t.Fatalf("OgHistogram[%d] = %d want %d", i, gotHist[i], wantHist[i])
+			t.Fatalf("%s: OgHistogram[%d] = %d want %d", label, i, gotHist[i], wantHist[i])
 		}
+	}
+	slices.Sort(ogs)
+	for _, f := range []float64{0, 0.5, 0.9, 1} {
+		want := uint32(0)
+		if len(ogs) > 0 {
+			want = ogs[min(int(f*float64(len(ogs))), len(ogs)-1)]
+		}
+		if got := ts.OgQuantile(f); got != want {
+			t.Fatalf("%s: OgQuantile(%v) = %d want %d", label, f, got, want)
+		}
+	}
+}
+
+// TestTileSetMatchesMapReference compares the default (all cores) TileSet
+// against the map reference.
+func TestTileSetMatchesMapReference(t *testing.T) {
+	reads := randomReads(t, 800)
+	const k, overlap = 8, 3
+	const qc = 25
+	ts, err := CountTiles(reads, k, overlap, qc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tileSetEqualsReference(t, ts, mapReferenceTiles(reads, k, overlap, qc), "default options")
+}
+
+// TestTileSetParallelMatchesReference is the counting-side acceptance
+// property: the sharded parallel engine, the one-worker direct-add path and
+// the map reference agree for every workers × shards choice, fed whole or
+// in chunks, on the reads that stress the single-pass kernel — ambiguous
+// bases, missing qualities, reads shorter than a tile, palindromic tiles —
+// with and without kmer overlap.
+func TestTileSetParallelMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	reads := randomReads(t, 2600) // > 2 chunks per worker at 2 workers
+	for i := range reads {
+		r := &reads[i]
+		// The simulator's flat qualities would make every window of a read
+		// agree; draw them so windows straddle qc = 25 about half the time.
+		for j := range r.Qual {
+			r.Qual[j] = byte(22 + rng.Intn(40))
+		}
+		switch i % 11 {
+		case 0: // ambiguous bases, scattered and adjacent
+			r.Seq[rng.Intn(len(r.Seq))] = 'N'
+			r.Seq[len(r.Seq)/2], r.Seq[len(r.Seq)/2+1] = 'N', 'n'
+		case 1:
+			r.Qual = nil
+		case 2: // shorter than every tile below, down to empty
+			n := rng.Intn(9)
+			r.Seq, r.Qual = r.Seq[:n], r.Qual[:n]
+		case 3: // period-4 palindrome: every even-length window is its own reverse complement
+			for j := range r.Seq {
+				r.Seq[j] = "ACGT"[j%4]
+			}
+		case 4: // one low-quality base at either end or in the middle
+			r.Qual[[]int{0, len(r.Qual) / 2, len(r.Qual) - 1}[i%3]] = 0
+		}
+	}
+	for _, geom := range []struct{ k, overlap int }{{8, 3}, {16, 0}, {5, 4}} {
+		for _, qc := range []byte{0, 25} {
+			ref := mapReferenceTiles(reads, geom.k, geom.overlap, qc)
+			for _, workers := range []int{1, 2, 3, 8} {
+				for _, shards := range []int{0, 1, 7} {
+					label := fmt.Sprintf("k=%d l=%d qc=%d workers=%d shards=%d", geom.k, geom.overlap, qc, workers, shards)
+					opts := BuildOptions{Workers: workers, Shards: shards}
+					whole, err := CountTiles(reads, geom.k, geom.overlap, qc, opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					tileSetEqualsReference(t, whole, ref, label)
+					chunked, err := CountTiles(nil, geom.k, geom.overlap, qc, opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for lo := 0; lo < len(reads); lo += 700 {
+						chunked.Add(reads[lo:min(lo+700, len(reads))])
+					}
+					tileSetEqualsReference(t, chunked, ref, label+" chunked")
+				}
+			}
+		}
+	}
+}
+
+// TestTileSetOneWorkerIsOneTable pins the one-worker rule: no shards, no
+// scatter buffers, whatever shard count was asked for.
+func TestTileSetOneWorkerIsOneTable(t *testing.T) {
+	ts, err := CountTiles(nil, 12, 0, 0, BuildOptions{Workers: 1, Shards: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ts.shards) != 1 {
+		t.Fatalf("one worker got %d tile tables, want 1", len(ts.shards))
+	}
+	reads := randomReads(t, 200)
+	ts.Add(reads[:1]) // size the table
+	if n := testing.AllocsPerRun(5, func() { ts.Add(reads[:1]) }); n != 0 {
+		t.Fatalf("one-worker Add allocated %v times on a sized table, want 0", n)
 	}
 }
 

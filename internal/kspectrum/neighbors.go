@@ -2,8 +2,9 @@ package kspectrum
 
 import (
 	"fmt"
+	"math/bits"
+	"runtime"
 	"slices"
-	"sort"
 	"sync"
 
 	"repro/internal/seq"
@@ -16,22 +17,53 @@ import (
 // those chunks masked out. Two kmers within Hamming distance d agree on at
 // least c-d chunks, so they collide under at least one of the C(c,d) masks,
 // making retrieval exact.
+//
+// A replica stores the kmers themselves, permuted: its d masked chunks are
+// rotated to the low bits, so plain integer order is "sorted by the unmasked
+// chunks" and the kmers agreeing with a query outside the masked chunks are
+// one contiguous run of a flat slice — no comparator, no indirection.
 type NeighborIndex struct {
 	spec     *Spectrum
 	D        int
 	C        int
-	masks    []seq.Kmer // bitmask of the 2-bit positions zeroed per replica
-	replicas [][]int32  // spectrum indices sorted by masked kmer value
-	// lazy, when non-nil, defers each replica's sort to its first use
-	// (NewNeighborIndexLazy): replicas[r] is then written exactly once
-	// under lazy[r] and nil until the spectrum passes Verify.
+	replicas []replica
+	// lazy, when non-nil (NewNeighborIndexLazy), defers replicas[r]'s build
+	// to its first use, once, under lazy[r] — and only if Verify passes.
 	lazy []sync.Once
 }
 
-// NewNeighborIndex builds the index eagerly. c must satisfy d < c <= k;
-// larger c costs more replicas (C(c,d)) but each replica bucket is more
-// selective. Building sorts the full spectrum C(c,d) times — a full scan
-// — so a memory-mapped spectrum is verified (whole-file CRC) first.
+// replica is one permuted, sorted copy of the spectrum. build writes keys,
+// shift and buckets once; nil buckets mean unbuilt, which answers empty.
+type replica struct {
+	perm, inv []bitMove // kmer -> key and back
+	low       seq.Kmer  // the key bits holding the masked chunks
+	keys      []seq.Kmer
+	// As in Spectrum.Index: keys[buckets[b]:buckets[b+1]] have key>>shift == b.
+	shift   uint
+	buckets []int32
+}
+
+// bitMove relocates the bits under mask rot places up (down when negative)
+// — by rotation: they never leave the word, and a rotate is one instruction.
+type bitMove struct {
+	mask seq.Kmer
+	rot  int
+}
+
+// permute applies the moves to km. A replica's moves partition the 2k kmer
+// bits into whole chunks: a bijection that preserves Hamming distance.
+func permute(km seq.Kmer, moves []bitMove) seq.Kmer {
+	var out seq.Kmer
+	for _, m := range moves {
+		out |= seq.Kmer(bits.RotateLeft64(uint64(km&m.mask), m.rot))
+	}
+	return out
+}
+
+// NewNeighborIndex builds the index eagerly, up to GOMAXPROCS replicas at a
+// time. c must satisfy d < c <= k; larger c costs more replicas (C(c,d)) but
+// each is more selective. Building reads the full spectrum C(c,d) times, so
+// a memory-mapped spectrum is verified (whole-file CRC) first.
 func NewNeighborIndex(spec *Spectrum, d, c int) (*NeighborIndex, error) {
 	ni, err := newNeighborIndex(spec, d, c)
 	if err != nil {
@@ -40,31 +72,39 @@ func NewNeighborIndex(spec *Spectrum, d, c int) (*NeighborIndex, error) {
 	if err := spec.Verify(); err != nil {
 		return nil, err
 	}
-	for r := range ni.masks {
-		ni.replicas[r] = ni.buildReplica(r)
+	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
+	var wg sync.WaitGroup
+	for r := range ni.replicas {
+		sem <- struct{}{}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			ni.replicas[r].build(spec)
+			<-sem
+		}()
 	}
+	wg.Wait()
 	return ni, nil
 }
 
 // NewNeighborIndexLazy validates the parameters eagerly but defers each
-// replica's sorted permutation to its first Neighbors call, so a service
-// over a freshly-mapped spectrum starts serving without paying C(c,d)
-// full-spectrum sorts up front. The first materialization verifies the
-// spectrum; if verification fails, the failure is sticky on the spectrum
-// (Spectrum.Err) and Neighbors answers empty rather than serving results
-// computed from corrupt bytes. Materialization is safe for concurrent
-// use.
+// replica's sort to its first query, so a service over a freshly-mapped
+// spectrum starts serving without paying C(c,d) full-spectrum sorts up
+// front. The first materialization verifies the spectrum; if verification
+// fails, the failure is sticky on the spectrum (Spectrum.Err) and queries
+// answer empty rather than serving results computed from corrupt bytes.
+// Materialization is safe for concurrent use.
 func NewNeighborIndexLazy(spec *Spectrum, d, c int) (*NeighborIndex, error) {
 	ni, err := newNeighborIndex(spec, d, c)
 	if err != nil {
 		return nil, err
 	}
-	ni.lazy = make([]sync.Once, len(ni.masks))
+	ni.lazy = make([]sync.Once, len(ni.replicas))
 	return ni, nil
 }
 
-// newNeighborIndex checks parameters and computes the replica masks —
-// the cheap, size-independent part shared by both construction modes.
+// newNeighborIndex checks parameters and computes each replica's chunk
+// permutation — the cheap part both construction modes share.
 func newNeighborIndex(spec *Spectrum, d, c int) (*NeighborIndex, error) {
 	k := spec.K
 	if d < 0 {
@@ -74,124 +114,162 @@ func newNeighborIndex(spec *Spectrum, d, c int) (*NeighborIndex, error) {
 		return nil, fmt.Errorf("kspectrum: need d < c <= k, got d=%d c=%d k=%d", d, c, k)
 	}
 	ni := &NeighborIndex{spec: spec, D: d, C: c}
-	chunks := chunkRanges(k, c)
-	for _, combo := range combinations(c, d) {
-		var mask seq.Kmer
-		for _, ci := range combo {
-			for pos := chunks[ci][0]; pos < chunks[ci][1]; pos++ {
-				shift := uint(2 * (k - 1 - pos))
-				mask |= 3 << shift
-			}
-		}
-		ni.masks = append(ni.masks, mask)
+	for _, masked := range combinations(c, d) {
+		ni.replicas = append(ni.replicas, newReplica(k, c, masked))
 	}
-	ni.replicas = make([][]int32, len(ni.masks))
 	return ni, nil
 }
 
-// buildReplica sorts the spectrum's index permutation under replica r's
-// mask.
-func (ni *NeighborIndex) buildReplica(r int) []int32 {
-	spec, mask := ni.spec, ni.masks[r]
-	idx := make([]int32, len(spec.Kmers))
-	for i := range idx {
-		idx[i] = int32(i)
+// newReplica lays out the key of the replica masking the given chunks
+// (chunk ci of c spans bases [ci*k/c, (ci+1)*k/c)): the unmasked chunks keep
+// their order in the high bits, the masked ones follow in the low bits.
+func newReplica(k, c int, masked []int) replica {
+	var order []int
+	for ci := range c {
+		if !slices.Contains(masked, ci) {
+			order = append(order, ci)
+		}
 	}
-	sort.Slice(idx, func(a, b int) bool {
-		return spec.Kmers[idx[a]]&^mask < spec.Kmers[idx[b]]&^mask
-	})
-	return idx
+	var rep replica
+	dst := uint(2 * k)
+	for i, ci := range append(order, masked...) {
+		if i == len(order) {
+			rep.low = seq.Kmer(1)<<dst - 1 // everything below the unmasked chunks
+		}
+		width := uint(2 * ((ci+1)*k/c - ci*k/c))
+		src := uint(2 * (k - (ci+1)*k/c))
+		dst -= width
+		m := bitMove{mask: (seq.Kmer(1)<<width - 1) << src, rot: int(dst) - int(src)}
+		back := bitMove{mask: seq.Kmer(bits.RotateLeft64(uint64(m.mask), m.rot)), rot: -m.rot}
+		if n := len(rep.perm) - 1; n >= 0 && rep.perm[n].rot == m.rot {
+			rep.perm[n].mask |= m.mask
+			rep.inv[n].mask |= back.mask
+			continue
+		}
+		rep.perm = append(rep.perm, m)
+		rep.inv = append(rep.inv, back)
+	}
+	return rep
+}
+
+// build fills the replica by distribution: count the permuted kmers per key
+// prefix, make the counts the bucket table, scatter every key into its
+// bucket, then sort each bucket — slices.Sort on a few plain words.
+func (rep *replica) build(spec *Spectrum) {
+	part := pickIndexPartition(len(spec.Kmers)/4, spec.K)
+	rep.shift = part.Shift()
+	t := make([]int32, part.Shards()+1)
+	for _, km := range spec.Kmers {
+		t[permute(km, rep.perm)>>rep.shift+1]++
+	}
+	for b := 1; b < len(t); b++ {
+		t[b] += t[b-1]
+	}
+	rep.keys = make([]seq.Kmer, len(spec.Kmers))
+	for _, km := range spec.Kmers {
+		key := permute(km, rep.perm)
+		rep.keys[t[key>>rep.shift]] = key
+		t[key>>rep.shift]++
+	}
+	copy(t[1:], t) // each cursor stopped at the next bucket's start
+	t[0] = 0
+	for b := range t[1:] {
+		slices.Sort(rep.keys[t[b]:t[b+1]])
+	}
+	rep.buckets = t
+}
+
+// bucket returns the bucket(s) holding every key that agrees with pk on all
+// unmasked chunks — the keys' high bits, so the matches are one run inside.
+// It reads the bucket table only, not the keys.
+func (rep *replica) bucket(pk seq.Kmer) []seq.Kmer {
+	if rep.buckets == nil {
+		return nil
+	}
+	lo, hi := pk&^rep.low, pk|rep.low
+	return rep.keys[rep.buckets[lo>>rep.shift]:rep.buckets[hi>>rep.shift+1]]
 }
 
 // replica returns replica r, materializing it on first use in lazy mode.
-// It is nil when the backing spectrum failed verification.
-func (ni *NeighborIndex) replica(r int) []int32 {
-	if ni.lazy == nil {
-		return ni.replicas[r]
+// It stays unbuilt when the backing spectrum failed verification.
+func (ni *NeighborIndex) replica(r int) *replica {
+	rep := &ni.replicas[r]
+	if ni.lazy != nil {
+		ni.lazy[r].Do(func() {
+			// A full scan, so the deferred whole-file check runs first;
+			// sync.Once publishes the writes to every later caller.
+			if ni.spec.Verify() == nil {
+				rep.build(ni.spec)
+			}
+		})
 	}
-	ni.lazy[r].Do(func() {
-		// The sort reads every kmer — a full scan — so the deferred
-		// whole-file check runs first. sync.Once publishes the write to
-		// every later caller.
-		if ni.spec.Verify() != nil {
-			return
-		}
-		ni.replicas[r] = ni.buildReplica(r)
-	})
-	return ni.replicas[r]
+	return rep
 }
 
 // Replicas reports how many sorted copies the index stores (C(c,d)),
 // the paper's memory knob.
 func (ni *NeighborIndex) Replicas() int { return len(ni.replicas) }
 
-// Neighbors appends to dst the spectrum indices of all kmers within Hamming
-// distance ni.D of km (including km itself when present) and returns the
-// extended slice. Results are deduplicated and unordered. Passing a reused
-// dst makes the call allocation-free — the correction inner loop depends
-// on that.
+// Neighbors is NeighborKmers by spectrum index: it appends to dst the
+// positions of all spectrum kmers within distance ni.D of km (km included
+// when present), ascending, mapping each hit back through Spectrum.Index.
+// A reused dst makes it allocation-free up to neighborIndexStack raw hits.
 //
 //repro:noalloc
 func (ni *NeighborIndex) Neighbors(km seq.Kmer, dst []int32) []int32 {
-	k := ni.spec.K
-	start := len(dst)
-	for r, mask := range ni.masks {
-		key := km &^ mask
-		idx := ni.replica(r)
-		kmers := ni.spec.Kmers
-		// The closure captures only stack values; BenchmarkNeighbors pins
-		// this call at zero allocations.
-		lo := sort.Search(len(idx), func(i int) bool { return kmers[idx[i]]&^mask >= key }) //repro:alloc-ok
-		for i := lo; i < len(idx) && kmers[idx[i]]&^mask == key; i++ {
-			cand := idx[i]
-			if seq.HammingKmer(km, kmers[cand], k) <= ni.D {
-				dst = append(dst, cand)
-			}
+	var buf [neighborIndexStack]seq.Kmer
+	for _, nb := range ni.NeighborKmers(km, buf[:0]) {
+		if i := ni.spec.Index(nb); i >= 0 {
+			dst = append(dst, int32(i))
 		}
 	}
-	// Deduplicate across replicas. slices.Sort, unlike sort.Slice, keeps
-	// the slice header off the heap.
-	found := dst[start:]
-	slices.Sort(found)
-	out := dst[:start]
-	for i, v := range found {
-		if i == 0 || v != found[i-1] {
-			out = append(out, v)
-		}
-	}
-	return out
+	return dst
 }
 
-// NeighborKmers is Neighbors by value: it appends the kmers (not the
-// spectrum indices) of km's d-neighborhood to dst, deduplicated and in
-// ascending kmer order. Because the spectrum is sorted and unique,
-// ascending kmer order and ascending index order are the same
-// enumeration — the property the distributed path relies on to make a
-// merged multi-shard neighborhood byte-identical to a local one.
+const (
+	neighborIndexStack = 256 // the on-stack kmer buffer of Neighbors
+	queryBlock         = 8   // replicas a query probes per pass
+)
+
+// NeighborKmers appends the kmers of km's d-neighborhood to dst, deduplicated
+// and ascending — the form the correction loop calls through LocalNeighbors.
+// The spectrum is sorted and unique, so ascending kmer order is ascending
+// index order: the property that makes a merged multi-shard neighborhood
+// byte-identical to a local one. A reused dst makes it allocation-free.
+//
+// Replicas are probed a block at a time in two passes: the first only reads
+// each replica's bucket bounds, so those cache misses overlap instead of
+// queueing behind the previous replica's scan. The Hamming check runs in
+// key space; only hits are permuted back.
+//
+//repro:noalloc
 func (ni *NeighborIndex) NeighborKmers(km seq.Kmer, dst []seq.Kmer) []seq.Kmer {
-	k := ni.spec.K
 	start := len(dst)
-	for r, mask := range ni.masks {
-		key := km &^ mask
-		idx := ni.replica(r)
-		kmers := ni.spec.Kmers
-		lo := sort.Search(len(idx), func(i int) bool { return kmers[idx[i]]&^mask >= key })
-		for i := lo; i < len(idx) && kmers[idx[i]]&^mask == key; i++ {
-			cand := kmers[idx[i]]
-			if seq.HammingKmer(km, cand, k) <= ni.D {
-				dst = append(dst, cand)
+	var pks [queryBlock]seq.Kmer
+	var runs [queryBlock][]seq.Kmer
+	for r0 := 0; r0 < len(ni.replicas); r0 += queryBlock {
+		block := ni.replicas[r0:min(r0+queryBlock, len(ni.replicas))]
+		for j := range block {
+			rep := ni.replica(r0 + j)
+			pks[j] = permute(km, rep.perm)
+			runs[j] = rep.bucket(pks[j])
+		}
+		for j := range block {
+			rep, pk := &block[j], pks[j]
+			lo, hi := pk&^rep.low, pk|rep.low
+			for _, cand := range runs[j] {
+				if cand > hi {
+					break
+				}
+				if cand >= lo && seq.HammingKmer(pk, cand, ni.spec.K) <= ni.D {
+					dst = append(dst, permute(cand, rep.inv))
+				}
 			}
 		}
 	}
-	found := dst[start:]
-	slices.Sort(found)
-	out := dst[:start]
-	for i, v := range found {
-		if i == 0 || v != found[i-1] {
-			out = append(out, v)
-		}
-	}
-	return out
+	// Replicas share hits; slices.Sort, unlike sort.Slice, allocates nothing.
+	slices.Sort(dst[start:])
+	return dst[:start+len(slices.Compact(dst[start:]))]
 }
 
 // BruteForceNeighbors enumerates the complete d-neighborhood by probing
@@ -218,25 +296,8 @@ func BruteForceNeighbors(spec *Spectrum, km seq.Kmer, d int) []int32 {
 		}
 	}
 	walk(km, 0, d)
-	sort.Slice(out, func(a, b int) bool { return out[a] < out[b] })
-	// walk visits each kmer exactly once for distance ≤ d? No: the
-	// "no change" branch combined with later substitutions enumerates each
-	// mutation set exactly once, but distance-<d kmers are reached via
-	// multiple left values; dedupe defensively.
-	dedup := out[:0]
-	for i, v := range out {
-		if i == 0 || v != out[i-1] {
-			dedup = append(dedup, v)
-		}
-	}
-	return dedup
-}
-
-func chunkRanges(k, c int) [][2]int {
-	out := make([][2]int, c)
-	for i := 0; i < c; i++ {
-		out[i] = [2]int{i * k / c, (i + 1) * k / c}
-	}
+	// Every mutation set is one path of the walk, so out has no duplicates.
+	slices.Sort(out)
 	return out
 }
 

@@ -3,6 +3,7 @@ package kspectrum
 import (
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/seq"
 )
@@ -102,30 +103,36 @@ func NewSpectrumBuilder(k int, bothStrands bool, opts ...BuildOptions) (*Spectru
 // Add merges one chunk of reads into the accumulator, fanning large chunks
 // out to the builder's counting workers. It may be called concurrently.
 func (sb *SpectrumBuilder) Add(reads []seq.Read) {
-	if sb.workers == 1 || len(reads) < 2*chunkSize {
-		// Still chunked so scatter buffers stay cache-sized.
+	forEachChunk(reads, sb.workers, func() func([]seq.Read) {
 		buf := make([][]seq.Kmer, len(sb.shards))
-		for lo := 0; lo < len(reads); lo += chunkSize {
-			sb.countChunk(reads[lo:min(lo+chunkSize, len(reads))], buf)
+		return func(c []seq.Read) { sb.countChunk(c, buf) }
+	})
+}
+
+// forEachChunk cuts reads into chunkSize pieces — scatter buffers stay
+// cache-sized — for at most `workers` goroutines (none when one suffices).
+// Each calls newWorker once, for its per-worker state, and feeds the chunks
+// it claims to the function returned. SpectrumBuilder and TileSet share it.
+func forEachChunk(reads []seq.Read, workers int, newWorker func() func([]seq.Read)) {
+	var next atomic.Int64 // end of the last chunk claimed
+	work := func() {
+		count := newWorker()
+		for hi := next.Add(chunkSize); int(hi)-chunkSize < len(reads); hi = next.Add(chunkSize) {
+			count(reads[int(hi)-chunkSize : min(int(hi), len(reads))])
 		}
+	}
+	if workers = min(workers, (len(reads)+chunkSize-1)/chunkSize); workers <= 1 {
+		work()
 		return
 	}
-	chunks := make(chan []seq.Read, sb.workers)
 	var wg sync.WaitGroup
-	for w := 0; w < sb.workers; w++ {
+	for range workers {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			buf := make([][]seq.Kmer, len(sb.shards))
-			for c := range chunks {
-				sb.countChunk(c, buf)
-			}
+			work()
 		}()
 	}
-	for lo := 0; lo < len(reads); lo += chunkSize {
-		chunks <- reads[lo:min(lo+chunkSize, len(reads))]
-	}
-	close(chunks)
 	wg.Wait()
 }
 

@@ -2,7 +2,7 @@ package kspectrum
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/seq"
 )
@@ -18,19 +18,34 @@ type TileCount struct {
 // TileSet counts tiles: l-concatenations of two k-mers, i.e. substrings of
 // length 2k-l (Definition 2.1 with |t| = 2k-l). Tiles are packed like kmers,
 // so 2k-l must not exceed seq.MaxK.
+//
+// Counting follows the SpectrumBuilder scheme: workers scatter each chunk's
+// tiles by high bits into per-shard buffers and flush them into striped
+// tables. One worker is the exception: it adds straight into a single table,
+// no shards, no buffers — the daemon's shape, where buffers for one small
+// chunk per request outweigh the tiles. Counts are identical for every
+// (Workers, Shards) choice. Add is not safe for concurrent calls.
 type TileSet struct {
 	K       int
 	Overlap int // l, the kmer overlap inside a tile
 	TileLen int // 2k - l
 	Qc      byte
-	m       *tileCounter
+
+	workers int
+	part    PrefixPartition // over tiles: K is TileLen
+	shards  []*tileCounter  // one table when workers == 1
 }
+
+// tileBuf is one worker's pending tiles for one shard. The high-quality flag
+// is which slice a tile is in, so a buffered tile stays a bare word.
+type tileBuf struct{ hq, lq []seq.Kmer }
 
 // CountTiles scans all reads (both strands) and records tile multiplicities.
 // qc is the quality threshold defining the high-quality count Og; reads
 // without quality scores contribute to Og unconditionally (the paper's
-// Og = Oc fallback).
-func CountTiles(reads []seq.Read, k, overlap int, qc byte) (*TileSet, error) {
+// Og = Oc fallback). An optional BuildOptions configures parallelism as for
+// NewSpectrumBuilder; omitting it uses all cores.
+func CountTiles(reads []seq.Read, k, overlap int, qc byte, opts ...BuildOptions) (*TileSet, error) {
 	tileLen := 2*k - overlap
 	if k <= 0 || overlap < 0 || overlap >= k {
 		return nil, fmt.Errorf("kspectrum: invalid tile geometry k=%d l=%d", k, overlap)
@@ -38,7 +53,22 @@ func CountTiles(reads []seq.Read, k, overlap int, qc byte) (*TileSet, error) {
 	if tileLen > seq.MaxK {
 		return nil, fmt.Errorf("kspectrum: tile length %d exceeds %d packed bases", tileLen, seq.MaxK)
 	}
-	ts := &TileSet{K: k, Overlap: overlap, TileLen: tileLen, Qc: qc, m: newTileCounter()}
+	var o BuildOptions
+	if len(opts) > 0 {
+		o = opts[0]
+	}
+	workers, shardBits := o.resolve(tileLen)
+	if workers == 1 {
+		shardBits = 0
+	}
+	ts := &TileSet{
+		K: k, Overlap: overlap, TileLen: tileLen, Qc: qc,
+		workers: workers,
+		part:    PrefixPartition{K: tileLen, Bits: shardBits},
+	}
+	for range ts.part.Shards() {
+		ts.shards = append(ts.shards, newTileCounter())
+	}
 	ts.Add(reads)
 	return ts, nil
 }
@@ -46,43 +76,108 @@ func CountTiles(reads []seq.Read, k, overlap int, qc byte) (*TileSet, error) {
 // Add merges one chunk of reads into the tile counts, enabling the §2.3
 // divide-and-merge construction.
 func (ts *TileSet) Add(reads []seq.Read) {
-	for _, r := range reads {
-		ts.addStrand(r.Seq, r.Qual, false)
-		rcSeq := seq.ReverseComplement(r.Seq)
-		var rcQual []byte
-		if r.Qual != nil {
-			rcQual = make([]byte, len(r.Qual))
-			for i, q := range r.Qual {
-				rcQual[len(r.Qual)-1-i] = q
-			}
+	if ts.workers == 1 {
+		for _, r := range reads {
+			ts.countRead(r.Seq, r.Qual, nil)
 		}
-		ts.addStrand(rcSeq, rcQual, true)
+		return
 	}
-}
-
-func (ts *TileSet) addStrand(bases, qual []byte, rc bool) {
-	ForEachKmer(bases, ts.TileLen, func(tile seq.Kmer, pos int) {
-		ts.m.add(tile, ts.highQuality(qual, pos))
+	forEachChunk(reads, ts.workers, func() func([]seq.Read) {
+		buf := make([]tileBuf, len(ts.shards))
+		return func(c []seq.Read) {
+			for _, r := range c {
+				ts.countRead(r.Seq, r.Qual, buf)
+			}
+			ts.flush(buf)
+		}
 	})
 }
 
-func (ts *TileSet) highQuality(qual []byte, pos int) bool {
-	if qual == nil {
-		return true
-	}
-	for i := pos; i < pos+ts.TileLen; i++ {
-		if qual[i] < ts.Qc {
-			return false
+// countRead is the tile counting kernel: one pass packs every clean
+// (ACGT-only) window incrementally and tracks the last position with quality
+// below Qc — a window is high-quality iff that position lies before it. The
+// reverse strand needs no second pass: its tiles are the reverse complements
+// of the forward windows, over the same qualities. A nil buf adds to the
+// single table; otherwise the tiles are scattered into buf for flush.
+//
+//repro:noalloc
+func (ts *TileSet) countRead(bases, qual []byte, buf []tileBuf) {
+	n := ts.TileLen
+	var tile seq.Kmer
+	valid, lastLow := 0, -1
+	for i, ch := range bases {
+		if qual != nil && qual[i] < ts.Qc {
+			lastLow = i
+		}
+		b, ok := seq.BaseFromChar(ch)
+		if !ok {
+			valid = 0
+			continue
+		}
+		tile = tile.Append(b, n)
+		if valid++; valid < n {
+			continue
+		}
+		hq := lastLow <= i-n
+		rc := seq.RevComp(tile, n)
+		if buf == nil {
+			ts.shards[0].add(tile, hq)
+			ts.shards[0].add(rc, hq)
+			continue
+		}
+		fwd, rev := &buf[ts.part.ShardOf(tile)], &buf[ts.part.ShardOf(rc)]
+		if hq {
+			fwd.hq = append(fwd.hq, tile)
+			rev.hq = append(rev.hq, rc)
+		} else {
+			fwd.lq = append(fwd.lq, tile)
+			rev.lq = append(rev.lq, rc)
 		}
 	}
-	return true
+}
+
+// flush empties a worker's buffers into their shards under the stripe locks.
+func (ts *TileSet) flush(buf []tileBuf) {
+	for s := range buf {
+		b := &buf[s]
+		if len(b.hq)+len(b.lq) == 0 {
+			continue
+		}
+		shard := ts.shards[s]
+		shard.mu.Lock()
+		for _, tile := range b.hq {
+			shard.add(tile, true)
+		}
+		for _, tile := range b.lq {
+			shard.add(tile, false)
+		}
+		shard.mu.Unlock()
+		b.hq, b.lq = b.hq[:0], b.lq[:0]
+	}
 }
 
 // Get returns the counts for a packed tile (zero counts if unseen).
-func (ts *TileSet) Get(tile seq.Kmer) TileCount { return ts.m.get(tile) }
+//
+//repro:noalloc
+func (ts *TileSet) Get(tile seq.Kmer) TileCount {
+	return ts.shards[ts.part.ShardOf(tile)].get(tile)
+}
 
 // Size returns the number of distinct tiles.
-func (ts *TileSet) Size() int { return ts.m.Len() }
+func (ts *TileSet) Size() int {
+	n := 0
+	for _, shard := range ts.shards {
+		n += shard.Len()
+	}
+	return n
+}
+
+// forEach visits every distinct tile, in no particular order.
+func (ts *TileSet) forEach(fn func(tile seq.Kmer, c TileCount)) {
+	for _, shard := range ts.shards {
+		shard.forEach(fn)
+	}
+}
 
 // PackTile concatenates two kmers with the configured overlap into a packed
 // tile. The caller guarantees the overlapping regions agree (Definition 2.1);
@@ -107,12 +202,8 @@ func (ts *TileSet) SplitTile(tile seq.Kmer) (a, b seq.Kmer) {
 // maxBin into the last bin.
 func (ts *TileSet) OgHistogram(maxBin int) []int {
 	h := make([]int, maxBin+1)
-	ts.m.forEach(func(_ seq.Kmer, tc TileCount) {
-		idx := int(tc.Og)
-		if idx > maxBin {
-			idx = maxBin
-		}
-		h[idx]++
+	ts.forEach(func(_ seq.Kmer, tc TileCount) {
+		h[min(int(tc.Og), maxBin)]++
 	})
 	return h
 }
@@ -121,22 +212,15 @@ func (ts *TileSet) OgHistogram(maxBin int) []int {
 // distinct tiles have Og <= x — the empirical-histogram parameter selection
 // Reptile uses for Cg and Cm (§2.3 "Choosing Parameters").
 func (ts *TileSet) OgQuantile(fraction float64) uint32 {
-	if ts.m.Len() == 0 {
+	if ts.Size() == 0 {
 		return 0
 	}
-	counts := make([]uint32, 0, ts.m.Len())
-	ts.m.forEach(func(_ seq.Kmer, tc TileCount) {
+	counts := make([]uint32, 0, ts.Size())
+	ts.forEach(func(_ seq.Kmer, tc TileCount) {
 		counts = append(counts, tc.Og)
 	})
-	sort.Slice(counts, func(i, j int) bool { return counts[i] < counts[j] })
-	idx := int(fraction * float64(len(counts)))
-	if idx >= len(counts) {
-		idx = len(counts) - 1
-	}
-	if idx < 0 {
-		idx = 0
-	}
-	return counts[idx]
+	slices.Sort(counts)
+	return counts[min(max(int(fraction*float64(len(counts))), 0), len(counts)-1)]
 }
 
 // QualityQuantile returns the Phred score q such that `fraction` of all

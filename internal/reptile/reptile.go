@@ -13,6 +13,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 
 	"repro/internal/kspectrum"
@@ -208,7 +209,7 @@ func newBuilderCtx(ctx context.Context, p Params) (*Builder, error) {
 	if err != nil {
 		return nil, err
 	}
-	b.tiles, err = kspectrum.CountTiles(nil, p.K, p.Overlap, p.Qc)
+	b.tiles, err = kspectrum.CountTiles(nil, p.K, p.Overlap, p.Qc, p.Build)
 	if err != nil {
 		b.Close()
 		return nil, err
@@ -230,10 +231,7 @@ func (b *Builder) Close() error {
 // bases are pre-converted per §2.4, so the spectrum contains the tiles the
 // corrector will query; the chunk may be released afterwards.
 func (b *Builder) Add(reads []seq.Read) {
-	prepared := make([]seq.Read, len(reads))
-	for i, r := range reads {
-		prepared[i] = prepareRead(r, b.p)
-	}
+	prepared := prepareReads(reads, b.p)
 	switch {
 	case b.stream != nil:
 		b.stream.Add(prepared)
@@ -310,6 +308,22 @@ func deriveThresholds(tiles *kspectrum.TileSet) (cg, cm uint32) {
 	cm = uint32(max(valley, 2))
 	cg = uint32(max((valley+peak)/2, int(cm)+2))
 	return cg, cm
+}
+
+// prepareReads is the counting-side view of a chunk. Counting only reads its
+// input and convertAmbiguous touches only ambiguous bases, so reads without
+// one are shared and the rest cloned; with none, the result aliases reads.
+func prepareReads(reads []seq.Read, p Params) []seq.Read {
+	out := reads
+	for i, r := range reads {
+		if r.CountAmbiguous() > 0 {
+			if &out[0] == &reads[0] {
+				out = slices.Clone(reads)
+			}
+			out[i] = prepareRead(r, p)
+		}
+	}
+	return out
 }
 
 // prepareRead clones the read and converts its correctable ambiguous

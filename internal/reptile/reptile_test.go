@@ -148,6 +148,44 @@ func TestAmbiguousBaseConversion(t *testing.T) {
 	}
 }
 
+// TestPrepareReadsClonesOnlyAmbiguous: the counting-side view shares every
+// read it does not have to change — the whole slice when there is nothing
+// to convert — never writes to its input, and converts exactly as
+// prepareRead does.
+func TestPrepareReadsClonesOnlyAmbiguous(t *testing.T) {
+	p := defaultTestParams()
+	clean := []seq.Read{
+		{ID: "a", Seq: []byte("ACGTTACGTACGTACGTACG"), Qual: make([]byte, 20)},
+		{ID: "b", Seq: []byte("TTGTTACGTACCCACGTACG")},
+	}
+	if out := prepareReads(clean, p); &out[0] != &clean[0] {
+		t.Error("a chunk without ambiguous bases was copied")
+	}
+	if out := prepareReads(nil, p); len(out) != 0 {
+		t.Errorf("empty chunk prepared to %d reads", len(out))
+	}
+	mixed := append(clean[:2:2],
+		seq.Read{ID: "c", Seq: []byte("ACGTNACGTACGTACGTACG"), Qual: []byte("IIIIIIIIIIIIIIIIIIII")},
+		seq.Read{ID: "d", Seq: []byte("ACNNNACGTACGTACGTACG")})
+	before := make([]seq.Read, len(mixed))
+	for i, r := range mixed {
+		before[i] = r.Clone()
+	}
+	out := prepareReads(mixed, p)
+	for i, r := range mixed {
+		if string(r.Seq) != string(before[i].Seq) || string(r.Qual) != string(before[i].Qual) {
+			t.Fatalf("input read %d was modified", i)
+		}
+		want := prepareRead(r, p)
+		if string(out[i].Seq) != string(want.Seq) || string(out[i].Qual) != string(want.Qual) {
+			t.Errorf("read %d prepared to %s, want %s", i, out[i].Seq, want.Seq)
+		}
+		if shared := &out[i].Seq[0] == &r.Seq[0]; shared != (r.CountAmbiguous() == 0) {
+			t.Errorf("read %d: shares its bases with the input = %v", i, shared)
+		}
+	}
+}
+
 func TestAmbiguousBasesGetCorrected(t *testing.T) {
 	genome, sim := buildTestData(t, 20000, 25000, 36, 0.004, 6)
 	_ = genome

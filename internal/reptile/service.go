@@ -40,30 +40,7 @@ func NewService(spec *kspectrum.Spectrum, p Params) (*Service, error) {
 	if spec == nil {
 		return nil, fmt.Errorf("reptile: service needs a spectrum")
 	}
-	if p.K == 0 {
-		p.K = spec.K
-	}
-	if p.D == 0 {
-		p.D = 1
-	}
-	if p.C == 0 {
-		p.C = min(p.K, p.D+4)
-	}
-	if p.Cr == 0 {
-		p.Cr = 2
-	}
-	if p.DefaultBase == 0 {
-		p.DefaultBase = 'A'
-	}
-	if p.MaxNPerWindow == 0 {
-		p.MaxNPerWindow = p.D
-	}
-	// An explicit Qc with Qm left zero would make applyIfLowQuality's
-	// "quality below Qm" condition unsatisfiable and silently suppress
-	// every correction; pair them like DefaultParams does.
-	if p.Qc != 0 && p.Qm == 0 {
-		p.Qm = p.Qc + 15
-	}
+	p = p.withServiceDefaults(spec.K)
 	p.Spectrum = spec
 	if err := p.validate(); err != nil {
 		return nil, err
@@ -90,26 +67,13 @@ func NewService(spec *kspectrum.Spectrum, p Params) (*Service, error) {
 	}, nil
 }
 
-// NewServiceBackend is NewService over the pluggable query seam: the
-// spectrum lives behind b (typically a remote shard router) and
-// d-neighborhoods come from neigh, so the service holds no local columns
-// at all. p.K must be zero (adopt the backend's k) or agree with it; the
-// backend must answer for both strands — the corrector's
-// reverse-complement pass depends on an RC-closed spectrum, and backends
-// exposing a BothStrands() accessor are checked for it.
-func NewServiceBackend(b kspectrum.SpectrumBackend, neigh kspectrum.NeighborSource, p Params) (*Service, error) {
-	if b == nil || neigh == nil {
-		return nil, fmt.Errorf("reptile: service backend needs a SpectrumBackend and a NeighborSource")
-	}
-	if spec := kspectrum.Unwrap(b); spec != nil {
-		// A local backend keeps the richer local path (lazy NI choice,
-		// full validation) — the seam costs nothing when the data is here.
-		return NewService(spec, p)
-	}
+// withServiceDefaults resolves the zero-valued service parameters: k from
+// the spectrum, the package defaults for the rest. An explicit Qc with Qm
+// left zero would make applyIfLowQuality's "quality below Qm" unsatisfiable
+// and suppress every correction, so Qm is paired as DefaultParams pairs it.
+func (p Params) withServiceDefaults(k int) Params {
 	if p.K == 0 {
-		p.K = b.K()
-	} else if p.K != b.K() {
-		return nil, fmt.Errorf("reptile: params want k=%d but backend has k=%d", p.K, b.K())
+		p.K = k
 	}
 	if p.D == 0 {
 		p.D = 1
@@ -128,6 +92,28 @@ func NewServiceBackend(b kspectrum.SpectrumBackend, neigh kspectrum.NeighborSour
 	}
 	if p.Qc != 0 && p.Qm == 0 {
 		p.Qm = p.Qc + 15
+	}
+	return p
+}
+
+// NewServiceBackend is NewService over the pluggable query seam: the
+// spectrum lives behind b (typically a remote shard router) and
+// d-neighborhoods come from neigh, so the service holds no local columns
+// at all. p.K must be zero (adopt the backend's k) or agree with it; the
+// backend must answer for both strands — the corrector's
+// reverse-complement pass depends on an RC-closed spectrum, and backends
+// exposing a BothStrands() accessor are checked for it.
+func NewServiceBackend(b kspectrum.SpectrumBackend, neigh kspectrum.NeighborSource, p Params) (*Service, error) {
+	if b == nil || neigh == nil {
+		return nil, fmt.Errorf("reptile: service backend needs a SpectrumBackend and a NeighborSource")
+	}
+	if spec := kspectrum.Unwrap(b); spec != nil {
+		// A local backend keeps the richer local path (lazy NI choice,
+		// full validation) — the seam costs nothing when the data is here.
+		return NewService(spec, p)
+	}
+	if p = p.withServiceDefaults(b.K()); p.K != b.K() {
+		return nil, fmt.Errorf("reptile: params want k=%d but backend has k=%d", p.K, b.K())
 	}
 	if bs, ok := b.(interface{ BothStrands() bool }); ok && !bs.BothStrands() {
 		return nil, fmt.Errorf("reptile: backend spectrum was not built from both strands")
@@ -169,15 +155,10 @@ func (s *Service) CorrectChunkCtx(ctx context.Context, reads []seq.Read, workers
 		p.Qc = kspectrum.QualityQuantile(reads, 0.17)
 		p.Qm = p.Qc + 15
 	}
-	tiles, err := kspectrum.CountTiles(nil, p.K, p.Overlap, p.Qc)
+	tiles, err := kspectrum.CountTiles(prepareReads(reads, p), p.K, p.Overlap, p.Qc, kspectrum.BuildOptions{Workers: workers})
 	if err != nil {
 		return nil, nil, err
 	}
-	prepared := make([]seq.Read, len(reads))
-	for i, r := range reads {
-		prepared[i] = prepareRead(r, p)
-	}
-	tiles.Add(prepared)
 	cg, cm := deriveThresholds(tiles)
 	if p.Cg == 0 {
 		p.Cg = cg

@@ -10,6 +10,7 @@ package seq
 
 import (
 	"fmt"
+	"math/bits"
 	"strings"
 )
 
@@ -150,14 +151,16 @@ func (km Kmer) Append(b Base, k int) Kmer {
 	return (km<<2 | Kmer(b)) & mask
 }
 
-// RevComp returns the reverse complement of a k-long kmer.
+// RevComp returns the reverse complement of a k-long kmer in constant
+// time: complement every base (A<->T, C<->G is a bit flip), reverse the 32
+// two-bit groups of the word (bytes, then nibbles, then pairs), and shift
+// the k bases that landed in the high bits back down. Bits above 2k do not
+// participate, as in HammingKmer.
 func RevComp(km Kmer, k int) Kmer {
-	var rc Kmer
-	for i := 0; i < k; i++ {
-		rc = rc<<2 | (km & 3) ^ 3
-		km >>= 2
-	}
-	return rc
+	x := bits.ReverseBytes64(^uint64(km))
+	x = x&0x0F0F0F0F0F0F0F0F<<4 | x>>4&0x0F0F0F0F0F0F0F0F
+	x = x&0x3333333333333333<<2 | x>>2&0x3333333333333333
+	return Kmer(x >> (64 - 2*uint(k)))
 }
 
 // Canonical returns the lexicographically smaller of km and its reverse
@@ -178,13 +181,7 @@ func HammingKmer(a, b Kmer, k int) int {
 	// degenerates to a zero mask rather than undefined behavior.
 	x := uint64(a^b) & (^uint64(0) >> (64 - 2*uint(k)))
 	// Collapse each 2-bit base to a single indicator bit, then popcount.
-	x = (x | x>>1) & 0x5555555555555555
-	n := 0
-	for x != 0 {
-		x &= x - 1
-		n++
-	}
-	return n
+	return bits.OnesCount64((x | x>>1) & 0x5555555555555555)
 }
 
 // Hamming counts mismatching positions between equal-length byte strings.

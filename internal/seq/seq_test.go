@@ -114,6 +114,26 @@ func TestRevCompInvolution(t *testing.T) {
 	}
 }
 
+// TestRevCompMatchesPerBase pins the constant-time RevComp to the
+// definition — base i of the result is the complement of base k-1-i — for
+// every k up to the full 64-bit word, with stray bits above 2k ignored.
+func TestRevCompMatchesPerBase(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for k := 1; k <= MaxK; k++ {
+		for trial := 0; trial < 50; trial++ {
+			dirty := Kmer(rng.Uint64())
+			km := dirty & Kmer(^uint64(0)>>(64-2*uint(k)))
+			var want Kmer
+			for i := 0; i < k; i++ {
+				want = want.WithBase(i, k, km.At(k-1-i, k).Complement())
+			}
+			if got := RevComp(dirty, k); got != want {
+				t.Fatalf("k=%d RevComp(%s) = %s want %s", k, km.StringK(k), got.StringK(k), want.StringK(k))
+			}
+		}
+	}
+}
+
 func TestCanonicalStrandNeutral(t *testing.T) {
 	f := func(v uint64, kRaw uint8) bool {
 		k := int(kRaw%31) + 1

@@ -143,7 +143,7 @@ func BenchmarkSpectrumOpenCold(b *testing.B) {
 }
 
 // BenchmarkServeCorrectChunk measures the serve path of the correction
-// daemon (cmd/kserve) without the HTTP framing: a shared
+// daemon (repro serve) without the HTTP framing: a shared
 // reptile.Service — spectrum and neighbor index built once — correcting
 // independent request-sized chunks. The serial leg is one request's
 // latency; the parallel leg is the daemon's steady-state shape, many

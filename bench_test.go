@@ -16,7 +16,6 @@ package repro
 import (
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/eval"
 	"repro/internal/simulate"
 )
@@ -36,10 +35,7 @@ func BenchmarkPipelineEndToEnd(b *testing.B) {
 			b.Fatal(err)
 		}
 		reads := simulate.Reads(ds.Sim)
-		corrected, _, err := core.Correct(reads, core.CorrectOptions{GenomeLen: len(ds.Genome), Workers: 1})
-		if err != nil {
-			b.Fatal(err)
-		}
+		corrected := correctReptile(b, reads, len(ds.Genome))
 		stats, err := eval.EvaluateCorrection(ds.Sim, corrected)
 		if err != nil {
 			b.Fatal(err)

@@ -12,10 +12,7 @@
 //	repro eceval  -before a.fastq -after b.fastq -truth t.fastq [flags]
 //	repro closet  -in meta.fastq -out clusters.tsv [flags]
 //
-// Run `repro <subcommand> -h` for a subcommand's flags. The legacy
-// single-purpose binaries (reptile, redeem, kserve, ngsim, eceval,
-// closet) remain as thin wrappers over the same subcommand functions, so
-// their behavior and output are identical.
+// Run `repro <subcommand> -h` for a subcommand's flags.
 package main
 
 import (

@@ -10,6 +10,7 @@
 // The root package holds the benchmark harness: one Benchmark per table and
 // figure of the dissertation's evaluation chapters (see EXPERIMENTS.md for
 // the index and the paper-vs-measured record). Library code lives under
-// internal/, executables under cmd/, and runnable walkthroughs under
-// examples/.
+// internal/ (internal/engine is the one door to the correctors), the repro
+// command and two development tools under cmd/, and runnable walkthroughs
+// under examples/.
 package repro

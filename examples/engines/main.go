@@ -3,8 +3,8 @@
 // registry (engine.Lookup / engine.Engines), a Run built from functional
 // options, and the canonical chunked Source/Sink streaming contract —
 // with context cancellation demonstrated at the end. This is the seam
-// new engines, transports and workloads plug into; the core facade and
-// every CLI are thin layers over exactly these calls.
+// new engines, transports and workloads plug into; the repro CLI and the
+// serve daemon are thin layers over exactly these calls.
 package main
 
 import (

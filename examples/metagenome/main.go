@@ -11,7 +11,6 @@ import (
 	"math/rand"
 
 	"repro/internal/closet"
-	"repro/internal/core"
 	"repro/internal/eval"
 	"repro/internal/simulate"
 )
@@ -36,7 +35,7 @@ func main() {
 	cfg := closet.DefaultConfig(400)
 	cfg.Nodes = 8
 	cfg.Thresholds = []float64{0.95, 0.85, 0.70}
-	res, err := core.Cluster(simulate.MetaReads(meta), cfg)
+	res, err := closet.Run(simulate.MetaReads(meta), cfg)
 	if err != nil {
 		log.Fatal(err)
 	}

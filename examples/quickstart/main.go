@@ -4,10 +4,13 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
-	"repro/internal/core"
+	"repro/internal/engine"
+	"repro/internal/eval"
+	"repro/internal/reptile"
 	"repro/internal/simulate"
 )
 
@@ -31,20 +34,22 @@ func main() {
 		len(reads), ds.ReadLen, ds.Coverage, 100*ds.ErrorRate)
 
 	// 2. Correct with Reptile (parameters derived from the data).
-	corrected, report, err := core.Correct(reads, core.CorrectOptions{
-		Method:    core.MethodReptile,
-		GenomeLen: len(ds.Genome),
-	})
+	eng, err := engine.Lookup(reptile.EngineName)
+	if err != nil {
+		log.Fatal(err)
+	}
+	corrected, res, err := eng.Correct(context.Background(), reads,
+		engine.NewRun(engine.WithGenomeLen(len(ds.Genome))))
 	if err != nil {
 		log.Fatal(err)
 	}
 
 	// 3. Score base-level outcomes against the simulation truth.
-	stats, err := core.EvaluateAgainstTruth(ds.Sim, corrected)
+	stats, err := eval.EvaluateCorrection(ds.Sim, corrected)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("reptile finished in %v\n", report.Duration)
+	fmt.Printf("reptile finished in %v\n", res.Duration)
 	fmt.Printf("  %s\n", stats)
 	fmt.Printf("  => %.1f%% of sequencing errors removed (Gain)\n", 100*stats.Gain())
 }

@@ -4,10 +4,14 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
-	"repro/internal/core"
+	"repro/internal/engine"
+	"repro/internal/eval"
+	"repro/internal/redeem"
+	"repro/internal/reptile"
 	"repro/internal/simulate"
 )
 
@@ -34,25 +38,24 @@ func main() {
 			log.Fatal(err)
 		}
 		reads := simulate.Reads(ds.Sim)
-		gains := map[core.Method]float64{}
-		for _, m := range []core.Method{core.MethodReptile, core.MethodRedeem} {
-			corrected, _, err := core.Correct(reads, core.CorrectOptions{
-				Method:      m,
-				GenomeLen:   len(ds.Genome),
-				RedeemK:     11,
-				RedeemModel: kmerModel,
-			})
+		gain := func(name string, opts ...engine.Option) float64 {
+			eng, err := engine.Lookup(name)
 			if err != nil {
 				log.Fatal(err)
 			}
-			stats, err := core.EvaluateAgainstTruth(ds.Sim, corrected)
+			corrected, _, err := eng.Correct(context.Background(), reads, engine.NewRun(opts...))
 			if err != nil {
 				log.Fatal(err)
 			}
-			gains[m] = stats.Gain()
+			stats, err := eval.EvaluateCorrection(ds.Sim, corrected)
+			if err != nil {
+				log.Fatal(err)
+			}
+			return stats.Gain()
 		}
 		fmt.Printf("%7.0f%% %9.1f%% %9.1f%%\n", 100*frac,
-			100*gains[core.MethodReptile], 100*gains[core.MethodRedeem])
+			100*gain(reptile.EngineName, engine.WithGenomeLen(len(ds.Genome))),
+			100*gain(redeem.EngineName, engine.WithK(11), redeem.WithModel(kmerModel)))
 	}
 	fmt.Println("\nExpected shape (Table 3.4): reptile degrades with repeat content;")
 	fmt.Println("redeem models the kmer neighborhood and stays strong at 80% repeats.")

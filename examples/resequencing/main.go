@@ -6,10 +6,14 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
-	"repro/internal/core"
+	"repro/internal/engine"
+	"repro/internal/eval"
+	"repro/internal/mapper"
+	"repro/internal/reptile"
 	"repro/internal/simulate"
 )
 
@@ -29,26 +33,30 @@ func main() {
 	}
 	reads := simulate.Reads(ds.Sim)
 
-	corrected, rep, err := core.Correct(reads, core.CorrectOptions{
-		Method:    core.MethodReptile,
-		GenomeLen: len(ds.Genome),
-	})
+	eng, err := engine.Lookup(reptile.EngineName)
+	if err != nil {
+		log.Fatal(err)
+	}
+	corrected, res, err := eng.Correct(context.Background(), reads,
+		engine.NewRun(engine.WithGenomeLen(len(ds.Genome))))
 	if err != nil {
 		log.Fatal(err)
 	}
 
-	pre, post, err := core.EvaluateByMapping(ds.Genome, reads, corrected, 2)
+	// Map both read sets against the reference, at most 2 mismatches.
+	idx, err := mapper.NewIndex(ds.Genome, 12)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("correction took %v\n", rep.Duration)
+	pre, post := idx.MapAll(reads, 2), idx.MapAll(corrected, 2)
+	fmt.Printf("correction took %v\n", res.Duration)
 	fmt.Printf("%-22s %12s %12s\n", "", "pre-corr", "post-corr")
 	fmt.Printf("%-22s %11.1f%% %11.1f%%\n", "uniquely mapped (<=2mm)", 100*pre.UniqueFraction(), 100*post.UniqueFraction())
 	fmt.Printf("%-22s %11.2f%% %11.2f%%\n", "mapped error rate", 100*pre.ErrorRate(), 100*post.ErrorRate())
 	fmt.Printf("%-22s %12d %12d\n", "unmapped reads", pre.Unmapped, post.Unmapped)
 
 	// Cross-check against the simulation truth.
-	stats, err := core.EvaluateAgainstTruth(ds.Sim, corrected)
+	stats, err := eval.EvaluateCorrection(ds.Sim, corrected)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -2,21 +2,39 @@ package repro
 
 import (
 	"bytes"
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/align"
 	"repro/internal/closet"
-	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/eval"
 	"repro/internal/fastq"
 	"repro/internal/kspectrum"
 	"repro/internal/redeem"
+	"repro/internal/reptile"
 	"repro/internal/seq"
 	"repro/internal/simulate"
 	"repro/internal/sketch"
 )
+
+// correctReptile runs the Reptile engine over an in-memory read set on one
+// worker, with parameters derived from the data and genomeLen (0 = unknown).
+func correctReptile(tb testing.TB, reads []seq.Read, genomeLen int) []seq.Read {
+	tb.Helper()
+	eng, err := engine.Lookup(reptile.EngineName)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	run := engine.NewRun(engine.WithGenomeLen(genomeLen), engine.WithWorkers(1))
+	corrected, _, err := eng.Correct(context.Background(), reads, run)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return corrected
+}
 
 // TestEndToEndCorrectionThroughFastq drives the full file-based workflow:
 // simulate -> serialize -> parse -> correct -> evaluate, covering the same
@@ -40,10 +58,7 @@ func TestEndToEndCorrectionThroughFastq(t *testing.T) {
 	if len(parsed) != len(ds.Sim) {
 		t.Fatalf("round trip lost reads: %d vs %d", len(parsed), len(ds.Sim))
 	}
-	corrected, _, err := core.Correct(parsed, core.CorrectOptions{GenomeLen: len(ds.Genome), Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	corrected := correctReptile(t, parsed, len(ds.Genome))
 	stats, err := eval.EvaluateCorrection(ds.Sim, corrected)
 	if err != nil {
 		t.Fatal(err)
@@ -76,11 +91,7 @@ func TestCorrectionImprovesClustering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	corrected, _, err := core.Correct(reads, core.CorrectOptions{Method: core.MethodReptile, Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	after, err := closet.Run(corrected, cfg)
+	after, err := closet.Run(correctReptile(t, reads, 0), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,9 +1,7 @@
-// Package cli implements the repro multi-command front end and the
-// legacy single-purpose binaries as thin wrappers over the same
-// subcommand functions. One shared failure path (Main) replaces the
-// historical per-main mix of log.Fatal and os.Exit: every subcommand is a
-// run() error, bad invocations print usage to stderr and exit 2, runtime
-// failures print the error and exit 1, and -h exits 0.
+// Package cli implements the repro multi-command front end: every
+// subcommand is a run() error behind one shared failure path (Main) —
+// bad invocations print usage to stderr and exit 2, runtime failures
+// print the error and exit 1, and -h exits 0.
 package cli
 
 import (
@@ -93,7 +91,7 @@ func usagef(fs *flag.FlagSet, format string, args ...any) error {
 // it.
 var errParse = errors.New("invalid arguments")
 
-// Main is the shared process entry of every binary: it runs the
+// Main is the process entry of the repro binary: it runs the
 // subcommand function and turns its error into the exit status. All
 // failure paths go through here — no main calls log.Fatal.
 func Main(tool string, run func(args []string) error) {
@@ -146,27 +144,3 @@ func parse(fs *flag.FlagSet, args []string) error {
 	}
 	return nil
 }
-
-// Exported wrappers: the legacy single-purpose binaries call these, so
-// `reptile ...` and `repro reptile ...` are literally the same function.
-
-// Reptile runs the reptile subcommand.
-func Reptile(args []string) error { return reptileCmd(args, os.Stdout) }
-
-// Redeem runs the redeem subcommand.
-func Redeem(args []string) error { return redeemCmd(args, os.Stdout) }
-
-// Shrec runs the shrec subcommand.
-func Shrec(args []string) error { return shrecCmd(args, os.Stdout) }
-
-// Serve runs the serve subcommand (the kserve daemon).
-func Serve(args []string) error { return serveCmd(args, os.Stdout) }
-
-// Ngsim runs the ngsim subcommand.
-func Ngsim(args []string) error { return ngsimCmd(args, os.Stdout) }
-
-// Eceval runs the eceval subcommand.
-func Eceval(args []string) error { return ecevalCmd(args, os.Stdout) }
-
-// Closet runs the closet subcommand.
-func Closet(args []string) error { return closetCmd(args, os.Stdout) }

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"flag"
 	"io"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -89,5 +91,67 @@ func TestNgsimBadMode(t *testing.T) {
 	var ue *usageError
 	if !errors.As(err, &ue) {
 		t.Errorf("bad mode error = %v, want usageError", err)
+	}
+}
+
+// TestFailedRunStopsProfiles: a correction that fails after the profilers
+// started must stop them — the CPU profiler is process-wide, so a leaked
+// one turns the next in-process run's real error into "cpu profiling
+// already in use".
+func TestFailedRunStopsProfiles(t *testing.T) {
+	dir := t.TempDir()
+	args := []string{
+		"-in", filepath.Join(dir, "missing.fastq"), "-out", filepath.Join(dir, "out.fastq"),
+		"-cpuprofile", filepath.Join(dir, "cpu.prof"),
+	}
+	for attempt := 1; attempt <= 2; attempt++ {
+		if err := reptileCmd(args, io.Discard); !errors.Is(err, os.ErrNotExist) {
+			t.Fatalf("run %d: error = %v, want the input's open error", attempt, err)
+		}
+	}
+}
+
+func TestParseByteSize(t *testing.T) {
+	cases := []struct {
+		in   string
+		want int64
+		ok   bool
+	}{
+		{"0", 0, true},
+		{"123", 123, true},
+		{"64B", 64, true},
+		{"8K", 8 << 10, true},
+		{"8KB", 8 << 10, true},
+		{"8KiB", 8 << 10, true},
+		{"64MB", 64 << 20, true},
+		{" 2 GiB ", 2 << 30, true},
+		{"1tb", 1 << 40, true},
+		// Suffix-of-a-suffix cases: every "<X>iB"/"<X>B" form must bind to
+		// the longest suffix, never stop early at the trailing "B" (the
+		// nondeterminism the ordered byteSuffixes slice exists to prevent).
+		{"3MiB", 3 << 20, true},
+		{"7gib", 7 << 30, true},
+		{"4TiB", 4 << 40, true},
+		{"5TB", 5 << 40, true},
+		{"10m", 10 << 20, true},
+		{"1B", 1, true},
+		{"", 0, false},
+		{"MB", 0, false},
+		{"KiB", 0, false},
+		{"B", 0, false},
+		{"-1MB", 0, false},
+		{"12XB", 0, false},
+		{"5IB", 0, false},
+		{"9999999999G", 0, false},
+	}
+	for _, tc := range cases {
+		got, err := parseByteSize(tc.in)
+		if tc.ok != (err == nil) {
+			t.Errorf("parseByteSize(%q) error = %v, ok want %v", tc.in, err, tc.ok)
+			continue
+		}
+		if tc.ok && got != tc.want {
+			t.Errorf("parseByteSize(%q) = %d want %d", tc.in, got, tc.want)
+		}
 	}
 }

@@ -4,12 +4,18 @@ import (
 	"context"
 	"errors"
 	"flag"
+	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"path/filepath"
+	"runtime"
+	"runtime/pprof"
+	"strconv"
+	"strings"
 	"syscall"
+	"time"
 
-	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/fastq"
 	"repro/internal/seq"
@@ -57,7 +63,7 @@ func (f *correctFlags) register(fs *flag.FlagSet, spectrum bool) {
 // engineOptions translates the shared flags into cross-engine run
 // options, parsing the memory budget.
 func (f *correctFlags) engineOptions() ([]engine.Option, error) {
-	budget, err := core.ParseByteSize(f.memBudget)
+	budget, err := parseByteSize(f.memBudget)
 	if err != nil {
 		return nil, err
 	}
@@ -104,6 +110,44 @@ func (f *correctFlags) opener() engine.SourceOpener {
 // signal handler.
 func signalContext() (context.Context, context.CancelFunc) {
 	return signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+}
+
+// correct is the shared tail of the correction subcommands: resolve the
+// engine, stream f.in through it into f.out and print the status line the
+// subcommand renders from the result and the elapsed time.
+func (f *correctFlags) correct(engineName string, opts []engine.Option, stdout io.Writer, status func(*engine.Result, time.Duration) string) error {
+	eng, err := engine.Lookup(engineName)
+	if err != nil {
+		return err
+	}
+	return f.profiled(func() error {
+		start := time.Now()
+		res, err := f.correctToFile(eng, engine.NewRun(opts...))
+		if err != nil {
+			return err
+		}
+		fmt.Fprintln(stdout, status(res, time.Since(start).Round(time.Millisecond)))
+		return nil
+	})
+}
+
+// profiled runs fn under the -cpuprofile/-memprofile profilers. Callers
+// validate their flags first, and the profilers stop on every path: the
+// CPU profiler is process-wide, so a failed or interrupted run that left
+// it running would fail the next in-process subcommand with "cpu
+// profiling already in use" and truncate its own profile file. A stop
+// error is reported only when fn itself succeeded.
+func (f *correctFlags) profiled(fn func() error) (err error) {
+	stop, err := startProfiles(f.cpuprofile, f.memprofile)
+	if err != nil {
+		return err
+	}
+	defer func() {
+		if stopErr := stop(); err == nil {
+			err = stopErr
+		}
+	}()
+	return fn()
 }
 
 // correctToFile drives an engine's streaming correction from f.in to
@@ -194,4 +238,93 @@ func createOutput(path string) (*os.File, func(success bool) error, error) {
 		return os.Rename(tmp.Name(), path)
 	}
 	return tmp, commit, nil
+}
+
+// startProfiles starts CPU profiling into cpuPath and arranges a heap
+// profile into memPath, either path optional (""). The returned stop
+// function ends the CPU profile and writes the heap snapshot after a
+// final GC, so perf work can profile the real binary rather than only
+// the benchmark harness.
+func startProfiles(cpuPath, memPath string) (stop func() error, err error) {
+	var cpuFile *os.File
+	if cpuPath != "" {
+		cpuFile, err = os.Create(cpuPath)
+		if err != nil {
+			return nil, fmt.Errorf("cpu profile: %w", err)
+		}
+		if err := pprof.StartCPUProfile(cpuFile); err != nil {
+			cpuFile.Close()
+			return nil, fmt.Errorf("cpu profile: %w", err)
+		}
+	}
+	return func() error {
+		if cpuFile != nil {
+			pprof.StopCPUProfile()
+			if err := cpuFile.Close(); err != nil {
+				return fmt.Errorf("cpu profile: %w", err)
+			}
+		}
+		if memPath != "" {
+			f, err := os.Create(memPath)
+			if err != nil {
+				return fmt.Errorf("mem profile: %w", err)
+			}
+			runtime.GC() // materialize the steady-state heap
+			if err := pprof.WriteHeapProfile(f); err != nil {
+				f.Close()
+				return fmt.Errorf("mem profile: %w", err)
+			}
+			if err := f.Close(); err != nil {
+				return fmt.Errorf("mem profile: %w", err)
+			}
+		}
+		return nil
+	}, nil
+}
+
+// byteSuffixes maps size suffixes to their power-of-two shifts, ordered
+// longest-first. Matching must walk this slice in order: with suffixes
+// that are suffixes of one another ("MIB" ends in "B", "KB" ends in "B"),
+// iterating an unordered container (the original implementation ranged
+// over a Go map) parses correctly only while the key set happens to be
+// suffix-free — one added key away from a nondeterministic result.
+var byteSuffixes = []struct {
+	suffix string
+	shift  int
+}{
+	{"KIB", 10}, {"MIB", 20}, {"GIB", 30}, {"TIB", 40},
+	{"KB", 10}, {"MB", 20}, {"GB", 30}, {"TB", 40},
+	{"K", 10}, {"M", 20}, {"G", 30}, {"T", 40},
+}
+
+// parseByteSize parses a human-readable byte count: a plain integer, or one
+// with a B/KB/MB/GB/TB suffix (KiB/MiB/... also accepted; both forms are
+// 1024-based). Case and surrounding space are ignored. "0" disables a
+// budget.
+func parseByteSize(s string) (int64, error) {
+	t := strings.TrimSpace(strings.ToUpper(s))
+	if t == "" {
+		return 0, errors.New("empty byte size")
+	}
+	shift := 0
+	for _, sfx := range byteSuffixes {
+		if strings.HasSuffix(t, sfx.suffix) && len(t) > len(sfx.suffix) {
+			t, shift = strings.TrimSpace(strings.TrimSuffix(t, sfx.suffix)), sfx.shift
+			break
+		}
+	}
+	if shift == 0 {
+		t = strings.TrimSuffix(t, "B")
+	}
+	v, err := strconv.ParseInt(strings.TrimSpace(t), 10, 64)
+	if err != nil {
+		return 0, fmt.Errorf("bad byte size %q", s)
+	}
+	if v < 0 {
+		return 0, fmt.Errorf("negative byte size %q", s)
+	}
+	if shift > 0 && v > (1<<62)>>shift {
+		return 0, fmt.Errorf("byte size %q overflows", s)
+	}
+	return v << shift, nil
 }

@@ -7,7 +7,6 @@ import (
 	"os"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/fastq"
 	"repro/internal/kspectrum"
@@ -19,8 +18,8 @@ import (
 // redeemCmd performs repeat-aware error detection and correction
 // (Chapter 3) through the engine registry's streaming path; -detect-only
 // keeps its historical direct analysis mode (T histogram + inferred
-// threshold, no correction pass). Output is byte-identical to the
-// historical cmd/redeem pipeline (asserted by the golden tests).
+// threshold, no correction pass). The golden tests freeze the output
+// bytes.
 func redeemCmd(args []string, stdout io.Writer) error {
 	fs := newFlagSet("redeem")
 	var f correctFlags
@@ -36,10 +35,6 @@ func redeemCmd(args []string, stdout io.Writer) error {
 	if f.in == "" || (f.out == "" && !*detectOnly) {
 		return usagef(fs, "-in is required, and -out unless -detect-only")
 	}
-	stopProfiles, err := core.StartProfiles(f.cpuprofile, f.memprofile)
-	if err != nil {
-		return err
-	}
 	// -k has a non-zero default, so only an explicitly-set flag counts as
 	// an explicit k for the spectrum k-authority rule.
 	explicitK := 0
@@ -48,13 +43,15 @@ func redeemCmd(args []string, stdout io.Writer) error {
 			explicitK = *k
 		}
 	})
-	start := time.Now()
 
 	if *detectOnly {
-		if err := redeemDetectOnly(f, *k, explicitK, *errorRate, start, stdout); err != nil {
+		budget, err := parseByteSize(f.memBudget)
+		if err != nil {
 			return err
 		}
-		return stopProfiles()
+		return f.profiled(func() error {
+			return redeemDetectOnly(f, *k, explicitK, *errorRate, budget, stdout)
+		})
 	}
 
 	opts, err := f.engineOptions()
@@ -72,22 +69,16 @@ func redeemCmd(args []string, stdout io.Writer) error {
 		// correction pass consistent with the -detect-only report.
 		redeem.WithMixtureMaxG(4),
 	)
-	eng, err := engine.Lookup(redeem.EngineName)
-	if err != nil {
-		return err
-	}
-	res, err := f.correctToFile(eng, engine.NewRun(opts...))
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(stdout, "%s; corrected %d of %d reads (budget %s) in %v\n",
-		res.Summary, res.Changed, res.Reads, f.memBudget, time.Since(start).Round(time.Millisecond))
-	return stopProfiles()
+	return f.correct(redeem.EngineName, opts, stdout, func(res *engine.Result, elapsed time.Duration) string {
+		return fmt.Sprintf("%s; corrected %d of %d reads (budget %s) in %v",
+			res.Summary, res.Changed, res.Reads, f.memBudget, elapsed)
+	})
 }
 
 // redeemDetectOnly is the historical analysis mode: fit the model, infer
 // the threshold, print the flagged-kmer tally and the T histogram.
-func redeemDetectOnly(f correctFlags, k, explicitK int, errorRate float64, start time.Time, stdout io.Writer) error {
+func redeemDetectOnly(f correctFlags, k, explicitK int, errorRate float64, budget int64, stdout io.Writer) error {
+	start := time.Now()
 	var spec *kspectrum.Spectrum
 	var err error
 	if f.loadSpec != "" {
@@ -100,9 +91,7 @@ func redeemDetectOnly(f correctFlags, k, explicitK int, errorRate float64, start
 	cfg := redeem.DefaultConfig(k)
 	cfg.Spectrum = spec
 	cfg.Build = kspectrum.BuildOptions{Workers: f.workers, Shards: f.shards}
-	if cfg.MemoryBudget, err = core.ParseByteSize(f.memBudget); err != nil {
-		return err
-	}
+	cfg.MemoryBudget = budget
 	cfg.MixtureMaxG = 4
 	// With a preloaded spectrum the reads are never consulted — detection
 	// runs purely on the stored counts — so skip reading the (possibly

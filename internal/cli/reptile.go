@@ -5,7 +5,6 @@ import (
 	"io"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/reptile"
 )
@@ -14,8 +13,7 @@ import (
 // algorithm of Chapter 2 through the engine registry's streaming path:
 // two chunked passes over the input, so with -mem-budget the k-spectrum
 // accumulators spill to disk and peak memory is bounded regardless of
-// input size. Output is byte-identical to the historical cmd/reptile
-// pipeline (asserted by the golden tests).
+// input size. The golden tests freeze the output bytes.
 func reptileCmd(args []string, stdout io.Writer) error {
 	fs := newFlagSet("reptile")
 	var f correctFlags
@@ -35,25 +33,13 @@ func reptileCmd(args []string, stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
-	stopProfiles, err := core.StartProfiles(f.cpuprofile, f.memprofile)
-	if err != nil {
-		return err
-	}
 	opts = append(opts,
 		engine.WithK(*k),
 		engine.WithGenomeLen(*genomeLen),
 		reptile.WithD(*d),
 	)
-	eng, err := engine.Lookup(reptile.EngineName)
-	if err != nil {
-		return err
-	}
-	start := time.Now()
-	res, err := f.correctToFile(eng, engine.NewRun(opts...))
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(stdout, "corrected %d of %d reads (%s, budget %s) in %v\n",
-		res.Changed, res.Reads, res.Summary, f.memBudget, time.Since(start).Round(time.Millisecond))
-	return stopProfiles()
+	return f.correct(reptile.EngineName, opts, stdout, func(res *engine.Result, elapsed time.Duration) string {
+		return fmt.Sprintf("corrected %d of %d reads (%s, budget %s) in %v",
+			res.Changed, res.Reads, res.Summary, f.memBudget, elapsed)
+	})
 }

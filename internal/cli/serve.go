@@ -20,7 +20,6 @@ import (
 	"time"
 
 	"repro/internal/client"
-	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/fastq"
 	"repro/internal/kspectrum"
@@ -37,18 +36,16 @@ import (
 //
 // Endpoints:
 //
-//	POST /v1/correct?spectrum=NAME&method=reptile|redeem
-//	    The legacy request shape, byte-for-byte compatible with the
-//	    original daemon: a FASTQ chunk in, the corrected chunk out.
 //	POST /v2/correct?spectrum=NAME&engine=NAME
-//	    The registry-driven path: any engine whose declared capabilities
-//	    allow the request is servable — including SHREC, which needs no
-//	    spectrum — and unknown engine names report the registered ones.
-//	    Same FASTQ body contract and X-Kserve-* stat headers as /v1.
+//	    A FASTQ chunk in, the corrected chunk out, with X-Kserve-* stat
+//	    headers. Any engine whose declared capabilities allow the request
+//	    is servable — including SHREC, which needs no spectrum — and
+//	    unknown engine names report the registered ones. engine defaults
+//	    to reptile.
 //	GET /v2/engines
 //	    JSON list of the registered engines: capabilities plus which
 //	    loaded spectra each can serve.
-//	GET /v1/spectra, GET /v2/spectra
+//	GET /v2/spectra
 //	    JSON list of the loaded spectra (name, k, kmers, both_strands).
 //	POST /v2/spectra?name=NAME
 //	    Upload a .kspc spectrum store and serve it without a restart;
@@ -225,11 +222,11 @@ func serveCmd(args []string, stdout io.Writer) error {
 		}
 	}
 
-	chunkBytes, err := core.ParseByteSize(*maxChunkBytes)
+	chunkBytes, err := parseByteSize(*maxChunkBytes)
 	if err != nil {
 		return err
 	}
-	specBytes, err := core.ParseByteSize(*maxSpecBytes)
+	specBytes, err := parseByteSize(*maxSpecBytes)
 	if err != nil {
 		return err
 	}
@@ -264,11 +261,6 @@ func serveCmd(args []string, stdout io.Writer) error {
 	// Stop the background machinery (verifiers, quarantine probes) before
 	// the deferred spectrum Close loop above unmaps anything.
 	defer srv.close()
-	for _, e := range srv.reg.snapshot() {
-		if e.reptileErr != nil {
-			log.Printf("spectrum %q serves redeem only on /v1 (%v)", e.name, e.reptileErr)
-		}
-	}
 
 	// An explicit Listen (instead of ListenAndServe) pins the bound
 	// address before the serving goroutine starts: `-listen 127.0.0.1:0`
@@ -412,8 +404,7 @@ type server struct {
 
 // newServer builds the registry: a service slot per (spectrum, engine),
 // with the Reptile slot resolved eagerly so the first request pays no
-// index-build latency and startup can log which spectra are
-// Reptile-servable.
+// index-build latency.
 func newServer(specs map[string]*kspectrum.Spectrum, opts ServerOptions) (*server, error) {
 	if opts.MaxInflight <= 0 {
 		opts.MaxInflight = 2 * runtime.GOMAXPROCS(0)
@@ -681,10 +672,8 @@ func (s *server) service(eng engine.Engine, e *entry) (engine.ChunkCorrector, er
 func (s *server) mux() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/healthz", s.handleHealthz)
-	mux.HandleFunc("/v1/spectra", s.handleSpectra)
-	mux.HandleFunc("/v1/correct", s.correction(s.handleCorrectV1))
 	mux.HandleFunc("/v2/engines", s.handleEngines)
-	mux.HandleFunc("/v2/correct", s.correction(s.handleCorrectV2))
+	mux.HandleFunc("/v2/correct", s.correction(s.handleCorrect))
 	mux.HandleFunc("GET /v2/spectra", s.handleSpectra)
 	mux.HandleFunc("POST /v2/spectra", s.handleSpectraUpload)
 	mux.HandleFunc("DELETE /v2/spectra/{name}", s.handleSpectraDelete)
@@ -770,45 +759,11 @@ func (s *server) handleEngines(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, out)
 }
 
-// handleCorrectV1 is the legacy serve path: the method parameter selects
-// reptile (default) or redeem, everything else is a 400. It corrects
-// through the same per-entry engine slots as /v2, so both API versions
-// share one neighbor index and one EM fit per spectrum.
-func (s *server) handleCorrectV1(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		s.errorJSON(w, http.StatusMethodNotAllowed, errClassBadRequest, "POST a FASTQ chunk")
-		return
-	}
-	e, ok := s.selectEntry(w, r)
-	if !ok {
-		return
-	}
-	defer e.release()
-	method := r.URL.Query().Get("method")
-	if method == "" {
-		method = reptile.EngineName
-	}
-	if method != reptile.EngineName && method != redeem.EngineName {
-		s.errorJSON(w, http.StatusBadRequest, errClassUnknownEngine, "unknown method %q (want reptile or redeem)", method)
-		return
-	}
-	if method == reptile.EngineName && e.reptileErr != nil {
-		s.errorJSON(w, http.StatusBadRequest, errClassBadRequest, "spectrum %q cannot serve method reptile: %v", e.name, e.reptileErr)
-		return
-	}
-	eng, err := engine.Lookup(method)
-	if err != nil {
-		s.errorJSON(w, http.StatusInternalServerError, errClassInternal, "%v", err)
-		return
-	}
-	s.correctWithEngine(w, r, eng, e, method)
-}
-
-// handleCorrectV2 is the registry-driven serve path: any registered
-// engine whose capabilities allow the request is servable, and unknown
-// engine names report the registered ones (the same typed error every
-// front end shares).
-func (s *server) handleCorrectV2(w http.ResponseWriter, r *http.Request) {
+// handleCorrect is the serve path: any registered engine whose
+// capabilities allow the request is servable, and unknown engine names
+// report the registered ones (the same typed error every front end
+// shares).
+func (s *server) handleCorrect(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		s.errorJSON(w, http.StatusMethodNotAllowed, errClassBadRequest, "POST a FASTQ chunk")
 		return
@@ -837,11 +792,11 @@ func (s *server) handleCorrectV2(w http.ResponseWriter, r *http.Request) {
 		s.errorJSON(w, http.StatusBadRequest, errClassBadRequest, "%v", err)
 		return
 	}
-	s.correctWithEngine(w, r, eng, e, name)
+	s.correctWithEngine(w, r, eng, e)
 }
 
-// correctWithEngine is the shared tail of both serve paths: apply the
-// request deadline, admit the request (bounded queue + semaphore slot +
+// correctWithEngine is the tail of the serve path: apply the request
+// deadline, admit the request (bounded queue + semaphore slot +
 // body decode), resolve the engine's service slot — only while holding
 // the slot, so cold-start construction (REDEEM's EM fit) stays inside
 // the -max-inflight bound — and correct under the request context, so a
@@ -849,7 +804,7 @@ func (s *server) handleCorrectV2(w http.ResponseWriter, r *http.Request) {
 // finishing it for nobody. The caller holds e's refcount for the whole
 // call, so a concurrent hot swap or delete cannot unmap the spectrum
 // under the correction.
-func (s *server) correctWithEngine(w http.ResponseWriter, r *http.Request, eng engine.Engine, e *entry, method string) {
+func (s *server) correctWithEngine(w http.ResponseWriter, r *http.Request, eng engine.Engine, e *entry) {
 	specName := ""
 	if e != nil {
 		specName = e.name
@@ -890,7 +845,7 @@ func (s *server) correctWithEngine(w http.ResponseWriter, r *http.Request, eng e
 	if err == nil {
 		corrected, err = svc.CorrectChunk(ctx, reads, s.opts.Workers)
 	}
-	s.respond(w, r, reads, corrected, err, specName, method, start)
+	s.respond(w, r, reads, corrected, err, specName, eng.Name(), start)
 }
 
 // admit runs the shared request admission. The shed decision is one
@@ -968,7 +923,7 @@ func (s *server) releaseSlot() {
 
 // respond finishes a correction request: error mapping, stats, headers,
 // body.
-func (s *server) respond(w http.ResponseWriter, r *http.Request, reads, corrected []seq.Read, err error, spectrum, method string, start time.Time) {
+func (s *server) respond(w http.ResponseWriter, r *http.Request, reads, corrected []seq.Read, err error, spectrum, engineName string, start time.Time) {
 	if err != nil {
 		var sue *remote.ShardUnavailableError
 		switch {
@@ -1010,7 +965,7 @@ func (s *server) respond(w http.ResponseWriter, r *http.Request, reads, correcte
 	if spectrum != "" {
 		h.Set("X-Kserve-Spectrum", spectrum)
 	}
-	h.Set("X-Kserve-Method", method)
+	h.Set("X-Kserve-Method", engineName)
 	h.Set("X-Kserve-Reads", fmt.Sprint(len(reads)))
 	h.Set("X-Kserve-Changed", fmt.Sprint(changed))
 	h.Set("X-Kserve-Duration-Ms", fmt.Sprint(time.Since(start).Milliseconds()))

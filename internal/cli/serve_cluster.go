@@ -12,9 +12,7 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/engine"
 	"repro/internal/remote"
-	"repro/internal/reptile"
 	"repro/internal/seq"
 )
 
@@ -104,22 +102,10 @@ func retryAfterSeconds(secs int) string {
 }
 
 // newRemoteEntry builds a registry slot for a coordinator spectrum:
-// spec stays nil, queries go through the fan-out backend. The Reptile
-// service slot still resolves eagerly (construction is metadata-only —
-// no shard round trips), so startup logs whether the cluster spectrum
-// is Reptile-servable.
+// spec stays nil, queries go through the fan-out backend. The eager
+// Reptile slot is metadata-only here — no shard round trips.
 func (s *server) newRemoteEntry(name string, rs *remote.RemoteSpectrum) *entry {
-	e := &entry{name: name, remote: rs, services: make(map[string]*serviceSlot)}
-	e.refs.Store(1)
-	for _, engName := range engine.Names() {
-		e.services[engName] = &serviceSlot{}
-	}
-	if rep, err := engine.Lookup(reptile.EngineName); err == nil {
-		if e.reptileErr = s.checkServable(rep, e); e.reptileErr == nil {
-			_, e.reptileErr = s.service(rep, e)
-		}
-	}
-	return e
+	return s.initEntry(&entry{name: name, remote: rs})
 }
 
 // handleShards is GET /v2/shards: the shard entries this node owns, in

@@ -120,13 +120,12 @@ func TestServeErrorsAreJSON(t *testing.T) {
 		body   []byte
 		status int
 	}{
-		{"bad fastq", "POST", ts.URL + "/v1/correct", []byte("not fastq"), 400},
-		{"empty chunk", "POST", ts.URL + "/v1/correct", nil, 400},
-		{"unknown method", "POST", ts.URL + "/v1/correct?method=bogus", chunk, 400},
-		{"wrong verb", "GET", ts.URL + "/v1/correct", nil, 405},
+		{"bad fastq", "POST", ts.URL + "/v2/correct", []byte("not fastq"), 400},
+		{"empty chunk", "POST", ts.URL + "/v2/correct", nil, 400},
+		{"wrong verb", "GET", ts.URL + "/v2/correct", nil, 405},
 		{"unknown engine", "POST", ts.URL + "/v2/correct?engine=bogus", chunk, 400},
 		{"unknown spectrum", "POST", ts.URL + "/v2/correct?spectrum=nope", chunk, 404},
-		{"oversize chunk", "POST", tsSmall.URL + "/v1/correct", bigChunk, 413},
+		{"oversize chunk", "POST", tsSmall.URL + "/v2/correct", bigChunk, 413},
 		{"invalid upload", "POST", ts.URL + "/v2/spectra?name=bad", []byte("garbage"), 400},
 		{"bad upload name", "POST", ts.URL + "/v2/spectra?name=.dotfile", chunk, 400},
 		{"delete unknown", "DELETE", ts.URL + "/v2/spectra/nope", nil, 404},
@@ -187,7 +186,7 @@ func TestServeShedsWhenSaturated(t *testing.T) {
 	srv, reads, _ := hardenFixture(t, ServerOptions{Workers: 1, MaxInflight: 1, MaxQueue: -1})
 	ts := httptest.NewServer(srv.mux())
 	defer ts.Close()
-	url := ts.URL + "/v1/correct?spectrum=main"
+	url := ts.URL + "/v2/correct?spectrum=main"
 
 	pw, done := stallRequest(t, srv, url)
 	defer pw.Close()
@@ -223,7 +222,7 @@ func TestServeRequestDeadline(t *testing.T) {
 		Workers: 1, MaxInflight: 1, MaxQueue: 1, RequestTimeout: 150 * time.Millisecond,
 	})
 	ts := httptest.NewServer(srv.mux())
-	url := ts.URL + "/v1/correct?spectrum=main"
+	url := ts.URL + "/v2/correct?spectrum=main"
 
 	pw, done := stallRequest(t, srv, url)
 	start := time.Now()
@@ -428,7 +427,7 @@ func TestServeUnserviceableSpectrum(t *testing.T) {
 	defer srv.close()
 	ts := httptest.NewServer(srv.mux())
 	defer ts.Close()
-	resp, body := postChunk(t, ts.Client(), ts.URL+"/v1/correct?spectrum=bad", encodeChunk(t, reads[:20]))
+	resp, body := postChunk(t, ts.Client(), ts.URL+"/v2/correct?spectrum=bad", encodeChunk(t, reads[:20]))
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("status = %d want 503; body: %s", resp.StatusCode, body)
 	}

@@ -25,7 +25,7 @@ func TestServePanicRecovery(t *testing.T) {
 	ts := httptest.NewServer(srv.mux())
 	defer ts.Close()
 	chunk := encodeChunk(t, reads[:20])
-	url := ts.URL + "/v1/correct?spectrum=main"
+	url := ts.URL + "/v2/correct?spectrum=main"
 
 	disable := faultinject.Enable(&faultinject.Rule{
 		Site: "serve.request", Op: faultinject.OpAny, Nth: 1, Panic: true,

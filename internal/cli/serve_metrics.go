@@ -119,8 +119,8 @@ func setTrace(w http.ResponseWriter, engine, spectrum string) {
 	}
 }
 
-// correction is the request-path middleware wrapping both correct
-// handlers: panic recovery, in-flight accounting, per-engine/
+// correction is the request-path middleware wrapping the correct
+// handler: panic recovery, in-flight accounting, per-engine/
 // per-spectrum request counts, and the end-to-end latency histogram
 // (successful requests only — sheds and refusals return in microseconds
 // and would drown the distribution the histogram exists to show).

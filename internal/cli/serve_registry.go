@@ -20,20 +20,13 @@ import (
 )
 
 // entry is one registry slot: a loaded spectrum plus the per-engine
-// service slots derived from it. Both API versions share the slots —
-// one neighbor index and one EM fit per (spectrum, engine), however the
-// request arrives — so serving /v1 and /v2 together costs no more than
-// either alone. The Reptile slot is built eagerly at registration (the
-// original daemon's behavior: the first request pays no index-build
-// latency), the rest on first use, because many deployments serve a
-// single algorithm.
+// service slots derived from it — one neighbor index and one EM fit per
+// (spectrum, engine). The Reptile slot is built eagerly at registration
+// (the first request pays no index-build latency), the rest on first
+// use, because many deployments serve a single algorithm.
 type entry struct {
 	name string
 	spec *kspectrum.Spectrum
-	// reptileErr is non-nil when the spectrum cannot serve Reptile
-	// (e.g. k > 16 overflows the packed tile — now a declared
-	// capability); it says why, and the spectrum still serves REDEEM.
-	reptileErr error
 
 	// services are the per-engine correctors, keyed by engine name and
 	// built at most once through engine.Servicer.
@@ -292,23 +285,28 @@ func (reg *specRegistry) snapshot() []*entry {
 	return out
 }
 
-// newEntry builds a registry slot for a loaded spectrum: per-engine
-// service slots, with the Reptile slot resolved eagerly so the first
-// request pays no index-build latency and registration can report
-// Reptile-servability. The entry starts with the registry's hold.
+// newEntry builds a registry slot for a loaded spectrum; the entry
+// starts with the registry's hold.
 func (s *server) newEntry(name string, spec *kspectrum.Spectrum) *entry {
-	e := &entry{name: name, spec: spec, services: make(map[string]*serviceSlot)}
+	return s.initEntry(&entry{name: name, spec: spec})
+}
+
+// initEntry gives a local or remote entry its registry hold and
+// per-engine service slots, and resolves the Reptile slot eagerly so the
+// first request pays no index-build latency. A spectrum Reptile cannot
+// serve (k > 16 overflows the packed 2k-base tile — the declared
+// MaxSpectrumK capability) is not fatal: it still serves the other
+// engines, and engine=reptile requests get the capability reason back as
+// a clean 400.
+func (s *server) initEntry(e *entry) *entry {
+	e.services = make(map[string]*serviceSlot)
 	e.refs.Store(1)
 	for _, engName := range engine.Names() {
 		e.services[engName] = &serviceSlot{}
 	}
-	// A spectrum Reptile cannot serve (k > 16 overflows the packed
-	// 2k-base tile — the declared MaxSpectrumK capability) is not
-	// fatal: it still serves REDEEM, and method=reptile requests
-	// get the stored reason back as a clean 400.
 	if rep, err := engine.Lookup(reptile.EngineName); err == nil {
-		if e.reptileErr = s.checkServable(rep, e); e.reptileErr == nil {
-			_, e.reptileErr = s.service(rep, e)
+		if _, err := s.service(rep, e); err != nil {
+			log.Printf("spectrum %q cannot serve %s (%v)", e.name, reptile.EngineName, err)
 		}
 	}
 	return e

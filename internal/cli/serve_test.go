@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -85,7 +86,7 @@ func TestServeEndpoints(t *testing.T) {
 		t.Errorf("healthz = %v", health)
 	}
 
-	resp, err = http.Get(ts.URL + "/v1/spectra")
+	resp, err = http.Get(ts.URL + "/v2/spectra")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,11 +112,14 @@ func TestServeEndpoints(t *testing.T) {
 		name, url, body string
 		status          int
 	}{
-		{"unknown spectrum", "/v1/correct?spectrum=nope", string(chunk), http.StatusNotFound},
-		{"ambiguous spectrum", "/v1/correct", string(chunk), http.StatusBadRequest},
-		{"unknown method", "/v1/correct?spectrum=main&method=shrec", string(chunk), http.StatusBadRequest},
-		{"bad fastq", "/v1/correct?spectrum=main", "not a fastq", http.StatusBadRequest},
-		{"empty chunk", "/v1/correct?spectrum=main", "", http.StatusBadRequest},
+		{"unknown spectrum", "/v2/correct?spectrum=nope", string(chunk), http.StatusNotFound},
+		{"ambiguous spectrum", "/v2/correct", string(chunk), http.StatusBadRequest},
+		{"unknown engine", "/v2/correct?spectrum=main&engine=bogus", string(chunk), http.StatusBadRequest},
+		{"bad fastq", "/v2/correct?spectrum=main", "not a fastq", http.StatusBadRequest},
+		{"empty chunk", "/v2/correct?spectrum=main", "", http.StatusBadRequest},
+		// The one API version is /v2: the retired /v1 routes are the
+		// mux's plain 404.
+		{"retired v1 correct", "/v1/correct?spectrum=main", string(chunk), http.StatusNotFound},
 	}
 	for _, tc := range cases {
 		resp, _ := postChunk(t, ts.Client(), ts.URL+tc.url, []byte(tc.body))
@@ -129,24 +133,34 @@ func TestServeEndpoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp, _ := postChunk(t, ts.Client(), ts.URL+"/v1/correct?spectrum=main", big); resp.StatusCode != http.StatusRequestEntityTooLarge {
+	if resp, _ := postChunk(t, ts.Client(), ts.URL+"/v2/correct?spectrum=main", big); resp.StatusCode != http.StatusRequestEntityTooLarge {
 		t.Errorf("oversized chunk: status %d want %d", resp.StatusCode, http.StatusRequestEntityTooLarge)
 	}
 
 	// Wrong verb.
-	resp, err = http.Get(ts.URL + "/v1/correct?spectrum=main")
+	resp, err = http.Get(ts.URL + "/v2/correct?spectrum=main")
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
-		t.Errorf("GET /v1/correct: status %d want 405", resp.StatusCode)
+		t.Errorf("GET /v2/correct: status %d want 405", resp.StatusCode)
+	}
+
+	resp, err = http.Get(ts.URL + "/v1/spectra")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Errorf("retired v1 spectra listing: status %d want 404", resp.StatusCode)
 	}
 }
 
 // TestServeRedeemOnlySpectrum: a spectrum Reptile cannot serve (k > 16
 // overflows the packed 2k-base tile) must not kill the daemon — it loads,
-// lists, serves REDEEM, and answers method=reptile with a clean 400.
+// lists under REDEEM only, serves REDEEM, and answers engine=reptile with
+// a clean 400 naming the MaxSpectrumK capability.
 func TestServeRedeemOnlySpectrum(t *testing.T) {
 	ds, err := simulate.BuildDataset(simulate.DatasetSpec{
 		Name: "t", GenomeLen: 4000, ReadLen: 36, Coverage: 20,
@@ -171,13 +185,33 @@ func TestServeRedeemOnlySpectrum(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, body := postChunk(t, ts.Client(), ts.URL+"/v1/correct?method=reptile", chunk)
-	if resp.StatusCode != http.StatusBadRequest || !bytes.Contains(body, []byte("reptile")) {
-		t.Errorf("method=reptile on k=20 spectrum: status %d body %q", resp.StatusCode, body)
+	resp, body := postChunk(t, ts.Client(), ts.URL+"/v2/correct?engine=reptile", chunk)
+	if resp.StatusCode != http.StatusBadRequest || !bytes.Contains(body, []byte("k=20 exceeds max spectrum k 16")) {
+		t.Errorf("engine=reptile on k=20 spectrum: status %d body %q", resp.StatusCode, body)
 	}
-	resp, body = postChunk(t, ts.Client(), ts.URL+"/v1/correct?method=redeem", chunk)
+	resp, body = postChunk(t, ts.Client(), ts.URL+"/v2/correct?engine=redeem", chunk)
 	if resp.StatusCode != http.StatusOK {
-		t.Errorf("method=redeem on k=20 spectrum: status %d body %q", resp.StatusCode, body)
+		t.Errorf("engine=redeem on k=20 spectrum: status %d body %q", resp.StatusCode, body)
+	}
+
+	resp, err = http.Get(ts.URL + "/v2/engines")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var engines []struct {
+		Name    string   `json:"name"`
+		Spectra []string `json:"spectra"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&engines); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	listed := map[string]string{}
+	for _, e := range engines {
+		listed[e.Name] = strings.Join(e.Spectra, ",")
+	}
+	if listed["redeem"] != "wide" || listed["reptile"] != "" {
+		t.Errorf("/v2/engines lists the k=20 spectrum under %v, want redeem only", listed)
 	}
 }
 
@@ -239,7 +273,7 @@ func TestServeCorrectConcurrent(t *testing.T) {
 		go func(method string, want []byte) {
 			defer wg.Done()
 			resp, err := ts.Client().Post(
-				fmt.Sprintf("%s/v1/correct?spectrum=main&method=%s", ts.URL, method),
+				fmt.Sprintf("%s/v2/correct?spectrum=main&engine=%s", ts.URL, method),
 				"text/x-fastq", bytes.NewReader(body))
 			if err != nil {
 				errs <- err

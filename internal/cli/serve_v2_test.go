@@ -13,42 +13,8 @@ import (
 	"repro/internal/simulate"
 )
 
-// TestServeV2MatchesV1 is the golden test of the registry-driven serve
-// path: for reptile and redeem, /v2/correct answers byte-identically to
-// the legacy /v1/correct over the same chunk, so clients can migrate
-// without revalidating outputs.
-func TestServeV2MatchesV1(t *testing.T) {
-	srv, reads, _ := testFixture(t, ServerOptions{Workers: 1})
-	ts := httptest.NewServer(srv.mux())
-	defer ts.Close()
-
-	chunk, err := fastq.EncodeChunk(reads[:200])
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, method := range []string{"reptile", "redeem"} {
-		t.Run(method, func(t *testing.T) {
-			respV1, bodyV1 := postChunk(t, ts.Client(), ts.URL+"/v1/correct?spectrum=main&method="+method, chunk)
-			if respV1.StatusCode != http.StatusOK {
-				t.Fatalf("/v1 status %d: %s", respV1.StatusCode, bodyV1)
-			}
-			respV2, bodyV2 := postChunk(t, ts.Client(), ts.URL+"/v2/correct?spectrum=main&engine="+method, chunk)
-			if respV2.StatusCode != http.StatusOK {
-				t.Fatalf("/v2 status %d: %s", respV2.StatusCode, bodyV2)
-			}
-			if !bytes.Equal(bodyV1, bodyV2) {
-				t.Errorf("/v2 response diverges from /v1 for %s", method)
-			}
-			if h := respV2.Header.Get("X-Kserve-Method"); h != method {
-				t.Errorf("X-Kserve-Method = %q", h)
-			}
-		})
-	}
-}
-
-// TestServeV2Shrec: the capability-driven path makes SHREC servable — an
-// engine the hand-rolled /v1 method switch could never offer — without
-// any spectrum parameter.
+// TestServeV2Shrec: the capability-driven path makes SHREC servable
+// without any spectrum parameter.
 func TestServeV2Shrec(t *testing.T) {
 	srv, reads, _ := testFixture(t, ServerOptions{Workers: 1})
 	ts := httptest.NewServer(srv.mux())
@@ -69,10 +35,8 @@ func TestServeV2Shrec(t *testing.T) {
 	if len(out) != 200 {
 		t.Errorf("shrec returned %d reads want 200", len(out))
 	}
-	// /v1 still rejects it, documenting why /v2 exists.
-	resp, _ = postChunk(t, ts.Client(), ts.URL+"/v1/correct?spectrum=main&method=shrec", chunk)
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("/v1 method=shrec status %d want 400", resp.StatusCode)
+	if h := resp.Header.Get("X-Kserve-Method"); h != "shrec" {
+		t.Errorf("X-Kserve-Method = %q", h)
 	}
 }
 

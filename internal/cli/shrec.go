@@ -5,7 +5,6 @@ import (
 	"io"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/shrec"
 )
@@ -34,10 +33,6 @@ func shrecCmd(args []string, stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
-	stopProfiles, err := core.StartProfiles(f.cpuprofile, f.memprofile)
-	if err != nil {
-		return err
-	}
 	opts = append(opts, engine.WithGenomeLen(*genomeLen))
 	if *alpha > 0 {
 		opts = append(opts, shrec.WithAlpha(*alpha))
@@ -45,16 +40,7 @@ func shrecCmd(args []string, stdout io.Writer) error {
 	if *iterations > 0 {
 		opts = append(opts, shrec.WithIterations(*iterations))
 	}
-	eng, err := engine.Lookup(shrec.EngineName)
-	if err != nil {
-		return err
-	}
-	start := time.Now()
-	res, err := f.correctToFile(eng, engine.NewRun(opts...))
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(stdout, "corrected %d of %d reads (%s) in %v\n",
-		res.Changed, res.Reads, res.Summary, time.Since(start).Round(time.Millisecond))
-	return stopProfiles()
+	return f.correct(shrec.EngineName, opts, stdout, func(res *engine.Result, elapsed time.Duration) string {
+		return fmt.Sprintf("corrected %d of %d reads (%s) in %v", res.Changed, res.Reads, res.Summary, elapsed)
+	})
 }

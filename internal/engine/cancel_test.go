@@ -18,8 +18,8 @@ import (
 )
 
 // endlessSource yields the same chunk forever and cancels the run's
-// context after cancelAfter chunks — so only context-awareness can stop a
-// pass over it.
+// context once cancelAfter chunks have been delivered (across every pass
+// opened over it) — so only context-awareness can stop a pass over it.
 type endlessSource struct {
 	chunk       []seq.Read
 	delivered   *atomic.Int64
@@ -56,17 +56,19 @@ func testChunk(t *testing.T) []seq.Read {
 // (CI does).
 func TestCorrectStreamCancel(t *testing.T) {
 	chunk := testChunk(t)
-	// Explicit reptile params so the adapter skips its leading-sample
-	// pass (which would legitimately consume extra chunks).
-	rp := reptile.DefaultParams(chunk, 4000)
+	// Reptile derives its parameters from a leading-sample pass that
+	// legitimately pulls chunks until it holds engine.SampleReads reads;
+	// the cancel is armed that many chunks later, so it still lands
+	// mid-way through the counting pass proper.
+	samplePass := int64((engine.SampleReads + len(chunk) - 1) / len(chunk))
 
 	engines := []struct {
 		name string
-		opts []engine.Option
+		skip int64 // chunks consumed before the pass under test starts
 	}{
-		{reptile.EngineName, []engine.Option{reptile.WithParams(rp)}},
-		{redeem.EngineName, nil},
-		{shrec.EngineName, nil},
+		{reptile.EngineName, samplePass},
+		{redeem.EngineName, 0},
+		{shrec.EngineName, 0},
 	}
 	for _, tc := range engines {
 		t.Run(tc.name, func(t *testing.T) {
@@ -77,7 +79,7 @@ func TestCorrectStreamCancel(t *testing.T) {
 			before := runtime.NumGoroutine()
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
-			const cancelAfter = 3
+			cancelAfter := tc.skip + 3
 			var delivered atomic.Int64
 			open := func() (engine.Source, error) {
 				return &endlessSource{chunk: chunk, delivered: &delivered, cancelAfter: cancelAfter, cancel: cancel}, nil
@@ -86,7 +88,7 @@ func TestCorrectStreamCancel(t *testing.T) {
 
 			done := make(chan error, 1)
 			go func() {
-				_, err := eng.CorrectStream(ctx, open, sink, engine.NewRun(tc.opts...))
+				_, err := eng.CorrectStream(ctx, open, sink, engine.NewRun())
 				done <- err
 			}()
 			select {
@@ -125,8 +127,7 @@ func TestCorrectCancelBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rp := reptile.DefaultParams(chunk, 4000)
-	_, _, err = eng.Correct(ctx, chunk, engine.NewRun(reptile.WithParams(rp)))
+	_, _, err = eng.Correct(ctx, chunk, engine.NewRun(engine.WithGenomeLen(4000)))
 	if !errors.Is(err, context.Canceled) {
 		t.Errorf("Correct error = %v, want ctx.Err()", err)
 	}

@@ -2,9 +2,8 @@
 // repository — the single seam behind which the dissertation's correction
 // algorithms (Reptile, REDEEM, SHREC) and any future engine live. It is
 // written as a promotable public API: nothing in it references a concrete
-// algorithm, and every consumer (the core facade, the repro CLI, the
-// kserve daemon, examples, benchmarks) programs against the same three
-// concepts:
+// algorithm, and every consumer (the repro CLI, the serve daemon,
+// examples, benchmarks) programs against the same three concepts:
 //
 //   - Engine: the algorithm contract. An engine has a Name, declares its
 //     Capabilities (streaming path? spectrum reuse? largest servable
@@ -19,19 +18,18 @@
 //     (engine.Register) and are retrieved by name (engine.Lookup).
 //     Looking up an unknown name yields an *UnknownEngineError wrapping
 //     ErrUnknownEngine that lists the registered engine names, so every
-//     front end — CLI flag, HTTP query parameter, facade option — reports
-//     the same actionable error.
+//     front end — CLI flag, HTTP query parameter — reports the same
+//     actionable error.
 //
 //   - Run: the per-invocation configuration, built from functional
 //     options. Cross-engine knobs live here (WithK, WithWorkers,
 //     WithShards, WithMemoryBudget, WithGenomeLen, WithSpectrum,
 //     WithSpectrumPath, WithSaveSpectrumPath, WithTempDir); engine
 //     packages contribute their own options (reptile.WithD,
-//     redeem.WithErrorRate, shrec.WithConfig, ...) that tuck
+//     redeem.WithErrorRate, shrec.WithAlpha, ...) that tuck
 //     engine-specific payloads into the Run's extension slots. A Run is
 //     inert data: engines resolve it against their defaults at call time,
-//     so the zero Run means "derive everything from the data", exactly
-//     like the historical facade.
+//     so the zero Run means "derive everything from the data".
 //
 // Streaming uses one chunk-shaped contract for every engine: a Source
 // yields successive []seq.Read chunks (SourceOpener re-opens it, because
@@ -43,5 +41,5 @@
 // Engines that can amortize per-corpus state across many independent
 // requests additionally implement Servicer: NewService builds a shared,
 // concurrency-safe ChunkCorrector (the correction-as-a-service form used
-// by the kserve daemon's /v2 endpoints).
+// by the serve daemon's /v2 endpoints).
 package engine

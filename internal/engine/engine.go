@@ -15,8 +15,7 @@ import (
 
 // Capabilities declares what an engine can do, so front ends route
 // requests by declaration instead of hand-rolled per-algorithm checks
-// (the kserve daemon's historical k>16 special case for Reptile is now
-// MaxSpectrumK).
+// (the daemon's k>16 refusal for Reptile is MaxSpectrumK).
 type Capabilities struct {
 	// Streaming reports a true out-of-core streaming path: two chunked
 	// passes, bounded memory. Engines without one still satisfy
@@ -67,7 +66,8 @@ type Result struct {
 	// Corrections is SHREC's applied-change count.
 	Corrections int
 	// Spectrum is the k-spectrum the run built or adopted (nil for
-	// engines without one).
+	// engines without one). One the run loaded from WithSpectrumPath
+	// holds a file mapping and is the caller's to Close.
 	Spectrum *kspectrum.Spectrum
 	// Summary is a one-line, engine-specific description of the resolved
 	// parameters and outcome, suitable for a CLI status line.

@@ -7,11 +7,10 @@ import (
 )
 
 // Run is one correction invocation's configuration, built from functional
-// options. It replaces the historical CorrectOptions field jungle: the
-// cross-engine knobs are fields here, engine-specific settings ride in
-// extension slots filled by the engine packages' own options
-// (reptile.WithD, redeem.WithErrorRate, ...). The zero Run is valid and
-// means "derive everything from the data".
+// options: the cross-engine knobs are fields here, engine-specific
+// settings ride in extension slots filled by the engine packages' own
+// options (reptile.WithD, redeem.WithErrorRate, ...). The zero Run is
+// valid and means "derive everything from the data".
 type Run struct {
 	// K is the kmer length (0 = engine default / data-derived /
 	// adopted from a preloaded spectrum).
@@ -185,7 +184,7 @@ func WithSaveSpectrumPath(path string) Option { return func(r *Run) { r.SaveSpec
 // stored k is authoritative, so an explicit requested k (non-zero) that
 // disagrees with it is an error, while explicitK == 0 defers to the
 // store (the caller then adopts spec.K). Keeping the rule here means the
-// CLI, the facade and the daemon cannot drift apart.
+// CLI and the daemon cannot drift apart.
 func LoadSpectrumForK(path string, explicitK int, mode SpectrumMode) (*kspectrum.Spectrum, error) {
 	var spec *kspectrum.Spectrum
 	var err error
@@ -206,16 +205,17 @@ func LoadSpectrumForK(path string, explicitK int, mode SpectrumMode) (*kspectrum
 
 // ResolveSpectrum resolves the run's spectrum inputs: the preloaded
 // in-memory spectrum if set, else the persistent store at SpectrumPath
-// under the k-authority rule, else nil (count the input). explicitK is
-// the caller's explicitly-requested k, 0 when unset.
-func (r *Run) ResolveSpectrum(explicitK int) (*kspectrum.Spectrum, error) {
+// under the k-authority rule against the run's K (0 = unset), else nil
+// (count the input). A spectrum it opened from SpectrumPath is the
+// engine's to Close when its call fails.
+func (r *Run) ResolveSpectrum() (*kspectrum.Spectrum, error) {
 	if r.Spectrum != nil {
 		return r.Spectrum, nil
 	}
 	if r.SpectrumPath == "" {
 		return nil, nil
 	}
-	return LoadSpectrumForK(r.SpectrumPath, explicitK, r.SpectrumMode)
+	return LoadSpectrumForK(r.SpectrumPath, r.K, r.SpectrumMode)
 }
 
 // SaveSpectrum persists spec when SaveSpectrumPath is set; a no-op

@@ -10,7 +10,7 @@ import (
 )
 
 // Chunk encode/decode over byte streams — the wire format of the
-// correction service (cmd/kserve): request and response bodies are plain
+// correction service (repro serve): request and response bodies are plain
 // FASTQ, so any client that can write reads to a file can talk to the
 // daemon with curl.
 

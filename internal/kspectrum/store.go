@@ -18,7 +18,7 @@ import (
 // The persistent spectrum store: a versioned binary on-disk format for a
 // built Spectrum, so the expensive Phase-1 counting runs once and its
 // product is reused across processes (the -save-spectrum/-load-spectrum
-// CLI flags and the cmd/kserve daemon registry).
+// CLI flags and the repro serve daemon registry).
 //
 // Layout, all little-endian, fixed width (DESIGN.md §6):
 //

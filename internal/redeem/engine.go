@@ -46,8 +46,7 @@ func WithErrorRate(rate float64) engine.Option {
 }
 
 // WithMixtureMaxG bounds the component count of the §3.7 threshold
-// mixture sweep (<= 0 selects 3, the historical facade default; the CLI
-// passes 4).
+// mixture sweep (<= 0 selects 3; the CLI passes 4).
 func WithMixtureMaxG(g int) engine.Option {
 	return func(r *engine.Run) { extOf(r).mixtureMaxG = g }
 }
@@ -104,12 +103,22 @@ func resolveConfig(run *engine.Run, spec *kspectrum.Spectrum) (Config, *simulate
 	return cfg, model
 }
 
-func (redeemEngine) Correct(ctx context.Context, reads []seq.Read, run *engine.Run) ([]seq.Read, *engine.Result, error) {
+// closeOpened releases a spectrum the run itself opened from
+// SpectrumPath when the call fails — nobody else holds the mapping. One
+// supplied through WithSpectrum is the caller's and is never closed here.
+func closeOpened(run *engine.Run, spec *kspectrum.Spectrum, err *error) {
+	if *err != nil && spec != nil && spec != run.Spectrum {
+		spec.Close()
+	}
+}
+
+func (redeemEngine) Correct(ctx context.Context, reads []seq.Read, run *engine.Run) (_ []seq.Read, _ *engine.Result, err error) {
 	start := time.Now()
-	spec, err := run.ResolveSpectrum(run.K)
+	spec, err := run.ResolveSpectrum()
 	if err != nil {
 		return nil, nil, err
 	}
+	defer closeOpened(run, spec, &err)
 	cfg, model := resolveConfig(run, spec)
 	m, err := New(reads, model, cfg)
 	if err != nil {
@@ -140,12 +149,13 @@ func (redeemEngine) Correct(ctx context.Context, reads []seq.Read, run *engine.R
 	}, nil
 }
 
-func (redeemEngine) CorrectStream(ctx context.Context, open engine.SourceOpener, sink engine.Sink, run *engine.Run) (*engine.Result, error) {
+func (redeemEngine) CorrectStream(ctx context.Context, open engine.SourceOpener, sink engine.Sink, run *engine.Run) (_ *engine.Result, err error) {
 	start := time.Now()
-	spec, err := run.ResolveSpectrum(run.K)
+	spec, err := run.ResolveSpectrum()
 	if err != nil {
 		return nil, err
 	}
+	defer closeOpened(run, spec, &err)
 	cfg, model := resolveConfig(run, spec)
 	res := &engine.Result{Engine: EngineName}
 	emit := func(orig, corrected []seq.Read) error {
@@ -171,11 +181,12 @@ func (redeemEngine) CorrectStream(ctx context.Context, open engine.SourceOpener,
 // the run's spectrum (EM plus threshold inference — the expensive part a
 // daemon amortizes) and the returned corrector serves independent chunks
 // concurrently.
-func (redeemEngine) NewService(run *engine.Run) (engine.ChunkCorrector, error) {
-	spec, err := run.ResolveSpectrum(run.K)
+func (redeemEngine) NewService(run *engine.Run) (_ engine.ChunkCorrector, err error) {
+	spec, err := run.ResolveSpectrum()
 	if err != nil {
 		return nil, err
 	}
+	defer closeOpened(run, spec, &err)
 	if spec == nil {
 		return nil, fmt.Errorf("redeem: service needs a spectrum")
 	}

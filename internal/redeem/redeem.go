@@ -59,10 +59,9 @@ type Config struct {
 	Resume          bool
 	CheckpointEvery int64
 	// MixtureMaxG bounds the component count of the §3.7 mixture when
-	// CorrectStream infers the classification threshold (<= 0 selects 3,
-	// the facade default). Callers wanting a different sweep — e.g. the
-	// CLI's historical maxG=4 — set it here so detection and correction
-	// stay consistent.
+	// CorrectStream infers the classification threshold (<= 0 selects
+	// 3). Callers wanting a different sweep — e.g. the CLI's maxG=4 —
+	// set it here so detection and correction stay consistent.
 	MixtureMaxG int
 }
 

@@ -16,13 +16,9 @@ const EngineName = "reptile"
 func init() { engine.Register(reptileEngine{}) }
 
 // extConfig is the engine-specific payload reptile's functional options
-// tuck into an engine.Run. A non-zero params.K means the caller supplied
-// a fully-resolved parameter block (the facade's CorrectOptions.Reptile
-// semantics: used as-is); otherwise parameters are data-derived and the
-// individual overrides (d, overlap) are applied in the CLI's historical
-// order, preserving byte-identity with both front ends.
+// tuck into an engine.Run: overrides applied on top of the data-derived
+// defaults (see resolveParams for the order).
 type extConfig struct {
-	params     Params
 	d          int
 	dSet       bool
 	overlap    int
@@ -36,14 +32,6 @@ func extOf(r *engine.Run) *extConfig {
 	c := &extConfig{}
 	r.SetExt(EngineName, c)
 	return c
-}
-
-// WithParams supplies a complete Reptile parameter block. A non-zero
-// p.K means the block is used as-is (zero thresholds still take
-// data-derived defaults in Finish); with p.K == 0 only p.Build survives
-// the defaults derivation, mirroring the historical facade.
-func WithParams(p Params) engine.Option {
-	return func(r *engine.Run) { extOf(r).params = p }
 }
 
 // WithD sets the per-constituent-kmer Hamming budget d, applied after the
@@ -77,37 +65,20 @@ func (reptileEngine) Capabilities() engine.Capabilities {
 	}
 }
 
-// explicitK is the caller's explicitly-requested kmer length: a full
-// parameter block's K wins, then the run-level K, else 0 (data-derived).
-func (e *extConfig) explicitK(run *engine.Run) int {
-	if e.params.K != 0 {
-		return e.params.K
-	}
-	return run.K
-}
-
 // resolveParams finalizes the parameter block from the run, the sampled
-// reads, and the (possibly preloaded) spectrum. It reproduces both
-// historical resolution orders: a caller-supplied block with K set is
-// used as-is (facade semantics), otherwise data-derived defaults are
-// computed from the sample and the K/spectrum/d/overlap overrides apply
-// in the CLI's order.
+// reads, and the (possibly preloaded) spectrum, in the one order the
+// golden tests freeze: data-derived DefaultParams, then WithK, then a
+// stored spectrum's k (when no k was requested), then WithD, then
+// WithOverlap.
 func resolveParams(sample []seq.Read, run *engine.Run, spec *kspectrum.Spectrum) Params {
 	e := extOf(run)
-	p := e.params
-	explicitK := p.K != 0
-	if !explicitK {
-		build := p.Build // survives the defaults swap
-		p = DefaultParams(sample, run.GenomeLen)
-		p.Build = build
-		if run.K != 0 {
-			p.K = run.K
-			p.C = min(p.K, p.D+4)
-			explicitK = true
-		}
+	p := DefaultParams(sample, run.GenomeLen)
+	if run.K != 0 {
+		p.K = run.K
+		p.C = min(p.K, p.D+4)
 	}
 	if spec != nil {
-		if !explicitK && p.K != spec.K {
+		if run.K == 0 && p.K != spec.K {
 			p.K = spec.K
 			p.C = min(p.K, p.D+4)
 		}
@@ -122,21 +93,22 @@ func resolveParams(sample []seq.Read, run *engine.Run, spec *kspectrum.Spectrum)
 	if e.overlapSet {
 		p.Overlap = e.overlap
 	}
-	if p.Build == (kspectrum.BuildOptions{}) {
-		p.Build = kspectrum.BuildOptions{Workers: run.Workers, Shards: run.Shards}
-	}
-	if p.MemoryBudget == 0 {
-		p.MemoryBudget = run.MemoryBudget
-	}
-	if p.TempDir == "" {
-		p.TempDir = run.TempDir
-	}
-	if p.CheckpointDir == "" {
-		p.CheckpointDir = run.CheckpointDir
-		p.Resume = run.Resume
-		p.CheckpointEvery = run.CheckpointEvery
-	}
+	p.Build = kspectrum.BuildOptions{Workers: run.Workers, Shards: run.Shards}
+	p.MemoryBudget = run.MemoryBudget
+	p.TempDir = run.TempDir
+	p.CheckpointDir = run.CheckpointDir
+	p.Resume = run.Resume
+	p.CheckpointEvery = run.CheckpointEvery
 	return p
+}
+
+// closeOpened releases a spectrum the run itself opened from
+// SpectrumPath when the call fails — nobody else holds the mapping. One
+// supplied through WithSpectrum is the caller's and is never closed here.
+func closeOpened(run *engine.Run, spec *kspectrum.Spectrum, err *error) {
+	if *err != nil && spec != nil && spec != run.Spectrum {
+		spec.Close()
+	}
 }
 
 // summary renders the resolved parameters and Phase-1 products for the
@@ -152,12 +124,13 @@ func (c *Corrector) summary() string {
 		c.P.K, c.P.D, c.P.Cg, c.P.Cm, c.P.Qc, size, c.Tiles.Size())
 }
 
-func (reptileEngine) Correct(ctx context.Context, reads []seq.Read, run *engine.Run) ([]seq.Read, *engine.Result, error) {
+func (reptileEngine) Correct(ctx context.Context, reads []seq.Read, run *engine.Run) (_ []seq.Read, _ *engine.Result, err error) {
 	start := time.Now()
-	spec, err := run.ResolveSpectrum(extOf(run).explicitK(run))
+	spec, err := run.ResolveSpectrum()
 	if err != nil {
 		return nil, nil, err
 	}
+	defer closeOpened(run, spec, &err)
 	p := resolveParams(reads, run, spec)
 	c, err := New(reads, p)
 	if err != nil {
@@ -178,20 +151,18 @@ func (reptileEngine) Correct(ctx context.Context, reads []seq.Read, run *engine.
 	}, nil
 }
 
-func (reptileEngine) CorrectStream(ctx context.Context, open engine.SourceOpener, sink engine.Sink, run *engine.Run) (*engine.Result, error) {
+func (reptileEngine) CorrectStream(ctx context.Context, open engine.SourceOpener, sink engine.Sink, run *engine.Run) (_ *engine.Result, err error) {
 	start := time.Now()
-	e := extOf(run)
-	spec, err := run.ResolveSpectrum(e.explicitK(run))
+	spec, err := run.ResolveSpectrum()
 	if err != nil {
 		return nil, err
 	}
-	var sample []seq.Read
-	if e.params.K == 0 {
-		// Data-dependent defaults (Qc, default k) come from a bounded
-		// leading sample of a fresh stream.
-		if sample, err = engine.Sample(ctx, open); err != nil {
-			return nil, err
-		}
+	defer closeOpened(run, spec, &err)
+	// Data-dependent defaults (Qc, default k) come from a bounded leading
+	// sample of a fresh stream.
+	sample, err := engine.Sample(ctx, open)
+	if err != nil {
+		return nil, err
 	}
 	p := resolveParams(sample, run, spec)
 	res := &engine.Result{Engine: EngineName}
@@ -214,17 +185,18 @@ func (reptileEngine) CorrectStream(ctx context.Context, open engine.SourceOpener
 }
 
 // NewService implements engine.Servicer: the shared-spectrum,
-// request-independent correction service behind the kserve daemon. The
+// request-independent correction service behind the serve daemon. The
 // run must carry a spectrum (WithSpectrum or WithSpectrumPath); D and
 // overlap overrides apply, everything request-derived (Qc, Cg, Cm) is
 // computed per chunk.
-func (reptileEngine) NewService(run *engine.Run) (engine.ChunkCorrector, error) {
+func (reptileEngine) NewService(run *engine.Run) (_ engine.ChunkCorrector, err error) {
 	e := extOf(run)
-	spec, err := run.ResolveSpectrum(e.explicitK(run))
+	spec, err := run.ResolveSpectrum()
 	if err != nil {
 		return nil, err
 	}
-	p := e.params
+	defer closeOpened(run, spec, &err)
+	var p Params
 	if e.dSet {
 		p.D = e.d
 	}

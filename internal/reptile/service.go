@@ -13,7 +13,7 @@ import (
 // many independent correction requests. Per request only the cheap,
 // chunk-local state is computed — tile counts and the data-derived
 // thresholds (Qc, Cg, Cm) over the request's reads — so a long-lived
-// daemon (cmd/kserve) amortizes the expensive Phase-1 products across its
+// daemon (repro serve) amortizes the expensive Phase-1 products across its
 // whole lifetime.
 //
 // CorrectChunk is safe for concurrent use: the shared spectrum and index

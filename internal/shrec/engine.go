@@ -14,7 +14,8 @@ const EngineName = "shrec"
 
 func init() { engine.Register(shrecEngine{}) }
 
-// extOf returns the engine-specific payload (a Config) of a run.
+// extOf returns the engine-specific payload of a run: a Config carrying
+// the WithAlpha/WithIterations overrides, zero where unset.
 func extOf(r *engine.Run) *Config {
 	if v, ok := r.Ext(EngineName); ok {
 		return v.(*Config)
@@ -22,12 +23,6 @@ func extOf(r *engine.Run) *Config {
 	c := &Config{}
 	r.SetExt(EngineName, c)
 	return c
-}
-
-// WithConfig supplies a SHREC configuration; a zero FromLevel takes
-// DefaultConfig(genomeLen) with the explicit Workers preserved.
-func WithConfig(cfg Config) engine.Option {
-	return func(r *engine.Run) { *extOf(r) = cfg }
 }
 
 // WithAlpha sets the deviation multiplier of the frequency test.
@@ -49,27 +44,21 @@ func (shrecEngine) Name() string { return EngineName }
 
 func (shrecEngine) Capabilities() engine.Capabilities { return engine.Capabilities{} }
 
-// resolveConfig finalizes the configuration: defaults from the genome
-// length when no explicit level range is given, and SHREC's opt-in
-// parallel trie build — only an explicit positive worker request enables
-// it, because the all-cores meaning of Workers <= 0 would change the
-// baseline's published memory profile.
+// resolveConfig finalizes the configuration: DefaultConfig from the
+// genome length, the WithAlpha/WithIterations overrides, and SHREC's
+// opt-in parallel trie build — only an explicit positive worker request
+// enables it, because the all-cores meaning of Workers <= 0 would change
+// the baseline's published memory profile.
 func resolveConfig(run *engine.Run) Config {
-	cfg := *extOf(run)
-	if cfg.FromLevel == 0 {
-		// Explicitly-set knobs survive the defaults swap; everything
-		// level-shaped comes from DefaultConfig.
-		workers, alpha, iters := cfg.Workers, cfg.Alpha, cfg.Iterations
-		cfg = DefaultConfig(run.GenomeLen)
-		cfg.Workers = workers
-		if alpha > 0 {
-			cfg.Alpha = alpha
-		}
-		if iters > 0 {
-			cfg.Iterations = iters
-		}
+	e := extOf(run)
+	cfg := DefaultConfig(run.GenomeLen)
+	if e.Alpha > 0 {
+		cfg.Alpha = e.Alpha
 	}
-	if cfg.Workers == 0 && run.Workers > 0 {
+	if e.Iterations > 0 {
+		cfg.Iterations = e.Iterations
+	}
+	if run.Workers > 0 {
 		cfg.Workers = run.Workers
 	}
 	return cfg

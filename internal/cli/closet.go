@@ -101,6 +101,9 @@ func closetCmd(args []string, stdout io.Writer) error {
 			}
 			fmt.Fprintf(stdout, ", ARI=%.3f", ari)
 		}
+		if !tr.Converged {
+			fmt.Fprint(stdout, " (merge bound reached)")
+		}
 		fmt.Fprintln(stdout)
 		for ci, c := range tr.Clusters {
 			for _, v := range c.Verts {

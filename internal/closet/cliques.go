@@ -1,8 +1,9 @@
 package closet
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/mapreduce"
 )
@@ -104,60 +105,67 @@ func unionSortedPairs(a, b [][2]int32) [][2]int32 {
 	return out
 }
 
-// adjacency indexes the filtered edge set for induced-subgraph queries.
-type adjacency map[int32]map[int32]bool
+// adjacency indexes the filtered edge set for induced-subgraph queries:
+// adj[v] lists v's neighbours ascending, every list a view into one array.
+type adjacency [][]int32
 
 func buildAdjacency(edges []Edge) adjacency {
-	adj := make(adjacency)
-	add := func(a, b int32) {
-		m := adj[a]
-		if m == nil {
-			m = make(map[int32]bool)
-			adj[a] = m
-		}
-		m[b] = true
+	n := int32(0)
+	for _, e := range edges {
+		n = max(n, e.J+1)
+	}
+	degree := make([]int, n)
+	for _, e := range edges {
+		degree[e.I]++
+		degree[e.J]++
+	}
+	adj := make(adjacency, n)
+	backing := make([]int32, 2*len(edges))
+	for v, off := 0, 0; v < len(adj); v++ {
+		adj[v] = backing[off : off : off+degree[v]]
+		off += degree[v]
 	}
 	for _, e := range edges {
-		add(e.I, e.J)
-		add(e.J, e.I)
+		adj[e.I] = append(adj[e.I], e.J)
+		adj[e.J] = append(adj[e.J], e.I)
+	}
+	for _, nbrs := range adj {
+		slices.Sort(nbrs)
 	}
 	return adj
 }
 
 // inducedEdgeCount counts edges of the filtered graph inside the sorted
 // vertex set — the |{(r,s) ∈ T×T : F(r,s) >= t}| of the §4.1 cluster
-// definition.
+// definition: each vertex's neighbours merged against the vertices after it.
+//
+//repro:noalloc
 func (adj adjacency) inducedEdgeCount(verts []int32) int {
-	set := make(map[int32]bool, len(verts))
-	for _, v := range verts {
-		set[v] = true
-	}
 	n := 0
-	for _, v := range verts {
-		for u := range adj[v] {
-			if u > v && set[u] {
-				n++
-			}
-		}
+	for i, v := range verts {
+		n += sharedSorted(adj[v], verts[i+1:])
 	}
 	return n
 }
 
 // inducedEdges materializes the induced edge list, sorted.
 func (adj adjacency) inducedEdges(verts []int32) [][2]int32 {
-	set := make(map[int32]bool, len(verts))
-	for _, v := range verts {
-		set[v] = true
-	}
-	var out [][2]int32
-	for _, v := range verts {
-		for u := range adj[v] {
-			if u > v && set[u] {
-				out = append(out, [2]int32{v, u})
+	out := make([][2]int32, 0, adj.inducedEdgeCount(verts))
+	for i, v := range verts {
+		nbrs, rest := adj[v], verts[i+1:]
+		for a, b := 0, 0; a < len(nbrs) && b < len(rest); {
+			switch {
+			case nbrs[a] < rest[b]:
+				a++
+			case nbrs[a] > rest[b]:
+				b++
+			default:
+				out = append(out, [2]int32{v, rest[b]})
+				a++
+				b++
 			}
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return pairLess(out[i], out[j]) })
 	return out
 }
 
@@ -168,9 +176,10 @@ func (adj adjacency) inducedEdges(verts []int32) [][2]int32 {
 // (deduplicate by vertex set) until no change or the round bound. Density
 // is evaluated on the subgraph induced by the union vertex set, per the
 // formal cluster definition of §4.1.
-// It returns the final clusters and the total number of clusters processed
-// (generated and examined) — the Table 4.2 "clusters processed" quantity.
-func enumerateQuasiCliques(carried []Cluster, edges []Edge, cfg Config, mrCfg mapreduce.Config, res *Result) ([]Cluster, int, error) {
+// The result carries the final clusters, the total number of clusters
+// processed (generated and examined) — the Table 4.2 "clusters processed"
+// quantity — and how the iteration ended.
+func enumerateQuasiCliques(carried []Cluster, edges []Edge, cfg Config, mrCfg mapreduce.Config, res *Result) (ThresholdResult, error) {
 	adj := buildAdjacency(edges)
 	current := make([]Cluster, 0, len(carried)+len(edges))
 	current = append(current, carried...)
@@ -181,9 +190,9 @@ func enumerateQuasiCliques(carried []Cluster, edges []Edge, cfg Config, mrCfg ma
 		})
 	}
 	current = dedupeClusters(current)
-	processed := len(current)
+	tr := ThresholdResult{ClustersProcessed: len(current)}
 
-	for round := 0; round < cfg.MaxMergeRounds; round++ {
+	for round := 0; round < cfg.MaxMergeRounds && !tr.Converged; round++ {
 		before := clusterKeySet(current)
 		// Task 7: route each cluster to one of its vertices — rotating the
 		// anchor across rounds so clusters sharing any vertex eventually
@@ -206,10 +215,10 @@ func enumerateQuasiCliques(carried []Cluster, edges []Edge, cfg Config, mrCfg ma
 			mapreduce.HashInt32,
 		)
 		if err != nil {
-			return nil, processed, err
+			return tr, err
 		}
 		res.Jobs = append(res.Jobs, st7)
-		processed += len(merged)
+		tr.ClustersProcessed += len(merged)
 
 		// Task 8: deduplicate clusters sharing the same vertex set,
 		// unioning their edges.
@@ -226,20 +235,20 @@ func enumerateQuasiCliques(carried []Cluster, edges []Edge, cfg Config, mrCfg ma
 			mapreduce.HashUint64,
 		)
 		if err != nil {
-			return nil, processed, err
+			return tr, err
 		}
 		res.Jobs = append(res.Jobs, st8)
 		current = dropAbsorbed(deduped)
-		if keySetEqual(before, clusterKeySet(current)) {
-			break
-		}
+		tr.MergeRounds++
+		tr.Converged = keySetEqual(before, clusterKeySet(current))
 	}
 	// Materialize the final induced edge sets.
 	for i := range current {
 		current[i].Edges = adj.inducedEdges(current[i].Verts)
 	}
 	sortClusters(current)
-	return current, processed, nil
+	tr.Clusters = current
+	return tr, nil
 }
 
 // mergeGroup greedily merges clusters sharing a reducer vertex when the
@@ -248,12 +257,7 @@ func enumerateQuasiCliques(carried []Cluster, edges []Edge, cfg Config, mrCfg ma
 // so growth is monotone and deterministic.
 func mergeGroup(cs []Cluster, gamma float64, adj adjacency) []Cluster {
 	sorted := append([]Cluster(nil), cs...)
-	sort.Slice(sorted, func(i, j int) bool {
-		if len(sorted[i].Verts) != len(sorted[j].Verts) {
-			return len(sorted[i].Verts) > len(sorted[j].Verts)
-		}
-		return lessVerts(sorted[i].Verts, sorted[j].Verts)
-	})
+	sortClusters(sorted)
 	out := make([]Cluster, 0, len(sorted))
 	for _, c := range sorted {
 		mergedIn := false
@@ -277,15 +281,6 @@ func mergeGroup(cs []Cluster, gamma float64, adj adjacency) []Cluster {
 		}
 	}
 	return out
-}
-
-func lessVerts(a, b []int32) bool {
-	for i := 0; i < len(a) && i < len(b); i++ {
-		if a[i] != b[i] {
-			return a[i] < b[i]
-		}
-	}
-	return len(a) < len(b)
 }
 
 // dedupeClusters collapses clusters with identical vertex sets, unioning
@@ -323,7 +318,7 @@ func dedupeClusters(cs []Cluster) []Cluster {
 // dropAbsorbed removes clusters whose vertex set is a strict subset of
 // another cluster's (maximality of the enumerated quasi-cliques).
 func dropAbsorbed(cs []Cluster) []Cluster {
-	sort.Slice(cs, func(i, j int) bool { return len(cs[i].Verts) > len(cs[j].Verts) })
+	sortClusters(cs)
 	memberOf := make(map[int32][]int) // vertex -> indices of kept clusters
 	var kept []Cluster
 	for _, c := range cs {
@@ -385,12 +380,10 @@ func keySetEqual(a, b map[uint64]bool) bool {
 	return true
 }
 
+// sortClusters orders clusters largest first, equal sizes by vertex list.
 func sortClusters(cs []Cluster) {
-	sort.Slice(cs, func(i, j int) bool {
-		if len(cs[i].Verts) != len(cs[j].Verts) {
-			return len(cs[i].Verts) > len(cs[j].Verts)
-		}
-		return lessVerts(cs[i].Verts, cs[j].Verts)
+	slices.SortFunc(cs, func(a, b Cluster) int {
+		return cmp.Or(cmp.Compare(len(b.Verts), len(a.Verts)), slices.Compare(a.Verts, b.Verts))
 	})
 }
 

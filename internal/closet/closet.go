@@ -8,8 +8,10 @@
 package closet
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
+	"sync"
 	"time"
 
 	"repro/internal/mapreduce"
@@ -76,9 +78,15 @@ func (c Config) validate() error {
 	if c.Nodes < 1 {
 		return fmt.Errorf("closet: need at least one node")
 	}
-	for i := 1; i < len(c.Thresholds); i++ {
-		if c.Thresholds[i] >= c.Thresholds[i-1] {
-			return fmt.Errorf("closet: thresholds must strictly decrease")
+	for i, t := range c.Thresholds {
+		if t <= 0 || t > 1 {
+			return fmt.Errorf("closet: threshold %v is outside (0,1]", t)
+		}
+		if c.Validate && t < c.Cmin {
+			return fmt.Errorf("closet: threshold %v is below Cmin %v, under which validation keeps no edge", t, c.Cmin)
+		}
+		if i > 0 && t >= c.Thresholds[i-1] {
+			return fmt.Errorf("closet: thresholds must strictly decrease, got %v after %v", t, c.Thresholds[i-1])
 		}
 	}
 	if len(c.Thresholds) == 0 {
@@ -107,7 +115,11 @@ type ThresholdResult struct {
 	Threshold         float64
 	EdgesUsed         int
 	ClustersProcessed int // clusters generated and examined during merging
-	Clusters          []Cluster
+	// MergeRounds is how many Task 7/8 rounds ran; Converged is false when
+	// the last of them (the MaxMergeRounds-th) still changed the cluster set.
+	MergeRounds int
+	Converged   bool
+	Clusters    []Cluster
 }
 
 // Result aggregates everything the experiments report.
@@ -132,12 +144,10 @@ func Run(reads []seq.Read, cfg Config) (*Result, error) {
 	res := &Result{}
 	mrCfg := mapreduce.Config{Nodes: cfg.Nodes}
 
-	// Precompute every read's full shingle set once; sketches per round
-	// derive from it by the modulo rule.
 	shingles := make([][]uint64, len(reads))
-	for i, r := range reads {
-		shingles[i] = sketch.Shingles(r.Seq, cfg.Sketch.K)
-	}
+	forEach(len(reads), mrCfg.Workers(), func(i int) {
+		shingles[i] = sketch.Shingles(reads[i].Seq, cfg.Sketch.K)
+	})
 
 	start := time.Now()
 	candidates, predicted, err := buildCandidates(shingles, cfg, mrCfg, res)
@@ -168,65 +178,70 @@ func Run(reads []seq.Read, cfg Config) (*Result, error) {
 		res.Timings = append(res.Timings, StageTiming{fmt.Sprintf("filtering@%.2f", t), time.Since(startF)})
 
 		startC := time.Now()
-		clusters, processed, err := enumerateQuasiCliques(carried, filtered, cfg, mrCfg, res)
+		tr, err := enumerateQuasiCliques(carried, filtered, cfg, mrCfg, res)
 		if err != nil {
 			return nil, err
 		}
 		res.Timings = append(res.Timings, StageTiming{fmt.Sprintf("clustering@%.2f", t), time.Since(startC)})
-		res.ByThreshold = append(res.ByThreshold, ThresholdResult{
-			Threshold:         t,
-			EdgesUsed:         len(filtered),
-			ClustersProcessed: processed,
-			Clusters:          clusters,
-		})
-		carried = clusters
+		tr.Threshold, tr.EdgesUsed = t, len(filtered)
+		res.ByThreshold = append(res.ByThreshold, tr)
+		carried = tr.Clusters
 	}
 	return res, nil
 }
 
-// pairKey orders a read pair canonically.
-func pairKey(a, b int32) [2]int32 {
-	if a > b {
-		a, b = b, a
+// forEach calls fn(i) for every i in [0, n) from up to workers goroutines,
+// each taking one contiguous run of indices.
+func forEach(n, workers int, fn func(i int)) {
+	var wg sync.WaitGroup
+	chunk := (n + workers - 1) / workers
+	for lo := 0; lo < n; lo += chunk {
+		wg.Add(1)
+		go func(lo, hi int) {
+			defer wg.Done()
+			for i := lo; i < hi; i++ {
+				fn(i)
+			}
+		}(lo, min(lo+chunk, n))
 	}
-	return [2]int32{a, b}
+	wg.Wait()
 }
 
+// packPair packs a read pair (i < j) into one integer that sorts by (i, j).
+func packPair(i, j int32) uint64 { return uint64(uint32(i))<<32 | uint64(uint32(j)) }
+
+func unpackPair(p uint64) (i, j int32) { return int32(p >> 32), int32(uint32(p)) }
+
 // buildCandidates runs Tasks 1–3 for each sketch round and returns the
-// deduplicated candidate pair list plus the raw (pre-dedup) pair count.
-func buildCandidates(shingles [][]uint64, cfg Config, mrCfg mapreduce.Config, res *Result) ([][2]int32, int, error) {
-	type pairCount struct {
-		pair  [2]int32
-		count int
-	}
-	seen := make(map[[2]int32]bool)
-	var unique [][2]int32
-	predicted := 0
+// deduplicated candidate pairs, packed and ascending, plus the raw
+// (pre-dedup) pair count.
+func buildCandidates(shingles [][]uint64, cfg Config, mrCfg mapreduce.Config, res *Result) ([]uint64, int, error) {
+	// sketches[rid][round]: every round's sketch of every read, selected in
+	// one pass over the read's shingles.
+	sketches := make([][][]uint64, len(shingles))
+	forEach(len(shingles), mrCfg.Workers(), func(i int) {
+		sketches[i] = sketch.SelectRounds(shingles[i], cfg.Sketch.M, cfg.Sketch.Rounds)
+	})
 	readIDs := make([]int32, len(shingles))
 	for i := range readIDs {
 		readIDs[i] = int32(i)
 	}
+	var pairs []uint64 // every round's survivors
 	for round := 0; round < cfg.Sketch.Rounds; round++ {
 		// Task 1: sketch selection — emit <sketch value, read id>, group,
-		// and split groups into usable (<= Cmax) and postponed (rem).
-		type group struct {
-			rem   bool
-			reads []int32
-		}
+		// and split groups into usable (<= Cmax) and postponed (rem). Read
+		// ids are mapped in ascending order, so every group is ascending.
 		mrCfg.Name = fmt.Sprintf("task1-sketch-round%d", round)
 		groups, st1, err := mapreduce.Run(mrCfg, readIDs,
 			func(rid int32, emit mapreduce.Emitter[uint64, int32]) {
-				for _, h := range sketch.Select(shingles[rid], cfg.Sketch.M, round) {
+				for _, h := range sketches[rid][round] {
 					emit(h, rid)
 				}
 			},
-			func(_ uint64, rids []int32, emit func(group)) {
-				if len(rids) < 2 {
-					return
+			func(_ uint64, rids []int32, emit func([]int32)) {
+				if len(rids) >= 2 {
+					emit(rids)
 				}
-				g := group{reads: append([]int32(nil), rids...)}
-				g.rem = len(rids) > cfg.Cmax
-				emit(g)
 			},
 			mapreduce.HashUint64,
 		)
@@ -235,15 +250,16 @@ func buildCandidates(shingles [][]uint64, cfg Config, mrCfg mapreduce.Config, re
 		}
 		res.Jobs = append(res.Jobs, st1)
 
-		// Postponed high-frequency groups: membership index for Task 2's
-		// count adjustment (§4.3.1 line 14).
-		remMembership := make(map[int32][]int32) // read -> rem group ids
-		var usable []group
+		// Postponed high-frequency groups: rem[read] lists, ascending, the
+		// rem groups the read is in, for Task 2's count adjustment (§4.3.1
+		// line 14).
+		rem := make([][]int32, len(shingles))
+		var usable [][]int32
 		remID := int32(0)
 		for _, g := range groups {
-			if g.rem {
-				for _, r := range g.reads {
-					remMembership[r] = append(remMembership[r], remID)
+			if len(g) > cfg.Cmax {
+				for _, r := range g {
+					rem[r] = append(rem[r], remID)
 				}
 				remID++
 			} else {
@@ -251,60 +267,51 @@ func buildCandidates(shingles [][]uint64, cfg Config, mrCfg mapreduce.Config, re
 			}
 		}
 
-		// Task 2: edge generation — every pair within a usable group gets
-		// a unit count; the reducer aggregates, adds back rem co-occurrence,
-		// and applies the Cmin filter on the estimated similarity J.
+		// Task 2: edge generation, keyed by the lower read of the pair —
+		// every pair (i < j) within a usable group sends j to i's reducer,
+		// which sorts what it received, counts each j's run, adds back rem
+		// co-occurrence, and applies the Cmin filter on the estimated
+		// similarity J. (Two reads that share a group each have a sketch
+		// value, so the smaller sketch size is never zero.)
 		mrCfg.Name = fmt.Sprintf("task2-edges-round%d", round)
-		sketchSize := func(rid int32) int {
-			return len(sketch.Select(shingles[rid], cfg.Sketch.M, round))
-		}
-		pairs, st2, err := mapreduce.Run(mrCfg, usable,
-			func(g group, emit mapreduce.Emitter[[2]int32, int]) {
-				for x := 0; x < len(g.reads); x++ {
-					for y := x + 1; y < len(g.reads); y++ {
-						if g.reads[x] != g.reads[y] {
-							emit(pairKey(g.reads[x], g.reads[y]), 1)
-						}
+		survivors, st2, err := mapreduce.Run(mrCfg, usable,
+			func(g []int32, emit mapreduce.Emitter[int32, int32]) {
+				for x, i := range g {
+					for _, j := range g[x+1:] {
+						emit(i, j)
 					}
 				}
 			},
-			func(pk [2]int32, ones []int, emit func(pairCount)) {
-				count := len(ones)
-				count += sharedSorted(remMembership[pk[0]], remMembership[pk[1]])
-				mi := min(sketchSize(pk[0]), sketchSize(pk[1]))
-				if mi == 0 {
-					return
-				}
-				if float64(count)/float64(mi) >= cfg.Cmin {
-					emit(pairCount{pair: pk, count: count})
+			func(i int32, js []int32, emit func(uint64)) {
+				slices.Sort(js)
+				for lo, hi := 0, 0; lo < len(js); lo = hi {
+					j := js[lo]
+					for hi = lo + 1; hi < len(js) && js[hi] == j; hi++ {
+					}
+					count := hi - lo + sharedSorted(rem[i], rem[j])
+					mi := min(len(sketches[i][round]), len(sketches[j][round]))
+					if float64(count)/float64(mi) >= cfg.Cmin {
+						emit(packPair(i, j))
+					}
 				}
 			},
-			mapreduce.HashInt32Pair,
+			mapreduce.HashInt32,
 		)
 		if err != nil {
 			return nil, 0, err
 		}
 		res.Jobs = append(res.Jobs, st2)
-		predicted += len(pairs)
-
-		// Task 3: merge this round's survivors into the global unique set.
-		for _, pc := range pairs {
-			if !seen[pc.pair] {
-				seen[pc.pair] = true
-				unique = append(unique, pc.pair)
-			}
-		}
+		pairs = append(pairs, survivors...)
 	}
-	sort.Slice(unique, func(i, j int) bool {
-		if unique[i][0] != unique[j][0] {
-			return unique[i][0] < unique[j][0]
-		}
-		return unique[i][1] < unique[j][1]
-	})
-	return unique, predicted, nil
+	// Task 3: merge the rounds' survivors into the global unique set.
+	predicted := len(pairs)
+	slices.Sort(pairs)
+	return slices.Compact(pairs), predicted, nil
 }
 
 // sharedSorted counts common elements of two ascending id lists.
+//
+//repro:noalloc
 func sharedSorted(a, b []int32) int {
 	i, j, n := 0, 0, 0
 	for i < len(a) && j < len(b) {
@@ -322,10 +329,16 @@ func sharedSorted(a, b []int32) int {
 	return n
 }
 
+// byPair orders edges by (I, J): the order every edge list leaves its job in,
+// whatever the node count partitioned it into.
+func byPair(a, b Edge) int {
+	return cmp.Or(cmp.Compare(a.I, b.I), cmp.Compare(a.J, b.J))
+}
+
 // validateEdges is Tasks 4–5: compute the exact similarity for every
 // candidate pair — the user-defined F when configured, the shared-shingle
 // containment similarity otherwise — and keep those at or above Cmin.
-func validateEdges(cands [][2]int32, reads []seq.Read, shingles [][]uint64, cfg Config, mrCfg mapreduce.Config, res *Result) ([]Edge, error) {
+func validateEdges(cands []uint64, reads []seq.Read, shingles [][]uint64, cfg Config, mrCfg mapreduce.Config, res *Result) ([]Edge, error) {
 	similarity := func(i, j int32) float64 {
 		if cfg.SimilarityFn != nil {
 			return cfg.SimilarityFn(reads[i].Seq, reads[j].Seq)
@@ -334,27 +347,23 @@ func validateEdges(cands [][2]int32, reads []seq.Read, shingles [][]uint64, cfg 
 	}
 	mrCfg.Name = "task5-validate"
 	edges, st, err := mapreduce.Run(mrCfg, cands,
-		func(pk [2]int32, emit mapreduce.Emitter[[2]int32, struct{}]) {
-			emit(pk, struct{}{})
+		func(pair uint64, emit mapreduce.Emitter[uint64, struct{}]) {
+			emit(pair, struct{}{})
 		},
-		func(pk [2]int32, _ []struct{}, emit func(Edge)) {
-			f := similarity(pk[0], pk[1])
+		func(pair uint64, _ []struct{}, emit func(Edge)) {
+			i, j := unpackPair(pair)
+			f := similarity(i, j)
 			if !cfg.Validate || f >= cfg.Cmin {
-				emit(Edge{I: pk[0], J: pk[1], F: f})
+				emit(Edge{I: i, J: j, F: f})
 			}
 		},
-		mapreduce.HashInt32Pair,
+		mapreduce.HashUint64,
 	)
 	if err != nil {
 		return nil, err
 	}
 	res.Jobs = append(res.Jobs, st)
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i].I != edges[j].I {
-			return edges[i].I < edges[j].I
-		}
-		return edges[i].J < edges[j].J
-	})
+	slices.SortFunc(edges, byPair)
 	return edges, nil
 }
 
@@ -362,25 +371,20 @@ func validateEdges(cands [][2]int32, reads []seq.Read, shingles [][]uint64, cfg 
 func filterEdges(edges []Edge, t float64, mrCfg mapreduce.Config, res *Result) ([]Edge, error) {
 	mrCfg.Name = fmt.Sprintf("task6-filter@%.2f", t)
 	out, st, err := mapreduce.Run(mrCfg, edges,
-		func(e Edge, emit mapreduce.Emitter[[2]int32, Edge]) {
+		func(e Edge, emit mapreduce.Emitter[uint64, Edge]) {
 			if e.F >= t {
-				emit([2]int32{e.I, e.J}, e)
+				emit(packPair(e.I, e.J), e)
 			}
 		},
-		func(_ [2]int32, es []Edge, emit func(Edge)) {
+		func(_ uint64, es []Edge, emit func(Edge)) {
 			emit(es[0])
 		},
-		mapreduce.HashInt32Pair,
+		mapreduce.HashUint64,
 	)
 	if err != nil {
 		return nil, err
 	}
 	res.Jobs = append(res.Jobs, st)
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].I != out[j].I {
-			return out[i].I < out[j].I
-		}
-		return out[i].J < out[j].J
-	})
+	slices.SortFunc(out, byPair)
 	return out, nil
 }

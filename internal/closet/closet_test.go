@@ -2,12 +2,18 @@ package closet
 
 import (
 	"math/rand"
+	"reflect"
+	"runtime"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/align"
 	"repro/internal/eval"
+	"repro/internal/mapreduce"
 	"repro/internal/seq"
 	"repro/internal/simulate"
+	"repro/internal/sketch"
 )
 
 func metaSample(t *testing.T, nReads int, seed int64) (*simulate.Taxonomy, []simulate.MetaRead) {
@@ -41,12 +47,51 @@ func TestConfigValidation(t *testing.T) {
 		func(c *Config) { c.Thresholds = []float64{0.9, 0.95} },
 		func(c *Config) { c.MaxMergeRounds = 0 },
 		func(c *Config) { c.Sketch.K = 0 },
+		func(c *Config) { c.Thresholds = []float64{1.5, 0.9} },
+		func(c *Config) { c.Thresholds = []float64{0.9, 0} },
+		func(c *Config) { c.Thresholds = []float64{0.9, -0.2} },
+		func(c *Config) { c.Thresholds = []float64{0.9, 0.5} }, // below Cmin 0.6
 	}
 	for i, mod := range mods {
 		cfg := DefaultConfig(375)
 		mod(&cfg)
 		if _, err := Run(nil, cfg); err == nil {
 			t.Errorf("case %d: expected validation error", i)
+		}
+	}
+
+	// A bad threshold is named in the error.
+	cfg := DefaultConfig(375)
+	cfg.Thresholds = []float64{0.9, 0.5}
+	if _, err := Run(nil, cfg); err == nil || !strings.Contains(err.Error(), "0.5") {
+		t.Errorf("threshold below Cmin: err = %v, want it to name 0.5", err)
+	}
+	cfg.Thresholds = []float64{1.25}
+	if _, err := Run(nil, cfg); err == nil || !strings.Contains(err.Error(), "1.25") {
+		t.Errorf("threshold above 1: err = %v, want it to name 1.25", err)
+	}
+	// Without validation no edge is cut at Cmin, so a lower level is real.
+	cfg.Thresholds, cfg.Validate = []float64{0.9, 0.5}, false
+	if _, err := Run(nil, cfg); err != nil {
+		t.Errorf("threshold below Cmin with Validate off: %v", err)
+	}
+}
+
+func TestDefaultConfigForShortReads(t *testing.T) {
+	// Mean length 20 gives modulus 2: only two sketches exist, so the
+	// default must not ask for three rounds.
+	rng := rand.New(rand.NewSource(11))
+	reads := make([]seq.Read, 50)
+	for i := range reads {
+		bases, err := simulate.RandomGenome(20, simulate.UniformProfile, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reads[i] = seq.Read{ID: "r", Seq: bases}
+	}
+	for _, meanLen := range []int{0, 9, 20, 29} {
+		if _, err := Run(reads, DefaultConfig(meanLen)); err != nil {
+			t.Errorf("DefaultConfig(%d): %v", meanLen, err)
 		}
 	}
 }
@@ -167,12 +212,41 @@ func TestClusterDensityInvariant(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, tr := range res.ByThreshold {
-		for _, c := range tr.Clusters {
+		// The graph at this level, from the validated edges alone.
+		linked := map[[2]int32]bool{}
+		for _, e := range res.Edges {
+			if e.F >= tr.Threshold {
+				linked[[2]int32{e.I, e.J}] = true
+			}
+		}
+		if len(linked) != tr.EdgesUsed {
+			t.Errorf("t=%.2f: %d edges used, %d edges at or above t", tr.Threshold, tr.EdgesUsed, len(linked))
+		}
+		for ci, c := range tr.Clusters {
 			if len(c.Verts) < 2 {
 				t.Fatalf("degenerate cluster: %+v", c)
 			}
 			if c.Density() < cfg.Gamma-1e-9 {
 				t.Fatalf("cluster below gamma: density=%.3f verts=%d", c.Density(), len(c.Verts))
+			}
+			// The cluster's edges are exactly the induced subgraph's, so
+			// the density above is the §4.1 definition's.
+			var induced [][2]int32
+			for a, v := range c.Verts {
+				for _, u := range c.Verts[a+1:] {
+					if linked[[2]int32{v, u}] {
+						induced = append(induced, [2]int32{v, u})
+					}
+				}
+			}
+			if !slices.Equal(c.Edges, induced) {
+				t.Fatalf("t=%.2f cluster %d: edges %v, induced subgraph has %v", tr.Threshold, ci, c.Edges, induced)
+			}
+			// Maximality: no cluster's vertex set sits inside another's.
+			for cj, d := range tr.Clusters {
+				if ci != cj && subsetSorted(c.Verts, d.Verts) {
+					t.Fatalf("t=%.2f: cluster %v is a subset of cluster %v", tr.Threshold, c.Verts, d.Verts)
+				}
 			}
 			// Vertices sorted; edges reference member vertices.
 			for i := 1; i < len(c.Verts); i++ {
@@ -335,5 +409,236 @@ func TestAlignmentSimilarityFn(t *testing.T) {
 	}
 	if intra <= inter*3 {
 		t.Errorf("alignment-F edge purity weak: intra=%d inter=%d", intra, inter)
+	}
+}
+
+// checkTable42 asserts the orderings Table 4.2's columns obey.
+func checkTable42(t *testing.T, res *Result) {
+	t.Helper()
+	if res.PredictedEdges < res.UniqueEdges || res.UniqueEdges < res.ConfirmedEdges {
+		t.Errorf("want predicted >= unique >= confirmed, got %d, %d, %d", res.PredictedEdges, res.UniqueEdges, res.ConfirmedEdges)
+	}
+	if res.ConfirmedEdges != len(res.Edges) {
+		t.Errorf("confirmed %d but %d edges", res.ConfirmedEdges, len(res.Edges))
+	}
+	for i := 1; i < len(res.ByThreshold); i++ {
+		if res.ByThreshold[i].EdgesUsed < res.ByThreshold[i-1].EdgesUsed {
+			t.Errorf("edges used shrank down the ladder: %d then %d", res.ByThreshold[i-1].EdgesUsed, res.ByThreshold[i].EdgesUsed)
+		}
+	}
+}
+
+func TestResultInvariantAcrossNodesAndProcs(t *testing.T) {
+	_, meta := metaSample(t, 600, 7)
+	reads := simulate.MetaReads(meta)
+	var want *Result
+	for _, nodes := range []int{1, 4, 32} {
+		for _, procs := range []int{1, 2, 4} {
+			cfg := DefaultConfig(375)
+			cfg.Nodes = nodes
+			prev := runtime.GOMAXPROCS(procs)
+			res, err := Run(reads, cfg)
+			runtime.GOMAXPROCS(prev)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res.Jobs) == 0 || len(res.Timings) != 2+2*len(cfg.Thresholds) {
+				t.Fatalf("nodes=%d procs=%d: %d jobs, timings %v", nodes, procs, len(res.Jobs), res.Timings)
+			}
+			// What took how long is the only thing allowed to differ.
+			res.Timings, res.Jobs = nil, nil
+			if want == nil {
+				want = res
+				checkTable42(t, res)
+				if res.ConfirmedEdges == 0 || len(res.ByThreshold[2].Clusters) == 0 {
+					t.Fatalf("nothing clustered: %d edges", res.ConfirmedEdges)
+				}
+				continue
+			}
+			if !reflect.DeepEqual(res, want) {
+				t.Errorf("nodes=%d procs=%d: result differs from nodes=1 procs=1 (edges %d vs %d, clusters %d vs %d)",
+					nodes, procs, len(res.Edges), len(want.Edges), len(res.ByThreshold[2].Clusters), len(want.ByThreshold[2].Clusters))
+			}
+		}
+	}
+}
+
+func TestMergeBoundIsReported(t *testing.T) {
+	_, meta := metaSample(t, 600, 7)
+	cfg := smallConfig()
+	res, err := Run(simulate.MetaReads(meta), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tr := range res.ByThreshold {
+		if tr.MergeRounds < 1 || tr.MergeRounds > cfg.MaxMergeRounds {
+			t.Errorf("t=%.2f: %d merge rounds under a bound of %d", tr.Threshold, tr.MergeRounds, cfg.MaxMergeRounds)
+		}
+		if !tr.Converged && tr.MergeRounds != cfg.MaxMergeRounds {
+			t.Errorf("t=%.2f: stopped unconverged after %d of %d rounds", tr.Threshold, tr.MergeRounds, cfg.MaxMergeRounds)
+		}
+	}
+	// Cut the iteration to one round. The first level starts from the same
+	// two-cliques, so it has converged only if the full run's first round
+	// was already its last.
+	first := res.ByThreshold[0]
+	if first.MergeRounds < 2 {
+		t.Fatalf("sample merges nothing at t=%.2f; the bound cannot bite", first.Threshold)
+	}
+	cfg.MaxMergeRounds = 1
+	bounded, err := Run(simulate.MetaReads(meta), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := bounded.ByThreshold[0]; got.MergeRounds != 1 || got.Converged {
+		t.Errorf("bound of 1: %d rounds, converged=%v; the full run took %d", got.MergeRounds, got.Converged, first.MergeRounds)
+	}
+}
+
+// TestTask2MatchesAllPairsCounter holds the read-keyed edge generation to a
+// brute-force counter over all read pairs: in each round a pair survives
+// when the reads share a sketch value outside the postponed groups and
+// |S_i ∩ S_j| / min(|S_i|, |S_j|) — postponed values included — reaches Cmin.
+func TestTask2MatchesAllPairsCounter(t *testing.T) {
+	const nReads, m, rounds, cmax = 60, 4, 3, 6
+	rng := rand.New(rand.NewSource(13))
+	// A universe small enough that reads share values; values below 3*m are
+	// drawn by most reads, so their groups exceed Cmax and are postponed.
+	shingles := make([][]uint64, nReads)
+	for i := range shingles {
+		for h := uint64(0); h < 3*m; h++ {
+			if rng.Intn(4) > 0 {
+				shingles[i] = append(shingles[i], h)
+			}
+		}
+		for n := rng.Intn(12); n > 0; n-- {
+			shingles[i] = append(shingles[i], 3*m+uint64(rng.Intn(120)))
+		}
+		slices.Sort(shingles[i])
+		shingles[i] = slices.Compact(shingles[i])
+	}
+	cfg := DefaultConfig(375)
+	cfg.Sketch = sketch.Params{K: 15, M: m, Rounds: rounds}
+	cfg.Cmax, cfg.Cmin = cmax, 0.5
+
+	wantUnique := map[uint64]bool{}
+	wantPredicted, postponedPairs := 0, 0
+	for round := 0; round < rounds; round++ {
+		sk := make([][]uint64, nReads)
+		groupSize := map[uint64]int{}
+		for i, hs := range shingles {
+			sk[i] = sketch.SelectRounds(hs, m, rounds)[round]
+			for _, h := range sk[i] {
+				groupSize[h]++
+			}
+		}
+		for i := 0; i < nReads; i++ {
+			for j := i + 1; j < nReads; j++ {
+				shared, usable, postponed := 0, 0, 0
+				for _, h := range sk[i] {
+					if _, ok := slices.BinarySearch(sk[j], h); ok {
+						shared++
+						if groupSize[h] <= cmax {
+							usable++
+						} else {
+							postponed++
+						}
+					}
+				}
+				if usable == 0 {
+					continue
+				}
+				if float64(shared)/float64(min(len(sk[i]), len(sk[j]))) >= cfg.Cmin {
+					wantPredicted++
+					wantUnique[packPair(int32(i), int32(j))] = true
+					if postponed > 0 && float64(usable)/float64(min(len(sk[i]), len(sk[j]))) < cfg.Cmin {
+						postponedPairs++
+					}
+				}
+			}
+		}
+	}
+	if postponedPairs == 0 {
+		t.Fatal("input has no pair that survives only through a postponed group")
+	}
+
+	for _, nodes := range []int{1, 7} {
+		res := &Result{}
+		got, predicted, err := buildCandidates(shingles, cfg, mapreduce.Config{Nodes: nodes}, res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if predicted != wantPredicted || len(got) != len(wantUnique) {
+			t.Errorf("nodes=%d: predicted %d unique %d, brute force %d and %d", nodes, predicted, len(got), wantPredicted, len(wantUnique))
+		}
+		for i, p := range got {
+			if !wantUnique[p] {
+				a, b := unpackPair(p)
+				t.Errorf("nodes=%d: pair (%d,%d) is not a brute-force survivor", nodes, a, b)
+			}
+			if i > 0 && got[i-1] >= p {
+				t.Errorf("nodes=%d: candidates not strictly ascending at %d", nodes, i)
+			}
+		}
+		if len(res.Jobs) != 2*rounds {
+			t.Errorf("nodes=%d: %d jobs want %d", nodes, len(res.Jobs), 2*rounds)
+		}
+	}
+}
+
+func TestAdjacencyMatchesEdgeSet(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	linked := map[[2]int32]bool{}
+	var edges []Edge
+	for len(edges) < 300 {
+		i, j := int32(rng.Intn(60)), int32(rng.Intn(60))
+		if i > j {
+			i, j = j, i
+		}
+		if i != j && !linked[[2]int32{i, j}] {
+			linked[[2]int32{i, j}] = true
+			edges = append(edges, Edge{I: i, J: j}) // deliberately unsorted
+		}
+	}
+	adj := buildAdjacency(edges)
+	for trial := 0; trial < 200; trial++ {
+		var verts []int32
+		for v := int32(0); v < int32(len(adj)); v++ {
+			if rng.Intn(3) == 0 {
+				verts = append(verts, v)
+			}
+		}
+		var want [][2]int32
+		for a, v := range verts {
+			for _, u := range verts[a+1:] {
+				if linked[[2]int32{v, u}] {
+					want = append(want, [2]int32{v, u})
+				}
+			}
+		}
+		if got := adj.inducedEdges(verts); !slices.Equal(got, want) {
+			t.Fatalf("inducedEdges(%v) = %v want %v", verts, got, want)
+		}
+		if got := adj.inducedEdgeCount(verts); got != len(want) {
+			t.Fatalf("inducedEdgeCount(%v) = %d want %d", verts, got, len(want))
+		}
+	}
+}
+
+func TestHotKernelsDoNotAllocate(t *testing.T) {
+	a, b := []int32{1, 3, 5, 7, 9}, []int32{2, 3, 4, 9, 11}
+	if sharedSorted(a, b) != 2 {
+		t.Fatal("sharedSorted miscounts")
+	}
+	if allocs := testing.AllocsPerRun(100, func() { sharedSorted(a, b) }); allocs != 0 {
+		t.Errorf("sharedSorted allocates %v times per call", allocs)
+	}
+	adj := buildAdjacency([]Edge{{I: 1, J: 2}, {I: 2, J: 3}, {I: 1, J: 3}, {I: 3, J: 9}})
+	verts := []int32{1, 2, 3, 9}
+	if adj.inducedEdgeCount(verts) != 4 {
+		t.Fatal("inducedEdgeCount miscounts")
+	}
+	if allocs := testing.AllocsPerRun(100, func() { adj.inducedEdgeCount(verts) }); allocs != 0 {
+		t.Errorf("inducedEdgeCount allocates %v times per call", allocs)
 	}
 }

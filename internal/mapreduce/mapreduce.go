@@ -12,6 +12,7 @@ import (
 	"hash/fnv"
 	"math"
 	"runtime"
+	"slices"
 	"sync"
 	"time"
 )
@@ -54,12 +55,21 @@ func (s Stats) String() string {
 // Emitter receives the pairs produced by a map function.
 type Emitter[K comparable, V any] func(key K, value V)
 
+// Workers is the number of map, shuffle or reduce tasks a job on this
+// cluster runs at once: one per node, capped by the cores there are.
+func (c Config) Workers() int {
+	return max(1, min(c.Nodes, runtime.GOMAXPROCS(0)*4))
+}
+
 // Run executes one MapReduce job.
 //
-// mapFn is invoked once per input record; reduceFn once per distinct key
-// with all values grouped (value order within a group is unspecified, as on
-// a real cluster). hash places keys onto nodes. The output concatenates
-// whatever reduceFn emits, in unspecified order.
+// mapFn is invoked once per input record, reduceFn once per distinct key
+// with all of that key's values. hash places keys onto nodes. Everything a
+// caller can observe is a function of the input and cfg.Nodes only, not of
+// scheduling or GOMAXPROCS: a node reduces its keys in the order the input
+// first emitted them, each group holds its values in input order, and the
+// output concatenates the nodes' emissions in node order. A group is
+// reduceFn's to reorder in place and to retain.
 func Run[I any, K comparable, V any, O any](
 	cfg Config,
 	input []I,
@@ -71,13 +81,11 @@ func Run[I any, K comparable, V any, O any](
 		return nil, Stats{}, fmt.Errorf("mapreduce: need at least one node, got %d", cfg.Nodes)
 	}
 	stats := Stats{Name: cfg.Name, InputRecords: len(input)}
-	workers := min(cfg.Nodes, runtime.GOMAXPROCS(0)*4)
-	if workers < 1 {
-		workers = 1
-	}
+	workers := cfg.Workers()
 
-	// Map stage: each worker keeps per-partition buffers so the shuffle is
-	// a cheap concatenation.
+	// Map stage: worker w maps the w-th contiguous run of the input into
+	// per-partition buffers, so a partition's records in worker order are
+	// in input order however many workers there are.
 	type kv struct {
 		k K
 		v V
@@ -103,15 +111,16 @@ func Run[I any, K comparable, V any, O any](
 				}
 			}()
 			parts := make([][]kv, cfg.Nodes)
+			emitted := 0
 			emit := func(k K, v V) {
 				p := int(hash(k) % uint64(cfg.Nodes))
 				parts[p] = append(parts[p], kv{k, v})
-				mapped[w]++
+				emitted++
 			}
 			for i := lo; i < hi; i++ {
 				mapFn(input[i], emit)
 			}
-			workerParts[w] = parts
+			workerParts[w], mapped[w] = parts, emitted
 		}(w, lo, hi)
 	}
 	wg.Wait()
@@ -121,13 +130,21 @@ func Run[I any, K comparable, V any, O any](
 	for _, n := range mapped {
 		stats.MapOutput += n
 	}
+	// Workers beyond the end of a short input mapped nothing.
+	workerParts = slices.DeleteFunc(workerParts, func(parts [][]kv) bool { return parts == nil })
 	stats.MapDuration = time.Since(start)
 
-	// Shuffle: group values by key within each partition.
+	// Shuffle: group each partition's values by key into one flat array.
+	// values[offsets[i]:offsets[i+1]] belong to keys[i]; keys are in
+	// first-emitted order.
+	type groups struct {
+		keys    []K
+		offsets []int
+		values  []V
+	}
 	start = time.Now()
-	grouped := make([]map[K][]V, cfg.Nodes)
+	grouped := make([]groups, cfg.Nodes)
 	var sg sync.WaitGroup
-	distinct := make([]int, cfg.Nodes)
 	sem := make(chan struct{}, workers)
 	for p := 0; p < cfg.Nodes; p++ {
 		sg.Add(1)
@@ -135,22 +152,48 @@ func Run[I any, K comparable, V any, O any](
 		go func(p int) {
 			defer sg.Done()
 			defer func() { <-sem }()
-			g := make(map[K][]V)
-			for w := range workerParts {
-				if workerParts[w] == nil {
-					continue
+			total := 0
+			for _, parts := range workerParts {
+				total += len(parts[p])
+			}
+			// One map lookup per record names its group; the second pass
+			// places values by that number. (A partition of an in-process
+			// job holds far fewer than 2^31 keys.)
+			g := groups{offsets: []int{0}, values: make([]V, total)}
+			index := make(map[K]int32)
+			ids := make([]int32, 0, total)
+			for _, parts := range workerParts {
+				for _, pair := range parts[p] {
+					id, ok := index[pair.k]
+					if !ok {
+						id = int32(len(g.keys))
+						index[pair.k] = id
+						g.keys = append(g.keys, pair.k)
+						g.offsets = append(g.offsets, 0)
+					}
+					g.offsets[id+1]++
+					ids = append(ids, id)
 				}
-				for _, pair := range workerParts[w][p] {
-					g[pair.k] = append(g[pair.k], pair.v)
+			}
+			for i := 1; i < len(g.offsets); i++ {
+				g.offsets[i] += g.offsets[i-1]
+			}
+			next := slices.Clone(g.offsets) // each group's write cursor
+			r := 0
+			for _, parts := range workerParts {
+				for _, pair := range parts[p] {
+					id := ids[r]
+					g.values[next[id]] = pair.v
+					next[id]++
+					r++
 				}
 			}
 			grouped[p] = g
-			distinct[p] = len(g)
 		}(p)
 	}
 	sg.Wait()
-	for _, d := range distinct {
-		stats.DistinctKeys += d
+	for _, g := range grouped {
+		stats.DistinctKeys += len(g.keys)
 	}
 	stats.ShuffleDuration = time.Since(start)
 
@@ -173,8 +216,10 @@ func Run[I any, K comparable, V any, O any](
 			}()
 			var out []O
 			emit := func(o O) { out = append(out, o) }
-			for k, vs := range grouped[p] {
-				reduceFn(k, vs, emit)
+			g := grouped[p]
+			for i, k := range g.keys {
+				lo, hi := g.offsets[i], g.offsets[i+1]
+				reduceFn(k, g.values[lo:hi:hi], emit)
 			}
 			outputs[p] = out
 		}(p)

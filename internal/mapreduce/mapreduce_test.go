@@ -1,6 +1,8 @@
 package mapreduce
 
 import (
+	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -85,13 +87,13 @@ func TestPartitioningCoversAllKeys(t *testing.T) {
 }
 
 func TestDeterministicGroupContents(t *testing.T) {
-	// Group contents (as multisets) are deterministic even though order
-	// is not: sum of values per key must match across runs.
+	// Group contents and the output's order are both deterministic: two
+	// runs of one job return the same slice.
 	input := make([]int, 5000)
 	for i := range input {
 		input[i] = i
 	}
-	runOnce := func() map[int]int {
+	runOnce := func() [][2]int {
 		out, _, err := Run(Config{Nodes: 8},
 			input,
 			func(i int, emit Emitter[int, int]) { emit(i%13, i) },
@@ -107,20 +109,91 @@ func TestDeterministicGroupContents(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		m := map[int]int{}
-		for _, kv := range out {
-			m[kv[0]] = kv[1]
-		}
-		return m
+		return out
 	}
 	a, b := runOnce(), runOnce()
-	if len(a) != len(b) {
-		t.Fatal("different key sets")
+	if len(a) != 13 || !slices.Equal(a, b) {
+		t.Errorf("runs differ:\n%v\n%v", a, b)
 	}
-	for k, v := range a {
-		if b[k] != v {
-			t.Errorf("key %d: %d vs %d", k, v, b[k])
+}
+
+func TestReduceOrderIsAFunctionOfInputAndNodes(t *testing.T) {
+	// Each record emits two keys; a key's values are the record numbers
+	// that emitted it. Whatever GOMAXPROCS (and so however many map workers
+	// split the input), a node must see its keys in first-emitted order and
+	// each key's values in input order, and the output must be the nodes'
+	// emissions in node order.
+	const nodes = 5
+	input := make([]int, 3000)
+	for i := range input {
+		input[i] = i
+	}
+	keysOf := func(i int) [2]int { return [2]int{(i * 7) % 101, 200 + i%17} }
+	hash := func(k int) uint64 { return HashUint64(uint64(k)) }
+	type group struct {
+		key    int
+		values []int
+	}
+	// The reference walks the input once, serially.
+	var want []group
+	for p := 0; p < nodes; p++ {
+		at := map[int]int{}
+		for _, i := range input {
+			for _, k := range keysOf(i) {
+				if int(hash(k)%nodes) != p {
+					continue
+				}
+				if _, ok := at[k]; !ok {
+					at[k] = len(want)
+					want = append(want, group{key: k})
+				}
+				want[at[k]].values = append(want[at[k]].values, i)
+			}
 		}
+	}
+	for _, procs := range []int{1, 2, 3, 8} {
+		prev := runtime.GOMAXPROCS(procs)
+		got, stats, err := Run(Config{Nodes: nodes}, input,
+			func(i int, emit Emitter[int, int]) {
+				for _, k := range keysOf(i) {
+					emit(k, i)
+				}
+			},
+			func(k int, vs []int, emit func(group)) { emit(group{k, vs}) },
+			hash,
+		)
+		runtime.GOMAXPROCS(prev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stats.MapOutput != 2*len(input) || stats.DistinctKeys != len(want) {
+			t.Errorf("GOMAXPROCS=%d: stats %+v, want %d records in %d keys", procs, stats, 2*len(input), len(want))
+		}
+		if len(got) != len(want) {
+			t.Fatalf("GOMAXPROCS=%d: %d groups want %d", procs, len(got), len(want))
+		}
+		for i := range want {
+			if got[i].key != want[i].key || !slices.Equal(got[i].values, want[i].values) {
+				t.Fatalf("GOMAXPROCS=%d: group %d is key %d %v, want key %d %v",
+					procs, i, got[i].key, got[i].values, want[i].key, want[i].values)
+			}
+		}
+	}
+}
+
+func TestReducerMayGrowItsGroup(t *testing.T) {
+	// Groups share one array; appending to one must not reach the next.
+	out, _, err := Run(Config{Nodes: 1}, []int{0, 1, 2, 3, 4, 5},
+		func(i int, emit Emitter[int, int]) { emit(i%2, i) },
+		func(k int, vs []int, emit func([]int)) { emit(append(vs, -1)) },
+		func(k int) uint64 { return 0 },
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := [][]int{{0, 2, 4, -1}, {1, 3, 5, -1}}
+	if len(out) != 2 || !slices.Equal(out[0], want[0]) || !slices.Equal(out[1], want[1]) {
+		t.Errorf("got %v want %v", out, want)
 	}
 }
 

@@ -7,7 +7,8 @@ package sketch
 
 import (
 	"fmt"
-	"sort"
+	"math/bits"
+	"slices"
 
 	"repro/internal/seq"
 )
@@ -22,13 +23,11 @@ type Params struct {
 }
 
 // DefaultParams follows §4.5.1: k=15 and a modulus chosen so reads carry
-// roughly 5-16 sketch values each, with 3 rounds.
+// roughly 5-16 sketch values each, with 3 rounds (fewer when reads are so
+// short that the modulus itself is below 3: there are only M sketches).
 func DefaultParams(meanReadLen int) Params {
-	m := meanReadLen / 10
-	if m < 1 {
-		m = 1
-	}
-	return Params{K: 15, M: m, Rounds: 3}
+	m := max(meanReadLen/10, 1)
+	return Params{K: 15, M: m, Rounds: min(3, m)}
 }
 
 // Validate checks parameter sanity.
@@ -75,27 +74,33 @@ func Shingles(bases []byte, k int) []uint64 {
 			out = append(out, mix(uint64(km)))
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return dedupSorted(out)
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
-func dedupSorted(xs []uint64) []uint64 {
-	out := xs[:0]
-	for i, x := range xs {
-		if i == 0 || x != xs[i-1] {
-			out = append(out, x)
+// SelectRounds returns the sketches S_i of rounds 0..rounds-1 of a sorted
+// hash set: out[l] holds the hashes congruent to l modulo m, ascending. The
+// residue of every hash is computed once for all rounds, and the sketches
+// are views into one backing slice.
+func SelectRounds(hashes []uint64, m, rounds int) [][]uint64 {
+	mod := uint64(m)
+	kept := make([]uint64, 0, len(hashes)*rounds/m+rounds)
+	sizes := make([]int, rounds)
+	for _, h := range hashes {
+		if r := h % mod; r < uint64(rounds) {
+			kept = append(kept, h)
+			sizes[r]++
 		}
 	}
-	return out
-}
-
-// Select returns the round-l sketch S_i: hashes congruent to l modulo M.
-func Select(hashes []uint64, m, round int) []uint64 {
-	var out []uint64
-	for _, h := range hashes {
-		if h%uint64(m) == uint64(round) {
-			out = append(out, h)
-		}
+	out := make([][]uint64, rounds)
+	backing := make([]uint64, len(kept))
+	for r, off := 0, 0; r < rounds; r++ {
+		out[r] = backing[off : off : off+sizes[r]]
+		off += sizes[r]
+	}
+	for _, h := range kept {
+		r := h % mod
+		out[r] = append(out[r], h)
 	}
 	return out
 }
@@ -111,20 +116,21 @@ func Similarity(a, b []uint64) float64 {
 	return float64(inter) / float64(min(len(a), len(b)))
 }
 
-// IntersectionSize counts common elements of two sorted distinct sets.
+// IntersectionSize counts common elements of two sorted distinct sets. Which
+// cursor advances depends on hash values, which no branch predictor can
+// learn, so the merge step takes no branch: both cursors and the count move
+// by the borrows of the two subtractions.
+//
+//repro:noalloc
 func IntersectionSize(a, b []uint64) int {
 	i, j, n := 0, 0, 0
 	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			i++
-		case a[i] > b[j]:
-			j++
-		default:
-			n++
-			i++
-			j++
-		}
+		x, y := a[i], b[j]
+		_, lt := bits.Sub64(x, y, 0) // 1 iff x < y
+		_, gt := bits.Sub64(y, x, 0) // 1 iff x > y
+		i += int(1 - gt)
+		j += int(1 - lt)
+		n += int(1 - lt - gt)
 	}
 	return n
 }

@@ -1,9 +1,12 @@
 package sketch
 
 import (
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
+	"repro/internal/seq"
 	"repro/internal/simulate"
 )
 
@@ -20,8 +23,12 @@ func TestParamsValidate(t *testing.T) {
 			t.Errorf("case %d: expected error for %+v", i, p)
 		}
 	}
-	if err := DefaultParams(375).Validate(); err != nil {
-		t.Errorf("default params invalid: %v", err)
+	// Every mean read length gives usable defaults, including the lengths
+	// (< 30, and 0 for an empty input) whose modulus is below three rounds.
+	for n := 0; n <= 1000; n++ {
+		if err := DefaultParams(n).Validate(); err != nil {
+			t.Errorf("DefaultParams(%d) invalid: %v", n, err)
+		}
 	}
 }
 
@@ -54,14 +61,19 @@ func TestSelectPartitionsShingles(t *testing.T) {
 	m := 4
 	total := 0
 	seen := map[uint64]bool{}
-	for l := 0; l < m; l++ {
-		s := Select(h, m, l)
+	for l, s := range SelectRounds(h, m, m) {
 		total += len(s)
-		for _, v := range s {
+		for i, v := range s {
 			if seen[v] {
 				t.Fatal("value selected twice")
 			}
 			seen[v] = true
+			if v%uint64(m) != uint64(l) {
+				t.Fatalf("round %d holds %d, residue %d", l, v, v%uint64(m))
+			}
+			if i > 0 && v <= s[i-1] {
+				t.Fatalf("round %d not ascending", l)
+			}
 		}
 	}
 	if total != len(h) {
@@ -122,4 +134,114 @@ func TestIntersectionSize(t *testing.T) {
 	if got := IntersectionSize(nil, []uint64{1}); got != 0 {
 		t.Errorf("empty intersection = %d", got)
 	}
+}
+
+// intersectionByMap is the reference IntersectionSize is held to.
+func intersectionByMap(a, b []uint64) int {
+	in := make(map[uint64]bool, len(a))
+	for _, x := range a {
+		in[x] = true
+	}
+	n := 0
+	for _, y := range b {
+		if in[y] {
+			n++
+		}
+	}
+	return n
+}
+
+func TestIntersectionSizeMatchesReference(t *testing.T) {
+	const top = math.MaxUint64
+	cases := [][2][]uint64{
+		{{}, {}},
+		{{}, {0, 1}},
+		{{4, 5, 6}, {4, 5, 6}},   // identical
+		{{1, 3, 5}, {2, 4, 6}},   // disjoint, interleaved
+		{{1, 2, 3}, {7, 8, 9}},   // disjoint, one side exhausted first
+		{{0}, {0}},               // zero: no borrow either way
+		{{0, top}, {0, top}},     // the extremes on both sides
+		{{0}, {top}},             // the widest difference
+		{{top - 1}, {top}},       // adjacent values at the top
+		{{0, 1, 2}, {1, 2, 3}},   // adjacent values at the bottom
+		{{1 << 63}, {1<<63 - 1}}, // across the sign bit of a signed compare
+		{{5}, {1, 2, 3, 4, 5, 6}},
+	}
+	for _, c := range cases {
+		want := intersectionByMap(c[0], c[1])
+		if got := IntersectionSize(c[0], c[1]); got != want {
+			t.Errorf("IntersectionSize(%v, %v) = %d want %d", c[0], c[1], got, want)
+		}
+		if got := IntersectionSize(c[1], c[0]); got != want {
+			t.Errorf("IntersectionSize(%v, %v) = %d want %d", c[1], c[0], got, want)
+		}
+	}
+	rng := rand.New(rand.NewSource(9))
+	randomSet := func() []uint64 {
+		// A small universe makes shared and adjacent values common; the
+		// shift spreads some sets over the whole 64-bit range.
+		shift := uint(rng.Intn(2) * 58)
+		set := make([]uint64, rng.Intn(60))
+		for i := range set {
+			set[i] = uint64(rng.Intn(64)) << shift
+		}
+		slices.Sort(set)
+		return slices.Compact(set)
+	}
+	for trial := 0; trial < 2000; trial++ {
+		a, b := randomSet(), randomSet()
+		if got, want := IntersectionSize(a, b), intersectionByMap(a, b); got != want {
+			t.Fatalf("IntersectionSize(%v, %v) = %d want %d", a, b, got, want)
+		}
+	}
+}
+
+func TestIntersectionSizeDoesNotAllocate(t *testing.T) {
+	a := Shingles([]byte("ACGTACGGTTACGATCAGTTACGGATCGAT"), 8)
+	b := Shingles([]byte("TTACGATCAGTTACGGATCGATACGTACGG"), 8)
+	if allocs := testing.AllocsPerRun(100, func() { IntersectionSize(a, b) }); allocs != 0 {
+		t.Errorf("IntersectionSize allocates %v times per call", allocs)
+	}
+}
+
+// shinglesBySet is the reference Shingles is held to: every window of k
+// unambiguous bases, packed on its own, hashed, collected in a set.
+func shinglesBySet(bases []byte, k int) []uint64 {
+	set := map[uint64]bool{}
+	for s := 0; s+k <= len(bases); s++ {
+		if km, ok := seq.Pack(bases[s:s+k], k); ok {
+			set[mix(uint64(km))] = true
+		}
+	}
+	var out []uint64
+	for h := range set {
+		out = append(out, h)
+	}
+	slices.Sort(out)
+	return out
+}
+
+func FuzzShingles(f *testing.F) {
+	f.Add([]byte("ACGTACGT"), uint8(4))
+	f.Add([]byte("ACGTNACGT"), uint8(4))
+	f.Add([]byte("acgtnnacgtacgtRYacg"), uint8(3))
+	f.Add([]byte("AAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAA"), uint8(32))
+	f.Add([]byte(""), uint8(1))
+	f.Fuzz(func(t *testing.T, bases []byte, kRaw uint8) {
+		k := 1 + int(kRaw)%seq.MaxK
+		got := Shingles(bases, k)
+		for i := 1; i < len(got); i++ {
+			if got[i] <= got[i-1] {
+				t.Fatalf("not strictly ascending at %d: %v", i, got)
+			}
+		}
+		if len(got) > max(len(bases)-k+1, 0) {
+			t.Fatalf("%d shingles from %d bases at k=%d", len(got), len(bases), k)
+		}
+		// An ambiguous base resets the window: no shingle spans it, which is
+		// what packing every window on its own gives.
+		if want := shinglesBySet(bases, k); !slices.Equal(got, want) {
+			t.Fatalf("Shingles(%q, %d) = %v want %v", bases, k, got, want)
+		}
+	})
 }

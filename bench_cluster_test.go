@@ -145,8 +145,11 @@ func BenchmarkBackendQuery(b *testing.B) {
 
 // BenchmarkClusterLoadgen is the coordinator leg of the service rows:
 // the daemon measured from the client side while every spectrum access
-// fans out to shard-owning nodes over loopback. Comparable against
-// BenchmarkServeLoadgen/steady — the gap is the distribution tax.
+// goes to shard-owning nodes over loopback. The chunk500 leg posts
+// 500-read chunks as BenchmarkServeLoadgen/steady does, so its gap to
+// that row is the distribution tax per read; chunk20 is the
+// small-request end, where a chunk's fixed cost — one round trip per
+// shard — weighs most.
 func BenchmarkClusterLoadgen(b *testing.B) {
 	built, reads := benchSpectrum(b)
 	rs := benchRemoteBackend(b, built, 4)
@@ -162,42 +165,42 @@ func BenchmarkClusterLoadgen(b *testing.B) {
 	coord := httptest.NewServer(h)
 	b.Cleanup(coord.Close)
 
-	// Cluster chunks are small: every erroneous tile's neighborhood is a
-	// fan-out HTTP round trip, so per-request cost is orders of magnitude
-	// above the local daemon's — the leg measures that tax, not queueing.
-	var chunks [][]byte
-	const chunkReads = 20
-	for at := 0; at < len(reads) && len(chunks) < 8; at += chunkReads {
-		end := min(at+chunkReads, len(reads))
-		body, err := fastq.EncodeChunk(reads[at:end])
-		if err != nil {
-			b.Fatal(err)
-		}
-		chunks = append(chunks, body)
-	}
+	for _, chunkReads := range []int{20, 500} {
+		b.Run(fmt.Sprintf("chunk%d", chunkReads), func(b *testing.B) {
+			var chunks [][]byte
+			for at := 0; at < len(reads) && len(chunks) < 8; at += chunkReads {
+				end := min(at+chunkReads, len(reads))
+				body, err := fastq.EncodeChunk(reads[at:end])
+				if err != nil {
+					b.Fatal(err)
+				}
+				chunks = append(chunks, body)
+			}
 
-	var last loadgen.Report
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rep, err := loadgen.Run(context.Background(), loadgen.Config{
-			URL:         coord.URL + "/v2/correct?engine=reptile&spectrum=main",
-			Chunks:      chunks,
-			Concurrency: 4,
-			Duration:    3 * time.Second,
+			var last loadgen.Report
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				rep, err := loadgen.Run(context.Background(), loadgen.Config{
+					URL:         coord.URL + "/v2/correct?engine=reptile&spectrum=main",
+					Chunks:      chunks,
+					Concurrency: 4,
+					Duration:    3 * time.Second,
+				})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if rep.OK == 0 || rep.Server5xx != 0 || rep.Failed != 0 {
+					b.Fatalf("cluster load failed: %s", rep)
+				}
+				last = rep
+			}
+			b.StopTimer()
+			recordBench(b, map[string]float64{
+				"requests": float64(last.Requests), "ok_per_sec": last.OKPerSec,
+				"reads_per_sec": last.ReadsPerSec,
+				"p50_ms":        last.P50Ms, "p90_ms": last.P90Ms, "p99_ms": last.P99Ms,
+			})
+			fmt.Printf("\ncluster/chunk%d: %s\n", chunkReads, last)
 		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if rep.OK == 0 || rep.Server5xx != 0 || rep.Failed != 0 {
-			b.Fatalf("cluster load failed: %s", rep)
-		}
-		last = rep
 	}
-	b.StopTimer()
-	recordBench(b, map[string]float64{
-		"requests": float64(last.Requests), "ok_per_sec": last.OKPerSec,
-		"reads_per_sec": last.ReadsPerSec,
-		"p50_ms":        last.P50Ms, "p90_ms": last.P90Ms, "p99_ms": last.P99Ms,
-	})
-	fmt.Printf("\ncluster/steady: %s\n", last)
 }

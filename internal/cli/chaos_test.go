@@ -237,6 +237,18 @@ func TestChaosServeSIGTERMDrainsUpload(t *testing.T) {
 	if _, err := pw.Write(specBytes[:len(specBytes)/2]); err != nil {
 		t.Fatal(err)
 	}
+	// The client has sent the first half; wait until the daemon's handler
+	// is staging it. A SIGTERM that beats the accept resets the connection
+	// in the listen backlog, which is a different scenario from a drain.
+	staging := func() bool {
+		entries, _ := os.ReadDir(spectraDir)
+		return len(entries) > 0
+	}
+	for deadline := time.Now().Add(10 * time.Second); !staging(); time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the daemon never started staging the upload")
+		}
+	}
 
 	if err := srv.Process.Signal(syscall.SIGTERM); err != nil {
 		t.Fatal(err)

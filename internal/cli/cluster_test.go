@@ -9,12 +9,14 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/client"
+	"repro/internal/engine"
 	"repro/internal/fastq"
 	"repro/internal/kspectrum"
 	"repro/internal/remote"
@@ -411,6 +413,110 @@ func TestClusterQueryProxy(t *testing.T) {
 			t.Errorf("kmer %d: count %d, local %d", i, qr.Counts[i], wantCnt)
 		}
 	}
+
+	// A d=1 batch answers every kmer with the unsharded NeighborIndex's
+	// neighborhood, for one round trip per shard — not one per kmer.
+	ni, err := kspectrum.NewNeighborIndex(fx.spec, 1, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := shardRequests(fx.rs)
+	resp, body = fx.queryCluster(t, kms, 1)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("d=1 query: status %d: %s", resp.StatusCode, body)
+	}
+	qr = remote.QueryResponse{}
+	if err := json.Unmarshal(body, &qr); err != nil {
+		t.Fatal(err)
+	}
+	if len(qr.Neighbors) != len(kms) {
+		t.Fatalf("d=1 query answered %d neighbor lists for %d kmers", len(qr.Neighbors), len(kms))
+	}
+	for i, km := range kms {
+		var want []string
+		for _, nb := range ni.NeighborKmers(km, nil) {
+			want = append(want, strconv.FormatUint(uint64(nb), 10))
+		}
+		if !slices.Equal(qr.Neighbors[i], want) {
+			t.Errorf("kmer %d: neighbors %v, local %v", i, qr.Neighbors[i], want)
+		}
+	}
+	if delta := shardRequests(fx.rs) - before; delta > int64(len(fx.rs.Shards())) {
+		t.Errorf("a %d-kmer d=1 batch cost %d shard requests, want at most one per shard", len(kms), delta)
+	}
+}
+
+// shardRequests is the total number of /v2/query requests the
+// coordinator's remote spectrum has sent, over all shards.
+func shardRequests(rs *remote.RemoteSpectrum) int64 {
+	var n int64
+	for _, st := range rs.ShardStats() {
+		n += st.Requests
+	}
+	return n
+}
+
+// TestClusterCorrectWholeFixture: a chunk large enough to need several
+// fetch rounds — the whole 5000-read fixture, over a thousand reads
+// changed — is still byte-identical through the coordinator, at D=1 and
+// at the mixed radii of D=2.
+func TestClusterCorrectWholeFixture(t *testing.T) {
+	for _, d := range []int{1, 2} {
+		fx := newClusterFixtureD(t, d)
+		if len(fx.reads) != 5000 {
+			t.Fatalf("fixture has %d reads, want 5000", len(fx.reads))
+		}
+		body, err := fastq.EncodeChunk(fx.reads)
+		if err != nil {
+			t.Fatal(err)
+		}
+		svc, err := reptile.NewService(fx.spec, reptile.Params{D: d})
+		if err != nil {
+			t.Fatal(err)
+		}
+		refOut, _, err := svc.CorrectChunk(fx.reads, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if changed := engine.CountChanged(fx.reads, refOut); changed <= 1000 {
+			t.Fatalf("D=%d: the reference changed only %d reads; the chunk does not stress the round loop", d, changed)
+		}
+		want, err := fastq.EncodeChunk(refOut)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, got := postChunk(t, http.DefaultClient,
+			fx.coordTS.URL+"/v2/correct?spectrum=main&engine=reptile", body)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("D=%d: whole-fixture cluster correct: status %d: %s", d, resp.StatusCode, got)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("D=%d: whole-fixture cluster correction diverges from the single-node reference", d)
+		}
+		t.Logf("D=%d: %d shard requests for %d reads", d, shardRequests(fx.rs), len(fx.reads))
+	}
+}
+
+// TestClusterCorrectRoundTrips pins the round-trip property as a count:
+// a 200-read chunk costs a few requests per shard, however many kmers
+// its reads query. Asking kmer by kmer cost about 32 per read.
+func TestClusterCorrectRoundTrips(t *testing.T) {
+	fx := newClusterFixture(t)
+	body, err := fastq.EncodeChunk(fx.reads[:200])
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, got := postChunk(t, http.DefaultClient,
+		fx.coordTS.URL+"/v2/correct?spectrum=main&engine=reptile", body)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("cluster correct: status %d: %s", resp.StatusCode, got)
+	}
+	shards := len(fx.rs.Shards())
+	if n := shardRequests(fx.rs); n == 0 || n > int64(4*shards) {
+		t.Errorf("a 200-read chunk cost %d shard requests over %d shards, want 1..%d", n, shards, 4*shards)
+	} else {
+		t.Logf("200 reads: %d shard requests over %d shards", n, shards)
+	}
 }
 
 // TestClusterNodeDeath: killing one node must turn that node's shards
@@ -468,6 +574,21 @@ func TestClusterNodeDeath(t *testing.T) {
 	}
 	if cresp.Header.Get("Retry-After") == "" {
 		t.Error("degraded correction 503 has no Retry-After header")
+	}
+}
+
+// TestShardTransportSizing: the coordinator's idle-connection limits
+// follow from the discovered maps — the busiest node's shard count times
+// the admission bound per host, that times the node count overall.
+func TestShardTransportSizing(t *testing.T) {
+	maps := map[string]*remote.ShardMap{
+		"a": {Shards: []remote.ShardLoc{{Node: "n1"}, {Node: "n1"}, {Node: "n1"}, {Node: "n2"}}},
+		"b": {Shards: []remote.ShardLoc{{Node: "n2"}, {Node: "n3"}}},
+	}
+	tr := shardTransport(maps, 8)
+	if tr.MaxIdleConnsPerHost != 3*8 || tr.MaxIdleConns != 3*8*3 {
+		t.Errorf("idle limits %d per host / %d total, want %d / %d",
+			tr.MaxIdleConnsPerHost, tr.MaxIdleConns, 3*8, 3*8*3)
 	}
 }
 

@@ -200,13 +200,15 @@ func serveCmd(args []string, stdout io.Writer) error {
 		if err != nil {
 			return err
 		}
+		transport := shardTransport(maps, resolveMaxInflight(*maxInflight))
+		defer transport.CloseIdleConnections()
 		remoteSpectra = make(map[string]*remote.RemoteSpectrum, len(maps))
 		for name, m := range maps {
 			if _, dup := loaded[name]; dup {
 				return fmt.Errorf("cluster spectrum %q collides with a locally loaded spectrum", name)
 			}
 			rs, err := remote.New(m, remote.Options{
-				HTTP: &http.Client{Timeout: 15 * time.Second},
+				HTTP: &http.Client{Timeout: 15 * time.Second, Transport: transport},
 				Policy: client.Policy{
 					MaxRetries:  *shardRetries,
 					BaseBackoff: 50 * time.Millisecond,
@@ -402,13 +404,19 @@ type server struct {
 	}
 }
 
+// resolveMaxInflight applies the -max-inflight default.
+func resolveMaxInflight(n int) int {
+	if n <= 0 {
+		return 2 * runtime.GOMAXPROCS(0)
+	}
+	return n
+}
+
 // newServer builds the registry: a service slot per (spectrum, engine),
 // with the Reptile slot resolved eagerly so the first request pays no
 // index-build latency.
 func newServer(specs map[string]*kspectrum.Spectrum, opts ServerOptions) (*server, error) {
-	if opts.MaxInflight <= 0 {
-		opts.MaxInflight = 2 * runtime.GOMAXPROCS(0)
-	}
+	opts.MaxInflight = resolveMaxInflight(opts.MaxInflight)
 	switch {
 	case opts.MaxQueue == 0:
 		opts.MaxQueue = 4 * opts.MaxInflight

@@ -92,6 +92,30 @@ func discoverCluster(ctx context.Context, nodes []string, wait time.Duration) (m
 	}
 }
 
+// shardTransport is the coordinator's connection pool to its nodes. A
+// correction queries all of a node's shards at once, so a node sees up
+// to (its shards) x (requests in flight) concurrent queries;
+// http.DefaultTransport keeps two idle connections per host and would
+// re-dial the rest for every chunk. The idle limits follow from the
+// discovered shard maps and the admission bound, so there is nothing to
+// tune.
+func shardTransport(maps map[string]*remote.ShardMap, maxInflight int) *http.Transport {
+	nodes := make(map[string]bool)
+	perNode := 0
+	for _, m := range maps {
+		owned := make(map[string]int)
+		for _, loc := range m.Shards {
+			nodes[loc.Node] = true
+			owned[loc.Node]++
+			perNode = max(perNode, owned[loc.Node])
+		}
+	}
+	t := http.DefaultTransport.(*http.Transport).Clone()
+	t.MaxIdleConnsPerHost = perNode * maxInflight
+	t.MaxIdleConns = t.MaxIdleConnsPerHost * len(nodes)
+	return t
+}
+
 // retryAfterSeconds renders a Retry-After value from a node's own
 // recovery estimate, defaulting to the daemon's standard 5s.
 func retryAfterSeconds(secs int) string {
@@ -224,11 +248,7 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		var buf []seq.Kmer
 		for i, km := range kms {
 			buf = ni.NeighborKmers(km, buf[:0])
-			out := make([]string, len(buf))
-			for j, nb := range buf {
-				out[j] = strconv.FormatUint(uint64(nb), 10)
-			}
-			resp.Neighbors[i] = out
+			resp.Neighbors[i] = kmerStrings(buf)
 		}
 	}
 	// A mapped spectrum that failed lazy validation mid-scan answered
@@ -247,9 +267,10 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 
 // proxyQuery answers /v2/query against a coordinator's remote entry by
 // fanning out through the backend — one round trip per owning shard for
-// a d=0 batch, the indexes and counts riding the same answer — mapping
-// an unreachable shard to the same 503-with-Retry-After the correction
-// path produces. The shard round trips are scoped to the request ctx.
+// the whole batch at any radius, a d=0 answer carrying indexes and
+// counts together — mapping an unreachable shard to the same
+// 503-with-Retry-After the correction path produces. The shard round
+// trips are scoped to the request ctx.
 func (s *server) proxyQuery(ctx context.Context, w http.ResponseWriter, e *entry, kms []seq.Kmer, d int) {
 	var resp remote.QueryResponse
 	var err error
@@ -258,17 +279,11 @@ func (s *server) proxyQuery(ctx context.Context, w http.ResponseWriter, e *entry
 		resp.Counts = make([]uint32, len(kms))
 		err = e.remote.IndexCountManyCtx(ctx, kms, resp.Indexes, resp.Counts)
 	} else {
-		resp.Neighbors = make([][]string, len(kms))
-		for i, km := range kms {
-			var hood []seq.Kmer
-			if hood, err = e.remote.NeighborhoodCtx(ctx, km, d, nil); err != nil {
-				break
-			}
-			out := make([]string, len(hood))
-			for j, nb := range hood {
-				out[j] = strconv.FormatUint(uint64(nb), 10)
-			}
-			resp.Neighbors[i] = out
+		var hoods [][]seq.Kmer
+		hoods, err = e.remote.NeighborhoodMany(ctx, kms, d)
+		resp.Neighbors = make([][]string, len(hoods))
+		for i, hood := range hoods {
+			resp.Neighbors[i] = kmerStrings(hood)
 		}
 	}
 	if err != nil {
@@ -282,6 +297,15 @@ func (s *server) proxyQuery(ctx context.Context, w http.ResponseWriter, e *entry
 		return
 	}
 	writeJSON(w, http.StatusOK, resp)
+}
+
+// kmerStrings renders kmers as the wire's decimal strings.
+func kmerStrings(kms []seq.Kmer) []string {
+	out := make([]string, len(kms))
+	for i, km := range kms {
+		out[i] = strconv.FormatUint(uint64(km), 10)
+	}
+	return out
 }
 
 // countShardQuery feeds the node-side per-shard request counter; a

@@ -48,20 +48,24 @@ type SpectrumBackend interface {
 // spectrum kmers within Hamming distance d of km, appended to dst in
 // ascending order without duplicates. d == 0 degenerates to membership.
 // Remote backends implement it by fanning out to the shards a mutation
-// of km's prefix could land in (PrefixPartition.NeighborShards).
+// of km's prefix could land in (PrefixPartition.NeighborShards), and
+// offer the batched BatchNeighborSource form beside it.
 type NeighborSource interface {
 	Neighborhood(km seq.Kmer, d int, dst []seq.Kmer) ([]seq.Kmer, error)
 }
 
-// ContextBinder is optionally implemented by backends whose queries
-// block on I/O: BindContext returns a view of the backend whose
-// queries are cancelled with ctx, so a request-scoped caller (the
-// serve daemon's correction path) can make shard round trips respect
-// its deadline and client disconnects. The returned backend shares
-// all state with the original — only the context differs. Local
-// backends never block and do not implement it.
-type ContextBinder interface {
-	BindContext(ctx context.Context) SpectrumBackend
+// BatchNeighborSource is optionally implemented by neighbor sources whose
+// every query costs a round trip (internal/remote): NeighborhoodMany
+// answers a whole batch in one trip per owning shard, under the caller's
+// ctx. hoods[i] is what Neighborhood(kms[i], d, nil) would return;
+// duplicates in kms are answered once each, and an error leaves no
+// partial answer. A consumer that finds its source batch-capable plans
+// its queries chunk-wise instead of asking kmer by kmer
+// (reptile.Service); local sources answer from memory and do not
+// implement it.
+type BatchNeighborSource interface {
+	NeighborSource
+	NeighborhoodMany(ctx context.Context, kms []seq.Kmer, d int) (hoods [][]seq.Kmer, err error)
 }
 
 // localBackend adapts a *Spectrum to SpectrumBackend. (The adapter

@@ -1,6 +1,11 @@
 package kspectrum
 
-import "repro/internal/seq"
+import (
+	"math/bits"
+	"slices"
+
+	"repro/internal/seq"
+)
 
 // PrefixPartition is the one description of how this package splits kmer
 // space by high bits. Three subsystems partition identically — the
@@ -50,39 +55,42 @@ func prefixBitsFor(n int, max uint) uint {
 // base with 2i >= Bits lies entirely below the shard prefix — which
 // bounds the fan-out of a d-neighborhood query at C(nb,d)*3^d shards
 // for nb prefix bases, independent of K.
+//
+// The walk happens in shard space: each prefix base is a slot of the
+// shard number (two bits; one, the base's high bit, for the last slot of
+// an odd Bits) and a substitution there can set the slot to any other
+// value. Round r appends the shards that differ from km's own in exactly
+// r slots, each once — a shard from the previous round is changed only
+// in slots after its last changed one — so nothing is searched or
+// deduplicated, and with a dst of sufficient capacity nothing is
+// allocated.
+//
+//repro:noalloc
 func (p PrefixPartition) NeighborShards(km seq.Kmer, d int, dst []int) []int {
-	nb := int((p.Bits + 1) / 2) // bases overlapping the shard prefix
-	if nb > p.K {
-		nb = p.K
-	}
-	seen := map[int]bool{p.ShardOf(km): true}
-	var walk func(km seq.Kmer, from, left int)
-	walk = func(cur seq.Kmer, from, left int) {
-		if left == 0 {
-			return
-		}
-		for i := from; i < nb; i++ {
-			orig := cur.At(i, p.K)
-			for b := seq.Base(0); b < 4; b++ {
-				if b == orig {
-					continue
+	start := len(dst)
+	home := p.ShardOf(km)
+	dst = append(dst, home)
+	slots := int((p.Bits + 1) / 2) // bases overlapping the shard prefix
+	from := start
+	for round := 0; round < min(d, slots); round++ {
+		end := len(dst)
+		for _, s := range dst[from:end] {
+			next := 0
+			if diff := uint(s ^ home); diff != 0 {
+				next = (int(p.Bits)-1-bits.TrailingZeros(diff))/2 + 1
+			}
+			for i := next; i < slots; i++ {
+				lo, alts := int(p.Bits)-2*(i+1), 3
+				if lo < 0 {
+					lo, alts = 0, 1
 				}
-				mut := cur.WithBase(i, p.K, b)
-				seen[p.ShardOf(mut)] = true
-				walk(mut, i+1, left-1)
+				for alt := 1; alt <= alts; alt++ {
+					dst = append(dst, s^alt<<lo)
+				}
 			}
 		}
+		from = end
 	}
-	walk(km, 0, d)
-	start := len(dst)
-	for s := range seen {
-		dst = append(dst, s)
-	}
-	sub := dst[start:]
-	for i := 1; i < len(sub); i++ {
-		for j := i; j > 0 && sub[j] < sub[j-1]; j-- {
-			sub[j], sub[j-1] = sub[j-1], sub[j]
-		}
-	}
+	slices.Sort(dst[start:])
 	return dst
 }

@@ -119,6 +119,7 @@ func TestNeighborShardsExact(t *testing.T) {
 	}{
 		{5, 0, 2}, {5, 1, 1}, {5, 3, 1}, {5, 4, 2},
 		{7, 5, 1}, {7, 5, 2}, {9, 6, 3}, {13, 4, 2},
+		{11, 7, 2}, {11, 9, 3}, {6, 12, 2}, {16, 10, 2}, {5, 3, 4},
 	} {
 		p := PrefixPartition{K: tc.k, Bits: tc.bits}
 		for trial := 0; trial < 25; trial++ {
@@ -155,5 +156,20 @@ func TestNeighborShardsAppend(t *testing.T) {
 	tail := out[1:]
 	if len(tail) == 0 || tail[0] > tail[len(tail)-1] {
 		t.Fatalf("tail not ascending: %v", tail)
+	}
+}
+
+// TestNeighborShardsDoesNotAllocate backs the //repro:noalloc annotation:
+// the router calls NeighborShards once per batched kmer with a reused
+// dst.
+func TestNeighborShardsDoesNotAllocate(t *testing.T) {
+	p := PrefixPartition{K: 13, Bits: 7}
+	dst := make([]int, 0, p.Shards())
+	km := seq.Kmer(0x2d3a5c7)
+	if allocs := testing.AllocsPerRun(100, func() {
+		dst = p.NeighborShards(km, 2, dst[:0])
+		km += 0x10001
+	}); allocs != 0 {
+		t.Errorf("NeighborShards allocates %.1f times per call with a caller-supplied dst", allocs)
 	}
 }

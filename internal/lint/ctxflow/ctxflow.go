@@ -8,9 +8,9 @@
 // Three checks, in scoped packages, outside _test.go files:
 //
 //  1. A bare time.Sleep is always flagged: sleeps must be select-based
-//     waits on ctx.Done() (or go through a context-bound backend view,
-//     kspectrum.BindContext style). The message distinguishes whether
-//     the function already has a context to use or needs to grow one.
+//     waits on ctx.Done() (client.Policy.Sleep style). The message
+//     distinguishes whether the function already has a context to use
+//     or needs to grow one.
 //  2. A `go` statement in a function with no reachable context — no
 //     context.Context parameter, no *http.Request parameter, no
 //     context field on the receiver, and no locally created context —

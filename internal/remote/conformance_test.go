@@ -18,6 +18,11 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
+	"runtime"
+	"slices"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -25,13 +30,14 @@ import (
 	"repro/internal/client"
 	"repro/internal/kspectrum"
 	"repro/internal/remote"
+	"repro/internal/reptile"
 	"repro/internal/seq"
 	"repro/internal/simulate"
 )
 
-// testSpectrum builds the deterministic corpus spectrum every cluster
-// test shards.
-func testSpectrum(t *testing.T) *kspectrum.Spectrum {
+// testReads simulates the deterministic corpus every cluster test works
+// from.
+func testReads(t *testing.T) []seq.Read {
 	t.Helper()
 	ds, err := simulate.BuildDataset(simulate.DatasetSpec{
 		Name: "t", GenomeLen: 5000, ReadLen: 36, Coverage: 25,
@@ -40,7 +46,13 @@ func testSpectrum(t *testing.T) *kspectrum.Spectrum {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec, err := kspectrum.Build(simulate.Reads(ds.Sim), 11, true)
+	return simulate.Reads(ds.Sim)
+}
+
+// testSpectrum builds the corpus spectrum every cluster test shards.
+func testSpectrum(t *testing.T) *kspectrum.Spectrum {
+	t.Helper()
+	spec, err := kspectrum.Build(testReads(t), 11, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,12 +229,137 @@ func TestRemoteSpectrumConformanceIdentity(t *testing.T) {
 	}
 }
 
-// TestRemoteQueryHonorsContext: a context-bound view of the backend
-// must abandon its shard round trips when the context expires. Before
-// query() took a context, a stalled node held a coordinator correction
-// slot for the full HTTP-client timeout (plus retry backoffs) after the
-// requesting client was long gone.
+// TestNeighborhoodManyMatchesPerKmer: the batch form must answer every
+// kmer exactly as the per-kmer form and the unsharded NeighborIndex do,
+// element for element, whatever the shard count — present kmers, absent
+// ones, duplicates, balls that straddle shards (with 4 and 16 shards a
+// first-base substitution always does), and the empty batch.
+func TestNeighborhoodManyMatchesPerKmer(t *testing.T) {
+	spec := testSpectrum(t)
+	ni, err := kspectrum.NewNeighborIndex(spec, 2, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	local := kspectrum.LocalNeighbors(spec, ni)
+	var batch []seq.Kmer
+	for i := 0; i < len(spec.Kmers); i += 97 {
+		km := spec.Kmers[i]
+		batch = append(batch, km, km^3, km^(3<<20), km)
+	}
+	ctx := context.Background()
+	for _, shards := range []int{1, 4, 16} {
+		owned := [][]int{nil, nil}
+		for i := 0; i < shards; i++ {
+			owned[i*2/shards] = append(owned[i*2/shards], i)
+		}
+		if shards == 1 {
+			owned = owned[:1]
+		}
+		c := startCluster(t, spec, shards, owned)
+		for _, d := range []int{1, 2} {
+			before := c.rs.ShardStats()
+			hoods, err := c.rs.NeighborhoodMany(ctx, batch, d)
+			if err != nil {
+				t.Fatalf("shards=%d d=%d: %v", shards, d, err)
+			}
+			if len(hoods) != len(batch) {
+				t.Fatalf("shards=%d d=%d: %d answers for %d kmers", shards, d, len(hoods), len(batch))
+			}
+			for s, st := range c.rs.ShardStats() {
+				if n := st.Requests - before[s].Requests; n > 1 {
+					t.Errorf("shards=%d d=%d: shard %d saw %d requests for one batch", shards, d, s, n)
+				}
+			}
+			for i, km := range batch {
+				want, err := local.Neighborhood(km, d, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !slices.Equal(hoods[i], want) {
+					t.Fatalf("shards=%d d=%d kmer %d (%v): batch answer %v, local %v", shards, d, i, km, hoods[i], want)
+				}
+				one, err := c.rs.Neighborhood(km, d, []seq.Kmer{7})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if one[0] != 7 || !slices.Equal(one[1:], want) {
+					t.Fatalf("shards=%d d=%d kmer %d: per-kmer answer %v, local %v after the dst prefix", shards, d, i, one, want)
+				}
+			}
+		}
+		before := c.rs.ShardStats()
+		if hoods, err := c.rs.NeighborhoodMany(ctx, nil, 1); err != nil || len(hoods) != 0 {
+			t.Errorf("shards=%d: empty batch answered %v, %v", shards, hoods, err)
+		}
+		// An out-of-keyspace kmer fails the batch before anything is sent.
+		bad := append(slices.Clone(batch[:8]), seq.Kmer(1)<<uint(2*spec.K))
+		if _, err := c.rs.NeighborhoodMany(ctx, bad, 1); err == nil {
+			t.Errorf("shards=%d: NeighborhoodMany accepted an out-of-keyspace kmer", shards)
+		}
+		if after := c.rs.ShardStats(); !slices.Equal(after, before) {
+			t.Errorf("shards=%d: an empty or rejected batch reached the nodes: %v -> %v", shards, before, after)
+		}
+	}
+}
+
+// TestFramedBatchByteIdentity: a chunk whose batches need several frames
+// per shard corrects to the same bytes as the local service, and an
+// answer past the read cap is an error naming the cap — not a truncated
+// body handed to the JSON decoder, and not retried.
+func TestFramedBatchByteIdentity(t *testing.T) {
+	spec := testSpectrum(t)
+	c := startCluster(t, spec, 4, [][]int{{0, 1}, {2, 3}})
+	reads := testReads(t)[:300]
+	local, err := reptile.NewService(spec, reptile.Params{D: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _, err := local.CorrectChunk(reads, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc, err := reptile.NewServiceBackend(c.rs, c.rs, reptile.Params{D: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	restore := remote.SetMaxFrameKmers(64)
+	got, _, err := svc.CorrectChunk(reads, 2)
+	restore()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("a multi-frame chunk diverges from the local service")
+	}
+	for s, st := range c.rs.ShardStats() {
+		if st.Requests < 2 {
+			t.Errorf("shard %d saw %d requests; the chunk did not need a second frame", s, st.Requests)
+		}
+	}
+
+	defer remote.SetMaxAnswerBytes(256)()
+	before := c.rs.ShardStats()
+	_, _, err = svc.CorrectChunk(reads, 2)
+	var sue *remote.ShardUnavailableError
+	if err == nil || !strings.Contains(err.Error(), "read cap of 256 bytes") || errors.As(err, &sue) {
+		t.Fatalf("oversize answer: %v; want an error naming the cap, not an availability error", err)
+	}
+	for s, st := range c.rs.ShardStats() {
+		if n := st.Requests - before[s].Requests; n > 1 {
+			t.Errorf("shard %d was asked %d times for an answer no retry can shrink", s, n)
+		}
+	}
+}
+
+// TestRemoteQueryHonorsContext: a batch query must abandon its shard
+// round trips when its context expires. Before query() took a context,
+// a stalled node held a coordinator correction slot for the full
+// HTTP-client timeout (plus retry backoffs) after the requesting client
+// was long gone. The batch here needs three frames: the cancel lands
+// inside the first, and neither a retry nor a later frame may follow.
 func TestRemoteQueryHonorsContext(t *testing.T) {
+	defer remote.SetMaxFrameKmers(1)()
 	entry := kspectrum.ShardEntryName("main", 0, 1)
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v2/shards", func(w http.ResponseWriter, r *http.Request) {
@@ -231,16 +368,13 @@ func TestRemoteQueryHonorsContext(t *testing.T) {
 			K: 11, BothStrands: true, Kmers: 1,
 		}}})
 	})
-	queryStarted := make(chan struct{}, 8)
+	var queries atomic.Int64
 	unblock := make(chan struct{})
 	mux.HandleFunc("/v2/query", func(w http.ResponseWriter, r *http.Request) {
 		// Drain the body: the server only watches for a client hang-up
 		// (which cancels r.Context) once the request is fully read.
 		io.Copy(io.Discard, r.Body)
-		select {
-		case queryStarted <- struct{}{}:
-		default:
-		}
+		queries.Add(1)
 		select {
 		case <-r.Context().Done(): // the client hung up
 		case <-unblock: // test over; let Close drain
@@ -263,28 +397,35 @@ func TestRemoteQueryHonorsContext(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	before := runtime.NumGoroutine()
 	ctx, cancel := context.WithTimeout(context.Background(), 150*time.Millisecond)
 	defer cancel()
-	bound := rs.BindContext(ctx)
 	start := time.Now()
-	counts := make([]uint32, 1)
-	err = bound.CountMany([]seq.Kmer{0}, counts)
-	if err == nil {
-		t.Fatal("CountMany against a stalled node under an expired context answered without error")
+	hoods, err := rs.NeighborhoodMany(ctx, []seq.Kmer{0, 1, 2}, 1)
+	if err != ctx.Err() || !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("NeighborhoodMany against a stalled node under an expired context: %v, want ctx.Err()", err)
+	}
+	if hoods != nil {
+		t.Errorf("cancelled batch returned a partial answer: %v", hoods)
 	}
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
 		t.Fatalf("cancelled query returned after %v; the context was ignored", elapsed)
 	}
-	select {
-	case <-queryStarted:
-	default:
-		t.Fatal("the query never reached the node; the test stalled before the interesting part")
+	if n := queries.Load(); n != 1 {
+		t.Fatalf("the node saw %d queries, want exactly the one the cancel interrupted", n)
 	}
-
-	// Binding the background context is the identity: no wrapper, no
-	// behavior change for callers without a deadline.
-	if rs.BindContext(context.Background()) != kspectrum.SpectrumBackend(rs) {
-		t.Error("BindContext(Background) wrapped the backend")
+	// The d=0 batch form rides the same fan-out.
+	if err := rs.CountManyCtx(ctx, []seq.Kmer{0}, make([]uint32, 1)); err != ctx.Err() {
+		t.Errorf("CountManyCtx under an expired context: %v, want ctx.Err()", err)
+	}
+	// No leaked goroutines: the shard fan-out has drained. Allow the
+	// runtime a moment to retire the hung-up connection's.
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before+2 && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if after := runtime.NumGoroutine(); after > before+2 {
+		t.Errorf("goroutines: %d before, %d after cancellation", before, after)
 	}
 }
 

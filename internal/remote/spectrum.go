@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -34,11 +35,12 @@ type Options struct {
 }
 
 // RemoteSpectrum is the coordinator's view of a sharded spectrum: a
-// kspectrum.SpectrumBackend and kspectrum.NeighborSource that routes
-// each query to the node owning the kmer's prefix shard and merges the
-// answers. Index positions are global — each shard's local index plus
-// the prefix-sum offset of the shards before it — so a remote spectrum
-// is positionally byte-identical to the unsharded one.
+// kspectrum.SpectrumBackend and kspectrum.BatchNeighborSource that
+// routes each query to the nodes owning the prefix shards it touches —
+// a whole batch in one round trip per shard — and merges the answers.
+// Index positions are global — each shard's local index plus the
+// prefix-sum offset of the shards before it — so a remote spectrum is
+// positionally byte-identical to the unsharded one.
 //
 // Failures are errors, never silent absences: a node that stays
 // unreachable or quarantined through the retry budget yields a
@@ -59,6 +61,10 @@ type RemoteSpectrum struct {
 	stats   []shardCounters
 	closed  atomic.Bool
 }
+
+// reptile.Service picks its chunk-wise driver by this interface; losing
+// it would silently fall back to one round trip per kmer.
+var _ kspectrum.BatchNeighborSource = (*RemoteSpectrum)(nil)
 
 // shardCounters is one shard's request tally.
 type shardCounters struct {
@@ -172,47 +178,14 @@ func (r *RemoteSpectrum) shardOf(km seq.Kmer) (int, error) {
 // Index returns km's position in the globally-sorted spectrum (-1
 // absent): the owning shard's local index plus that shard's offset.
 func (r *RemoteSpectrum) Index(km seq.Kmer) (int, error) {
-	return r.IndexCtx(context.Background(), km)
-}
-
-// IndexCtx is Index with the shard round trip scoped to ctx.
-func (r *RemoteSpectrum) IndexCtx(ctx context.Context, km seq.Kmer) (int, error) {
-	shard, err := r.shardOf(km)
-	if err != nil {
-		return -1, err
-	}
-	resp, err := r.query(ctx, shard, QueryRequest{Kmers: []string{formatKmer(km)}})
-	if err != nil {
-		return -1, err
-	}
-	if len(resp.Indexes) != 1 {
-		return -1, r.malformed(shard, "1 index", len(resp.Indexes))
-	}
-	if resp.Indexes[0] < 0 {
-		return -1, nil
-	}
-	return r.offsets[shard] + resp.Indexes[0], nil
+	idx, _, err := r.indexCount(km)
+	return idx, err
 }
 
 // Count returns km's occurrence count (0 absent).
 func (r *RemoteSpectrum) Count(km seq.Kmer) (uint32, error) {
-	return r.CountCtx(context.Background(), km)
-}
-
-// CountCtx is Count with the shard round trip scoped to ctx.
-func (r *RemoteSpectrum) CountCtx(ctx context.Context, km seq.Kmer) (uint32, error) {
-	shard, err := r.shardOf(km)
-	if err != nil {
-		return 0, err
-	}
-	resp, err := r.query(ctx, shard, QueryRequest{Kmers: []string{formatKmer(km)}})
-	if err != nil {
-		return 0, err
-	}
-	if len(resp.Counts) != 1 {
-		return 0, r.malformed(shard, "1 count", len(resp.Counts))
-	}
-	return resp.Counts[0], nil
+	_, n, err := r.indexCount(km)
+	return n, err
 }
 
 // Contains reports membership.
@@ -221,48 +194,82 @@ func (r *RemoteSpectrum) Contains(km seq.Kmer) (bool, error) {
 	return idx >= 0, err
 }
 
-// fanOutByShard groups kms by owning shard, issues one d=0 query per
-// shard concurrently under ctx, and hands each shard's answer to fill
-// together with the input positions it covers (fill runs in the
-// fan-out goroutines but each call owns disjoint positions). The first
-// failure is recorded and returned; healthy shards still fill.
-func (r *RemoteSpectrum) fanOutByShard(ctx context.Context, kms []seq.Kmer, fill func(shard int, positions []int, resp *QueryResponse) error) error {
-	byShard := make(map[int][]int)
+// indexCount is the one-kmer case of IndexCountManyCtx.
+func (r *RemoteSpectrum) indexCount(km seq.Kmer) (int, uint32, error) {
+	idxs, counts := []int{-1}, []uint32{0}
+	err := r.IndexCountManyCtx(context.Background(), []seq.Kmer{km}, idxs, counts)
+	return idxs[0], counts[0], err
+}
+
+// maxFrameKmers bounds the kmers one shard request carries; a shard's
+// share of a batch goes out in consecutive frames of at most this many.
+// 2048 decimal kmers are under 48 KiB of request, far below any node's
+// -max-chunk-bytes, and keep a d=2 answer at the largest k the service
+// path admits (16: at most 1129 neighbors a kmer, 13 bytes each) under
+// half of maxAnswerBytes. It is a variable so the tests can force
+// multi-frame batches.
+var maxFrameKmers = 2048
+
+// fanOut routes every kmer to the shards that can hold part of its
+// radius-d answer (PrefixPartition.NeighborShards; the owner alone at
+// d == 0) and sends each such shard its kmers as d-queries under ctx —
+// shards concurrently, one shard's share in frames of at most
+// maxFrameKmers. Every frame's answer goes to fill with the input
+// positions it covers. fill runs in the shard's goroutine; one shard's
+// calls are sequential and walk its positions in ascending order. A
+// failure ends that shard's frames and is returned — the lowest failed
+// shard's, or ctx.Err() when the caller gave up; healthy shards still
+// fill.
+func (r *RemoteSpectrum) fanOut(ctx context.Context, kms []seq.Kmer, d int, fill func(shard int, positions []int, resp *QueryResponse) error) error {
+	byShard := make([][]int, len(r.shards))
+	wire := make([]string, len(kms)) // formatted once, however many shards a kmer goes to
+	var route []int
 	for i, km := range kms {
-		s, err := r.shardOf(km)
-		if err != nil {
+		// Every d-mutation of an in-range kmer stays in range, so
+		// validating km bounds the routed shards by construction.
+		if _, err := r.shardOf(km); err != nil {
 			return err
 		}
-		byShard[s] = append(byShard[s], i)
+		wire[i] = formatKmer(km)
+		route = r.part.NeighborShards(km, d, route[:0])
+		for _, shard := range route {
+			byShard[shard] = append(byShard[shard], i)
+		}
 	}
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-	)
+	errs := make([]error, len(byShard))
+	var wg sync.WaitGroup
 	for shard, positions := range byShard {
+		if len(positions) == 0 {
+			continue
+		}
 		wg.Add(1)
 		go func(shard int, positions []int) {
 			defer wg.Done()
-			req := QueryRequest{Kmers: make([]string, len(positions))}
-			for j, pos := range positions {
-				req.Kmers[j] = formatKmer(kms[pos])
-			}
-			resp, err := r.query(ctx, shard, req)
-			if err == nil {
-				err = fill(shard, positions, resp)
-			}
-			if err != nil {
-				mu.Lock()
-				if firstErr == nil {
-					firstErr = err
+			for len(positions) > 0 && errs[shard] == nil {
+				frame := positions[:min(len(positions), maxFrameKmers)]
+				positions = positions[len(frame):]
+				req := QueryRequest{Kmers: make([]string, len(frame)), D: d}
+				for j, pos := range frame {
+					req.Kmers[j] = wire[pos]
 				}
-				mu.Unlock()
+				resp, err := r.query(ctx, shard, req)
+				if err == nil {
+					err = fill(shard, frame, resp)
+				}
+				errs[shard] = err
 			}
 		}(shard, positions)
 	}
 	wg.Wait()
-	return firstErr
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // CountMany fills counts[i] with the count of kms[i], batching one
@@ -278,10 +285,7 @@ func (r *RemoteSpectrum) CountManyCtx(ctx context.Context, kms []seq.Kmer, count
 	if len(kms) != len(counts) {
 		return fmt.Errorf("remote: CountMany: %d kmers but %d count slots", len(kms), len(counts))
 	}
-	if len(kms) == 0 {
-		return nil
-	}
-	return r.fanOutByShard(ctx, kms, func(shard int, positions []int, resp *QueryResponse) error {
+	return r.fanOut(ctx, kms, 0, func(shard int, positions []int, resp *QueryResponse) error {
 		if len(resp.Counts) != len(positions) {
 			return r.malformed(shard, fmt.Sprintf("%d counts", len(positions)), len(resp.Counts))
 		}
@@ -301,10 +305,7 @@ func (r *RemoteSpectrum) IndexCountManyCtx(ctx context.Context, kms []seq.Kmer, 
 	if len(kms) != len(idxs) || len(kms) != len(counts) {
 		return fmt.Errorf("remote: IndexCountMany: %d kmers but %d index and %d count slots", len(kms), len(idxs), len(counts))
 	}
-	if len(kms) == 0 {
-		return nil
-	}
-	return r.fanOutByShard(ctx, kms, func(shard int, positions []int, resp *QueryResponse) error {
+	return r.fanOut(ctx, kms, 0, func(shard int, positions []int, resp *QueryResponse) error {
 		if len(resp.Indexes) != len(positions) || len(resp.Counts) != len(positions) {
 			return r.malformed(shard, fmt.Sprintf("%d indexes and counts", len(positions)), len(resp.Indexes))
 		}
@@ -321,123 +322,96 @@ func (r *RemoteSpectrum) IndexCountManyCtx(ctx context.Context, kms []seq.Kmer, 
 }
 
 // Neighborhood appends the spectrum kmers within Hamming distance d of
-// km to dst, ascending and unique — the NeighborSource contract. d == 0
-// is a membership probe against the owning shard alone; d > 0 fans out
-// to exactly the shards a d-mutation of km could land in
-// (PrefixPartition.NeighborShards) and merges their answers. Because
-// shards partition the kmer space into ascending contiguous ranges and
-// each shard answers in ascending order, the merged result ordered by
-// shard is globally ascending — identical to the local NeighborIndex
-// answer on the unsharded spectrum.
+// km to dst, ascending and unique — the NeighborSource contract, and the
+// one-kmer case of NeighborhoodMany.
 func (r *RemoteSpectrum) Neighborhood(km seq.Kmer, d int, dst []seq.Kmer) ([]seq.Kmer, error) {
-	return r.NeighborhoodCtx(context.Background(), km, d, dst)
-}
-
-// NeighborhoodCtx is Neighborhood with the shard round trips scoped to
-// ctx.
-func (r *RemoteSpectrum) NeighborhoodCtx(ctx context.Context, km seq.Kmer, d int, dst []seq.Kmer) ([]seq.Kmer, error) {
-	if d == 0 {
-		idx, err := r.IndexCtx(ctx, km)
-		if err != nil {
-			return dst, err
-		}
-		if idx >= 0 {
-			dst = append(dst, km)
-		}
-		return dst, nil
-	}
-	// Validates km against the keyspace too: every d-mutation of an
-	// in-range kmer stays in range, so the fanned-out shards are in
-	// bounds by construction.
-	if _, err := r.shardOf(km); err != nil {
+	hoods, err := r.NeighborhoodMany(context.Background(), []seq.Kmer{km}, d)
+	if err != nil {
 		return dst, err
 	}
-	shards := r.part.NeighborShards(km, d, nil)
-	kmStr := formatKmer(km)
-	results := make([][]seq.Kmer, len(shards))
-	errs := make([]error, len(shards))
-	var wg sync.WaitGroup
-	for i, shard := range shards {
-		wg.Add(1)
-		go func(i, shard int) {
-			defer wg.Done()
-			resp, err := r.query(ctx, shard, QueryRequest{Kmers: []string{kmStr}, D: d})
-			if err != nil {
-				errs[i] = err
-				return
+	return append(dst, hoods[0]...), nil
+}
+
+// NeighborhoodMany implements kspectrum.BatchNeighborSource: hoods[i] is
+// the ascending, unique list of spectrum kmers within Hamming distance d
+// of kms[i], fetched in one round trip per shard that a d-mutation of
+// any batched kmer could land in (see fanOut). d == 0 is a membership
+// probe against the owning shard alone. Because shards partition the
+// kmer space into ascending contiguous ranges and each answers in
+// ascending order, a kmer's per-shard answers concatenated in shard
+// order are globally ascending — identical to the local NeighborIndex
+// answer on the unsharded spectrum; each shard's list is unique within
+// itself and shards are disjoint, so no dedup is needed.
+func (r *RemoteSpectrum) NeighborhoodMany(ctx context.Context, kms []seq.Kmer, d int) ([][]seq.Kmer, error) {
+	if d < 0 {
+		return nil, fmt.Errorf("remote: negative neighborhood radius %d", d)
+	}
+	// answers[shard] is that shard's part of every hood routed to it, in
+	// routing order: the j-th routed kmer owns flat[ends[j-1]:ends[j]].
+	type shardAnswer struct {
+		flat []seq.Kmer
+		ends []int
+	}
+	answers := make([]shardAnswer, len(r.shards))
+	err := r.fanOut(ctx, kms, d, func(shard int, positions []int, resp *QueryResponse) error {
+		a := &answers[shard]
+		if d == 0 {
+			if len(resp.Indexes) != len(positions) {
+				return r.malformed(shard, fmt.Sprintf("%d indexes", len(positions)), len(resp.Indexes))
 			}
-			if len(resp.Neighbors) != 1 {
-				errs[i] = r.malformed(shard, "1 neighbor list", len(resp.Neighbors))
-				return
-			}
-			out := make([]seq.Kmer, 0, len(resp.Neighbors[0]))
-			for _, s := range resp.Neighbors[0] {
-				nb, err := parseKmer(s)
-				if err != nil {
-					errs[i] = fmt.Errorf("remote: shard %d of %q at %s: %w", shard, r.name, r.shards[shard].Node, err)
-					return
+			for j, pos := range positions {
+				if resp.Indexes[j] >= 0 {
+					a.flat = append(a.flat, kms[pos])
 				}
-				out = append(out, nb)
+				a.ends = append(a.ends, len(a.flat))
 			}
-			results[i] = out
-		}(i, shard)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return dst, err
+			return nil
 		}
+		if len(resp.Neighbors) != len(positions) {
+			return r.malformed(shard, fmt.Sprintf("%d neighbor lists", len(positions)), len(resp.Neighbors))
+		}
+		for _, list := range resp.Neighbors {
+			for _, str := range list {
+				nb, err := parseKmer(str)
+				if err != nil {
+					return fmt.Errorf("remote: shard %d of %q at %s: %w", shard, r.name, r.shards[shard].Node, err)
+				}
+				a.flat = append(a.flat, nb)
+			}
+			a.ends = append(a.ends, len(a.flat))
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	// NeighborShards returns shards ascending and shards own ascending
-	// contiguous kmer ranges, so in-order concatenation is globally
-	// ascending already; each shard's list is unique within itself and
-	// shards are disjoint, so no dedup is needed.
-	for _, out := range results {
-		dst = append(dst, out...)
+	total := 0
+	for i := range answers {
+		total += len(answers[i].flat)
 	}
-	return dst, nil
-}
-
-// BindContext implements kspectrum.ContextBinder: the returned backend
-// shares every shard, counter and policy with r but scopes all shard
-// round trips (including retry backoff sleeps) to ctx, so the daemon's
-// per-request deadline and client disconnects actually cancel in-flight
-// fan-outs. A background ctx returns r itself.
-func (r *RemoteSpectrum) BindContext(ctx context.Context) kspectrum.SpectrumBackend {
-	if ctx == nil || ctx == context.Background() {
-		return r
+	// Re-deriving each kmer's route walks the shards in the order fanOut
+	// filled them, so one cursor per shard finds its part.
+	var (
+		hoods = make([][]seq.Kmer, len(kms))
+		flat  = make([]seq.Kmer, 0, total)
+		next  = make([]int, len(answers))
+		route []int
+	)
+	for i, km := range kms {
+		begin := len(flat)
+		route = r.part.NeighborShards(km, d, route[:0])
+		for _, shard := range route {
+			a, j := &answers[shard], next[shard]
+			from := 0
+			if j > 0 {
+				from = a.ends[j-1]
+			}
+			flat = append(flat, a.flat[from:a.ends[j]]...)
+			next[shard]++
+		}
+		hoods[i] = flat[begin:len(flat):len(flat)]
 	}
-	return boundSpectrum{r: r, ctx: ctx}
-}
-
-// boundSpectrum is a RemoteSpectrum view pinned to one request context;
-// it implements kspectrum.SpectrumBackend and kspectrum.NeighborSource
-// by delegating to the Ctx query forms.
-type boundSpectrum struct {
-	r   *RemoteSpectrum
-	ctx context.Context
-}
-
-func (b boundSpectrum) K() int            { return b.r.K() }
-func (b boundSpectrum) Len() int          { return b.r.Len() }
-func (b boundSpectrum) BothStrands() bool { return b.r.BothStrands() }
-func (b boundSpectrum) Err() error        { return b.r.Err() }
-func (b boundSpectrum) Close() error      { return b.r.Close() }
-func (b boundSpectrum) Index(km seq.Kmer) (int, error) {
-	return b.r.IndexCtx(b.ctx, km)
-}
-func (b boundSpectrum) Count(km seq.Kmer) (uint32, error) {
-	return b.r.CountCtx(b.ctx, km)
-}
-func (b boundSpectrum) Contains(km seq.Kmer) (bool, error) {
-	idx, err := b.r.IndexCtx(b.ctx, km)
-	return idx >= 0, err
-}
-func (b boundSpectrum) CountMany(kms []seq.Kmer, counts []uint32) error {
-	return b.r.CountManyCtx(b.ctx, kms, counts)
-}
-func (b boundSpectrum) Neighborhood(km seq.Kmer, d int, dst []seq.Kmer) ([]seq.Kmer, error) {
-	return b.r.NeighborhoodCtx(b.ctx, km, d, dst)
+	return hoods, nil
 }
 
 // malformed builds the protocol-violation error for a shard answer with
@@ -452,8 +426,8 @@ func (r *RemoteSpectrum) malformed(shard int, want string, got int) error {
 // retrying instead of blocking a correction slot past its deadline.
 // Retryable failures (transport, 429, 5xx) are retried with jittered
 // backoff honoring the node's Retry-After; an exhausted budget yields
-// *ShardUnavailableError. Non-retryable node answers (a 4xx) fail
-// immediately.
+// *ShardUnavailableError. Non-retryable node answers (a 4xx, or one past
+// maxAnswerBytes) fail immediately.
 func (r *RemoteSpectrum) query(ctx context.Context, shard int, qr QueryRequest) (*QueryResponse, error) {
 	if r.closed.Load() {
 		return nil, kspectrum.ErrSpectrumClosed
@@ -490,7 +464,7 @@ func (r *RemoteSpectrum) query(ctx context.Context, shard int, qr QueryRequest) 
 		if err == nil {
 			err = fmt.Errorf("HTTP %d: %s", status, truncate(respBody, 200))
 		}
-		if !client.Retryable(status, nil) && status != 0 {
+		if errors.Is(err, errAnswerTooLarge) || status != 0 && !client.Retryable(status, nil) {
 			r.stats[shard].errors.Add(1)
 			r.observe(shard, "error")
 			return nil, fmt.Errorf("remote: shard %d of %q at %s: %w", shard, r.name, loc.Node, err)
@@ -521,8 +495,9 @@ func (r *RemoteSpectrum) observe(shard int, outcome string) {
 	}
 }
 
-// postJSON sends one query attempt. A transport failure returns err;
-// any HTTP answer returns (status, body, retryAfter, nil).
+// postJSON sends one query attempt. A transport failure or an answer
+// past maxAnswerBytes returns err; any other HTTP answer returns
+// (status, body, retryAfter, nil).
 func postJSON(ctx context.Context, httpc *http.Client, target string, body []byte) (int, []byte, string, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, target, bytes.NewReader(body))
 	if err != nil {
@@ -534,12 +509,23 @@ func postJSON(ctx context.Context, httpc *http.Client, target string, body []byt
 		return 0, nil, "", err
 	}
 	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
+	data, err := io.ReadAll(io.LimitReader(resp.Body, maxAnswerBytes+1))
 	if err != nil {
 		return 0, nil, "", err
 	}
+	if int64(len(data)) > maxAnswerBytes {
+		return 0, nil, "", fmt.Errorf("%w of %d bytes", errAnswerTooLarge, maxAnswerBytes)
+	}
 	return resp.StatusCode, data, resp.Header.Get("Retry-After"), nil
 }
+
+// maxAnswerBytes caps the shard answer one attempt reads into memory (a
+// variable for the tests). An answer past it is a failure that names the
+// cap, never a truncated body handed to the decoder — and not one a
+// retry could cure.
+var maxAnswerBytes int64 = 64 << 20
+
+var errAnswerTooLarge = errors.New("answer exceeds the read cap")
 
 func truncate(b []byte, n int) string {
 	if len(b) > n {

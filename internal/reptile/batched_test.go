@@ -1,0 +1,218 @@
+package reptile
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"reflect"
+	"slices"
+	"testing"
+
+	"repro/internal/kspectrum"
+	"repro/internal/seq"
+)
+
+// fakeBatchSource is a kspectrum.BatchNeighborSource over a local
+// NeighborIndex: every batch is answered by the per-kmer source the
+// reference run queries, so any divergence is the driver's.
+type fakeBatchSource struct {
+	kspectrum.NeighborSource
+	batches [][]seq.Kmer
+	// failAt, when positive, makes that batch (1-based) fail with errFake
+	// after running onFail.
+	failAt int
+	onFail func()
+}
+
+var errFake = errors.New("fake shard failure")
+
+func (f *fakeBatchSource) NeighborhoodMany(ctx context.Context, kms []seq.Kmer, d int) ([][]seq.Kmer, error) {
+	f.batches = append(f.batches, slices.Clone(kms))
+	if len(f.batches) == f.failAt {
+		if f.onFail != nil {
+			f.onFail()
+		}
+		return nil, errFake
+	}
+	hoods := make([][]seq.Kmer, len(kms))
+	for i, km := range kms {
+		var err error
+		if hoods[i], err = f.Neighborhood(km, d, nil); err != nil {
+			return nil, err
+		}
+	}
+	return hoods, nil
+}
+
+// awkwardReads returns a copy of the corpus with the inputs the walk
+// special-cases planted at fixed positions: an isolated (convertible) N,
+// a dense N cluster that stays ambiguous, reads shorter than a tile, and
+// reads without qualities.
+func awkwardReads(reads []seq.Read) []seq.Read {
+	out := make([]seq.Read, len(reads))
+	for i, r := range reads {
+		r = r.Clone()
+		switch i % 10 {
+		case 0:
+			r.Seq[len(r.Seq)/2] = 'N'
+		case 3:
+			copy(r.Seq[5:], "NNNN")
+		case 5:
+			r.Seq, r.Qual = r.Seq[:15], r.Qual[:15]
+		case 7:
+			r.Qual = nil
+		}
+		out[i] = r
+	}
+	return out
+}
+
+// TestBatchedDriverByteIdentity: over a batch source that answers exactly
+// what the local index does, the chunk-wise driver must return what
+// CorrectAllCtx returns on the same Corrector — with the guessed first
+// batch, and with no guess at all, when every neighborhood arrives
+// through the miss path. The second half is the proof that exactness
+// does not rest on the guess. The fetched batches must also be sorted,
+// unique and independent of the worker count.
+func TestBatchedDriverByteIdentity(t *testing.T) {
+	corpus, spec := serviceFixture(t)
+	corpus = awkwardReads(corpus)
+	ctx := context.Background()
+	for _, d := range []int{1, 2} {
+		for _, overlap := range []int{0, 3} {
+			svc, err := NewService(spec, Params{D: d, Overlap: overlap})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, n := range []int{1, 20, 500, len(corpus)} {
+				reads := corpus[:n]
+				want, c, err := svc.CorrectChunk(reads, 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				guess := c.predictKmers(prepareReads(reads, c.P))
+				for _, guessed := range []bool{true, false} {
+					var first [][]seq.Kmer
+					for _, workers := range []int{1, 4} {
+						name := fmt.Sprintf("d=%d overlap=%d reads=%d guessed=%v workers=%d", d, overlap, n, guessed, workers)
+						src := &fakeBatchSource{NeighborSource: svc.neigh}
+						var batch []seq.Kmer
+						if guessed {
+							batch = guess
+						}
+						got, err := c.correctBatched(ctx, src, reads, workers, batch)
+						if err != nil {
+							t.Fatalf("%s: %v", name, err)
+						}
+						if !reflect.DeepEqual(got, want) {
+							t.Fatalf("%s: batched driver diverges from CorrectAllCtx", name)
+						}
+						for _, kms := range src.batches {
+							if !slices.IsSorted(kms) || len(slices.Compact(slices.Clone(kms))) != len(kms) {
+								t.Fatalf("%s: a fetched batch is not sorted and unique", name)
+							}
+						}
+						if !guessed && n >= 20 && len(src.batches) < 2 {
+							t.Errorf("%s: %d batches — the miss path was not exercised", name, len(src.batches))
+						}
+						if first == nil {
+							first = src.batches
+						} else if !reflect.DeepEqual(src.batches, first) {
+							t.Errorf("%s: fetched batches depend on the worker count", name)
+						}
+					}
+					if n == len(corpus) {
+						t.Logf("d=%d overlap=%d reads=%d guessed=%v: %d batches", d, overlap, n, guessed, len(first))
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestBatchedDriverFetchFailure: a batch that fails mid-way returns that
+// error and no partial output; when the failure is the caller's own
+// cancellation, ctx.Err() — as CorrectAllCtx reports it.
+func TestBatchedDriverFetchFailure(t *testing.T) {
+	corpus, spec := serviceFixture(t)
+	reads := corpus[:200]
+	svc, err := NewService(spec, Params{D: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, c, err := svc.CorrectChunk(reads, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	src := &fakeBatchSource{NeighborSource: svc.neigh, failAt: 2}
+	out, err := c.correctBatched(context.Background(), src, reads, 2, nil)
+	if !errors.Is(err, errFake) || out != nil {
+		t.Fatalf("second batch failed: got %d reads, err %v; want no output and the batch's error", len(out), err)
+	}
+	if len(src.batches) != 2 {
+		t.Errorf("%d batches issued, want the driver to stop at the failed second", len(src.batches))
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	src = &fakeBatchSource{NeighborSource: svc.neigh, failAt: 2, onFail: cancel}
+	out, err = c.correctBatched(ctx, src, reads, 2, nil)
+	if err != context.Canceled || out != nil {
+		t.Fatalf("cancelled mid-fetch: got %d reads, err %v; want no output and ctx.Err()", len(out), err)
+	}
+	out, err = c.correctBatched(ctx, src, reads, 2, c.predictKmers(reads))
+	if err != context.Canceled || out != nil {
+		t.Fatalf("cancelled before the first fetch: got %d reads, err %v; want no output and ctx.Err()", len(out), err)
+	}
+}
+
+// TestServicePicksDriverBySource: a service whose neighbor source is
+// batch-capable corrects through NeighborhoodMany and never asks kmer by
+// kmer; the bytes equal the local service's.
+func TestServicePicksDriverBySource(t *testing.T) {
+	corpus, spec := serviceFixture(t)
+	reads := corpus[:300]
+	local, err := NewService(spec, Params{D: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _, err := local.CorrectChunk(reads, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Wrapped so that kspectrum.Unwrap sees a foreign backend.
+	backend := struct{ kspectrum.SpectrumBackend }{kspectrum.Local(spec)}
+	src := &fakeBatchSource{NeighborSource: local.neigh}
+	batchOnly := &batchOnlySource{fakeBatchSource: src}
+	svc, err := NewServiceBackend(backend, batchOnly, Params{D: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, _, err := svc.CorrectChunk(reads, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("backend service over a batch source diverges from the local service")
+	}
+	if len(src.batches) == 0 {
+		t.Error("a batch-capable source was never asked for a batch")
+	}
+	if batchOnly.perKmer != 0 {
+		t.Errorf("a batch-capable source was asked kmer by kmer %d times", batchOnly.perKmer)
+	}
+}
+
+// batchOnlySource counts per-kmer queries arriving from outside its own
+// NeighborhoodMany.
+type batchOnlySource struct {
+	*fakeBatchSource
+	perKmer int
+}
+
+func (b *batchOnlySource) Neighborhood(km seq.Kmer, d int, dst []seq.Kmer) ([]seq.Kmer, error) {
+	b.perKmer++
+	return b.fakeBatchSource.Neighborhood(km, d, dst)
+}

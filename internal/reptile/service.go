@@ -149,13 +149,20 @@ func (s *Service) CorrectChunk(reads []seq.Read, workers int) ([]seq.Read, *Corr
 // CorrectChunkCtx is CorrectChunk under a context: a cancelled ctx drains
 // the correction worker pool promptly and returns ctx.Err(), so a
 // dropped request aborts its correction work.
+//
+// Which driver runs is read off the neighbor source. A local one answers
+// from memory, so the per-read walk queries it directly (CorrectAllCtx).
+// One that can answer in batches (kspectrum.BatchNeighborSource — every
+// query a round trip) is driven chunk-wise, its fetches scoped to ctx
+// (correctBatched). Both produce the same bytes.
 func (s *Service) CorrectChunkCtx(ctx context.Context, reads []seq.Read, workers int) ([]seq.Read, *Corrector, error) {
 	p := s.p
 	if p.Qc == 0 {
 		p.Qc = kspectrum.QualityQuantile(reads, 0.17)
 		p.Qm = p.Qc + 15
 	}
-	tiles, err := kspectrum.CountTiles(prepareReads(reads, p), p.K, p.Overlap, p.Qc, kspectrum.BuildOptions{Workers: workers})
+	prepared := prepareReads(reads, p)
+	tiles, err := kspectrum.CountTiles(prepared, p.K, p.Overlap, p.Qc, kspectrum.BuildOptions{Workers: workers})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -167,20 +174,12 @@ func (s *Service) CorrectChunkCtx(ctx context.Context, reads []seq.Read, workers
 		p.Cm = cm
 	}
 	c := &Corrector{P: p, Spec: s.spec, NI: s.ni, Tiles: tiles, backend: s.backend, neigh: s.neigh}
-	// A remote backend's shard round trips must die with this request:
-	// bind its queries (and the neighborhood seam, which for a remote
-	// service is the same object) to ctx so the daemon's deadline and
-	// client disconnects cancel in-flight fan-outs instead of letting
-	// retries hold a correction slot long past cancellation.
-	if cb, ok := s.backend.(kspectrum.ContextBinder); ok {
-		c.backend = cb.BindContext(ctx)
+	var out []seq.Read
+	if src, ok := s.neigh.(kspectrum.BatchNeighborSource); ok {
+		out, err = c.correctBatched(ctx, src, reads, workers, c.predictKmers(prepared))
+	} else {
+		out, err = c.CorrectAllCtx(ctx, reads, workers)
 	}
-	if cb, ok := s.neigh.(kspectrum.ContextBinder); ok {
-		if bn, ok := cb.BindContext(ctx).(kspectrum.NeighborSource); ok {
-			c.neigh = bn
-		}
-	}
-	out, err := c.CorrectAllCtx(ctx, reads, workers)
 	if err != nil {
 		return nil, nil, err
 	}

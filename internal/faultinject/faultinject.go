@@ -66,7 +66,9 @@ const (
 	// SiteSpill covers spill-run file creation and writes in the
 	// out-of-core counter.
 	SiteSpill Site = "spill"
-	// SiteMerge covers spill-run reads during the k-way merge.
+	// SiteMerge covers every read of a spill run: the k-way merge, and a
+	// resume's revalidation of the runs its manifest lists (the same
+	// reader), where a fault fails NewStreamBuilder instead of Build.
 	SiteMerge Site = "merge"
 	// SiteManifest covers checkpoint manifest creation, write and rename.
 	SiteManifest Site = "manifest"

@@ -214,6 +214,20 @@ func TestResumeRejectsCorruption(t *testing.T) {
 			t.Fatalf("resume over corrupt manifest: %v, want ErrCheckpoint", err)
 		}
 	})
+	t.Run("negative run length", func(t *testing.T) {
+		dir := setup(t)
+		m, err := readManifestFile(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.Runs[0].Entries, m.Runs[0].Bytes = -1, runSize(-1)
+		if err := writeManifestFile(dir, m); err != nil {
+			t.Fatal(err)
+		}
+		if err := resumeErr(dir, 13); !errors.Is(err, ErrCheckpoint) {
+			t.Fatalf("resume over a manifest with a negative run length: %v, want ErrCheckpoint", err)
+		}
+	})
 	t.Run("geometry mismatch", func(t *testing.T) {
 		dir := setup(t)
 		if err := resumeErr(dir, 15); !errors.Is(err, ErrCheckpoint) {

@@ -1,7 +1,6 @@
 package kspectrum
 
 import (
-	"slices"
 	"sync"
 
 	"repro/internal/seq"
@@ -101,15 +100,20 @@ func (c *Counter) Inc(km seq.Kmer, delta uint32) {
 			return
 		}
 		if c.keys[i] == km {
-			if v := c.vals[i]; delta > ^uint32(0)-v {
-				c.vals[i] = ^uint32(0)
-			} else {
-				c.vals[i] = v + delta
-			}
+			c.vals[i] = saturatingAdd(c.vals[i], delta)
 			return
 		}
 		i = (i + 1) & mask
 	}
+}
+
+// saturatingAdd is the one count addition of the spectrum build — Inc and the
+// out-of-core merge both sum with it, so the two routes agree past 2^32.
+func saturatingAdd(v, delta uint32) uint32 {
+	if delta > ^uint32(0)-v {
+		return ^uint32(0)
+	}
+	return v + delta
 }
 
 // Get returns km's count (0 if absent).
@@ -145,27 +149,91 @@ func (c *Counter) rehash() {
 	}
 }
 
-// AppendSortedInto appends the counter's entries in ascending key order to
-// the two parallel slices and returns them — the extraction step of the
-// sharded Build, replacing the map-iterate-then-sort path. Keys are sorted
-// alone and the counts re-fetched by O(1) probe: measurably faster than
-// dragging the counts through the sort in lockstep, because slices.Sort
-// orders plain 8-byte words with inlined comparisons and swaps, while a
-// paired sort.Interface pays a dispatched double swap per exchange (~1.6×
-// slower end-to-end on the serial spectrum build).
-func (c *Counter) AppendSortedInto(kmers []seq.Kmer, counts []uint32) ([]seq.Kmer, []uint32) {
-	kstart := len(kmers)
+// Reset empties the table in place, keeping its arrays: a slot is free iff
+// its count is zero, so clearing the counts is the whole job.
+func (c *Counter) Reset() {
+	clear(c.vals)
+	c.n = 0
+}
+
+// room is the number of new keys the table takes before it must double —
+// the StreamBuilder's flush loop never increments more than this at once, so
+// under a budget the table only ever grows where the builder says so.
+func (c *Counter) room() int { return c.grow - c.n }
+
+// kmerCount is one extracted table entry; sortScratch is the memory an
+// extraction sorts in — two buffers the radix passes ping-pong between —
+// owned by the extracting worker and reused from one extraction to the next.
+type kmerCount struct {
+	km seq.Kmer
+	c  uint32
+}
+
+type sortScratch struct{ a, b []kmerCount }
+
+// sortedPairs returns the counter's entries in ascending key order. The
+// result lives in s and is valid until s is used again.
+func (c *Counter) sortedPairs(s *sortScratch) []kmerCount {
+	if cap(s.a) < c.n {
+		n := c.n + c.n/8 // headroom: a worker's next shard is rarely the same size
+		s.a, s.b = make([]kmerCount, n), make([]kmerCount, n)
+	}
+	a := s.a[:0]
 	for i, v := range c.vals {
 		if v != 0 {
-			kmers = append(kmers, c.keys[i])
+			a = append(a, kmerCount{c.keys[i], v})
 		}
 	}
-	added := kmers[kstart:]
-	slices.Sort(added)
-	for _, km := range added {
-		counts = append(counts, c.Get(km))
+	return radixSortPairs(a, s.b[:len(a)])
+}
+
+// AppendSortedInto appends the counter's entries in ascending key order to
+// the two parallel slices and returns them — the extraction step of the
+// sharded Build.
+func (c *Counter) AppendSortedInto(kmers []seq.Kmer, counts []uint32, s *sortScratch) ([]seq.Kmer, []uint32) {
+	for _, p := range c.sortedPairs(s) {
+		kmers = append(kmers, p.km)
+		counts = append(counts, p.c)
 	}
 	return kmers, counts
+}
+
+const radixBits = 11
+
+// radixSortPairs sorts a by key, carrying the counts, and returns the sorted
+// pairs in a or in b (len(b) == len(a)), whichever the last pass wrote. It is
+// an LSD radix sort that skips every pass whose digit is the same in all
+// keys. Extracted keys share most of their bits by construction — nothing
+// above bit 2k, and one shard prefix just below — so at k=13 over 8 shards 23
+// bits vary and three passes sort what a comparison sort needs ~17 rounds for.
+//
+//repro:noalloc
+func radixSortPairs(a, b []kmerCount) []kmerCount {
+	var live seq.Kmer // the bits in which any two keys differ
+	for _, p := range a {
+		live |= p.km ^ a[0].km
+	}
+	for shift := uint(0); shift < 64; shift += radixBits {
+		if live>>shift&(1<<radixBits-1) == 0 {
+			continue
+		}
+		// uint32 offsets: a spectrum addresses its entries with int32.
+		var pos [1 << radixBits]uint32
+		for _, p := range a {
+			pos[p.km>>shift&(1<<radixBits-1)]++
+		}
+		sum := uint32(0)
+		for d, n := range pos {
+			pos[d], sum = sum, sum+n
+		}
+		for _, p := range a {
+			d := p.km >> shift & (1<<radixBits - 1)
+			b[pos[d]] = p
+			pos[d]++
+		}
+		a, b = b, a
+	}
+	return a
 }
 
 // ResidentBytes reports the table's actual memory footprint — the real

@@ -67,7 +67,7 @@ func TestCounterVsMapOracle(t *testing.T) {
 	if c.Len() != distinct {
 		t.Fatalf("Len = %d, oracle %d", c.Len(), distinct)
 	}
-	kmers, counts := c.AppendSortedInto(nil, nil)
+	kmers, counts := c.AppendSortedInto(nil, nil, new(sortScratch))
 	if len(kmers) != distinct || len(counts) != distinct {
 		t.Fatalf("AppendSortedInto returned %d/%d entries, want %d", len(kmers), len(counts), distinct)
 	}
@@ -125,16 +125,64 @@ func TestCounterAppendSortedIntoReuse(t *testing.T) {
 	c.Inc(seq.MustPack("TTTT"), 1)
 	kmers := []seq.Kmer{99}
 	counts := []uint32{99}
-	kmers, counts = c.AppendSortedInto(kmers, counts)
+	kmers, counts = c.AppendSortedInto(kmers, counts, new(sortScratch))
 	if len(kmers) != 3 || kmers[0] != 99 || counts[0] != 99 {
 		t.Fatalf("prefix clobbered: %v %v", kmers, counts)
 	}
 	if kmers[1] != seq.MustPack("ACGT") || counts[1] != 2 {
 		t.Fatalf("first entry wrong: %v %v", kmers, counts)
 	}
-	k2, c2 := c.AppendSortedInto(nil, nil)
+	k2, c2 := c.AppendSortedInto(nil, nil, new(sortScratch))
 	if len(k2) != 2 || c2[1] != 1 {
 		t.Fatalf("second extraction wrong: %v %v", k2, c2)
+	}
+}
+
+// TestRadixSortPairsMatchesReference checks the extraction sort against
+// slices.Sort and a map of the counts: from no pairs (no pass runs) to a full
+// table's worth, on full-width k=32 keys with bit 63 set, and on keys that
+// differ in one byte only, where every pass but one is skipped.
+func TestRadixSortPairsMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	keygens := map[string]func() seq.Kmer{
+		"k=32, bit 63 set": func() seq.Kmer { return seq.Kmer(rng.Uint64() | 1<<63) },
+		"k=13, one shard":  func() seq.Kmer { return seq.Kmer(5<<23 | rng.Uint64()&(1<<23-1)) },
+		"one byte varies":  func() seq.Kmer { return seq.Kmer(0xAB00_0000_00CD | rng.Uint64()&0xFF<<24) },
+	}
+	for name, gen := range keygens {
+		for _, n := range []int{0, 1, 2, 63, 64, 65, 100000} {
+			ref := map[seq.Kmer]uint32{}
+			for tries := 0; len(ref) < n && tries < 4*n; tries++ {
+				ref[gen()] = rng.Uint32()
+			}
+			a := make([]kmerCount, 0, len(ref))
+			for km, c := range ref {
+				a = append(a, kmerCount{km, c})
+			}
+			want := make([]seq.Kmer, 0, len(ref))
+			for _, p := range a {
+				want = append(want, p.km)
+			}
+			slices.Sort(want)
+			got := radixSortPairs(a, make([]kmerCount, len(a)))
+			if len(got) != len(want) {
+				t.Fatalf("%s n=%d: %d pairs out, want %d", name, n, len(got), len(want))
+			}
+			for i, p := range got {
+				if p.km != want[i] || p.c != ref[p.km] {
+					t.Fatalf("%s n=%d: pair %d is (%#x, %d), want (%#x, %d)", name, n, i, uint64(p.km), p.c, uint64(want[i]), ref[want[i]])
+				}
+			}
+		}
+	}
+	a, b := make([]kmerCount, 4096), make([]kmerCount, 4096)
+	if n := testing.AllocsPerRun(10, func() {
+		for i := range a {
+			a[i] = kmerCount{seq.Kmer(rng.Uint64()), 1}
+		}
+		radixSortPairs(a, b)
+	}); n != 0 {
+		t.Fatalf("radixSortPairs allocates %v times per sort", n)
 	}
 }
 

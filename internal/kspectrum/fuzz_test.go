@@ -18,6 +18,14 @@ func FuzzCounter(f *testing.F) {
 	f.Add([]byte("\x01\x00\x00\x00\x00\x00\x00\x00\x02" +
 		"\x01\x00\x00\x00\x00\x00\x00\x00\x03" +
 		"\xff\xff\xff\xff\xff\xff\xff\xff\x01"))
+	// 80 distinct keys spread over every byte, so mutations of this seed
+	// drive all six radix passes of the extraction.
+	var many []byte
+	for i := uint64(1); i <= 80; i++ {
+		many = binary.LittleEndian.AppendUint64(many, i*0x0123_4567_89AB_CDEF)
+		many = append(many, byte(i))
+	}
+	f.Add(many)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		c := NewCounter(0)
 		oracle := map[uint64]uint32{}
@@ -36,7 +44,7 @@ func FuzzCounter(f *testing.F) {
 		if c.Len() != len(oracle) {
 			t.Fatalf("Len = %d, oracle %d", c.Len(), len(oracle))
 		}
-		kmers, counts := c.AppendSortedInto(nil, nil)
+		kmers, counts := c.AppendSortedInto(nil, nil, new(sortScratch))
 		if len(kmers) != len(oracle) {
 			t.Fatalf("extracted %d entries, oracle %d", len(kmers), len(oracle))
 		}

@@ -200,76 +200,26 @@ func (h runHeader) encode() [runHeaderLen]byte {
 	return hdr
 }
 
-func decodeRunHeader(hdr []byte) (runHeader, error) {
-	if [4]byte(hdr[0:4]) != runMagic {
-		return runHeader{}, checkpointErr("run bad magic %q", hdr[0:4])
-	}
-	if v := binary.LittleEndian.Uint32(hdr[4:8]); v != runVersion {
-		return runHeader{}, checkpointErr("run unsupported version %d (want %d)", v, runVersion)
-	}
-	return runHeader{
-		k:           int(binary.LittleEndian.Uint32(hdr[8:12])),
-		bothStrands: binary.LittleEndian.Uint32(hdr[12:16])&storeFlagBothStrands != 0,
-		shard:       int(binary.LittleEndian.Uint32(hdr[16:20])),
-		count:       int64(binary.LittleEndian.Uint64(hdr[24:32])),
-	}, nil
-}
-
 // runSize is the exact on-disk size of a run holding entries records.
 func runSize(entries int64) int64 {
 	return runHeaderLen + entries*runEntryBytes + 4
 }
 
-// validateRun re-reads a surviving run end to end: header fields against
-// the manifest's record and the builder geometry, the full CRC against
-// both the trailer and the manifest, and the exact file length. A run
-// that fails is grounds to refuse the whole checkpoint — a torn or
-// bit-flipped run silently merged would corrupt the spectrum.
+// validateRun re-reads a surviving run end to end, exactly as the merge
+// will: the header against the manifest's record and the builder geometry,
+// the full CRC against both the trailer and the manifest, and the exact file
+// length. A run that fails is grounds to refuse the whole checkpoint before
+// any read is counted.
 func validateRun(ri runInfo, k int, bothStrands bool) error {
-	f, err := os.Open(ri.path)
+	rs, err := openRun(ri, k, bothStrands)
 	if err != nil {
-		return fmt.Errorf("kspectrum: checkpoint run: %w", err)
+		return err
 	}
-	defer f.Close()
-	crc := crc32.New(crcTable)
-	var hdr [runHeaderLen]byte
-	if _, err := io.ReadFull(f, hdr[:]); err != nil {
-		return checkpointErr("run %s: truncated header", filepath.Base(ri.path))
+	defer rs.close()
+	for err == nil && rs.left > 0 {
+		err = rs.fill()
 	}
-	crc.Write(hdr[:])
-	h, err := decodeRunHeader(hdr[:])
-	if err != nil {
-		return fmt.Errorf("%w (%s)", err, filepath.Base(ri.path))
-	}
-	if h.k != k || h.bothStrands != bothStrands || h.shard != ri.shard || h.count != ri.entries {
-		return checkpointErr("run %s header (k=%d both=%v shard=%d count=%d) disagrees with manifest (k=%d both=%v shard=%d count=%d)",
-			filepath.Base(ri.path), h.k, h.bothStrands, h.shard, h.count, k, bothStrands, ri.shard, ri.entries)
-	}
-	slab := make([]byte, storeSlabEntries*runEntryBytes)
-	for left := h.count * runEntryBytes; left > 0; {
-		n := int64(len(slab))
-		if n > left {
-			n = left
-		}
-		if _, err := io.ReadFull(f, slab[:n]); err != nil {
-			return checkpointErr("run %s: truncated records", filepath.Base(ri.path))
-		}
-		crc.Write(slab[:n])
-		left -= n
-	}
-	var tail [4]byte
-	if _, err := io.ReadFull(f, tail[:]); err != nil {
-		return checkpointErr("run %s: truncated checksum", filepath.Base(ri.path))
-	}
-	got, want := binary.LittleEndian.Uint32(tail[:]), crc.Sum32()
-	if got != want || got != ri.crc {
-		return checkpointErr("run %s: checksum mismatch (file %#x, computed %#x, manifest %#x)",
-			filepath.Base(ri.path), got, want, ri.crc)
-	}
-	if extra, err := f.Read(tail[:1]); err != io.EOF || extra != 0 {
-		return checkpointErr("run %s: trailing data after checksum", filepath.Base(ri.path))
-	}
-	return nil
+	return err
 }
 
 // syncDir fsyncs a directory so a preceding rename (or create) in it is

@@ -68,10 +68,23 @@ type SpectrumBuilder struct {
 	part        PrefixPartition
 	shards      []countShard
 
-	// onFlush, when set, is invoked after each buffer flush while the
-	// shard's stripe lock is still held. It is the out-of-core hook: the
-	// StreamBuilder spills oversized accumulators from here (see stream.go).
-	onFlush func(s int, shard *countShard)
+	// full, when set, bounds the shard tables: a flush never inserts more
+	// keys than a table has room for, and calls full — under the shard's
+	// stripe lock — whenever there is none left. It must make room. The
+	// StreamBuilder doubles or spills the table from here (see stream.go).
+	full func(s int, w *countWorker)
+
+	// idle holds the worker state of Adds that have returned, for the next
+	// Add to reuse: its buffers are sized by the chunk, not by the call.
+	idleMu sync.Mutex
+	idle   [][]countWorker
+}
+
+// countWorker is the memory one counting goroutine reuses from chunk to
+// chunk and, through SpectrumBuilder.idle, from Add to Add.
+type countWorker struct {
+	buf  [][]seq.Kmer // per-shard scatter buffers
+	sort sortScratch  // extraction, when the worker spills a table or builds
 }
 
 // NewSpectrumBuilder validates k and prepares an empty accumulator. An
@@ -100,47 +113,72 @@ func NewSpectrumBuilder(k int, bothStrands bool, opts ...BuildOptions) (*Spectru
 	return sb, nil
 }
 
+// takeWorkers pops an idle set of per-worker state, or makes one.
+func (sb *SpectrumBuilder) takeWorkers() []countWorker {
+	sb.idleMu.Lock()
+	defer sb.idleMu.Unlock()
+	if n := len(sb.idle); n > 0 {
+		ws := sb.idle[n-1]
+		sb.idle = sb.idle[:n-1]
+		return ws
+	}
+	ws := make([]countWorker, sb.workers)
+	for i := range ws {
+		ws[i].buf = make([][]seq.Kmer, len(sb.shards))
+	}
+	return ws
+}
+
+func (sb *SpectrumBuilder) releaseWorkers(ws []countWorker) {
+	sb.idleMu.Lock()
+	sb.idle = append(sb.idle, ws)
+	sb.idleMu.Unlock()
+}
+
 // Add merges one chunk of reads into the accumulator, fanning large chunks
 // out to the builder's counting workers. It may be called concurrently.
 func (sb *SpectrumBuilder) Add(reads []seq.Read) {
-	forEachChunk(reads, sb.workers, func() func([]seq.Read) {
-		buf := make([][]seq.Kmer, len(sb.shards))
-		return func(c []seq.Read) { sb.countChunk(c, buf) }
+	ws := sb.takeWorkers()
+	forEachChunk(reads, sb.workers, func(i int) func([]seq.Read) {
+		return func(c []seq.Read) { sb.countChunk(c, &ws[i]) }
 	})
+	sb.releaseWorkers(ws)
 }
 
 // forEachChunk cuts reads into chunkSize pieces — scatter buffers stay
 // cache-sized — for at most `workers` goroutines (none when one suffices).
-// Each calls newWorker once, for its per-worker state, and feeds the chunks
-// it claims to the function returned. SpectrumBuilder and TileSet share it.
-func forEachChunk(reads []seq.Read, workers int, newWorker func() func([]seq.Read)) {
+// Goroutine i calls newWorker(i) once, for its per-worker state, and feeds
+// the chunks it claims to the function returned. SpectrumBuilder and TileSet
+// share it.
+func forEachChunk(reads []seq.Read, workers int, newWorker func(i int) func([]seq.Read)) {
 	var next atomic.Int64 // end of the last chunk claimed
-	work := func() {
-		count := newWorker()
+	work := func(i int) {
+		count := newWorker(i)
 		for hi := next.Add(chunkSize); int(hi)-chunkSize < len(reads); hi = next.Add(chunkSize) {
 			count(reads[int(hi)-chunkSize : min(int(hi), len(reads))])
 		}
 	}
 	if workers = min(workers, (len(reads)+chunkSize-1)/chunkSize); workers <= 1 {
-		work()
+		work(0)
 		return
 	}
 	var wg sync.WaitGroup
-	for range workers {
+	for i := range workers {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			work()
+			work(i)
 		}()
 	}
 	wg.Wait()
 }
 
-// countChunk scatters one read chunk's kmers into the caller-owned
-// per-shard buffers (reused across chunks, reset here), then flushes each
-// buffer into its striped accumulator under the stripe lock. Buffering
-// keeps the critical section to a tight increment loop.
-func (sb *SpectrumBuilder) countChunk(reads []seq.Read, buf [][]seq.Kmer) {
+// countChunk scatters one read chunk's kmers into the worker's per-shard
+// buffers (reset here), then flushes each buffer into its striped
+// accumulator under the stripe lock. Buffering keeps the critical section to
+// a tight increment loop.
+func (sb *SpectrumBuilder) countChunk(reads []seq.Read, w *countWorker) {
+	buf := w.buf
 	for s := range buf {
 		buf[s] = buf[s][:0]
 	}
@@ -153,17 +191,24 @@ func (sb *SpectrumBuilder) countChunk(reads []seq.Read, buf [][]seq.Kmer) {
 			}
 		})
 	}
-	for s := range buf {
-		if len(buf[s]) == 0 {
+	for s, batch := range buf {
+		if len(batch) == 0 {
 			continue
 		}
 		shard := &sb.shards[s]
 		shard.mu.Lock()
-		for _, km := range buf[s] {
-			shard.counts.Inc(km, 1)
-		}
-		if sb.onFlush != nil {
-			sb.onFlush(s, shard)
+		for len(batch) > 0 {
+			n := len(batch)
+			if sb.full != nil {
+				if n = min(n, shard.counts.room()); n == 0 {
+					sb.full(s, w)
+					continue
+				}
+			}
+			for _, km := range batch[:n] {
+				shard.counts.Inc(km, 1)
+			}
+			batch = batch[n:]
 		}
 		shard.mu.Unlock()
 	}
@@ -172,13 +217,25 @@ func (sb *SpectrumBuilder) countChunk(reads []seq.Read, buf [][]seq.Kmer) {
 // Build finalizes the sorted spectrum: each shard is extracted and sorted
 // independently (in parallel), and because shard s holds exactly the kmers
 // whose high bits equal s, the k-way merge of the sorted shards degenerates
-// to concatenation in shard order. The builder remains usable afterwards.
+// to concatenation in shard order — every shard is extracted straight into
+// its window of the final columns. The shards are locked together while
+// their sizes are read, so a concurrent Add cannot move a window; each is
+// released as soon as it is extracted. The builder remains usable afterwards.
 func (sb *SpectrumBuilder) Build() *Spectrum {
-	type shardRun struct {
-		kmers  []seq.Kmer
-		counts []uint32
+	offs := make([]int, len(sb.shards)+1)
+	for s := range sb.shards {
+		sb.shards[s].mu.Lock()
+		offs[s+1] = offs[s] + sb.shards[s].counts.Len()
 	}
-	runs := make([]shardRun, len(sb.shards))
+	total := offs[len(sb.shards)]
+	spec := &Spectrum{
+		K:           sb.k,
+		BothStrands: sb.bothStrands,
+		Kmers:       make([]seq.Kmer, total),
+		Counts:      make([]uint32, total),
+	}
+	ws := sb.takeWorkers()
+	defer sb.releaseWorkers(ws)
 	var wg sync.WaitGroup
 	work := make(chan int, len(sb.shards))
 	for w := 0; w < min(sb.workers, len(sb.shards)); w++ {
@@ -187,16 +244,8 @@ func (sb *SpectrumBuilder) Build() *Spectrum {
 			defer wg.Done()
 			for s := range work {
 				shard := &sb.shards[s]
-				shard.mu.Lock()
-				if shard.counts.Len() == 0 {
-					shard.mu.Unlock()
-					continue
-				}
-				kmers := make([]seq.Kmer, 0, shard.counts.Len())
-				counts := make([]uint32, 0, shard.counts.Len())
-				kmers, counts = shard.counts.AppendSortedInto(kmers, counts)
+				shard.counts.AppendSortedInto(spec.Kmers[offs[s]:offs[s]], spec.Counts[offs[s]:offs[s]], &ws[w].sort)
 				shard.mu.Unlock()
-				runs[s] = shardRun{kmers: kmers, counts: counts}
 			}
 		}()
 	}
@@ -205,21 +254,6 @@ func (sb *SpectrumBuilder) Build() *Spectrum {
 	}
 	close(work)
 	wg.Wait()
-
-	total := 0
-	for _, r := range runs {
-		total += len(r.kmers)
-	}
-	s := &Spectrum{
-		K:           sb.k,
-		BothStrands: sb.bothStrands,
-		Kmers:       make([]seq.Kmer, 0, total),
-		Counts:      make([]uint32, 0, total),
-	}
-	for _, r := range runs {
-		s.Kmers = append(s.Kmers, r.kmers...)
-		s.Counts = append(s.Counts, r.counts...)
-	}
-	s.freezeIndex()
-	return s
+	spec.freezeIndex()
+	return spec
 }

@@ -142,6 +142,12 @@ func WriteSpectrum(w io.Writer, s *Spectrum) error {
 // ErrSpectrumStore. The stream must end at the trailer; trailing garbage
 // is rejected.
 func ReadSpectrum(r io.Reader) (*Spectrum, error) {
+	return readSpectrum(r, storeSlabEntries)
+}
+
+// readSpectrum is ReadSpectrum with the columns' up-front capacity bounded
+// by maxEntries, the most the caller knows the source can hold.
+func readSpectrum(r io.Reader, maxEntries int) (*Spectrum, error) {
 	crc := crc32.New(crcTable)
 	br := &crcReader{r: bufio.NewReaderSize(r, 1<<16), crc: crc}
 
@@ -173,15 +179,16 @@ func ReadSpectrum(r io.Reader) (*Spectrum, error) {
 	}
 	count := int(count64)
 
-	// Capacity grows with bytes actually read (append per slab), never
-	// from the untrusted count alone — a forged header cannot trigger a
-	// giant up-front allocation; it hits "truncated kmer column" after at
-	// most one slab.
+	// Capacity never comes from the untrusted count alone: it is capped by
+	// what the source is known to hold — one slab for a stream, growing by
+	// append with the bytes actually read; the file's size for a file — so
+	// a forged header cannot trigger a giant up-front allocation; it hits
+	// "truncated kmer column" instead.
 	s := &Spectrum{
 		K:           k,
 		BothStrands: flags&storeFlagBothStrands != 0,
-		Kmers:       make([]seq.Kmer, 0, min(count, storeSlabEntries)),
-		Counts:      make([]uint32, 0, min(count, storeSlabEntries)),
+		Kmers:       make([]seq.Kmer, 0, min(count, maxEntries)),
+		Counts:      make([]uint32, 0, min(count, maxEntries)),
 	}
 	kmax := ^uint64(0) >> (64 - 2*uint(k)) // largest kmer representable in 2k bits
 	slab := make([]byte, storeSlabEntries*8)
@@ -309,14 +316,19 @@ func WriteSpectrumFile(path string, s *Spectrum) error {
 	return nil
 }
 
-// ReadSpectrumFile loads the spectrum stored at path.
+// ReadSpectrumFile loads the spectrum stored at path. The file's size bounds
+// what it can hold, so the columns are allocated once at their final size.
 func ReadSpectrumFile(path string) (*Spectrum, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	s, err := ReadSpectrum(f)
+	info, err := f.Stat()
+	if err != nil {
+		return nil, err
+	}
+	s, err := readSpectrum(f, int(max(info.Size()-storeHeaderLen-4, 0)/(8+4)))
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}

@@ -1,8 +1,6 @@
 package kspectrum
 
 import (
-	"bufio"
-	"container/heap"
 	"context"
 	"encoding/binary"
 	"fmt"
@@ -24,9 +22,10 @@ type StreamOptions struct {
 	Build BuildOptions
 	// MemoryBudget caps the resident bytes of the counting accumulators
 	// across all shards; <= 0 means unlimited — nothing is ever spilled.
-	// Each shard gets an equal slice of the budget and compares it against
-	// its Counter's actual table footprint (Counter.ResidentBytes), so the
-	// cap tracks real memory rather than a per-entry estimate.
+	// Each shard gets an equal slice of the budget, and its Counter's
+	// actual table footprint (Counter.ResidentBytes) never exceeds it: a
+	// full table doubles only while the doubled table still fits the
+	// slice, and is otherwise spilled and refilled in place.
 	MemoryBudget int64
 	// TempDir is where spilled run files live; "" uses os.TempDir(). A
 	// fresh subdirectory is created per builder and removed by Build/Close.
@@ -89,9 +88,9 @@ type runInfo struct {
 
 // StreamBuilder is the out-of-core variant of SpectrumBuilder (§2.3's
 // divide-and-merge taken past memory): counting workers scatter kmers into
-// high-bit prefix shards exactly as the in-memory engine does, but any shard
-// whose accumulator exceeds its slice of the MemoryBudget is spilled to a
-// sorted run file in a temp directory and restarts empty. Build merges each
+// high-bit prefix shards exactly as the in-memory engine does, but a shard
+// whose table is full and cannot double within its slice of the MemoryBudget
+// is spilled to a sorted run file in a temp directory and emptied. Build merges each
 // shard's runs with its in-memory residue — the prefix partition keeps shard
 // ranges disjoint and ordered, so the final cross-shard merge is a
 // concatenation — and yields a Spectrum byte-identical to the in-memory
@@ -104,8 +103,8 @@ type StreamBuilder struct {
 	sb *SpectrumBuilder
 	// ctx cancels spill and merge work; never nil.
 	ctx context.Context
-	// spillBytes is the per-shard resident footprint beyond which a flush
-	// spills (0 = never); compared against Counter.ResidentBytes.
+	// spillBytes is the per-shard bound on Counter.ResidentBytes (0 = none):
+	// a table that is full and cannot double within it spills.
 	spillBytes int64
 	dir        string
 	// durable marks a checkpointing builder: runs are fsynced, dir is the
@@ -196,7 +195,7 @@ func NewStreamBuilder(k int, bothStrands bool, opts StreamOptions) (*StreamBuild
 	if st.dir != "" {
 		st.runs = make([][]runInfo, len(sb.shards))
 		if st.spillBytes > 0 {
-			sb.onFlush = st.maybeSpill
+			sb.full = st.makeRoom
 		}
 	}
 	if st.durable {
@@ -231,7 +230,7 @@ func (st *StreamBuilder) adoptManifest(m *manifest) error {
 			bytes:   mr.Bytes,
 			crc:     mr.CRC,
 		}
-		if ri.bytes != runSize(ri.entries) {
+		if ri.entries < 0 || ri.bytes != runSize(ri.entries) {
 			return checkpointErr("run %s: %d entries cannot occupy %d bytes", mr.File, ri.entries, ri.bytes)
 		}
 		if err := validateRun(ri, st.sb.k, st.sb.bothStrands); err != nil {
@@ -327,30 +326,26 @@ func (st *StreamBuilder) Resumed() int64 { return st.resumedFrom }
 // failure the manifest is not advanced: the previous checkpoint stays
 // authoritative and any runs written here are strays a resume deletes.
 func (st *StreamBuilder) checkpointLocked() error {
-	if err := st.ctx.Err(); err != nil {
+	// A failed build has emptied full tables without writing them (makeRoom):
+	// st.seen covers reads whose counts are gone, so nothing is published.
+	if err := st.failed(); err != nil {
 		return err
 	}
+	ws := st.sb.takeWorkers()
+	defer st.sb.releaseWorkers(ws)
 	for s := range st.sb.shards {
 		shard := &st.sb.shards[s]
 		shard.mu.Lock()
-		if shard.counts.Len() == 0 {
-			shard.mu.Unlock()
-			continue
+		var err error
+		if shard.counts.Len() > 0 {
+			if err = st.spillShard(s, &ws[0]); err == nil {
+				shard.counts.Reset()
+			}
 		}
-		kmers := make([]seq.Kmer, 0, shard.counts.Len())
-		counts := make([]uint32, 0, shard.counts.Len())
-		kmers, counts = shard.counts.AppendSortedInto(kmers, counts)
-		ri, err := st.writeRunFile(s, kmers, counts)
+		shard.mu.Unlock()
 		if err != nil {
-			shard.mu.Unlock()
 			return err
 		}
-		st.runs[s] = append(st.runs[s], ri)
-		st.stats.runs.Add(1)
-		st.stats.entries.Add(ri.entries)
-		st.stats.bytes.Add(ri.bytes)
-		shard.counts = NewCounter(0)
-		shard.mu.Unlock()
 	}
 	m := &manifest{
 		K:           st.sb.k,
@@ -386,6 +381,18 @@ func (st *StreamBuilder) fail(err error) {
 	st.errMu.Unlock()
 }
 
+// failed reports why the build is lost: the recorded failure, else the
+// context's error; nil while it is still sound.
+func (st *StreamBuilder) failed() error {
+	st.errMu.Lock()
+	err := st.err
+	st.errMu.Unlock()
+	if err == nil {
+		err = st.ctx.Err()
+	}
+	return err
+}
+
 // Stats reports the spill activity so far.
 func (st *StreamBuilder) Stats() StreamStats {
 	return StreamStats{
@@ -395,69 +402,64 @@ func (st *StreamBuilder) Stats() StreamStats {
 	}
 }
 
-// maybeSpill runs under the shard's stripe lock after each flush: when the
-// accumulator crosses the per-shard threshold it is drained to a sorted run
-// file and restarted empty. I/O errors are recorded once and surfaced by
-// Build; after a failure the engine stops spilling (counting stays correct,
-// memory is no longer bounded).
-func (st *StreamBuilder) maybeSpill(s int, shard *countShard) {
-	if shard.counts.ResidentBytes() < st.spillBytes || shard.counts.Len() == 0 {
+// makeRoom runs under shard s's stripe lock when a flush finds its table
+// full. The table doubles while the doubled table still fits the shard's
+// slice of the budget; past that it is drained to a sorted run file and
+// emptied in place, so every spill cycle reuses the same arrays and no table
+// ever outgrows its slice. An I/O error or a cancelled context is recorded
+// once and surfaced by Build; from then on the build is lost, so full tables
+// are emptied without being written rather than left to grow, and
+// checkpointLocked publishes nothing further.
+func (st *StreamBuilder) makeRoom(s int, w *countWorker) {
+	counts := st.sb.shards[s].counts
+	if 2*counts.ResidentBytes() <= st.spillBytes {
+		counts.rehash()
 		return
 	}
-	// A cancelled build stops investing in spill I/O; the recorded
-	// ctx.Err() surfaces from Build exactly like a spill failure.
-	if err := st.ctx.Err(); err != nil {
-		st.fail(err)
-		return
+	err := st.failed()
+	if err == nil {
+		err = st.spillShard(s, w)
 	}
-	st.errMu.Lock()
-	failed := st.err != nil
-	st.errMu.Unlock()
-	if failed {
-		return
-	}
-	kmers := make([]seq.Kmer, 0, shard.counts.Len())
-	counts := make([]uint32, 0, shard.counts.Len())
-	kmers, counts = shard.counts.AppendSortedInto(kmers, counts)
-	ri, err := st.writeRunFile(s, kmers, counts)
 	if err != nil {
 		st.fail(err)
-		return
 	}
+	counts.Reset()
+}
+
+// spillShard (stripe lock held) writes shard s's table as one sorted run,
+// extracting through w's scratch, and records the run. The table is left
+// for the caller to empty.
+func (st *StreamBuilder) spillShard(s int, w *countWorker) error {
+	pairs := st.sb.shards[s].counts.sortedPairs(&w.sort)
+	path := filepath.Join(st.dir, fmt.Sprintf("run%06d.bin", st.runSeq.Add(1)))
+	h := runHeader{k: st.sb.k, bothStrands: st.sb.bothStrands, shard: s, count: int64(len(pairs))}
+	sum, err := writeRun(path, h, pairs, st.durable)
+	if err != nil {
+		return err
+	}
+	ri := runInfo{path: path, shard: s, entries: h.count, bytes: runSize(h.count), crc: sum}
 	st.runs[s] = append(st.runs[s], ri)
 	st.stats.runs.Add(1)
 	st.stats.entries.Add(ri.entries)
 	st.stats.bytes.Add(ri.bytes)
-	shard.counts = NewCounter(0)
+	return nil
 }
 
 // runEntryBytes is the fixed on-disk size of one (kmer, count) record.
 const runEntryBytes = 12
 
-// writeRunFile names and writes one run for shard s.
-func (st *StreamBuilder) writeRunFile(s int, kmers []seq.Kmer, counts []uint32) (runInfo, error) {
-	path := filepath.Join(st.dir, fmt.Sprintf("run%06d.bin", st.runSeq.Add(1)))
-	h := runHeader{k: st.sb.k, bothStrands: st.sb.bothStrands, shard: s, count: int64(len(kmers))}
-	sum, err := writeRun(path, h, kmers, counts, st.durable)
-	if err != nil {
-		return runInfo{}, err
-	}
-	return runInfo{
-		path:    path,
-		shard:   s,
-		entries: int64(len(kmers)),
-		bytes:   runSize(int64(len(kmers))),
-		crc:     sum,
-	}, nil
-}
+// runBlockBytes is the I/O unit of run files in both directions: 64 KiB
+// rounded down to whole records.
+const runBlockBytes = (64 << 10) / runEntryBytes * runEntryBytes
 
 // writeRun writes one sorted run: header, fixed-width little-endian
-// (kmer uint64, count uint32) records, CRC-32C trailer. durable
-// additionally fsyncs — a manifest must never reference a run whose
-// bytes could still be lost by a crash. Every failure path removes the
-// partial file: durable directories outlive the builder, so a leaked
-// partial would linger forever and a resume must never find a torn run.
-func writeRun(path string, h runHeader, kmers []seq.Kmer, counts []uint32, durable bool) (uint32, error) {
+// (kmer uint64, count uint32) records, CRC-32C trailer, encoded and written
+// a block at a time. durable additionally fsyncs — a manifest must never
+// reference a run whose bytes could still be lost by a crash. Every failure
+// path removes the partial file: durable directories outlive the builder,
+// so a leaked partial would linger forever and a resume must never find a
+// torn run.
+func writeRun(path string, h runHeader, pairs []kmerCount, durable bool) (uint32, error) {
 	f, err := faultinject.Create(faultinject.SiteSpill, path)
 	if err != nil {
 		return 0, fmt.Errorf("kspectrum: spill: %w", err)
@@ -467,32 +469,34 @@ func writeRun(path string, h runHeader, kmers []seq.Kmer, counts []uint32, durab
 		os.Remove(path)
 		return 0, fmt.Errorf("kspectrum: spill: %w", err)
 	}
-	crc := crc32.New(crcTable)
-	bw := bufio.NewWriterSize(io.MultiWriter(f, crc), 1<<16)
+	// flush writes the block out, behind the last one the trailer: the sum
+	// of everything before it. The writes go straight to the file, so the
+	// n < len, nil-error contract violation of a lying sink is caught here.
+	var sum uint32
 	hdr := h.encode()
-	if _, err := bw.Write(hdr[:]); err != nil {
-		return fail(err)
-	}
-	var rec [runEntryBytes]byte
-	for i, km := range kmers {
-		binary.LittleEndian.PutUint64(rec[:8], uint64(km))
-		binary.LittleEndian.PutUint32(rec[8:], counts[i])
-		if _, err := bw.Write(rec[:]); err != nil {
-			return fail(err)
+	block := append(make([]byte, 0, runBlockBytes+4), hdr[:]...)
+	flush := func(last bool) error {
+		if sum = crc32.Update(sum, crcTable, block); last {
+			block = binary.LittleEndian.AppendUint32(block, sum)
 		}
+		n, err := f.Write(block)
+		if err == nil && n != len(block) {
+			err = io.ErrShortWrite
+		}
+		block = block[:0]
+		return err
 	}
-	if err := bw.Flush(); err != nil {
-		return fail(err)
+	for _, p := range pairs {
+		if len(block)+runEntryBytes > runBlockBytes {
+			if err := flush(false); err != nil {
+				return fail(err)
+			}
+		}
+		block = binary.LittleEndian.AppendUint64(block, uint64(p.km))
+		block = binary.LittleEndian.AppendUint32(block, p.c)
 	}
-	// The trailer covers everything before it, so it bypasses the
-	// buffered/CRC path; direct writes must catch the n < len, nil-error
-	// contract violation themselves.
-	sum := crc.Sum32()
-	binary.LittleEndian.PutUint32(rec[:4], sum)
-	if n, err := f.Write(rec[:4]); err != nil {
+	if err := flush(true); err != nil {
 		return fail(err)
-	} else if n != 4 {
-		return fail(io.ErrShortWrite)
 	}
 	if durable {
 		if err := f.Sync(); err != nil {
@@ -520,13 +524,7 @@ func (st *StreamBuilder) Build() (*Spectrum, error) {
 		return nil, fmt.Errorf("kspectrum: StreamBuilder used after Build/Close")
 	}
 	st.closed = true
-	st.errMu.Lock()
-	err := st.err
-	st.errMu.Unlock()
-	if err == nil {
-		err = st.ctx.Err()
-	}
-	if err != nil {
+	if err := st.failed(); err != nil {
 		st.cleanup()
 		return nil, err
 	}
@@ -538,13 +536,14 @@ func (st *StreamBuilder) Build() (*Spectrum, error) {
 	merged := make([]shardRun, len(st.sb.shards))
 	errs := make([]error, len(st.sb.shards))
 	work := make(chan int, len(st.sb.shards))
+	ws := st.sb.takeWorkers() // the extraction scratch the spills grew
 	var wg sync.WaitGroup
 	for w := 0; w < min(st.sb.workers, len(st.sb.shards)); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for s := range work {
-				kmers, counts, err := st.mergeShard(s)
+				kmers, counts, err := st.mergeShard(s, &ws[w].sort)
 				merged[s] = shardRun{kmers: kmers, counts: counts}
 				errs[s] = err
 			}
@@ -611,21 +610,21 @@ func (st *StreamBuilder) removeDir() error {
 // mergeShard produces shard s's slice of the final spectrum: the in-memory
 // residue sorted, then k-way merged with the shard's sorted runs, summing
 // counts of kmers that appear in several sources.
-func (st *StreamBuilder) mergeShard(s int) ([]seq.Kmer, []uint32, error) {
+func (st *StreamBuilder) mergeShard(s int, scratch *sortScratch) ([]seq.Kmer, []uint32, error) {
 	shard := &st.sb.shards[s]
 	shard.mu.Lock()
-	kmers := make([]seq.Kmer, 0, shard.counts.Len())
-	counts := make([]uint32, 0, shard.counts.Len())
-	kmers, counts = shard.counts.AppendSortedInto(kmers, counts)
 	var runs []runInfo
 	if st.runs != nil {
 		runs = st.runs[s]
 	}
-	shard.mu.Unlock()
-
 	if len(runs) == 0 {
+		n := shard.counts.Len()
+		kmers, counts := shard.counts.AppendSortedInto(make([]seq.Kmer, 0, n), make([]uint32, 0, n), scratch)
+		shard.mu.Unlock()
 		return kmers, counts, nil
 	}
+	residue := shard.counts.sortedPairs(scratch)
+	shard.mu.Unlock()
 
 	streams := make([]runStream, 0, len(runs)+1)
 	defer func() {
@@ -633,42 +632,38 @@ func (st *StreamBuilder) mergeShard(s int) ([]seq.Kmer, []uint32, error) {
 			streams[i].close()
 		}
 	}()
+	// The output is at most every source entry, and at most every kmer the
+	// shard's range holds.
+	total := int64(len(residue))
 	for _, ri := range runs {
-		f, err := os.Open(ri.path)
+		rs, err := openRun(ri, st.sb.k, st.sb.bothStrands)
 		if err != nil {
-			return nil, nil, fmt.Errorf("kspectrum: merge: %w", err)
+			return nil, nil, err
 		}
-		br := bufio.NewReaderSize(faultinject.Reader(faultinject.SiteMerge, f), 1<<16)
-		var hdr [runHeaderLen]byte
-		_, err = io.ReadFull(br, hdr[:])
-		var h runHeader
-		if err == nil {
-			h, err = decodeRunHeader(hdr[:])
-		}
-		if err != nil {
-			f.Close()
-			return nil, nil, fmt.Errorf("kspectrum: merge %s: %w", filepath.Base(ri.path), err)
-		}
-		streams = append(streams, runStream{f: f, br: br, remaining: h.count})
+		streams = append(streams, rs)
+		total += ri.entries
 	}
-	if len(kmers) > 0 {
-		streams = append(streams, runStream{memK: kmers, memC: counts})
+	streams = append(streams, runStream{mem: residue})
+	if shift := st.sb.part.Shift(); shift < 62 {
+		total = min(total, 1<<shift)
 	}
 
 	h := make(runHeap, 0, len(streams))
 	for i := range streams {
-		km, c, ok, err := streams[i].next()
+		p, ok, err := streams[i].next()
 		if err != nil {
 			return nil, nil, err
 		}
 		if ok {
-			h = append(h, runHead{km: km, count: c, src: i})
+			h = append(h, runHead{p, i})
 		}
 	}
-	heap.Init(&h)
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		h.down(i)
+	}
 
-	var outK []seq.Kmer
-	var outC []uint32
+	outK := make([]seq.Kmer, 0, total)
+	outC := make([]uint32, 0, total)
 	for n := 0; len(h) > 0; n++ {
 		// The merge is the long tail of an out-of-core build; poll the
 		// context every batch so cancellation aborts it promptly without
@@ -679,58 +674,132 @@ func (st *StreamBuilder) mergeShard(s int) ([]seq.Kmer, []uint32, error) {
 			}
 		}
 		head := h[0]
-		if n := len(outK); n > 0 && outK[n-1] == head.km {
-			outC[n-1] += head.count
+		if last := len(outK) - 1; last >= 0 && outK[last] == head.km {
+			outC[last] = saturatingAdd(outC[last], head.c)
 		} else {
 			outK = append(outK, head.km)
-			outC = append(outC, head.count)
+			outC = append(outC, head.c)
 		}
-		km, c, ok, err := streams[head.src].next()
+		p, ok, err := streams[head.src].next()
 		if err != nil {
 			return nil, nil, err
 		}
 		if ok {
-			h[0] = runHead{km: km, count: c, src: head.src}
-			heap.Fix(&h, 0)
+			h[0].kmerCount = p
 		} else {
-			heap.Pop(&h)
+			h[0] = h[len(h)-1]
+			h = h[:len(h)-1]
 		}
+		h.down(0)
 	}
 	return outK, outC, nil
 }
 
-// runStream iterates one sorted source: a run file or the in-memory residue.
-// File sources carry the header's record count; hitting end-of-file before
-// it is exhausted is a truncation error, not a clean end.
+// runStream iterates one sorted source of a shard merge: the in-memory
+// residue, or a run file read and decoded a block at a time. It is the one
+// reader of the run format — a resume revalidates its runs by draining it —
+// and holds a run to everything known about it since it was written: its
+// header, its record count, the CRC-32C in its trailer and in the runInfo
+// (the builder's, or a manifest's), and its exact length. A run damaged
+// between spill and merge therefore fails the build with ErrCheckpoint
+// instead of corrupting the spectrum. The check completes as the last block
+// is read, before any of its records is merged.
 type runStream struct {
-	f         *os.File
-	br        *bufio.Reader
-	remaining int64
-	memK      []seq.Kmer
-	memC      []uint32
-	pos       int
+	mem []kmerCount // the residue; a file source otherwise
+	pos int         // next entry of mem, or next undecoded byte of buf
+
+	f    *os.File
+	r    io.Reader // f behind the merge fault site
+	name string
+	buf  []byte // the current block
+	left int64  // records not yet read from f
+	crc  uint32 // of every byte read so far
+	want uint32 // the sum recorded when the run was written
 }
 
-func (rs *runStream) next() (seq.Kmer, uint32, bool, error) {
-	if rs.br == nil {
-		if rs.pos >= len(rs.memK) {
-			return 0, 0, false, nil
+// next returns the source's next entry, or false at its end.
+//
+//repro:noalloc
+func (rs *runStream) next() (kmerCount, bool, error) {
+	if rs.f == nil {
+		if rs.pos == len(rs.mem) {
+			return kmerCount{}, false, nil
 		}
-		km, c := rs.memK[rs.pos], rs.memC[rs.pos]
 		rs.pos++
-		return km, c, true, nil
+		return rs.mem[rs.pos-1], true, nil
 	}
-	if rs.remaining <= 0 {
-		return 0, 0, false, nil
+	if rs.pos == len(rs.buf) {
+		if rs.left == 0 {
+			return kmerCount{}, false, nil
+		}
+		if err := rs.fill(); err != nil {
+			return kmerCount{}, false, err
+		}
 	}
-	var rec [runEntryBytes]byte
-	if _, err := io.ReadFull(rs.br, rec[:]); err != nil {
-		return 0, 0, false, fmt.Errorf("kspectrum: merge: %w", err)
+	rec := rs.buf[rs.pos : rs.pos+runEntryBytes]
+	rs.pos += runEntryBytes
+	return kmerCount{seq.Kmer(binary.LittleEndian.Uint64(rec)), binary.LittleEndian.Uint32(rec[8:])}, true, nil
+}
+
+// openRun opens ri's file as a stream. Its header must be byte for byte the
+// one a builder of this geometry writes for ri; the first block is read.
+func openRun(ri runInfo, k int, bothStrands bool) (runStream, error) {
+	f, err := os.Open(ri.path)
+	if err != nil {
+		return runStream{}, fmt.Errorf("kspectrum: run: %w", err)
 	}
-	rs.remaining--
-	km := seq.Kmer(binary.LittleEndian.Uint64(rec[:8]))
-	c := binary.LittleEndian.Uint32(rec[8:])
-	return km, c, true, nil
+	rs := runStream{
+		f: f, r: faultinject.Reader(faultinject.SiteMerge, f), name: filepath.Base(ri.path),
+		left: ri.entries, want: ri.crc, buf: make([]byte, 0, runBlockBytes+5),
+	}
+	hdr := runHeader{k: k, bothStrands: bothStrands, shard: ri.shard, count: ri.entries}.encode()
+	if err = rs.read(runHeaderLen, "header"); err == nil && [runHeaderLen]byte(rs.buf) != hdr {
+		err = checkpointErr("run %s: header %x, want %x", rs.name, rs.buf, hdr)
+	}
+	if err == nil {
+		err = rs.fill()
+	}
+	if err != nil {
+		f.Close()
+		return runStream{}, err
+	}
+	return rs, nil
+}
+
+// fill reads the next block of records; behind the last one the file must
+// end with the trailer, and the trailer must hold both the sum of the bytes
+// read and the sum recorded at spill.
+func (rs *runStream) fill() error {
+	n := int(min(rs.left, runBlockBytes/runEntryBytes))
+	rs.left -= int64(n)
+	if err := rs.read(n*runEntryBytes, "records"); err != nil || rs.left > 0 {
+		return err
+	}
+	tail := rs.buf[len(rs.buf) : len(rs.buf)+5]
+	m, err := io.ReadFull(rs.r, tail)
+	if err != nil && err != io.EOF && err != io.ErrUnexpectedEOF {
+		return fmt.Errorf("kspectrum: run %s: %w", rs.name, err)
+	}
+	if m != 4 {
+		return checkpointErr("run %s: does not end with its 4-byte checksum", rs.name)
+	}
+	if got := binary.LittleEndian.Uint32(tail); got != rs.crc || got != rs.want {
+		return checkpointErr("run %s: checksum mismatch (file %#x, computed %#x, recorded %#x)", rs.name, got, rs.crc, rs.want)
+	}
+	return nil
+}
+
+// read makes the next n bytes of the file the current block and folds them
+// into the running checksum; a file that ends first is a truncated run.
+func (rs *runStream) read(n int, what string) error {
+	rs.buf, rs.pos = rs.buf[:n], 0
+	if _, err := io.ReadFull(rs.r, rs.buf); err == io.EOF || err == io.ErrUnexpectedEOF {
+		return checkpointErr("run %s: truncated %s", rs.name, what)
+	} else if err != nil {
+		return fmt.Errorf("kspectrum: run %s: %w", rs.name, err)
+	}
+	rs.crc = crc32.Update(rs.crc, crcTable, rs.buf)
+	return nil
 }
 
 func (rs *runStream) close() {
@@ -741,18 +810,32 @@ func (rs *runStream) close() {
 
 // runHead is one source's current minimum in the shard merge heap.
 type runHead struct {
-	km    seq.Kmer
-	count uint32
-	src   int
+	kmerCount
+	src int
 }
 
+// runHeap is a binary min-heap of run heads by kmer.
 type runHeap []runHead
 
-func (h runHeap) Len() int           { return len(h) }
-func (h runHeap) Less(i, j int) bool { return h[i].km < h[j].km }
-func (h runHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *runHeap) Push(x any)        { *h = append(*h, x.(runHead)) }
-func (h *runHeap) Pop() any          { old := *h; n := len(old); x := old[n-1]; *h = old[:n-1]; return x }
+// down sifts h[i] down to its place.
+//
+//repro:noalloc
+func (h runHeap) down(i int) {
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			return
+		}
+		if c+1 < len(h) && h[c+1].km < h[c].km {
+			c++
+		}
+		if h[i].km <= h[c].km {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
+}
 
 // BuildOutOfCore constructs the spectrum from an in-memory read set through
 // the out-of-core engine, returning the spill statistics alongside. It is

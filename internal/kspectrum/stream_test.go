@@ -1,45 +1,336 @@
 package kspectrum
 
 import (
+	"context"
+	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"sync"
 	"testing"
+
+	"repro/internal/faultinject"
+	"repro/internal/seq"
 )
 
 // TestStreamBuilderByteIdentical is the acceptance property of the
-// out-of-core engine: for budget ∈ {unlimited, tiny-forcing-spill} ×
-// workers ∈ {1, 8}, the StreamBuilder's spectrum is byte-identical to the
-// in-memory SpectrumBuilder's. Run under -race this doubles as the spill
-// path's data-race test.
+// out-of-core engine: for k ∈ {11, 13, 32} × budget ∈ {unlimited, tiny, the
+// floor — 96-entry tables} × workers ∈ {1, 8}, the StreamBuilder's spectrum
+// is byte-identical to the map reference's. Run under -race this doubles as
+// the spill path's data-race test.
 func TestStreamBuilderByteIdentical(t *testing.T) {
-	reads := randomReads(t, 3000)
-	want, err := BuildParallel(reads, 13, true, BuildOptions{Workers: 1, Shards: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, budget := range []int64{0, 1 << 15} {
-		for _, workers := range []int{1, 8} {
-			opts := StreamOptions{
-				Build:        BuildOptions{Workers: workers, Shards: 8},
-				MemoryBudget: budget,
-				TempDir:      t.TempDir(),
+	all := randomReads(t, 3000)
+	for _, k := range []int{11, 13, 32} {
+		for _, budget := range []int64{0, 1 << 15, 1} {
+			reads := all
+			if budget == 1 {
+				reads = all[:400] // a run file per 96 entries
 			}
-			got, stats, err := BuildOutOfCore(reads, 13, true, opts)
+			want := mapReferenceSpectrum(reads, k, true)
+			for _, workers := range []int{1, 8} {
+				opts := StreamOptions{
+					Build:        BuildOptions{Workers: workers, Shards: 8},
+					MemoryBudget: budget,
+					TempDir:      t.TempDir(),
+				}
+				got, stats, err := BuildOutOfCore(reads, k, true, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				label := fmt.Sprintf("k=%d budget=%d workers=%d", k, budget, workers)
+				if (budget > 0) != (stats.SpilledRuns > 0) {
+					t.Fatalf("%s: spilled %d runs", label, stats.SpilledRuns)
+				}
+				spectraEqual(t, want, got, label)
+			}
+		}
+	}
+}
+
+// shardLimit is the fill limit of the largest table a shard of st may hold:
+// the entries of every run the budget (not a checkpoint) forces out.
+func shardLimit(st *StreamBuilder) int64 {
+	slots := int64(minCounterSlots)
+	for 2*slots*counterSlotBytes <= st.spillBytes {
+		slots *= 2
+	}
+	return slots * 3 / 4
+}
+
+// TestMemoryBudgetIsABound: MemoryBudget bounds the tables, it does not
+// merely trigger spills. After every Add no shard's table exceeds its slice,
+// and every run holds exactly one full table.
+func TestMemoryBudgetIsABound(t *testing.T) {
+	all := randomReads(t, 3000)
+	for _, workers := range []int{1, 8} {
+		for _, shards := range []int{1, 8} {
+			for _, budget := range []int64{1, 1 << 15, int64(shards) * 2 << 20} {
+				reads := all
+				if budget == 1 {
+					reads = all[:400] // a run file per 96 entries
+				}
+				st, err := NewStreamBuilder(13, true, StreamOptions{
+					Build:        BuildOptions{Workers: workers, Shards: shards},
+					MemoryBudget: budget,
+					TempDir:      t.TempDir(),
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for step, lo := len(reads)/3+1, 0; lo < len(reads); lo += step {
+					st.Add(reads[lo:min(lo+step, len(reads))])
+					for s := range st.sb.shards {
+						if got := st.sb.shards[s].counts.ResidentBytes(); got > st.spillBytes {
+							t.Fatalf("workers=%d shards=%d budget=%d: shard %d holds %d bytes, slice is %d",
+								workers, shards, budget, s, got, st.spillBytes)
+						}
+					}
+				}
+				stats := st.Stats()
+				if want := stats.SpilledRuns * runSize(shardLimit(st)); stats.SpilledBytes != want {
+					t.Fatalf("workers=%d shards=%d budget=%d: %d runs hold %d bytes, want %d",
+						workers, shards, budget, stats.SpilledRuns, stats.SpilledBytes, want)
+				}
+				if err := st.Close(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+}
+
+// TestFailedBuildStopsGrowing: once a spill has failed, or the context is
+// cancelled, the build is lost — Build says why — and its tables are emptied
+// when they fill instead of growing past the budget.
+func TestFailedBuildStopsGrowing(t *testing.T) {
+	reads := randomReads(t, 3000)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for name, tc := range map[string]struct {
+		ctx  context.Context
+		want error
+	}{
+		"sticky spill failure": {context.Background(), faultinject.ErrInjected},
+		"cancelled":            {ctx, context.Canceled},
+	} {
+		t.Run(name, func(t *testing.T) {
+			if tc.want == faultinject.ErrInjected {
+				defer faultinject.Enable(&faultinject.Rule{Site: "spill", Op: faultinject.OpWrite, Sticky: true})()
+			}
+			st, err := NewStreamBuilder(13, true, StreamOptions{
+				Build:        BuildOptions{Workers: 2, Shards: 4},
+				MemoryBudget: 1 << 14,
+				TempDir:      t.TempDir(),
+				Context:      tc.ctx,
+			})
 			if err != nil {
 				t.Fatal(err)
 			}
-			label := "budget=unlimited"
-			if budget > 0 {
-				label = "budget=tiny"
-				if stats.SpilledRuns == 0 {
-					t.Fatalf("workers=%d: tiny budget spilled nothing", workers)
+			st.Add(reads)
+			for s := range st.sb.shards {
+				c := st.sb.shards[s].counts
+				if c.ResidentBytes() > st.spillBytes || int64(c.Len()) > shardLimit(st) {
+					t.Fatalf("shard %d: %d entries in %d bytes after the failure, slice is %d",
+						s, c.Len(), c.ResidentBytes(), st.spillBytes)
 				}
-			} else if stats.SpilledRuns != 0 {
-				t.Fatalf("workers=%d: unlimited budget spilled %d runs", workers, stats.SpilledRuns)
 			}
-			spectraEqual(t, want, got, label)
+			if st.Stats().SpilledRuns != 0 {
+				t.Fatalf("%d runs written", st.Stats().SpilledRuns)
+			}
+			if _, err := st.Build(); !errors.Is(err, tc.want) {
+				t.Fatalf("Build error = %v, want %v", err, tc.want)
+			}
+		})
+	}
+
+	// The tables a durable builder empties unwritten are counts its next
+	// checkpoint would claim to cover. One transient write failure, and every
+	// later checkpoint — automatic or explicit — must publish nothing, so a
+	// resume recounts from the last sound manifest.
+	t.Run("durable: no checkpoint past a dropped table", func(t *testing.T) {
+		dir := filepath.Join(t.TempDir(), "ckpt")
+		st := newCheckpointBuilder(t, dir, 1<<15, false)
+		sound := int64(feedChunks(st, reads, 300, 900))
+		if m, err := readManifestFile(dir); err != nil || m == nil || m.Reads != sound {
+			t.Fatalf("manifest before the failure: %+v, %v; want %d reads", m, err, sound)
 		}
+		disable := faultinject.Enable(&faultinject.Rule{Site: "spill", Op: faultinject.OpWrite})
+		feedChunks(st, reads[sound:], 300, -1) // crosses CheckpointEvery twice more
+		disable()
+		if err := st.Checkpoint(); !errors.Is(err, faultinject.ErrInjected) {
+			t.Fatalf("Checkpoint on the failed build: %v, want ErrInjected", err)
+		}
+		if m, err := readManifestFile(dir); err != nil || m == nil || m.Reads != sound {
+			t.Fatalf("manifest after the failure: %+v, %v; want it left at %d reads", m, err, sound)
+		}
+		if _, err := st.Build(); !errors.Is(err, faultinject.ErrInjected) {
+			t.Fatalf("Build error = %v, want ErrInjected", err)
+		}
+		resumed := newCheckpointBuilder(t, dir, 1<<15, true)
+		resumed.Add(reads)
+		got, err := resumed.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		spectraEqual(t, mapReferenceSpectrum(reads, 13, true), got, "resume after a failed spill")
+	})
+}
+
+// corruptions are the three ways a run file can differ from what was
+// written, each applied to the first run in dir.
+var corruptions = map[string]func(t *testing.T, path string){
+	"bit flip in a count": func(t *testing.T, path string) {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data[runHeaderLen+8] ^= 0x04
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	},
+	"truncation": func(t *testing.T, path string) {
+		info, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.Truncate(path, info.Size()-1); err != nil {
+			t.Fatal(err)
+		}
+	},
+	"appended byte": func(t *testing.T, path string) {
+		f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		if _, err := f.Write([]byte{0}); err != nil {
+			t.Fatal(err)
+		}
+	},
+}
+
+// TestMergeRejectsCorruptRun: run checksums are verified when the runs are
+// merged, not only by a resume. A run that changed between Add and Build —
+// in ways that leave every record well-formed — fails the build with
+// ErrCheckpoint instead of yielding a wrong spectrum, and a checkpoint
+// directory survives it.
+func TestMergeRejectsCorruptRun(t *testing.T) {
+	reads := randomReads(t, 3000)
+	for name, corrupt := range corruptions {
+		for _, durable := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/durable=%v", name, durable), func(t *testing.T) {
+				opts := StreamOptions{
+					Build:        BuildOptions{Workers: 2, Shards: 4},
+					MemoryBudget: 1 << 15,
+					TempDir:      t.TempDir(),
+				}
+				if durable {
+					opts.CheckpointDir = filepath.Join(t.TempDir(), "ckpt")
+				}
+				st, err := NewStreamBuilder(13, true, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				st.Add(reads)
+				dir := st.dir
+				runs, _ := filepath.Glob(filepath.Join(dir, "run*.bin"))
+				if len(runs) == 0 {
+					t.Fatal("no runs to corrupt")
+				}
+				corrupt(t, runs[0])
+				if _, err := st.Build(); !errors.Is(err, ErrCheckpoint) {
+					t.Fatalf("Build over a corrupt run: %v, want ErrCheckpoint", err)
+				}
+				if _, err := os.Stat(dir); durable != (err == nil) {
+					t.Fatalf("durable=%v: spill dir after the failed build: %v", durable, err)
+				}
+			})
+		}
+	}
+}
+
+// TestMergeReadFaultIsNotCorruption: a read that fails is an I/O error, not a
+// verdict on the checkpoint — a caller told ErrCheckpoint deletes the
+// directory.
+func TestMergeReadFaultIsNotCorruption(t *testing.T) {
+	st, err := NewStreamBuilder(13, true, StreamOptions{
+		Build: BuildOptions{Workers: 2, Shards: 4}, MemoryBudget: 1 << 15, TempDir: t.TempDir(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.Add(randomReads(t, 3000))
+	defer faultinject.Enable(&faultinject.Rule{Site: "merge", Op: faultinject.OpRead, Nth: 3})()
+	if _, err := st.Build(); !errors.Is(err, faultinject.ErrInjected) || errors.Is(err, ErrCheckpoint) {
+		t.Fatalf("Build over a failing read: %v, want ErrInjected and not ErrCheckpoint", err)
+	}
+}
+
+// TestMergeSaturatesLikeInc: a kmer whose occurrences are split across a run
+// and the residue sums exactly as Counter.Inc sums them in one table —
+// saturating at MaxUint32, never wrapping to a small count.
+func TestMergeSaturatesLikeInc(t *testing.T) {
+	const big, more = ^uint32(0) - 1, 5
+	km := seq.MustPack("ACGTACGTACGTA")
+	one := NewCounter(0)
+	one.Inc(km, big)
+	one.Inc(km, more)
+
+	st, err := NewStreamBuilder(13, false, StreamOptions{
+		Build:         BuildOptions{Workers: 1},
+		CheckpointDir: filepath.Join(t.TempDir(), "ckpt"),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.sb.shards[0].counts.Inc(km, big)
+	if err := st.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	st.sb.shards[0].counts.Inc(km, more)
+	spec, err := st.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := spec.Count(km), one.Get(km); spec.Size() != 1 || got != want || want != ^uint32(0) {
+		t.Fatalf("merged count %d over %d kmers, one table says %d", got, spec.Size(), want)
+	}
+}
+
+// TestRunKernelsDoNotAllocate backs the //repro:noalloc annotations on the
+// merge's two per-record calls, across block boundaries of a real run file.
+func TestRunKernelsDoNotAllocate(t *testing.T) {
+	pairs := make([]kmerCount, 3*runBlockBytes/runEntryBytes)
+	for i := range pairs {
+		pairs[i] = kmerCount{seq.Kmer(i), uint32(i + 1)}
+	}
+	path := filepath.Join(t.TempDir(), "run.bin")
+	h := runHeader{k: 13, count: int64(len(pairs))}
+	sum, err := writeRun(path, h, pairs, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs, err := openRun(runInfo{path: path, entries: h.count, crc: sum}, 13, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rs.close()
+	i := 0
+	if n := testing.AllocsPerRun(len(pairs)-2, func() {
+		if p, ok, err := rs.next(); !ok || err != nil || p != pairs[i] {
+			t.Fatalf("record %d: %v %v %v", i, p, ok, err)
+		}
+		i++
+	}); n != 0 {
+		t.Fatalf("runStream.next allocates %v times per record", n)
+	}
+	heap := runHeap{{pairs[9], 0}, {pairs[1], 1}, {pairs[2], 2}, {pairs[3], 3}, {pairs[4], 4}}
+	if n := testing.AllocsPerRun(100, func() {
+		heap[0].km += 3
+		heap.down(0)
+	}); n != 0 {
+		t.Fatalf("runHeap.down allocates %v times per call", n)
 	}
 }
 

@@ -82,7 +82,7 @@ func (ts *TileSet) Add(reads []seq.Read) {
 		}
 		return
 	}
-	forEachChunk(reads, ts.workers, func() func([]seq.Read) {
+	forEachChunk(reads, ts.workers, func(int) func([]seq.Read) {
 		buf := make([]tileBuf, len(ts.shards))
 		return func(c []seq.Read) {
 			for _, r := range c {

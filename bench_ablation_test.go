@@ -39,7 +39,6 @@ func BenchmarkAblationNeighborhood(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.Run("index/d="+itoa(d), func(b *testing.B) {
-			defer recordBench(b, nil)
 			var buf []int32
 			for i := 0; i < b.N; i++ {
 				km := spec.Kmers[queries[i%len(queries)]]
@@ -47,7 +46,6 @@ func BenchmarkAblationNeighborhood(b *testing.B) {
 			}
 		})
 		b.Run("bruteforce/d="+itoa(d), func(b *testing.B) {
-			defer recordBench(b, nil)
 			for i := 0; i < b.N; i++ {
 				km := spec.Kmers[queries[i%len(queries)]]
 				kspectrum.BruteForceNeighbors(spec, km, d)
@@ -63,7 +61,6 @@ func itoa(d int) string { return string(rune('0' + d)) }
 // proportional cost. Rows report unique candidate edges surviving per round
 // count, normalized by the 4-round run.
 func BenchmarkAblationSketchRounds(b *testing.B) {
-	defer recordBench(b, nil)
 	meta := sampleMeta(b, metaScale()[0], 51)
 	reads := simulate.MetaReads(meta)
 	type rowData struct {
@@ -104,7 +101,6 @@ func BenchmarkAblationSketchRounds(b *testing.B) {
 // metagenome: lower γ consolidates more aggressively (fewer, larger
 // clusters), higher γ approaches exact cliques.
 func BenchmarkAblationGamma(b *testing.B) {
-	defer recordBench(b, nil)
 	meta := sampleMeta(b, metaScale()[0], 52)
 	reads := simulate.MetaReads(meta)
 	type rowData struct {

@@ -17,7 +17,6 @@ import (
 // Genomes are scaled stand-ins (see DESIGN.md); the coverage, read-length
 // and error-rate structure matches the paper's rows.
 func BenchmarkTable21Datasets(b *testing.B) {
-	defer recordBench(b, nil)
 	var datasets []*simulate.Dataset
 	for i := 0; i < b.N; i++ {
 		datasets = datasets[:0]
@@ -38,7 +37,6 @@ func BenchmarkTable21Datasets(b *testing.B) {
 // its genome, reporting uniquely and ambiguously mapped percentages under
 // the paper's per-dataset mismatch budgets.
 func BenchmarkTable22Mapping(b *testing.B) {
-	defer recordBench(b, nil)
 	specs := simulate.Chapter2Specs(benchScale())
 	mismatches := map[string]int{"D1": 5, "D2": 5, "D3": 5, "D4": 5, "D5": 10, "D6": 15}
 	type rowData struct {
@@ -74,7 +72,6 @@ func BenchmarkTable22Mapping(b *testing.B) {
 // The expected shape: Reptile achieves higher Gain and far lower EBA with
 // a fraction of SHREC's memory and time.
 func BenchmarkTable23ErrorCorrection(b *testing.B) {
-	defer recordBench(b, nil)
 	specs := simulate.Chapter2Specs(benchScale())
 	t := newTable(b, "Table 2.3: Reptile vs SHREC on Illumina-like reads")
 	t.row("%-4s %-12s %8s %8s %8s %8s %7s %7s %7s %9s %9s",
@@ -112,7 +109,7 @@ func BenchmarkTable23ErrorCorrection(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				return c.CorrectAll(reads, 0)
+				return correctAll(b, c, reads)
 			})
 			if spec.Name == "D1" || spec.Name == "D2" {
 				run("Reptile(2)", func() []seq.Read {
@@ -123,7 +120,7 @@ func BenchmarkTable23ErrorCorrection(b *testing.B) {
 					if err != nil {
 						b.Fatal(err)
 					}
-					return c.CorrectAll(reads, 0)
+					return correctAll(b, c, reads)
 				})
 			}
 		}
@@ -135,7 +132,6 @@ func BenchmarkTable23ErrorCorrection(b *testing.B) {
 // ambiguous ('N') base correction under each choice of the default
 // replacement base, on D2- and D6-like datasets carrying N bases.
 func BenchmarkTable24AmbiguousBases(b *testing.B) {
-	defer recordBench(b, nil)
 	specs := []simulate.DatasetSpec{
 		{Name: "D2", GenomeLen: benchScale(), ReadLen: 36, Coverage: 80, ErrorRate: 0.006,
 			Bias: simulate.EcoliBias, QualityNoise: 2, AmbiguousRate: 0.004, Seed: 242},
@@ -158,7 +154,7 @@ func BenchmarkTable24AmbiguousBases(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				out := c.CorrectAll(reads, 0)
+				out := correctAll(b, c, reads)
 				stats, err := eval.EvaluateCorrection(ds.Sim, out)
 				if err != nil {
 					b.Fatal(err)
@@ -193,7 +189,6 @@ func BenchmarkTable24AmbiguousBases(b *testing.B) {
 // high error rate): 11 (Cm, Qc) combinations at k=11/d=1 plus the final
 // (k=12, d=2) point.
 func BenchmarkFig23ParameterSweep(b *testing.B) {
-	defer recordBench(b, nil)
 	asp := benchScale() * 36 / 46 // D3's smaller genome, as in Chapter2Specs
 	spec := simulate.DatasetSpec{Name: "D3", GenomeLen: asp, ReadLen: 36, Coverage: 173,
 		ErrorRate: 0.015, Bias: simulate.AspBias, QualityNoise: 2, Seed: 103}
@@ -236,7 +231,7 @@ func BenchmarkFig23ParameterSweep(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			out := c.CorrectAll(reads, 0)
+			out := correctAll(b, c, reads)
 			stats, err := eval.EvaluateCorrection(ds.Sim, out)
 			if err != nil {
 				b.Fatal(err)

@@ -1,6 +1,7 @@
 package repro
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"testing"
@@ -76,7 +77,6 @@ func ch3Suite(b *testing.B) []*ch3Dataset {
 // BenchmarkTable31Datasets regenerates Table 3.1: the Chapter 3 dataset
 // inventory (repeat content, coverage, reads).
 func BenchmarkTable31Datasets(b *testing.B) {
-	defer recordBench(b, nil)
 	var suite []*ch3Dataset
 	for i := 0; i < b.N; i++ {
 		suite = ch3Suite(b)
@@ -93,7 +93,6 @@ func BenchmarkTable31Datasets(b *testing.B) {
 // probability matrices q_11(.,.) estimated by mapping each platform run back
 // to its reference — two visibly different error profiles.
 func BenchmarkTable32ErrorProbs(b *testing.B) {
-	defer recordBench(b, nil)
 	scale := benchScale()
 	type run struct {
 		label string
@@ -177,7 +176,6 @@ func thresholdGrid(maxThr float64, steps int) []float64 {
 // beats Y, most clearly on repeat-rich genomes, and degrades gracefully as
 // the error model gets wronger (tIED -> wIED -> tUED -> wUED).
 func BenchmarkTable33MinErrors(b *testing.B) {
-	defer recordBench(b, nil)
 	modelNames := []string{"tIED", "wIED", "tUED", "wUED"}
 	type rowData struct {
 		name  string
@@ -221,7 +219,6 @@ func BenchmarkTable33MinErrors(b *testing.B) {
 // function of the threshold, comparing Y-thresholding with T-thresholding
 // under the four error distributions, on the 50%-repeat dataset.
 func BenchmarkFig32ThresholdCurves(b *testing.B) {
-	defer recordBench(b, nil)
 	modelNames := []string{"tIED", "wIED", "tUED", "wUED"}
 	grid := thresholdGrid(60, 13)
 	curves := map[string][]int{}
@@ -264,7 +261,6 @@ func BenchmarkFig32ThresholdCurves(b *testing.B) {
 // estimated T_l for a low-repeat control dataset, showing the error mass
 // near zero and coverage peaks at multiples of the coverage constant.
 func BenchmarkFig33THistogram(b *testing.B) {
-	defer recordBench(b, nil)
 	var m *redeem.Model
 	var cov float64
 	for i := 0; i < b.N; i++ {
@@ -302,7 +298,6 @@ func BenchmarkFig33THistogram(b *testing.B) {
 // inference: the Gamma+Normals+Uniform mixture fitted to T with BIC model
 // selection across the repeat ladder.
 func BenchmarkSec37MixtureThreshold(b *testing.B) {
-	defer recordBench(b, nil)
 	type rowData struct {
 		name              string
 		g                 int
@@ -348,7 +343,6 @@ func BenchmarkSec37MixtureThreshold(b *testing.B) {
 // conventional correctors win on low-repeat genomes; REDEEM overtakes as
 // repeat content grows.
 func BenchmarkTable34RepeatCorrection(b *testing.B) {
-	defer recordBench(b, nil)
 	t := newTable(b, "Table 3.4: error correction on repeat-rich genomes")
 	t.row("%-8s %-10s %7s %7s %7s %10s %9s", "Data", "Method", "Sens%", "Spec%", "Gain%", "time", "allocMB")
 	for i := 0; i < b.N; i++ {
@@ -374,7 +368,7 @@ func BenchmarkTable34RepeatCorrection(b *testing.B) {
 					if err != nil {
 						b.Fatal(err)
 					}
-					return c.CorrectAll(reads, 0)
+					return correctAll(b, c, reads)
 				}},
 				{"REDEEM", func() []seq.Read {
 					m, err := redeem.New(reads, ds.models["tIED"], redeem.DefaultConfig(ds.k))
@@ -386,7 +380,11 @@ func BenchmarkTable34RepeatCorrection(b *testing.B) {
 					if err != nil {
 						b.Fatal(err)
 					}
-					return m.CorrectReads(reads, thr, 0)
+					out, err := m.CorrectReadsCtx(context.Background(), reads, thr, 0)
+					if err != nil {
+						b.Fatal(err)
+					}
+					return out
 				}},
 			}
 			for _, mt := range methods {

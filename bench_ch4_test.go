@@ -44,7 +44,6 @@ func sampleMeta(b *testing.B, n int, seed int64) []simulate.MetaRead {
 // of the small/medium/large 16S read collections (count, size, length
 // minimum / average / maximum).
 func BenchmarkTable41MetagenomeData(b *testing.B) {
-	defer recordBench(b, nil)
 	sizes := metaScale()
 	names := [3]string{"Small", "Medium", "Large"}
 	type rowData struct {
@@ -53,26 +52,19 @@ func BenchmarkTable41MetagenomeData(b *testing.B) {
 		mb               float64
 		minL, avgL, maxL int
 	}
-	// One sampling pass is ~10 ms at the default scale — single-sample
-	// noise at -benchtime 1x. Re-sample the same seeds enough times per op
-	// to clear the benchguard gate floor; the table rows come from the
-	// final round, so the output is unchanged.
-	const rounds = 24
 	var rows []rowData
 	for i := 0; i < b.N; i++ {
-		for round := 0; round < rounds; round++ {
-			rows = rows[:0]
-			for si, n := range sizes {
-				meta := sampleMeta(b, n, int64(410+si))
-				minL, maxL, sum := 1<<30, 0, 0
-				for _, r := range meta {
-					L := len(r.Read.Seq)
-					minL = min(minL, L)
-					maxL = max(maxL, L)
-					sum += L
-				}
-				rows = append(rows, rowData{names[si], n, float64(sum) / (1 << 20), minL, sum / n, maxL})
+		rows = rows[:0]
+		for si, n := range sizes {
+			meta := sampleMeta(b, n, int64(410+si))
+			minL, maxL, sum := 1<<30, 0, 0
+			for _, r := range meta {
+				L := len(r.Read.Seq)
+				minL = min(minL, L)
+				maxL = max(maxL, L)
+				sum += L
 			}
+			rows = append(rows, rowData{names[si], n, float64(sum) / (1 << 20), minL, sum / n, maxL})
 		}
 	}
 	t := newTable(b, "Table 4.1: metagenome dataset characteristics (scaled)")
@@ -87,7 +79,6 @@ func BenchmarkTable41MetagenomeData(b *testing.B) {
 // and confirmed edge counts, plus clusters processed / resulting at the
 // three similarity thresholds, for each dataset size.
 func BenchmarkTable42DataQuantities(b *testing.B) {
-	defer recordBench(b, nil)
 	sizes := metaScale()
 	names := [3]string{"Small", "Medium", "Large"}
 	var results [3]*closet.Result
@@ -125,7 +116,6 @@ func BenchmarkTable42DataQuantities(b *testing.B) {
 // the CLOSET pipeline on the simulated 32-node cluster for the three
 // dataset sizes.
 func BenchmarkTable43StageTimes(b *testing.B) {
-	defer recordBench(b, nil)
 	sizes := metaScale()
 	names := [3]string{"Small", "Medium", "Large"}
 	var timings [3]map[string]time.Duration
@@ -172,7 +162,6 @@ func BenchmarkTable43StageTimes(b *testing.B) {
 // methodology is applicable; the paper leaves the conversion open —
 // see DESIGN.md).
 func BenchmarkTable44ARI(b *testing.B) {
-	defer recordBench(b, nil)
 	type rowData struct {
 		threshold float64
 		clusters  int

@@ -1,18 +1,33 @@
+// The experiment harness regenerating every table and figure of the
+// dissertation's evaluation chapters. One Benchmark function corresponds to
+// one table or figure; each prints the reproduced rows under its "--- BENCH"
+// section. See EXPERIMENTS.md for the experiment index and the
+// paper-vs-measured record, and DESIGN.md for the module mapping.
+//
+// Chapter 2 (Reptile):      bench_ch2_test.go  — Tables 2.1–2.4, Fig 2.3
+// Chapter 3 (REDEEM):       bench_ch3_test.go  — Tables 3.1–3.4, Figs 3.2–3.3, §3.7
+// Chapter 4 (CLOSET):       bench_ch4_test.go  — Tables 4.1–4.4
+// Design-choice ablations:  bench_ablation_test.go
+// Design ablations, §5:     bench_hotpath_test.go, bench_spectrum_test.go
+//
+// Sizes are scaled for single-machine runs; REPRO_SCALE and
+// REPRO_META_READS grow them toward paper scale. Performance is judged by
+// `go run ./bench` (bench/README.md), not by these.
 package repro
 
 import (
-	"encoding/json"
+	"context"
 	"fmt"
 	"os"
-	"path/filepath"
 	"runtime"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/reptile"
+	"repro/internal/seq"
 	"repro/internal/simulate"
 )
 
@@ -36,6 +51,16 @@ func buildDataset(b *testing.B, spec simulate.DatasetSpec) *simulate.Dataset {
 		b.Fatal(err)
 	}
 	return ds
+}
+
+// correctAll runs the batch Reptile corrector over reads on all cores.
+func correctAll(b *testing.B, c *reptile.Corrector, reads []seq.Read) []seq.Read {
+	b.Helper()
+	out, err := c.CorrectAllCtx(context.Background(), reads, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return out
 }
 
 // measured wraps a run with wall-clock and allocation accounting, standing
@@ -81,99 +106,6 @@ func (t *table) flush() {
 		}
 	}
 	fmt.Println(strings.Join(t.rows, "\n"))
-}
-
-// --- machine-readable benchmark records -------------------------------------
-//
-// Every benchmark leaf registers itself via `defer recordBench(b, nil)` (or
-// passes extra metrics). When REPRO_BENCH_DIR is set, TestMain writes the
-// collected records to BENCH_pr<N>.json there — the per-PR perf snapshot the
-// CI bench-smoke job uploads, so the repository's performance trajectory
-// accumulates across PRs.
-
-// benchRecord is one benchmark's measured values.
-type benchRecord struct {
-	Name    string             `json:"name"`
-	N       int                `json:"n"`
-	NsPerOp float64            `json:"ns_per_op"`
-	Metrics map[string]float64 `json:"metrics,omitempty"`
-}
-
-// benchFile is the BENCH_pr<N>.json schema.
-type benchFile struct {
-	PR         string        `json:"pr"`
-	Scale      int           `json:"repro_scale"`
-	GoVersion  string        `json:"go_version"`
-	GOOS       string        `json:"goos"`
-	GOARCH     string        `json:"goarch"`
-	MaxProcs   int           `json:"gomaxprocs"`
-	Benchmarks []benchRecord `json:"benchmarks"`
-}
-
-var (
-	benchRecMu   sync.Mutex
-	benchRecords = map[string]benchRecord{}
-)
-
-// recordBench registers the surrounding benchmark's result; call it via
-// `defer recordBench(b, nil)` at the top of a benchmark leaf so it captures
-// the final b.N and elapsed time. The runner may re-invoke a benchmark with
-// growing b.N; the last (largest-N) record wins.
-func recordBench(b *testing.B, metrics map[string]float64) {
-	rec := benchRecord{Name: b.Name(), N: b.N, Metrics: metrics}
-	if b.N > 0 {
-		rec.NsPerOp = float64(b.Elapsed().Nanoseconds()) / float64(b.N)
-	}
-	benchRecMu.Lock()
-	benchRecords[rec.Name] = rec
-	benchRecMu.Unlock()
-}
-
-// writeBenchJSON dumps the collected records, sorted by name for stable
-// diffs. The PR number comes from REPRO_PR_NUMBER (the CI workflow sets it;
-// "local" otherwise).
-func writeBenchJSON(dir string) error {
-	pr := os.Getenv("REPRO_PR_NUMBER")
-	if pr == "" {
-		pr = "local"
-	}
-	out := benchFile{
-		PR:        pr,
-		Scale:     benchScale(),
-		GoVersion: runtime.Version(),
-		GOOS:      runtime.GOOS,
-		GOARCH:    runtime.GOARCH,
-		MaxProcs:  runtime.GOMAXPROCS(0),
-	}
-	benchRecMu.Lock()
-	for _, rec := range benchRecords {
-		out.Benchmarks = append(out.Benchmarks, rec)
-	}
-	benchRecMu.Unlock()
-	sort.Slice(out.Benchmarks, func(i, j int) bool { return out.Benchmarks[i].Name < out.Benchmarks[j].Name })
-	data, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(filepath.Join(dir, "BENCH_pr"+pr+".json"), append(data, '\n'), 0o644)
-}
-
-// TestMain flushes the benchmark records after the run when REPRO_BENCH_DIR
-// is set (and at least one benchmark actually ran).
-func TestMain(m *testing.M) {
-	code := m.Run()
-	if dir := os.Getenv("REPRO_BENCH_DIR"); dir != "" && code == 0 {
-		benchRecMu.Lock()
-		n := len(benchRecords)
-		benchRecMu.Unlock()
-		if n > 0 {
-			if err := writeBenchJSON(dir); err != nil {
-				fmt.Fprintln(os.Stderr, "bench json:", err)
-				code = 1
-			}
-		}
-	}
-	os.Exit(code)
 }
 
 // realizedErrorRate computes a dataset's actual per-base error rate from

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/kspectrum"
-	"repro/internal/reptile"
 	"repro/internal/seq"
 	"repro/internal/simulate"
 )
@@ -37,7 +36,6 @@ func BenchmarkSpectrumQuery(b *testing.B) {
 		}
 	}
 	b.Run("prefix-index", func(b *testing.B) {
-		defer recordBench(b, nil)
 		hits := 0
 		for i := 0; i < b.N; i++ {
 			if s.Index(queries[i%len(queries)]) >= 0 {
@@ -47,7 +45,6 @@ func BenchmarkSpectrumQuery(b *testing.B) {
 		sinkInt = hits
 	})
 	b.Run("binary-search", func(b *testing.B) {
-		defer recordBench(b, nil)
 		hits := 0
 		for i := 0; i < b.N; i++ {
 			if s.IndexBinarySearch(queries[i%len(queries)]) >= 0 {
@@ -84,7 +81,6 @@ func BenchmarkKmerCounter(b *testing.B) {
 		})
 	}
 	b.Run("open-addressing", func(b *testing.B) {
-		defer recordBench(b, map[string]float64{"stream_kmers": float64(len(stream))})
 		for i := 0; i < b.N; i++ {
 			c := kspectrum.NewCounter(0)
 			for _, km := range stream {
@@ -92,9 +88,9 @@ func BenchmarkKmerCounter(b *testing.B) {
 			}
 			sinkInt = c.Len()
 		}
+		b.ReportMetric(float64(len(stream)), "stream-kmers")
 	})
 	b.Run("map", func(b *testing.B) {
-		defer recordBench(b, map[string]float64{"stream_kmers": float64(len(stream))})
 		for i := 0; i < b.N; i++ {
 			m := make(map[seq.Kmer]uint32)
 			for _, km := range stream {
@@ -102,46 +98,6 @@ func BenchmarkKmerCounter(b *testing.B) {
 			}
 			sinkInt = len(m)
 		}
-	})
-}
-
-// BenchmarkCorrectRead measures the per-read correction cost of the
-// Reptile inner loop. The in-place variant is the steady-state number the
-// zero-alloc refactor targets — b.ReportAllocs must show 0 allocs/op —
-// while the copying variant includes the unavoidable output clone of the
-// CorrectRead API.
-func BenchmarkCorrectRead(b *testing.B) {
-	spec := simulate.Chapter2Specs(benchScale())[0] // D1
-	ds := buildDataset(b, spec)
-	reads := simulate.Reads(ds.Sim)
-	p := reptile.DefaultParams(reads, len(ds.Genome))
-	p.Build = kspectrum.BuildOptions{Workers: 1}
-	c, err := reptile.New(reads, p)
-	if err != nil {
-		b.Fatal(err)
-	}
-	maxLen := 0
-	for _, r := range reads {
-		maxLen = max(maxLen, len(r.Seq))
-	}
-	b.Run("in-place", func(b *testing.B) {
-		defer recordBench(b, nil)
-		b.ReportAllocs()
-		seqBuf := make([]byte, 0, maxLen)
-		qualBuf := make([]byte, 0, maxLen)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			r := reads[i%len(reads)]
-			seqBuf = append(seqBuf[:0], r.Seq...)
-			qualBuf = append(qualBuf[:0], r.Qual...)
-			c.CorrectInPlace(seqBuf, qualBuf)
-		}
-	})
-	b.Run("copying", func(b *testing.B) {
-		defer recordBench(b, nil)
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			c.CorrectRead(reads[i%len(reads)])
-		}
+		b.ReportMetric(float64(len(stream)), "stream-kmers")
 	})
 }

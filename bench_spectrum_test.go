@@ -42,7 +42,6 @@ func BenchmarkSpectrumBuild(b *testing.B) {
 				size = s.Size()
 			}
 			b.ReportMetric(float64(size), "kmers")
-			recordBench(b, map[string]float64{"kmers": float64(size)})
 		})
 	}
 }
@@ -102,14 +101,11 @@ func BenchmarkSpectrumBuildOutOfCore(b *testing.B) {
 			if bb.budget > 0 && bb.budget < footprint && stats.SpilledRuns == 0 {
 				b.Fatalf("budget %s below footprint %d B but nothing spilled", bb.name, footprint)
 			}
+			b.ReportMetric(float64(size), "kmers")
 			b.ReportMetric(float64(stats.SpilledRuns), "spill-runs")
+			b.ReportMetric(float64(stats.SpilledBytes), "spilled-bytes")
 			tbl.row("%-14s %10d %8d %9.1fMB %12v", bb.name, size, stats.SpilledRuns,
 				float64(stats.SpilledBytes)/(1<<20), wall.Round(time.Millisecond))
-			recordBench(b, map[string]float64{
-				"kmers":         float64(size),
-				"spill_runs":    float64(stats.SpilledRuns),
-				"spilled_bytes": float64(stats.SpilledBytes),
-			})
 		})
 	}
 	tbl.row("in-memory accumulator footprint ≈ %.1f MB (open-addressing table for %d kmers)",

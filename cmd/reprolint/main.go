@@ -16,7 +16,6 @@ import (
 	"repro/internal/lint/ctxflow"
 	"repro/internal/lint/errwrap"
 	"repro/internal/lint/faultsite"
-	"repro/internal/lint/nilness"
 	"repro/internal/lint/noalloc"
 	"repro/internal/lint/shadow"
 	"repro/internal/lint/unsafescope"
@@ -29,7 +28,6 @@ func main() {
 		faultsite.Analyzer,
 		errwrap.Analyzer,
 		unsafescope.Analyzer,
-		nilness.Analyzer,
 		shadow.Analyzer,
 	)
 }

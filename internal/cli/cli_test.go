@@ -7,6 +7,8 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"regexp"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -40,14 +42,65 @@ func TestRunUnknownSubcommand(t *testing.T) {
 	}
 }
 
+// helpFlags runs one subcommand with -h and returns the sorted flag names
+// its usage prints. The flag sets write to os.Stderr, so the test swaps
+// it for a file while the command runs.
+func helpFlags(t *testing.T, c command) []string {
+	t.Helper()
+	f, err := os.Create(filepath.Join(t.TempDir(), "usage"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	stderr := os.Stderr
+	os.Stderr = f
+	defer func() { os.Stderr = stderr }()
+	if err := c.run([]string{"-h"}, io.Discard); !errors.Is(err, flag.ErrHelp) {
+		t.Errorf("%s -h: error = %v, want flag.ErrHelp", c.name, err)
+	}
+	usage, err := os.ReadFile(f.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, m := range regexp.MustCompile(`(?m)^  -(\S+)`).FindAllSubmatch(usage, -1) {
+		names = append(names, string(m[1]))
+	}
+	slices.Sort(names)
+	return names
+}
+
 // TestSubcommandHelp: `-h` on every subcommand resolves to flag.ErrHelp —
 // the shared wrapper maps it to exit 0, which the CI smoke step relies
-// on.
+// on — and lists exactly the flags pinned here. The flag surface is the
+// CLI's option count: a PR that adds, renames or drops a flag changes
+// this table on purpose or fails.
 func TestSubcommandHelp(t *testing.T) {
+	correction := "checkpoint checkpoint-every cpuprofile in mem-budget memprofile out resume shards workers"
+	spectrum := " load-spectrum save-spectrum"
+	want := map[string]string{
+		"reptile": correction + spectrum + " d genome-len k",
+		"redeem":  correction + spectrum + " detect-only error-rate k",
+		"shrec":   correction + " alpha genome-len iterations",
+		"serve": "cluster-wait coordinator d drain-timeout error-rate listen max-chunk-bytes max-chunk-reads" +
+			" max-inflight max-queue max-spectrum-bytes node read-timeout request-timeout shard-retries" +
+			" shard-spectrum shards-of shards-owned spectra-dir spectrum workers",
+		"shard":   "in out-dir shards",
+		"loadgen": "c chunk-reads duration engine in qps retries spectrum timeout url",
+		"ngsim": "bias coverage error-rate genome-len labels mode n n-rate out read-len ref repeat-frac seed" +
+			" truth workers",
+		"eceval": "after before truth workers",
+		"closet": "cmin gamma in labels nodes out thresholds workers",
+	}
 	for _, c := range commands() {
-		if err := c.run([]string{"-h"}, io.Discard); !errors.Is(err, flag.ErrHelp) {
-			t.Errorf("%s -h: error = %v, want flag.ErrHelp", c.name, err)
+		wantNames := strings.Fields(want[c.name])
+		slices.Sort(wantNames)
+		if got := helpFlags(t, c); !slices.Equal(got, wantNames) {
+			t.Errorf("%s flags:\n got %v\nwant %v", c.name, got, wantNames)
 		}
+	}
+	if len(want) != len(commands()) {
+		t.Errorf("%d subcommands pinned, %d registered", len(want), len(commands()))
 	}
 }
 

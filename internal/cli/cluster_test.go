@@ -180,7 +180,7 @@ func TestClusterCorrectByteIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	refOut, _, err := svc.CorrectChunk(chunk, 1)
+	refOut, _, err := svc.CorrectChunkCtx(context.Background(), chunk, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,7 +281,7 @@ func TestClusterCorrectByteIdentityD2(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	refOut, refC, err := svc.CorrectChunk(chunk, 1)
+	refOut, refC, err := svc.CorrectChunkCtx(context.Background(), chunk, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -474,7 +474,7 @@ func TestClusterCorrectWholeFixture(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		refOut, _, err := svc.CorrectChunk(fx.reads, 1)
+		refOut, _, err := svc.CorrectChunkCtx(context.Background(), fx.reads, 1)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -31,7 +31,6 @@ type correctFlags struct {
 	memBudget  string
 	loadSpec   string
 	saveSpec   string
-	mapSpec    bool
 	ckptDir    string
 	resume     bool
 	ckptEvery  int64
@@ -54,7 +53,6 @@ func (f *correctFlags) register(fs *flag.FlagSet, spectrum bool) {
 	if spectrum {
 		fs.StringVar(&f.loadSpec, "load-spectrum", "", "reuse a persisted k-spectrum instead of counting the input")
 		fs.StringVar(&f.saveSpec, "save-spectrum", "", "persist the run's k-spectrum to this path")
-		fs.BoolVar(&f.mapSpec, "map-spectrum", true, "serve -load-spectrum zero-copy off a read-only memory mapping (false = copy with eager validation)")
 	}
 	fs.StringVar(&f.cpuprofile, "cpuprofile", "", "write a CPU profile to this file")
 	fs.StringVar(&f.memprofile, "memprofile", "", "write a heap profile to this file on exit")
@@ -75,20 +73,11 @@ func (f *correctFlags) engineOptions() ([]engine.Option, error) {
 		engine.WithShards(f.shards),
 		engine.WithMemoryBudget(budget),
 		engine.WithSpectrumPath(f.loadSpec),
-		engine.WithSpectrumMode(f.spectrumMode()),
 		engine.WithSaveSpectrumPath(f.saveSpec),
 		engine.WithCheckpointDir(f.ckptDir),
 		engine.WithResume(f.resume),
 		engine.WithCheckpointEvery(f.ckptEvery),
 	}, nil
-}
-
-// spectrumMode maps the -map-spectrum flag onto the engine's load mode.
-func (f *correctFlags) spectrumMode() engine.SpectrumMode {
-	if f.mapSpec {
-		return engine.SpectrumMapped
-	}
-	return engine.SpectrumCopied
 }
 
 // opener returns the re-openable chunked source over the input file the

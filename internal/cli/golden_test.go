@@ -2,6 +2,7 @@ package cli
 
 import (
 	"bytes"
+	"errors"
 	"io"
 	"os"
 	"path/filepath"
@@ -215,6 +216,64 @@ func TestGoldenSpectrumRoundTrip(t *testing.T) {
 		"-workers", "1", "-k", itoa(stored.K + 1), "-load-spectrum", spec}, io.Discard)
 	if err == nil {
 		t.Error("disagreeing explicit -k accepted against stored spectrum")
+	}
+}
+
+// TestCorruptStoreFailsBeforeOutput: every image of the store corruption
+// matrix makes `repro reptile|redeem -load-spectrum` fail at load with an
+// error wrapping ErrSpectrumStore — nothing written at or beside -out, no
+// mapping of the store left behind. -in names no file: a run that got as
+// far as its input would report that instead, so the store error proves
+// the full Verify in engine.Run.ResolveSpectrum ran before any work (the
+// mapping itself opens lazily and would let most of the matrix through).
+func TestCorruptStoreFailsBeforeOutput(t *testing.T) {
+	in, genomeLen := goldenInput(t)
+	good := filepath.Join(t.TempDir(), "good.kspc")
+	runSubcommand(t, reptileCmd, []string{"-in", in, "-out", os.DevNull, "-workers", "1",
+		"-genome-len", itoa(genomeLen), "-save-spectrum", good}, good)
+	valid, err := os.ReadFile(good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec, err := kspectrum.ReadSpectrumFile(good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range kspectrum.CorruptionCases(spec, valid) {
+		t.Run(tc.Name, func(t *testing.T) {
+			dir := t.TempDir()
+			store := filepath.Join(dir, "corrupt.kspc")
+			if err := os.WriteFile(store, tc.Data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			outDir := filepath.Join(dir, "out")
+			if err := os.Mkdir(outDir, 0o755); err != nil {
+				t.Fatal(err)
+			}
+			args := []string{"-in", filepath.Join(dir, "absent.fastq"), "-out", filepath.Join(outDir, "out.fastq"),
+				"-workers", "1", "-load-spectrum", store}
+			for _, sub := range []struct {
+				name string
+				run  func([]string, io.Writer) error
+				args []string
+			}{
+				{"reptile", reptileCmd, args},
+				{"redeem", redeemCmd, args},
+				{"redeem -detect-only", redeemCmd, append(args, "-detect-only")},
+			} {
+				err := sub.run(sub.args, io.Discard)
+				if !errors.Is(err, kspectrum.ErrSpectrumStore) {
+					t.Errorf("%s: error = %v, want one wrapping ErrSpectrumStore", sub.name, err)
+				}
+				if left, _ := os.ReadDir(outDir); len(left) != 0 {
+					t.Errorf("%s: failed run left %d files in the output directory", sub.name, len(left))
+				}
+			}
+			maps, err := os.ReadFile("/proc/self/maps")
+			if err == nil && bytes.Contains(maps, []byte(store)) {
+				t.Error("the corrupt store is still mapped after its failed runs")
+			}
+		})
 	}
 }
 

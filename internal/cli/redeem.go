@@ -82,7 +82,8 @@ func redeemDetectOnly(f correctFlags, k, explicitK int, errorRate float64, budge
 	var spec *kspectrum.Spectrum
 	var err error
 	if f.loadSpec != "" {
-		if spec, err = engine.LoadSpectrumForK(f.loadSpec, explicitK, f.spectrumMode()); err != nil {
+		run := engine.NewRun(engine.WithSpectrumPath(f.loadSpec), engine.WithK(explicitK))
+		if spec, err = run.ResolveSpectrum(); err != nil {
 			return err
 		}
 		k = spec.K // the stored k is authoritative over the default

@@ -86,7 +86,6 @@ func serveCmd(args []string, stdout io.Writer) error {
 		d              = fs.Int("d", 1, "Reptile max Hamming distance per constituent kmer")
 		readTimeout    = fs.Duration("read-timeout", 2*time.Minute, "deadline for reading one full request; bounds how long a slow upload can hold a correction slot (0 = none)")
 		drainTimeout   = fs.Duration("drain-timeout", 30*time.Second, "graceful shutdown deadline for in-flight requests")
-		mapSpectrum    = fs.Bool("map-spectrum", true, "serve spectra zero-copy off read-only memory mappings (false = copy each into memory with eager validation)")
 		shardsOwned    = fs.String("shards-owned", "", "comma-separated shard numbers this node serves, e.g. 0,1 (node mode, with -shard-spectrum and -shards-of)")
 		shardsOf       = fs.Int("shards-of", 0, "total shard count the -shard-spectrum spectra were split into (node mode)")
 		coordinator    = fs.Bool("coordinator", false, "coordinator mode: discover shards from the -node daemons and serve corrections by fanning spectrum queries out to them")
@@ -110,10 +109,6 @@ func serveCmd(args []string, stdout io.Writer) error {
 		return usagef(fs, "-shard-spectrum requires -shards-of and -shards-owned")
 	}
 
-	mode := engine.SpectrumMapped
-	if !*mapSpectrum {
-		mode = engine.SpectrumCopied
-	}
 	loaded := make(map[string]*kspectrum.Spectrum, len(specs))
 	paths := make(map[string]string, len(specs))
 	// The deferred Close loop runs after the server's close() below has
@@ -133,7 +128,7 @@ func serveCmd(args []string, stdout io.Writer) error {
 			return usagef(fs, "-spectrum %q: duplicate name", name)
 		}
 		start := time.Now()
-		spec, err := engine.LoadSpectrumForK(path, 0, mode)
+		spec, err := engine.LoadSpectrumForK(path, 0)
 		if err != nil {
 			return err
 		}
@@ -169,7 +164,7 @@ func serveCmd(args []string, stdout io.Writer) error {
 				if _, dup := loaded[entryName]; dup {
 					return usagef(fs, "-shard-spectrum %q: duplicate entry %q", nv, entryName)
 				}
-				spec, err := engine.LoadSpectrumForK(path, 0, mode)
+				spec, err := engine.LoadSpectrumForK(path, 0)
 				if err != nil {
 					return err
 				}
@@ -249,7 +244,6 @@ func serveCmd(args []string, stdout io.Writer) error {
 		MaxChunkBytes:    chunkBytes,
 		MaxSpectrumBytes: specBytes,
 		SpectraDir:       spectraDir,
-		SpectrumMode:     mode,
 		Workers:          *workers,
 		ErrorRate:        *errorRate,
 		D:                *d,
@@ -335,9 +329,6 @@ type ServerOptions struct {
 	// SpectraDir is where uploaded spectrum stores land (empty disables
 	// uploads with a clean 503).
 	SpectraDir string
-	// SpectrumMode is how uploaded spectra are opened (zero value =
-	// mapped).
-	SpectrumMode engine.SpectrumMode
 	// Workers is the per-request correction parallelism (the inter-request
 	// parallelism is MaxInflight; <= 0 uses all cores per request).
 	Workers int
@@ -563,7 +554,7 @@ func (s *server) probeQuarantined(e *entry) {
 // quarantined entry drain against their own holds, exactly like a hot
 // swap.
 func (s *server) tryRestore(e *entry) error {
-	spec, err := engine.LoadSpectrumForK(e.path, 0, s.opts.SpectrumMode)
+	spec, err := engine.LoadSpectrumForK(e.path, 0)
 	if err != nil {
 		return err
 	}

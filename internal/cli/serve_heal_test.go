@@ -81,7 +81,7 @@ func TestServeQuarantineRestore(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	spec, err := engine.LoadSpectrumForK(storePath, 0, engine.SpectrumMapped)
+	spec, err := engine.LoadSpectrumForK(storePath, 0)
 	if err != nil {
 		f.Close()
 		t.Skipf("no mmap on this platform: corruption is caught eagerly (%v)", err)
@@ -197,7 +197,7 @@ func TestServeQuarantineDeleteWins(t *testing.T) {
 	}
 	f.Close()
 
-	spec, err := engine.LoadSpectrumForK(storePath, 0, engine.SpectrumMapped)
+	spec, err := engine.LoadSpectrumForK(storePath, 0)
 	if err != nil {
 		t.Skipf("no mmap on this platform: corruption is caught eagerly (%v)", err)
 	}

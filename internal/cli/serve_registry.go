@@ -371,7 +371,7 @@ func (s *server) handleSpectraUpload(w http.ResponseWriter, r *http.Request) {
 	// on platforms without mmap it falls back to the copying reader,
 	// which validates everything. The mapping follows the inode, so the
 	// rename below does not disturb it.
-	spec, err := engine.LoadSpectrumForK(tmpPath, 0, s.opts.SpectrumMode)
+	spec, err := engine.LoadSpectrumForK(tmpPath, 0)
 	if err != nil {
 		discard()
 		s.errorJSON(w, http.StatusBadRequest, errClassBadRequest, "invalid spectrum upload: %v", err)

@@ -2,6 +2,7 @@ package cli
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -235,7 +236,7 @@ func TestServeCorrectConcurrent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	repOut, _, err := svc.CorrectChunk(chunk, 1)
+	repOut, _, err := svc.CorrectChunkCtx(context.Background(), chunk, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +255,11 @@ func TestServeCorrectConcurrent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantRedeem, err := fastq.EncodeChunk(m.CorrectReads(chunk, thr, 1))
+	redeemOut, err := m.CorrectReadsCtx(context.Background(), chunk, thr, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantRedeem, err := fastq.EncodeChunk(redeemOut)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -30,6 +30,10 @@
 //     engine-specific payloads into the Run's extension slots. A Run is
 //     inert data: engines resolve it against their defaults at call time,
 //     so the zero Run means "derive everything from the data".
+//     There is one way to load a persisted spectrum: WithSpectrumPath
+//     opens the store through kspectrum.OpenMapped and Run.ResolveSpectrum
+//     verifies the whole file before the engine sees it, so a corrupt
+//     store fails the run before any input is read.
 //
 // Streaming uses one chunk-shaped contract for every engine: a Source
 // yields successive []seq.Read chunks (SourceOpener re-opens it, because

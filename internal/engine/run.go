@@ -54,13 +54,6 @@ type Run struct {
 	// store instead. The stored k is authoritative: an explicit
 	// disagreeing k is an error, an unset k adopts it.
 	SpectrumPath string
-	// SpectrumMode selects how SpectrumPath is materialized: the zero
-	// value SpectrumMapped serves queries zero-copy off a read-only
-	// memory mapping (the default for read-only use — instant load,
-	// integrity checks deferred per bucket / to the first full scan);
-	// SpectrumCopied decodes into fresh columns with eager whole-file
-	// validation.
-	SpectrumMode SpectrumMode
 	// SaveSpectrumPath, when set, persists the run's spectrum after
 	// correction for reuse via SpectrumPath.
 	SaveSpectrumPath string
@@ -147,52 +140,24 @@ func WithSpectrumBackend(b kspectrum.SpectrumBackend) Option {
 	return func(r *Run) { r.Backend = b }
 }
 
-// SpectrumMode selects how a persisted spectrum is materialized by
-// WithSpectrumPath / LoadSpectrumForK.
-type SpectrumMode int
-
-const (
-	// SpectrumMapped (the default) opens the store as a read-only memory
-	// mapping: load is O(1) regardless of spectrum size, N processes
-	// share one copy of page cache, and integrity checks run lazily —
-	// per prefix bucket on first touch, whole-file CRC on the first full
-	// scan (kspectrum.OpenMapped). On platforms without mmap it falls
-	// back to the copying reader.
-	SpectrumMapped SpectrumMode = iota
-	// SpectrumCopied decodes the store into freshly allocated columns,
-	// validating ordering and the whole-file CRC eagerly before anything
-	// serves — the historical behavior; still right when the file may be
-	// replaced underneath a long-lived process or eager fail-fast
-	// loading matters more than startup latency.
-	SpectrumCopied
-)
-
 // WithSpectrumPath loads the spectrum from the persistent store instead
-// of counting the input. The stored k is authoritative. The load mode
-// defaults to SpectrumMapped; combine with WithSpectrumMode to override.
+// of counting the input. The stored k is authoritative. The store is
+// verified in full before the engine sees it (ResolveSpectrum).
 func WithSpectrumPath(path string) Option { return func(r *Run) { r.SpectrumPath = path } }
-
-// WithSpectrumMode selects how WithSpectrumPath materializes the store:
-// zero-copy mapped (default) or eagerly-validated copy.
-func WithSpectrumMode(m SpectrumMode) Option { return func(r *Run) { r.SpectrumMode = m } }
 
 // WithSaveSpectrumPath persists the run's spectrum after correction.
 func WithSaveSpectrumPath(path string) Option { return func(r *Run) { r.SaveSpectrumPath = path } }
 
-// LoadSpectrumForK loads a persisted spectrum in the given mode and
+// LoadSpectrumForK opens a persisted spectrum (kspectrum.OpenMapped:
+// zero-copy off a read-only mapping, integrity checks deferred to Verify
+// or first touch; the copying reader where the platform cannot map) and
 // enforces the single k-authority rule shared by every front end: the
 // stored k is authoritative, so an explicit requested k (non-zero) that
 // disagrees with it is an error, while explicitK == 0 defers to the
 // store (the caller then adopts spec.K). Keeping the rule here means the
 // CLI and the daemon cannot drift apart.
-func LoadSpectrumForK(path string, explicitK int, mode SpectrumMode) (*kspectrum.Spectrum, error) {
-	var spec *kspectrum.Spectrum
-	var err error
-	if mode == SpectrumCopied {
-		spec, err = kspectrum.ReadSpectrumFile(path)
-	} else {
-		spec, err = kspectrum.OpenMapped(path)
-	}
+func LoadSpectrumForK(path string, explicitK int) (*kspectrum.Spectrum, error) {
+	spec, err := kspectrum.OpenMapped(path)
 	if err != nil {
 		return nil, err
 	}
@@ -206,8 +171,9 @@ func LoadSpectrumForK(path string, explicitK int, mode SpectrumMode) (*kspectrum
 // ResolveSpectrum resolves the run's spectrum inputs: the preloaded
 // in-memory spectrum if set, else the persistent store at SpectrumPath
 // under the k-authority rule against the run's K (0 = unset), else nil
-// (count the input). A spectrum it opened from SpectrumPath is the
-// engine's to Close when its call fails.
+// (count the input). A store it opens is verified in full first, so a
+// corrupt one fails the run before any work starts. A spectrum it opened
+// from SpectrumPath is the engine's to Close when its call fails.
 func (r *Run) ResolveSpectrum() (*kspectrum.Spectrum, error) {
 	if r.Spectrum != nil {
 		return r.Spectrum, nil
@@ -215,7 +181,15 @@ func (r *Run) ResolveSpectrum() (*kspectrum.Spectrum, error) {
 	if r.SpectrumPath == "" {
 		return nil, nil
 	}
-	return LoadSpectrumForK(r.SpectrumPath, r.K, r.SpectrumMode)
+	spec, err := LoadSpectrumForK(r.SpectrumPath, r.K)
+	if err != nil {
+		return nil, err
+	}
+	if err := spec.Verify(); err != nil {
+		spec.Close()
+		return nil, err
+	}
+	return spec, nil
 }
 
 // SaveSpectrum persists spec when SaveSpectrumPath is set; a no-op

@@ -208,8 +208,8 @@ func TestDisabledIsAllocationFree(t *testing.T) {
 	}
 }
 
-// BenchmarkCheckDisabled is the benchguard-visible cost of an armed-off
-// fault site: one atomic pointer load.
+// BenchmarkCheckDisabled is the cost of an armed-off fault site: one
+// atomic pointer load.
 func BenchmarkCheckDisabled(b *testing.B) {
 	if Enabled() {
 		b.Fatal("rules armed")

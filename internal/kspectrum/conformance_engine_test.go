@@ -60,8 +60,9 @@ func readsEqual(t *testing.T, label string, a, b []seq.Read) {
 }
 
 // TestEngineConformanceMappedVsCopied runs the spectrum-reusing engines
-// end to end against the same persisted store loaded both ways. Mapped
-// and copied runs must correct identically — the zero-copy path is an
+// end to end against the same persisted store loaded both ways: decoded
+// by the copying reader and handed over preloaded, and opened by path
+// (mapped). The runs must correct identically — the zero-copy path is an
 // implementation detail, never an answer change.
 func TestEngineConformanceMappedVsCopied(t *testing.T) {
 	reads, specPath, _ := conformanceCorpus(t)
@@ -71,36 +72,36 @@ func TestEngineConformanceMappedVsCopied(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			correct := func(mode engine.SpectrumMode) []seq.Read {
+			correct := func(source engine.Option) []seq.Read {
 				t.Helper()
-				run := engine.NewRun(
-					engine.WithSpectrumPath(specPath),
-					engine.WithSpectrumMode(mode),
-					engine.WithWorkers(2),
-				)
+				run := engine.NewRun(source, engine.WithWorkers(2))
 				out, _, err := eng.Correct(context.Background(), reads, run)
 				if err != nil {
 					t.Fatal(err)
 				}
 				return out
 			}
-			copied := correct(engine.SpectrumCopied)
-			mapped := correct(engine.SpectrumMapped)
+			decoded, err := kspectrum.ReadSpectrumFile(specPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			copied := correct(engine.WithSpectrum(decoded))
+			mapped := correct(engine.WithSpectrumPath(specPath))
 			readsEqual(t, "mapped vs copied", copied, mapped)
 			changed := engine.CountChanged(reads, copied)
 			if changed == 0 {
 				t.Fatalf("%s corrected nothing: the identity check is vacuous", name)
 			}
-			t.Logf("%s: %d of %d reads changed identically under both modes", name, changed, len(reads))
+			t.Logf("%s: %d of %d reads changed identically under both loaders", name, changed, len(reads))
 		})
 	}
 }
 
 // TestEngineConformanceShrec covers the spectrum-free engine: SHREC has
-// no store to map, so mode identity degenerates to determinism — two
+// no store to map, so loader identity degenerates to determinism — two
 // runs over the same input must agree byte for byte (and spectrum
-// options, including a mode, must still be rejected as configuration
-// errors rather than ignored).
+// options must still be rejected as configuration errors rather than
+// ignored).
 func TestEngineConformanceShrec(t *testing.T) {
 	reads, specPath, genomeLen := conformanceCorpus(t)
 	eng, err := engine.Lookup(shrec.EngineName)
@@ -121,7 +122,6 @@ func TestEngineConformanceShrec(t *testing.T) {
 	run := engine.NewRun(
 		engine.WithGenomeLen(genomeLen),
 		engine.WithSpectrumPath(specPath),
-		engine.WithSpectrumMode(engine.SpectrumMapped),
 	)
 	if _, _, err := eng.Correct(context.Background(), reads, run); err == nil {
 		t.Fatal("shrec accepted a spectrum path it cannot use")

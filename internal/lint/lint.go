@@ -10,7 +10,7 @@
 // unitchecker-based tool.
 //
 // The analyzers themselves live in subpackages (noalloc, ctxflow,
-// faultsite, errwrap, unsafescope, nilness, shadow) and are wired
+// faultsite, errwrap, unsafescope, shadow) and are wired
 // together by cmd/reprolint. Fixture-driven tests use
 // internal/lint/linttest, an analysistest-style runner.
 //

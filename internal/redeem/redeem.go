@@ -309,25 +309,20 @@ func (m *Model) InferThreshold(minG, maxG int) (float64, *stats.Mixture, error) 
 	return mix.Threshold(), mix, nil
 }
 
-// CorrectReads applies §3.3 per-base posterior correction to reads whose
-// kmers include at least one flagged by the threshold. The threshold also
-// enters the posterior: kmers classified non-genomic (T below it) have
-// estimated genomic occurrence α̂ = 0, so they contribute no prior mass —
-// their single observed instances are explained as misreads of their
-// surviving neighbors. workers bounds parallelism (<=0 uses GOMAXPROCS).
-func (m *Model) CorrectReads(reads []seq.Read, liberalThreshold float64, workers int) []seq.Read {
-	out, _ := m.CorrectReadsCtx(context.Background(), reads, liberalThreshold, workers)
-	return out
-}
-
 // cancelPollMask is the read-count stride at which correction workers
 // poll the context; see reptile.CorrectAllCtx for the rationale.
 const cancelPollMask = 63
 
-// CorrectReadsCtx is CorrectReads under a context: every worker polls ctx
-// every few dozen reads and the pool drains promptly once it is
-// cancelled, returning (nil, ctx.Err()). All workers have exited by the
-// time it returns — cancellation leaks no goroutines.
+// CorrectReadsCtx applies §3.3 per-base posterior correction to reads
+// whose kmers include at least one flagged by the threshold. The threshold
+// also enters the posterior: kmers classified non-genomic (T below it)
+// have estimated genomic occurrence α̂ = 0, so they contribute no prior
+// mass — their single observed instances are explained as misreads of
+// their surviving neighbors. workers bounds parallelism (<=0 uses
+// GOMAXPROCS). Every worker polls ctx every few dozen reads and the pool
+// drains promptly once it is cancelled, returning (nil, ctx.Err()). All
+// workers have exited by the time it returns — cancellation leaks no
+// goroutines.
 func (m *Model) CorrectReadsCtx(ctx context.Context, reads []seq.Read, liberalThreshold float64, workers int) ([]seq.Read, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)

@@ -1,6 +1,7 @@
 package redeem
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -40,6 +41,16 @@ func repeatData(t *testing.T, genomeLen int, repeatFrac float64, nReads int, err
 		t.Fatal(err)
 	}
 	return genome, sim, km, k
+}
+
+// correctReads runs the correction pass under a background context.
+func correctReads(t *testing.T, m *Model, reads []seq.Read, thr float64, workers int) []seq.Read {
+	t.Helper()
+	out, err := m.CorrectReadsCtx(context.Background(), reads, thr, workers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
 }
 
 func TestConfigValidation(t *testing.T) {
@@ -171,7 +182,7 @@ func TestCorrectReadsOnRepeats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	corrected := m.CorrectReads(reads, thr, 1)
+	corrected := correctReads(t, m, reads, thr, 1)
 	cs, err := eval.EvaluateCorrection(sim, corrected)
 	if err != nil {
 		t.Fatal(err)
@@ -190,8 +201,8 @@ func TestCorrectReadsParallelMatchesSerial(t *testing.T) {
 		t.Fatal(err)
 	}
 	m.Run()
-	a := m.CorrectReads(reads, 5, 1)
-	b := m.CorrectReads(reads, 5, 4)
+	a := correctReads(t, m, reads, 5, 1)
+	b := correctReads(t, m, reads, 5, 4)
 	for i := range a {
 		if string(a[i].Seq) != string(b[i].Seq) {
 			t.Fatalf("parallel correction differs at read %d", i)
@@ -211,7 +222,7 @@ func TestCorrectReadShorterThanK(t *testing.T) {
 	}
 	m.Run()
 	short := seq.Read{ID: "s", Seq: []byte("ACGT")}
-	out := m.CorrectReads([]seq.Read{short}, 5, 1)
+	out := correctReads(t, m, []seq.Read{short}, 5, 1)
 	if string(out[0].Seq) != "ACGT" {
 		t.Errorf("short read changed: %s", out[0].Seq)
 	}

@@ -86,7 +86,7 @@ func TestBatchedDriverByteIdentity(t *testing.T) {
 			}
 			for _, n := range []int{1, 20, 500, len(corpus)} {
 				reads := corpus[:n]
-				want, c, err := svc.CorrectChunk(reads, 1)
+				want, c, err := svc.CorrectChunkCtx(context.Background(), reads, 1)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -140,7 +140,7 @@ func TestBatchedDriverFetchFailure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, c, err := svc.CorrectChunk(reads, 1)
+	_, c, err := svc.CorrectChunkCtx(context.Background(), reads, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +177,7 @@ func TestServicePicksDriverBySource(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, _, err := local.CorrectChunk(reads, 1)
+	want, _, err := local.CorrectChunkCtx(context.Background(), reads, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +190,7 @@ func TestServicePicksDriverBySource(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := svc.CorrectChunk(reads, 2)
+	got, _, err := svc.CorrectChunkCtx(context.Background(), reads, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

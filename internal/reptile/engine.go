@@ -19,10 +19,8 @@ func init() { engine.Register(reptileEngine{}) }
 // tuck into an engine.Run: overrides applied on top of the data-derived
 // defaults (see resolveParams for the order).
 type extConfig struct {
-	d          int
-	dSet       bool
-	overlap    int
-	overlapSet bool
+	d    int
+	dSet bool
 }
 
 func extOf(r *engine.Run) *extConfig {
@@ -39,12 +37,6 @@ func extOf(r *engine.Run) *extConfig {
 // d+2 only when the derived C would not exceed d).
 func WithD(d int) engine.Option {
 	return func(r *engine.Run) { e := extOf(r); e.d, e.dSet = d, true }
-}
-
-// WithOverlap sets the tile overlap l, applied after the data-derived
-// defaults.
-func WithOverlap(l int) engine.Option {
-	return func(r *engine.Run) { e := extOf(r); e.overlap, e.overlapSet = l, true }
 }
 
 // reptileEngine adapts Reptile to the pluggable engine contract.
@@ -68,8 +60,7 @@ func (reptileEngine) Capabilities() engine.Capabilities {
 // resolveParams finalizes the parameter block from the run, the sampled
 // reads, and the (possibly preloaded) spectrum, in the one order the
 // golden tests freeze: data-derived DefaultParams, then WithK, then a
-// stored spectrum's k (when no k was requested), then WithD, then
-// WithOverlap.
+// stored spectrum's k (when no k was requested), then WithD.
 func resolveParams(sample []seq.Read, run *engine.Run, spec *kspectrum.Spectrum) Params {
 	e := extOf(run)
 	p := DefaultParams(sample, run.GenomeLen)
@@ -89,9 +80,6 @@ func resolveParams(sample []seq.Read, run *engine.Run, spec *kspectrum.Spectrum)
 		if p.C <= p.D {
 			p.C = p.D + 2
 		}
-	}
-	if e.overlapSet {
-		p.Overlap = e.overlap
 	}
 	p.Build = kspectrum.BuildOptions{Workers: run.Workers, Shards: run.Shards}
 	p.MemoryBudget = run.MemoryBudget
@@ -186,9 +174,9 @@ func (reptileEngine) CorrectStream(ctx context.Context, open engine.SourceOpener
 
 // NewService implements engine.Servicer: the shared-spectrum,
 // request-independent correction service behind the serve daemon. The
-// run must carry a spectrum (WithSpectrum or WithSpectrumPath); D and
-// overlap overrides apply, everything request-derived (Qc, Cg, Cm) is
-// computed per chunk.
+// run must carry a spectrum (WithSpectrum or WithSpectrumPath); the D
+// override applies, everything request-derived (Qc, Cg, Cm) is computed
+// per chunk.
 func (reptileEngine) NewService(run *engine.Run) (_ engine.ChunkCorrector, err error) {
 	e := extOf(run)
 	spec, err := run.ResolveSpectrum()
@@ -199,9 +187,6 @@ func (reptileEngine) NewService(run *engine.Run) (_ engine.ChunkCorrector, err e
 	var p Params
 	if e.dSet {
 		p.D = e.d
-	}
-	if e.overlapSet {
-		p.Overlap = e.overlap
 	}
 	if spec == nil && run.Backend != nil {
 		// Distributed serving: the spectrum lives behind the backend. The

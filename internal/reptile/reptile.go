@@ -679,24 +679,19 @@ func (c *Corrector) correctPass(bases, qual []byte, s *scratch) {
 	}
 }
 
-// CorrectAll corrects every read using `workers` goroutines (1 = serial).
-// The input reads are not modified. Each worker owns one scratch for its
-// whole read range, so the per-read cost is the output copy alone.
-func (c *Corrector) CorrectAll(reads []seq.Read, workers int) []seq.Read {
-	out, _ := c.CorrectAllCtx(context.Background(), reads, workers)
-	return out
-}
-
 // cancelPollMask is the read-count stride at which correction workers
 // poll the context: frequent enough that cancellation lands well inside a
 // chunk, sparse enough to stay invisible next to per-read correction
 // cost.
 const cancelPollMask = 63
 
-// CorrectAllCtx is CorrectAll under a context: every worker polls ctx
-// every few dozen reads and the pool drains promptly once it is
-// cancelled, returning (nil, ctx.Err()). All workers have exited by the
-// time it returns — cancellation leaks no goroutines.
+// CorrectAllCtx corrects every read using `workers` goroutines (1 =
+// serial, <= 0 = all cores). The input reads are not modified. Each
+// worker owns one scratch for its whole read range, so the per-read cost
+// is the output copy alone. Every worker polls ctx every few dozen reads
+// and the pool drains promptly once it is cancelled, returning (nil,
+// ctx.Err()). All workers have exited by the time it returns —
+// cancellation leaks no goroutines.
 func (c *Corrector) CorrectAllCtx(ctx context.Context, reads []seq.Read, workers int) ([]seq.Read, error) {
 	c.ensureQuerier()
 	if workers <= 0 {

@@ -1,6 +1,7 @@
 package reptile
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -60,6 +61,16 @@ func TestDefaultParams(t *testing.T) {
 	}
 }
 
+// correctAll runs the batch corrector under a background context.
+func correctAll(t *testing.T, c *Corrector, reads []seq.Read, workers int) []seq.Read {
+	t.Helper()
+	out, err := c.CorrectAllCtx(context.Background(), reads, workers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
 func TestCorrectorFixesIsolatedErrors(t *testing.T) {
 	genome, sim := buildTestData(t, 20000, 25000, 36, 0.006, 2)
 	_ = genome
@@ -67,7 +78,7 @@ func TestCorrectorFixesIsolatedErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	corrected := c.CorrectAll(simulate.Reads(sim), 1)
+	corrected := correctAll(t, c, simulate.Reads(sim), 1)
 	stats, err := eval.EvaluateCorrection(sim, corrected)
 	if err != nil {
 		t.Fatal(err)
@@ -92,8 +103,8 @@ func TestCorrectorDeterministicAndNonMutating(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := c.CorrectAll(reads, 1)
-	b := c.CorrectAll(reads, 1)
+	a := correctAll(t, c, reads, 1)
+	b := correctAll(t, c, reads, 1)
 	if string(reads[7].Seq) != orig {
 		t.Error("CorrectAll mutated its input")
 	}
@@ -111,8 +122,8 @@ func TestCorrectAllParallelMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	serial := c.CorrectAll(reads, 1)
-	parallel := c.CorrectAll(reads, 4)
+	serial := correctAll(t, c, reads, 1)
+	parallel := correctAll(t, c, reads, 4)
 	for i := range serial {
 		if string(serial[i].Seq) != string(parallel[i].Seq) {
 			t.Fatalf("parallel differs from serial at read %d", i)
@@ -229,8 +240,8 @@ func TestHigherDIncreasesCorrections(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s1, _ := eval.EvaluateCorrection(sim, c1.CorrectAll(reads, 1))
-	s2, _ := eval.EvaluateCorrection(sim, c2.CorrectAll(reads, 1))
+	s1, _ := eval.EvaluateCorrection(sim, correctAll(t, c1, reads, 1))
+	s2, _ := eval.EvaluateCorrection(sim, correctAll(t, c2, reads, 1))
 	t.Logf("d=1: %v", s1)
 	t.Logf("d=2: %v", s2)
 	// Table 2.3: increasing d raises TP (more errors identified).
@@ -268,8 +279,8 @@ func TestQualityGuardBlocksHighQualityCorrection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sStrict, _ := eval.EvaluateCorrection(sim, c.CorrectAll(reads, 1))
-	sLoose, _ := eval.EvaluateCorrection(sim, cLoose.CorrectAll(reads, 1))
+	sStrict, _ := eval.EvaluateCorrection(sim, correctAll(t, c, reads, 1))
+	sLoose, _ := eval.EvaluateCorrection(sim, correctAll(t, cLoose, reads, 1))
 	if sStrict.TP >= sLoose.TP {
 		t.Errorf("quality guard had no effect: strict TP=%d loose TP=%d", sStrict.TP, sLoose.TP)
 	}
@@ -303,8 +314,8 @@ func TestChunkedBuilderMatchesWholeSlice(t *testing.T) {
 		t.Fatalf("derived thresholds differ: (%d,%d) vs (%d,%d)",
 			whole.P.Cg, whole.P.Cm, chunked.P.Cg, chunked.P.Cm)
 	}
-	a := whole.CorrectAll(reads, 1)
-	c := chunked.CorrectAll(reads, 1)
+	a := correctAll(t, whole, reads, 1)
+	c := correctAll(t, chunked, reads, 1)
 	for i := range a {
 		if string(a[i].Seq) != string(c[i].Seq) {
 			t.Fatalf("correction differs at read %d", i)

@@ -135,20 +135,14 @@ func (s *Service) Spectrum() *kspectrum.Spectrum { return s.spec }
 // Backend returns the service's spectrum query backend.
 func (s *Service) Backend() kspectrum.SpectrumBackend { return s.backend }
 
-// CorrectChunk corrects one independent chunk of reads with `workers`
+// CorrectChunkCtx corrects one independent chunk of reads with `workers`
 // goroutines and returns the corrected copies plus the fully-resolved
 // corrector used (exposing the thresholds derived for this chunk). The
 // input reads are not modified. Unlike the batch pipeline — where tile
 // counts aggregate over the whole input — tile support here comes from
 // the request chunk alone, the service trade-off that keeps requests
-// independent.
-func (s *Service) CorrectChunk(reads []seq.Read, workers int) ([]seq.Read, *Corrector, error) {
-	return s.CorrectChunkCtx(context.Background(), reads, workers)
-}
-
-// CorrectChunkCtx is CorrectChunk under a context: a cancelled ctx drains
-// the correction worker pool promptly and returns ctx.Err(), so a
-// dropped request aborts its correction work.
+// independent. A cancelled ctx drains the correction worker pool promptly
+// and returns ctx.Err(), so a dropped request aborts its correction work.
 //
 // Which driver runs is read off the neighbor source. A local one answers
 // from memory, so the per-read walk queries it directly (CorrectAllCtx).

@@ -2,6 +2,7 @@ package reptile
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	"repro/internal/kspectrum"
@@ -37,7 +38,7 @@ func TestServiceMatchesBatchOnFullCorpus(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, c, err := svc.CorrectChunk(reads, 2)
+	got, c, err := svc.CorrectChunkCtx(context.Background(), reads, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +50,7 @@ func TestServiceMatchesBatchOnFullCorpus(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := batch.CorrectAll(reads, 1)
+	want := correctAll(t, batch, reads, 1)
 
 	if c.P.Cg != batch.P.Cg || c.P.Cm != batch.P.Cm || c.P.Qc != batch.P.Qc {
 		t.Fatalf("derived thresholds diverge: service (Cg=%d Cm=%d Qc=%d) batch (Cg=%d Cm=%d Qc=%d)",

@@ -11,7 +11,6 @@ package seq
 import (
 	"fmt"
 	"math/bits"
-	"strings"
 )
 
 // Base is a 2-bit encoded nucleotide: A=0, C=1, G=2, T=3.
@@ -265,17 +264,4 @@ func (r Read) Validate() error {
 		return fmt.Errorf("seq: read %s: %d bases but %d quality values", r.ID, len(r.Seq), len(r.Qual))
 	}
 	return nil
-}
-
-// FormatBases renders a byte sequence safely for error messages.
-func FormatBases(s []byte) string {
-	var b strings.Builder
-	for _, ch := range s {
-		if IsAmbiguous(ch) && ch != 'N' {
-			fmt.Fprintf(&b, "<%02x>", ch)
-		} else {
-			b.WriteByte(ch)
-		}
-	}
-	return b.String()
 }

@@ -18,28 +18,28 @@ type ChunkSource interface {
 // correctors take two passes, so sources must be re-openable.
 type SourceOpener func() (ChunkSource, error)
 
-// StreamChunks drives one pass over a freshly opened source: every chunk is
-// handed to fn, and the source is closed on all return paths.
-func StreamChunks(open SourceOpener, fn func([]Read) error) error {
-	return StreamChunksCtx(context.Background(), open, fn)
-}
-
-// StreamChunksCtx is StreamChunks under a context: ctx is checked before
-// every chunk, so a cancelled context stops the pass at the next chunk
-// boundary with ctx.Err(). The source is closed on all return paths.
-func StreamChunksCtx(ctx context.Context, open SourceOpener, fn func([]Read) error) error {
+// StreamChunksCtx drives one pass over a freshly opened source: every
+// chunk is handed to fn, and ctx is checked before every chunk, so a
+// cancelled context stops the pass at the next chunk boundary with
+// ctx.Err(). The source is closed exactly once on every return path; a
+// pass that otherwise succeeded returns the close error.
+func StreamChunksCtx(ctx context.Context, open SourceOpener, fn func([]Read) error) (err error) {
 	src, err := open()
 	if err != nil {
 		return err
 	}
-	defer src.Close()
+	defer func() {
+		if cerr := src.Close(); err == nil {
+			err = cerr
+		}
+	}()
 	for {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
 		chunk, err := src.Next()
 		if err == io.EOF {
-			return src.Close()
+			return nil
 		}
 		if err != nil {
 			return err

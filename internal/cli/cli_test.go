@@ -11,6 +11,8 @@ import (
 	"slices"
 	"strings"
 	"testing"
+
+	"repro/internal/faultinject"
 )
 
 // TestRunHelp: `repro help` prints the subcommand synopsis and succeeds.
@@ -161,6 +163,31 @@ func TestFailedRunStopsProfiles(t *testing.T) {
 		if err := reptileCmd(args, io.Discard); !errors.Is(err, os.ErrNotExist) {
 			t.Fatalf("run %d: error = %v, want the input's open error", attempt, err)
 		}
+	}
+}
+
+// TestRedeemDetectOnlyBuildFlags: -detect-only builds its spectrum under the
+// same flags as the correcting mode — -resume alone is the same error in
+// both, and a checkpointed detect-only build really writes its manifest (the
+// armed rename fails it; a mode that dropped -checkpoint would succeed).
+func TestRedeemDetectOnlyBuildFlags(t *testing.T) {
+	in, _ := goldenInput(t)
+	for _, mode := range [][]string{{"-out", os.DevNull}, {"-detect-only"}} {
+		err := redeemCmd(append([]string{"-in", in, "-resume"}, mode...), io.Discard)
+		if err == nil || err.Error() != "-resume requires -checkpoint" {
+			t.Errorf("redeem %v -resume: error = %v, want \"-resume requires -checkpoint\"", mode, err)
+		}
+	}
+
+	ckpt := filepath.Join(t.TempDir(), "ckpt")
+	defer faultinject.Enable(&faultinject.Rule{Site: "manifest", Op: faultinject.OpRename})()
+	err := redeemCmd([]string{"-in", in, "-detect-only", "-workers", "1",
+		"-checkpoint", ckpt, "-mem-budget", "64KB", "-checkpoint-every", "1000"}, io.Discard)
+	if !errors.Is(err, faultinject.ErrInjected) {
+		t.Fatalf("checkpointed -detect-only with the manifest rename armed: error = %v, want ErrInjected", err)
+	}
+	if runs, _ := filepath.Glob(filepath.Join(ckpt, "run*.bin")); len(runs) == 0 {
+		t.Error("the failed build kept no runs in its checkpoint directory")
 	}
 }
 

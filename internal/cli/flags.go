@@ -18,6 +18,7 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/fastq"
+	"repro/internal/kspectrum"
 	"repro/internal/seq"
 )
 
@@ -58,25 +59,39 @@ func (f *correctFlags) register(fs *flag.FlagSet, spectrum bool) {
 	fs.StringVar(&f.memprofile, "memprofile", "", "write a heap profile to this file on exit")
 }
 
-// engineOptions translates the shared flags into cross-engine run
-// options, parsing the memory budget.
-func (f *correctFlags) engineOptions() ([]engine.Option, error) {
+// streamOptions is the one translation of the spectrum-build flags
+// (-workers, -shards, -mem-budget, -checkpoint, -resume, -checkpoint-every):
+// every mode of every correction subcommand builds under its result.
+func (f *correctFlags) streamOptions() (kspectrum.StreamOptions, error) {
 	budget, err := parseByteSize(f.memBudget)
+	if err != nil {
+		return kspectrum.StreamOptions{}, err
+	}
+	if f.resume && f.ckptDir == "" {
+		return kspectrum.StreamOptions{}, errors.New("-resume requires -checkpoint")
+	}
+	return kspectrum.StreamOptions{
+		Build:        kspectrum.BuildOptions{Workers: f.workers, Shards: f.shards},
+		MemoryBudget: budget, CheckpointDir: f.ckptDir, Resume: f.resume, CheckpointEvery: f.ckptEvery,
+	}, nil
+}
+
+// engineOptions translates the shared flags into cross-engine run
+// options.
+func (f *correctFlags) engineOptions() ([]engine.Option, error) {
+	o, err := f.streamOptions()
 	if err != nil {
 		return nil, err
 	}
-	if f.resume && f.ckptDir == "" {
-		return nil, errors.New("-resume requires -checkpoint")
-	}
 	return []engine.Option{
-		engine.WithWorkers(f.workers),
-		engine.WithShards(f.shards),
-		engine.WithMemoryBudget(budget),
+		engine.WithWorkers(o.Build.Workers),
+		engine.WithShards(o.Build.Shards),
+		engine.WithMemoryBudget(o.MemoryBudget),
 		engine.WithSpectrumPath(f.loadSpec),
 		engine.WithSaveSpectrumPath(f.saveSpec),
-		engine.WithCheckpointDir(f.ckptDir),
-		engine.WithResume(f.resume),
-		engine.WithCheckpointEvery(f.ckptEvery),
+		engine.WithCheckpointDir(o.CheckpointDir),
+		engine.WithResume(o.Resume),
+		engine.WithCheckpointEvery(o.CheckpointEvery),
 	}, nil
 }
 

@@ -2,6 +2,7 @@ package cli
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"io"
 	"os"
@@ -90,7 +91,7 @@ func legacyReptileOutput(t *testing.T, in string, k, d, genomeLen, workers int) 
 	var buf bytes.Buffer
 	w := fastq.NewWriter(&buf)
 	emit := func(orig, corrected []seq.Read) error { return w.WriteChunk(corrected) }
-	if _, err := reptile.CorrectStream(open, emit, params, workers); err != nil {
+	if _, err := reptile.CorrectStream(context.Background(), open, emit, params, workers); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Flush(); err != nil {
@@ -110,7 +111,7 @@ func legacyRedeemOutput(t *testing.T, in string, k int, errorRate float64, worke
 	var buf bytes.Buffer
 	w := fastq.NewWriter(&buf)
 	emit := func(orig, corrected []seq.Read) error { return w.WriteChunk(corrected) }
-	if _, _, err := redeem.CorrectStream(fileOpener(in), emit, model, cfg, workers); err != nil {
+	if _, _, err := redeem.CorrectStream(context.Background(), fileOpener(in), emit, model, cfg, workers); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Flush(); err != nil {

@@ -45,12 +45,12 @@ func redeemCmd(args []string, stdout io.Writer) error {
 	})
 
 	if *detectOnly {
-		budget, err := parseByteSize(f.memBudget)
+		build, err := f.streamOptions()
 		if err != nil {
 			return err
 		}
 		return f.profiled(func() error {
-			return redeemDetectOnly(f, *k, explicitK, *errorRate, budget, stdout)
+			return redeemDetectOnly(f, *k, explicitK, *errorRate, build, stdout)
 		})
 	}
 
@@ -77,7 +77,7 @@ func redeemCmd(args []string, stdout io.Writer) error {
 
 // redeemDetectOnly is the historical analysis mode: fit the model, infer
 // the threshold, print the flagged-kmer tally and the T histogram.
-func redeemDetectOnly(f correctFlags, k, explicitK int, errorRate float64, budget int64, stdout io.Writer) error {
+func redeemDetectOnly(f correctFlags, k, explicitK int, errorRate float64, build kspectrum.StreamOptions, stdout io.Writer) error {
 	start := time.Now()
 	var spec *kspectrum.Spectrum
 	var err error
@@ -91,8 +91,7 @@ func redeemDetectOnly(f correctFlags, k, explicitK int, errorRate float64, budge
 	model := simulate.NewUniformKmerModel(k, errorRate)
 	cfg := redeem.DefaultConfig(k)
 	cfg.Spectrum = spec
-	cfg.Build = kspectrum.BuildOptions{Workers: f.workers, Shards: f.shards}
-	cfg.MemoryBudget = budget
+	cfg.StreamOptions = build
 	cfg.MixtureMaxG = 4
 	// With a preloaded spectrum the reads are never consulted — detection
 	// runs purely on the stored counts — so skip reading the (possibly

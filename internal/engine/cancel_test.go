@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/engine"
+	"repro/internal/faultinject"
 	"repro/internal/redeem"
 	"repro/internal/reptile"
 	"repro/internal/seq"
@@ -118,18 +119,26 @@ func TestCorrectStreamCancel(t *testing.T) {
 }
 
 // TestCorrectCancelBatch: the in-memory entry point honors cancellation
-// inside its worker pool too.
+// inside its worker pool too, and in its spectrum build: under a memory
+// budget a cancelled ctx stops the spills before they reach the armed
+// fault, so what comes back is ctx.Err(), not the injected error of a
+// build that ran to the end.
 func TestCorrectCancelBatch(t *testing.T) {
 	chunk := testChunk(t)
 	ctx, cancel := context.WithCancel(context.Background())
-	cancel() // already cancelled: the pool must not do the work
-	eng, err := engine.Lookup(reptile.EngineName)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, _, err = eng.Correct(ctx, chunk, engine.NewRun(engine.WithGenomeLen(4000)))
-	if !errors.Is(err, context.Canceled) {
-		t.Errorf("Correct error = %v, want ctx.Err()", err)
+	cancel() // already cancelled: neither the build nor the pool may do the work
+	defer faultinject.Enable(&faultinject.Rule{Site: "spill", Op: faultinject.OpCreate, Sticky: true})()
+	for _, name := range []string{reptile.EngineName, redeem.EngineName} {
+		for _, budget := range []int64{0, 16 << 10} {
+			eng, err := engine.Lookup(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, _, err = eng.Correct(ctx, chunk, engine.NewRun(engine.WithGenomeLen(4000), engine.WithMemoryBudget(budget)))
+			if !errors.Is(err, context.Canceled) {
+				t.Errorf("%s, budget %d: Correct error = %v, want ctx.Err()", name, budget, err)
+			}
+		}
 	}
 }
 

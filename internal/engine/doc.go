@@ -23,8 +23,11 @@
 //
 //   - Run: the per-invocation configuration, built from functional
 //     options. Cross-engine knobs live here (WithK, WithWorkers,
-//     WithShards, WithMemoryBudget, WithGenomeLen, WithSpectrum,
-//     WithSpectrumPath, WithSaveSpectrumPath, WithTempDir); engine
+//     WithShards, WithGenomeLen, WithSpectrum, WithSpectrumPath,
+//     WithSaveSpectrumPath, and the out-of-core build's
+//     WithMemoryBudget, WithCheckpointDir, WithResume,
+//     WithCheckpointEvery, which Run.StreamOptions hands an engine as
+//     one kspectrum.StreamOptions); engine
 //     packages contribute their own options (reptile.WithD,
 //     redeem.WithErrorRate, shrec.WithAlpha, ...) that tuck
 //     engine-specific payloads into the Run's extension slots. A Run is

@@ -81,12 +81,11 @@ func TestRunOptions(t *testing.T) {
 		WithShards(8),
 		WithGenomeLen(100000),
 		WithMemoryBudget(1<<20),
-		WithTempDir("/tmp/x"),
 		WithSpectrumPath("in.kspc"),
 		WithSaveSpectrumPath("out.kspc"),
 	)
 	if r.K != 13 || r.Workers != 4 || r.Shards != 8 || r.GenomeLen != 100000 ||
-		r.MemoryBudget != 1<<20 || r.TempDir != "/tmp/x" ||
+		r.stream.MemoryBudget != 1<<20 ||
 		r.SpectrumPath != "in.kspc" || r.SaveSpectrumPath != "out.kspc" {
 		t.Errorf("options not applied: %+v", r)
 	}

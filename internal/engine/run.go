@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/kspectrum"
@@ -24,23 +25,6 @@ type Run struct {
 	// GenomeLen is the (estimated) genome length used for parameter
 	// selection; 0 means unknown.
 	GenomeLen int
-	// MemoryBudget, when positive, bounds the resident size of the
-	// k-spectrum accumulators by spilling oversized shards to sorted
-	// temp-file runs. 0 keeps everything in memory.
-	MemoryBudget int64
-	// TempDir hosts out-of-core spill files ("" = os.TempDir()).
-	TempDir string
-	// CheckpointDir, when set, makes spectrum counting crash-safe: runs
-	// and a read-cursor manifest live durably in this directory, and a
-	// killed build resumes from the newest checkpoint when Resume is
-	// also set (see kspectrum.StreamOptions).
-	CheckpointDir string
-	// Resume adopts the manifest already in CheckpointDir, skipping the
-	// reads it covers.
-	Resume bool
-	// CheckpointEvery is the read interval between automatic checkpoints
-	// (<= 0 = the kspectrum default).
-	CheckpointEvery int64
 	// Spectrum, when non-nil, is a preloaded k-spectrum the engine
 	// adopts instead of counting the input.
 	Spectrum *kspectrum.Spectrum
@@ -58,6 +42,9 @@ type Run struct {
 	// correction for reuse via SpectrumPath.
 	SaveSpectrumPath string
 
+	// stream holds what the out-of-core build options (WithMemoryBudget,
+	// WithCheckpointDir, ...) set; engines read it through StreamOptions.
+	stream kspectrum.StreamOptions
 	// ext holds engine-specific payloads keyed by engine name; see
 	// SetExt/Ext.
 	ext map[string]any
@@ -110,24 +97,22 @@ func WithShards(n int) Option { return func(r *Run) { r.Shards = n } }
 // WithGenomeLen sets the estimated genome length for parameter selection.
 func WithGenomeLen(n int) Option { return func(r *Run) { r.GenomeLen = n } }
 
-// WithMemoryBudget bounds the spectrum accumulators' resident bytes
-// through the out-of-core engine (0 = unlimited, in-memory).
-func WithMemoryBudget(b int64) Option { return func(r *Run) { r.MemoryBudget = b } }
-
-// WithTempDir hosts out-of-core spill files ("" = os.TempDir()).
-func WithTempDir(dir string) Option { return func(r *Run) { r.TempDir = dir } }
+// WithMemoryBudget bounds the resident bytes of the k-spectrum
+// accumulators by spilling full shard tables to sorted temp-file runs
+// (0 = unlimited, nothing spills).
+func WithMemoryBudget(b int64) Option { return func(r *Run) { r.stream.MemoryBudget = b } }
 
 // WithCheckpointDir makes spectrum counting crash-safe, persisting runs
 // and a read-cursor manifest in dir ("" = no checkpointing).
-func WithCheckpointDir(dir string) Option { return func(r *Run) { r.CheckpointDir = dir } }
+func WithCheckpointDir(dir string) Option { return func(r *Run) { r.stream.CheckpointDir = dir } }
 
 // WithResume adopts the manifest already in the checkpoint directory,
 // re-counting only the reads past its cursor.
-func WithResume(resume bool) Option { return func(r *Run) { r.Resume = resume } }
+func WithResume(resume bool) Option { return func(r *Run) { r.stream.Resume = resume } }
 
 // WithCheckpointEvery sets the read interval between automatic
 // checkpoints (<= 0 = the kspectrum default).
-func WithCheckpointEvery(n int64) Option { return func(r *Run) { r.CheckpointEvery = n } }
+func WithCheckpointEvery(n int64) Option { return func(r *Run) { r.stream.CheckpointEvery = n } }
 
 // WithSpectrum supplies a preloaded in-memory spectrum the engine adopts
 // instead of counting the input.
@@ -190,6 +175,27 @@ func (r *Run) ResolveSpectrum() (*kspectrum.Spectrum, error) {
 		return nil, err
 	}
 	return spec, nil
+}
+
+// CloseOpened releases a spectrum ResolveSpectrum itself opened from
+// SpectrumPath when the engine's call failed (*err != nil) — nobody else
+// holds the mapping. One supplied through WithSpectrum is the caller's and
+// is never closed here. Engines defer it right after ResolveSpectrum.
+func (r *Run) CloseOpened(spec *kspectrum.Spectrum, err *error) {
+	if *err != nil && spec != nil && spec != r.Spectrum {
+		spec.Close()
+	}
+}
+
+// StreamOptions assembles the one value that configures an engine's
+// spectrum build (kspectrum.NewStreamBuilder): the run's out-of-core
+// options, Workers and Shards as its parallelism, and ctx cancelling its
+// spill and merge loops.
+func (r *Run) StreamOptions(ctx context.Context) kspectrum.StreamOptions {
+	o := r.stream
+	o.Build = kspectrum.BuildOptions{Workers: r.Workers, Shards: r.Shards}
+	o.Context = ctx
+	return o
 }
 
 // SaveSpectrum persists spec when SaveSpectrumPath is set; a no-op

@@ -15,7 +15,7 @@ type Source = seq.ChunkSource
 
 // SourceOpener opens a fresh pass over the input. The correctors take two
 // passes (count, then correct), so the source must be re-openable.
-type SourceOpener func() (Source, error)
+type SourceOpener = seq.SourceOpener
 
 // Sink receives (original, corrected) chunk pairs in input order — the
 // single streaming output contract unifying the correctors' historical
@@ -35,7 +35,7 @@ func (f SinkFunc) WriteChunk(orig, corrected []seq.Read) error { return f(orig, 
 // context is checked before each chunk, so a cancelled ctx stops the pass
 // at the next chunk boundary with ctx.Err().
 func StreamChunks(ctx context.Context, open SourceOpener, fn func([]seq.Read) error) error {
-	return seq.StreamChunksCtx(ctx, seq.SourceOpener(open), fn)
+	return seq.StreamChunksCtx(ctx, open, fn)
 }
 
 // CollectReads drains a source into memory — the buffering fallback for

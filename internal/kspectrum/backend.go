@@ -8,11 +8,13 @@ import (
 	"repro/internal/seq"
 )
 
-// SpectrumBackend is the query seam every spectrum consumer goes
-// through: the correction engines, the tile scorer and the serve daemon
-// ask membership/count questions here instead of touching *Spectrum
-// columns directly, so a remote, sharded spectrum (internal/remote) can
-// stand in for a local one. Local backends — built, copied or mapped
+// SpectrumBackend is the membership/count query contract a remote,
+// sharded spectrum (internal/remote) shares with a local one: it is what
+// the daemon hands an engine's service path in place of a *Spectrum
+// (engine.Run.Backend), which reads the spectrum's geometry off it.
+// Correction itself crosses only the NeighborSource half of the seam —
+// Reptile's walk asks for d-neighborhoods and nothing else, and REDEEM
+// stays on its local columns. Local backends — built, copied or mapped
 // spectra wrapped by Local — never return errors from queries (a mapped
 // spectrum's lazy-validation failure surfaces through Err and absent
 // answers, exactly as Spectrum.Index behaves); remote backends return
@@ -77,16 +79,6 @@ type localBackend struct{ s *Spectrum }
 // Queries never error; Err and Close delegate to the spectrum.
 func Local(s *Spectrum) SpectrumBackend { return localBackend{s} }
 
-// Unwrap exposes the underlying spectrum of a Local backend (nil for
-// any other implementation) — the escape hatch for local-only engines
-// that need full column access.
-func Unwrap(b SpectrumBackend) *Spectrum {
-	if lb, ok := b.(localBackend); ok {
-		return lb.s
-	}
-	return nil
-}
-
 func (b localBackend) K() int   { return b.s.K }
 func (b localBackend) Len() int { return b.s.Size() }
 func (b localBackend) Index(km seq.Kmer) (int, error) {
@@ -102,10 +94,9 @@ func (b localBackend) CountMany(kms []seq.Kmer, counts []uint32) error {
 	b.s.CountMany(kms, counts)
 	return nil
 }
-func (b localBackend) Err() error          { return b.s.Err() }
-func (b localBackend) Close() error        { return b.s.Close() }
-func (b localBackend) BothStrands() bool   { return b.s.BothStrands }
-func (b localBackend) Spectrum() *Spectrum { return b.s }
+func (b localBackend) Err() error        { return b.s.Err() }
+func (b localBackend) Close() error      { return b.s.Close() }
+func (b localBackend) BothStrands() bool { return b.s.BothStrands }
 
 // CountMany fills counts[i] with the occurrence count of kms[i]; the
 // slices must have equal length. It is the batched form of Count.

@@ -369,3 +369,55 @@ func TestCheckpointCancelKeepsDir(t *testing.T) {
 		t.Fatalf("cancelled build discarded the checkpoint: %v", err)
 	}
 }
+
+// TestManifestDirSyncFailure: the directory fsync after the manifest rename
+// is what makes the rename survive a crash, so its failure fails the
+// checkpoint — returned by an explicit Checkpoint, surfaced by Build when an
+// automatic one hit it — with the injected error. The checkpoint directory
+// is kept, and since the renamed manifest lists only fsynced runs, a resume
+// from it still yields the byte-identical spectrum.
+func TestManifestDirSyncFailure(t *testing.T) {
+	reads := randomReads(t, 1500)
+	want, err := BuildParallel(reads, 13, true, BuildOptions{Workers: 1, Shards: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		fail func(st *StreamBuilder) error
+	}{
+		{"Checkpoint", func(st *StreamBuilder) error {
+			st.Add(reads[:500])
+			return st.Checkpoint()
+		}},
+		{"Build", func(st *StreamBuilder) error {
+			st.Add(reads[:800]) // past CheckpointEvery: an automatic checkpoint
+			_, err := st.Build()
+			return err
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := filepath.Join(t.TempDir(), "ckpt")
+			st := newCheckpointBuilder(t, dir, 0, false)
+			disable := faultinject.Enable(&faultinject.Rule{Site: "manifest.dir", Op: faultinject.OpSync})
+			err := tc.fail(st)
+			disable()
+			if !errors.Is(err, faultinject.ErrInjected) {
+				t.Fatalf("error = %v, want ErrInjected", err)
+			}
+			if err := st.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := os.Stat(filepath.Join(dir, ManifestName)); err != nil {
+				t.Fatalf("the failed checkpoint did not keep its directory: %v", err)
+			}
+			st2 := newCheckpointBuilder(t, dir, 0, true)
+			st2.Add(reads)
+			got, err := st2.Build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			spectraEqual(t, want, got, "resume after a failed directory fsync")
+		})
+	}
+}

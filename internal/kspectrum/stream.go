@@ -528,6 +528,11 @@ func (st *StreamBuilder) Build() (*Spectrum, error) {
 		st.cleanup()
 		return nil, err
 	}
+	if st.dir == "" {
+		// Nothing can have spilled: extract each shard straight into its
+		// window of the final columns instead of merging and re-appending.
+		return st.sb.Build(), nil
+	}
 
 	type shardRun struct {
 		kmers  []seq.Kmer
@@ -613,10 +618,7 @@ func (st *StreamBuilder) removeDir() error {
 func (st *StreamBuilder) mergeShard(s int, scratch *sortScratch) ([]seq.Kmer, []uint32, error) {
 	shard := &st.sb.shards[s]
 	shard.mu.Lock()
-	var runs []runInfo
-	if st.runs != nil {
-		runs = st.runs[s]
-	}
+	runs := st.runs[s]
 	if len(runs) == 0 {
 		n := shard.counts.Len()
 		kmers, counts := shard.counts.AppendSortedInto(make([]seq.Kmer, 0, n), make([]uint32, 0, n), scratch)
@@ -839,8 +841,8 @@ func (h runHeap) down(i int) {
 
 // BuildOutOfCore constructs the spectrum from an in-memory read set through
 // the out-of-core engine, returning the spill statistics alongside. It is
-// the one-shot convenience over NewStreamBuilder/Add/Build that redeem and
-// the benchmarks use.
+// the one-shot convenience over NewStreamBuilder/Add/Build for tests and
+// benchmarks.
 func BuildOutOfCore(reads []seq.Read, k int, bothStrands bool, opts StreamOptions) (*Spectrum, StreamStats, error) {
 	st, err := NewStreamBuilder(k, bothStrands, opts)
 	if err != nil {

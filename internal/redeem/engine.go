@@ -73,6 +73,7 @@ func (redeemEngine) Capabilities() engine.Capabilities {
 // and the (possibly preloaded) spectrum. A preloaded spectrum's k wins
 // over the package default when the run's K is unset; an explicit
 // disagreeing K is reported by the k-authority rule or config validation.
+// Callers that build a spectrum add run.StreamOptions.
 func resolveConfig(run *engine.Run, spec *kspectrum.Spectrum) (Config, *simulate.KmerErrorModel) {
 	e := extOf(run)
 	k := run.K
@@ -93,23 +94,8 @@ func resolveConfig(run *engine.Run, spec *kspectrum.Spectrum) (Config, *simulate
 	}
 	cfg := DefaultConfig(k)
 	cfg.Spectrum = spec
-	cfg.Build = kspectrum.BuildOptions{Workers: run.Workers, Shards: run.Shards}
-	cfg.MemoryBudget = run.MemoryBudget
-	cfg.TempDir = run.TempDir
-	cfg.CheckpointDir = run.CheckpointDir
-	cfg.Resume = run.Resume
-	cfg.CheckpointEvery = run.CheckpointEvery
 	cfg.MixtureMaxG = e.mixtureMaxG
 	return cfg, model
-}
-
-// closeOpened releases a spectrum the run itself opened from
-// SpectrumPath when the call fails — nobody else holds the mapping. One
-// supplied through WithSpectrum is the caller's and is never closed here.
-func closeOpened(run *engine.Run, spec *kspectrum.Spectrum, err *error) {
-	if *err != nil && spec != nil && spec != run.Spectrum {
-		spec.Close()
-	}
 }
 
 func (redeemEngine) Correct(ctx context.Context, reads []seq.Read, run *engine.Run) (_ []seq.Read, _ *engine.Result, err error) {
@@ -118,18 +104,14 @@ func (redeemEngine) Correct(ctx context.Context, reads []seq.Read, run *engine.R
 	if err != nil {
 		return nil, nil, err
 	}
-	defer closeOpened(run, spec, &err)
+	defer run.CloseOpened(spec, &err)
 	cfg, model := resolveConfig(run, spec)
+	cfg.StreamOptions = run.StreamOptions(ctx)
 	m, err := New(reads, model, cfg)
 	if err != nil {
 		return nil, nil, err
 	}
-	m.Run()
-	maxG := cfg.MixtureMaxG
-	if maxG <= 0 {
-		maxG = 3
-	}
-	thr, _, err := m.InferThreshold(1, maxG)
+	thr, err := m.fit()
 	if err != nil {
 		return nil, nil, err
 	}
@@ -155,15 +137,16 @@ func (redeemEngine) CorrectStream(ctx context.Context, open engine.SourceOpener,
 	if err != nil {
 		return nil, err
 	}
-	defer closeOpened(run, spec, &err)
+	defer run.CloseOpened(spec, &err)
 	cfg, model := resolveConfig(run, spec)
+	cfg.StreamOptions = run.StreamOptions(ctx)
 	res := &engine.Result{Engine: EngineName}
 	emit := func(orig, corrected []seq.Read) error {
 		res.Reads += len(orig)
 		res.Changed += engine.CountChanged(orig, corrected)
 		return sink.WriteChunk(orig, corrected)
 	}
-	m, thr, err := correctStreamCtx(ctx, seq.SourceOpener(open), emit, model, cfg, run.Workers)
+	m, thr, err := CorrectStream(ctx, open, emit, model, cfg, run.Workers)
 	if err != nil {
 		return nil, err
 	}
@@ -186,7 +169,7 @@ func (redeemEngine) NewService(run *engine.Run) (_ engine.ChunkCorrector, err er
 	if err != nil {
 		return nil, err
 	}
-	defer closeOpened(run, spec, &err)
+	defer run.CloseOpened(spec, &err)
 	if spec == nil {
 		return nil, fmt.Errorf("redeem: service needs a spectrum")
 	}
@@ -195,12 +178,7 @@ func (redeemEngine) NewService(run *engine.Run) (_ engine.ChunkCorrector, err er
 	if err != nil {
 		return nil, err
 	}
-	m.Run()
-	maxG := cfg.MixtureMaxG
-	if maxG <= 0 {
-		maxG = 3
-	}
-	thr, _, err := m.InferThreshold(1, maxG)
+	thr, err := m.fit()
 	if err != nil {
 		return nil, err
 	}

@@ -39,25 +39,15 @@ type Config struct {
 	// counting pass and model the preloaded counts directly. It must
 	// match K and have been built from both strands.
 	Spectrum *kspectrum.Spectrum
-	// Build configures the sharded parallel spectrum engine; the zero
-	// value selects full parallelism (see kspectrum.BuildOptions).
-	Build kspectrum.BuildOptions
-	// MemoryBudget, when positive, routes spectrum construction through
-	// the out-of-core engine (kspectrum.StreamBuilder); see
-	// reptile.Params.MemoryBudget for the semantics. The EM state itself
-	// (Y, T, the sparse misread graph) scales with the distinct-kmer
-	// count, not the read count, and stays in memory.
-	MemoryBudget int64
-	// TempDir hosts the spill files ("" = os.TempDir()).
-	TempDir string
-	// CheckpointDir, Resume and CheckpointEvery make the spectrum build
-	// crash-safe exactly as in reptile.Params: runs and a read-cursor
-	// manifest persist in CheckpointDir, and Resume continues a killed
-	// build. EM state is recomputed from the finished spectrum and needs
-	// no checkpointing of its own.
-	CheckpointDir   string
-	Resume          bool
-	CheckpointEvery int64
+	// StreamOptions configures the spectrum build (see
+	// kspectrum.StreamOptions): its parallelism, a MemoryBudget that bounds
+	// the accumulators by spilling, a CheckpointDir that makes it crash-safe
+	// and resumable, the Context that cancels it. The EM state itself (Y,
+	// T, the sparse misread graph) scales with the distinct-kmer count, not
+	// the read count: it stays in memory and is recomputed from the finished
+	// spectrum, so it needs no checkpointing of its own. Ignored when
+	// Spectrum is preloaded.
+	kspectrum.StreamOptions
 	// MixtureMaxG bounds the component count of the §3.7 mixture when
 	// CorrectStream infers the classification threshold (<= 0 selects
 	// 3). Callers wanting a different sweep — e.g. the CLI's maxG=4 —
@@ -107,14 +97,6 @@ type Model struct {
 	Err  *simulate.KmerErrorModel
 	Spec *kspectrum.Spectrum
 
-	// backend is the spectrum query seam the correction loop's membership
-	// screen goes through. REDEEM stays colocated with its spectrum — the
-	// EM fit walks every column (engine.Capabilities.RemoteSpectrum is
-	// false) — so this is always the local adapter, but routing the
-	// queries through it keeps the per-read hot path on the same
-	// interface every other consumer uses.
-	backend kspectrum.SpectrumBackend
-
 	// Y[l] is the observed occurrence count of spectrum kmer l; T[l] the
 	// EM-estimated expected number of read attempts.
 	Y []float64
@@ -127,33 +109,37 @@ type Model struct {
 }
 
 // New builds the spectrum, the sparse misread graph, and initializes T = Y.
-// A positive Config.MemoryBudget bounds the spectrum accumulator's resident
-// size through the out-of-core engine.
 func New(reads []seq.Read, errModel *simulate.KmerErrorModel, cfg Config) (*Model, error) {
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	// Reject a bad model before the (possibly spilling) spectrum build.
-	if errModel == nil || errModel.K != cfg.K {
-		return nil, fmt.Errorf("redeem: error model k mismatch")
-	}
-	var spec *kspectrum.Spectrum
-	var err error
-	switch {
-	case cfg.Spectrum != nil:
-		spec = cfg.Spectrum
-	case cfg.MemoryBudget > 0 || cfg.CheckpointDir != "":
-		spec, _, err = kspectrum.BuildOutOfCore(reads, cfg.K, true, kspectrum.StreamOptions{
-			Build: cfg.Build, MemoryBudget: cfg.MemoryBudget, TempDir: cfg.TempDir,
-			CheckpointDir: cfg.CheckpointDir, Resume: cfg.Resume, CheckpointEvery: cfg.CheckpointEvery,
-		})
-	default:
-		spec, err = kspectrum.BuildParallel(reads, cfg.K, true, cfg.Build)
-	}
+	spec, err := buildSpectrum(errModel, cfg, func(add func([]seq.Read) error) error { return add(reads) })
 	if err != nil {
 		return nil, err
 	}
 	return NewFromSpectrum(spec, errModel, cfg)
+}
+
+// buildSpectrum is the one spectrum build step: the preloaded spectrum if
+// there is one, else whatever feed hands to add, counted through the one
+// builder — cfg.StreamOptions decides whether it spills, checkpoints or can
+// be cancelled. A bad config or model is rejected before any counting.
+func buildSpectrum(errModel *simulate.KmerErrorModel, cfg Config, feed func(add func([]seq.Read) error) error) (*kspectrum.Spectrum, error) {
+	if err := cfg.validate(); err != nil {
+		return nil, err
+	}
+	if errModel == nil || errModel.K != cfg.K {
+		return nil, fmt.Errorf("redeem: error model k mismatch")
+	}
+	if cfg.Spectrum != nil {
+		return cfg.Spectrum, nil
+	}
+	st, err := kspectrum.NewStreamBuilder(cfg.K, true, cfg.StreamOptions)
+	if err != nil {
+		return nil, err
+	}
+	defer st.Close() // reclaim spill files if the feed aborts
+	if err := feed(func(chunk []seq.Read) error { st.Add(chunk); return nil }); err != nil {
+		return nil, fmt.Errorf("redeem: build pass: %w", err)
+	}
+	return st.Build()
 }
 
 // NewFromSpectrum builds the model over an already-constructed spectrum —
@@ -176,7 +162,7 @@ func NewFromSpectrum(spec *kspectrum.Spectrum, errModel *simulate.KmerErrorModel
 	if err != nil {
 		return nil, err
 	}
-	m := &Model{Cfg: cfg, Err: errModel, Spec: spec, backend: kspectrum.Local(spec)}
+	m := &Model{Cfg: cfg, Err: errModel, Spec: spec}
 	m.Y = make([]float64, spec.Size())
 	m.T = make([]float64, spec.Size())
 	for i, c := range spec.Counts {
@@ -298,6 +284,18 @@ func (m *Model) THistogram(binWidth float64, maxT float64) []int {
 	return h
 }
 
+// fit runs EM and infers the classification threshold, sweeping up to
+// Cfg.MixtureMaxG mixture components (<= 0 selects 3).
+func (m *Model) fit() (float64, error) {
+	m.Run()
+	maxG := m.Cfg.MixtureMaxG
+	if maxG <= 0 {
+		maxG = 3
+	}
+	thr, _, err := m.InferThreshold(1, maxG)
+	return thr, err
+}
+
 // InferThreshold fits the §3.7 mixture (Gamma + Normals + Uniform, BIC
 // over G) to the estimated T and returns the classification threshold and
 // the fitted model.
@@ -394,9 +392,7 @@ func (m *Model) correctRead(r seq.Read, liberal float64, s *correctScratch) seq.
 	for p := range kmerIdx {
 		kmerIdx[p] = -1
 		if km, ok := seq.Pack(out.Seq[p:], k); ok {
-			// Local backends never error; the screen treats any failure
-			// as "absent", which only marks the read suspicious.
-			if idx, _ := m.backend.Index(km); idx >= 0 {
+			if idx := m.Spec.Index(km); idx >= 0 {
 				kmerIdx[p] = int32(idx)
 				if m.T[idx] < liberal {
 					suspicious = true

@@ -4,71 +4,35 @@ import (
 	"context"
 	"fmt"
 
-	"repro/internal/kspectrum"
 	"repro/internal/seq"
 	"repro/internal/simulate"
 )
 
-// ChunkSource is the chunked read source of the streaming pipeline; see
-// seq.ChunkSource.
-type ChunkSource = seq.ChunkSource
-
-// CorrectStream is the out-of-core REDEEM pipeline: a first pass streams
+// CorrectStream is the two-pass REDEEM pipeline: a first pass streams
 // every chunk from open() into the spectrum (with Config.MemoryBudget
 // bounding the accumulator's resident size), then EM runs, the §3.7 mixture
 // infers the classification threshold (component sweep bounded by
 // Config.MixtureMaxG), and a second pass re-opens the source, corrects each
 // chunk with `workers` goroutines, and hands (original, corrected) chunk
 // pairs to emit. It returns the fitted model and the inferred threshold.
-func CorrectStream(open func() (ChunkSource, error), emit func(orig, corrected []seq.Read) error, errModel *simulate.KmerErrorModel, cfg Config, workers int) (*Model, float64, error) {
-	return correctStreamCtx(context.Background(), open, emit, errModel, cfg, workers)
-}
-
-// correctStreamCtx is the context-aware pipeline every front end (the
-// legacy CorrectStream, the engine adapter) shares: cancellation is
-// polled at every chunk boundary, inside the correction worker pool, and
-// in the out-of-core spill/merge loops, so a cancelled ctx aborts the run
-// promptly with ctx.Err() and leaks no goroutines or spill files.
-func correctStreamCtx(ctx context.Context, open seq.SourceOpener, emit func(orig, corrected []seq.Read) error, errModel *simulate.KmerErrorModel, cfg Config, workers int) (*Model, float64, error) {
-	if err := cfg.validate(); err != nil {
+//
+// Cancellation is polled at every chunk boundary, inside the correction
+// worker pool, and in the out-of-core spill/merge loops (ctx replaces
+// Config.Context), so a cancelled ctx aborts the run promptly with ctx.Err()
+// and leaks no goroutines or spill files.
+func CorrectStream(ctx context.Context, open seq.SourceOpener, emit func(orig, corrected []seq.Read) error, errModel *simulate.KmerErrorModel, cfg Config, workers int) (*Model, float64, error) {
+	cfg.Context = ctx
+	spec, err := buildSpectrum(errModel, cfg, func(add func([]seq.Read) error) error {
+		return seq.StreamChunksCtx(ctx, open, add)
+	})
+	if err != nil {
 		return nil, 0, err
-	}
-	if errModel == nil || errModel.K != cfg.K {
-		return nil, 0, fmt.Errorf("redeem: error model k mismatch")
-	}
-	spec := cfg.Spectrum
-	if spec == nil {
-		// No preloaded spectrum: the first pass streams every chunk
-		// through the (possibly spilling) accumulator.
-		st, err := kspectrum.NewStreamBuilder(cfg.K, true, kspectrum.StreamOptions{
-			Build: cfg.Build, MemoryBudget: cfg.MemoryBudget, TempDir: cfg.TempDir,
-			CheckpointDir: cfg.CheckpointDir, Resume: cfg.Resume,
-			CheckpointEvery: cfg.CheckpointEvery, Context: ctx,
-		})
-		if err != nil {
-			return nil, 0, err
-		}
-		defer st.Close() // reclaim spill files if any stage aborts
-		if err := seq.StreamChunksCtx(ctx, open, func(chunk []seq.Read) error {
-			st.Add(chunk)
-			return nil
-		}); err != nil {
-			return nil, 0, fmt.Errorf("redeem: build pass: %w", err)
-		}
-		if spec, err = st.Build(); err != nil {
-			return nil, 0, err
-		}
 	}
 	m, err := NewFromSpectrum(spec, errModel, cfg)
 	if err != nil {
 		return nil, 0, err
 	}
-	m.Run()
-	maxG := cfg.MixtureMaxG
-	if maxG <= 0 {
-		maxG = 3
-	}
-	thr, _, err := m.InferThreshold(1, maxG)
+	thr, err := m.fit()
 	if err != nil {
 		return nil, 0, err
 	}

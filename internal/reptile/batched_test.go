@@ -182,8 +182,7 @@ func TestServicePicksDriverBySource(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Wrapped so that kspectrum.Unwrap sees a foreign backend.
-	backend := struct{ kspectrum.SpectrumBackend }{kspectrum.Local(spec)}
+	backend := kspectrum.Local(spec)
 	src := &fakeBatchSource{NeighborSource: local.neigh}
 	batchOnly := &batchOnlySource{fakeBatchSource: src}
 	svc, err := NewServiceBackend(backend, batchOnly, Params{D: 1})

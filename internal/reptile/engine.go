@@ -51,7 +51,7 @@ func (reptileEngine) Capabilities() engine.Capabilities {
 		// A tile packs 2k - overlap bases into one word, so served
 		// spectra are bounded at half the packable kmer length.
 		MaxSpectrumK: seq.MaxK / 2,
-		// The service path queries only through the SpectrumBackend /
+		// The service path queries only d-neighborhoods, through the
 		// NeighborSource seam, so a remote sharded spectrum serves.
 		RemoteSpectrum: true,
 	}
@@ -60,8 +60,9 @@ func (reptileEngine) Capabilities() engine.Capabilities {
 // resolveParams finalizes the parameter block from the run, the sampled
 // reads, and the (possibly preloaded) spectrum, in the one order the
 // golden tests freeze: data-derived DefaultParams, then WithK, then a
-// stored spectrum's k (when no k was requested), then WithD.
-func resolveParams(sample []seq.Read, run *engine.Run, spec *kspectrum.Spectrum) Params {
+// stored spectrum's k (when no k was requested), then WithD. ctx cancels
+// the spectrum build.
+func resolveParams(ctx context.Context, sample []seq.Read, run *engine.Run, spec *kspectrum.Spectrum) Params {
 	e := extOf(run)
 	p := DefaultParams(sample, run.GenomeLen)
 	if run.K != 0 {
@@ -81,35 +82,15 @@ func resolveParams(sample []seq.Read, run *engine.Run, spec *kspectrum.Spectrum)
 			p.C = p.D + 2
 		}
 	}
-	p.Build = kspectrum.BuildOptions{Workers: run.Workers, Shards: run.Shards}
-	p.MemoryBudget = run.MemoryBudget
-	p.TempDir = run.TempDir
-	p.CheckpointDir = run.CheckpointDir
-	p.Resume = run.Resume
-	p.CheckpointEvery = run.CheckpointEvery
+	p.StreamOptions = run.StreamOptions(ctx)
 	return p
-}
-
-// closeOpened releases a spectrum the run itself opened from
-// SpectrumPath when the call fails — nobody else holds the mapping. One
-// supplied through WithSpectrum is the caller's and is never closed here.
-func closeOpened(run *engine.Run, spec *kspectrum.Spectrum, err *error) {
-	if *err != nil && spec != nil && spec != run.Spectrum {
-		spec.Close()
-	}
 }
 
 // summary renders the resolved parameters and Phase-1 products for the
 // CLI status line.
 func (c *Corrector) summary() string {
-	size := 0
-	if c.Spec != nil {
-		size = c.Spec.Size()
-	} else if c.backend != nil {
-		size = c.backend.Len()
-	}
 	return fmt.Sprintf("k=%d d=%d Cg=%d Cm=%d Qc=%d; spectrum %d kmers, %d tiles",
-		c.P.K, c.P.D, c.P.Cg, c.P.Cm, c.P.Qc, size, c.Tiles.Size())
+		c.P.K, c.P.D, c.P.Cg, c.P.Cm, c.P.Qc, c.Spec.Size(), c.Tiles.Size())
 }
 
 func (reptileEngine) Correct(ctx context.Context, reads []seq.Read, run *engine.Run) (_ []seq.Read, _ *engine.Result, err error) {
@@ -118,8 +99,8 @@ func (reptileEngine) Correct(ctx context.Context, reads []seq.Read, run *engine.
 	if err != nil {
 		return nil, nil, err
 	}
-	defer closeOpened(run, spec, &err)
-	p := resolveParams(reads, run, spec)
+	defer run.CloseOpened(spec, &err)
+	p := resolveParams(ctx, reads, run, spec)
 	c, err := New(reads, p)
 	if err != nil {
 		return nil, nil, err
@@ -145,21 +126,21 @@ func (reptileEngine) CorrectStream(ctx context.Context, open engine.SourceOpener
 	if err != nil {
 		return nil, err
 	}
-	defer closeOpened(run, spec, &err)
+	defer run.CloseOpened(spec, &err)
 	// Data-dependent defaults (Qc, default k) come from a bounded leading
 	// sample of a fresh stream.
 	sample, err := engine.Sample(ctx, open)
 	if err != nil {
 		return nil, err
 	}
-	p := resolveParams(sample, run, spec)
+	p := resolveParams(ctx, sample, run, spec)
 	res := &engine.Result{Engine: EngineName}
 	emit := func(orig, corrected []seq.Read) error {
 		res.Reads += len(orig)
 		res.Changed += engine.CountChanged(orig, corrected)
 		return sink.WriteChunk(orig, corrected)
 	}
-	c, err := correctStreamCtx(ctx, seq.SourceOpener(open), emit, p, run.Workers)
+	c, err := CorrectStream(ctx, open, emit, p, run.Workers)
 	if err != nil {
 		return nil, err
 	}
@@ -183,7 +164,7 @@ func (reptileEngine) NewService(run *engine.Run) (_ engine.ChunkCorrector, err e
 	if err != nil {
 		return nil, err
 	}
-	defer closeOpened(run, spec, &err)
+	defer run.CloseOpened(spec, &err)
 	var p Params
 	if e.dSet {
 		p.D = e.d

@@ -47,31 +47,16 @@ type Params struct {
 	// strands — the corrector's reverse-complement pass depends on the
 	// spectrum being RC-closed.
 	Spectrum *kspectrum.Spectrum
-	// Build configures the sharded parallel spectrum engine of Phase 1;
-	// the zero value selects full parallelism (see kspectrum.BuildOptions).
-	Build kspectrum.BuildOptions
-	// MemoryBudget, when positive, routes Phase 1's spectrum accumulation
-	// through the out-of-core engine (kspectrum.StreamBuilder): shard
-	// accumulators exceeding their slice of the budget spill to sorted run
-	// files and are merged back in Finish. The resulting spectrum is
-	// byte-identical to the in-memory path. Tile counts stay in memory
-	// (they are a small multiple of the distinct-tile count).
-	MemoryBudget int64
-	// TempDir hosts the spill files ("" = os.TempDir()).
-	TempDir string
-	// CheckpointDir, when set, routes Phase 1 through the out-of-core
-	// engine in crash-safe mode: spectrum runs and a read-cursor manifest
-	// persist in this directory, and Resume continues a killed build from
-	// its newest checkpoint. Tile counts are cheap and always rebuilt
-	// over the full input (Add feeds them unconditionally), so only the
-	// expensive kmer counting skips ahead. Ignored when Spectrum is
-	// preloaded.
-	CheckpointDir string
-	// Resume adopts the manifest already in CheckpointDir.
-	Resume bool
-	// CheckpointEvery is the read interval between automatic checkpoints
-	// (<= 0 = the kspectrum default).
-	CheckpointEvery int64
+	// StreamOptions configures Phase 1's spectrum build (see
+	// kspectrum.StreamOptions): Build is its parallelism — the tile counter
+	// shares it — a MemoryBudget bounds the accumulators by spilling, a
+	// CheckpointDir makes the build crash-safe and resumable, and Context
+	// cancels it. The spectrum is byte-identical whatever is set. Tile counts
+	// stay in memory (a small multiple of the distinct-tile count) and are
+	// always rebuilt over the full input, so a resume skips ahead only in
+	// the expensive kmer counting. Under a preloaded Spectrum only Build
+	// still applies, to the tile counter.
+	kspectrum.StreamOptions
 }
 
 // DefaultParams derives parameters from the data per §2.3: Qc at the
@@ -121,33 +106,29 @@ func (p Params) validate() error {
 // Corrector holds the Phase-1 information extraction products (§2.3):
 // the k-spectrum, the Hamming-neighborhood index, and the tile counts.
 //
-// Spectrum queries go through the backend/neigh seam: hand-built
-// Correctors (tests, the batch pipeline) fill only Spec and NI and the
-// seam self-wires from them on first use (ensureQuerier); the service
-// path can instead plug any kspectrum.SpectrumBackend + NeighborSource
-// pair — in particular a remote, sharded spectrum — leaving Spec nil.
+// The walk's only spectrum query is the d-neighborhood, asked through
+// neigh: hand-built Correctors (tests, the batch pipeline) fill only Spec
+// and NI and the seam self-wires from them on first use (ensureQuerier);
+// the service path can instead plug any kspectrum.NeighborSource — in
+// particular a remote, sharded spectrum — leaving Spec nil.
 type Corrector struct {
 	P     Params
 	Spec  *kspectrum.Spectrum
 	NI    *kspectrum.NeighborIndex
 	Tiles *kspectrum.TileSet
 
-	// backend and neigh are the pluggable query seam. When nil they are
-	// derived from Spec and NI before the first correction.
-	backend kspectrum.SpectrumBackend
-	neigh   kspectrum.NeighborSource
+	// neigh is the pluggable query seam. When nil it is derived from Spec
+	// and NI before the first correction.
+	neigh kspectrum.NeighborSource
 }
 
-// ensureQuerier wires the query seam from the legacy Spec/NI fields when
-// the caller did not supply one. It runs at every single-threaded entry
-// point, before worker pools fork, so the written fields are safely
+// ensureQuerier wires the query seam from the Spec/NI fields when the
+// caller did not supply one. It runs at every single-threaded entry
+// point, before worker pools fork, so the written field is safely
 // published to the workers.
 func (c *Corrector) ensureQuerier() {
 	if c.neigh == nil {
 		c.neigh = kspectrum.LocalNeighbors(c.Spec, c.NI)
-	}
-	if c.backend == nil && c.Spec != nil {
-		c.backend = kspectrum.Local(c.Spec)
 	}
 }
 
@@ -166,22 +147,17 @@ func New(reads []seq.Read, p Params) (*Corrector, error) {
 // — the §2.3 divide-and-merge strategy for inputs that do not fit in main
 // memory: stream each chunk through Add, discard it, and call Finish once.
 type Builder struct {
-	p      Params
-	sb     *kspectrum.SpectrumBuilder
-	stream *kspectrum.StreamBuilder // out-of-core path when MemoryBudget > 0
-	tiles  *kspectrum.TileSet
+	p Params
+	// st counts the kmers; nil under a preloaded spectrum, where Add feeds
+	// only the tile counts and Finish adopts the spectrum directly.
+	st    *kspectrum.StreamBuilder
+	tiles *kspectrum.TileSet
 }
 
 // NewBuilder validates the parameters and prepares an empty accumulator.
-// A positive Params.MemoryBudget or a CheckpointDir selects the
-// out-of-core engine.
+// Whether the spectrum build spills, checkpoints or can be cancelled is
+// Params.StreamOptions' business.
 func NewBuilder(p Params) (*Builder, error) {
-	return newBuilderCtx(context.Background(), p)
-}
-
-// newBuilderCtx threads a context into the out-of-core machinery so a
-// cancelled streaming run aborts its spill and merge loops.
-func newBuilderCtx(ctx context.Context, p Params) (*Builder, error) {
 	if p.DefaultBase == 0 {
 		p.DefaultBase = 'A'
 	}
@@ -193,21 +169,10 @@ func newBuilderCtx(ctx context.Context, p Params) (*Builder, error) {
 	}
 	b := &Builder{p: p}
 	var err error
-	switch {
-	case p.Spectrum != nil:
-		// Preloaded spectrum: no kmer accumulator at all — Add feeds only
-		// the tile counts and Finish adopts the spectrum directly.
-	case p.MemoryBudget > 0 || p.CheckpointDir != "":
-		b.stream, err = kspectrum.NewStreamBuilder(p.K, true, kspectrum.StreamOptions{
-			Build: p.Build, MemoryBudget: p.MemoryBudget, TempDir: p.TempDir,
-			CheckpointDir: p.CheckpointDir, Resume: p.Resume,
-			CheckpointEvery: p.CheckpointEvery, Context: ctx,
-		})
-	default:
-		b.sb, err = kspectrum.NewSpectrumBuilder(p.K, true, p.Build)
-	}
-	if err != nil {
-		return nil, err
+	if p.Spectrum == nil {
+		if b.st, err = kspectrum.NewStreamBuilder(p.K, true, p.StreamOptions); err != nil {
+			return nil, err
+		}
 	}
 	b.tiles, err = kspectrum.CountTiles(nil, p.K, p.Overlap, p.Qc, p.Build)
 	if err != nil {
@@ -218,11 +183,11 @@ func newBuilderCtx(ctx context.Context, p Params) (*Builder, error) {
 }
 
 // Close abandons the builder, reclaiming any out-of-core spill files. It is
-// a no-op after Finish (which consumes them) and on the in-memory path, so
+// a no-op after Finish (which consumes them) and when nothing spilled, so
 // deferring it is always safe.
 func (b *Builder) Close() error {
-	if b.stream != nil {
-		return b.stream.Close()
+	if b.st != nil {
+		return b.st.Close()
 	}
 	return nil
 }
@@ -232,11 +197,8 @@ func (b *Builder) Close() error {
 // corrector will query; the chunk may be released afterwards.
 func (b *Builder) Add(reads []seq.Read) {
 	prepared := prepareReads(reads, b.p)
-	switch {
-	case b.stream != nil:
-		b.stream.Add(prepared)
-	case b.sb != nil:
-		b.sb.Add(prepared)
+	if b.st != nil {
+		b.st.Add(prepared)
 	}
 	b.tiles.Add(prepared)
 }
@@ -245,18 +207,12 @@ func (b *Builder) Add(reads []seq.Read) {
 // thresholds, producing the ready-to-use Corrector.
 func (b *Builder) Finish() (*Corrector, error) {
 	p := b.p
-	var spec *kspectrum.Spectrum
-	switch {
-	case p.Spectrum != nil:
-		spec = p.Spectrum
-	case b.stream != nil:
+	spec := p.Spectrum
+	if b.st != nil {
 		var err error
-		spec, err = b.stream.Build()
-		if err != nil {
+		if spec, err = b.st.Build(); err != nil {
 			return nil, err
 		}
-	default:
-		spec = b.sb.Build()
 	}
 	ni, err := kspectrum.NewNeighborIndex(spec, p.D, p.C)
 	if err != nil {

@@ -23,12 +23,10 @@ type Service struct {
 	spec *kspectrum.Spectrum
 	ni   *kspectrum.NeighborIndex
 
-	// backend and neigh are the query seam handed to every per-request
-	// Corrector. For a local service they wrap spec/ni; a distributed
-	// service (NewServiceBackend) carries a remote pair and leaves
-	// spec/ni nil.
-	backend kspectrum.SpectrumBackend
-	neigh   kspectrum.NeighborSource
+	// neigh is the query seam handed to every per-request Corrector. For
+	// a local service it wraps spec/ni; a distributed service
+	// (NewServiceBackend) carries a remote source and leaves spec/ni nil.
+	neigh kspectrum.NeighborSource
 }
 
 // NewService validates the parameters against the preloaded spectrum and
@@ -60,11 +58,7 @@ func NewService(spec *kspectrum.Spectrum, p Params) (*Service, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Service{
-		p: p, spec: spec, ni: ni,
-		backend: kspectrum.Local(spec),
-		neigh:   kspectrum.LocalNeighbors(spec, ni),
-	}, nil
+	return &Service{p: p, spec: spec, ni: ni, neigh: kspectrum.LocalNeighbors(spec, ni)}, nil
 }
 
 // withServiceDefaults resolves the zero-valued service parameters: k from
@@ -98,19 +92,15 @@ func (p Params) withServiceDefaults(k int) Params {
 
 // NewServiceBackend is NewService over the pluggable query seam: the
 // spectrum lives behind b (typically a remote shard router) and
-// d-neighborhoods come from neigh, so the service holds no local columns
-// at all. p.K must be zero (adopt the backend's k) or agree with it; the
-// backend must answer for both strands — the corrector's
-// reverse-complement pass depends on an RC-closed spectrum, and backends
-// exposing a BothStrands() accessor are checked for it.
+// d-neighborhoods — the only query correction makes — come from neigh, so
+// the service holds no local columns at all; b is consulted here only, for
+// the spectrum's geometry. p.K must be zero (adopt the backend's k) or
+// agree with it; the backend must answer for both strands — the
+// corrector's reverse-complement pass depends on an RC-closed spectrum,
+// and backends exposing a BothStrands() accessor are checked for it.
 func NewServiceBackend(b kspectrum.SpectrumBackend, neigh kspectrum.NeighborSource, p Params) (*Service, error) {
 	if b == nil || neigh == nil {
 		return nil, fmt.Errorf("reptile: service backend needs a SpectrumBackend and a NeighborSource")
-	}
-	if spec := kspectrum.Unwrap(b); spec != nil {
-		// A local backend keeps the richer local path (lazy NI choice,
-		// full validation) — the seam costs nothing when the data is here.
-		return NewService(spec, p)
 	}
 	if p = p.withServiceDefaults(b.K()); p.K != b.K() {
 		return nil, fmt.Errorf("reptile: params want k=%d but backend has k=%d", p.K, b.K())
@@ -122,18 +112,12 @@ func NewServiceBackend(b kspectrum.SpectrumBackend, neigh kspectrum.NeighborSour
 	if err := p.validate(); err != nil {
 		return nil, err
 	}
-	return &Service{p: p, backend: b, neigh: neigh}, nil
+	return &Service{p: p, neigh: neigh}, nil
 }
 
 // Params returns the service's resolved parameter block (request-derived
 // fields still zero).
 func (s *Service) Params() Params { return s.p }
-
-// Spectrum returns the shared spectrum (nil for a backend-only service).
-func (s *Service) Spectrum() *kspectrum.Spectrum { return s.spec }
-
-// Backend returns the service's spectrum query backend.
-func (s *Service) Backend() kspectrum.SpectrumBackend { return s.backend }
 
 // CorrectChunkCtx corrects one independent chunk of reads with `workers`
 // goroutines and returns the corrected copies plus the fully-resolved
@@ -167,7 +151,7 @@ func (s *Service) CorrectChunkCtx(ctx context.Context, reads []seq.Read, workers
 	if p.Cm == 0 {
 		p.Cm = cm
 	}
-	c := &Corrector{P: p, Spec: s.spec, NI: s.ni, Tiles: tiles, backend: s.backend, neigh: s.neigh}
+	c := &Corrector{P: p, Spec: s.spec, NI: s.ni, Tiles: tiles, neigh: s.neigh}
 	var out []seq.Read
 	if src, ok := s.neigh.(kspectrum.BatchNeighborSource); ok {
 		out, err = c.correctBatched(ctx, src, reads, workers, c.predictKmers(prepared))

@@ -7,11 +7,7 @@ import (
 	"repro/internal/seq"
 )
 
-// ChunkSource is the chunked read source of the streaming pipeline; see
-// seq.ChunkSource.
-type ChunkSource = seq.ChunkSource
-
-// CorrectStream is the out-of-core correction pipeline: a first pass streams
+// CorrectStream is the two-pass correction pipeline: a first pass streams
 // every chunk from open() through the Phase 1 accumulators (with
 // Params.MemoryBudget bounding the spectrum's resident size), then a second
 // pass re-opens the source, corrects each chunk with `workers` goroutines,
@@ -19,20 +15,17 @@ type ChunkSource = seq.ChunkSource
 // more than one chunk of reads, so peak memory is the Phase 1 products plus
 // a chunk — independent of the input size when a budget is set.
 //
+// Cancellation is polled at every chunk boundary, inside the correction
+// worker pool, and in the out-of-core spill/merge loops (ctx replaces
+// Params.Context), so a cancelled ctx aborts the run promptly with ctx.Err()
+// and leaks no goroutines or spill files.
+//
 // Params must carry an explicit K (use DefaultParams on a sampled chunk to
 // derive data-dependent settings before calling). The returned Corrector
 // exposes the derived thresholds and Phase 1 structures.
-func CorrectStream(open func() (ChunkSource, error), emit func(orig, corrected []seq.Read) error, p Params, workers int) (*Corrector, error) {
-	return correctStreamCtx(context.Background(), open, emit, p, workers)
-}
-
-// correctStreamCtx is the context-aware two-pass pipeline every front end
-// (the legacy CorrectStream, the engine adapter) shares: cancellation is
-// polled at every chunk boundary, inside the correction worker pool, and
-// in the out-of-core spill/merge loops, so a cancelled ctx aborts the run
-// promptly with ctx.Err() and leaks no goroutines or spill files.
-func correctStreamCtx(ctx context.Context, open seq.SourceOpener, emit func(orig, corrected []seq.Read) error, p Params, workers int) (*Corrector, error) {
-	b, err := newBuilderCtx(ctx, p)
+func CorrectStream(ctx context.Context, open seq.SourceOpener, emit func(orig, corrected []seq.Read) error, p Params, workers int) (*Corrector, error) {
+	p.Context = ctx
+	b, err := NewBuilder(p)
 	if err != nil {
 		return nil, err
 	}

@@ -84,14 +84,10 @@ func (f *correctFlags) engineOptions() ([]engine.Option, error) {
 		return nil, err
 	}
 	return []engine.Option{
-		engine.WithWorkers(o.Build.Workers),
-		engine.WithShards(o.Build.Shards),
-		engine.WithMemoryBudget(o.MemoryBudget),
+		engine.WithWorkers(f.workers),
+		engine.WithBuild(o),
 		engine.WithSpectrumPath(f.loadSpec),
 		engine.WithSaveSpectrumPath(f.saveSpec),
-		engine.WithCheckpointDir(o.CheckpointDir),
-		engine.WithResume(o.Resume),
-		engine.WithCheckpointEvery(o.CheckpointEvery),
 	}, nil
 }
 

@@ -7,6 +7,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"testing"
 
@@ -221,9 +222,10 @@ func TestGoldenSpectrumRoundTrip(t *testing.T) {
 }
 
 // TestCorruptStoreFailsBeforeOutput: every image of the store corruption
-// matrix makes `repro reptile|redeem -load-spectrum` fail at load with an
-// error wrapping ErrSpectrumStore — nothing written at or beside -out, no
-// mapping of the store left behind. -in names no file: a run that got as
+// matrix makes `repro reptile|redeem -load-spectrum` and `repro shard -in`
+// fail at load with an error wrapping ErrSpectrumStore — nothing written at
+// or beside -out (no shard file in -out-dir), no mapping of the store left
+// behind. -in names no file: a run that got as
 // far as its input would report that instead, so the store error proves
 // the full Verify in engine.Run.ResolveSpectrum ran before any work (the
 // mapping itself opens lazily and would let most of the matrix through).
@@ -261,6 +263,7 @@ func TestCorruptStoreFailsBeforeOutput(t *testing.T) {
 				{"reptile", reptileCmd, args},
 				{"redeem", redeemCmd, args},
 				{"redeem -detect-only", redeemCmd, append(args, "-detect-only")},
+				{"shard", shardCmd, []string{"-in", store, "-out-dir", outDir, "-shards", "4"}},
 			} {
 				err := sub.run(sub.args, io.Discard)
 				if !errors.Is(err, kspectrum.ErrSpectrumStore) {
@@ -275,6 +278,45 @@ func TestCorruptStoreFailsBeforeOutput(t *testing.T) {
 				t.Error("the corrupt store is still mapped after its failed runs")
 			}
 		})
+	}
+}
+
+// TestShardSubcommand: `repro shard` writes shard files whose columns
+// concatenate to the source. (A corrupt source failing before any shard
+// file exists is a row of TestCorruptStoreFailsBeforeOutput.)
+func TestShardSubcommand(t *testing.T) {
+	ds, err := simulate.BuildDataset(simulate.DatasetSpec{
+		Name: "shard", GenomeLen: 3000, ReadLen: 36, Coverage: 10, ErrorRate: 0.01, Seed: 7,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec, err := kspectrum.Build(simulate.Reads(ds.Sim), 11, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	src := filepath.Join(dir, "main.kspc")
+	if err := kspectrum.WriteSpectrumFile(src, spec); err != nil {
+		t.Fatal(err)
+	}
+	if err := shardCmd([]string{"-in", src, "-shards", "3"}, io.Discard); err != nil { // rounds up to 4
+		t.Fatal(err)
+	}
+	var kmers []seq.Kmer
+	var counts []uint32
+	for i := 0; i < 4; i++ {
+		sh, err := kspectrum.ReadSpectrumFile(filepath.Join(dir, kspectrum.ShardFileName("main", i, 4)))
+		if err != nil {
+			t.Fatalf("shard %d: %v", i, err)
+		}
+		if sh.K != spec.K || sh.BothStrands != spec.BothStrands {
+			t.Errorf("shard %d: k=%d both=%v, source k=%d both=%v", i, sh.K, sh.BothStrands, spec.K, spec.BothStrands)
+		}
+		kmers, counts = append(kmers, sh.Kmers...), append(counts, sh.Counts...)
+	}
+	if !slices.Equal(kmers, spec.Kmers) || !slices.Equal(counts, spec.Counts) {
+		t.Error("the shard files do not concatenate to the source columns")
 	}
 }
 

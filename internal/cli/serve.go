@@ -276,7 +276,7 @@ func serveCmd(args []string, stdout io.Writer) error {
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.Serve(ln) }()
 	log.Printf("serving %d spectra on %s (max-inflight %d, max-queue %d, request-timeout %v, engines %s)",
-		len(loaded), ln.Addr(), srv.maxInflight, srv.maxQueue, *requestTimeout, strings.Join(engine.Names(), ","))
+		len(loaded), ln.Addr(), srv.opts.MaxInflight, srv.opts.MaxQueue, *requestTimeout, strings.Join(engine.Names(), ","))
 	select {
 	case err := <-errc:
 		return err
@@ -289,7 +289,7 @@ func serveCmd(args []string, stdout io.Writer) error {
 		return fmt.Errorf("drain: %w", err)
 	}
 	fmt.Fprintf(stdout, "served %d requests (%d reads, %d changed, %d shed)\n",
-		srv.stats.requests.Load(), srv.stats.reads.Load(), srv.stats.changed.Load(), srv.m.shed.Value())
+		srv.requests.Load(), srv.m.reads.Value(), srv.m.changedReads.Value(), srv.m.shed.Value())
 	return nil
 }
 
@@ -364,21 +364,19 @@ type ServerOptions struct {
 // of named spectra, a semaphore bounding in-flight correction work, a
 // bounded admission queue in front of it, and an instrument panel.
 type server struct {
-	reg         *specRegistry
-	sem         chan struct{}
-	maxInflight int
-	maxQueue    int
+	reg *specRegistry
+	sem chan struct{}
 	// occupancy counts admission tokens held: requests executing plus
 	// requests waiting for a slot. Admission compares it against
-	// maxInflight+maxQueue — the shed decision is one atomic add.
+	// MaxInflight+MaxQueue — the shed decision is one atomic add.
 	occupancy atomic.Int64
-	opts      ServerOptions
+	// opts is the configuration with every default resolved (newServer).
+	opts ServerOptions
 	// global holds the /v2 service slots of spectrum-free engines
 	// (SHREC): one shared corrector per engine, independent of any
 	// loaded spectrum.
-	global     map[string]*serviceSlot
-	spectraDir string
-	m          *serverMetrics
+	global map[string]*serviceSlot
+	m      *serverMetrics
 
 	// ctx scopes the server's background goroutines (startup and upload
 	// verifiers, quarantine probes); close cancels it and waits for wg so
@@ -388,11 +386,9 @@ type server struct {
 	cancel context.CancelFunc
 	wg     sync.WaitGroup
 
-	stats struct {
-		requests atomic.Int64
-		reads    atomic.Int64
-		changed  atomic.Int64
-	}
+	// requests counts the corrections answered 200; the reads and changed
+	// reads beside it on /healthz and the exit line are m's counters.
+	requests atomic.Int64
 }
 
 // resolveMaxInflight applies the -max-inflight default.
@@ -430,14 +426,11 @@ func newServer(specs map[string]*kspectrum.Spectrum, opts ServerOptions) (*serve
 		opts.QuarantineMax = 30 * time.Second
 	}
 	s := &server{
-		reg:         &specRegistry{entries: make(map[string]*entry, len(specs))},
-		sem:         make(chan struct{}, opts.MaxInflight),
-		maxInflight: opts.MaxInflight,
-		maxQueue:    opts.MaxQueue,
-		opts:        opts,
-		global:      make(map[string]*serviceSlot),
-		spectraDir:  opts.SpectraDir,
-		m:           newServerMetrics(),
+		reg:    &specRegistry{entries: make(map[string]*entry, len(specs))},
+		sem:    make(chan struct{}, opts.MaxInflight),
+		opts:   opts,
+		global: make(map[string]*serviceSlot),
+		m:      newServerMetrics(),
 	}
 	s.ctx, s.cancel = context.WithCancel(context.Background())
 	for _, engName := range engine.Names() {
@@ -463,7 +456,9 @@ func newServer(specs map[string]*kspectrum.Spectrum, opts ServerOptions) (*serve
 		rs.SetOnQuery(func(shard int, outcome string) {
 			s.m.shardRequests.With(name, strconv.Itoa(shard), outcome).Inc()
 		})
-		s.reg.put(s.newRemoteEntry(name, rs))
+		// A coordinator's slot: no columns; its eager Reptile service is
+		// geometry only, no shard round trips.
+		s.reg.put(s.initEntry(&entry{name: name, backend: rs, remote: rs}))
 	}
 	s.m.spectra.Set(int64(s.reg.size()))
 	return s, nil
@@ -627,9 +622,9 @@ func (s *server) checkServable(eng engine.Engine, e *entry) error {
 		return fmt.Errorf("engine %q needs its spectrum local and %q is sharded across the cluster",
 			eng.Name(), e.name)
 	}
-	if caps.SpectrumReuse && !caps.ServesSpectrum(e.k()) {
+	if caps.SpectrumReuse && !caps.ServesSpectrum(e.backend.K()) {
 		return fmt.Errorf("engine %q cannot serve spectrum %q (k=%d exceeds max spectrum k %d)",
-			eng.Name(), e.name, e.k(), caps.MaxSpectrumK)
+			eng.Name(), e.name, e.backend.K(), caps.MaxSpectrumK)
 	}
 	if _, ok := eng.(engine.Servicer); !ok {
 		return fmt.Errorf("engine %q does not support request-independent serving", eng.Name())
@@ -648,17 +643,11 @@ func (s *server) service(eng engine.Engine, e *entry) (engine.ChunkCorrector, er
 	}
 	sv := eng.(engine.Servicer) // checked by checkServable
 	// Spectrum-reusing engines amortize per spectrum entry; spectrum-free
-	// engines share one server-wide slot.
-	var slot *serviceSlot
+	// engines share one server-wide slot. Both maps hold a slot for every
+	// registered engine: engines register in init, before any server.
+	slot := s.global[eng.Name()]
 	if eng.Capabilities().SpectrumReuse && e != nil {
 		slot = e.services[eng.Name()]
-	} else {
-		slot = s.global[eng.Name()]
-	}
-	if slot == nil {
-		// An engine registered after server construction: serve it
-		// unamortized rather than failing.
-		return sv.NewService(s.serviceRun(eng, e))
 	}
 	slot.once.Do(func() {
 		slot.svc, slot.err = sv.NewService(s.serviceRun(eng, e))
@@ -689,9 +678,9 @@ func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		"spectra":     s.reg.size(),
 		"quarantined": s.reg.countQuarantined(),
 		"engines":     engine.Names(),
-		"requests":    s.stats.requests.Load(),
-		"reads":       s.stats.reads.Load(),
-		"changed":     s.stats.changed.Load(),
+		"requests":    s.requests.Load(),
+		"reads":       s.m.reads.Value(),
+		"changed":     s.m.changedReads.Value(),
 		"inflight":    s.m.inflight.Value(),
 		"shed":        s.m.shed.Value(),
 	})
@@ -710,8 +699,8 @@ func (s *server) handleSpectra(w http.ResponseWriter, r *http.Request) {
 	out := make([]specInfo, 0, len(entries))
 	for _, e := range entries {
 		out = append(out, specInfo{
-			Name: e.name, K: e.k(), Kmers: e.size(),
-			BothStrands: e.bothStrands(), Quarantined: e.quarantined.Load(),
+			Name: e.name, K: e.backend.K(), Kmers: e.backend.Len(),
+			BothStrands: e.backend.BothStrands(), Quarantined: e.quarantined.Load(),
 			Remote: e.remote != nil,
 		})
 	}
@@ -744,7 +733,7 @@ func (s *server) handleEngines(w http.ResponseWriter, r *http.Request) {
 				if e.remote != nil && !caps.RemoteSpectrum {
 					continue
 				}
-				if caps.ServesSpectrum(e.k()) {
+				if caps.ServesSpectrum(e.backend.K()) {
 					info.Spectra = append(info.Spectra, e.name)
 				}
 			}
@@ -816,13 +805,13 @@ func (s *server) correctWithEngine(w http.ResponseWriter, r *http.Request, eng e
 	// Retry-After, because the repair probe may restore service — rather
 	// than serving garbage or a misleading hard 500.
 	if e != nil {
-		if specErr := e.healthErr(); specErr != nil && e.spec != nil {
+		if specErr := e.backend.Err(); specErr != nil && e.spec != nil {
 			s.quarantine(e, specErr)
 		}
 		if e.quarantined.Load() {
 			w.Header().Set("Retry-After", "5")
 			s.errorJSON(w, http.StatusServiceUnavailable, errClassQuarantined,
-				"spectrum %q is quarantined (unserviceable pending repair): %v", e.name, e.healthErr())
+				"spectrum %q is quarantined (unserviceable pending repair): %v", e.name, e.backend.Err())
 			return
 		}
 	}
@@ -863,7 +852,7 @@ func (s *server) admit(ctx context.Context, w http.ResponseWriter, r *http.Reque
 			"request body %d bytes exceeds the %d-byte chunk cap", r.ContentLength, s.opts.MaxChunkBytes)
 		return nil, false
 	}
-	if occ := s.occupancy.Add(1); occ > int64(s.maxInflight+s.maxQueue) {
+	if occ := s.occupancy.Add(1); occ > int64(s.opts.MaxInflight+s.opts.MaxQueue) {
 		s.occupancy.Add(-1)
 		s.m.shed.Inc()
 		// The queue is full of requests that each hold a slot for a
@@ -871,7 +860,7 @@ func (s *server) admit(ctx context.Context, w http.ResponseWriter, r *http.Reque
 		// bound on when retrying could succeed.
 		w.Header().Set("Retry-After", "1")
 		s.errorJSON(w, http.StatusTooManyRequests, errClassShed,
-			"server saturated: %d requests in flight and %d queued; retry later", s.maxInflight, s.maxQueue)
+			"server saturated: %d requests in flight and %d queued; retry later", s.opts.MaxInflight, s.opts.MaxQueue)
 		return nil, false
 	}
 	s.m.occupancy.Set(s.occupancy.Load())
@@ -952,9 +941,7 @@ func (s *server) respond(w http.ResponseWriter, r *http.Request, reads, correcte
 
 	changed := engine.CountChanged(reads, corrected)
 	changedBases := engine.CountChangedBases(reads, corrected)
-	s.stats.requests.Add(1)
-	s.stats.reads.Add(int64(len(reads)))
-	s.stats.changed.Add(int64(changed))
+	s.requests.Add(1)
 	s.m.reads.Add(uint64(len(reads)))
 	s.m.changedReads.Add(uint64(changed))
 	s.m.changedBases.Add(uint64(changedBases))

@@ -125,13 +125,6 @@ func retryAfterSeconds(secs int) string {
 	return strconv.Itoa(secs)
 }
 
-// newRemoteEntry builds a registry slot for a coordinator spectrum:
-// spec stays nil, queries go through the fan-out backend. The eager
-// Reptile slot is metadata-only here — no shard round trips.
-func (s *server) newRemoteEntry(name string, rs *remote.RemoteSpectrum) *entry {
-	return s.initEntry(&entry{name: name, remote: rs})
-}
-
 // handleShards is GET /v2/shards: the shard entries this node owns, in
 // the shape remote.Discover consumes.
 func (s *server) handleShards(w http.ResponseWriter, r *http.Request) {
@@ -196,31 +189,20 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			"neighborhood radius %d exceeds this server's maximum %d", req.D, maxD)
 		return
 	}
-	// Reject kmer values outside the spectrum's 2k-bit keyspace before
-	// they reach any index structure: an oversized value would index
-	// the local prefix buckets — or, on a coordinator, the remote shard
-	// table inside fan-out goroutines, past the recover middleware —
-	// out of range.
-	kbits := uint(2 * e.k())
-	kms := make([]seq.Kmer, len(req.Kmers))
-	for i, str := range req.Kmers {
-		v, err := strconv.ParseUint(str, 10, 64)
-		if err != nil {
-			s.errorJSON(w, http.StatusBadRequest, errClassBadRequest, "kmer %d: bad value %q", i, str)
-			return
-		}
-		if kbits < 64 && v>>kbits != 0 {
-			s.errorJSON(w, http.StatusBadRequest, errClassBadRequest,
-				"kmer %d: value %q does not fit a packed %d-mer", i, str, e.k())
-			return
-		}
-		kms[i] = seq.Kmer(v)
+	// The codec rejects kmer values outside the spectrum's 2k-bit keyspace
+	// before they reach any index structure: the local prefix buckets, or
+	// on a coordinator the remote shard table inside fan-out goroutines,
+	// past the recover middleware.
+	kms, err := remote.DecodeKmers(nil, req.Kmers, e.backend.K())
+	if err != nil {
+		s.errorJSON(w, http.StatusBadRequest, errClassBadRequest, "%v", err)
+		return
 	}
 
 	if e.quarantined.Load() {
 		w.Header().Set("Retry-After", "5")
 		s.errorJSON(w, http.StatusServiceUnavailable, errClassQuarantined,
-			"spectrum %q is quarantined (unserviceable pending repair): %v", e.name, e.healthErr())
+			"spectrum %q is quarantined (unserviceable pending repair): %v", e.name, e.backend.Err())
 		return
 	}
 	if e.remote != nil {
@@ -235,7 +217,7 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		for i, km := range kms {
 			resp.Indexes[i] = e.spec.Index(km)
 			if resp.Indexes[i] >= 0 {
-				resp.Counts[i] = e.spec.Count(km)
+				resp.Counts[i] = e.spec.Counts[resp.Indexes[i]]
 			}
 		}
 	} else {
@@ -248,7 +230,7 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		var buf []seq.Kmer
 		for i, km := range kms {
 			buf = ni.NeighborKmers(km, buf[:0])
-			resp.Neighbors[i] = kmerStrings(buf)
+			resp.Neighbors[i] = remote.EncodeKmers(buf)
 		}
 	}
 	// A mapped spectrum that failed lazy validation mid-scan answered
@@ -261,7 +243,9 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			"spectrum %q is quarantined (unserviceable pending repair): %v", e.name, specErr)
 		return
 	}
-	s.countShardQuery(e, "ok")
+	if e.shard != nil { // the node-side half of repro_shard_requests_total
+		s.m.shardRequests.With(e.shard.Spectrum, strconv.Itoa(e.shard.Shard), "ok").Inc()
+	}
 	writeJSON(w, http.StatusOK, resp)
 }
 
@@ -283,7 +267,7 @@ func (s *server) proxyQuery(ctx context.Context, w http.ResponseWriter, e *entry
 		hoods, err = e.remote.NeighborhoodMany(ctx, kms, d)
 		resp.Neighbors = make([][]string, len(hoods))
 		for i, hood := range hoods {
-			resp.Neighbors[i] = kmerStrings(hood)
+			resp.Neighbors[i] = remote.EncodeKmers(hood)
 		}
 	}
 	if err != nil {
@@ -297,23 +281,6 @@ func (s *server) proxyQuery(ctx context.Context, w http.ResponseWriter, e *entry
 		return
 	}
 	writeJSON(w, http.StatusOK, resp)
-}
-
-// kmerStrings renders kmers as the wire's decimal strings.
-func kmerStrings(kms []seq.Kmer) []string {
-	out := make([]string, len(kms))
-	for i, km := range kms {
-		out[i] = strconv.FormatUint(uint64(km), 10)
-	}
-	return out
-}
-
-// countShardQuery feeds the node-side per-shard request counter; a
-// no-op for entries that are not shards.
-func (s *server) countShardQuery(e *entry, outcome string) {
-	if e.shard != nil {
-		s.m.shardRequests.With(e.shard.Spectrum, strconv.Itoa(e.shard.Shard), outcome).Inc()
-	}
 }
 
 // handleCluster is GET /v2/cluster: the coordinator's shard map and
@@ -350,7 +317,7 @@ func (s *server) handleCluster(w http.ResponseWriter, r *http.Request) {
 		locs := e.remote.Shards()
 		stats := e.remote.ShardStats()
 		ss := spectrumStatus{
-			Name: e.name, K: e.remote.K(), Kmers: e.remote.Len(),
+			Name: e.name, K: e.backend.K(), Kmers: e.backend.Len(),
 			PrefixBits: e.remote.Partition().Bits,
 			Shards:     make([]shardStatus, len(locs)),
 		}

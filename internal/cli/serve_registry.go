@@ -26,6 +26,12 @@ import (
 // use, because many deployments serve a single algorithm.
 type entry struct {
 	name string
+	// backend is the spectrum as the query seam shows it — Local(spec) on
+	// a local entry, remote itself on a coordinator's — and the one place
+	// geometry (K, Len, BothStrands) and sticky health (Err) are read.
+	backend kspectrum.SpectrumBackend
+	// spec is a local entry's columns: what /v2/query answers from, the
+	// integrity scans walk and the engines adopt. Nil on a remote entry.
 	spec *kspectrum.Spectrum
 
 	// services are the per-engine correctors, keyed by engine name and
@@ -56,9 +62,9 @@ type entry struct {
 	// file until it verifies again or the entry leaves the registry.
 	quarantined atomic.Bool
 
-	// remote is set on coordinator entries: the spectrum lives sharded
-	// across the cluster behind this backend and spec is nil. Remote
-	// entries never quarantine — node failures surface per-request as
+	// remote is set on coordinator entries: backend again, typed for the
+	// batch queries and shard map the seam does not carry. Remote entries
+	// never quarantine — node failures surface per-request as
 	// shard-unavailable 503s.
 	remote *remote.RemoteSpectrum
 	// shard is set on node-side shard entries: the metadata GET
@@ -68,38 +74,6 @@ type entry struct {
 	// answers are served from, built lazily per distinct d.
 	nimu sync.Mutex
 	nis  map[int]*kspectrum.NeighborIndex
-}
-
-// k, size and bothStrands read the entry's spectrum metadata through
-// whichever backing it has — local columns or the remote shard map.
-func (e *entry) k() int {
-	if e.spec != nil {
-		return e.spec.K
-	}
-	return e.remote.K()
-}
-
-func (e *entry) size() int {
-	if e.spec != nil {
-		return e.spec.Size()
-	}
-	return e.remote.Len()
-}
-
-func (e *entry) bothStrands() bool {
-	if e.spec != nil {
-		return e.spec.BothStrands
-	}
-	return e.remote.BothStrands()
-}
-
-// healthErr is the entry's sticky health: a local spectrum's deferred
-// integrity verdict, or the remote backend's closed state.
-func (e *entry) healthErr() error {
-	if e.spec != nil {
-		return e.spec.Err()
-	}
-	return e.remote.Err()
 }
 
 // neighborIndex resolves the entry's shared NeighborIndex for radius d,
@@ -142,8 +116,8 @@ func (e *entry) release() {
 	if e == nil {
 		return
 	}
-	if e.refs.Add(-1) == 0 && e.owned && e.spec != nil {
-		if err := e.spec.Close(); err != nil {
+	if e.refs.Add(-1) == 0 && e.owned {
+		if err := e.backend.Close(); err != nil {
 			log.Printf("spectrum %q: close after drain: %v", e.name, err)
 		}
 	}
@@ -288,7 +262,7 @@ func (reg *specRegistry) snapshot() []*entry {
 // newEntry builds a registry slot for a loaded spectrum; the entry
 // starts with the registry's hold.
 func (s *server) newEntry(name string, spec *kspectrum.Spectrum) *entry {
-	return s.initEntry(&entry{name: name, spec: spec})
+	return s.initEntry(&entry{name: name, backend: kspectrum.Local(spec), spec: spec})
 }
 
 // initEntry gives a local or remote entry its registry hold and
@@ -327,7 +301,7 @@ var spectrumNameRE = regexp.MustCompile(`^[A-Za-z0-9][A-Za-z0-9._-]{0,63}$`)
 // one registry splice, and in-flight requests on the old spectrum drain
 // against their refcount before it is closed.
 func (s *server) handleSpectraUpload(w http.ResponseWriter, r *http.Request) {
-	if s.spectraDir == "" {
+	if s.opts.SpectraDir == "" {
 		s.errorJSON(w, http.StatusServiceUnavailable, errClassDisabled,
 			"spectrum uploads are disabled: the server has no spectra directory")
 		return
@@ -343,7 +317,7 @@ func (s *server) handleSpectraUpload(w http.ResponseWriter, r *http.Request) {
 	// same directory, are validated, and only then take the final name —
 	// a crashed or rejected upload never leaves a half-written .kspc
 	// behind the daemon's back.
-	tmp, err := os.CreateTemp(s.spectraDir, "."+name+".upload-*")
+	tmp, err := os.CreateTemp(s.opts.SpectraDir, "."+name+".upload-*")
 	if err != nil {
 		s.errorJSON(w, http.StatusInternalServerError, errClassInternal, "staging upload: %v", err)
 		return
@@ -377,7 +351,7 @@ func (s *server) handleSpectraUpload(w http.ResponseWriter, r *http.Request) {
 		s.errorJSON(w, http.StatusBadRequest, errClassBadRequest, "invalid spectrum upload: %v", err)
 		return
 	}
-	final := filepath.Join(s.spectraDir, name+".kspc")
+	final := filepath.Join(s.opts.SpectraDir, name+".kspc")
 	if err := os.Rename(tmpPath, final); err != nil {
 		spec.Close()
 		discard()

@@ -313,10 +313,10 @@ func TestServeCorrectConcurrent(t *testing.T) {
 		t.Error(err)
 	}
 
-	if got := srv.stats.requests.Load(); got != clients {
+	if got := srv.requests.Load(); got != clients {
 		t.Errorf("request counter = %d want %d", got, clients)
 	}
-	if got := srv.stats.reads.Load(); got != clients*600 {
+	if got := srv.m.reads.Value(); got != clients*600 {
 		t.Errorf("read counter = %d want %d", got, clients*600)
 	}
 

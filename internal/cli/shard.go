@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"strings"
 
+	"repro/internal/engine"
 	"repro/internal/kspectrum"
 )
 
@@ -32,13 +33,15 @@ func shardCmd(args []string, stdout io.Writer) error {
 	if *shards < 1 {
 		return usagef(fs, "-shards must be at least 1")
 	}
-	// The eager reader validates the whole file (header, columns, CRC)
-	// before anything is split: a corrupt source is rejected here, never
-	// smeared across shard files.
-	spec, err := kspectrum.ReadSpectrumFile(*in)
+	// The one way to load a store; the views below alias its mapping, so
+	// it stays open until every shard file is written. SplitShards
+	// verifies the whole file (columns, CRC) before anything is split: a
+	// corrupt source is rejected there, never smeared across shard files.
+	spec, err := engine.LoadSpectrumForK(*in, 0)
 	if err != nil {
 		return err
 	}
+	defer spec.Close()
 	part, views, err := kspectrum.SplitShards(spec, *shards)
 	if err != nil {
 		return err

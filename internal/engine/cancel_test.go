@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/faultinject"
+	"repro/internal/kspectrum"
 	"repro/internal/redeem"
 	"repro/internal/reptile"
 	"repro/internal/seq"
@@ -134,7 +135,7 @@ func TestCorrectCancelBatch(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			_, _, err = eng.Correct(ctx, chunk, engine.NewRun(engine.WithGenomeLen(4000), engine.WithMemoryBudget(budget)))
+			_, _, err = eng.Correct(ctx, chunk, engine.NewRun(engine.WithGenomeLen(4000), engine.WithBuild(kspectrum.StreamOptions{MemoryBudget: budget})))
 			if !errors.Is(err, context.Canceled) {
 				t.Errorf("%s, budget %d: Correct error = %v, want ctx.Err()", name, budget, err)
 			}

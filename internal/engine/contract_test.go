@@ -107,7 +107,7 @@ func TestEngineContract(t *testing.T) {
 			t.Run(eng.Name(), func(t *testing.T) {
 				want := correctFASTQ(t, eng, reads, genome, engine.WithWorkers(2))
 				for _, budget := range []int64{0, 1 << 15} {
-					got, res := streamFASTQ(t, eng, blob, genome, engine.WithWorkers(2), engine.WithMemoryBudget(budget))
+					got, res := streamFASTQ(t, eng, blob, genome, engine.WithWorkers(2), engine.WithBuild(kspectrum.StreamOptions{MemoryBudget: budget}))
 					if !bytes.Equal(got, want) {
 						t.Errorf("budget=%d: streamed output diverges from Correct", budget)
 					}

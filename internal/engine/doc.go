@@ -23,11 +23,11 @@
 //
 //   - Run: the per-invocation configuration, built from functional
 //     options. Cross-engine knobs live here (WithK, WithWorkers,
-//     WithShards, WithGenomeLen, WithSpectrum, WithSpectrumPath,
-//     WithSaveSpectrumPath, and the out-of-core build's
-//     WithMemoryBudget, WithCheckpointDir, WithResume,
-//     WithCheckpointEvery, which Run.StreamOptions hands an engine as
-//     one kspectrum.StreamOptions); engine
+//     WithGenomeLen, WithSpectrum, WithSpectrumBackend, WithSpectrumPath,
+//     WithSaveSpectrumPath, and WithBuild, which takes the spectrum
+//     build's kspectrum.StreamOptions — memory budget, checkpointing,
+//     shard count — whole and Run.StreamOptions hands it to an engine
+//     under the run's workers and context); engine
 //     packages contribute their own options (reptile.WithD,
 //     redeem.WithErrorRate, shrec.WithAlpha, ...) that tuck
 //     engine-specific payloads into the Run's extension slots. A Run is

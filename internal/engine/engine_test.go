@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/kspectrum"
 	"repro/internal/seq"
 )
 
@@ -78,16 +79,19 @@ func TestRunOptions(t *testing.T) {
 	r := NewRun(
 		WithK(13),
 		WithWorkers(4),
-		WithShards(8),
 		WithGenomeLen(100000),
-		WithMemoryBudget(1<<20),
+		WithBuild(kspectrum.StreamOptions{Build: kspectrum.BuildOptions{Workers: 9, Shards: 8}, MemoryBudget: 1 << 20}),
 		WithSpectrumPath("in.kspc"),
 		WithSaveSpectrumPath("out.kspc"),
 	)
-	if r.K != 13 || r.Workers != 4 || r.Shards != 8 || r.GenomeLen != 100000 ||
-		r.stream.MemoryBudget != 1<<20 ||
+	if r.K != 13 || r.Workers != 4 || r.GenomeLen != 100000 ||
 		r.SpectrumPath != "in.kspc" || r.SaveSpectrumPath != "out.kspc" {
 		t.Errorf("options not applied: %+v", r)
+	}
+	// The build value arrives whole, under the run's workers and context.
+	ctx := context.Background()
+	if o := r.StreamOptions(ctx); o.MemoryBudget != 1<<20 || o.Build.Shards != 8 || o.Build.Workers != 4 || o.Context != ctx {
+		t.Errorf("StreamOptions = %+v", o)
 	}
 }
 

@@ -19,9 +19,6 @@ type Run struct {
 	// Workers bounds parallelism; <= 0 uses all cores (engines may
 	// document exceptions, e.g. SHREC's opt-in parallel trie build).
 	Workers int
-	// Shards is the kmer-space partition count of the sharded spectrum
-	// engine; <= 0 derives it from the worker count.
-	Shards int
 	// GenomeLen is the (estimated) genome length used for parameter
 	// selection; 0 means unknown.
 	GenomeLen int
@@ -42,8 +39,7 @@ type Run struct {
 	// correction for reuse via SpectrumPath.
 	SaveSpectrumPath string
 
-	// stream holds what the out-of-core build options (WithMemoryBudget,
-	// WithCheckpointDir, ...) set; engines read it through StreamOptions.
+	// stream is what WithBuild set; engines read it through StreamOptions.
 	stream kspectrum.StreamOptions
 	// ext holds engine-specific payloads keyed by engine name; see
 	// SetExt/Ext.
@@ -91,28 +87,15 @@ func WithK(k int) Option { return func(r *Run) { r.K = k } }
 // WithWorkers bounds parallelism (<= 0 = all cores).
 func WithWorkers(n int) Option { return func(r *Run) { r.Workers = n } }
 
-// WithShards sets the spectrum shard count (<= 0 = derive from workers).
-func WithShards(n int) Option { return func(r *Run) { r.Shards = n } }
-
 // WithGenomeLen sets the estimated genome length for parameter selection.
 func WithGenomeLen(n int) Option { return func(r *Run) { r.GenomeLen = n } }
 
-// WithMemoryBudget bounds the resident bytes of the k-spectrum
-// accumulators by spilling full shard tables to sorted temp-file runs
-// (0 = unlimited, nothing spills).
-func WithMemoryBudget(b int64) Option { return func(r *Run) { r.stream.MemoryBudget = b } }
-
-// WithCheckpointDir makes spectrum counting crash-safe, persisting runs
-// and a read-cursor manifest in dir ("" = no checkpointing).
-func WithCheckpointDir(dir string) Option { return func(r *Run) { r.stream.CheckpointDir = dir } }
-
-// WithResume adopts the manifest already in the checkpoint directory,
-// re-counting only the reads past its cursor.
-func WithResume(resume bool) Option { return func(r *Run) { r.stream.Resume = resume } }
-
-// WithCheckpointEvery sets the read interval between automatic
-// checkpoints (<= 0 = the kspectrum default).
-func WithCheckpointEvery(n int64) Option { return func(r *Run) { r.stream.CheckpointEvery = n } }
+// WithBuild configures the run's spectrum build in kspectrum's own terms:
+// the memory budget past which shard tables spill to sorted runs, the
+// checkpoint directory, resume and interval that make counting crash-safe,
+// and the shard count (o.Build.Shards). The value is kept whole; its
+// worker count and Context are the run's (StreamOptions).
+func WithBuild(o kspectrum.StreamOptions) Option { return func(r *Run) { r.stream = o } }
 
 // WithSpectrum supplies a preloaded in-memory spectrum the engine adopts
 // instead of counting the input.
@@ -187,13 +170,12 @@ func (r *Run) CloseOpened(spec *kspectrum.Spectrum, err *error) {
 	}
 }
 
-// StreamOptions assembles the one value that configures an engine's
-// spectrum build (kspectrum.NewStreamBuilder): the run's out-of-core
-// options, Workers and Shards as its parallelism, and ctx cancelling its
-// spill and merge loops.
+// StreamOptions is the one value that configures an engine's spectrum
+// build (kspectrum.NewStreamBuilder): what WithBuild set, with the run's
+// Workers as its parallelism and ctx cancelling its spill and merge loops.
 func (r *Run) StreamOptions(ctx context.Context) kspectrum.StreamOptions {
 	o := r.stream
-	o.Build = kspectrum.BuildOptions{Workers: r.Workers, Shards: r.Shards}
+	o.Build.Workers = r.Workers
 	o.Context = ctx
 	return o
 }

@@ -139,35 +139,6 @@ type FastaRecord struct {
 	Seq []byte
 }
 
-// ReadFasta parses an entire FASTA stream.
-func ReadFasta(r io.Reader) ([]FastaRecord, error) {
-	s := bufio.NewScanner(r)
-	s.Buffer(make([]byte, 0, 64*1024), 64*1024*1024)
-	var out []FastaRecord
-	var cur *FastaRecord
-	line := 0
-	for s.Scan() {
-		line++
-		text := bytes.TrimSpace(s.Bytes())
-		if len(text) == 0 {
-			continue
-		}
-		if text[0] == '>' {
-			out = append(out, FastaRecord{ID: string(idToken(text[1:]))})
-			cur = &out[len(out)-1]
-			continue
-		}
-		if cur == nil {
-			return nil, fmt.Errorf("fasta: line %d: sequence data before first header", line)
-		}
-		cur.Seq = append(cur.Seq, text...)
-	}
-	if err := s.Err(); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // WriteFasta emits records with 70-column line wrapping.
 func WriteFasta(w io.Writer, recs []FastaRecord) error {
 	const width = 70

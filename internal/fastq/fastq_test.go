@@ -161,7 +161,9 @@ func TestWriteRejectsInvalidRead(t *testing.T) {
 	}
 }
 
-func TestFastaRoundTrip(t *testing.T) {
+// TestWriteFasta: records come out as a header line and the sequence
+// wrapped at 70 columns.
+func TestWriteFasta(t *testing.T) {
 	recs := []FastaRecord{
 		{ID: "chr1", Seq: bytes.Repeat([]byte("ACGT"), 50)},
 		{ID: "chr2", Seq: []byte("TTTT")},
@@ -170,25 +172,10 @@ func TestFastaRoundTrip(t *testing.T) {
 	if err := WriteFasta(&buf, recs); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadFasta(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 2 || got[0].ID != "chr1" || !bytes.Equal(got[0].Seq, recs[0].Seq) || !bytes.Equal(got[1].Seq, recs[1].Seq) {
-		t.Errorf("fasta round trip mismatch: %+v", got)
-	}
-}
-
-func TestFastaMultilineAndErrors(t *testing.T) {
-	got, err := ReadFasta(strings.NewReader(">s desc here\nACGT\nACGT\n"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got[0].ID != "s" || string(got[0].Seq) != "ACGTACGT" {
-		t.Errorf("parsed %+v", got[0])
-	}
-	if _, err := ReadFasta(strings.NewReader("ACGT\n")); err == nil {
-		t.Error("expected error for data before header")
+	chr1 := recs[0].Seq
+	want := ">chr1\n" + string(chr1[:70]) + "\n" + string(chr1[70:140]) + "\n" + string(chr1[140:]) + "\n>chr2\nTTTT\n"
+	if buf.String() != want {
+		t.Errorf("WriteFasta wrote:\n%s\nwant:\n%s", buf.String(), want)
 	}
 }
 

@@ -8,14 +8,14 @@ import (
 	"repro/internal/seq"
 )
 
-// SpectrumBackend is the membership/count query contract a remote,
-// sharded spectrum (internal/remote) shares with a local one: it is what
-// the daemon hands an engine's service path in place of a *Spectrum
-// (engine.Run.Backend), which reads the spectrum's geometry off it.
-// Correction itself crosses only the NeighborSource half of the seam —
-// Reptile's walk asks for d-neighborhoods and nothing else, and REDEEM
-// stays on its local columns. Local backends — built, copied or mapped
-// spectra wrapped by Local — never return errors from queries (a mapped
+// SpectrumBackend is what crosses the seam between a spectrum and the
+// code that serves it, whether the columns are local (Local) or sharded
+// across a cluster (internal/remote): the geometry an engine's service
+// path validates against (engine.Run.Backend), the health the daemon
+// reads, and one batched count query. Correction itself crosses only the
+// NeighborSource half of the seam — Reptile's walk asks for
+// d-neighborhoods and nothing else, and REDEEM stays on its local
+// columns. Local backends never return errors from queries (a mapped
 // spectrum's lazy-validation failure surfaces through Err and absent
 // answers, exactly as Spectrum.Index behaves); remote backends return
 // transport and availability errors, which callers must surface rather
@@ -27,17 +27,12 @@ type SpectrumBackend interface {
 	K() int
 	// Len is the number of distinct kmers across the whole spectrum.
 	Len() int
-	// Index returns the position of km in the globally-sorted spectrum,
-	// or -1 when absent.
-	Index(km seq.Kmer) (int, error)
-	// Count returns km's occurrence count (0 when absent).
-	Count(km seq.Kmer) (uint32, error)
-	// Contains reports membership.
-	Contains(km seq.Kmer) (bool, error)
+	// BothStrands reports whether the spectrum is closed under reverse
+	// complement; Reptile's service path refuses one that is not.
+	BothStrands() bool
 	// CountMany fills counts[i] with the occurrence count of kms[i]
-	// (len(counts) must equal len(kms)). Batching is the amortization
-	// lever for remote backends: one round trip per owning shard instead
-	// of one per kmer.
+	// (len(counts) must equal len(kms)) — for a remote backend in one
+	// round trip per owning shard, never one per kmer.
 	CountMany(kms []seq.Kmer, counts []uint32) error
 	// Err reports the backend's sticky health (nil when servable).
 	Err() error
@@ -79,32 +74,17 @@ type localBackend struct{ s *Spectrum }
 // Queries never error; Err and Close delegate to the spectrum.
 func Local(s *Spectrum) SpectrumBackend { return localBackend{s} }
 
-func (b localBackend) K() int   { return b.s.K }
-func (b localBackend) Len() int { return b.s.Size() }
-func (b localBackend) Index(km seq.Kmer) (int, error) {
-	return b.s.Index(km), nil
-}
-func (b localBackend) Count(km seq.Kmer) (uint32, error) {
-	return b.s.Count(km), nil
-}
-func (b localBackend) Contains(km seq.Kmer) (bool, error) {
-	return b.s.Contains(km), nil
-}
+func (b localBackend) K() int            { return b.s.K }
+func (b localBackend) Len() int          { return b.s.Size() }
+func (b localBackend) BothStrands() bool { return b.s.BothStrands }
 func (b localBackend) CountMany(kms []seq.Kmer, counts []uint32) error {
-	b.s.CountMany(kms, counts)
+	for i, km := range kms {
+		counts[i] = b.s.Count(km)
+	}
 	return nil
 }
-func (b localBackend) Err() error        { return b.s.Err() }
-func (b localBackend) Close() error      { return b.s.Close() }
-func (b localBackend) BothStrands() bool { return b.s.BothStrands }
-
-// CountMany fills counts[i] with the occurrence count of kms[i]; the
-// slices must have equal length. It is the batched form of Count.
-func (s *Spectrum) CountMany(kms []seq.Kmer, counts []uint32) {
-	for i, km := range kms {
-		counts[i] = s.Count(km)
-	}
-}
+func (b localBackend) Err() error   { return b.s.Err() }
+func (b localBackend) Close() error { return b.s.Close() }
 
 // localNeighbors answers neighborhood queries from a local spectrum and
 // its NeighborIndex.

@@ -206,10 +206,6 @@ func (ni *NeighborIndex) replica(r int) *replica {
 	return rep
 }
 
-// Replicas reports how many sorted copies the index stores (C(c,d)),
-// the paper's memory knob.
-func (ni *NeighborIndex) Replicas() int { return len(ni.replicas) }
-
 // Neighbors is NeighborKmers by spectrum index: it appends to dst the
 // positions of all spectrum kmers within distance ni.D of km (km included
 // when present), ascending, mapping each hit back through Spectrum.Index.

@@ -178,17 +178,3 @@ func (s *Spectrum) Count(km seq.Kmer) uint32 {
 	}
 	return 0
 }
-
-// CountHistogram tallies how many kmers have each occurrence count,
-// truncated at maxCount (counts above are binned at maxCount).
-func (s *Spectrum) CountHistogram(maxCount int) []int {
-	h := make([]int, maxCount+1)
-	for _, c := range s.Counts {
-		idx := int(c)
-		if idx > maxCount {
-			idx = maxCount
-		}
-		h[idx]++
-	}
-	return h
-}

@@ -70,14 +70,6 @@ func TestBuildValidation(t *testing.T) {
 	}
 }
 
-func TestCountHistogram(t *testing.T) {
-	spec, _ := Build(mkReads("AAAA", "AAAA"), 4, false)
-	h := spec.CountHistogram(5)
-	if h[2] != 1 {
-		t.Errorf("histogram %v: want one kmer with count 2", h)
-	}
-}
-
 func TestNeighborIndexMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	genome, _ := simulate.RandomGenome(4000, simulate.UniformProfile, rng)
@@ -146,8 +138,8 @@ func TestNeighborIndexReplicaCount(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ni.Replicas() != 15 { // C(6,2)
-		t.Errorf("replicas %d want 15", ni.Replicas())
+	if len(ni.replicas) != 15 { // C(6,2)
+		t.Errorf("replicas %d want 15", len(ni.replicas))
 	}
 }
 

@@ -9,8 +9,6 @@ package mapreduce
 
 import (
 	"fmt"
-	"hash/fnv"
-	"math"
 	"runtime"
 	"slices"
 	"sync"
@@ -237,13 +235,6 @@ func Run[I any, K comparable, V any, O any](
 	return result, stats, nil
 }
 
-// HashString hashes string keys with FNV-1a.
-func HashString(s string) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(s))
-	return h.Sum64()
-}
-
 // HashUint64 mixes an integer key (SplitMix64 finalizer).
 func HashUint64(x uint64) uint64 {
 	x += 0x9e3779b97f4a7c15
@@ -254,11 +245,3 @@ func HashUint64(x uint64) uint64 {
 
 // HashInt32 hashes an int32 key.
 func HashInt32(x int32) uint64 { return HashUint64(uint64(uint32(x))) }
-
-// HashInt32Pair hashes a pair of int32 keys.
-func HashInt32Pair(p [2]int32) uint64 {
-	return HashUint64(uint64(uint32(p[0]))<<32 | uint64(uint32(p[1])))
-}
-
-// HashFloat64 hashes a float64 key by its bits.
-func HashFloat64(f float64) uint64 { return HashUint64(math.Float64bits(f)) }

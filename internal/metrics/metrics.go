@@ -223,14 +223,6 @@ type CounterVec struct {
 // With resolves (creating on first use) the child for the label values.
 func (v *CounterVec) With(values ...string) *Counter { return v.with(values...) }
 
-// GaugeVec is a labeled family of gauges.
-type GaugeVec struct {
-	*vec[Gauge]
-}
-
-// With resolves (creating on first use) the child for the label values.
-func (v *GaugeVec) With(values ...string) *Gauge { return v.with(values...) }
-
 // HistogramVec is a labeled family of histograms sharing one bucket
 // layout.
 type HistogramVec struct {
@@ -316,32 +308,11 @@ func (r *Registry) NewGauge(name, help string) *Gauge {
 	return g
 }
 
-// NewGaugeVec registers and returns a labeled gauge family.
-func (r *Registry) NewGaugeVec(name, help string, labelNames ...string) *GaugeVec {
-	checkLabels(labelNames)
-	v := &GaugeVec{newVec(labelNames, func() *Gauge { return &Gauge{} })}
-	r.register(name, help, gaugeKind, func(w io.Writer, name string) {
-		for _, ch := range v.snapshot() {
-			fmt.Fprintf(w, "%s%s %d\n", name, renderLabels(labelNames, ch.labels, "", 0), ch.m.Value())
-		}
-	})
-	return v
-}
-
-// NewHistogram registers and returns an unlabeled histogram; nil or
-// empty bounds select DefLatencyBuckets.
-func (r *Registry) NewHistogram(name, help string, bounds []float64) *Histogram {
-	h := newHistogram(bounds)
-	r.register(name, help, histogramKind, func(w io.Writer, name string) {
-		renderHistogram(w, name, nil, nil, h)
-	})
-	return h
-}
-
 // NewHistogramVec registers and returns a labeled histogram family; nil
 // or empty bounds select DefLatencyBuckets.
 func (r *Registry) NewHistogramVec(name, help string, bounds []float64, labelNames ...string) *HistogramVec {
 	checkLabels(labelNames)
+	newHistogram(bounds) // a bad layout panics at wiring time, not at the first With
 	v := &HistogramVec{newVec(labelNames, func() *Histogram { return newHistogram(bounds) })}
 	r.register(name, help, histogramKind, func(w io.Writer, name string) {
 		for _, ch := range v.snapshot() {

@@ -28,7 +28,7 @@ func TestCounterGauge(t *testing.T) {
 
 func TestHistogramBuckets(t *testing.T) {
 	r := NewRegistry()
-	h := r.NewHistogram("lat_seconds", "latency", []float64{0.1, 1, 10})
+	h := r.NewHistogramVec("lat_seconds", "latency", []float64{0.1, 1, 10}).With()
 	for _, v := range []float64{0.05, 0.1, 0.5, 2, 100} {
 		h.Observe(v)
 	}
@@ -68,8 +68,6 @@ func TestVecLabels(t *testing.T) {
 	}
 	hv := r.NewHistogramVec("engine_seconds", "per engine latency", []float64{1}, "engine")
 	hv.With("reptile").Observe(0.5)
-	gv := r.NewGaugeVec("slots", "slot occupancy", "kind")
-	gv.With("queued").Set(2)
 
 	var b strings.Builder
 	if err := r.WritePrometheus(&b); err != nil {
@@ -81,7 +79,6 @@ func TestVecLabels(t *testing.T) {
 		`engine_reqs_total{engine="reptile",spectrum="main"} 3`,
 		`engine_seconds_bucket{engine="reptile",le="1"} 1`,
 		`engine_seconds_count{engine="reptile"} 1`,
-		`slots{kind="queued"} 2`,
 	} {
 		if !strings.Contains(out, line) {
 			t.Errorf("exposition missing %q in:\n%s", line, out)
@@ -131,7 +128,7 @@ func TestInvalidNamesPanic(t *testing.T) {
 	for _, fn := range []func(){
 		func() { r.NewCounter("0bad", "") },
 		func() { r.NewCounterVec("okname_total", "", "0badlabel") },
-		func() { r.NewHistogram("unsorted", "", []float64{2, 1}) },
+		func() { r.NewHistogramVec("unsorted", "", []float64{2, 1}) },
 	} {
 		func() {
 			defer func() {

@@ -147,7 +147,7 @@ func (c *cluster) kmerOnShard(t *testing.T, shard int) seq.Kmer {
 // TestRemoteSpectrumConformanceIdentity: every query against the
 // 2-node, 4-shard cluster must be byte-identical to the local backend
 // over the unsharded spectrum — positions (global index), counts,
-// membership, batches, and d-neighborhoods in identical order.
+// batches, and d-neighborhoods in identical order.
 func TestRemoteSpectrumConformanceIdentity(t *testing.T) {
 	spec := testSpectrum(t)
 	c := startCluster(t, spec, 4, [][]int{{0, 1}, {2, 3}})
@@ -165,28 +165,25 @@ func TestRemoteSpectrumConformanceIdentity(t *testing.T) {
 		km := spec.Kmers[i]
 		probes = append(probes, km, km^3, km^(3<<20))
 	}
-	for _, km := range probes {
-		wantIdx, _ := local.Index(km)
-		gotIdx, err := c.rs.Index(km)
-		if err != nil {
-			t.Fatalf("Index(%v): %v", km, err)
+	// Positional identity: the global index and the count of every probe,
+	// as the coordinator's /v2/query proxy fetches them.
+	gotIdxs := make([]int, len(probes))
+	gotCounts := make([]uint32, len(probes))
+	if err := c.rs.IndexCountManyCtx(context.Background(), probes, gotIdxs, gotCounts); err != nil {
+		t.Fatal(err)
+	}
+	for i, km := range probes {
+		if gotIdxs[i] != spec.Index(km) {
+			t.Fatalf("index of %v = %d, local %d", km, gotIdxs[i], spec.Index(km))
 		}
-		if gotIdx != wantIdx {
-			t.Fatalf("Index(%v) = %d, local %d", km, gotIdx, wantIdx)
-		}
-		wantCnt, _ := local.Count(km)
-		gotCnt, err := c.rs.Count(km)
-		if err != nil {
-			t.Fatalf("Count(%v): %v", km, err)
-		}
-		if gotCnt != wantCnt {
-			t.Fatalf("Count(%v) = %d, local %d", km, gotCnt, wantCnt)
+		if gotCounts[i] != spec.Count(km) {
+			t.Fatalf("count of %v = %d, local %d", km, gotCounts[i], spec.Count(km))
 		}
 	}
 
-	// Batched counts in one call.
+	// Batched counts through the seam.
 	wantCounts := make([]uint32, len(probes))
-	gotCounts := make([]uint32, len(probes))
+	clear(gotCounts)
 	if err := local.CountMany(probes, wantCounts); err != nil {
 		t.Fatal(err)
 	}
@@ -415,8 +412,8 @@ func TestRemoteQueryHonorsContext(t *testing.T) {
 		t.Fatalf("the node saw %d queries, want exactly the one the cancel interrupted", n)
 	}
 	// The d=0 batch form rides the same fan-out.
-	if err := rs.CountManyCtx(ctx, []seq.Kmer{0}, make([]uint32, 1)); err != ctx.Err() {
-		t.Errorf("CountManyCtx under an expired context: %v, want ctx.Err()", err)
+	if err := rs.IndexCountManyCtx(ctx, []seq.Kmer{0}, make([]int, 1), make([]uint32, 1)); err != ctx.Err() {
+		t.Errorf("IndexCountManyCtx under an expired context: %v, want ctx.Err()", err)
 	}
 	// No leaked goroutines: the shard fan-out has drained. Allow the
 	// runtime a moment to retire the hung-up connection's.
@@ -437,11 +434,8 @@ func TestRemoteRejectsOutOfRangeKmer(t *testing.T) {
 	c := startCluster(t, spec, 4, [][]int{{0, 1}, {2, 3}})
 
 	oversized := seq.Kmer(1) << uint(2*spec.K)
-	if _, err := c.rs.Index(oversized); err == nil {
-		t.Error("Index accepted an out-of-keyspace kmer")
-	}
-	if _, err := c.rs.Count(oversized); err == nil {
-		t.Error("Count accepted an out-of-keyspace kmer")
+	if err := c.rs.IndexCountManyCtx(context.Background(), []seq.Kmer{oversized}, make([]int, 1), make([]uint32, 1)); err == nil {
+		t.Error("IndexCountManyCtx accepted an out-of-keyspace kmer")
 	}
 	if _, err := c.rs.Neighborhood(oversized, 1, nil); err == nil {
 		t.Error("Neighborhood accepted an out-of-keyspace kmer")
@@ -452,12 +446,11 @@ func TestRemoteRejectsOutOfRangeKmer(t *testing.T) {
 	}
 	// The backend stays healthy: valid queries still answer.
 	km := c.kmerOnShard(t, 1)
-	got, err := c.rs.Count(km)
-	if err != nil {
+	if err := c.rs.CountMany([]seq.Kmer{km}, counts[:1]); err != nil {
 		t.Fatalf("valid query after rejections: %v", err)
 	}
-	if want := spec.Count(km); got != want {
-		t.Fatalf("Count(%v) = %d, local %d", km, got, want)
+	if want := spec.Count(km); counts[0] != want {
+		t.Fatalf("count of %v = %d, local %d", km, counts[0], want)
 	}
 }
 
@@ -508,7 +501,6 @@ func TestShardFilesRejectCorruption(t *testing.T) {
 func TestRemoteShardUnavailable(t *testing.T) {
 	spec := testSpectrum(t)
 	c := startCluster(t, spec, 4, [][]int{{0, 1}, {2, 3}})
-	local := kspectrum.Local(spec)
 
 	kmAlive := c.kmerOnShard(t, 0) // node 0
 	kmDead := c.kmerOnShard(t, 2)  // node 1
@@ -516,7 +508,7 @@ func TestRemoteShardUnavailable(t *testing.T) {
 	c.servers[1].Close()
 
 	// The dead node's shard fails with the typed availability error.
-	_, err := c.rs.Count(kmDead)
+	err := c.rs.CountMany([]seq.Kmer{kmDead}, make([]uint32, 1))
 	var sue *remote.ShardUnavailableError
 	if !errors.As(err, &sue) {
 		t.Fatalf("query against dead node: %v, want *ShardUnavailableError", err)
@@ -527,13 +519,12 @@ func TestRemoteShardUnavailable(t *testing.T) {
 	}
 
 	// The surviving node's shards answer exactly as before.
-	wantIdx, _ := local.Index(kmAlive)
-	gotIdx, err := c.rs.Index(kmAlive)
-	if err != nil {
+	gotIdx, gotCnt := make([]int, 1), make([]uint32, 1)
+	if err := c.rs.IndexCountManyCtx(context.Background(), []seq.Kmer{kmAlive}, gotIdx, gotCnt); err != nil {
 		t.Fatalf("query against live node after peer death: %v", err)
 	}
-	if gotIdx != wantIdx {
-		t.Fatalf("Index(%v) = %d, local %d", kmAlive, gotIdx, wantIdx)
+	if gotIdx[0] != spec.Index(kmAlive) {
+		t.Fatalf("index of %v = %d, local %d", kmAlive, gotIdx[0], spec.Index(kmAlive))
 	}
 
 	// A batch spanning both nodes reports the failure (no silent
@@ -543,9 +534,8 @@ func TestRemoteShardUnavailable(t *testing.T) {
 	if err := c.rs.CountMany(kms, counts); !errors.As(err, &sue) {
 		t.Fatalf("CountMany spanning a dead node: %v, want *ShardUnavailableError", err)
 	}
-	wantCnt, _ := local.Count(kmAlive)
-	if counts[0] != wantCnt {
-		t.Fatalf("live-shard count in failed batch = %d, want %d", counts[0], wantCnt)
+	if counts[0] != spec.Count(kmAlive) {
+		t.Fatalf("live-shard count in failed batch = %d, want %d", counts[0], spec.Count(kmAlive))
 	}
 
 	// Per-shard stats recorded the failure on shard 2 only.

@@ -5,10 +5,13 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
+	"math/bits"
 	"net/http"
 	"sort"
 
 	"repro/internal/kspectrum"
+	"repro/internal/seq"
 )
 
 // ShardLoc is one shard's resolved location in a cluster: the node that
@@ -29,47 +32,43 @@ type ShardMap struct {
 	Shards      []ShardLoc
 }
 
-// Len is the number of distinct kmers across all shards.
-func (m *ShardMap) Len() int {
-	n := 0
-	for _, s := range m.Shards {
-		n += s.Kmers
-	}
-	return n
-}
-
 // Discover polls every node's GET /v2/shards and assembles per-spectrum
 // shard maps. It is strict: every spectrum mentioned anywhere must have
 // all of its shards owned by exactly one node each, with consistent k,
 // shard count and strand closure — a partial or conflicting map would
-// silently misroute queries, so it is a startup error instead. A nil
-// httpc uses http.DefaultClient.
+// silently misroute queries, so it is a startup error instead. The
+// listings are another process's word, so every entry is vetted (check)
+// before anything is sized or routed by it. A nil httpc uses
+// http.DefaultClient.
 func Discover(ctx context.Context, httpc *http.Client, nodes []string) (map[string]*ShardMap, error) {
 	if httpc == nil {
 		httpc = http.DefaultClient
 	}
-	maps := make(map[string]*ShardMap)
-	for _, node := range nodes {
+	// All listings first: how many entries a spectrum has across them
+	// bounds the shard count it can honestly advertise.
+	listings := make([]*ShardsResponse, len(nodes))
+	listed := make(map[string]int)
+	for i, node := range nodes {
 		sr, err := fetchShards(ctx, httpc, node)
 		if err != nil {
 			return nil, fmt.Errorf("remote: discovering %s: %w", node, err)
 		}
+		listings[i] = sr
 		for _, si := range sr.Shards {
-			if si.Of < 1 || si.Of&(si.Of-1) != 0 {
-				return nil, fmt.Errorf("remote: node %s: spectrum %q has non-power-of-two shard count %d", node, si.Spectrum, si.Of)
-			}
-			if si.Shard < 0 || si.Shard >= si.Of {
-				return nil, fmt.Errorf("remote: node %s: spectrum %q shard %d out of range of %d", node, si.Spectrum, si.Shard, si.Of)
+			listed[si.Spectrum]++
+		}
+	}
+	maps := make(map[string]*ShardMap)
+	for i, node := range nodes {
+		for _, si := range listings[i].Shards {
+			if err := si.check(listed[si.Spectrum]); err != nil {
+				return nil, fmt.Errorf("remote: node %s: %w", node, err)
 			}
 			m := maps[si.Spectrum]
 			if m == nil {
-				part := kspectrum.PrefixPartition{K: si.K}
-				for 1<<part.Bits < si.Of {
-					part.Bits++
-				}
 				m = &ShardMap{
 					Spectrum:    si.Spectrum,
-					Part:        part,
+					Part:        kspectrum.PrefixPartition{K: si.K, Bits: uint(bits.TrailingZeros(uint(si.Of)))},
 					BothStrands: si.BothStrands,
 					Shards:      make([]ShardLoc, si.Of),
 				}
@@ -99,6 +98,31 @@ func Discover(ctx context.Context, httpc *http.Client, nodes []string) (map[stri
 		}
 	}
 	return maps, nil
+}
+
+// check vets one advertised shard entry. listed is the number of entries
+// the nodes' listings hold for its spectrum: a shard count beyond it can
+// never be completely owned, so it is refused before a map of that size
+// is allocated. k and the shard count must describe a partition that
+// exists — at most 2k prefix bits — or PrefixPartition.Shift wraps and
+// every kmer routes to shard 0.
+func (si ShardInfo) check(listed int) error {
+	switch {
+	case si.K < 1 || si.K > seq.MaxK:
+		return fmt.Errorf("spectrum %q has k=%d outside [1, %d]", si.Spectrum, si.K, seq.MaxK)
+	case si.Of < 1 || si.Of&(si.Of-1) != 0:
+		return fmt.Errorf("spectrum %q has non-power-of-two shard count %d", si.Spectrum, si.Of)
+	case bits.TrailingZeros(uint(si.Of)) > 2*si.K:
+		return fmt.Errorf("spectrum %q has %d shards, more than the 4^%d kmers of its keyspace", si.Spectrum, si.Of, si.K)
+	case si.Of > listed:
+		return fmt.Errorf("spectrum %q advertises %d shards but the nodes list only %d", si.Spectrum, si.Of, listed)
+	case si.Shard < 0 || si.Shard >= si.Of:
+		return fmt.Errorf("spectrum %q shard %d out of range of %d", si.Spectrum, si.Shard, si.Of)
+	case si.Kmers < 0 || si.Kmers > math.MaxInt/si.Of:
+		// Either way the global offsets (prefix sums) would go negative.
+		return fmt.Errorf("spectrum %q shard %d has kmer count %d outside [0, MaxInt/%d]", si.Spectrum, si.Shard, si.Kmers, si.Of)
+	}
+	return nil
 }
 
 // fetchShards GETs one node's shard listing.

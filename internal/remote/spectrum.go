@@ -27,11 +27,6 @@ type Options struct {
 	// Policy is the per-shard retry schedule; the zero value fails fast
 	// with Client-default backoff arithmetic.
 	Policy client.Policy
-	// OnQuery, when set, observes every shard round trip with an outcome
-	// of "ok", "unavailable" (retry budget exhausted) or "error"
-	// (non-retryable node answer). The daemon hangs its per-shard
-	// request counters here.
-	OnQuery func(shard int, outcome string)
 }
 
 // RemoteSpectrum is the coordinator's view of a sharded spectrum: a
@@ -104,16 +99,14 @@ func New(m *ShardMap, opts Options) (*RemoteSpectrum, error) {
 		offsets: offsets,
 		httpc:   httpc,
 		policy:  opts.Policy,
-		onQuery: opts.OnQuery,
 		stats:   make([]shardCounters, len(m.Shards)),
 	}, nil
 }
 
-// Name is the spectrum's cluster-wide base name.
-func (r *RemoteSpectrum) Name() string { return r.name }
-
-// SetOnQuery installs the per-round-trip observer (see Options.OnQuery).
-// It must be called before the spectrum serves queries.
+// SetOnQuery installs an observer of every shard round trip, told the
+// outcome: "ok", "unavailable" (retry budget exhausted) or "error"
+// (non-retryable node answer). The daemon hangs its per-shard request
+// counters here. It must be called before the spectrum serves queries.
 func (r *RemoteSpectrum) SetOnQuery(f func(shard int, outcome string)) { r.onQuery = f }
 
 // K is the kmer length.
@@ -175,32 +168,6 @@ func (r *RemoteSpectrum) shardOf(km seq.Kmer) (int, error) {
 	return shard, nil
 }
 
-// Index returns km's position in the globally-sorted spectrum (-1
-// absent): the owning shard's local index plus that shard's offset.
-func (r *RemoteSpectrum) Index(km seq.Kmer) (int, error) {
-	idx, _, err := r.indexCount(km)
-	return idx, err
-}
-
-// Count returns km's occurrence count (0 absent).
-func (r *RemoteSpectrum) Count(km seq.Kmer) (uint32, error) {
-	_, n, err := r.indexCount(km)
-	return n, err
-}
-
-// Contains reports membership.
-func (r *RemoteSpectrum) Contains(km seq.Kmer) (bool, error) {
-	idx, err := r.Index(km)
-	return idx >= 0, err
-}
-
-// indexCount is the one-kmer case of IndexCountManyCtx.
-func (r *RemoteSpectrum) indexCount(km seq.Kmer) (int, uint32, error) {
-	idxs, counts := []int{-1}, []uint32{0}
-	err := r.IndexCountManyCtx(context.Background(), []seq.Kmer{km}, idxs, counts)
-	return idxs[0], counts[0], err
-}
-
 // maxFrameKmers bounds the kmers one shard request carries; a shard's
 // share of a batch goes out in consecutive frames of at most this many.
 // 2048 decimal kmers are under 48 KiB of request, far below any node's
@@ -222,7 +189,7 @@ var maxFrameKmers = 2048
 // fill.
 func (r *RemoteSpectrum) fanOut(ctx context.Context, kms []seq.Kmer, d int, fill func(shard int, positions []int, resp *QueryResponse) error) error {
 	byShard := make([][]int, len(r.shards))
-	wire := make([]string, len(kms)) // formatted once, however many shards a kmer goes to
+	wire := EncodeKmers(kms) // once, however many shards a kmer goes to
 	var route []int
 	for i, km := range kms {
 		// Every d-mutation of an in-range kmer stays in range, so
@@ -230,7 +197,6 @@ func (r *RemoteSpectrum) fanOut(ctx context.Context, kms []seq.Kmer, d int, fill
 		if _, err := r.shardOf(km); err != nil {
 			return err
 		}
-		wire[i] = formatKmer(km)
 		route = r.part.NeighborShards(km, d, route[:0])
 		for _, shard := range route {
 			byShard[shard] = append(byShard[shard], i)
@@ -277,15 +243,10 @@ func (r *RemoteSpectrum) fanOut(ctx context.Context, kms []seq.Kmer, d int, fill
 // concurrently. The first shard failure is returned; counts for kmers
 // on healthy shards are still filled.
 func (r *RemoteSpectrum) CountMany(kms []seq.Kmer, counts []uint32) error {
-	return r.CountManyCtx(context.Background(), kms, counts)
-}
-
-// CountManyCtx is CountMany with the shard round trips scoped to ctx.
-func (r *RemoteSpectrum) CountManyCtx(ctx context.Context, kms []seq.Kmer, counts []uint32) error {
 	if len(kms) != len(counts) {
 		return fmt.Errorf("remote: CountMany: %d kmers but %d count slots", len(kms), len(counts))
 	}
-	return r.fanOut(ctx, kms, 0, func(shard int, positions []int, resp *QueryResponse) error {
+	return r.fanOut(context.Background(), kms, 0, func(shard int, positions []int, resp *QueryResponse) error {
 		if len(resp.Counts) != len(positions) {
 			return r.malformed(shard, fmt.Sprintf("%d counts", len(positions)), len(resp.Counts))
 		}
@@ -300,7 +261,9 @@ func (r *RemoteSpectrum) CountManyCtx(ctx context.Context, kms []seq.Kmer, count
 // absent) and counts[i] with its occurrence count, in the same one
 // round trip per owning shard — a d=0 node answer carries both columns,
 // so batch callers wanting indexes and counts (the coordinator's query
-// proxy) pay no extra fan-out over CountManyCtx alone.
+// proxy) pay no extra fan-out over CountMany alone. An index is global:
+// the owning shard's local position plus the kmers of the shards before
+// it, so the answer is positionally identical to the unsharded spectrum's.
 func (r *RemoteSpectrum) IndexCountManyCtx(ctx context.Context, kms []seq.Kmer, idxs []int, counts []uint32) error {
 	if len(kms) != len(idxs) || len(kms) != len(counts) {
 		return fmt.Errorf("remote: IndexCountMany: %d kmers but %d index and %d count slots", len(kms), len(idxs), len(counts))
@@ -371,12 +334,9 @@ func (r *RemoteSpectrum) NeighborhoodMany(ctx context.Context, kms []seq.Kmer, d
 			return r.malformed(shard, fmt.Sprintf("%d neighbor lists", len(positions)), len(resp.Neighbors))
 		}
 		for _, list := range resp.Neighbors {
-			for _, str := range list {
-				nb, err := parseKmer(str)
-				if err != nil {
-					return fmt.Errorf("remote: shard %d of %q at %s: %w", shard, r.name, r.shards[shard].Node, err)
-				}
-				a.flat = append(a.flat, nb)
+			var err error
+			if a.flat, err = DecodeKmers(a.flat, list, r.part.K); err != nil {
+				return fmt.Errorf("remote: shard %d of %q at %s: malformed answer: %w", shard, r.name, r.shards[shard].Node, err)
 			}
 			a.ends = append(a.ends, len(a.flat))
 		}
@@ -436,9 +396,6 @@ func (r *RemoteSpectrum) query(ctx context.Context, shard int, qr QueryRequest) 
 		// Belt over shardOf's suspenders: never index the shard or
 		// stats tables out of range inside a fan-out goroutine.
 		return nil, fmt.Errorf("remote: shard %d out of range for %q (%d shards)", shard, r.name, len(r.shards))
-	}
-	if ctx == nil {
-		ctx = context.Background()
 	}
 	loc := r.shards[shard]
 	body, err := json.Marshal(qr)
@@ -532,16 +489,4 @@ func truncate(b []byte, n int) string {
 		b = b[:n]
 	}
 	return string(bytes.TrimSpace(b))
-}
-
-// formatKmer and parseKmer are the wire codec: decimal strings, because
-// JSON numbers cannot carry a full 64-bit packed kmer.
-func formatKmer(km seq.Kmer) string { return strconv.FormatUint(uint64(km), 10) }
-
-func parseKmer(s string) (seq.Kmer, error) {
-	v, err := strconv.ParseUint(s, 10, 64)
-	if err != nil {
-		return 0, fmt.Errorf("bad kmer %q: %w", s, err)
-	}
-	return seq.Kmer(v), nil
 }

@@ -7,11 +7,49 @@
 // membership/count and d-neighborhood queries against one entry.
 package remote
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+	"strconv"
+
+	"repro/internal/seq"
+)
 
 // Kmers cross the wire as decimal strings, not JSON numbers: a packed
 // k=32 kmer occupies 64 bits and JSON numbers lose integer precision
-// past 2^53.
+// past 2^53. EncodeKmers and DecodeKmers are the only codec, for requests
+// and answers alike, so the keyspace check guards both directions.
+
+// EncodeKmers renders kmers as the wire's decimal strings.
+func EncodeKmers(kms []seq.Kmer) []string {
+	out := make([]string, len(kms))
+	for i, km := range kms {
+		out[i] = strconv.FormatUint(uint64(km), 10)
+	}
+	return out
+}
+
+// DecodeKmers appends the kmers of a k-base spectrum that strs spell to
+// dst. A string that is not a decimal uint64 as EncodeKmers writes it (no
+// sign, no leading zeros), or whose value lies outside the 2k-bit
+// keyspace, is an error naming its position: past this point a kmer
+// indexes prefix buckets and shard tables, and a value >= 4^k from a
+// hostile client or a corrupt node would index them out of range.
+func DecodeKmers(dst []seq.Kmer, strs []string, k int) ([]seq.Kmer, error) {
+	dst = slices.Grow(dst, len(strs))
+	kbits := uint(2 * k)
+	for i, str := range strs {
+		v, err := strconv.ParseUint(str, 10, 64)
+		if err != nil || len(str) > 1 && str[0] == '0' {
+			return dst, fmt.Errorf("kmer %d: bad value %q", i, str)
+		}
+		if kbits < 64 && v>>kbits != 0 {
+			return dst, fmt.Errorf("kmer %d: value %q does not fit a packed %d-mer", i, str, k)
+		}
+		dst = append(dst, seq.Kmer(v))
+	}
+	return dst, nil
+}
 
 // ShardInfo describes one shard entry a node serves, as listed by
 // GET /v2/shards.

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/kspectrum"
@@ -214,4 +215,24 @@ type batchOnlySource struct {
 func (b *batchOnlySource) Neighborhood(km seq.Kmer, d int, dst []seq.Kmer) ([]seq.Kmer, error) {
 	b.perKmer++
 	return b.fakeBatchSource.Neighborhood(km, d, dst)
+}
+
+// oneStrand is a backend over a spectrum that is not RC-closed.
+type oneStrand struct{ kspectrum.SpectrumBackend }
+
+func (oneStrand) BothStrands() bool { return false }
+
+// TestServiceBackendRefusesOneStrand: the corrector's reverse-complement
+// pass needs an RC-closed spectrum, and BothStrands is part of the seam, so
+// no backend reaches a service without answering for it.
+func TestServiceBackendRefusesOneStrand(t *testing.T) {
+	_, spec := serviceFixture(t)
+	local, err := NewService(spec, Params{D: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc, err := NewServiceBackend(oneStrand{kspectrum.Local(spec)}, local.neigh, Params{D: 1})
+	if err == nil || !strings.Contains(err.Error(), "both strands") {
+		t.Fatalf("NewServiceBackend over a one-strand backend: %v, %v; want a refusal naming the strands", svc, err)
+	}
 }

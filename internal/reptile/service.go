@@ -96,8 +96,7 @@ func (p Params) withServiceDefaults(k int) Params {
 // the service holds no local columns at all; b is consulted here only, for
 // the spectrum's geometry. p.K must be zero (adopt the backend's k) or
 // agree with it; the backend must answer for both strands — the
-// corrector's reverse-complement pass depends on an RC-closed spectrum,
-// and backends exposing a BothStrands() accessor are checked for it.
+// corrector's reverse-complement pass depends on an RC-closed spectrum.
 func NewServiceBackend(b kspectrum.SpectrumBackend, neigh kspectrum.NeighborSource, p Params) (*Service, error) {
 	if b == nil || neigh == nil {
 		return nil, fmt.Errorf("reptile: service backend needs a SpectrumBackend and a NeighborSource")
@@ -105,7 +104,7 @@ func NewServiceBackend(b kspectrum.SpectrumBackend, neigh kspectrum.NeighborSour
 	if p = p.withServiceDefaults(b.K()); p.K != b.K() {
 		return nil, fmt.Errorf("reptile: params want k=%d but backend has k=%d", p.K, b.K())
 	}
-	if bs, ok := b.(interface{ BothStrands() bool }); ok && !bs.BothStrands() {
+	if !b.BothStrands() {
 		return nil, fmt.Errorf("reptile: backend spectrum was not built from both strands")
 	}
 	// validate() with Spectrum nil checks the scalar parameters only.

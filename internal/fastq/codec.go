@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"strings"
 
 	"repro/internal/seq"
 )
@@ -24,29 +25,42 @@ var ErrChunkTooLarge = errors.New("fastq: chunk exceeds read limit")
 // request-size limit without silently correcting half a chunk.
 func DecodeChunk(r io.Reader, maxReads int) ([]seq.Read, error) {
 	fr := NewReader(r)
-	var out []seq.Read
-	for {
-		rd, err := fr.Next()
-		if err == io.EOF {
-			return out, nil
+	out, err := fr.readUpTo(maxReads)
+	if err == nil && maxReads > 0 && len(out) == maxReads {
+		if _, err = fr.Next(); err == nil {
+			err = fmt.Errorf("%w (%d reads)", ErrChunkTooLarge, maxReads)
 		}
-		if err != nil {
-			return nil, err
-		}
-		if maxReads > 0 && len(out) >= maxReads {
-			return nil, fmt.Errorf("%w (%d reads)", ErrChunkTooLarge, maxReads)
-		}
-		out = append(out, rd)
 	}
+	if err != nil && err != io.EOF { // io.EOF: the look past the cap found the end
+		return nil, err
+	}
+	return out, nil
 }
 
 // EncodeChunk renders reads as FASTQ bytes — the response-body side of
 // DecodeChunk. EncodeChunk(DecodeChunk(b)) reproduces any well-formed b
 // (the Reader↔Writer identity of fuzz_test.go).
 func EncodeChunk(reads []seq.Read) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := Write(&buf, reads); err != nil {
-		return nil, err
+	buf := make([]byte, 0, encodedLen(reads...))
+	for _, rd := range reads {
+		if err := check(rd); err != nil {
+			return nil, err
+		}
+		buf = appendRead(buf, rd)
 	}
-	return buf.Bytes(), nil
+	return buf, nil
+}
+
+// check refuses a read the Reader would not read back as written: no bases
+// (it skips blank lines), a '\n' in or a '\r' ending the ID or the bases (it
+// strips a final '\r'), a space in the ID (it cuts the ID there).
+func check(rd seq.Read) error {
+	if err := rd.Validate(); err != nil {
+		return err
+	}
+	if n := len(rd.Seq); n == 0 || rd.Seq[n-1] == '\r' || bytes.IndexByte(rd.Seq, '\n') >= 0 ||
+		strings.ContainsAny(rd.ID, " \n") || strings.HasSuffix(rd.ID, "\r") {
+		return fmt.Errorf("fastq: read %q would not read back: it needs bases, an ID without a space, and no line break in either", rd.ID)
+	}
+	return nil
 }

@@ -182,30 +182,178 @@ func TestWriteFasta(t *testing.T) {
 func TestReaderLargeStreamNoAliasing(t *testing.T) {
 	// Regression: scanner tokens are invalidated by subsequent Scan calls;
 	// records near internal buffer boundaries must still round-trip.
-	var in []seq.Read
-	for i := 0; i < 5000; i++ {
-		r := seq.Read{
-			ID:   "r" + string(rune('A'+i%26)) + "x",
-			Seq:  bytes.Repeat([]byte("ACGT"), 9),
-			Qual: bytes.Repeat([]byte{byte(10 + i%30)}, 36),
-		}
-		r.Seq[i%36] = "ACGT"[i%4]
-		in = append(in, r)
-	}
-	var buf bytes.Buffer
-	if err := Write(&buf, in); err != nil {
-		t.Fatal(err)
-	}
-	out, err := NewReader(&buf).ReadAll()
+	in := manyReads(5000)
+	data, err := EncodeChunk(in)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(out) != len(in) {
-		t.Fatalf("count %d want %d", len(out), len(in))
+	// Every route out of the one decode loop, over a source that knows its
+	// size and over one that does not (the closer hides it from ChunkReader
+	// either way; TestChunkReaderSizesChunksFromTheInput reads a file).
+	routes := map[string]func(r io.Reader) ([]seq.Read, error){
+		"ReadAll":     func(r io.Reader) ([]seq.Read, error) { return NewReader(r).ReadAll() },
+		"DecodeChunk": func(r io.Reader) ([]seq.Read, error) { return DecodeChunk(r, len(in)) },
+		"ChunkReader": func(r io.Reader) ([]seq.Read, error) {
+			var all []seq.Read
+			cr := NewChunkReader(nopCloser{r}, 777)
+			for {
+				chunk, err := cr.Next()
+				if err == io.EOF {
+					return all, nil
+				}
+				if err != nil {
+					return nil, err
+				}
+				all = append(all, chunk...)
+			}
+		},
 	}
-	for i := range in {
-		if out[i].ID != in[i].ID || !bytes.Equal(out[i].Seq, in[i].Seq) || !bytes.Equal(out[i].Qual, in[i].Qual) {
-			t.Fatalf("record %d corrupted: %+v vs %+v", i, out[i], in[i])
+	for name, decode := range routes {
+		for _, sized := range []bool{true, false} {
+			var src io.Reader = bytes.NewReader(data)
+			if !sized {
+				src = io.MultiReader(src) // hides Len
+			}
+			out, err := decode(src)
+			if err != nil {
+				t.Fatalf("%s sized=%v: %v", name, sized, err)
+			}
+			if len(out) != len(in) {
+				t.Fatalf("%s sized=%v: count %d want %d", name, sized, len(out), len(in))
+			}
+			// The reads are carved from shared blocks, yet each is its
+			// holder's alone: overwriting one and appending to it leaves its
+			// neighbours as decoded.
+			for i := 0; i < len(out); i += 3 {
+				for j := range out[i].Seq {
+					out[i].Seq[j], out[i].Qual[j] = 'N', 0
+				}
+				out[i].Seq = append(out[i].Seq, "NNNNNNNN"...)
+				out[i].Qual = append(out[i].Qual, 0, 0, 0, 0, 0, 0, 0, 0)
+			}
+			for i := range in {
+				if i%3 == 0 {
+					continue
+				}
+				if out[i].ID != in[i].ID || !bytes.Equal(out[i].Seq, in[i].Seq) || !bytes.Equal(out[i].Qual, in[i].Qual) {
+					t.Fatalf("%s sized=%v: record %d corrupted: %+v vs %+v", name, sized, i, out[i], in[i])
+				}
+			}
 		}
+	}
+}
+
+// TestWriteRejectsWhatTheReaderCannotReadBack: every entry point of the
+// encoder refuses, naming the read, a record that would not come back as
+// written — at PR 27's parent each of these was written out, and the next
+// record (or this one's ID) was lost at re-read.
+func TestWriteRejectsWhatTheReaderCannotReadBack(t *testing.T) {
+	ok := seq.Read{ID: "next", Seq: []byte("ACGT"), Qual: []byte{1, 2, 3, 4}}
+	cases := map[string]seq.Read{
+		"no bases":                   {ID: "empty", Seq: []byte{}, Qual: []byte{}},
+		"no bases, no quality":       {ID: "empty"},
+		"newline in ID":              {ID: "a\nb", Seq: []byte("AC")},
+		"carriage return ends ID":    {ID: "a\r", Seq: []byte("AC")},
+		"space in ID":                {ID: "a b", Seq: []byte("AC")},
+		"newline in bases":           {ID: "nl", Seq: []byte("A\nC")},
+		"carriage return ends bases": {ID: "cr", Seq: []byte("AC\r")},
+	}
+	for name, bad := range cases {
+		reads := []seq.Read{bad, ok}
+		_, encErr := EncodeChunk(reads)
+		for entry, err := range map[string]error{
+			"Write":       Write(io.Discard, reads),
+			"EncodeChunk": encErr,
+			"WriteRead":   NewWriter(io.Discard).WriteRead(bad),
+		} {
+			if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("%q", bad.ID)) {
+				t.Errorf("%s: %s returned %v, want an error naming read %q", name, entry, err, bad.ID)
+			}
+		}
+	}
+	// What the Reader tolerates inside a line, the Writer carries: a carriage
+	// return that does not end the line.
+	inner := []seq.Read{{ID: "a\rb", Seq: []byte("A\rC"), Qual: []byte{1, 2, 3}}, ok}
+	data, err := EncodeChunk(inner)
+	if err != nil {
+		t.Fatal(err)
+	}
+	back, err := DecodeChunk(bytes.NewReader(data), 0)
+	if err != nil || len(back) != 2 || back[0].ID != "a\rb" || string(back[0].Seq) != "A\rC" || back[1].ID != "next" {
+		t.Errorf("inner carriage returns came back as %+v, %v", back, err)
+	}
+	// And the Reader hands out no ID the Writer refuses.
+	got, err := NewReader(strings.NewReader("@id\r meta\nAC\n+\nII\n")).Next()
+	if err != nil || got.ID != "id" {
+		t.Errorf("ID of %q read as %q, %v; want \"id\"", "@id\r meta", got.ID, err)
+	}
+}
+
+// manyReads returns n distinct 36-base reads with IDs of growing length.
+func manyReads(n int) []seq.Read {
+	reads := make([]seq.Read, n)
+	for i := range reads {
+		reads[i] = seq.Read{
+			ID:   fmt.Sprintf("read_%d", i),
+			Seq:  bytes.Repeat([]byte("ACGT"), 9),
+			Qual: bytes.Repeat([]byte{byte(10 + i%30)}, 36),
+		}
+		reads[i].Seq[i%36] = "ACGT"[i%4]
+	}
+	return reads
+}
+
+// TestDecodeAllocations: decoding keeps one allocation a read (its ID) plus
+// a few dozen shared blocks, and sizes the read slice once when the source
+// knows its size; 3 a read and a slice re-grown some thirty times before.
+func TestDecodeAllocations(t *testing.T) {
+	reads := manyReads(10000)
+	data, err := EncodeChunk(reads)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sized := range []bool{true, false} {
+		var out []seq.Read
+		perRead := testing.AllocsPerRun(5, func() {
+			var src io.Reader = bytes.NewReader(data)
+			if !sized {
+				src = io.MultiReader(src)
+			}
+			if out, err = NewReader(src).ReadAll(); err != nil {
+				t.Fatal(err)
+			}
+		}) / float64(len(reads))
+		if perRead > 1.1 {
+			t.Errorf("sized=%v: ReadAll makes %.2f allocations a read, want <= 1.1", sized, perRead)
+		}
+		if sized && cap(out) > len(reads)+len(reads)/8 {
+			t.Errorf("ReadAll over a sized source returned cap %d for %d reads", cap(out), len(reads))
+		}
+	}
+}
+
+// TestEncodeAllocations: the output's size is known before a byte is
+// written, so EncodeChunk makes its one buffer and Write grows a
+// bytes.Buffer once (the other two are the bufio.Writer and its buffer);
+// both were a few per read before. Fifty runs, so that what the runtime
+// allocates meanwhile (more under -race) is floored away.
+func TestEncodeAllocations(t *testing.T) {
+	reads := manyReads(10000)
+	reads[7].Qual = nil // the placeholder line is encoded in place too
+	if n := testing.AllocsPerRun(50, func() {
+		if _, err := EncodeChunk(reads); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 1 {
+		t.Errorf("EncodeChunk makes %v allocations, want 1", n)
+	}
+	var buf bytes.Buffer
+	if n := testing.AllocsPerRun(50, func() {
+		buf = bytes.Buffer{}
+		if err := Write(&buf, reads); err != nil {
+			t.Fatal(err)
+		}
+	}); n > 3 {
+		t.Errorf("Write into a bytes.Buffer makes %v allocations, want <= 3", n)
 	}
 }

@@ -17,9 +17,10 @@ import (
 func FuzzReaderWriterRoundTrip(f *testing.F) {
 	f.Add([]byte("@r1\nACGT\n+\nIIII\n"))
 	f.Add([]byte("@r1 meta\nACGTN\n+\n!!~~J\n@r2\nTT\n+r2\nII\n"))
-	f.Add([]byte("@r\nA\n+\n\x7f\n"))    // above Phred+33 range: must be rejected
-	f.Add([]byte("@r\nA\n+\n\x1f\n"))    // below Phred+33 range: must be rejected
-	f.Add([]byte("\n\n@x\nAC\n\n+\nII")) // blank lines and missing trailing newline
+	f.Add([]byte("@r\nA\n+\n\x7f\n"))       // above Phred+33 range: must be rejected
+	f.Add([]byte("@r\nA\n+\n\x1f\n"))       // below Phred+33 range: must be rejected
+	f.Add([]byte("\n\n@x\nAC\n\n+\nII"))    // blank lines and missing trailing newline
+	f.Add([]byte("@a\r b\nA\rC\n+\nIII\n")) // carriage returns the Reader keeps (inside a line) and drops (ending the ID)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var reads []seq.Read
 		r := NewReader(bytes.NewReader(data))
@@ -53,6 +54,51 @@ func FuzzReaderWriterRoundTrip(f *testing.F) {
 		for i, rd := range reads {
 			if got[i].ID != rd.ID || !bytes.Equal(got[i].Seq, rd.Seq) || !bytes.Equal(got[i].Qual, rd.Qual) {
 				t.Fatalf("record %d mismatch: got %+v want %+v", i, got[i], rd)
+			}
+		}
+	})
+}
+
+// FuzzWriterReaderRoundTrip is the inverse identity: whatever reads the
+// Writer accepts, the Reader parses back from its output — same count, IDs
+// and bases, qualities clamped to MaxQuality and 40 where there were none.
+// The second read is fixed: it comes back intact only if the first one's
+// record kept its four lines.
+func FuzzWriterReaderRoundTrip(f *testing.F) {
+	f.Add("r1", []byte("ACGT"), []byte{0, 10, 40, 93}, true)
+	f.Add("", []byte("N"), []byte{200}, true)
+	f.Add("no-quality", []byte("AC"), []byte(nil), false)
+	f.Add("empty", []byte(""), []byte(nil), false)
+	f.Add("a b", []byte("A\nC"), []byte{1, 2, 3}, true)
+	f.Add("cr\r", []byte("AC\r"), []byte{1, 2, 3}, true)
+	f.Add("@+", []byte("+@ \t"), []byte{1, 2, 3, 4}, true)
+	f.Fuzz(func(t *testing.T, id string, bases, qual []byte, hasQual bool) {
+		first := seq.Read{ID: id, Seq: bases}
+		if hasQual {
+			first.Qual = qual
+		}
+		in := []seq.Read{first, {ID: "next", Seq: []byte("ACGT"), Qual: []byte{1, 2, 3, 4}}}
+		data, err := EncodeChunk(in)
+		var buf bytes.Buffer
+		if werr := Write(&buf, in); (werr == nil) != (err == nil) || (err == nil && !bytes.Equal(buf.Bytes(), data)) {
+			t.Fatalf("Write (%v) and EncodeChunk (%v) disagree on %+v", werr, err, first)
+		}
+		if err != nil {
+			return // refused: the Reader is never shown it
+		}
+		out, err := NewReader(bytes.NewReader(data)).ReadAll()
+		if err != nil || len(out) != len(in) {
+			t.Fatalf("%+v was written as %q and read back as %d reads, %v", first, data, len(out), err)
+		}
+		for i, want := range in {
+			got := out[i]
+			if got.ID != want.ID || !bytes.Equal(got.Seq, want.Seq) || len(got.Qual) != len(want.Seq) {
+				t.Fatalf("read %d: wrote %+v, read %+v", i, want, got)
+			}
+			for j, q := range got.Qual {
+				if wantQ := byte(40); (want.Qual == nil && q != wantQ) || (want.Qual != nil && q != min(want.Qual[j], MaxQuality)) {
+					t.Fatalf("read %d: quality %d came back as %d (wrote %v)", i, j, q, want.Qual)
+				}
 			}
 		}
 	})

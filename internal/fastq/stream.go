@@ -2,8 +2,6 @@ package fastq
 
 import (
 	"bufio"
-	"bytes"
-	"fmt"
 	"io"
 
 	"repro/internal/seq"
@@ -41,21 +39,13 @@ func (cr *ChunkReader) Next() ([]seq.Read, error) {
 	if cr.done {
 		return nil, io.EOF
 	}
-	chunk := make([]seq.Read, 0, cr.size)
-	for len(chunk) < cr.size {
-		rd, err := cr.r.Next()
-		if err == io.EOF {
-			cr.done = true
-			if len(chunk) == 0 {
-				return nil, io.EOF
-			}
-			return chunk, nil
-		}
-		if err != nil {
-			cr.done = true
-			return nil, err
-		}
-		chunk = append(chunk, rd)
+	chunk, err := cr.r.readUpTo(cr.size)
+	cr.done = err != nil || len(chunk) < cr.size
+	if err != nil {
+		return nil, err
+	}
+	if len(chunk) == 0 {
+		return nil, io.EOF
 	}
 	return chunk, nil
 }
@@ -78,29 +68,46 @@ func NewWriter(w io.Writer) *Writer {
 }
 
 // WriteRead appends one read. Reads without quality scores get a constant
-// placeholder score of 40.
+// placeholder score of 40; one the Reader could not read back is refused.
 func (w *Writer) WriteRead(rd seq.Read) error {
-	if err := rd.Validate(); err != nil {
+	if err := check(rd); err != nil {
 		return err
 	}
-	if _, err := fmt.Fprintf(w.bw, "@%s\n%s\n+\n", rd.ID, rd.Seq); err != nil {
-		return err
+	if encodedLen(rd) > w.bw.Available() {
+		_ = w.bw.Flush() // room to encode in place; a failure is sticky, Write reports it
 	}
-	qual := rd.Qual
-	if qual == nil {
-		qual = bytes.Repeat([]byte{40}, len(rd.Seq))
+	_, err := w.bw.Write(appendRead(w.bw.AvailableBuffer(), rd))
+	return err
+}
+
+// encodedLen is the exact size of the reads' records ("@ID\nbases\n+\nquals\n").
+func encodedLen(reads ...seq.Read) int {
+	n := 0
+	for _, rd := range reads {
+		n += len(rd.ID) + 2*len(rd.Seq) + 6
 	}
-	line := make([]byte, len(qual))
-	for i, q := range qual {
-		if q > MaxQuality {
-			q = MaxQuality
+	return n
+}
+
+// appendRead is the encode kernel: it appends rd's record to dst.
+//
+//repro:noalloc
+func appendRead(dst []byte, rd seq.Read) []byte {
+	dst = append(dst, '@')
+	dst = append(dst, rd.ID...)
+	dst = append(dst, '\n')
+	dst = append(dst, rd.Seq...)
+	dst = append(dst, "\n+\n"...)
+	if rd.Qual == nil {
+		for range rd.Seq {
+			dst = append(dst, 40+PhredOffset)
 		}
-		line[i] = q + PhredOffset
 	}
-	if _, err := w.bw.Write(line); err != nil {
-		return err
+	for _, q := range rd.Qual {
+		dst = append(dst, min(q, MaxQuality)+PhredOffset)
 	}
-	return w.bw.WriteByte('\n')
+	dst = append(dst, '\n')
+	return dst
 }
 
 // WriteChunk appends a chunk of reads.

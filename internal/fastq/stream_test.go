@@ -3,6 +3,9 @@ package fastq
 import (
 	"bytes"
 	"io"
+	"os"
+	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -147,5 +150,49 @@ func TestChunkReaderPropagatesError(t *testing.T) {
 	}
 	if _, err := cr.Next(); err != io.EOF {
 		t.Errorf("stream should stay ended, got %v", err)
+	}
+}
+
+// TestChunkReaderSizesChunksFromTheInput: over a file, a full chunk gets
+// exactly the chunk size, a short tail about what the file has left, and the
+// call that only discovers the end of the stream nothing — each used to cost
+// a full chunk's capacity.
+func TestChunkReaderSizesChunksFromTheInput(t *testing.T) {
+	reads := manyReads(250)
+	data, err := EncodeChunk(reads)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "in.fastq")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cr := NewChunkReader(f, 100)
+	defer cr.Close()
+	for _, want := range []struct{ n, maxCap int }{{100, 100}, {100, 100}, {50, 60}} {
+		chunk, err := cr.Next()
+		if err != nil || len(chunk) != want.n || cap(chunk) > want.maxCap {
+			t.Fatalf("chunk of %d reads with cap %d, %v; want %d reads, cap <= %d", len(chunk), cap(chunk), err, want.n, want.maxCap)
+		}
+	}
+
+	// A stream that ends on a chunk boundary: the second Next finds that out.
+	cr = NewChunkReader(nopCloser{bytes.NewReader(data)}, len(reads))
+	if chunk, err := cr.Next(); err != nil || len(chunk) != len(reads) {
+		t.Fatalf("first chunk: %d reads, %v", len(chunk), err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err = cr.Next()
+	runtime.ReadMemStats(&after)
+	if err != io.EOF {
+		t.Fatalf("second Next: %v, want io.EOF", err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1024 {
+		t.Errorf("finding the end of the stream allocated %d bytes", got)
 	}
 }

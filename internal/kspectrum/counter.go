@@ -265,9 +265,10 @@ type tileCounter struct {
 	grow int
 }
 
-func newTileCounter() *tileCounter {
+// newTileCounter returns a table that takes hint tiles without a rehash.
+func newTileCounter(hint int) *tileCounter {
 	tc := &tileCounter{}
-	tc.alloc(minCounterSlots)
+	tc.alloc(slotsFor(hint))
 	return tc
 }
 

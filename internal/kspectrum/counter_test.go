@@ -96,7 +96,7 @@ func TestCounterSaturatesAtMaxUint32(t *testing.T) {
 	if c.Len() != 1 {
 		t.Fatalf("Len = %d want 1", c.Len())
 	}
-	tc := newTileCounter()
+	tc := newTileCounter(0)
 	for i := 0; i < 3; i++ {
 		tc.add(km, true)
 	}
@@ -385,6 +385,30 @@ func TestTileSetOneWorkerIsOneTable(t *testing.T) {
 	if n := testing.AllocsPerRun(5, func() { ts.Add(reads[:1]) }); n != 0 {
 		t.Fatalf("one-worker Add allocated %v times on a sized table, want 0", n)
 	}
+
+	// Handed its reads — a request's chunk — the table is made once, for
+	// every window they hold: no rehash (eight before, from 64 slots), and
+	// the counts of a table grown by Add.
+	chunk := randomReads(t, 500)
+	var sized *TileSet
+	if n := testing.AllocsPerRun(20, func() {
+		sized, _ = CountTiles(chunk, 12, 0, 0, BuildOptions{Workers: 1})
+	}); n > 6 { // the TileSet, its shard slice, the table and its three arrays
+		t.Errorf("one-worker CountTiles over a 500-read chunk allocated %v times, want <= 6", n)
+	}
+	if got, want := len(sized.shards[0].keys), slotsFor(2*500*(36-24+1)); got != want {
+		t.Errorf("table has %d slots, want the %d its windows need", got, want)
+	}
+	ts, _ = CountTiles(nil, 12, 0, 0, BuildOptions{Workers: 1})
+	ts.Add(chunk)
+	if sized.Size() != ts.Size() {
+		t.Fatalf("sized table holds %d tiles, grown one %d", sized.Size(), ts.Size())
+	}
+	ts.forEach(func(tile seq.Kmer, c TileCount) {
+		if got := sized.Get(tile); got != c {
+			t.Fatalf("tile %#x: sized table counts %+v, grown one %+v", uint64(tile), got, c)
+		}
+	})
 }
 
 // TestApproxAccumulatorBytes pins the budget math: the estimate must match

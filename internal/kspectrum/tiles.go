@@ -66,8 +66,16 @@ func CountTiles(reads []seq.Read, k, overlap int, qc byte, opts ...BuildOptions)
 		workers: workers,
 		part:    PrefixPartition{K: tileLen, Bits: shardBits},
 	}
+	// One worker's one table is sized once, for every window (both strands) of
+	// the reads in hand — a request's chunk, few repeats; Add's shards grow.
+	windows := 0
+	if workers == 1 {
+		for _, r := range reads {
+			windows += 2 * max(len(r.Seq)-tileLen+1, 0)
+		}
+	}
 	for range ts.part.Shards() {
-		ts.shards = append(ts.shards, newTileCounter())
+		ts.shards = append(ts.shards, newTileCounter(windows))
 	}
 	ts.Add(reads)
 	return ts, nil

@@ -354,6 +354,7 @@ type scratch struct {
 	tile    []byte       // unpacked replacement tile
 	rcSeq   []byte       // reverse-complement pass: bases
 	rcQual  []byte       // reverse-complement pass: qualities
+	out     seq.Arena    // the worker's corrected copies (correctRead)
 
 	// err records the first backend failure seen by this worker. Local
 	// backends never fail; a remote one can, and a failed neighborhood
@@ -533,13 +534,16 @@ func (c *Corrector) CorrectRead(r seq.Read) seq.Read {
 	c.ensureQuerier()
 	s := scratchPool.Get().(*scratch)
 	s.err = nil
-	out := c.correctRead(r, s)
+	out := prepareRead(r, c.P)
+	c.correctInPlace(out.Seq, out.Qual, s)
 	scratchPool.Put(s)
 	return out
 }
 
+// correctRead is a worker's CorrectRead: the copy is carved from its arena.
 func (c *Corrector) correctRead(r seq.Read, s *scratch) seq.Read {
-	out := prepareRead(r, c.P)
+	out := r.CloneIn(&s.out)
+	convertAmbiguous(out.Seq, out.Qual, c.P)
 	c.correctInPlace(out.Seq, out.Qual, s)
 	return out
 }
@@ -643,11 +647,12 @@ const cancelPollMask = 63
 
 // CorrectAllCtx corrects every read using `workers` goroutines (1 =
 // serial, <= 0 = all cores). The input reads are not modified. Each
-// worker owns one scratch for its whole read range, so the per-read cost
-// is the output copy alone. Every worker polls ctx every few dozen reads
-// and the pool drains promptly once it is cancelled, returning (nil,
-// ctx.Err()). All workers have exited by the time it returns —
-// cancellation leaks no goroutines.
+// worker owns one scratch for its whole read range and carves the corrected
+// copies from its arena: each is the caller's to overwrite or append to, and
+// one retained read keeps at most 64 KiB of its neighbours alive (seq.Arena).
+// Every worker polls ctx every few dozen reads and the pool drains promptly
+// once it is cancelled, returning (nil, ctx.Err()). All workers have exited
+// by the time it returns — cancellation leaks no goroutines.
 func (c *Corrector) CorrectAllCtx(ctx context.Context, reads []seq.Read, workers int) ([]seq.Read, error) {
 	c.ensureQuerier()
 	if workers <= 0 {

@@ -1,6 +1,7 @@
 package reptile
 
 import (
+	"bytes"
 	"context"
 	"math/rand"
 	"testing"
@@ -128,6 +129,54 @@ func TestCorrectAllParallelMatchesSerial(t *testing.T) {
 		if string(serial[i].Seq) != string(parallel[i].Seq) {
 			t.Fatalf("parallel differs from serial at read %d", i)
 		}
+	}
+}
+
+// TestCorrectAllOutputOwnership: the corrected copies are carved from one
+// arena per worker, yet behave as the separate copies CorrectRead makes —
+// the input is left byte-identical, every output equals CorrectRead's, and
+// overwriting or appending to one output leaves its neighbours alone. The
+// carving is what takes the copying path from 2 allocations a read to a few
+// blocks a worker.
+func TestCorrectAllOutputOwnership(t *testing.T) {
+	_, sim := buildTestData(t, 5000, 4000, 36, 0.01, 4)
+	reads := simulate.Reads(sim)
+	reads[5].Seq[3], reads[6].Qual = 'N', nil // a converted base; a read without qualities
+	c, err := New(reads, defaultTestParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := make([]seq.Read, len(reads))
+	want := make([]seq.Read, len(reads))
+	for i, r := range reads {
+		before[i], want[i] = r.Clone(), c.CorrectRead(r)
+	}
+	same := func(a, b seq.Read) bool {
+		return a.ID == b.ID && bytes.Equal(a.Seq, b.Seq) && bytes.Equal(a.Qual, b.Qual) && (a.Qual == nil) == (b.Qual == nil)
+	}
+	for _, workers := range []int{1, 4} {
+		out := correctAll(t, c, reads, workers)
+		for i := range reads {
+			if !same(reads[i], before[i]) {
+				t.Fatalf("workers=%d: input read %d changed", workers, i)
+			}
+		}
+		for i := 0; i < len(out); i += 3 {
+			for j := range out[i].Seq {
+				out[i].Seq[j] = 'N'
+			}
+			out[i].Seq = append(out[i].Seq, "NNNNNNNN"...)
+			out[i].Qual = append(out[i].Qual, 0, 0, 0, 0, 0, 0, 0, 0)
+		}
+		for i := range out {
+			if i%3 != 0 && !same(out[i], want[i]) {
+				t.Fatalf("workers=%d: output %d is %+v, want %+v", workers, i, out[i], want[i])
+			}
+		}
+	}
+	perRead := testing.AllocsPerRun(3, func() { correctAll(t, c, reads, 1) }) / float64(len(reads))
+	if perRead > 0.01 {
+		t.Errorf("CorrectAllCtx makes %.4f allocations a read, want <= 0.01", perRead)
 	}
 }
 

@@ -239,12 +239,39 @@ type Read struct {
 }
 
 // Clone deep-copies the read so corrections do not alias the original.
-func (r Read) Clone() Read {
-	c := Read{ID: r.ID, Seq: append([]byte(nil), r.Seq...)}
+func (r Read) Clone() Read { return r.CloneIn(nil) }
+
+// CloneIn is Clone with the copy's bases and qualities carved from a.
+func (r Read) CloneIn(a *Arena) Read {
+	c := Read{ID: r.ID, Seq: append(a.Alloc(len(r.Seq))[:0], r.Seq...)}
 	if r.Qual != nil {
-		c.Qual = append([]byte(nil), r.Qual...)
+		c.Qual = append(a.Alloc(len(r.Qual))[:0], r.Qual...)
 	}
 	return c
+}
+
+// Arena carves byte slices from shared blocks, one malloc a block: a FASTQ
+// reader's reads, a correction worker's output. Blocks start at 4 KiB and double
+// to 64 KiB, so a small batch costs little and one retained slice pins at most
+// 64 KiB beyond itself; slices have cap == len, so an append moves away instead
+// of reaching the neighbour. A nil Arena allocates each slice on its own.
+type Arena struct {
+	free []byte
+	size int // of the last block
+}
+
+// Alloc returns a zeroed n-byte slice.
+func (a *Arena) Alloc(n int) []byte {
+	if a == nil {
+		return make([]byte, n)
+	}
+	if n > len(a.free) {
+		a.size = min(max(2*a.size, 4<<10), 64<<10)
+		a.free = make([]byte, max(a.size, n))
+	}
+	b := a.free[:n:n]
+	a.free = a.free[n:]
+	return b
 }
 
 // CountAmbiguous returns the number of non-ACGT characters in the read.

@@ -274,3 +274,56 @@ func BenchmarkHammingKmer(b *testing.B) {
 		HammingKmer(x, y, 16)
 	}
 }
+
+// TestArenaSlicesAreSeparate: carved slices are zeroed, full (cap == len, so
+// an append moves away instead of running into the next slice), disjoint,
+// and come from blocks of 4 KiB doubling to 64 KiB; a slice too big to share
+// a block, and any slice of a nil arena, is allocated on its own.
+func TestArenaSlicesAreSeparate(t *testing.T) {
+	var a Arena
+	var all [][]byte
+	for i := 0; i < 5000; i++ {
+		b := a.Alloc(1 + i%90)
+		if len(b) != 1+i%90 || cap(b) != len(b) {
+			t.Fatalf("Alloc(%d) returned len %d cap %d", 1+i%90, len(b), cap(b))
+		}
+		for _, x := range b {
+			if x != 0 {
+				t.Fatalf("slice %d is not zeroed", i)
+			}
+		}
+		for j := range b {
+			b[j] = byte(i)
+		}
+		all = append(all, b)
+	}
+	for i, b := range all {
+		grown := append(b, 0xFF)
+		if len(b) > 0 && &grown[0] == &b[0] {
+			t.Fatalf("append to slice %d grew in place", i)
+		}
+		for _, x := range b {
+			if x != byte(i) {
+				t.Fatalf("slice %d was overwritten by a neighbour", i)
+			}
+		}
+	}
+	if got := testing.AllocsPerRun(10, func() {
+		var a Arena
+		for n := 0; n < 124<<10; n += 64 { // 4+8+16+32+64 KiB
+			a.Alloc(64)
+		}
+	}); got != 5 {
+		t.Errorf("124 KiB in 64-byte slices took %v blocks, want 5 (4, 8, 16, 32, 64 KiB)", got)
+	}
+	if big := a.Alloc(1 << 20); len(big) != 1<<20 || cap(big) != 1<<20 {
+		t.Errorf("a 1 MiB slice came back len %d cap %d", len(big), cap(big))
+	}
+	if b := (*Arena)(nil).Alloc(7); len(b) != 7 {
+		t.Errorf("nil arena returned %d bytes, want 7", len(b))
+	}
+	r := Read{ID: "r", Seq: []byte("ACGT")}
+	if c := r.CloneIn(&a); c.ID != "r" || string(c.Seq) != "ACGT" || c.Qual != nil {
+		t.Errorf("CloneIn of a read without qualities = %+v", c)
+	}
+}

@@ -1,6 +1,8 @@
 package kspectrum
 
 import (
+	"cmp"
+	"slices"
 	"sync"
 
 	"repro/internal/seq"
@@ -251,18 +253,28 @@ func ApproxAccumulatorBytes(n int) int64 {
 	return int64(slotsFor(n)) * counterSlotBytes
 }
 
+// TileEntry is one tile with its counts: a tileCounter slot, and once the
+// set is frozen an element of the column TileSet.Run hands out.
+type TileEntry struct {
+	Tile seq.Kmer
+	TileCount
+}
+
 // tileCounter is the paired-uint32-value variant of Counter backing
 // TileSet: per tile it tracks Oc (total occurrences) and Og (high-quality
 // occurrences). A slot is occupied iff Oc is non-zero — every insertion
 // increments Oc, so the invariant holds. mu is the stripe lock TileSet
 // takes around a shard's table; the methods themselves do not.
 type tileCounter struct {
-	mu   sync.Mutex
-	keys []seq.Kmer
-	oc   []uint32
-	og   []uint32
-	n    int
-	grow int
+	mu    sync.Mutex
+	slots []TileEntry
+	n     int
+	grow  int
+	// Set by freeze: slots is then the column ascending by tile, and bucket
+	// b = tile>>shift&mask is slots[buckets[b]:buckets[b+1]].
+	shift   uint
+	mask    uint64
+	buckets []int32
 }
 
 // newTileCounter returns a table that takes hint tiles without a rehash.
@@ -273,43 +285,38 @@ func newTileCounter(hint int) *tileCounter {
 }
 
 func (tc *tileCounter) alloc(slots int) {
-	tc.keys = make([]seq.Kmer, slots)
-	tc.oc = make([]uint32, slots)
-	tc.og = make([]uint32, slots)
+	tc.slots = make([]TileEntry, slots)
 	tc.grow = slots * 3 / 4
 	tc.n = 0
 }
-
-// Len returns the number of distinct tiles.
-func (tc *tileCounter) Len() int { return tc.n }
 
 // add records one occurrence of tile, high-quality when hq. Like
 // Counter.Inc, counts saturate at MaxUint32 — Oc wrapping to 0 would free
 // an occupied slot.
 func (tc *tileCounter) add(tile seq.Kmer, hq bool) {
-	mask := uint64(len(tc.keys) - 1)
+	mask := uint64(len(tc.slots) - 1)
 	i := mix(uint64(tile)) & mask
 	for {
-		if tc.oc[i] == 0 {
+		e := &tc.slots[i]
+		if e.Oc == 0 {
 			if tc.n >= tc.grow {
 				tc.rehash()
 				tc.add(tile, hq)
 				return
 			}
-			tc.keys[i] = tile
-			tc.oc[i] = 1
+			e.Tile, e.Oc = tile, 1
 			if hq {
-				tc.og[i] = 1
+				e.Og = 1
 			}
 			tc.n++
 			return
 		}
-		if tc.keys[i] == tile {
-			if tc.oc[i] != ^uint32(0) {
-				tc.oc[i]++
+		if e.Tile == tile {
+			if e.Oc != ^uint32(0) {
+				e.Oc++
 			}
-			if hq && tc.og[i] != ^uint32(0) {
-				tc.og[i]++
+			if hq && e.Og != ^uint32(0) {
+				e.Og++
 			}
 			return
 		}
@@ -317,45 +324,124 @@ func (tc *tileCounter) add(tile seq.Kmer, hq bool) {
 	}
 }
 
-// get returns the tile's counts (zero counts if unseen).
+// get returns the tile's counts (zero counts if unseen): a hash probe, or
+// after freeze a search of the tile's bucket.
+//
+//repro:noalloc
 func (tc *tileCounter) get(tile seq.Kmer) TileCount {
-	mask := uint64(len(tc.keys) - 1)
+	if tc.buckets != nil {
+		r := tc.bucket(tile)
+		if i := searchTiles(r, tile, false); i < len(r) && r[i].Tile == tile {
+			return r[i].TileCount
+		}
+		return TileCount{}
+	}
+	mask := uint64(len(tc.slots) - 1)
 	i := mix(uint64(tile)) & mask
 	for {
-		if tc.oc[i] == 0 {
+		e := &tc.slots[i]
+		if e.Oc == 0 {
 			return TileCount{}
 		}
-		if tc.keys[i] == tile {
-			return TileCount{Oc: tc.oc[i], Og: tc.og[i]}
+		if e.Tile == tile {
+			return e.TileCount
 		}
 		i = (i + 1) & mask
 	}
 }
 
 func (tc *tileCounter) rehash() {
-	oldK, oldOc, oldOg := tc.keys, tc.oc, tc.og
-	tc.alloc(2 * len(oldK))
-	mask := uint64(len(tc.keys) - 1)
-	for j, v := range oldOc {
-		if v == 0 {
+	old := tc.slots
+	tc.alloc(2 * len(old))
+	mask := uint64(len(tc.slots) - 1)
+	for _, e := range old {
+		if e.Oc == 0 {
 			continue
 		}
-		i := mix(uint64(oldK[j])) & mask
-		for tc.oc[i] != 0 {
+		i := mix(uint64(e.Tile)) & mask
+		for tc.slots[i].Oc != 0 {
 			i = (i + 1) & mask
 		}
-		tc.keys[i] = oldK[j]
-		tc.oc[i] = v
-		tc.og[i] = oldOg[j]
+		tc.slots[i] = e
 		tc.n++
 	}
 }
 
-// forEach visits every distinct tile in table (not sorted) order.
-func (tc *tileCounter) forEach(fn func(tile seq.Kmer, c TileCount)) {
-	for i, v := range tc.oc {
-		if v != 0 {
-			fn(tc.keys[i], TileCount{Oc: v, Og: tc.og[i]})
+// freeze sorts the table in place into a column ascending by tile, with a
+// bucket table — its one allocation — over the tiles' top bits: the shard's
+// prefix and enough more for ~8 tiles a bucket, at most maxBits of tileBits.
+// The occupied slots are compacted to the front and permuted into bucket
+// order by an American flag pass whose only cursors are the table: t[b]
+// starts at bucket b's end and moves down as it fills, ending at its start.
+// All before i is final, so slot i must move iff it is below its cursor.
+func (tc *tileCounter) freeze(tileBits, shardBits, maxBits uint) {
+	bits := shardBits + prefixBitsFor(tc.n/8, maxBits-shardBits)
+	tc.shift, tc.mask = tileBits-bits, 1<<(bits-shardBits)-1
+	t := make([]int32, tc.mask+2)
+	col := tc.slots[:0]
+	for _, e := range tc.slots {
+		if e.Oc != 0 {
+			col = append(col, e)
+			t[tc.bucketOf(e.Tile)]++
 		}
 	}
+	for b := 1; b < len(t); b++ {
+		t[b] += t[b-1] // t[last] is the sentinel, len(col)
+	}
+	for i := range col {
+		b := tc.bucketOf(col[i].Tile)
+		if int32(i) >= t[b] {
+			continue
+		}
+		e := col[i]
+		for t[b]--; int(t[b]) != i; t[b]-- {
+			e, col[t[b]] = col[t[b]], e
+			b = tc.bucketOf(e.Tile)
+		}
+		col[i] = e
+	}
+	for b := range len(t) - 1 {
+		bucket := col[t[b]:t[b+1]]
+		if len(bucket) > 16 { // a repeat's first kmer: B log B, not insertion's B²
+			slices.SortFunc(bucket, func(x, y TileEntry) int { return cmp.Compare(x.Tile, y.Tile) })
+			continue
+		}
+		for i := 1; i < len(bucket); i++ { // SortFunc's callbacks: +20 % a Freeze
+			for j := i; j > 0 && bucket[j].Tile < bucket[j-1].Tile; j-- {
+				bucket[j], bucket[j-1] = bucket[j-1], bucket[j]
+			}
+		}
+	}
+	tc.slots, tc.buckets = col, t
+}
+
+func (tc *tileCounter) bucketOf(tile seq.Kmer) uint64 {
+	return uint64(tile) >> tc.shift & tc.mask
+}
+
+// bucket returns the frozen column's entries in tile's bucket, ascending:
+// every tile with tile's first kmer, however many there are.
+//
+//repro:noalloc
+func (tc *tileCounter) bucket(tile seq.Kmer) []TileEntry {
+	b := tc.bucketOf(tile)
+	return tc.slots[tc.buckets[b]:tc.buckets[b+1]]
+}
+
+// searchTiles returns the first index of the ascending r whose tile is at
+// least t, or past t when past: binary down to 8 entries, then a scan, which
+// is what a bucket of ~8 takes whole — 30 ns a Run where binary took 40.
+func searchTiles(r []TileEntry, t seq.Kmer, past bool) int {
+	i, j := 0, len(r)
+	for j-i > 8 {
+		if h := int(uint(i+j) >> 1); r[h].Tile < t || past && r[h].Tile == t {
+			i = h + 1
+		} else {
+			j = h
+		}
+	}
+	for i < j && (r[i].Tile < t || past && r[i].Tile == t) {
+		i++
+	}
+	return i
 }

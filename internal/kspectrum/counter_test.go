@@ -100,7 +100,7 @@ func TestCounterSaturatesAtMaxUint32(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		tc.add(km, true)
 	}
-	tc.oc[mixSlot(tc, km)] = ^uint32(0)
+	tc.slots[mixSlot(tc, km)].Oc = ^uint32(0)
 	tc.add(km, false)
 	if got := tc.get(km); got.Oc != ^uint32(0) {
 		t.Fatalf("tile Oc = %d want MaxUint32", got.Oc)
@@ -109,9 +109,9 @@ func TestCounterSaturatesAtMaxUint32(t *testing.T) {
 
 // mixSlot locates km's slot in a tileCounter (test helper).
 func mixSlot(tc *tileCounter, km seq.Kmer) uint64 {
-	mask := uint64(len(tc.keys) - 1)
+	mask := uint64(len(tc.slots) - 1)
 	i := mix(uint64(km)) & mask
-	for tc.keys[i] != km || tc.oc[i] == 0 {
+	for tc.slots[i].Tile != km || tc.slots[i].Oc == 0 {
 		i = (i + 1) & mask
 	}
 	return i
@@ -393,10 +393,10 @@ func TestTileSetOneWorkerIsOneTable(t *testing.T) {
 	var sized *TileSet
 	if n := testing.AllocsPerRun(20, func() {
 		sized, _ = CountTiles(chunk, 12, 0, 0, BuildOptions{Workers: 1})
-	}); n > 6 { // the TileSet, its shard slice, the table and its three arrays
-		t.Errorf("one-worker CountTiles over a 500-read chunk allocated %v times, want <= 6", n)
+	}); n > 4 { // the TileSet, its shard slice, the table and its slot array
+		t.Errorf("one-worker CountTiles over a 500-read chunk allocated %v times, want <= 4", n)
 	}
-	if got, want := len(sized.shards[0].keys), slotsFor(2*500*(36-24+1)); got != want {
+	if got, want := len(sized.shards[0].slots), slotsFor(2*500*(36-24+1)); got != want {
 		t.Errorf("table has %d slots, want the %d its windows need", got, want)
 	}
 	ts, _ = CountTiles(nil, 12, 0, 0, BuildOptions{Workers: 1})

@@ -2,6 +2,8 @@ package kspectrum
 
 import (
 	"encoding/binary"
+	"fmt"
+	"math/rand"
 	"testing"
 
 	"repro/internal/seq"
@@ -56,5 +58,42 @@ func FuzzCounter(f *testing.F) {
 				t.Fatalf("count[%#x] = %d, oracle %d", uint64(km), counts[i], oracle[uint64(km)])
 			}
 		}
+	})
+}
+
+// FuzzTileSetRun counts arbitrary reads into a TileSet, freezes it, and
+// requires Get and Run to agree with the unfrozen counts. The first three
+// bytes pick k (1..16), the overlap (< k) and (Workers, Shards); every
+// other byte is a base of ACGTN, and 0xFF ends a read.
+func FuzzTileSetRun(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte("\x02\x00\x02ACGTACGTTTGACCA\xffGGATCCANNACGTAC"))
+	f.Add([]byte("\x0b\x05\x01" + "ACGGTCATTGACCATGGATCCAGTTACAGGTACAGT\xff" + "CCATGGATCCAGTTACAGGTACAGTTTTGACCATGA"))
+	f.Add([]byte("\x0f\x00\x03" + "TTGACCATGGATCCAGTTACAGGTACAGTACGGTCA"))
+	options := []BuildOptions{{Workers: 1}, {Workers: 2, Shards: 4}, {Workers: 4, Shards: 1024}, {Workers: 3, Shards: 7}}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 3 {
+			return
+		}
+		k := 1 + int(data[0])%16
+		overlap, opts := int(data[1])%k, options[int(data[2])%len(options)]
+		var reads []seq.Read
+		var cur []byte
+		for _, b := range data[3:] {
+			if b == 0xFF {
+				reads = append(reads, seq.Read{Seq: cur})
+				cur = nil
+				continue
+			}
+			cur = append(cur, "ACGTN"[b%5])
+		}
+		reads = append(reads, seq.Read{Seq: cur})
+		ts, err := CountTiles(reads, k, overlap, 0, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before, absent := unfrozenCounts(ts, 50, rand.New(rand.NewSource(int64(len(data)))))
+		ts.Freeze()
+		frozenAgrees(t, ts, before, absent, fmt.Sprintf("k=%d l=%d %+v", k, overlap, opts))
 	})
 }

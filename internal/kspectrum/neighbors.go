@@ -72,18 +72,7 @@ func NewNeighborIndex(spec *Spectrum, d, c int) (*NeighborIndex, error) {
 	if err := spec.Verify(); err != nil {
 		return nil, err
 	}
-	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-	var wg sync.WaitGroup
-	for r := range ni.replicas {
-		sem <- struct{}{}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			ni.replicas[r].build(spec)
-			<-sem
-		}()
-	}
-	wg.Wait()
+	forEachParallel(len(ni.replicas), runtime.GOMAXPROCS(0), func(r int) { ni.replicas[r].build(spec) })
 	return ni, nil
 }
 

@@ -173,6 +173,24 @@ func forEachChunk(reads []seq.Read, workers int, newWorker func(i int) func([]se
 	wg.Wait()
 }
 
+// forEachParallel calls fn(i) for every i in [0, n), each on its own
+// goroutine, at most `workers` at a time: NewNeighborIndex's replicas and
+// TileSet.Freeze's shards.
+func forEachParallel(n, workers int, fn func(i int)) {
+	sem := make(chan struct{}, workers)
+	var wg sync.WaitGroup
+	for i := range n {
+		sem <- struct{}{}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			fn(i)
+			<-sem
+		}()
+	}
+	wg.Wait()
+}
+
 // countChunk scatters one read chunk's kmers into the worker's per-shard
 // buffers (reset here), then flushes each buffer into its striped
 // accumulator under the stripe lock. Buffering keeps the critical section to

@@ -58,6 +58,7 @@ func CountTiles(reads []seq.Read, k, overlap int, qc byte, opts ...BuildOptions)
 		o = opts[0]
 	}
 	workers, shardBits := o.resolve(tileLen)
+	shardBits = min(shardBits, uint(2*k)) // a Run never straddles two shards
 	if workers == 1 {
 		shardBits = 0
 	}
@@ -82,8 +83,12 @@ func CountTiles(reads []seq.Read, k, overlap int, qc byte, opts ...BuildOptions)
 }
 
 // Add merges one chunk of reads into the tile counts, enabling the §2.3
-// divide-and-merge construction.
+// divide-and-merge construction. It panics after Freeze: a hash insert
+// into the sorted column would corrupt it silently.
 func (ts *TileSet) Add(reads []seq.Read) {
+	if ts.frozen() {
+		panic("kspectrum: TileSet.Add after Freeze")
+	}
 	if ts.workers == 1 {
 		for _, r := range reads {
 			ts.countRead(r.Seq, r.Qual, nil)
@@ -171,11 +176,46 @@ func (ts *TileSet) Get(tile seq.Kmer) TileCount {
 	return ts.shards[ts.part.ShardOf(tile)].get(tile)
 }
 
+// Freeze ends counting: each table becomes in place the column Run and Get
+// read, one goroutine a shard, up to the set's workers at a time; only the
+// bucket tables are allocated. A second call is a no-op.
+func (ts *TileSet) Freeze() {
+	if ts.frozen() {
+		return
+	}
+	tileBits, maxBits := uint(2*ts.TileLen), uint(2*ts.K)
+	if len(ts.shards) == 1 { // the daemon's one table: no goroutine, one allocation
+		ts.shards[0].freeze(tileBits, ts.part.Bits, maxBits)
+		return
+	}
+	forEachParallel(len(ts.shards), ts.workers, func(s int) { ts.shards[s].freeze(tileBits, ts.part.Bits, maxBits) })
+}
+
+// Run returns the tiles whose first kmer is ka, ascending — so by second
+// kmer, whose first Overlap bases are ka's last. It panics before Freeze.
+//
+//repro:noalloc
+func (ts *TileSet) Run(ka seq.Kmer) []TileEntry {
+	tail := 2 * uint(ts.K-ts.Overlap)
+	lo := ka << tail
+	tc := ts.shards[ts.part.ShardOf(lo)]
+	if tc.buckets == nil { // as frozen(), on the shard in hand
+		panic("kspectrum: TileSet.Run before Freeze") //repro:alloc-ok a constant boxes statically
+	}
+	r := tc.bucket(lo)
+	r = r[searchTiles(r, lo, false):]
+	return r[:searchTiles(r, lo|(seq.Kmer(1)<<tail-1), true)]
+}
+
+// frozen reports whether Freeze has run: every shard then has its buckets,
+// and there is always a shard 0.
+func (ts *TileSet) frozen() bool { return ts.shards[0].buckets != nil }
+
 // Size returns the number of distinct tiles.
 func (ts *TileSet) Size() int {
 	n := 0
 	for _, shard := range ts.shards {
-		n += shard.Len()
+		n += shard.n
 	}
 	return n
 }
@@ -183,7 +223,11 @@ func (ts *TileSet) Size() int {
 // forEach visits every distinct tile, in no particular order.
 func (ts *TileSet) forEach(fn func(tile seq.Kmer, c TileCount)) {
 	for _, shard := range ts.shards {
-		shard.forEach(fn)
+		for _, e := range shard.slots {
+			if e.Oc != 0 {
+				fn(e.Tile, e.TileCount)
+			}
+		}
 	}
 }
 

@@ -1,7 +1,13 @@
 package kspectrum
 
 import (
+	"cmp"
+	"fmt"
+	"math/rand"
+	"slices"
+	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/seq"
 )
@@ -107,6 +113,174 @@ func TestOgQuantile(t *testing.T) {
 	}
 	if q := ts.OgQuantile(0.99); q != 3 {
 		t.Errorf("OgQuantile(0.99) = %d want 3", q)
+	}
+}
+
+// unfrozenCounts snapshots an unfrozen set through forEach, plus up to n
+// tiles its Get finds absent, drawn at random over the tile space (a small
+// k's space may hold few or none).
+func unfrozenCounts(ts *TileSet, n int, rng *rand.Rand) (map[seq.Kmer]TileCount, []seq.Kmer) {
+	before := map[seq.Kmer]TileCount{}
+	ts.forEach(func(tile seq.Kmer, c TileCount) { before[tile] = c })
+	var absent []seq.Kmer
+	for tries := 0; len(absent) < n && tries < 20*n; tries++ {
+		tile := seq.Kmer(rng.Uint64()) & (seq.Kmer(1)<<(2*uint(ts.TileLen)) - 1)
+		if ts.Get(tile) == (TileCount{}) {
+			absent = append(absent, tile)
+		}
+	}
+	return before, absent
+}
+
+// frozenAgrees checks a frozen set against what it held unfrozen: Get on
+// every tile and on the absent ones, and Run on every first kmer (and on the
+// absent tiles' first kmers) against the brute-force filter of the counts.
+func frozenAgrees(t testing.TB, ts *TileSet, before map[seq.Kmer]TileCount, absent []seq.Kmer, label string) {
+	t.Helper()
+	for tile, want := range before {
+		if got := ts.Get(tile); got != want {
+			t.Fatalf("%s: frozen Get(%#x) = %+v, unfrozen %+v", label, uint64(tile), got, want)
+		}
+	}
+	tail := 2 * uint(ts.K-ts.Overlap)
+	runs := map[seq.Kmer][]TileEntry{}
+	for tile, c := range before {
+		runs[tile>>tail] = append(runs[tile>>tail], TileEntry{tile, c})
+	}
+	for _, tile := range absent {
+		if got := ts.Get(tile); got != (TileCount{}) {
+			t.Fatalf("%s: frozen Get(%#x) = %+v for an absent tile", label, uint64(tile), got)
+		}
+		if _, ok := runs[tile>>tail]; !ok {
+			runs[tile>>tail] = nil
+		}
+	}
+	for ka, want := range runs {
+		slices.SortFunc(want, func(x, y TileEntry) int { return cmp.Compare(x.Tile, y.Tile) })
+		if got := ts.Run(ka); !slices.Equal(got, want) {
+			t.Fatalf("%s: Run(%#x) = %+v, want %+v", label, uint64(ka), got, want)
+		}
+	}
+}
+
+// TestTileSetFreezeRunAndGet: after Freeze, Get answers as the hash table
+// did and Run(ka) is exactly the tiles starting with ka, ascending — for
+// every geometry and (Workers, Shards), k = 3 at 1024 shards (capped to 2k
+// bits) included, on reads with Ns and missing qualities.
+func TestTileSetFreezeRunAndGet(t *testing.T) {
+	reads := randomReads(t, 1500)
+	for i := range reads {
+		switch i % 5 {
+		case 0:
+			reads[i].Seq[i%len(reads[i].Seq)] = 'N'
+		case 1:
+			reads[i].Qual = nil
+		}
+	}
+	rng := rand.New(rand.NewSource(5))
+	for _, geom := range []struct{ k, overlap int }{{3, 0}, {3, 2}, {8, 3}, {12, 0}, {16, 0}} {
+		for _, o := range []BuildOptions{{Workers: 1}, {Workers: 4, Shards: 16}, {Workers: 4, Shards: 1024}, {Workers: 3, Shards: 7}} {
+			ts, err := CountTiles(reads, geom.k, geom.overlap, 25, o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			before, absent := unfrozenCounts(ts, 1000, rng)
+			ts.Freeze()
+			frozenAgrees(t, ts, before, absent, fmt.Sprintf("k=%d l=%d %+v", geom.k, geom.overlap, o))
+			if ts.Size() != len(before) {
+				t.Fatalf("frozen Size %d, unfrozen %d", ts.Size(), len(before))
+			}
+		}
+	}
+}
+
+// TestTileSetFrozenGuards: Run before Freeze and Add after it panic naming
+// the misuse, and a second Freeze changes nothing.
+func TestTileSetFrozenGuards(t *testing.T) {
+	mustPanic := func(misuse string, fn func()) {
+		t.Helper()
+		defer func() {
+			if msg, _ := recover().(string); !strings.Contains(msg, misuse) {
+				t.Errorf("%s: recovered %q, want a panic naming the misuse", misuse, msg)
+			}
+		}()
+		fn()
+	}
+	reads := randomReads(t, 300)
+	ts, err := CountTiles(reads, 10, 0, 0, BuildOptions{Workers: 2, Shards: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustPanic("Run before Freeze", func() { ts.Run(0) })
+	before, absent := unfrozenCounts(ts, 100, rand.New(rand.NewSource(1)))
+	ts.Freeze()
+	ts.Freeze()
+	frozenAgrees(t, ts, before, absent, "frozen twice")
+	mustPanic("Add after Freeze", func() { ts.Add(reads[:1]) })
+}
+
+// TestTileSetFreezeSkewedRun: one first kmer heading every 8-mer — a
+// repeat's shape, or a crafted request — is one bucket of 65 536 tiles.
+// Freeze sorts it and Get and Run search it in O(B log B) in all, where
+// sorting it by insertion and scanning it per lookup took Θ(B²): seconds.
+func TestTileSetFreezeSkewedRun(t *testing.T) {
+	const k = 8
+	reads := make([]seq.Read, 1<<(2*k))
+	for kb := range reads {
+		read := []byte(strings.Repeat("A", k))
+		for i := k - 1; i >= 0; i-- {
+			read = append(read, "ACGT"[kb>>(2*i)&3])
+		}
+		reads[kb] = seq.Read{Seq: read}
+	}
+	for _, o := range []BuildOptions{{Workers: 1}, {Workers: 2, Shards: 4}} {
+		ts, err := CountTiles(reads, k, 0, 0, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before, absent := unfrozenCounts(ts, 100, rand.New(rand.NewSource(2)))
+		start := time.Now()
+		ts.Freeze()
+		for tile := range before {
+			ts.Get(tile)
+		}
+		if took := time.Since(start); took > time.Second { // ~30 ms; 3.6 s by insertion and scan
+			t.Errorf("%+v: Freeze and a Get a tile over one %d-tile run took %v", o, len(ts.Run(0)), took)
+		}
+		frozenAgrees(t, ts, before, absent, fmt.Sprintf("skewed %+v", o))
+		if n := len(ts.Run(0)); n != len(reads) {
+			t.Errorf("%+v: Run(AAAAAAAA) has %d tiles, want %d", o, n, len(reads))
+		}
+	}
+}
+
+// TestTileSetFrozenAllocs: Run and frozen Get allocate nothing, and a
+// one-worker Freeze of a request-sized chunk allocates one object, the
+// bucket table — the column is the hash table's own array.
+func TestTileSetFrozenAllocs(t *testing.T) {
+	chunk := randomReads(t, 500)
+	sets := make([]*TileSet, 6) // AllocsPerRun calls once more than it counts
+	for i := range sets {
+		sets[i], _ = CountTiles(chunk, 12, 0, 0, BuildOptions{Workers: 1})
+	}
+	next := 0
+	if n := testing.AllocsPerRun(len(sets)-1, func() {
+		sets[next].Freeze()
+		next++
+	}); n != 1 {
+		t.Errorf("one-worker Freeze of a 500-read chunk allocated %v times, want 1", n)
+	}
+	ts := sets[0]
+	tiles := make([]seq.Kmer, 0, ts.Size())
+	ts.forEach(func(tile seq.Kmer, _ TileCount) { tiles = append(tiles, tile) })
+	if n := testing.AllocsPerRun(5, func() {
+		for _, tile := range tiles {
+			ts.Get(tile)
+			ts.Get(tile ^ 1)
+			ts.Run(tile >> 24)
+		}
+	}); n != 0 {
+		t.Errorf("frozen Get and Run allocated %v times, want 0", n)
 	}
 }
 

@@ -10,6 +10,7 @@
 package reptile
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"runtime"
@@ -80,7 +81,7 @@ func DefaultParams(reads []seq.Read, genomeLen int) Params {
 }
 
 func (p Params) validate() error {
-	if p.K <= 0 || 2*p.K-p.Overlap > seq.MaxK {
+	if p.K <= 0 || p.Overlap < 0 || p.Overlap >= p.K || 2*p.K-p.Overlap > seq.MaxK {
 		return fmt.Errorf("reptile: invalid k=%d overlap=%d", p.K, p.Overlap)
 	}
 	if p.D < 0 || p.D >= p.K {
@@ -123,13 +124,14 @@ type Corrector struct {
 }
 
 // ensureQuerier wires the query seam from the Spec/NI fields when the
-// caller did not supply one. It runs at every single-threaded entry
-// point, before worker pools fork, so the written field is safely
-// published to the workers.
+// caller did not supply one, and freezes the tile counts mutantTiles reads
+// by run. It runs at every single-threaded entry point, before worker
+// pools fork, so the writes are safely published to the workers.
 func (c *Corrector) ensureQuerier() {
 	if c.neigh == nil {
 		c.neigh = kspectrum.LocalNeighbors(c.Spec, c.NI)
 	}
+	c.Tiles.Freeze()
 }
 
 // New runs Phase 1 over the read set. Parameter thresholds Cg and Cm are
@@ -218,6 +220,7 @@ func (b *Builder) Finish() (*Corrector, error) {
 	if err != nil {
 		return nil, err
 	}
+	b.tiles.Freeze()
 	cg, cm := deriveThresholds(b.tiles)
 	if p.Cg == 0 {
 		p.Cg = cg
@@ -431,30 +434,44 @@ func (c *Corrector) correctTile(bases, qual []byte, pos int, d1, d2 int, s *scra
 // ascending order from either neighborhood source, so the enumeration —
 // and every downstream decision — is identical for local and remote
 // backends.
+//
+// Each ka ∈ N(a) is one Run, whose (overlap-consistent) tiles ascend by kb,
+// intersected with N(b) by walking the shorter side and binary-searching
+// the longer: |N(a)| lookups where probing took |N(a)|×|N(b)|, and a
+// repeat's first kmer heading thousands of tiles costs |N(b)| searches of
+// its run, not a walk of it (TestMutantTilesLongRun).
 func (c *Corrector) mutantTiles(a, b seq.Kmer, d1, d2 int, s *scratch) []mutantTile {
-	p := c.P
 	s.na = c.hood(a, d1, s.na[:0], s)
 	s.nb = c.hood(b, d2, s.nb[:0], s)
 	na, nb := s.na, s.nb
+	self, kMask := c.Tiles.PackTile(a, b), seq.Kmer(1)<<(2*uint(c.P.K))-1
 	out := s.mutants[:0]
 	for _, ka := range na {
+		run := c.Tiles.Run(ka)
+		if len(run) <= len(nb) {
+			for _, e := range run {
+				if _, ok := slices.BinarySearch(nb, e.Tile&kMask); ok && e.Tile != self {
+					out = append(out, c.mutant(a, b, e))
+				}
+			}
+			continue
+		}
 		for _, kb := range nb {
-			if ka == a && kb == b {
-				continue
+			i, ok := slices.BinarySearchFunc(run, kb, func(e kspectrum.TileEntry, kb seq.Kmer) int { return cmp.Compare(e.Tile&kMask, kb) })
+			if ok && run[i].Tile != self {
+				out = append(out, c.mutant(a, b, run[i]))
 			}
-			if p.Overlap > 0 && !overlapConsistent(ka, kb, p.K, p.Overlap) {
-				continue
-			}
-			tc := c.Tiles.Get(c.Tiles.PackTile(ka, kb))
-			if tc.Oc == 0 {
-				continue
-			}
-			hd := seq.HammingKmer(a, ka, p.K) + seq.HammingKmer(b, kb, p.K)
-			out = append(out, mutantTile{a: ka, b: kb, og: tc.Og, hd: hd})
 		}
 	}
 	s.mutants = out
 	return out
+}
+
+// mutant scores the observed tile e as a candidate for the tile (a, b).
+func (c *Corrector) mutant(a, b seq.Kmer, e kspectrum.TileEntry) mutantTile {
+	ka, kb := c.Tiles.SplitTile(e.Tile)
+	hd := seq.HammingKmer(a, ka, c.P.K) + seq.HammingKmer(b, kb, c.P.K)
+	return mutantTile{a: ka, b: kb, og: e.Og, hd: hd}
 }
 
 // hood appends the spectrum kmers within distance d of km to dst through
@@ -465,13 +482,6 @@ func (c *Corrector) hood(km seq.Kmer, d int, dst []seq.Kmer, s *scratch) []seq.K
 		s.err = err
 	}
 	return out
-}
-
-// overlapConsistent checks that the last l bases of ka equal the first l of kb.
-func overlapConsistent(ka, kb seq.Kmer, k, l int) bool {
-	suffix := ka & (seq.Kmer(1)<<(2*uint(l)) - 1)
-	prefix := kb >> (2 * uint(k-l))
-	return suffix == prefix
 }
 
 // closestInto collects the mutants achieving the minimum Hamming distance

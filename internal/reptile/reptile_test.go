@@ -4,9 +4,13 @@ import (
 	"bytes"
 	"context"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/eval"
+	"repro/internal/kspectrum"
 	"repro/internal/seq"
 	"repro/internal/simulate"
 )
@@ -296,6 +300,169 @@ func TestHigherDIncreasesCorrections(t *testing.T) {
 	// Table 2.3: increasing d raises TP (more errors identified).
 	if s2.TP <= s1.TP {
 		t.Errorf("d=2 TP=%d not above d=1 TP=%d", s2.TP, s1.TP)
+	}
+}
+
+// overlapConsistent checks that the last l bases of ka equal the first l of
+// kb — the constraint mutantTilesByProbing filters with and a tile run
+// satisfies by construction.
+func overlapConsistent(ka, kb seq.Kmer, k, l int) bool {
+	suffix := ka & (seq.Kmer(1)<<(2*uint(l)) - 1)
+	prefix := kb >> (2 * uint(k-l))
+	return suffix == prefix
+}
+
+// mutantTilesByProbing is the kernel mutantTiles replaced, kept as its
+// reference: every overlap-consistent (ka, kb) ∈ N(a)×N(b) probed in the
+// tile counts, |N(a)|×|N(b)| lookups.
+func (c *Corrector) mutantTilesByProbing(a, b seq.Kmer, d1, d2 int, s *scratch) []mutantTile {
+	p := c.P
+	s.na = c.hood(a, d1, s.na[:0], s)
+	s.nb = c.hood(b, d2, s.nb[:0], s)
+	out := s.mutants[:0]
+	for _, ka := range s.na {
+		for _, kb := range s.nb {
+			if ka == a && kb == b {
+				continue
+			}
+			if p.Overlap > 0 && !overlapConsistent(ka, kb, p.K, p.Overlap) {
+				continue
+			}
+			tc := c.Tiles.Get(c.Tiles.PackTile(ka, kb))
+			if tc.Oc == 0 {
+				continue
+			}
+			hd := seq.HammingKmer(a, ka, p.K) + seq.HammingKmer(b, kb, p.K)
+			out = append(out, mutantTile{a: ka, b: kb, og: tc.Og, hd: hd})
+		}
+	}
+	s.mutants = out
+	return out
+}
+
+// TestMutantTilesMatchesProbing: intersecting each tile run with N(b) finds
+// the mutants probing found, in the same order, for every tile of reads
+// with errors, Ns and missing qualities — frozen column against the
+// unfrozen hash table, over k, overlap, d and (Workers, Shards). k = 3 at
+// 1024 shards is the case the 2k cap on tile shards exists for.
+func TestMutantTilesMatchesProbing(t *testing.T) {
+	_, sim := buildTestData(t, 3000, 300, 40, 0.02, 31)
+	reads := simulate.Reads(sim)
+	rng := rand.New(rand.NewSource(31))
+	for i := range reads {
+		switch i % 7 {
+		case 0:
+			reads[i].Seq[rng.Intn(len(reads[i].Seq))] = 'N'
+		case 1:
+			reads[i].Qual = nil
+		case 2: // two adjacent Ns stay unconverted
+			reads[i].Seq[20], reads[i].Seq[21] = 'N', 'N'
+		}
+	}
+	type ws struct{ workers, shards int }
+	for _, k := range []int{3, 5, 10, 13, 16} {
+		for _, l := range []int{0, 1, k - 1} {
+			for _, d := range []int{0, 1, 2} {
+				for _, o := range []ws{{1, 1}, {4, 16}, {4, 1024}} {
+					p := Params{K: k, D: d, Overlap: l, C: min(k, d+4), Cr: 2, Qc: 15, Qm: 60, DefaultBase: 'A', MaxNPerWindow: 1}
+					p.Build = kspectrum.BuildOptions{Workers: o.workers, Shards: o.shards}
+					c, err := New(reads, p)
+					if err != nil {
+						t.Fatal(err)
+					}
+					c.ensureQuerier()
+					prepared := prepareReads(reads, c.P)
+					ref := *c
+					if ref.Tiles, err = kspectrum.CountTiles(prepared, k, l, p.Qc, kspectrum.BuildOptions{Workers: 1}); err != nil {
+						t.Fatal(err)
+					}
+					var s, rs scratch
+					step, tileLen, found := k-l, c.Tiles.TileLen, 0
+					for _, r := range prepared[:60] {
+						for pos := 0; pos+tileLen <= len(r.Seq); pos++ {
+							a, okA := seq.Pack(r.Seq[pos:], k)
+							b, okB := seq.Pack(r.Seq[pos+step:], k)
+							if !okA || !okB {
+								continue
+							}
+							for _, d1 := range []int{0, d} {
+								got := c.mutantTiles(a, b, d1, d, &s)
+								want := ref.mutantTilesByProbing(a, b, d1, d, &rs)
+								if !slices.Equal(got, want) {
+									t.Fatalf("k=%d l=%d d=%d %+v: tile at %d of %s: got %+v, want %+v", k, l, d, o, pos, r.Seq, got, want)
+								}
+								found += len(got)
+							}
+						}
+					}
+					if d > 0 && found == 0 {
+						t.Fatalf("k=%d l=%d d=%d %+v: no mutant tile anywhere; the comparison is empty", k, l, d, o)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestMutantTilesLongRun: one first kmer heading every 8-mer — a repeat's
+// shape, or a crafted request — is one run of 65 536 tiles. Walking it for
+// each tile that starts with it costs ~100 probes' worth a call; searching
+// it keeps mutantTiles within a small factor of probing, and equal to it.
+func TestMutantTilesLongRun(t *testing.T) {
+	const k = 8
+	reads := make([]seq.Read, 1<<(2*k))
+	for kb := range reads {
+		reads[kb] = seq.Read{Seq: []byte(strings.Repeat("A", k) + seq.Kmer(kb).StringK(k))}
+	}
+	p := defaultTestParams()
+	p.K, p.Build = k, kspectrum.BuildOptions{Workers: 1}
+	c, err := New(reads, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.ensureQuerier()
+	ref := *c
+	if ref.Tiles, err = kspectrum.CountTiles(reads, k, 0, p.Qc, p.Build); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(c.Tiles.Run(0)); n != len(reads) {
+		t.Fatalf("Run(AAAAAAAA) has %d tiles, want %d", n, len(reads))
+	}
+	var s, rs scratch
+	var took, probing time.Duration
+	for kb := range seq.Kmer(len(reads)) {
+		start := time.Now()
+		got := c.mutantTiles(0, kb, 1, 1, &s)
+		mid := time.Now()
+		want := ref.mutantTilesByProbing(0, kb, 1, 1, &rs)
+		took, probing = took+mid.Sub(start), probing+time.Since(mid)
+		if !slices.Equal(got, want) {
+			t.Fatalf("tile AAAAAAAA%s: got %+v, want %+v", kb.StringK(k), got, want)
+		}
+	}
+	if took > 3*probing {
+		t.Errorf("mutantTiles over the long run's tiles took %v, probing %v", took, probing)
+	}
+}
+
+// TestValidateRangeChecksOverlap: an overlap outside [0, K) is refused when
+// the service or builder is made, not by every request after it.
+func TestValidateRangeChecksOverlap(t *testing.T) {
+	_, spec := serviceFixture(t) // k = 12
+	for _, tc := range []struct {
+		overlap int
+		ok      bool
+	}{{-1, false}, {0, true}, {11, true}, {12, false}, {20, false}} {
+		_, err := NewService(spec, Params{Overlap: tc.overlap})
+		if (err == nil) != tc.ok {
+			t.Errorf("NewService with overlap %d: err = %v, want ok = %v", tc.overlap, err, tc.ok)
+		}
+		p := defaultTestParams()
+		p.K, p.Overlap = 12, tc.overlap
+		_, err = NewBuilder(p)
+		if (err == nil) != tc.ok {
+			t.Errorf("NewBuilder with overlap %d: err = %v, want ok = %v", tc.overlap, err, tc.ok)
+		}
 	}
 }
 

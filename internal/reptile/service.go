@@ -143,6 +143,7 @@ func (s *Service) CorrectChunkCtx(ctx context.Context, reads []seq.Read, workers
 	if err != nil {
 		return nil, nil, err
 	}
+	tiles.Freeze()
 	cg, cm := deriveThresholds(tiles)
 	if p.Cg == 0 {
 		p.Cg = cg

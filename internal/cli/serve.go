@@ -909,6 +909,10 @@ func (s *server) releaseSlot() {
 	s.m.occupancy.Set(s.occupancy.Load())
 }
 
+// replyPool holds reply buffers: a body is encoded into one and it goes back
+// once w.Write has returned, which keeps no reference to it.
+var replyPool = sync.Pool{New: func() any { return new([]byte) }}
+
 // respond finishes a correction request: error mapping, stats, headers,
 // body.
 func (s *server) respond(w http.ResponseWriter, r *http.Request, reads, corrected []seq.Read, err error, spectrum, engineName string, start time.Time) {
@@ -933,7 +937,10 @@ func (s *server) respond(w http.ResponseWriter, r *http.Request, reads, correcte
 		}
 		return
 	}
-	body, err := fastq.EncodeChunk(corrected)
+	buf := replyPool.Get().(*[]byte)
+	defer replyPool.Put(buf)
+	body, err := fastq.AppendChunk((*buf)[:0], corrected)
+	*buf = body
 	if err != nil {
 		s.errorJSON(w, http.StatusInternalServerError, errClassInternal, "%v", err)
 		return

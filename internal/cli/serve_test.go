@@ -219,9 +219,17 @@ func TestServeRedeemOnlySpectrum(t *testing.T) {
 // TestServeCorrectConcurrent is the acceptance test of the serve path:
 // 12 parallel clients (≥ 8), alternating algorithms, through a semaphore
 // narrower than the client count, each response byte-identical to the
-// locally computed reference for its method. Run under -race (CI does).
+// locally computed reference for its method. One worker a request is the
+// shape whose tile tables, scratch and reply buffers pass between requests
+// through pools. Run under -race (CI does).
 func TestServeCorrectConcurrent(t *testing.T) {
-	srv, reads, spec := testFixture(t, ServerOptions{Workers: 2, MaxInflight: 3})
+	for _, workers := range []int{1, 2} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) { serveCorrectConcurrent(t, workers) })
+	}
+}
+
+func serveCorrectConcurrent(t *testing.T, workers int) {
+	srv, reads, spec := testFixture(t, ServerOptions{Workers: workers, MaxInflight: 3})
 	ts := httptest.NewServer(srv.mux())
 	defer ts.Close()
 

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 
 	"repro/internal/seq"
@@ -41,10 +42,17 @@ func DecodeChunk(r io.Reader, maxReads int) ([]seq.Read, error) {
 // DecodeChunk. EncodeChunk(DecodeChunk(b)) reproduces any well-formed b
 // (the Reader↔Writer identity of fuzz_test.go).
 func EncodeChunk(reads []seq.Read) ([]byte, error) {
-	buf := make([]byte, 0, encodedLen(reads...))
+	return AppendChunk(make([]byte, 0, encodedLen(reads...)), reads)
+}
+
+// AppendChunk is EncodeChunk appending to dst, for a caller that reuses its
+// buffer; it grows dst at most once. On error it returns dst's bytes
+// unchanged, in the buffer for the caller to keep.
+func AppendChunk(dst []byte, reads []seq.Read) ([]byte, error) {
+	buf := slices.Grow(dst, encodedLen(reads...))
 	for _, rd := range reads {
 		if err := check(rd); err != nil {
-			return nil, err
+			return buf[:len(dst)], err
 		}
 		buf = appendRead(buf, rd)
 	}

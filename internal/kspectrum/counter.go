@@ -271,7 +271,7 @@ type tileCounter struct {
 	n     int
 	grow  int
 	// Set by freeze: slots is then the column ascending by tile, and bucket
-	// b = tile>>shift&mask is slots[buckets[b]:buckets[b+1]].
+	// b = tile>>shift&mask is slots[buckets[b]:buckets[b+1]]. Empty before.
 	shift   uint
 	mask    uint64
 	buckets []int32
@@ -281,6 +281,24 @@ type tileCounter struct {
 func newTileCounter(hint int) *tileCounter {
 	tc := &tileCounter{}
 	tc.alloc(slotsFor(hint))
+	return tc
+}
+
+// tilePool holds one-worker tables handed back by TileSet.Release.
+var tilePool sync.Pool
+
+// reuseTileCounter is newTileCounter for a one-worker set: the last released
+// table, cleared, when its array holds the slots hint needs; its bucket table
+// stays behind, empty, for the next freeze to fill.
+func reuseTileCounter(hint int) *tileCounter {
+	slots := slotsFor(hint)
+	tc, _ := tilePool.Get().(*tileCounter)
+	if tc == nil || cap(tc.slots) < slots {
+		return newTileCounter(hint)
+	}
+	tc.slots = tc.slots[:slots]
+	clear(tc.slots)
+	tc.grow, tc.n, tc.buckets = slots*3/4, 0, tc.buckets[:0]
 	return tc
 }
 
@@ -329,7 +347,7 @@ func (tc *tileCounter) add(tile seq.Kmer, hq bool) {
 //
 //repro:noalloc
 func (tc *tileCounter) get(tile seq.Kmer) TileCount {
-	if tc.buckets != nil {
+	if len(tc.buckets) != 0 {
 		r := tc.bucket(tile)
 		if i := searchTiles(r, tile, false); i < len(r) && r[i].Tile == tile {
 			return r[i].TileCount
@@ -368,8 +386,9 @@ func (tc *tileCounter) rehash() {
 }
 
 // freeze sorts the table in place into a column ascending by tile, with a
-// bucket table — its one allocation — over the tiles' top bits: the shard's
-// prefix and enough more for ~8 tiles a bucket, at most maxBits of tileBits.
+// bucket table over the tiles' top bits — its one allocation, none when a
+// released table's is large enough: the shard's prefix and enough more for
+// ~8 tiles a bucket, at most maxBits of tileBits.
 // The occupied slots are compacted to the front and permuted into bucket
 // order by an American flag pass whose only cursors are the table: t[b]
 // starts at bucket b's end and moves down as it fills, ending at its start.
@@ -377,7 +396,12 @@ func (tc *tileCounter) rehash() {
 func (tc *tileCounter) freeze(tileBits, shardBits, maxBits uint) {
 	bits := shardBits + prefixBitsFor(tc.n/8, maxBits-shardBits)
 	tc.shift, tc.mask = tileBits-bits, 1<<(bits-shardBits)-1
-	t := make([]int32, tc.mask+2)
+	t := tc.buckets
+	if cap(t) < int(tc.mask)+2 {
+		t = make([]int32, tc.mask+2)
+	}
+	t = t[:tc.mask+2]
+	clear(t)
 	col := tc.slots[:0]
 	for _, e := range tc.slots {
 		if e.Oc != 0 {

@@ -262,7 +262,7 @@ func mapReferenceTiles(reads []seq.Read, k, overlap int, qc byte) map[seq.Kmer]T
 }
 
 // tileSetEqualsReference checks every count, the size and the Og
-// histogram and quantiles of ts against the map reference.
+// histogram of ts against the map reference.
 func tileSetEqualsReference(t *testing.T, ts *TileSet, ref map[seq.Kmer]TileCount, label string) {
 	t.Helper()
 	if ts.Size() != len(ref) {
@@ -275,25 +275,13 @@ func tileSetEqualsReference(t *testing.T, ts *TileSet, ref map[seq.Kmer]TileCoun
 	}
 	// Histograms agree too (iteration-order independent).
 	wantHist := make([]int, 9)
-	ogs := make([]uint32, 0, len(ref))
 	for _, tc := range ref {
 		wantHist[min(int(tc.Og), 8)]++
-		ogs = append(ogs, tc.Og)
 	}
 	gotHist := ts.OgHistogram(8)
 	for i := range wantHist {
 		if gotHist[i] != wantHist[i] {
 			t.Fatalf("%s: OgHistogram[%d] = %d want %d", label, i, gotHist[i], wantHist[i])
-		}
-	}
-	slices.Sort(ogs)
-	for _, f := range []float64{0, 0.5, 0.9, 1} {
-		want := uint32(0)
-		if len(ogs) > 0 {
-			want = ogs[min(int(f*float64(len(ogs))), len(ogs)-1)]
-		}
-		if got := ts.OgQuantile(f); got != want {
-			t.Fatalf("%s: OgQuantile(%v) = %d want %d", label, f, got, want)
 		}
 	}
 }

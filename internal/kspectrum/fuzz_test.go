@@ -1,6 +1,7 @@
 package kspectrum
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math/rand"
@@ -77,17 +78,7 @@ func FuzzTileSetRun(f *testing.F) {
 		}
 		k := 1 + int(data[0])%16
 		overlap, opts := int(data[1])%k, options[int(data[2])%len(options)]
-		var reads []seq.Read
-		var cur []byte
-		for _, b := range data[3:] {
-			if b == 0xFF {
-				reads = append(reads, seq.Read{Seq: cur})
-				cur = nil
-				continue
-			}
-			cur = append(cur, "ACGTN"[b%5])
-		}
-		reads = append(reads, seq.Read{Seq: cur})
+		reads := fuzzReads(data[3:])
 		ts, err := CountTiles(reads, k, overlap, 0, opts)
 		if err != nil {
 			t.Fatal(err)
@@ -95,5 +86,58 @@ func FuzzTileSetRun(f *testing.F) {
 		before, absent := unfrozenCounts(ts, 50, rand.New(rand.NewSource(int64(len(data)))))
 		ts.Freeze()
 		frozenAgrees(t, ts, before, absent, fmt.Sprintf("k=%d l=%d %+v", k, overlap, opts))
+	})
+}
+
+// fuzzReads turns fuzz bytes into reads: 0xFF ends a read, any other byte b
+// is base "ACGTN"[b%5] with quality b/6.
+func fuzzReads(data []byte) []seq.Read {
+	var reads []seq.Read
+	var r seq.Read
+	for _, b := range data {
+		if b == 0xFF {
+			reads = append(reads, r)
+			r = seq.Read{}
+			continue
+		}
+		r.Seq = append(r.Seq, "ACGTN"[b%5])
+		r.Qual = append(r.Qual, b/6)
+	}
+	return append(reads, r)
+}
+
+// FuzzTileSetReuse counts two read sets one after the other through one
+// worker, the second in the table the first released: each must count what a
+// fresh unpooled set counts, frozen Get and Run included. 0xFE splits the
+// input into the two sets (see fuzzReads for the rest).
+func FuzzTileSetReuse(f *testing.F) {
+	f.Add([]byte("\x05\x01ACGTACGTTTGACCA\xffGGATCCANNACGTAC\xfeCCATGGATCCAGTTACAGG"))
+	f.Add([]byte("\x0b\x05" + "ACGGTCATTGACCATGGATCCAGTTACAGGTACAGT\xff" + "CCATGGATCCAGTTACAGGTACAGTTTTGACCATGA\xfe" + "TTGA"))
+	f.Add([]byte("\x03\x00TTGACC\xfeTTGACCATGGATCCAGTTACAGGTACAGTACGGTCA\xffACGGTCATTGACCATGGATCCAG"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 2 {
+			return
+		}
+		k := 1 + int(data[0])%16
+		overlap := int(data[1]) % k
+		first, second, _ := bytes.Cut(data[2:], []byte{0xFE})
+		for i, part := range [][]byte{first, second} {
+			reads := fuzzReads(part)
+			fresh, err := CountTiles(reads, k, overlap, 20, BuildOptions{Workers: 2, Shards: 4})
+			if err != nil {
+				t.Fatal(err)
+			}
+			before, absent := unfrozenCounts(fresh, 50, rand.New(rand.NewSource(int64(len(data)))))
+			ts, err := CountTiles(reads, k, overlap, 20, BuildOptions{Workers: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ts.Size() != len(before) {
+				t.Fatalf("set %d, k=%d l=%d: %d tiles through a released table, %d fresh", i, k, overlap, ts.Size(), len(before))
+			}
+			ts.Freeze()
+			frozenAgrees(t, ts, before, absent, fmt.Sprintf("set %d, k=%d l=%d", i, k, overlap))
+			ts.Release()
+		}
 	})
 }

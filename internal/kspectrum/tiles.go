@@ -2,7 +2,6 @@ package kspectrum
 
 import (
 	"fmt"
-	"slices"
 
 	"repro/internal/seq"
 )
@@ -33,7 +32,7 @@ type TileSet struct {
 
 	workers int
 	part    PrefixPartition // over tiles: K is TileLen
-	shards  []*tileCounter  // one table when workers == 1
+	shards  []*tileCounter  // one table when workers == 1; nil after Release
 }
 
 // tileBuf is one worker's pending tiles for one shard. The high-quality flag
@@ -69,14 +68,17 @@ func CountTiles(reads []seq.Read, k, overlap int, qc byte, opts ...BuildOptions)
 	}
 	// One worker's one table is sized once, for every window (both strands) of
 	// the reads in hand — a request's chunk, few repeats; Add's shards grow.
-	windows := 0
+	// It is the last released one when that is large enough (Release).
 	if workers == 1 {
+		windows := 0
 		for _, r := range reads {
 			windows += 2 * max(len(r.Seq)-tileLen+1, 0)
 		}
-	}
-	for range ts.part.Shards() {
-		ts.shards = append(ts.shards, newTileCounter(windows))
+		ts.shards = []*tileCounter{reuseTileCounter(windows)}
+	} else {
+		for range ts.part.Shards() {
+			ts.shards = append(ts.shards, newTileCounter(0))
+		}
 	}
 	ts.Add(reads)
 	return ts, nil
@@ -184,7 +186,7 @@ func (ts *TileSet) Freeze() {
 		return
 	}
 	tileBits, maxBits := uint(2*ts.TileLen), uint(2*ts.K)
-	if len(ts.shards) == 1 { // the daemon's one table: no goroutine, one allocation
+	if len(ts.shards) == 1 { // the daemon's one table: no goroutine, at most one allocation
 		ts.shards[0].freeze(tileBits, ts.part.Bits, maxBits)
 		return
 	}
@@ -199,7 +201,7 @@ func (ts *TileSet) Run(ka seq.Kmer) []TileEntry {
 	tail := 2 * uint(ts.K-ts.Overlap)
 	lo := ka << tail
 	tc := ts.shards[ts.part.ShardOf(lo)]
-	if tc.buckets == nil { // as frozen(), on the shard in hand
+	if len(tc.buckets) == 0 { // as frozen(), on the shard in hand
 		panic("kspectrum: TileSet.Run before Freeze") //repro:alloc-ok a constant boxes statically
 	}
 	r := tc.bucket(lo)
@@ -209,12 +211,25 @@ func (ts *TileSet) Run(ka seq.Kmer) []TileEntry {
 
 // frozen reports whether Freeze has run: every shard then has its buckets,
 // and there is always a shard 0.
-func (ts *TileSet) frozen() bool { return ts.shards[0].buckets != nil }
+func (ts *TileSet) frozen() bool { return len(ts.shards[0].buckets) != 0 }
+
+// Release hands a one-worker set's table back for the next one-worker
+// CountTiles to reuse; other sets' tables are only dropped. Get, Run, Size
+// and Freeze panic after it, so a read of a recycled table fails loudly. Only
+// the set's owner may call it, once nothing reads the set: Service's chunk
+// adapter does, after CorrectChunkCtx returns — CorrectAllCtx and
+// correctBatched join every worker before returning, cancelled or not.
+func (ts *TileSet) Release() {
+	if ts.workers == 1 {
+		tilePool.Put(ts.shards[0])
+	}
+	ts.shards = nil
+}
 
 // Size returns the number of distinct tiles.
 func (ts *TileSet) Size() int {
-	n := 0
-	for _, shard := range ts.shards {
+	n := ts.shards[0].n
+	for _, shard := range ts.shards[1:] {
 		n += shard.n
 	}
 	return n
@@ -258,21 +273,6 @@ func (ts *TileSet) OgHistogram(maxBin int) []int {
 		h[min(int(tc.Og), maxBin)]++
 	})
 	return h
-}
-
-// OgQuantile returns the smallest count x such that at least `fraction` of
-// distinct tiles have Og <= x — the empirical-histogram parameter selection
-// Reptile uses for Cg and Cm (§2.3 "Choosing Parameters").
-func (ts *TileSet) OgQuantile(fraction float64) uint32 {
-	if ts.Size() == 0 {
-		return 0
-	}
-	counts := make([]uint32, 0, ts.Size())
-	ts.forEach(func(_ seq.Kmer, tc TileCount) {
-		counts = append(counts, tc.Og)
-	})
-	slices.Sort(counts)
-	return counts[min(max(int(fraction*float64(len(counts))), 0), len(counts)-1)]
 }
 
 // QualityQuantile returns the Phred score q such that `fraction` of all

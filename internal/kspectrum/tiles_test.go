@@ -100,22 +100,6 @@ func TestPackTileZeroOverlap(t *testing.T) {
 	}
 }
 
-func TestOgQuantile(t *testing.T) {
-	reads := mkReads("AAAAAA", "AAAAAA", "AAAAAA", "CCCCCC")
-	ts, _ := CountTiles(reads, 3, 0, 0)
-	// Tiles: AAAAAA (Og 3 fwd + 3 rc? rc of AAAAAA is TTTTTT) ->
-	// AAAAAA:3, TTTTTT:3, CCCCCC:1, GGGGGG:1.
-	if ts.Size() != 4 {
-		t.Fatalf("tile count %d want 4", ts.Size())
-	}
-	if q := ts.OgQuantile(0.4); q != 1 {
-		t.Errorf("OgQuantile(0.4) = %d want 1", q)
-	}
-	if q := ts.OgQuantile(0.99); q != 3 {
-		t.Errorf("OgQuantile(0.99) = %d want 3", q)
-	}
-}
-
 // unfrozenCounts snapshots an unfrozen set through forEach, plus up to n
 // tiles its Get finds absent, drawn at random over the tile space (a small
 // k's space may hold few or none).
@@ -283,6 +267,86 @@ func TestTileSetFrozenAllocs(t *testing.T) {
 		t.Errorf("frozen Get and Run allocated %v times, want 0", n)
 	}
 }
+
+// TestTileSetReleaseReuse: one-worker sets counted through released tables
+// — chunks that grow, shrink and repeat, with Ns and missing qualities —
+// answer Get and Run as fresh unpooled sets do, and a released set panics
+// on use instead of reading a table another set now fills.
+func TestTileSetReleaseReuse(t *testing.T) {
+	reads := randomReads(t, 2000)
+	for i := range reads {
+		switch i % 5 {
+		case 0:
+			reads[i].Seq[i%len(reads[i].Seq)] = 'N'
+		case 1:
+			reads[i].Qual = nil
+		}
+	}
+	rng := rand.New(rand.NewSource(9))
+	one := BuildOptions{Workers: 1}
+	for step, n := range []int{100, 500, 1500, 20, 500, 500, 1, 1000} {
+		chunk := reads[step*50 : step*50+n]
+		fresh, err := CountTiles(chunk, 12, 2, 25, BuildOptions{Workers: 2, Shards: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		before, absent := unfrozenCounts(fresh, 1000, rng)
+		ts, err := CountTiles(chunk, 12, 2, 25, one)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts.Freeze()
+		frozenAgrees(t, ts, before, absent, fmt.Sprintf("chunk %d (%d reads)", step, n))
+		if ts.Size() != len(before) {
+			t.Fatalf("chunk %d: Size %d, fresh set %d", step, ts.Size(), len(before))
+		}
+		ts.Release()
+	}
+	for _, o := range []BuildOptions{one, {Workers: 2, Shards: 4}} {
+		ts, _ := CountTiles(reads[:10], 12, 2, 25, o)
+		ts.Freeze()
+		ts.Release()
+		for use, fn := range map[string]func(){
+			"Get": func() { ts.Get(0) }, "Run": func() { ts.Run(0) },
+			"Freeze": ts.Freeze, "Size": func() { ts.Size() },
+		} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%+v: %s after Release did not panic", o, use)
+					}
+				}()
+				fn()
+			}()
+		}
+	}
+}
+
+// TestTileSetReleasedAllocs: in steady state a one-worker CountTiles, Freeze
+// and Release of a request-sized chunk allocates the TileSet and its shard
+// slice only — the table and its bucket index are the released ones.
+func TestTileSetReleasedAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under -race")
+	}
+	chunk := randomReads(t, 500)
+	cycle := func() {
+		ts, err := CountTiles(chunk, 12, 0, 0, BuildOptions{Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts.Freeze()
+		ts.Release()
+	}
+	cycle()
+	if n := testing.AllocsPerRun(20, cycle); n != 2 {
+		t.Errorf("a steady-state one-worker count, freeze and release allocated %v times, want 2", n)
+	}
+}
+
+// raceEnabled is set under -race (race_test.go), where sync.Pool drops
+// items at random and allocation figures mean nothing.
+var raceEnabled bool
 
 func TestQualityQuantile(t *testing.T) {
 	reads := []seq.Read{

@@ -196,7 +196,11 @@ func (reptileEngine) NewService(run *engine.Run) (_ engine.ChunkCorrector, err e
 // chunkService adapts Service to the engine.ChunkCorrector contract.
 type chunkService struct{ svc *Service }
 
+// CorrectChunk owns the Corrector it drops, so it releases the tile table.
 func (s chunkService) CorrectChunk(ctx context.Context, reads []seq.Read, workers int) ([]seq.Read, error) {
-	out, _, err := s.svc.CorrectChunkCtx(ctx, reads, workers)
+	out, c, err := s.svc.CorrectChunkCtx(ctx, reads, workers)
+	if c != nil {
+		c.Tiles.Release()
+	}
 	return out, err
 }

@@ -348,7 +348,8 @@ type mutantTile struct {
 // performs no allocations: mutant candidates, the two kmer neighborhoods,
 // the unpacked replacement tile, and the reverse-complement pass buffers
 // all live here. CorrectAll and CorrectStream hand each worker its own
-// scratch; CorrectRead draws one from a pool.
+// scratch; CorrectRead, CorrectInPlace and a one-worker CorrectAllCtx draw
+// one from scratchPool.
 type scratch struct {
 	mutants []mutantTile
 	sel     []mutantTile // dominating/strong candidates of the current tile
@@ -657,9 +658,10 @@ const cancelPollMask = 63
 
 // CorrectAllCtx corrects every read using `workers` goroutines (1 =
 // serial, <= 0 = all cores). The input reads are not modified. Each
-// worker owns one scratch for its whole read range and carves the corrected
-// copies from its arena: each is the caller's to overwrite or append to, and
-// one retained read keeps at most 64 KiB of its neighbours alive (seq.Arena).
+// worker owns one scratch (a lone worker's is pooled) for its whole read
+// range and carves the corrected copies from its arena: each is the caller's
+// to overwrite or append to, and one retained read keeps at most 64 KiB of
+// its neighbours alive (seq.Arena).
 // Every worker polls ctx every few dozen reads and the pool drains promptly
 // once it is cancelled, returning (nil, ctx.Err()). All workers have exited
 // by the time it returns — cancellation leaks no goroutines.
@@ -671,12 +673,14 @@ func (c *Corrector) CorrectAllCtx(ctx context.Context, reads []seq.Read, workers
 	done := ctx.Done()
 	out := make([]seq.Read, len(reads))
 	if workers == 1 {
-		var s scratch
+		s := scratchPool.Get().(*scratch)
+		s.err = nil // a failed chunk's error must not fail this one
+		defer scratchPool.Put(s)
 		for i, r := range reads {
 			if i&cancelPollMask == 0 && canceled(done) {
 				return nil, ctx.Err()
 			}
-			out[i] = c.correctRead(r, &s)
+			out[i] = c.correctRead(r, s)
 			if s.err != nil {
 				return nil, s.err
 			}

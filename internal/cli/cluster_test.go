@@ -12,6 +12,7 @@ import (
 	"slices"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -180,7 +181,7 @@ func TestClusterCorrectByteIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	refOut, _, err := svc.CorrectChunkCtx(context.Background(), chunk, 1)
+	refOut, err := svc.CorrectChunk(context.Background(), chunk, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,12 +282,12 @@ func TestClusterCorrectByteIdentityD2(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	refOut, refC, err := svc.CorrectChunkCtx(context.Background(), chunk, 1)
+	if d := svc.Params().D; d != 2 {
+		t.Fatalf("reference service resolved D=%d, want 2", d)
+	}
+	refOut, err := svc.CorrectChunk(context.Background(), chunk, 1)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if refC.P.D != 2 {
-		t.Fatalf("reference corrector resolved D=%d, want 2", refC.P.D)
 	}
 	want, err := fastq.EncodeChunk(refOut)
 	if err != nil {
@@ -474,7 +475,7 @@ func TestClusterCorrectWholeFixture(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		refOut, _, err := svc.CorrectChunkCtx(context.Background(), fx.reads, 1)
+		refOut, err := svc.CorrectChunk(context.Background(), fx.reads, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -623,5 +624,60 @@ func TestParseShardList(t *testing.T) {
 		if str != tc.want {
 			t.Errorf("parseShardList(%q) = %q, want %q", tc.in, str, tc.want)
 		}
+	}
+}
+
+// lateNode serves a one-shard listing of "main" once ready returns true and
+// 503 until then, counting the polls.
+func lateNode(t *testing.T, ready func(poll int64) bool) (*httptest.Server, *atomic.Int64) {
+	t.Helper()
+	var polls atomic.Int64
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if !ready(polls.Add(1)) {
+			http.Error(w, "starting", http.StatusServiceUnavailable)
+			return
+		}
+		json.NewEncoder(w).Encode(remote.ShardsResponse{Shards: []remote.ShardInfo{{
+			Spectrum: "main", Shard: 0, Of: 1, Entry: "main.s0of1", K: 13, BothStrands: true, Kmers: 2,
+		}}})
+	}))
+	t.Cleanup(ts.Close)
+	return ts, &polls
+}
+
+// TestDiscoverClusterWaits: the coordinator's start-up discovery retries
+// until a late node lists its shards, gives up once the wait is spent,
+// and — the SIGTERM-during-start-up case — returns "aborted" promptly
+// when its context is cancelled mid-wait instead of spinning to the
+// deadline.
+func TestDiscoverClusterWaits(t *testing.T) {
+	ts, polls := lateNode(t, func(poll int64) bool { return poll >= 3 })
+	maps, err := discoverCluster(context.Background(), []string{ts.URL}, time.Minute)
+	if err != nil || maps["main"] == nil {
+		t.Fatalf("late node: %v, %v; want the map once it answers", maps, err)
+	}
+	if n := polls.Load(); n != 3 {
+		t.Errorf("late node polled %d times, want 3", n)
+	}
+
+	never := func(int64) bool { return false }
+	ts, _ = lateNode(t, never)
+	start := time.Now()
+	if _, err := discoverCluster(context.Background(), []string{ts.URL}, 200*time.Millisecond); err == nil ||
+		!strings.Contains(err.Error(), "failed after 200ms") {
+		t.Errorf("a node that never lists: %v; want a failure naming the wait", err)
+	}
+	if took := time.Since(start); took > 5*time.Second {
+		t.Errorf("gave up after %v on a 200ms wait", took)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	time.AfterFunc(100*time.Millisecond, cancel)
+	start = time.Now()
+	if _, err := discoverCluster(ctx, []string{ts.URL}, time.Hour); err == nil || !strings.Contains(err.Error(), "aborted") {
+		t.Errorf("cancelled mid-wait: %v; want an abort", err)
+	}
+	if took := time.Since(start); took > 5*time.Second {
+		t.Errorf("a cancelled discovery took %v to return", took)
 	}
 }

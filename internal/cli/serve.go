@@ -494,13 +494,17 @@ func (s *server) verifyInBackground(e *entry) {
 
 // quarantine moves an entry into the quarantined state: requests answer
 // 503 from here on, and a single background probe (the CAS is the spawn
-// dedup) retries the backing store until it verifies clean again.
+// dedup) retries the backing store until it verifies clean again. The
+// gauge recounts on both CAS outcomes: a request that loses the CAS to the
+// background verifier answers 503 next, and the gauge must count the entry
+// by then, not once the winner has logged.
 func (s *server) quarantine(e *entry, cause error) {
-	if !e.quarantined.CompareAndSwap(false, true) {
+	won := e.quarantined.CompareAndSwap(false, true)
+	s.updateQuarantineGauge()
+	if !won {
 		return
 	}
 	log.Printf("spectrum %q quarantined, refusing its requests: %v", e.name, cause)
-	s.updateQuarantineGauge()
 	s.wg.Add(1)
 	go s.probeQuarantined(e)
 }

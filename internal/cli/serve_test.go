@@ -244,7 +244,7 @@ func serveCorrectConcurrent(t *testing.T, workers int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	repOut, _, err := svc.CorrectChunkCtx(context.Background(), chunk, 1)
+	repOut, err := svc.CorrectChunk(context.Background(), chunk, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

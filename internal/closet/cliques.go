@@ -50,14 +50,6 @@ func sameVerts(a, b []int32) bool {
 	return true
 }
 
-// mergeClusters unions two clusters' vertices and edges.
-func mergeClusters(a, b Cluster) Cluster {
-	return Cluster{
-		Verts: unionSorted(a.Verts, b.Verts),
-		Edges: unionSortedPairs(a.Edges, b.Edges),
-	}
-}
-
 func unionSorted(a, b []int32) []int32 {
 	out := make([]int32, 0, len(a)+len(b))
 	i, j := 0, 0

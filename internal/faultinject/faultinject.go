@@ -17,7 +17,7 @@
 //	site:op[:nth=N][:action]
 //
 // where site is the instrumented call-site name ("*" matches all), op
-// is one of open, create, read, write, sync, close, rename, remove or
+// is one of create, read, write, sync, close, rename, remove or
 // "*", nth=N arms the rule on the Nth matching operation (1-based,
 // default 1; "nth=N+" keeps it armed from then on), and action is one
 // of:
@@ -83,7 +83,6 @@ type Op uint8
 
 const (
 	OpAny Op = iota
-	OpOpen
 	OpCreate
 	OpRead
 	OpWrite
@@ -94,7 +93,7 @@ const (
 )
 
 var opNames = map[string]Op{
-	"*": OpAny, "open": OpOpen, "create": OpCreate, "read": OpRead,
+	"*": OpAny, "create": OpCreate, "read": OpRead,
 	"write": OpWrite, "sync": OpSync, "close": OpClose,
 	"rename": OpRename, "remove": OpRemove,
 }
@@ -218,10 +217,10 @@ func Check(site Site, op Op) error {
 	return r.fire(site)
 }
 
-// File is the slice of *os.File the instrumented code paths use; the
-// decorator implements it, and so does *os.File itself.
+// File is the slice of *os.File the instrumented code paths use — they
+// only write what they create; the decorator implements it, and so does
+// *os.File itself.
 type File interface {
-	io.Reader
 	io.Writer
 	io.Closer
 	Sync() error
@@ -243,21 +242,6 @@ func Create(site Site, path string) (File, error) {
 		return nil, err
 	}
 	f, err := os.Create(path)
-	if err != nil {
-		return nil, err
-	}
-	return &file{f: f, site: site}, nil
-}
-
-// Open is os.Open behind the seam, mirroring Create.
-func Open(site Site, path string) (File, error) {
-	if !Enabled() {
-		return os.Open(path)
-	}
-	if err := Check(site, OpOpen); err != nil {
-		return nil, err
-	}
-	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
@@ -339,15 +323,6 @@ func (r *reader) Read(p []byte) (int, error) {
 type file struct {
 	f    *os.File
 	site Site
-}
-
-func (f *file) Read(p []byte) (int, error) {
-	if r := check(f.site, OpRead); r != nil {
-		if err := r.fire(f.site); err != nil {
-			return 0, err
-		}
-	}
-	return f.f.Read(p)
 }
 
 func (f *file) Write(p []byte) (int, error) {

@@ -146,6 +146,7 @@ func TestEnableFromEnv(t *testing.T) {
 	for _, bad := range []string{
 		"justasite",
 		"s:badop",
+		"s:open", // no site opens through the seam, so no rule may arm on it
 		"s:write:nth=0",
 		"s:write:short=x",
 		"s:write:torn=1:kill", // two actions

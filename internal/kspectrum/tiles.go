@@ -216,9 +216,10 @@ func (ts *TileSet) frozen() bool { return len(ts.shards[0].buckets) != 0 }
 // Release hands a one-worker set's table back for the next one-worker
 // CountTiles to reuse; other sets' tables are only dropped. Get, Run, Size
 // and Freeze panic after it, so a read of a recycled table fails loudly. Only
-// the set's owner may call it, once nothing reads the set: Service's chunk
-// adapter does, after CorrectChunkCtx returns — CorrectAllCtx and
-// correctBatched join every worker before returning, cancelled or not.
+// the set's owner may call it, once nothing reads the set. There is one:
+// reptile's Service.CorrectChunk, whose chunk counted the set, releases it
+// on return — its correction workers have all exited by then, cancelled or
+// not.
 func (ts *TileSet) Release() {
 	if ts.workers == 1 {
 		tilePool.Put(ts.shards[0])

@@ -311,7 +311,7 @@ func TestFramedBatchByteIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, _, err := local.CorrectChunkCtx(context.Background(), reads, 1)
+	want, err := local.CorrectChunk(context.Background(), reads, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,7 +321,7 @@ func TestFramedBatchByteIdentity(t *testing.T) {
 	}
 
 	restore := remote.SetMaxFrameKmers(64)
-	got, _, err := svc.CorrectChunkCtx(context.Background(), reads, 2)
+	got, err := svc.CorrectChunk(context.Background(), reads, 2)
 	restore()
 	if err != nil {
 		t.Fatal(err)
@@ -337,7 +337,7 @@ func TestFramedBatchByteIdentity(t *testing.T) {
 
 	defer remote.SetMaxAnswerBytes(256)()
 	before := c.rs.ShardStats()
-	_, _, err = svc.CorrectChunkCtx(context.Background(), reads, 2)
+	_, err = svc.CorrectChunk(context.Background(), reads, 2)
 	var sue *remote.ShardUnavailableError
 	if err == nil || !strings.Contains(err.Error(), "read cap of 256 bytes") || errors.As(err, &sue) {
 		t.Fatalf("oversize answer: %v; want an error naming the cap, not an availability error", err)

@@ -1,11 +1,10 @@
 package reptile
 
 import (
+	"cmp"
 	"context"
 	"errors"
-	"runtime"
 	"slices"
-	"sync"
 
 	"repro/internal/kspectrum"
 	"repro/internal/seq"
@@ -16,7 +15,8 @@ import (
 // a remote, sharded spectrum). CorrectAllCtx asks for one neighborhood
 // at a time from inside the per-read walk, which over a network is one
 // exchange per kmer; correctBatched instead fetches neighborhoods in
-// bulk and runs the unchanged walk against a request-local cache.
+// bulk and runs the unchanged walk, on the same correctReads workers,
+// against a request-local cache.
 //
 // Exactness does not rest on guessing the walk's queries right. A read's
 // run either finds every neighborhood it asks for in the cache — then
@@ -92,82 +92,29 @@ func (v *cacheView) Neighborhood(km seq.Kmer, d int, dst []seq.Kmer) ([]seq.Kmer
 // those, until none is pending. A fetch failure or a cancelled ctx
 // returns the error and no output.
 func (c *Corrector) correctBatched(ctx context.Context, src kspectrum.BatchNeighborSource, reads []seq.Read, workers int, want []seq.Kmer) ([]seq.Read, error) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	hc := &hoodCache{
 		k: c.P.K, d: c.P.D,
 		hoods:   make(map[seq.Kmer][]seq.Kmer, len(want)),
 		present: make(map[seq.Kmer]struct{}, len(want)),
 	}
 	out := make([]seq.Read, len(reads))
-	pending := make([]int, len(reads))
-	for i := range pending {
-		pending[i] = i
-	}
-	for len(pending) > 0 {
+	var pending []int // nil: every read
+	for {
 		if len(want) > 0 {
 			hoods, err := src.NeighborhoodMany(ctx, want, c.P.D)
 			if err != nil {
-				if cerr := ctx.Err(); cerr != nil {
-					return nil, cerr
-				}
-				return nil, err
+				return nil, cmp.Or(ctx.Err(), err)
 			}
 			hc.add(want, hoods)
 		}
 		var err error
-		if pending, want, err = c.cachedPass(ctx, hc, reads, out, pending, workers); err != nil {
+		if pending, want, err = c.correctReads(ctx, reads, out, pending, hc, workers); err != nil {
 			return nil, err
 		}
+		if len(pending) == 0 {
+			return out, nil
+		}
 	}
-	return out, nil
-}
-
-// cachedPass corrects reads[i] into out[i] for every pending i whose
-// walk the cache can answer completely, on up to `workers` goroutines.
-// It returns the reads that aborted on a miss, in input order, and the
-// missed kmers sorted and unique — both independent of how the reads
-// were split over workers, so the next fetch is too.
-func (c *Corrector) cachedPass(ctx context.Context, hc *hoodCache, reads, out []seq.Read, pending []int, workers int) (aborted []int, missed []seq.Kmer, err error) {
-	done := ctx.Done()
-	share := (len(pending) + workers - 1) / workers
-	nw := (len(pending) + share - 1) / share
-	views := make([]cacheView, nw)
-	abortedBy := make([][]int, nw)
-	var wg sync.WaitGroup
-	for w := 0; w < nw; w++ {
-		wg.Add(1)
-		go func(w int, mine []int) {
-			defer wg.Done()
-			views[w].hc = hc
-			cw := *c
-			cw.neigh = &views[w]
-			var s scratch
-			for n, i := range mine {
-				if n&cancelPollMask == 0 && canceled(done) {
-					return
-				}
-				corrected := cw.correctRead(reads[i], &s)
-				if s.err != nil {
-					s.err = nil
-					abortedBy[w] = append(abortedBy[w], i)
-					continue
-				}
-				out[i] = corrected
-			}
-		}(w, pending[w*share:min((w+1)*share, len(pending))])
-	}
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
-		return nil, nil, err
-	}
-	for w := range views {
-		aborted = append(aborted, abortedBy[w]...)
-		missed = append(missed, views[w].misses...)
-	}
-	slices.Sort(missed)
-	return aborted, slices.Compact(missed), nil
 }
 
 // predictKmers guesses, sorted and unique, the kmers whose neighborhoods

@@ -74,7 +74,8 @@ func awkwardReads(reads []seq.Read) []seq.Read {
 // batch, and with no guess at all, when every neighborhood arrives
 // through the miss path. The second half is the proof that exactness
 // does not rest on the guess. The fetched batches must also be sorted,
-// unique and independent of the worker count.
+// unique and independent of the worker count, and their number — the
+// fetch rounds a chunk costs — is the one fetchRounds records.
 func TestBatchedDriverByteIdentity(t *testing.T) {
 	corpus, spec := serviceFixture(t)
 	corpus = awkwardReads(corpus)
@@ -87,11 +88,15 @@ func TestBatchedDriverByteIdentity(t *testing.T) {
 			}
 			for _, n := range []int{1, 20, 500, len(corpus)} {
 				reads := corpus[:n]
-				want, c, err := svc.CorrectChunkCtx(context.Background(), reads, 1)
+				c, prepared, err := svc.corrector(reads, 1)
 				if err != nil {
 					t.Fatal(err)
 				}
-				guess := c.predictKmers(prepareReads(reads, c.P))
+				want, err := c.CorrectAllCtx(ctx, reads, 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				guess := c.predictKmers(prepared)
 				for _, guessed := range []bool{true, false} {
 					var first [][]seq.Kmer
 					for _, workers := range []int{1, 4} {
@@ -122,13 +127,33 @@ func TestBatchedDriverByteIdentity(t *testing.T) {
 							t.Errorf("%s: fetched batches depend on the worker count", name)
 						}
 					}
+					size := n
 					if n == len(corpus) {
-						t.Logf("d=%d overlap=%d reads=%d guessed=%v: %d batches", d, overlap, n, guessed, len(first))
+						size = 0
+					}
+					rounds := fetchRounds[[3]int{d, overlap, size}]
+					wantRounds := rounds[0]
+					if !guessed {
+						wantRounds = rounds[1]
+					}
+					if len(first) != wantRounds {
+						t.Errorf("d=%d overlap=%d reads=%d guessed=%v: %d fetch rounds, want %d", d, overlap, n, guessed, len(first), wantRounds)
 					}
 				}
 			}
 		}
 	}
+}
+
+// fetchRounds is how many NeighborhoodMany batches each case of
+// TestBatchedDriverByteIdentity costs, {guessed, unguessed}, keyed by
+// {d, overlap, reads} with 0 reads standing for the whole 6 666-read
+// corpus: the counts correctBatched had when it still ran its own worker pool.
+var fetchRounds = map[[3]int][2]int{
+	{1, 0, 1}: {1, 4}, {1, 0, 20}: {1, 4}, {1, 0, 500}: {1, 4}, {1, 0, 0}: {3, 6},
+	{1, 3, 1}: {1, 4}, {1, 3, 20}: {1, 4}, {1, 3, 500}: {2, 6}, {1, 3, 0}: {5, 6},
+	{2, 0, 1}: {1, 4}, {2, 0, 20}: {1, 4}, {2, 0, 500}: {1, 4}, {2, 0, 0}: {3, 6},
+	{2, 3, 1}: {1, 4}, {2, 3, 20}: {1, 4}, {2, 3, 500}: {2, 6}, {2, 3, 0}: {4, 6},
 }
 
 // TestBatchedDriverFetchFailure: a batch that fails mid-way returns that
@@ -141,7 +166,7 @@ func TestBatchedDriverFetchFailure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, c, err := svc.CorrectChunkCtx(context.Background(), reads, 1)
+	c, _, err := svc.corrector(reads, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +203,7 @@ func TestServicePicksDriverBySource(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, _, err := local.CorrectChunkCtx(context.Background(), reads, 1)
+	want, err := local.CorrectChunk(context.Background(), reads, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +215,7 @@ func TestServicePicksDriverBySource(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := svc.CorrectChunkCtx(context.Background(), reads, 2)
+	got, err := svc.CorrectChunk(context.Background(), reads, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

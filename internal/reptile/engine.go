@@ -169,7 +169,11 @@ func (reptileEngine) NewService(run *engine.Run) (_ engine.ChunkCorrector, err e
 	if e.dSet {
 		p.D = e.d
 	}
-	if spec == nil && run.Backend != nil {
+	var svc *Service
+	switch {
+	case spec != nil:
+		svc, err = NewService(spec, p)
+	case run.Backend != nil:
 		// Distributed serving: the spectrum lives behind the backend. The
 		// backend must also answer neighborhoods (RemoteSpectrum in
 		// internal/remote does; so does any kspectrum.NeighborSource).
@@ -177,30 +181,12 @@ func (reptileEngine) NewService(run *engine.Run) (_ engine.ChunkCorrector, err e
 		if !ok {
 			return nil, fmt.Errorf("reptile: spectrum backend %T cannot answer neighborhood queries", run.Backend)
 		}
-		svc, err := NewServiceBackend(run.Backend, neigh, p)
-		if err != nil {
-			return nil, err
-		}
-		return chunkService{svc: svc}, nil
-	}
-	if spec == nil {
+		svc, err = NewServiceBackend(run.Backend, neigh, p)
+	default:
 		return nil, fmt.Errorf("reptile: service needs a spectrum")
 	}
-	svc, err := NewService(spec, p)
 	if err != nil {
 		return nil, err
 	}
-	return chunkService{svc: svc}, nil
-}
-
-// chunkService adapts Service to the engine.ChunkCorrector contract.
-type chunkService struct{ svc *Service }
-
-// CorrectChunk owns the Corrector it drops, so it releases the tile table.
-func (s chunkService) CorrectChunk(ctx context.Context, reads []seq.Read, workers int) ([]seq.Read, error) {
-	out, c, err := s.svc.CorrectChunkCtx(ctx, reads, workers)
-	if c != nil {
-		c.Tiles.Release()
-	}
-	return out, err
+	return svc, nil
 }

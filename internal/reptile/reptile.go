@@ -347,9 +347,8 @@ type mutantTile struct {
 // Every slice is reused across tiles and reads, so steady-state correction
 // performs no allocations: mutant candidates, the two kmer neighborhoods,
 // the unpacked replacement tile, and the reverse-complement pass buffers
-// all live here. CorrectAll and CorrectStream hand each worker its own
-// scratch; CorrectRead, CorrectInPlace and a one-worker CorrectAllCtx draw
-// one from scratchPool.
+// all live here. Every user — each correctReads worker, CorrectRead and
+// CorrectInPlace — draws one from scratchPool for the length of its run.
 type scratch struct {
 	mutants []mutantTile
 	sel     []mutantTile // dominating/strong candidates of the current tile
@@ -360,10 +359,10 @@ type scratch struct {
 	rcQual  []byte       // reverse-complement pass: qualities
 	out     seq.Arena    // the worker's corrected copies (correctRead)
 
-	// err records the first backend failure seen by this worker. Local
-	// backends never fail; a remote one can, and a failed neighborhood
-	// must abort the run rather than silently correct against an
-	// incomplete candidate set.
+	// err records the first backend failure seen by the current read.
+	// Local backends never fail; a remote one can, and a failed
+	// neighborhood must abort the read rather than silently correct against
+	// an incomplete candidate set. A pooled scratch always has it nil.
 	err error
 }
 
@@ -544,7 +543,6 @@ func (c *Corrector) tileBytes(m mutantTile, s *scratch) []byte {
 func (c *Corrector) CorrectRead(r seq.Read) seq.Read {
 	c.ensureQuerier()
 	s := scratchPool.Get().(*scratch)
-	s.err = nil
 	out := prepareRead(r, c.P)
 	c.correctInPlace(out.Seq, out.Qual, s)
 	scratchPool.Put(s)
@@ -567,7 +565,6 @@ func (c *Corrector) correctRead(r seq.Read, s *scratch) seq.Read {
 func (c *Corrector) CorrectInPlace(bases, qual []byte) {
 	c.ensureQuerier()
 	s := scratchPool.Get().(*scratch)
-	s.err = nil
 	convertAmbiguous(bases, qual, c.P)
 	c.correctInPlace(bases, qual, s)
 	scratchPool.Put(s)
@@ -650,88 +647,114 @@ func (c *Corrector) correctPass(bases, qual []byte, s *scratch) {
 	}
 }
 
-// cancelPollMask is the read-count stride at which correction workers
-// poll the context: frequent enough that cancellation lands well inside a
-// chunk, sparse enough to stay invisible next to per-read correction
-// cost.
+// cancelPollMask is the read-count stride at which correction workers poll
+// the context: well inside a chunk, invisible next to per-read cost.
 const cancelPollMask = 63
 
 // CorrectAllCtx corrects every read using `workers` goroutines (1 =
-// serial, <= 0 = all cores). The input reads are not modified. Each
-// worker owns one scratch (a lone worker's is pooled) for its whole read
-// range and carves the corrected copies from its arena: each is the caller's
-// to overwrite or append to, and one retained read keeps at most 64 KiB of
-// its neighbours alive (seq.Arena).
-// Every worker polls ctx every few dozen reads and the pool drains promptly
-// once it is cancelled, returning (nil, ctx.Err()). All workers have exited
-// by the time it returns — cancellation leaks no goroutines.
+// serial, <= 0 = all cores). The input reads are not modified; the
+// corrected copies are carved from each worker's scratch arena, each the
+// caller's to overwrite or append to, one retained read keeping at most
+// 64 KiB of its neighbours alive (seq.Arena). A cancelled ctx drains the
+// workers within a few dozen reads and returns (nil, ctx.Err()); all have
+// exited by the time it returns — cancellation leaks no goroutines.
 func (c *Corrector) CorrectAllCtx(ctx context.Context, reads []seq.Read, workers int) ([]seq.Read, error) {
 	c.ensureQuerier()
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	done := ctx.Done()
 	out := make([]seq.Read, len(reads))
-	if workers == 1 {
-		s := scratchPool.Get().(*scratch)
-		s.err = nil // a failed chunk's error must not fail this one
-		defer scratchPool.Put(s)
-		for i, r := range reads {
-			if i&cancelPollMask == 0 && canceled(done) {
-				return nil, ctx.Err()
-			}
-			out[i] = c.correctRead(r, s)
-			if s.err != nil {
-				return nil, s.err
-			}
-		}
-		return out, nil
-	}
-	var wg sync.WaitGroup
-	chunk := (len(reads) + workers - 1) / workers
-	nw := (len(reads) + chunk - 1) / chunk
-	errs := make([]error, nw)
-	for w := 0; w < nw; w++ {
-		lo := w * chunk
-		hi := min(lo+chunk, len(reads))
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			var s scratch
-			for i := lo; i < hi; i++ {
-				if (i-lo)&cancelPollMask == 0 && canceled(done) {
-					return
-				}
-				out[i] = c.correctRead(reads[i], &s)
-				if s.err != nil {
-					errs[w] = s.err
-					return
-				}
-			}
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
+	if _, _, err := c.correctReads(ctx, reads, out, nil, nil, workers); err != nil {
 		return nil, err
-	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
 	}
 	return out, nil
 }
 
-// canceled is the non-blocking poll of a context's done channel (nil for
-// context.Background, where the select always takes the default arm).
-func canceled(done <-chan struct{}) bool {
-	select {
-	case <-done:
-		return true
-	default:
-		return false
+// correctReads is the one worker loop behind CorrectAllCtx and
+// correctBatched: it corrects reads[i] into out[i] for every i in pending
+// (every read when pending is nil) in contiguous shares over up to
+// `workers` goroutines, a lone share on the caller's. Without a hood cache
+// any backend error fails the run. Over one (hc non-nil), a walk asking
+// for a neighborhood the cache does not hold leaves out[i] unset: i comes
+// back in aborted, in input order, and the kmers missed sorted and unique —
+// both independent of the split, so the next fetch is too. A cancelled ctx
+// returns ctx.Err(), and every worker has exited by the time it returns.
+func (c *Corrector) correctReads(ctx context.Context, reads, out []seq.Read, pending []int, hc *hoodCache, workers int) (aborted []int, missed []seq.Kmer, err error) {
+	n := len(reads)
+	if pending != nil {
+		n = len(pending)
 	}
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	share := max((n+workers-1)/workers, 1)
+	var r shareResult
+	if nw := (n + share - 1) / share; nw <= 1 {
+		r = c.correctShare(ctx, reads, out, pending, 0, n, hc)
+	} else {
+		parts := make([]shareResult, nw)
+		var wg sync.WaitGroup
+		for w := range parts {
+			wg.Add(1)
+			go func(p *shareResult, lo, hi int) {
+				defer wg.Done()
+				*p = c.correctShare(ctx, reads, out, pending, lo, hi, hc)
+			}(&parts[w], w*share, min((w+1)*share, n))
+		}
+		wg.Wait()
+		for _, p := range parts {
+			r.aborted = append(r.aborted, p.aborted...)
+			r.missed = append(r.missed, p.missed...)
+			r.err = cmp.Or(r.err, p.err)
+		}
+	}
+	if err := cmp.Or(ctx.Err(), r.err); err != nil {
+		return nil, nil, err
+	}
+	slices.Sort(r.missed)
+	return r.aborted, slices.Compact(r.missed), nil
+}
+
+// shareResult is what one worker's share of correctReads leaves behind.
+type shareResult struct {
+	aborted []int
+	missed  []seq.Kmer
+	err     error
+}
+
+// correctShare corrects positions [lo, hi) of pending (of reads when
+// pending is nil) on one pooled scratch, polling ctx every few dozen reads.
+// Over a hood cache the walk reads through the worker's own cacheView. It
+// hands the scratch back with err cleared, so no failure outlives its run.
+func (c *Corrector) correctShare(ctx context.Context, reads, out []seq.Read, pending []int, lo, hi int, hc *hoodCache) (r shareResult) {
+	s := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(s)
+	cw, view := c, (*cacheView)(nil)
+	if hc != nil {
+		view = &cacheView{hc: hc}
+		cached := *c
+		cached.neigh = view
+		cw = &cached
+	}
+	for j := lo; j < hi; j++ {
+		if (j-lo)&cancelPollMask == 0 && ctx.Err() != nil {
+			return r
+		}
+		i := j
+		if pending != nil {
+			i = pending[j]
+		}
+		corrected := cw.correctRead(reads[i], s)
+		switch {
+		case s.err == nil:
+			out[i] = corrected
+		case view != nil: // a miss: the read re-runs after the next fetch
+			s.err = nil
+			r.aborted = append(r.aborted, i)
+		default:
+			r.err, s.err = s.err, nil
+			return r
+		}
+	}
+	if view != nil {
+		r.missed = view.misses
+	}
+	return r
 }

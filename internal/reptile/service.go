@@ -19,13 +19,10 @@ import (
 // CorrectChunk is safe for concurrent use: the shared spectrum and index
 // are never written after New, and everything else is request-local.
 type Service struct {
-	p    Params
-	spec *kspectrum.Spectrum
-	ni   *kspectrum.NeighborIndex
-
-	// neigh is the query seam handed to every per-request Corrector. For
-	// a local service it wraps spec/ni; a distributed service
-	// (NewServiceBackend) carries a remote source and leaves spec/ni nil.
+	p Params
+	// neigh is the query seam handed to every per-request Corrector: the
+	// spectrum and its index for a local service (NewService), a remote
+	// source for a distributed one (NewServiceBackend).
 	neigh kspectrum.NeighborSource
 }
 
@@ -58,7 +55,7 @@ func NewService(spec *kspectrum.Spectrum, p Params) (*Service, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Service{p: p, spec: spec, ni: ni, neigh: kspectrum.LocalNeighbors(spec, ni)}, nil
+	return &Service{p: p, neigh: kspectrum.LocalNeighbors(spec, ni)}, nil
 }
 
 // withServiceDefaults resolves the zero-valued service parameters: k from
@@ -118,21 +115,36 @@ func NewServiceBackend(b kspectrum.SpectrumBackend, neigh kspectrum.NeighborSour
 // fields still zero).
 func (s *Service) Params() Params { return s.p }
 
-// CorrectChunkCtx corrects one independent chunk of reads with `workers`
-// goroutines and returns the corrected copies plus the fully-resolved
-// corrector used (exposing the thresholds derived for this chunk). The
-// input reads are not modified. Unlike the batch pipeline — where tile
-// counts aggregate over the whole input — tile support here comes from
-// the request chunk alone, the service trade-off that keeps requests
-// independent. A cancelled ctx drains the correction worker pool promptly
-// and returns ctx.Err(), so a dropped request aborts its correction work.
+// CorrectChunk implements engine.ChunkCorrector: it corrects one
+// independent chunk of reads with `workers` goroutines and returns the
+// corrected copies. The input reads are not modified. Unlike the batch
+// pipeline — where tile counts aggregate over the whole input — tile
+// support here comes from the request chunk alone, the service trade-off
+// that keeps requests independent. A cancelled ctx drains the correction
+// workers promptly and returns ctx.Err(), so a dropped request aborts its
+// correction work. The chunk's tile table is released on return.
 //
 // Which driver runs is read off the neighbor source. A local one answers
 // from memory, so the per-read walk queries it directly (CorrectAllCtx).
 // One that can answer in batches (kspectrum.BatchNeighborSource — every
 // query a round trip) is driven chunk-wise, its fetches scoped to ctx
-// (correctBatched). Both produce the same bytes.
-func (s *Service) CorrectChunkCtx(ctx context.Context, reads []seq.Read, workers int) ([]seq.Read, *Corrector, error) {
+// (correctBatched). Both run the same workers and produce the same bytes.
+func (s *Service) CorrectChunk(ctx context.Context, reads []seq.Read, workers int) ([]seq.Read, error) {
+	c, prepared, err := s.corrector(reads, workers)
+	if err != nil {
+		return nil, err
+	}
+	defer c.Tiles.Release()
+	if src, ok := s.neigh.(kspectrum.BatchNeighborSource); ok {
+		return c.correctBatched(ctx, src, reads, workers, c.predictKmers(prepared))
+	}
+	return c.CorrectAllCtx(ctx, reads, workers)
+}
+
+// corrector resolves a chunk's Qc, counts and freezes its tiles and
+// derives Cg and Cm from them, returning the chunk's Corrector and the
+// prepared reads the tiles were counted over. The caller owns the tiles.
+func (s *Service) corrector(reads []seq.Read, workers int) (*Corrector, []seq.Read, error) {
 	p := s.p
 	if p.Qc == 0 {
 		p.Qc = kspectrum.QualityQuantile(reads, 0.17)
@@ -151,15 +163,5 @@ func (s *Service) CorrectChunkCtx(ctx context.Context, reads []seq.Read, workers
 	if p.Cm == 0 {
 		p.Cm = cm
 	}
-	c := &Corrector{P: p, Spec: s.spec, NI: s.ni, Tiles: tiles, neigh: s.neigh}
-	var out []seq.Read
-	if src, ok := s.neigh.(kspectrum.BatchNeighborSource); ok {
-		out, err = c.correctBatched(ctx, src, reads, workers, c.predictKmers(prepared))
-	} else {
-		out, err = c.CorrectAllCtx(ctx, reads, workers)
-	}
-	if err != nil {
-		return nil, nil, err
-	}
-	return out, c, nil
+	return &Corrector{P: p, Tiles: tiles, neigh: s.neigh}, prepared, nil
 }

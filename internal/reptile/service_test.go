@@ -14,7 +14,7 @@ import (
 	"repro/internal/simulate"
 )
 
-func serviceFixture(t *testing.T) ([]seq.Read, *kspectrum.Spectrum) {
+func serviceFixture(t testing.TB) ([]seq.Read, *kspectrum.Spectrum) {
 	t.Helper()
 	ds, err := simulate.BuildDataset(simulate.DatasetSpec{
 		Name: "t", GenomeLen: 8000, ReadLen: 36, Coverage: 30,
@@ -42,7 +42,11 @@ func TestServiceMatchesBatchOnFullCorpus(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, c, err := svc.CorrectChunkCtx(context.Background(), reads, 2)
+	got, err := svc.CorrectChunk(context.Background(), reads, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, _, err := svc.corrector(reads, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,9 +105,8 @@ func TestChunkServiceBytesPerChunk(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cs := chunkService{svc: svc}
 	correct := func() {
-		if _, err := cs.CorrectChunk(context.Background(), chunk, 1); err != nil {
+		if _, err := svc.CorrectChunk(context.Background(), chunk, 1); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -149,13 +152,12 @@ func TestChunkServiceFailureDoesNotLeak(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cs := chunkService{svc: svc}
-	if out, err := cs.CorrectChunk(context.Background(), corpus[:300], 1); !errors.Is(err, errFake) || out != nil {
+	if out, err := svc.CorrectChunk(context.Background(), corpus[:300], 1); !errors.Is(err, errFake) || out != nil {
 		t.Fatalf("chunk 1 over a failing backend: %d reads, err %v; want no output and its error", len(out), err)
 	}
 	src.fail = false
 	chunk := corpus[300:800]
-	got, err := cs.CorrectChunk(context.Background(), chunk, 1)
+	got, err := svc.CorrectChunk(context.Background(), chunk, 1)
 	if err != nil {
 		t.Fatalf("chunk 2 after a failed chunk 1: %v", err)
 	}
@@ -163,7 +165,7 @@ func TestChunkServiceFailureDoesNotLeak(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, _, err := fresh.CorrectChunkCtx(context.Background(), chunk, 1)
+	want, err := fresh.CorrectChunk(context.Background(), chunk, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +204,7 @@ func TestChunkServiceCancelMidChunk(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, _, err := local.CorrectChunkCtx(context.Background(), chunk, 1)
+	want, err := local.CorrectChunk(context.Background(), chunk, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,12 +224,11 @@ func TestChunkServiceCancelMidChunk(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				cs := chunkService{svc: svc}
-				if out, err := cs.CorrectChunk(ctx, chunk, 1); err != context.Canceled || out != nil {
+				if out, err := svc.CorrectChunk(ctx, chunk, 1); err != context.Canceled || out != nil {
 					t.Errorf("goroutine %d, round %d: cancelled chunk gave %d reads, err %v; want none and ctx.Err()", g, round, len(out), err)
 				}
 				cancel()
-				got, err := cs.CorrectChunk(context.Background(), chunk, 1)
+				got, err := svc.CorrectChunk(context.Background(), chunk, 1)
 				if err != nil || !reflect.DeepEqual(got, want) {
 					t.Errorf("goroutine %d, round %d: chunk after a cancelled one diverges (err %v)", g, round, err)
 				}

@@ -108,7 +108,6 @@ func legacyRedeemOutput(t *testing.T, in string, k int, errorRate float64, worke
 	model := simulate.NewUniformKmerModel(k, errorRate)
 	cfg := redeem.DefaultConfig(k)
 	cfg.Build = kspectrum.BuildOptions{Workers: workers}
-	cfg.MixtureMaxG = 4
 	var buf bytes.Buffer
 	w := fastq.NewWriter(&buf)
 	emit := func(orig, corrected []seq.Read) error { return w.WriteChunk(corrected) }

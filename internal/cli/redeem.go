@@ -65,9 +65,6 @@ func redeemCmd(args []string, stdout io.Writer) error {
 	opts = append(opts,
 		engine.WithK(runK),
 		redeem.WithErrorRate(*errorRate),
-		// The CLI has always swept up to 4 mixture components; keep the
-		// correction pass consistent with the -detect-only report.
-		redeem.WithMixtureMaxG(4),
 	)
 	return f.correct(redeem.EngineName, opts, stdout, func(res *engine.Result, elapsed time.Duration) string {
 		return fmt.Sprintf("%s; corrected %d of %d reads (budget %s) in %v",
@@ -92,7 +89,6 @@ func redeemDetectOnly(f correctFlags, k, explicitK int, errorRate float64, build
 	cfg := redeem.DefaultConfig(k)
 	cfg.Spectrum = spec
 	cfg.StreamOptions = build
-	cfg.MixtureMaxG = 4
 	// With a preloaded spectrum the reads are never consulted — detection
 	// runs purely on the stored counts — so skip reading the (possibly
 	// huge) input entirely.
@@ -113,7 +109,7 @@ func redeemDetectOnly(f correctFlags, k, explicitK int, errorRate float64, build
 		return err
 	}
 	iters := m.Run()
-	thr, mix, err := m.InferThreshold(1, 4)
+	thr, mix, err := m.InferThreshold(1, redeem.MixtureMaxG)
 	if err != nil {
 		return err
 	}

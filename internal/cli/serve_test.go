@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -259,7 +260,7 @@ func serveCorrectConcurrent(t *testing.T, workers int) {
 		t.Fatal(err)
 	}
 	m.Run()
-	thr, _, err := m.InferThreshold(1, 3)
+	thr, _, err := m.InferThreshold(1, redeem.MixtureMaxG)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,5 +347,50 @@ func serveCorrectConcurrent(t *testing.T, workers int) {
 	// change happened so the serve path is not an identity shim.
 	if bytes.Equal(wantReptile, body) && bytes.Equal(wantRedeem, body) {
 		t.Error("server output identical to input for both methods — no correction happened")
+	}
+}
+
+// TestServeRedeemMatchesCLI: the daemon and `repro redeem -load-spectrum`
+// fit REDEEM to the same spectrum with the same mixture sweep, so they
+// correct a chunk of the 50 %-repeat rung to the same bytes. The daemon once
+// swept G ≤ 3 and the CLI G ≤ 4: here that is threshold 11.06 against 11.11,
+// which corrects two of the rung's 66 666 reads differently, one of them in
+// this chunk.
+func TestServeRedeemMatchesCLI(t *testing.T) {
+	ds, err := simulate.BuildDataset(simulate.Chapter3Specs(30000)[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	reads := simulate.Reads(ds.Sim)
+	spec, err := kspectrum.BuildParallel(reads, 11, true, kspectrum.BuildOptions{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	store, in, out := filepath.Join(dir, "d2.kspc"), filepath.Join(dir, "chunk.fastq"), filepath.Join(dir, "out.fastq")
+	if err := kspectrum.WriteSpectrumFile(store, spec); err != nil {
+		t.Fatal(err)
+	}
+	chunk, err := fastq.EncodeChunk(reads[22000:23000])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(in, chunk, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	want := runSubcommand(t, redeemCmd, []string{"-in", in, "-out", out, "-load-spectrum", store, "-workers", "1"}, out)
+
+	srv, err := newServer(map[string]*kspectrum.Spectrum{"d2": spec}, ServerOptions{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.close()
+	rec := httptest.NewRecorder()
+	srv.mux().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v2/correct?spectrum=d2&engine=redeem", bytes.NewReader(chunk)))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("daemon redeem: status %d: %s", rec.Code, rec.Body.Bytes())
+	}
+	if !bytes.Equal(rec.Body.Bytes(), want) {
+		t.Error("the daemon's redeem reply differs from repro redeem -load-spectrum on the same reads")
 	}
 }

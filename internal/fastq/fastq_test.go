@@ -302,58 +302,3 @@ func manyReads(n int) []seq.Read {
 	}
 	return reads
 }
-
-// TestDecodeAllocations: decoding keeps one allocation a read (its ID) plus
-// a few dozen shared blocks, and sizes the read slice once when the source
-// knows its size; 3 a read and a slice re-grown some thirty times before.
-func TestDecodeAllocations(t *testing.T) {
-	reads := manyReads(10000)
-	data, err := EncodeChunk(reads)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, sized := range []bool{true, false} {
-		var out []seq.Read
-		perRead := testing.AllocsPerRun(5, func() {
-			var src io.Reader = bytes.NewReader(data)
-			if !sized {
-				src = io.MultiReader(src)
-			}
-			if out, err = NewReader(src).ReadAll(); err != nil {
-				t.Fatal(err)
-			}
-		}) / float64(len(reads))
-		if perRead > 1.1 {
-			t.Errorf("sized=%v: ReadAll makes %.2f allocations a read, want <= 1.1", sized, perRead)
-		}
-		if sized && cap(out) > len(reads)+len(reads)/8 {
-			t.Errorf("ReadAll over a sized source returned cap %d for %d reads", cap(out), len(reads))
-		}
-	}
-}
-
-// TestEncodeAllocations: the output's size is known before a byte is
-// written, so EncodeChunk makes its one buffer and Write grows a
-// bytes.Buffer once (the other two are the bufio.Writer and its buffer);
-// both were a few per read before. Fifty runs, so that what the runtime
-// allocates meanwhile (more under -race) is floored away.
-func TestEncodeAllocations(t *testing.T) {
-	reads := manyReads(10000)
-	reads[7].Qual = nil // the placeholder line is encoded in place too
-	if n := testing.AllocsPerRun(50, func() {
-		if _, err := EncodeChunk(reads); err != nil {
-			t.Fatal(err)
-		}
-	}); n != 1 {
-		t.Errorf("EncodeChunk makes %v allocations, want 1", n)
-	}
-	var buf bytes.Buffer
-	if n := testing.AllocsPerRun(50, func() {
-		buf = bytes.Buffer{}
-		if err := Write(&buf, reads); err != nil {
-			t.Fatal(err)
-		}
-	}); n > 3 {
-		t.Errorf("Write into a bytes.Buffer makes %v allocations, want <= 3", n)
-	}
-}

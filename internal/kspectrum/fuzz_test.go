@@ -3,8 +3,14 @@ package kspectrum
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/json"
+	"errors"
 	"fmt"
+	"hash/crc32"
 	"math/rand"
+	"os"
+	"path/filepath"
+	"slices"
 	"testing"
 
 	"repro/internal/seq"
@@ -138,6 +144,86 @@ func FuzzTileSetReuse(f *testing.F) {
 			ts.Freeze()
 			frozenAgrees(t, ts, before, absent, fmt.Sprintf("set %d, k=%d l=%d", i, k, overlap))
 			ts.Release()
+		}
+	})
+}
+
+// FuzzReadManifest resumes a checkpoint whose manifest carries a fuzzed JSON
+// payload, framed with a valid magic, version, length and CRC so that inputs
+// reach the payload checks and adoptManifest rather than the checksum. It is
+// seeded from a real two-run checkpoint, whose run files every input finds
+// both in the checkpoint directory and beside it. Refusing a manifest is
+// always allowed; an accepted one must adopt each run once and only from
+// inside the directory, and the resumed build, spilling new runs beside the
+// adopted ones, must succeed.
+func FuzzReadManifest(f *testing.F) {
+	reads := randomReads(f, 600)
+	seed := filepath.Join(f.TempDir(), "ckpt")
+	st, err := NewStreamBuilder(13, true, StreamOptions{Build: BuildOptions{Workers: 2, Shards: 2}, CheckpointDir: seed})
+	if err != nil {
+		f.Fatal(err)
+	}
+	st.Add(reads[:300])
+	if err := st.Checkpoint(); err != nil {
+		f.Fatal(err)
+	}
+	st.Close()
+	m, err := readManifestFile(seed)
+	if err != nil || m == nil || len(m.Runs) != 2 {
+		f.Fatalf("seed checkpoint: %+v, %v", m, err)
+	}
+	runs := map[string][]byte{}
+	for _, r := range m.Runs {
+		if runs[r.File], err = os.ReadFile(filepath.Join(seed, r.File)); err != nil {
+			f.Fatal(err)
+		}
+	}
+	// The real manifest, then one adopting a run from outside the directory,
+	// one whose next spill writes over a listed run, one listing a run twice.
+	outside, below, twice := *m, *m, *m
+	outside.Runs = slices.Clone(m.Runs)
+	outside.Runs[0].File = "../" + m.Runs[0].File
+	below.NextRun = 1
+	twice.Runs = append(slices.Clone(m.Runs), m.Runs[0])
+	for _, seed := range []*manifest{m, &outside, &below, &twice} {
+		payload, _ := json.Marshal(seed) // plain fields: it cannot fail
+		f.Add(payload)
+	}
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		root := t.TempDir()
+		dir := filepath.Join(root, "ckpt")
+		framed := binary.LittleEndian.AppendUint32(manifestMagic[:], manifestVersion) // len == cap: a copy
+		framed = binary.LittleEndian.AppendUint64(framed, uint64(len(payload)))
+		framed = append(framed, payload...)
+		framed = binary.LittleEndian.AppendUint32(framed, crc32.Checksum(framed, crcTable))
+		err := errors.Join(os.Mkdir(dir, 0o755), os.WriteFile(filepath.Join(dir, ManifestName), framed, 0o644))
+		for name, b := range runs {
+			err = errors.Join(err, os.WriteFile(filepath.Join(dir, name), b, 0o644), os.WriteFile(filepath.Join(root, name), b, 0o644))
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		st, err := NewStreamBuilder(13, true, StreamOptions{Build: BuildOptions{Workers: 2}, CheckpointDir: dir, Resume: true})
+		if err != nil {
+			return
+		}
+		defer st.Close()
+		adopted := map[string]bool{}
+		for _, shard := range st.runs {
+			for _, ri := range shard {
+				if filepath.Dir(ri.path) != dir || adopted[ri.path] {
+					t.Fatalf("adopted %s twice or from outside %s", ri.path, dir)
+				}
+				adopted[ri.path] = true
+			}
+		}
+		st.Add(reads)
+		if err := st.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := st.Build(); err != nil {
+			t.Fatalf("a build resumed from an accepted manifest failed: %v", err)
 		}
 	})
 }

@@ -150,8 +150,8 @@ func readManifestFile(dir string) (*manifest, error) {
 	if err := json.Unmarshal(body[16:], &m); err != nil {
 		return nil, checkpointErr("manifest payload: %v", err)
 	}
-	if m.Shards < 1 || m.Reads < 0 {
-		return nil, checkpointErr("manifest geometry: shards=%d reads=%d", m.Shards, m.Reads)
+	if m.Shards < 1 || m.Reads < 0 || m.NextRun < 0 {
+		return nil, checkpointErr("manifest geometry: shards=%d reads=%d next_run=%d", m.Shards, m.Reads, m.NextRun)
 	}
 	return &m, nil
 }
@@ -204,6 +204,9 @@ func (h runHeader) encode() [runHeaderLen]byte {
 func runSize(entries int64) int64 {
 	return runHeaderLen + entries*runEntryBytes + 4
 }
+
+// runFileName names the n-th run file a builder spills.
+func runFileName(n int64) string { return fmt.Sprintf("run%06d.bin", n) }
 
 // validateRun re-reads a surviving run end to end, exactly as the merge
 // will: the header against the manifest's record and the builder geometry,

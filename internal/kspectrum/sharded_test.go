@@ -10,7 +10,7 @@ import (
 )
 
 // randomReads simulates a read set large enough to populate many shards.
-func randomReads(t *testing.T, n int) []seq.Read {
+func randomReads(t testing.TB, n int) []seq.Read {
 	t.Helper()
 	rng := rand.New(rand.NewSource(91))
 	genome, err := simulate.RandomGenome(6000, simulate.UniformProfile, rng)

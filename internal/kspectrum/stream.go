@@ -220,7 +220,18 @@ func NewStreamBuilder(k int, bothStrands bool, opts StreamOptions) (*StreamBuild
 func (st *StreamBuilder) adoptManifest(m *manifest) error {
 	keep := make(map[string]bool, len(m.Runs))
 	for _, mr := range m.Runs {
-		if mr.Shard < 0 || mr.Shard >= len(st.runs) {
+		// Only a name this builder gives its runs: a path would be joined
+		// onto the directory as it stands, and a number past NextRun is a
+		// file the next spill would write over.
+		var n int64
+		switch _, err := fmt.Sscanf(mr.File, "run%d.bin", &n); {
+		case err != nil || runFileName(n) != mr.File:
+			return checkpointErr("run %q is not a run file name", mr.File)
+		case n > m.NextRun:
+			return checkpointErr("run %s is numbered past next_run %d", mr.File, m.NextRun)
+		case keep[mr.File]:
+			return checkpointErr("run %s is listed twice", mr.File)
+		case mr.Shard < 0 || mr.Shard >= len(st.runs):
 			return checkpointErr("run %s: shard %d out of range [0,%d)", mr.File, mr.Shard, len(st.runs))
 		}
 		ri := runInfo{
@@ -431,7 +442,7 @@ func (st *StreamBuilder) makeRoom(s int, w *countWorker) {
 // for the caller to empty.
 func (st *StreamBuilder) spillShard(s int, w *countWorker) error {
 	pairs := st.sb.shards[s].counts.sortedPairs(&w.sort)
-	path := filepath.Join(st.dir, fmt.Sprintf("run%06d.bin", st.runSeq.Add(1)))
+	path := filepath.Join(st.dir, runFileName(st.runSeq.Add(1)))
 	h := runHeader{k: st.sb.k, bothStrands: st.sb.bothStrands, shard: s, count: int64(len(pairs))}
 	sum, err := writeRun(path, h, pairs, st.durable)
 	if err != nil {

@@ -238,23 +238,10 @@ func TestTileSetFreezeSkewedRun(t *testing.T) {
 	}
 }
 
-// TestTileSetFrozenAllocs: Run and frozen Get allocate nothing, and a
-// one-worker Freeze of a request-sized chunk allocates one object, the
-// bucket table — the column is the hash table's own array.
+// TestTileSetFrozenAllocs: Run and frozen Get allocate nothing.
 func TestTileSetFrozenAllocs(t *testing.T) {
-	chunk := randomReads(t, 500)
-	sets := make([]*TileSet, 6) // AllocsPerRun calls once more than it counts
-	for i := range sets {
-		sets[i], _ = CountTiles(chunk, 12, 0, 0, BuildOptions{Workers: 1})
-	}
-	next := 0
-	if n := testing.AllocsPerRun(len(sets)-1, func() {
-		sets[next].Freeze()
-		next++
-	}); n != 1 {
-		t.Errorf("one-worker Freeze of a 500-read chunk allocated %v times, want 1", n)
-	}
-	ts := sets[0]
+	ts, _ := CountTiles(randomReads(t, 500), 12, 0, 0, BuildOptions{Workers: 1})
+	ts.Freeze()
 	tiles := make([]seq.Kmer, 0, ts.Size())
 	ts.forEach(func(tile seq.Kmer, _ TileCount) { tiles = append(tiles, tile) })
 	if n := testing.AllocsPerRun(5, func() {
@@ -321,32 +308,6 @@ func TestTileSetReleaseReuse(t *testing.T) {
 		}
 	}
 }
-
-// TestTileSetReleasedAllocs: in steady state a one-worker CountTiles, Freeze
-// and Release of a request-sized chunk allocates the TileSet and its shard
-// slice only — the table and its bucket index are the released ones.
-func TestTileSetReleasedAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool drops items at random under -race")
-	}
-	chunk := randomReads(t, 500)
-	cycle := func() {
-		ts, err := CountTiles(chunk, 12, 0, 0, BuildOptions{Workers: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ts.Freeze()
-		ts.Release()
-	}
-	cycle()
-	if n := testing.AllocsPerRun(20, cycle); n != 2 {
-		t.Errorf("a steady-state one-worker count, freeze and release allocated %v times, want 2", n)
-	}
-}
-
-// raceEnabled is set under -race (race_test.go), where sync.Pool drops
-// items at random and allocation figures mean nothing.
-var raceEnabled bool
 
 func TestQualityQuantile(t *testing.T) {
 	reads := []seq.Read{

@@ -19,9 +19,8 @@ func init() { engine.Register(redeemEngine{}) }
 // extConfig is the engine-specific payload redeem's functional options
 // tuck into an engine.Run.
 type extConfig struct {
-	model       *simulate.KmerErrorModel
-	errorRate   float64
-	mixtureMaxG int
+	model     *simulate.KmerErrorModel
+	errorRate float64
 }
 
 func extOf(r *engine.Run) *extConfig {
@@ -43,12 +42,6 @@ func WithModel(m *simulate.KmerErrorModel) engine.Option {
 // the default 0.01).
 func WithErrorRate(rate float64) engine.Option {
 	return func(r *engine.Run) { extOf(r).errorRate = rate }
-}
-
-// WithMixtureMaxG bounds the component count of the §3.7 threshold
-// mixture sweep (<= 0 selects 3; the CLI passes 4).
-func WithMixtureMaxG(g int) engine.Option {
-	return func(r *engine.Run) { extOf(r).mixtureMaxG = g }
 }
 
 // redeemEngine adapts REDEEM to the pluggable engine contract.
@@ -94,7 +87,6 @@ func resolveConfig(run *engine.Run, spec *kspectrum.Spectrum) (Config, *simulate
 	}
 	cfg := DefaultConfig(k)
 	cfg.Spectrum = spec
-	cfg.MixtureMaxG = e.mixtureMaxG
 	return cfg, model
 }
 

@@ -48,12 +48,12 @@ type Config struct {
 	// spectrum, so it needs no checkpointing of its own. Ignored when
 	// Spectrum is preloaded.
 	kspectrum.StreamOptions
-	// MixtureMaxG bounds the component count of the §3.7 mixture when
-	// CorrectStream infers the classification threshold (<= 0 selects
-	// 3). Callers wanting a different sweep — e.g. the CLI's maxG=4 —
-	// set it here so detection and correction stay consistent.
-	MixtureMaxG int
 }
+
+// MixtureMaxG bounds the component count of the §3.7 threshold mixture's
+// BIC sweep: one bound for every route — the CLI, the engine and the daemon
+// infer the same threshold from the same spectrum.
+const MixtureMaxG = 4
 
 // DefaultConfig mirrors the dissertation's settings.
 func DefaultConfig(k int) Config {
@@ -285,14 +285,10 @@ func (m *Model) THistogram(binWidth float64, maxT float64) []int {
 }
 
 // fit runs EM and infers the classification threshold, sweeping up to
-// Cfg.MixtureMaxG mixture components (<= 0 selects 3).
+// MixtureMaxG mixture components.
 func (m *Model) fit() (float64, error) {
 	m.Run()
-	maxG := m.Cfg.MixtureMaxG
-	if maxG <= 0 {
-		maxG = 3
-	}
-	thr, _, err := m.InferThreshold(1, maxG)
+	thr, _, err := m.InferThreshold(1, MixtureMaxG)
 	return thr, err
 }
 

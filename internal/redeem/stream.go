@@ -12,7 +12,7 @@ import (
 // every chunk from open() into the spectrum (with Config.MemoryBudget
 // bounding the accumulator's resident size), then EM runs, the §3.7 mixture
 // infers the classification threshold (component sweep bounded by
-// Config.MixtureMaxG), and a second pass re-opens the source, corrects each
+// MixtureMaxG), and a second pass re-opens the source, corrects each
 // chunk with `workers` goroutines, and hands (original, corrected) chunk
 // pairs to emit. It returns the fitted model and the inferred threshold.
 //

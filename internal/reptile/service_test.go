@@ -5,7 +5,6 @@ import (
 	"context"
 	"errors"
 	"reflect"
-	"runtime"
 	"sync"
 	"testing"
 
@@ -91,40 +90,6 @@ func TestServicePairsQmWithExplicitQc(t *testing.T) {
 	}
 }
 
-// TestChunkServiceBytesPerChunk: a steady-state one-worker chunk of 500
-// reads — a daemon request — reuses its tile table, bucket index and
-// correction scratch, so it allocates at most half of the 633144 bytes a
-// chunk this test measured before they were pooled.
-func TestChunkServiceBytesPerChunk(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool drops items at random under -race")
-	}
-	corpus, spec := serviceFixture(t)
-	chunk := corpus[:500]
-	svc, err := NewService(spec, Params{D: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	correct := func() {
-		if _, err := svc.CorrectChunk(context.Background(), chunk, 1); err != nil {
-			t.Fatal(err)
-		}
-	}
-	correct() // the index's lazy parts and the pools fill
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	const chunks = 50
-	for range chunks {
-		correct()
-	}
-	runtime.ReadMemStats(&after)
-	perChunk := (after.TotalAlloc - before.TotalAlloc) / chunks
-	t.Logf("%d bytes a chunk", perChunk)
-	if perChunk > 633144/2 {
-		t.Errorf("a steady-state chunk allocates %d bytes, want <= %d", perChunk, 633144/2)
-	}
-}
-
 // failingSource is a neighbor source that fails while fail is set.
 type failingSource struct {
 	kspectrum.NeighborSource
@@ -173,10 +138,6 @@ func TestChunkServiceFailureDoesNotLeak(t *testing.T) {
 		t.Fatal("chunk 2 after a failed chunk 1 diverges from a fresh service")
 	}
 }
-
-// raceEnabled is set under -race (race_test.go), where sync.Pool drops
-// items at random and allocation figures mean nothing.
-var raceEnabled bool
 
 // cancelSource cancels its request's context at its at-th query.
 type cancelSource struct {

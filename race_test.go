@@ -1,5 +1,5 @@
 //go:build race
 
-package reptile
+package repro
 
 func init() { raceEnabled = true }

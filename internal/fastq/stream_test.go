@@ -185,6 +185,10 @@ func TestChunkReaderSizesChunksFromTheInput(t *testing.T) {
 	if chunk, err := cr.Next(); err != nil || len(chunk) != len(reads) {
 		t.Fatalf("first chunk: %d reads, %v", len(chunk), err)
 	}
+	// One P for the measurement, as testing.AllocsPerRun does: with more, the
+	// world restart inside ReadMemStats may start a new M, whose heap-allocated
+	// runtime structures land in TotalAlloc when the machine is busy.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	_, err = cr.Next()

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"crypto/sha256"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -325,6 +326,29 @@ func scoreClosetMeta(t *testing.T, add func(string, any)) {
 	add("ari", ari)
 	add("mapreduce.jobs", len(res.Jobs))
 	add("mapreduce.map_output_records", records)
+	add("clusters_sha256", closetDigest(res))
+}
+
+// closetDigest hashes what CLOSET outputs: every validated edge (I, J and the
+// bits of F), and at each threshold its counters and every cluster's vertices
+// and edges.
+func closetDigest(res *closet.Result) []byte {
+	h := sha256.New()
+	put := func(vs ...any) {
+		for _, v := range vs {
+			if err := binary.Write(h, binary.LittleEndian, v); err != nil {
+				panic(err)
+			}
+		}
+	}
+	put(int64(len(res.Edges)), res.Edges)
+	for _, tr := range res.ByThreshold {
+		put(tr.Threshold, int64(tr.EdgesUsed), int64(tr.ClustersProcessed), int64(tr.MergeRounds), tr.Converged, int64(len(tr.Clusters)))
+		for _, c := range tr.Clusters {
+			put(int64(len(c.Verts)), c.Verts, int64(len(c.Edges)), c.Edges)
+		}
+	}
+	return h.Sum(nil)
 }
 
 // inProcess is an http.RoundTripper that serves each request with its host's

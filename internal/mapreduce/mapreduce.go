@@ -19,9 +19,9 @@ import (
 type Config struct {
 	// Nodes is the number of simulated cluster nodes: the shuffle produces
 	// this many partitions, and map/reduce tasks use up to this many
-	// concurrent workers (capped by GOMAXPROCS for real parallelism, but
-	// partitioning always honors Nodes so data placement matches the
-	// cluster being simulated).
+	// concurrent workers (capped at 4 × GOMAXPROCS, see Workers; partitioning
+	// always honors Nodes so data placement matches the cluster being
+	// simulated).
 	Nodes int
 	// Name labels the job in its Stats.
 	Name string
@@ -39,15 +39,34 @@ type Stats struct {
 	ReduceOutput    int
 }
 
-// Total is the job wall-clock across stages.
-func (s Stats) Total() time.Duration {
-	return s.MapDuration + s.ShuffleDuration + s.ReduceDuration
+// blocks is an append-only record list held in blocks that are never
+// copied: the first holds firstBlock records, each next one twice the last,
+// up to maxBlock. Walking the blocks in order yields the records in the
+// order they were added.
+type blocks[T any] [][]T
+
+// The first block is small because most buffers are: a Task 7/8 job keeps
+// Workers × Nodes of them for a few hundred records in all.
+const firstBlock, maxBlock = 4, 1024
+
+func (b *blocks[T]) add(x T) {
+	n := len(*b)
+	if n == 0 || len((*b)[n-1]) == cap((*b)[n-1]) {
+		size := firstBlock
+		if n > 0 {
+			size = min(2*cap((*b)[n-1]), maxBlock)
+		}
+		*b, n = append(*b, make([]T, 0, size)), n+1
+	}
+	(*b)[n-1] = append((*b)[n-1], x)
 }
 
-func (s Stats) String() string {
-	return fmt.Sprintf("%s: in=%d mapped=%d keys=%d out=%d (map %v, shuffle %v, reduce %v)",
-		s.Name, s.InputRecords, s.MapOutput, s.DistinctKeys, s.ReduceOutput,
-		s.MapDuration.Round(time.Microsecond), s.ShuffleDuration.Round(time.Microsecond), s.ReduceDuration.Round(time.Microsecond))
+func (b blocks[T]) len() int {
+	n := 0
+	for _, blk := range b {
+		n += len(blk)
+	}
+	return n
 }
 
 // Emitter receives the pairs produced by a map function.
@@ -89,7 +108,7 @@ func Run[I any, K comparable, V any, O any](
 		v V
 	}
 	start := time.Now()
-	workerParts := make([][][]kv, workers)
+	workerParts := make([][]blocks[kv], workers)
 	var mapErr error
 	var mapErrOnce sync.Once
 	var wg sync.WaitGroup
@@ -108,11 +127,10 @@ func Run[I any, K comparable, V any, O any](
 					mapErrOnce.Do(func() { mapErr = fmt.Errorf("mapreduce: map task panicked: %v", r) })
 				}
 			}()
-			parts := make([][]kv, cfg.Nodes)
+			parts := make([]blocks[kv], cfg.Nodes)
 			emitted := 0
 			emit := func(k K, v V) {
-				p := int(hash(k) % uint64(cfg.Nodes))
-				parts[p] = append(parts[p], kv{k, v})
+				parts[hash(k)%uint64(cfg.Nodes)].add(kv{k, v})
 				emitted++
 			}
 			for i := lo; i < hi; i++ {
@@ -129,7 +147,7 @@ func Run[I any, K comparable, V any, O any](
 		stats.MapOutput += n
 	}
 	// Workers beyond the end of a short input mapped nothing.
-	workerParts = slices.DeleteFunc(workerParts, func(parts [][]kv) bool { return parts == nil })
+	workerParts = slices.DeleteFunc(workerParts, func(parts []blocks[kv]) bool { return parts == nil })
 	stats.MapDuration = time.Since(start)
 
 	// Shuffle: group each partition's values by key into one flat array.
@@ -152,7 +170,7 @@ func Run[I any, K comparable, V any, O any](
 			defer func() { <-sem }()
 			total := 0
 			for _, parts := range workerParts {
-				total += len(parts[p])
+				total += parts[p].len()
 			}
 			// One map lookup per record names its group; the second pass
 			// places values by that number. (A partition of an in-process
@@ -161,16 +179,18 @@ func Run[I any, K comparable, V any, O any](
 			index := make(map[K]int32)
 			ids := make([]int32, 0, total)
 			for _, parts := range workerParts {
-				for _, pair := range parts[p] {
-					id, ok := index[pair.k]
-					if !ok {
-						id = int32(len(g.keys))
-						index[pair.k] = id
-						g.keys = append(g.keys, pair.k)
-						g.offsets = append(g.offsets, 0)
+				for _, blk := range parts[p] {
+					for _, pair := range blk {
+						id, ok := index[pair.k]
+						if !ok {
+							id = int32(len(g.keys))
+							index[pair.k] = id
+							g.keys = append(g.keys, pair.k)
+							g.offsets = append(g.offsets, 0)
+						}
+						g.offsets[id+1]++
+						ids = append(ids, id)
 					}
-					g.offsets[id+1]++
-					ids = append(ids, id)
 				}
 			}
 			for i := 1; i < len(g.offsets); i++ {
@@ -179,11 +199,13 @@ func Run[I any, K comparable, V any, O any](
 			next := slices.Clone(g.offsets) // each group's write cursor
 			r := 0
 			for _, parts := range workerParts {
-				for _, pair := range parts[p] {
-					id := ids[r]
-					g.values[next[id]] = pair.v
-					next[id]++
-					r++
+				for _, blk := range parts[p] {
+					for _, pair := range blk {
+						id := ids[r]
+						g.values[next[id]] = pair.v
+						next[id]++
+						r++
+					}
 				}
 			}
 			grouped[p] = g
@@ -197,7 +219,7 @@ func Run[I any, K comparable, V any, O any](
 
 	// Reduce: one task per partition.
 	start = time.Now()
-	outputs := make([][]O, cfg.Nodes)
+	outputs := make([]blocks[O], cfg.Nodes)
 	var rg sync.WaitGroup
 	var redErr error
 	var redErrOnce sync.Once
@@ -212,25 +234,27 @@ func Run[I any, K comparable, V any, O any](
 					redErrOnce.Do(func() { redErr = fmt.Errorf("mapreduce: reduce task panicked: %v", r) })
 				}
 			}()
-			var out []O
-			emit := func(o O) { out = append(out, o) }
+			emit := outputs[p].add
 			g := grouped[p]
 			for i, k := range g.keys {
 				lo, hi := g.offsets[i], g.offsets[i+1]
 				reduceFn(k, g.values[lo:hi:hi], emit)
 			}
-			outputs[p] = out
 		}(p)
 	}
 	rg.Wait()
 	if redErr != nil {
 		return nil, stats, redErr
 	}
-	var result []O
 	for _, out := range outputs {
-		result = append(result, out...)
+		stats.ReduceOutput += out.len()
 	}
-	stats.ReduceOutput = len(result)
+	result := make([]O, 0, stats.ReduceOutput)
+	for _, out := range outputs {
+		for _, blk := range out {
+			result = append(result, blk...)
+		}
+	}
 	stats.ReduceDuration = time.Since(start)
 	return result, stats, nil
 }

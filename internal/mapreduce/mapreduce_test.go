@@ -124,58 +124,64 @@ func TestReduceOrderIsAFunctionOfInputAndNodes(t *testing.T) {
 	// each key's values in input order, and the output must be the nodes'
 	// emissions in node order.
 	const nodes = 5
-	input := make([]int, 3000)
-	for i := range input {
-		input[i] = i
-	}
 	keysOf := func(i int) [2]int { return [2]int{(i * 7) % 101, 200 + i%17} }
 	hash := func(k int) uint64 { return HashUint64(uint64(k)) }
 	type group struct {
 		key    int
 		values []int
 	}
-	// The reference walks the input once, serially.
-	var want []group
-	for p := 0; p < nodes; p++ {
-		at := map[int]int{}
-		for _, i := range input {
-			for _, k := range keysOf(i) {
-				if int(hash(k)%nodes) != p {
-					continue
+	// The second input is at block scale: its 2n records over at most
+	// nodes × nodes (worker, partition) buffers average 3 277 a buffer, past
+	// the 1 020 of the growing blocks plus two capped ones; every group spans
+	// block boundaries, and a node's reducer emits ~24 groups, past firstBlock.
+	for _, n := range []int{3000, 8 * maxBlock * nodes} {
+		input := make([]int, n)
+		for i := range input {
+			input[i] = i
+		}
+		// The reference walks the input once, serially.
+		var want []group
+		for p := 0; p < nodes; p++ {
+			at := map[int]int{}
+			for _, i := range input {
+				for _, k := range keysOf(i) {
+					if int(hash(k)%nodes) != p {
+						continue
+					}
+					if _, ok := at[k]; !ok {
+						at[k] = len(want)
+						want = append(want, group{key: k})
+					}
+					want[at[k]].values = append(want[at[k]].values, i)
 				}
-				if _, ok := at[k]; !ok {
-					at[k] = len(want)
-					want = append(want, group{key: k})
-				}
-				want[at[k]].values = append(want[at[k]].values, i)
 			}
 		}
-	}
-	for _, procs := range []int{1, 2, 3, 8} {
-		prev := runtime.GOMAXPROCS(procs)
-		got, stats, err := Run(Config{Nodes: nodes}, input,
-			func(i int, emit Emitter[int, int]) {
-				for _, k := range keysOf(i) {
-					emit(k, i)
+		for _, procs := range []int{1, 2, 3, 8} {
+			prev := runtime.GOMAXPROCS(procs)
+			got, stats, err := Run(Config{Nodes: nodes}, input,
+				func(i int, emit Emitter[int, int]) {
+					for _, k := range keysOf(i) {
+						emit(k, i)
+					}
+				},
+				func(k int, vs []int, emit func(group)) { emit(group{k, vs}) },
+				hash,
+			)
+			runtime.GOMAXPROCS(prev)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if stats.MapOutput != 2*n || stats.DistinctKeys != len(want) || stats.ReduceOutput != len(want) {
+				t.Errorf("n=%d GOMAXPROCS=%d: stats %+v, want %d records in %d keys", n, procs, stats, 2*n, len(want))
+			}
+			if len(got) != len(want) || cap(got) != len(want) {
+				t.Fatalf("n=%d GOMAXPROCS=%d: %d groups (capacity %d) want %d", n, procs, len(got), cap(got), len(want))
+			}
+			for i := range want {
+				if got[i].key != want[i].key || !slices.Equal(got[i].values, want[i].values) {
+					t.Fatalf("n=%d GOMAXPROCS=%d: group %d is key %d %v, want key %d %v",
+						n, procs, i, got[i].key, got[i].values, want[i].key, want[i].values)
 				}
-			},
-			func(k int, vs []int, emit func(group)) { emit(group{k, vs}) },
-			hash,
-		)
-		runtime.GOMAXPROCS(prev)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if stats.MapOutput != 2*len(input) || stats.DistinctKeys != len(want) {
-			t.Errorf("GOMAXPROCS=%d: stats %+v, want %d records in %d keys", procs, stats, 2*len(input), len(want))
-		}
-		if len(got) != len(want) {
-			t.Fatalf("GOMAXPROCS=%d: %d groups want %d", procs, len(got), len(want))
-		}
-		for i := range want {
-			if got[i].key != want[i].key || !slices.Equal(got[i].values, want[i].values) {
-				t.Fatalf("GOMAXPROCS=%d: group %d is key %d %v, want key %d %v",
-					procs, i, got[i].key, got[i].values, want[i].key, want[i].values)
 			}
 		}
 	}
@@ -246,15 +252,5 @@ func TestHashHelpersSpread(t *testing.T) {
 	}
 	if len(buckets) < 30 {
 		t.Errorf("HashInt32 spread over %d/32 buckets", len(buckets))
-	}
-}
-
-func TestStatsString(t *testing.T) {
-	s := Stats{Name: "job", InputRecords: 1}
-	if !strings.Contains(s.String(), "job") {
-		t.Errorf("String() = %q", s.String())
-	}
-	if s.Total() != 0 {
-		t.Errorf("Total = %v", s.Total())
 	}
 }

@@ -184,8 +184,8 @@ func enumerateQuasiCliques(carried []Cluster, edges []Edge, cfg Config, mrCfg ma
 	current = dedupeClusters(current)
 	tr := ThresholdResult{ClustersProcessed: len(current)}
 
+	before := clusterKeySet(current)
 	for round := 0; round < cfg.MaxMergeRounds && !tr.Converged; round++ {
-		before := clusterKeySet(current)
 		// Task 7: route each cluster to one of its vertices — rotating the
 		// anchor across rounds so clusters sharing any vertex eventually
 		// co-locate — and greedily merge co-resident clusters when the
@@ -232,7 +232,9 @@ func enumerateQuasiCliques(carried []Cluster, edges []Edge, cfg Config, mrCfg ma
 		res.Jobs = append(res.Jobs, st8)
 		current = dropAbsorbed(deduped)
 		tr.MergeRounds++
-		tr.Converged = keySetEqual(before, clusterKeySet(current))
+		after := clusterKeySet(current)
+		tr.Converged = keySetEqual(before, after)
+		before = after
 	}
 	// Materialize the final induced edge sets.
 	for i := range current {
@@ -276,60 +278,59 @@ func mergeGroup(cs []Cluster, gamma float64, adj adjacency) []Cluster {
 }
 
 // dedupeClusters collapses clusters with identical vertex sets, unioning
-// their edge sets.
+// their edge sets, in place: the first cluster of each vertex set keeps its
+// position.
 func dedupeClusters(cs []Cluster) []Cluster {
-	byKey := make(map[uint64][]Cluster)
-	var order []uint64
+	first := make(map[uint64]int, len(cs)) // key -> its first cluster in out
+	out := cs[:0]
 	for _, c := range cs {
 		k := c.key()
-		if _, ok := byKey[k]; !ok {
-			order = append(order, k)
+		i, ok := first[k]
+		if ok && !sameVerts(out[i].Verts, c.Verts) {
+			// A hash collision: look for c's vertex set the slow way.
+			i = slices.IndexFunc(out, func(o Cluster) bool { return sameVerts(o.Verts, c.Verts) })
 		}
-		byKey[k] = append(byKey[k], c)
-	}
-	var out []Cluster
-	for _, k := range order {
-		group := byKey[k]
-		for len(group) > 0 {
-			acc := group[0]
-			rest := group[:0]
-			for _, c := range group[1:] {
-				if sameVerts(acc.Verts, c.Verts) {
-					acc.Edges = unionSortedPairs(acc.Edges, c.Edges)
-				} else {
-					rest = append(rest, c) // hash collision: keep separate
-				}
-			}
-			out = append(out, acc)
-			group = rest
+		switch {
+		case ok && i >= 0:
+			out[i].Edges = unionSortedPairs(out[i].Edges, c.Edges)
+		case ok:
+			out = append(out, c)
+		default:
+			first[k] = len(out)
+			out = append(out, c)
 		}
 	}
 	return out
 }
 
 // dropAbsorbed removes clusters whose vertex set is a strict subset of
-// another cluster's (maximality of the enumerated quasi-cliques).
+// another cluster's (maximality of the enumerated quasi-cliques), in place.
 func dropAbsorbed(cs []Cluster) []Cluster {
 	sortClusters(cs)
-	memberOf := make(map[int32][]int) // vertex -> indices of kept clusters
-	var kept []Cluster
+	// A superset comes before c and contains c's first vertex. The kept
+	// clusters each vertex is in form a chain: head[v] is 1 + v's latest
+	// link, each link names a kept cluster and the link before it.
+	n, total := int32(0), 0
+	for _, c := range cs {
+		n, total = max(n, c.Verts[len(c.Verts)-1]+1), total+len(c.Verts)
+	}
+	head := make([]int32, n)
+	type link struct{ cluster, next int32 }
+	chain := make([]link, 0, total)
+	kept := cs[:0]
 	for _, c := range cs {
 		absorbed := false
-		// A superset cluster must contain c's first vertex.
-		for _, ki := range memberOf[c.Verts[0]] {
-			if subsetSorted(c.Verts, kept[ki].Verts) {
-				absorbed = true
-				break
-			}
+		for l := head[c.Verts[0]]; l > 0 && !absorbed; l = chain[l-1].next {
+			absorbed = subsetSorted(c.Verts, kept[chain[l-1].cluster].Verts)
 		}
 		if absorbed {
 			continue
 		}
-		idx := len(kept)
-		kept = append(kept, c)
 		for _, v := range c.Verts {
-			memberOf[v] = append(memberOf[v], idx)
+			chain = append(chain, link{int32(len(kept)), head[v]})
+			head[v] = int32(len(chain))
 		}
+		kept = append(kept, c)
 	}
 	return kept
 }

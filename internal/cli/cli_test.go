@@ -149,6 +149,48 @@ func TestNgsimBadMode(t *testing.T) {
 	}
 }
 
+// TestClosetSubcommand runs `repro closet` end to end on an ngsim
+// metagenome: the cluster TSV is the same on one simulated node and on 32,
+// and every threshold line reports an ARI against the labels.
+func TestClosetSubcommand(t *testing.T) {
+	dir := t.TempDir()
+	in, labels := filepath.Join(dir, "m.fastq"), filepath.Join(dir, "m.tsv")
+	if err := ngsimCmd([]string{"-mode", "meta", "-n", "600", "-out", in, "-labels", labels}, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	var tsvs [][]byte
+	for _, nodes := range []string{"1", "32"} {
+		out := filepath.Join(dir, "clusters"+nodes+".tsv")
+		var stdout bytes.Buffer
+		if err := closetCmd([]string{"-in", in, "-out", out, "-labels", labels, "-nodes", nodes}, &stdout); err != nil {
+			t.Fatal(err)
+		}
+		levels := 0
+		for _, line := range strings.Split(stdout.String(), "\n") {
+			if strings.HasPrefix(line, "t=") {
+				levels++
+				if !strings.Contains(line, ", ARI=") {
+					t.Errorf("-nodes %s: %q reports no ARI", nodes, line)
+				}
+			}
+		}
+		if levels != 3 {
+			t.Errorf("-nodes %s: %d threshold lines, want 3:\n%s", nodes, levels, stdout.String())
+		}
+		tsv, err := os.ReadFile(out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tsvs = append(tsvs, tsv)
+	}
+	if bytes.Count(tsvs[0], []byte("\n")) < 2 {
+		t.Fatalf("no read was clustered:\n%s", tsvs[0])
+	}
+	if !bytes.Equal(tsvs[0], tsvs[1]) {
+		t.Error("-nodes 1 and -nodes 32 wrote different cluster TSVs")
+	}
+}
+
 // TestFailedRunStopsProfiles: a correction that fails after the profilers
 // started must stop them — the CPU profiler is process-wide, so a leaked
 // one turns the next in-process run's real error into "cpu profiling

@@ -59,6 +59,49 @@ func FuzzReaderWriterRoundTrip(f *testing.F) {
 	})
 }
 
+// FuzzChunkReader holds ChunkReader to ReadAll over the same bytes, at chunk
+// sizes 1 to 64. When ReadAll succeeds, the chunks concatenate to its reads
+// and every chunk but the last holds exactly size reads; when it fails, some
+// Next fails too, after chunks that are a prefix of the reads before the
+// error.
+func FuzzChunkReader(f *testing.F) {
+	f.Add([]byte("@a\nAC\n+\nII\n@b\nGT\n+\nII\n@c\nA\n+\nI\n"), uint8(1))
+	f.Add([]byte("@a\nAC\n+\nII\n@b\nGT\n+\nII\n"), uint8(1)) // a multiple of the size: EOF on its own
+	f.Add([]byte("@a\nAC\n+\nII\n@bad\nACG\n+\nII\n"), uint8(0))
+	f.Add([]byte("\n@x\r\nAC\r\n\n+\nII"), uint8(63))
+	f.Add([]byte(""), uint8(7))
+	f.Fuzz(func(t *testing.T, data []byte, s uint8) {
+		size := int(s%64) + 1
+		want, wantErr := NewReader(bytes.NewReader(data)).ReadAll()
+		cr := NewChunkReader(nopCloser{bytes.NewReader(data)}, size)
+		var got []seq.Read
+		var err error
+		for {
+			var chunk []seq.Read
+			if chunk, err = cr.Next(); err != nil {
+				break
+			}
+			if len(chunk) == 0 || len(chunk) > size || len(got)%size != 0 {
+				t.Fatalf("size %d: a chunk of %d reads after %d", size, len(chunk), len(got))
+			}
+			got = append(got, chunk...)
+		}
+		switch {
+		case wantErr == nil && err != io.EOF:
+			t.Fatalf("size %d: ReadAll succeeded, Next failed: %v", size, err)
+		case wantErr != nil && err == io.EOF:
+			t.Fatalf("size %d: ReadAll failed (%v), every Next succeeded", size, wantErr)
+		case wantErr == nil && len(got) != len(want), len(got) > len(want):
+			t.Fatalf("size %d: chunks hold %d reads, ReadAll %d (%v)", size, len(got), len(want), wantErr)
+		}
+		for i, rd := range got {
+			if rd.ID != want[i].ID || !bytes.Equal(rd.Seq, want[i].Seq) || !bytes.Equal(rd.Qual, want[i].Qual) {
+				t.Fatalf("size %d: read %d is %+v, ReadAll's %+v", size, i, rd, want[i])
+			}
+		}
+	})
+}
+
 // FuzzWriterReaderRoundTrip is the inverse identity: whatever reads the
 // Writer accepts, the Reader parses back from its output — same count, IDs
 // and bases, qualities clamped to MaxQuality and 40 where there were none.

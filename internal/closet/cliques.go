@@ -307,9 +307,9 @@ func dedupeClusters(cs []Cluster) []Cluster {
 // another cluster's (maximality of the enumerated quasi-cliques), in place.
 func dropAbsorbed(cs []Cluster) []Cluster {
 	sortClusters(cs)
-	// A superset comes before c and contains c's first vertex. The kept
-	// clusters each vertex is in form a chain: head[v] is 1 + v's latest
-	// link, each link names a kept cluster and the link before it.
+	// A superset comes before c and contains c's first vertex. Each vertex
+	// chains the kept clusters it is in: head[v] is 1 + the index of v's
+	// latest link, and each link names a kept cluster and the link before it.
 	n, total := int32(0), 0
 	for _, c := range cs {
 		n, total = max(n, c.Verts[len(c.Verts)-1]+1), total+len(c.Verts)

@@ -45,8 +45,9 @@ type Stats struct {
 // order they were added.
 type blocks[T any] [][]T
 
-// The first block is small because most buffers are: a Task 7/8 job keeps
-// Workers × Nodes of them for a few hundred records in all.
+// The first block is small because a job pays for one in every buffer it
+// fills, Workers × Nodes of them on the map side, and in CLOSET's Task 7/8
+// jobs many hold only a few records.
 const firstBlock, maxBlock = 4, 1024
 
 func (b *blocks[T]) add(x T) {

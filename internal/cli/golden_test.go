@@ -3,7 +3,9 @@ package cli
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"errors"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -44,42 +46,40 @@ func goldenInput(t *testing.T) (string, int) {
 	return path, len(ds.Genome)
 }
 
-// fileOpener is the historical CLIs' source shape.
-func fileOpener(path string) func() (seq.ChunkSource, error) {
-	return func() (seq.ChunkSource, error) {
-		f, err := os.Open(path)
-		if err != nil {
-			return nil, err
-		}
-		return fastq.NewChunkReader(f, 0), nil
-	}
-}
-
-// legacyReptileOutput reproduces the pre-refactor cmd/reptile pipeline
-// verbatim — sampling, parameter derivation and override order included —
-// and returns the corrected FASTQ bytes. It is the frozen reference the
-// repro subcommand must match byte for byte.
-func legacyReptileOutput(t *testing.T, in string, k, d, genomeLen, workers int) []byte {
+// readGolden decodes the whole golden input.
+func readGolden(t *testing.T, in string) []seq.Read {
 	t.Helper()
-	open := fileOpener(in)
-	const sampleReads = 20000
-	src, err := open()
+	f, err := os.Open(in)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var sample []seq.Read
-	for len(sample) < sampleReads {
-		chunk, err := src.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		sample = append(sample, chunk...)
+	defer f.Close()
+	reads, err := fastq.NewReader(f).ReadAll()
+	if err != nil {
+		t.Fatal(err)
 	}
-	src.Close()
-	params := reptile.DefaultParams(sample, genomeLen)
+	return reads
+}
+
+// encodeGolden renders corrected reads as FASTQ bytes.
+func encodeGolden(t *testing.T, reads []seq.Read) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := fastq.Write(&buf, reads); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// referenceReptileOutput is `repro reptile` spelled out step by step over the
+// whole input in memory — parameter derivation and override order included —
+// and returns the corrected FASTQ bytes.
+func referenceReptileOutput(t *testing.T, in string, k, d, genomeLen, workers int) []byte {
+	t.Helper()
+	reads := readGolden(t, in)
+	// DefaultParams sees the leading 20 000-read sample: every read of the
+	// golden input.
+	params := reptile.DefaultParams(reads[:min(len(reads), 20000)], genomeLen)
 	if k > 0 {
 		params.K = k
 		params.C = min(params.K, params.D+4)
@@ -89,35 +89,61 @@ func legacyReptileOutput(t *testing.T, in string, k, d, genomeLen, workers int) 
 		params.C = params.D + 2
 	}
 	params.Build = kspectrum.BuildOptions{Workers: workers}
-	var buf bytes.Buffer
-	w := fastq.NewWriter(&buf)
-	emit := func(orig, corrected []seq.Read) error { return w.WriteChunk(corrected) }
-	if _, err := reptile.CorrectStream(context.Background(), open, emit, params, workers); err != nil {
+	b, err := reptile.NewBuilder(params)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Flush(); err != nil {
+	b.Add(reads)
+	c, err := b.Finish()
+	if err != nil {
 		t.Fatal(err)
 	}
-	return buf.Bytes()
+	out, err := c.CorrectAllCtx(context.Background(), reads, workers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return encodeGolden(t, out)
 }
 
-// legacyRedeemOutput reproduces the pre-refactor cmd/redeem pipeline
-// verbatim.
-func legacyRedeemOutput(t *testing.T, in string, k int, errorRate float64, workers int) []byte {
+// referenceRedeemOutput is `repro redeem` spelled out step by step over the
+// whole input in memory: spectrum and misread graph, EM, the §3.7
+// threshold, correction.
+func referenceRedeemOutput(t *testing.T, in string, k int, errorRate float64, workers int) []byte {
 	t.Helper()
-	model := simulate.NewUniformKmerModel(k, errorRate)
+	reads := readGolden(t, in)
 	cfg := redeem.DefaultConfig(k)
 	cfg.Build = kspectrum.BuildOptions{Workers: workers}
-	var buf bytes.Buffer
-	w := fastq.NewWriter(&buf)
-	emit := func(orig, corrected []seq.Read) error { return w.WriteChunk(corrected) }
-	if _, _, err := redeem.CorrectStream(context.Background(), fileOpener(in), emit, model, cfg, workers); err != nil {
+	m, err := redeem.New(reads, simulate.NewUniformKmerModel(k, errorRate), cfg)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Flush(); err != nil {
+	m.Run()
+	thr, _, err := m.InferThreshold(1, redeem.MixtureMaxG)
+	if err != nil {
 		t.Fatal(err)
 	}
-	return buf.Bytes()
+	out, err := m.CorrectReadsCtx(context.Background(), reads, thr, workers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return encodeGolden(t, out)
+}
+
+// checkGolden holds a subcommand's output to its reference pipeline and to
+// the SHA-256 recorded when the case was frozen: a reference recomputed in
+// the same commit could drift together with the subcommand, the digest
+// cannot.
+func checkGolden(t *testing.T, got, want []byte, digest string) {
+	t.Helper()
+	if !bytes.Equal(got, want) {
+		t.Errorf("output diverges from the reference pipeline (%d vs %d bytes)", len(got), len(want))
+	}
+	if len(got) == 0 {
+		t.Error("empty output")
+	}
+	if sum := fmt.Sprintf("%x", sha256.Sum256(got)); sum != digest {
+		t.Errorf("output SHA-256 %s, recorded %s", sum, digest)
+	}
 }
 
 // runSubcommand executes a cli subcommand into a temp output file and
@@ -135,61 +161,38 @@ func runSubcommand(t *testing.T, run func([]string, io.Writer) error, args []str
 	return got
 }
 
-// TestGoldenReptileCLI: `repro reptile` (and therefore the legacy reptile
-// wrapper, which calls the same function) produces output byte-identical
-// to the pre-refactor pipeline, with and without explicit -k and across
-// a memory budget.
+// TestGoldenReptileCLI: `repro reptile` matches its reference pipeline and
+// its recorded digest, with and without explicit -k and across a memory
+// budget.
 func TestGoldenReptileCLI(t *testing.T) {
 	in, genomeLen := goldenInput(t)
 	gl := itoa(genomeLen)
 	cases := []struct {
-		name string
-		args []string
-		want func() []byte
+		name   string
+		args   []string
+		k, d   int
+		digest string
 	}{
-		{
-			"derived-k",
-			[]string{"-in", in, "-workers", "1", "-genome-len", gl},
-			func() []byte { return legacyReptileOutput(t, in, 0, 1, genomeLen, 1) },
-		},
-		{
-			"explicit-k-d2",
-			[]string{"-in", in, "-workers", "1", "-genome-len", gl, "-k", "11", "-d", "2"},
-			func() []byte { return legacyReptileOutput(t, in, 11, 2, genomeLen, 1) },
-		},
-		{
-			"mem-budget",
-			[]string{"-in", in, "-workers", "1", "-genome-len", gl, "-mem-budget", "64KB"},
-			func() []byte { return legacyReptileOutput(t, in, 0, 1, genomeLen, 1) },
-		},
+		{"derived-k", []string{"-in", in, "-workers", "1", "-genome-len", gl}, 0, 1, "884a61be51dd00dc357405b7103e3e342b60a9ea05267f702b6ee32076e4d6a0"},
+		{"explicit-k-d2", []string{"-in", in, "-workers", "1", "-genome-len", gl, "-k", "11", "-d", "2"}, 11, 2, "118344638092c26749bb3ccfd41f500948fce8b58aa6f00ae135ae8085063fcf"},
+		{"mem-budget", []string{"-in", in, "-workers", "1", "-genome-len", gl, "-mem-budget", "64KB"}, 0, 1, "884a61be51dd00dc357405b7103e3e342b60a9ea05267f702b6ee32076e4d6a0"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			out := filepath.Join(t.TempDir(), "out.fastq")
 			got := runSubcommand(t, reptileCmd, append(tc.args, "-out", out), out)
-			want := tc.want()
-			if !bytes.Equal(got, want) {
-				t.Errorf("repro reptile output diverges from the legacy pipeline (%d vs %d bytes)", len(got), len(want))
-			}
-			if len(got) == 0 {
-				t.Error("empty output")
-			}
+			checkGolden(t, got, referenceReptileOutput(t, in, tc.k, tc.d, genomeLen, 1), tc.digest)
 		})
 	}
 }
 
-// TestGoldenRedeemCLI: `repro redeem` ≡ the pre-refactor pipeline.
+// TestGoldenRedeemCLI: `repro redeem` matches its reference pipeline and its
+// recorded digest.
 func TestGoldenRedeemCLI(t *testing.T) {
 	in, _ := goldenInput(t)
 	out := filepath.Join(t.TempDir(), "out.fastq")
 	got := runSubcommand(t, redeemCmd, []string{"-in", in, "-out", out, "-workers", "1"}, out)
-	want := legacyRedeemOutput(t, in, 11, 0.01, 1)
-	if !bytes.Equal(got, want) {
-		t.Errorf("repro redeem output diverges from the legacy pipeline (%d vs %d bytes)", len(got), len(want))
-	}
-	if len(got) == 0 {
-		t.Error("empty output")
-	}
+	checkGolden(t, got, referenceRedeemOutput(t, in, 11, 0.01, 1), "7dcc23dfaff5f98810a2bed5a181e2956e95633ee5b35a93dc3613199977d6c1")
 }
 
 // TestGoldenSpectrumRoundTrip: -save-spectrum then -load-spectrum through

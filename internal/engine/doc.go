@@ -45,6 +45,12 @@
 // path (SHREC) satisfy the same contract by buffering, so callers never
 // special-case.
 //
+// The two passes are written once: Reptile and REDEEM supply only their
+// Phase 1 (Train), and CorrectWith / CorrectStreamWith resolve the run's
+// spectrum, run it over the reads or one pass of the source, correct
+// through the ChunkCorrector it returns, save the spectrum and fill the
+// Result.
+//
 // Engines that can amortize per-corpus state across many independent
 // requests additionally implement Servicer: NewService builds a shared,
 // concurrency-safe ChunkCorrector (the correction-as-a-service form used

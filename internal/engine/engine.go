@@ -61,10 +61,6 @@ type Result struct {
 	// in-memory Correct, whose caller holds the slices).
 	Reads   int
 	Changed int
-	// Threshold is REDEEM's inferred kmer threshold.
-	Threshold float64
-	// Corrections is SHREC's applied-change count.
-	Corrections int
 	// Spectrum is the k-spectrum the run built or adopted (nil for
 	// engines without one). One the run loaded from WithSpectrumPath
 	// holds a file mapping and is the caller's to Close.

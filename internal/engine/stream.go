@@ -108,26 +108,5 @@ func CountChangedBases(orig, corrected []seq.Read) int {
 // footnote in the memory budget.
 const SampleReads = 20000
 
-// Sample collects up to SampleReads leading reads from a fresh pass over
-// the source. An empty input is an error — there is nothing to derive
-// parameters from.
-func Sample(ctx context.Context, open SourceOpener) ([]seq.Read, error) {
-	var sample []seq.Read
-	err := StreamChunks(ctx, open, func(chunk []seq.Read) error {
-		sample = append(sample, chunk...)
-		if len(sample) >= SampleReads {
-			return errSampleFull
-		}
-		return nil
-	})
-	if err != nil && err != errSampleFull {
-		return nil, err
-	}
-	if len(sample) == 0 {
-		return nil, fmt.Errorf("engine: empty input stream")
-	}
-	return sample, nil
-}
-
-// errSampleFull is Sample's internal early-exit sentinel.
+// errSampleFull is Input.Sample's internal early-exit sentinel.
 var errSampleFull = fmt.Errorf("engine: sample full")

@@ -227,3 +227,68 @@ func FuzzReadManifest(f *testing.F) {
 		}
 	})
 }
+
+// FuzzOpenRun writes a run, damages the file and drains it through openRun,
+// the one reader of the run format: a run the damage changed must fail with
+// ErrCheckpoint, one it left intact must give back exactly the records
+// written. pairs is read as 8-byte (kmer gap, count) records, so the kmers
+// written are sorted and unique; the byte at offset flip is inverted, then
+// cut bytes are dropped from the end.
+func FuzzOpenRun(f *testing.F) {
+	f.Add([]byte{}, uint32(1<<20), uint32(0))
+	f.Add([]byte("\x00\x00\x00\x00\x05\x00\x00\x00\x07\x00\x00\x00\x01\x00\x00\x00"), uint32(40), uint32(0))
+	f.Add([]byte("\x03\x00\x00\x00\x05\x00\x00\x00"), uint32(1<<20), uint32(2))
+	// One record past a block, so the damage can land behind a full block.
+	f.Add(bytes.Repeat([]byte("\x00\x00\x00\x00\x01\x00\x00\x00"), runBlockBytes/runEntryBytes+1), uint32(runBlockBytes+100), uint32(0))
+	f.Fuzz(func(t *testing.T, pairs []byte, flip, cut uint32) {
+		var want []kmerCount
+		var km uint64
+		for ; len(pairs) >= 8; pairs = pairs[8:] {
+			km += 1 + uint64(binary.LittleEndian.Uint32(pairs))
+			want = append(want, kmerCount{seq.Kmer(km), binary.LittleEndian.Uint32(pairs[4:])})
+		}
+		path := filepath.Join(t.TempDir(), runFileName(1))
+		h := runHeader{k: 13, bothStrands: true, shard: 1, count: int64(len(want))}
+		sum, err := writeRun(path, h, want, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		written, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		damaged := slices.Clone(written)
+		if int(flip) < len(damaged) {
+			damaged[flip] ^= 0xFF
+		}
+		damaged = damaged[:len(damaged)-min(len(damaged), int(cut))]
+		if err := os.WriteFile(path, damaged, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		got, err := drainRun(runInfo{path: path, shard: 1, entries: h.count, crc: sum}, 13, true)
+		if bytes.Equal(damaged, written) {
+			if err != nil || !slices.Equal(got, want) {
+				t.Fatalf("intact run of %d records: read back %d, %v", len(want), len(got), err)
+			}
+		} else if !errors.Is(err, ErrCheckpoint) {
+			t.Fatalf("run of %d bytes, byte %d flipped, %d cut: %v, want ErrCheckpoint", len(written), flip, cut, err)
+		}
+	})
+}
+
+// drainRun reads every record of a run through openRun.
+func drainRun(ri runInfo, k int, bothStrands bool) ([]kmerCount, error) {
+	rs, err := openRun(ri, k, bothStrands)
+	if err != nil {
+		return nil, err
+	}
+	defer rs.close()
+	var got []kmerCount
+	for {
+		p, ok, err := rs.next()
+		if err != nil || !ok {
+			return got, err
+		}
+		got = append(got, p)
+	}
+}

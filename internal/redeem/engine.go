@@ -3,7 +3,6 @@ package redeem
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"repro/internal/engine"
 	"repro/internal/kspectrum"
@@ -66,7 +65,6 @@ func (redeemEngine) Capabilities() engine.Capabilities {
 // and the (possibly preloaded) spectrum. A preloaded spectrum's k wins
 // over the package default when the run's K is unset; an explicit
 // disagreeing K is reported by the k-authority rule or config validation.
-// Callers that build a spectrum add run.StreamOptions.
 func resolveConfig(run *engine.Run, spec *kspectrum.Spectrum) (Config, *simulate.KmerErrorModel) {
 	e := extOf(run)
 	k := run.K
@@ -90,72 +88,45 @@ func resolveConfig(run *engine.Run, spec *kspectrum.Spectrum) (Config, *simulate
 	return cfg, model
 }
 
-func (redeemEngine) Correct(ctx context.Context, reads []seq.Read, run *engine.Run) (_ []seq.Read, _ *engine.Result, err error) {
-	start := time.Now()
-	spec, err := run.ResolveSpectrum()
-	if err != nil {
-		return nil, nil, err
-	}
-	defer run.CloseOpened(spec, &err)
+func (redeemEngine) Correct(ctx context.Context, reads []seq.Read, run *engine.Run) ([]seq.Read, *engine.Result, error) {
+	return engine.CorrectWith(ctx, reads, run, EngineName, train)
+}
+
+func (redeemEngine) CorrectStream(ctx context.Context, open engine.SourceOpener, sink engine.Sink, run *engine.Run) (*engine.Result, error) {
+	return engine.CorrectStreamWith(ctx, open, sink, run, EngineName, train)
+}
+
+// train is REDEEM's Phase 1 (engine.Train): the spectrum (counted over one
+// pass of in, or spec as given, when in may be nil), the misread graph, EM
+// and the §3.7 threshold. The fitted model is read-only from here on, so
+// Phase 2 may correct chunks concurrently.
+func train(ctx context.Context, run *engine.Run, spec *kspectrum.Spectrum, in *engine.Input) (*engine.Trained, error) {
 	cfg, model := resolveConfig(run, spec)
 	cfg.StreamOptions = run.StreamOptions(ctx)
-	m, err := New(reads, model, cfg)
+	spec, err := buildSpectrum(model, cfg, in.Each)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	thr, err := m.fit()
+	m, err := NewFromSpectrum(spec, model, cfg)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	out, err := m.CorrectReadsCtx(ctx, reads, thr, run.Workers)
+	m.Run()
+	thr, _, err := m.InferThreshold(1, MixtureMaxG)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	if err := run.SaveSpectrum(m.Spec); err != nil {
-		return nil, nil, err
-	}
-	return out, &engine.Result{
-		Engine:    EngineName,
-		Duration:  time.Since(start),
-		Threshold: thr,
-		Spectrum:  m.Spec,
-		Summary:   fmt.Sprintf("spectrum %d kmers; inferred threshold %.2f", m.Spec.Size(), thr),
+	return &engine.Trained{
+		Corrector: engine.ChunkFunc(func(ctx context.Context, reads []seq.Read, workers int) ([]seq.Read, error) {
+			return m.CorrectReadsCtx(ctx, reads, thr, workers)
+		}),
+		Spectrum: m.Spec,
+		Summary:  fmt.Sprintf("spectrum %d kmers; inferred threshold %.2f", m.Spec.Size(), thr),
 	}, nil
 }
 
-func (redeemEngine) CorrectStream(ctx context.Context, open engine.SourceOpener, sink engine.Sink, run *engine.Run) (_ *engine.Result, err error) {
-	start := time.Now()
-	spec, err := run.ResolveSpectrum()
-	if err != nil {
-		return nil, err
-	}
-	defer run.CloseOpened(spec, &err)
-	cfg, model := resolveConfig(run, spec)
-	cfg.StreamOptions = run.StreamOptions(ctx)
-	res := &engine.Result{Engine: EngineName}
-	emit := func(orig, corrected []seq.Read) error {
-		res.Reads += len(orig)
-		res.Changed += engine.CountChanged(orig, corrected)
-		return sink.WriteChunk(orig, corrected)
-	}
-	m, thr, err := CorrectStream(ctx, open, emit, model, cfg, run.Workers)
-	if err != nil {
-		return nil, err
-	}
-	if err := run.SaveSpectrum(m.Spec); err != nil {
-		return nil, err
-	}
-	res.Duration = time.Since(start)
-	res.Threshold = thr
-	res.Spectrum = m.Spec
-	res.Summary = fmt.Sprintf("spectrum %d kmers; inferred threshold %.2f", m.Spec.Size(), thr)
-	return res, nil
-}
-
-// NewService implements engine.Servicer: the model is fitted once against
-// the run's spectrum (EM plus threshold inference — the expensive part a
-// daemon amortizes) and the returned corrector serves independent chunks
-// concurrently.
+// NewService implements engine.Servicer: Phase 1 once over the run's
+// spectrum, with no pass; the corrector serves chunks concurrently.
 func (redeemEngine) NewService(run *engine.Run) (_ engine.ChunkCorrector, err error) {
 	spec, err := run.ResolveSpectrum()
 	if err != nil {
@@ -165,26 +136,9 @@ func (redeemEngine) NewService(run *engine.Run) (_ engine.ChunkCorrector, err er
 	if spec == nil {
 		return nil, fmt.Errorf("redeem: service needs a spectrum")
 	}
-	cfg, model := resolveConfig(run, spec)
-	m, err := NewFromSpectrum(spec, model, cfg)
+	t, err := train(context.TODO(), run, spec, nil)
 	if err != nil {
 		return nil, err
 	}
-	thr, err := m.fit()
-	if err != nil {
-		return nil, err
-	}
-	return &modelService{m: m, thr: thr}, nil
-}
-
-// modelService serves chunks against a fitted model: the model is
-// read-only after the fit and CorrectReadsCtx touches only per-call
-// state, so concurrent chunks need no synchronization.
-type modelService struct {
-	m   *Model
-	thr float64
-}
-
-func (s *modelService) CorrectChunk(ctx context.Context, reads []seq.Read, workers int) ([]seq.Read, error) {
-	return s.m.CorrectReadsCtx(ctx, reads, s.thr, workers)
+	return t.Corrector, nil
 }

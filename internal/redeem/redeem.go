@@ -35,7 +35,7 @@ type Config struct {
 	// Tol is the relative log-likelihood improvement at which EM stops.
 	Tol float64
 	// Spectrum, when non-nil, is a preloaded k-spectrum (typically from
-	// kspectrum.ReadSpectrumFile): New and CorrectStream skip the
+	// kspectrum.ReadSpectrumFile): New and the engine's Phase 1 skip the
 	// counting pass and model the preloaded counts directly. It must
 	// match K and have been built from both strands.
 	Spectrum *kspectrum.Spectrum
@@ -137,7 +137,7 @@ func buildSpectrum(errModel *simulate.KmerErrorModel, cfg Config, feed func(add 
 	}
 	defer st.Close() // reclaim spill files if the feed aborts
 	if err := feed(func(chunk []seq.Read) error { st.Add(chunk); return nil }); err != nil {
-		return nil, fmt.Errorf("redeem: build pass: %w", err)
+		return nil, err
 	}
 	return st.Build()
 }
@@ -282,14 +282,6 @@ func (m *Model) THistogram(binWidth float64, maxT float64) []int {
 		h[b]++
 	}
 	return h
-}
-
-// fit runs EM and infers the classification threshold, sweeping up to
-// MixtureMaxG mixture components.
-func (m *Model) fit() (float64, error) {
-	m.Run()
-	thr, _, err := m.InferThreshold(1, MixtureMaxG)
-	return thr, err
 }
 
 // InferThreshold fits the §3.7 mixture (Gamma + Normals + Uniform, BIC

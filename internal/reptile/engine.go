@@ -3,7 +3,6 @@ package reptile
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"repro/internal/engine"
 	"repro/internal/kspectrum"
@@ -86,71 +85,36 @@ func resolveParams(ctx context.Context, sample []seq.Read, run *engine.Run, spec
 	return p
 }
 
-// summary renders the resolved parameters and Phase-1 products for the
-// CLI status line.
-func (c *Corrector) summary() string {
-	return fmt.Sprintf("k=%d d=%d Cg=%d Cm=%d Qc=%d; spectrum %d kmers, %d tiles",
-		c.P.K, c.P.D, c.P.Cg, c.P.Cm, c.P.Qc, c.Spec.Size(), c.Tiles.Size())
+func (reptileEngine) Correct(ctx context.Context, reads []seq.Read, run *engine.Run) ([]seq.Read, *engine.Result, error) {
+	return engine.CorrectWith(ctx, reads, run, EngineName, train)
 }
 
-func (reptileEngine) Correct(ctx context.Context, reads []seq.Read, run *engine.Run) (_ []seq.Read, _ *engine.Result, err error) {
-	start := time.Now()
-	spec, err := run.ResolveSpectrum()
-	if err != nil {
-		return nil, nil, err
-	}
-	defer run.CloseOpened(spec, &err)
-	p := resolveParams(ctx, reads, run, spec)
-	c, err := New(reads, p)
-	if err != nil {
-		return nil, nil, err
-	}
-	out, err := c.CorrectAllCtx(ctx, reads, run.Workers)
-	if err != nil {
-		return nil, nil, err
-	}
-	if err := run.SaveSpectrum(c.Spec); err != nil {
-		return nil, nil, err
-	}
-	return out, &engine.Result{
-		Engine:   EngineName,
-		Duration: time.Since(start),
-		Spectrum: c.Spec,
-		Summary:  c.summary(),
-	}, nil
+func (reptileEngine) CorrectStream(ctx context.Context, open engine.SourceOpener, sink engine.Sink, run *engine.Run) (*engine.Result, error) {
+	return engine.CorrectStreamWith(ctx, open, sink, run, EngineName, train)
 }
 
-func (reptileEngine) CorrectStream(ctx context.Context, open engine.SourceOpener, sink engine.Sink, run *engine.Run) (_ *engine.Result, err error) {
-	start := time.Now()
-	spec, err := run.ResolveSpectrum()
+// train is Reptile's Phase 1 (engine.Train): parameters from the sample, then
+// spectrum, tiles, neighborhood index and thresholds. Phase 2 is CorrectAllCtx.
+func train(ctx context.Context, run *engine.Run, spec *kspectrum.Spectrum, in *engine.Input) (*engine.Trained, error) {
+	sample, err := in.Sample()
 	if err != nil {
 		return nil, err
 	}
-	defer run.CloseOpened(spec, &err)
-	// Data-dependent defaults (Qc, default k) come from a bounded leading
-	// sample of a fresh stream.
-	sample, err := engine.Sample(ctx, open)
+	b, err := NewBuilder(resolveParams(ctx, sample, run, spec))
 	if err != nil {
 		return nil, err
 	}
-	p := resolveParams(ctx, sample, run, spec)
-	res := &engine.Result{Engine: EngineName}
-	emit := func(orig, corrected []seq.Read) error {
-		res.Reads += len(orig)
-		res.Changed += engine.CountChanged(orig, corrected)
-		return sink.WriteChunk(orig, corrected)
+	defer b.Close() // reclaim spill files if the pass aborts
+	if err = in.Each(func(chunk []seq.Read) error { b.Add(chunk); return nil }); err != nil {
+		return nil, err
 	}
-	c, err := CorrectStream(ctx, open, emit, p, run.Workers)
+	c, err := b.Finish()
 	if err != nil {
 		return nil, err
 	}
-	if err := run.SaveSpectrum(c.Spec); err != nil {
-		return nil, err
-	}
-	res.Duration = time.Since(start)
-	res.Spectrum = c.Spec
-	res.Summary = c.summary()
-	return res, nil
+	return &engine.Trained{Corrector: engine.ChunkFunc(c.CorrectAllCtx), Spectrum: c.Spec,
+		Summary: fmt.Sprintf("k=%d d=%d Cg=%d Cm=%d Qc=%d; spectrum %d kmers, %d tiles",
+			c.P.K, c.P.D, c.P.Cg, c.P.Cm, c.P.Qc, c.Spec.Size(), c.Tiles.Size())}, nil
 }
 
 // NewService implements engine.Servicer: the shared-spectrum,

@@ -78,9 +78,8 @@ func (shrecEngine) Correct(ctx context.Context, reads []seq.Read, run *engine.Ru
 		return nil, nil, err
 	}
 	return out, &engine.Result{
-		Engine:      EngineName,
-		Duration:    time.Since(start),
-		Corrections: st.Corrections,
+		Engine:   EngineName,
+		Duration: time.Since(start),
 		Summary: fmt.Sprintf("levels [%d,%d] alpha %.1f; %d corrections over %d iterations",
 			cfg.FromLevel, cfg.ToLevel, cfg.Alpha, st.Corrections, cfg.Iterations),
 	}, nil

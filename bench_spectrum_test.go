@@ -62,8 +62,10 @@ func BenchmarkSpectrumBuildOutOfCore(b *testing.B) {
 		b.Fatal(err)
 	}
 	// The accumulator's in-memory footprint: the open-addressing table a
-	// counter holding every distinct kmer reaches (see kspectrum.Counter).
-	footprint := kspectrum.ApproxAccumulatorBytes(ref.Size())
+	// counter holding every entry reaches (see kspectrum.Counter). A
+	// both-strands build counts canonical kmers, and at odd k every one of
+	// them stands for two distinct kmers of the spectrum.
+	footprint := kspectrum.ApproxAccumulatorBytes((ref.Size() + 1) / 2)
 	tbl := newTable(b, "--- BENCH out-of-core spectrum build (D3 scale, k=13)")
 	tbl.row("%-14s %10s %8s %10s %12s", "budget", "kmers", "runs", "spilled", "wall")
 	budgets := []struct {
@@ -108,7 +110,7 @@ func BenchmarkSpectrumBuildOutOfCore(b *testing.B) {
 				float64(stats.SpilledBytes)/(1<<20), wall.Round(time.Millisecond))
 		})
 	}
-	tbl.row("in-memory accumulator footprint ≈ %.1f MB (open-addressing table for %d kmers)",
-		float64(footprint)/(1<<20), ref.Size())
+	tbl.row("in-memory accumulator footprint ≈ %.1f MB (open-addressing table for %d canonical kmers)",
+		float64(footprint)/(1<<20), (ref.Size()+1)/2)
 	tbl.flush()
 }

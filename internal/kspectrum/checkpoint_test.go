@@ -1,10 +1,12 @@
 package kspectrum
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/faultinject"
@@ -419,5 +421,82 @@ func TestManifestDirSyncFailure(t *testing.T) {
 			}
 			spectraEqual(t, want, got, "resume after a failed directory fsync")
 		})
+	}
+}
+
+// TestResumeRefusesRunV1 resumes a checkpoint directory written before runs
+// held canonical kmers (testdata/compat/krun-v1: two version-1 runs, k=13,
+// both strands, two shards, 20 reads). Its runs count each both-strands
+// window twice, so adopting them would double-count: the resume must fail
+// with ErrCheckpoint naming the run version, before any read is counted, and
+// leave every file of the directory as it was.
+func TestResumeRefusesRunV1(t *testing.T) {
+	src := filepath.Join("testdata", "compat", "krun-v1")
+	want, err := os.ReadDir(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	for _, e := range want {
+		b, err := os.ReadFile(filepath.Join(src, e.Name()))
+		if err == nil {
+			err = os.WriteFile(filepath.Join(dir, e.Name()), b, 0o644)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	st, err := NewStreamBuilder(13, true, StreamOptions{
+		Build: BuildOptions{Workers: 2}, CheckpointDir: dir, Resume: true,
+	})
+	if !errors.Is(err, ErrCheckpoint) || !strings.Contains(err.Error(), "version 1, want 2") {
+		if st != nil {
+			st.Close()
+		}
+		t.Fatalf("resume over a version-1 checkpoint: %v, want ErrCheckpoint naming run version 1", err)
+	}
+	got, err := os.ReadDir(dir)
+	if err != nil || len(got) != len(want) {
+		t.Fatalf("directory after the refusal holds %d files (%v), want %d", len(got), err, len(want))
+	}
+	for _, e := range want {
+		a, errA := os.ReadFile(filepath.Join(src, e.Name()))
+		b, errB := os.ReadFile(filepath.Join(dir, e.Name()))
+		if errA != nil || errB != nil || !bytes.Equal(a, b) {
+			t.Fatalf("%s changed by the refusal (%v, %v)", e.Name(), errA, errB)
+		}
+	}
+}
+
+// TestRunHeaderMismatchNamesField: a run whose header is not the one its
+// builder expects is refused with the first field that differs, by name.
+func TestRunHeaderMismatchNamesField(t *testing.T) {
+	pairs := []kmerCount{{1, 2}, {5, 1}}
+	path := filepath.Join(t.TempDir(), runFileName(1))
+	h := runHeader{k: 13, bothStrands: true, shard: 3, count: int64(len(pairs))}
+	sum, err := writeRun(path, h, pairs, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ri := runInfo{path: path, shard: h.shard, entries: h.count, crc: sum}
+	shard2, count1 := ri, ri
+	shard2.shard, count1.entries = 2, 1
+	for _, tc := range []struct {
+		ri          runInfo
+		k           int
+		bothStrands bool
+		want        string
+	}{
+		{ri, 15, true, "k 13, want 15"},
+		{ri, 13, false, "flags 1, want 0"},
+		{shard2, 13, true, "shard 3, want 2"},
+		{count1, 13, true, "count 2, want 1"},
+	} {
+		if err := validateRun(tc.ri, tc.k, tc.bothStrands); !errors.Is(err, ErrCheckpoint) || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%v, want ErrCheckpoint naming %q", err, tc.want)
+		}
+	}
+	if err := validateRun(ri, 13, true); err != nil {
+		t.Fatalf("the run as written: %v", err)
 	}
 }

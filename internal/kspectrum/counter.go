@@ -173,13 +173,18 @@ type kmerCount struct {
 
 type sortScratch struct{ a, b []kmerCount }
 
+// grow makes room in both buffers for n entries.
+func (s *sortScratch) grow(n int) {
+	if cap(s.a) < n {
+		n += n / 8 // headroom: a worker's next shard is rarely the same size
+		s.a, s.b = make([]kmerCount, n), make([]kmerCount, n)
+	}
+}
+
 // sortedPairs returns the counter's entries in ascending key order. The
 // result lives in s and is valid until s is used again.
 func (c *Counter) sortedPairs(s *sortScratch) []kmerCount {
-	if cap(s.a) < c.n {
-		n := c.n + c.n/8 // headroom: a worker's next shard is rarely the same size
-		s.a, s.b = make([]kmerCount, n), make([]kmerCount, n)
-	}
+	s.grow(c.n)
 	a := s.a[:0]
 	for i, v := range c.vals {
 		if v != 0 {
@@ -187,17 +192,6 @@ func (c *Counter) sortedPairs(s *sortScratch) []kmerCount {
 		}
 	}
 	return radixSortPairs(a, s.b[:len(a)])
-}
-
-// AppendSortedInto appends the counter's entries in ascending key order to
-// the two parallel slices and returns them — the extraction step of the
-// sharded Build.
-func (c *Counter) AppendSortedInto(kmers []seq.Kmer, counts []uint32, s *sortScratch) ([]seq.Kmer, []uint32) {
-	for _, p := range c.sortedPairs(s) {
-		kmers = append(kmers, p.km)
-		counts = append(counts, p.c)
-	}
-	return kmers, counts
 }
 
 const radixBits = 11

@@ -67,16 +67,16 @@ func TestCounterVsMapOracle(t *testing.T) {
 	if c.Len() != distinct {
 		t.Fatalf("Len = %d, oracle %d", c.Len(), distinct)
 	}
-	kmers, counts := c.AppendSortedInto(nil, nil, new(sortScratch))
-	if len(kmers) != distinct || len(counts) != distinct {
-		t.Fatalf("AppendSortedInto returned %d/%d entries, want %d", len(kmers), len(counts), distinct)
+	pairs := c.sortedPairs(new(sortScratch))
+	if len(pairs) != distinct {
+		t.Fatalf("sortedPairs returned %d entries, want %d", len(pairs), distinct)
 	}
-	for i := range kmers {
-		if i > 0 && kmers[i-1] >= kmers[i] {
-			t.Fatalf("entries not strictly sorted at %d: %v >= %v", i, kmers[i-1], kmers[i])
+	for i, p := range pairs {
+		if i > 0 && pairs[i-1].km >= p.km {
+			t.Fatalf("entries not strictly sorted at %d: %v >= %v", i, pairs[i-1].km, p.km)
 		}
-		if counts[i] != oracle[kmers[i]] {
-			t.Fatalf("count[%v] = %d, oracle %d", kmers[i], counts[i], oracle[kmers[i]])
+		if p.c != oracle[p.km] {
+			t.Fatalf("count[%v] = %d, oracle %d", p.km, p.c, oracle[p.km])
 		}
 	}
 }
@@ -115,27 +115,6 @@ func mixSlot(tc *tileCounter, km seq.Kmer) uint64 {
 		i = (i + 1) & mask
 	}
 	return i
-}
-
-// TestCounterAppendSortedIntoReuse verifies the append contract: existing
-// prefixes survive and the counter can extract repeatedly.
-func TestCounterAppendSortedIntoReuse(t *testing.T) {
-	c := NewCounter(4)
-	c.Inc(seq.MustPack("ACGT"), 2)
-	c.Inc(seq.MustPack("TTTT"), 1)
-	kmers := []seq.Kmer{99}
-	counts := []uint32{99}
-	kmers, counts = c.AppendSortedInto(kmers, counts, new(sortScratch))
-	if len(kmers) != 3 || kmers[0] != 99 || counts[0] != 99 {
-		t.Fatalf("prefix clobbered: %v %v", kmers, counts)
-	}
-	if kmers[1] != seq.MustPack("ACGT") || counts[1] != 2 {
-		t.Fatalf("first entry wrong: %v %v", kmers, counts)
-	}
-	k2, c2 := c.AppendSortedInto(nil, nil, new(sortScratch))
-	if len(k2) != 2 || c2[1] != 1 {
-		t.Fatalf("second extraction wrong: %v %v", k2, c2)
-	}
 }
 
 // TestRadixSortPairsMatchesReference checks the extraction sort against

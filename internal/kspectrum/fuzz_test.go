@@ -11,6 +11,7 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/seq"
@@ -53,16 +54,16 @@ func FuzzCounter(f *testing.F) {
 		if c.Len() != len(oracle) {
 			t.Fatalf("Len = %d, oracle %d", c.Len(), len(oracle))
 		}
-		kmers, counts := c.AppendSortedInto(nil, nil, new(sortScratch))
-		if len(kmers) != len(oracle) {
-			t.Fatalf("extracted %d entries, oracle %d", len(kmers), len(oracle))
+		pairs := c.sortedPairs(new(sortScratch))
+		if len(pairs) != len(oracle) {
+			t.Fatalf("extracted %d entries, oracle %d", len(pairs), len(oracle))
 		}
-		for i, km := range kmers {
-			if i > 0 && kmers[i-1] >= km {
+		for i, p := range pairs {
+			if i > 0 && pairs[i-1].km >= p.km {
 				t.Fatalf("extraction not strictly sorted at %d", i)
 			}
-			if counts[i] != oracle[uint64(km)] {
-				t.Fatalf("count[%#x] = %d, oracle %d", uint64(km), counts[i], oracle[uint64(km)])
+			if p.c != oracle[uint64(p.km)] {
+				t.Fatalf("count[%#x] = %d, oracle %d", uint64(p.km), p.c, oracle[uint64(p.km)])
 			}
 		}
 	})
@@ -291,4 +292,67 @@ func drainRun(ri runInfo, k int, bothStrands bool) ([]kmerCount, error) {
 		}
 		got = append(got, p)
 	}
+}
+
+// FuzzBuildBothStrands builds the spectrum of arbitrary reads in memory and
+// out of core, counting both strands and one, and requires both to equal the
+// map reference, which counts every window's reverse complement itself. The
+// first byte picks k (1..32), the second (Workers, Shards) and whether the
+// out-of-core build has no budget or the floor (a run per 96 entries); every
+// other byte is a base of ACGTN, and 0xFF ends a read (see fuzzReads).
+func FuzzBuildBothStrands(f *testing.F) {
+	// seed is the input for k, option byte opt and reads given as letters.
+	seed := func(k, opt byte, reads ...string) []byte {
+		data := []byte{k - 1, opt}
+		for i, r := range reads {
+			if i > 0 {
+				data = append(data, 0xFF)
+			}
+			for _, c := range []byte(r) {
+				data = append(data, byte(strings.IndexByte("ACGTN", c)))
+			}
+		}
+		return data
+	}
+	periodic := "ACGTACGTACGTACGTACGTACGTACGTACGTACGTACGT"
+	rng := rand.New(rand.NewSource(5))
+	random := make([]byte, 800)
+	for i := range random {
+		random[i] = "ACGT"[rng.Intn(4)]
+	}
+	f.Add([]byte{})
+	f.Add(seed(2, 1, "ACGTTGCANNAC", "TTTT"))
+	f.Add(seed(12, 3, periodic, periodic[1:30], "ACGGTCATTGACCATGGATCCAGTTACAGGTACAGT"))
+	f.Add(seed(13, 2, "CCATGGATCCAGTTACAGGTACAGTTTTGACCATGA", "TTGACCATGGATCCAGTTACAGGTACAGTACGGTCA"))
+	f.Add(seed(32, 0, periodic))
+	// Even k at the budget floor over enough distinct kmers to spill runs
+	// that hold palindromes.
+	f.Add(seed(12, 0x81, periodic, periodic[1:], string(random)))
+	options := []BuildOptions{{Workers: 1}, {Workers: 2, Shards: 4}, {Workers: 4, Shards: 1024}, {Workers: 3, Shards: 7}}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 2 {
+			return
+		}
+		k := 1 + int(data[0])%32
+		opts := options[int(data[1])%len(options)]
+		var budget int64
+		if data[1]&0x80 != 0 {
+			budget = 1
+		}
+		reads := fuzzReads(data[2:])
+		for _, bothStrands := range []bool{true, false} {
+			label := fmt.Sprintf("k=%d %+v budget=%d both=%v", k, opts, budget, bothStrands)
+			want := mapReferenceSpectrum(reads, k, bothStrands)
+			got, err := BuildParallel(reads, k, bothStrands, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			spectraEqual(t, want, got, label+" in memory")
+			got, _, err = BuildOutOfCore(reads, k, bothStrands, StreamOptions{Build: opts, MemoryBudget: budget, TempDir: t.TempDir()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			spectraEqual(t, want, got, label+" out of core")
+		}
+	})
 }

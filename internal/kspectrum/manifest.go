@@ -1,6 +1,7 @@
 package kspectrum
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -160,7 +161,8 @@ func readManifestFile(dir string) (*manifest, error) {
 //
 //	offset  size  field
 //	0       4     magic "KRUN"
-//	4       4     version (1)
+//	4       4     version (2: entries are canonical kmers when flags has
+//	              both strands; version 1 runs held both strands' kmers)
 //	8       4     k
 //	12      4     flags (bit 0: both strands)
 //	16      4     shard index
@@ -173,7 +175,7 @@ func readManifestFile(dir string) (*manifest, error) {
 var runMagic = [4]byte{'K', 'R', 'U', 'N'}
 
 const (
-	runVersion   = 1
+	runVersion   = 2
 	runHeaderLen = 32
 )
 
@@ -198,6 +200,33 @@ func (h runHeader) encode() [runHeaderLen]byte {
 	binary.LittleEndian.PutUint32(hdr[16:20], uint32(h.shard))
 	binary.LittleEndian.PutUint64(hdr[24:32], uint64(h.count))
 	return hdr
+}
+
+// runHeaderFields are the header's fields after the magic, for mismatch
+// messages: name, offset, width.
+var runHeaderFields = [...]struct {
+	name      string
+	off, size int
+}{{"version", 4, 4}, {"k", 8, 4}, {"flags", 12, 4}, {"shard", 16, 4}, {"reserved", 20, 4}, {"count", 24, 8}}
+
+// mismatch names the first field in which got, a run's header, differs
+// from want, the header expected of it; "" if none does.
+func (want runHeader) mismatch(got []byte) string {
+	w := want.encode()
+	if !bytes.Equal(got[:4], w[:4]) {
+		return fmt.Sprintf("magic %q, want %q", got[:4], w[:4])
+	}
+	le := func(b []byte) uint64 {
+		var x [8]byte
+		copy(x[:], b)
+		return binary.LittleEndian.Uint64(x[:])
+	}
+	for _, f := range runHeaderFields {
+		if g, x := le(got[f.off:f.off+f.size]), le(w[f.off:f.off+f.size]); g != x {
+			return fmt.Sprintf("%s %d, want %d", f.name, g, x)
+		}
+	}
+	return ""
 }
 
 // runSize is the exact on-disk size of a run holding entries records.

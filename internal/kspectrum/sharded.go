@@ -2,6 +2,7 @@ package kspectrum
 
 import (
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -60,7 +61,9 @@ type countShard struct {
 // need not be retained. Internally it is a sharded parallel engine — each
 // Add scatters kmers into per-shard buffers by high bits and flushes them
 // into striped accumulators, so Add is safe to call from multiple
-// goroutines and large chunks are counted by a worker pool.
+// goroutines and large chunks are counted by a worker pool. A both-strands
+// builder counts each window once, under its canonical kmer; Build writes
+// the reverse complements.
 type SpectrumBuilder struct {
 	k           int
 	bothStrands bool
@@ -191,10 +194,10 @@ func forEachParallel(n, workers int, fn func(i int)) {
 	wg.Wait()
 }
 
-// countChunk scatters one read chunk's kmers into the worker's per-shard
-// buffers (reset here), then flushes each buffer into its striped
-// accumulator under the stripe lock. Buffering keeps the critical section to
-// a tight increment loop.
+// countChunk scatters one read chunk's kmers — canonical ones when both
+// strands count — into the worker's per-shard buffers (reset here), then
+// flushes each buffer into its striped accumulator under the stripe lock.
+// Buffering keeps the critical section to a tight increment loop.
 func (sb *SpectrumBuilder) countChunk(reads []seq.Read, w *countWorker) {
 	buf := w.buf
 	for s := range buf {
@@ -202,11 +205,10 @@ func (sb *SpectrumBuilder) countChunk(reads []seq.Read, w *countWorker) {
 	}
 	for _, r := range reads {
 		ForEachKmer(r.Seq, sb.k, func(km seq.Kmer, _ int) {
-			buf[sb.part.ShardOf(km)] = append(buf[sb.part.ShardOf(km)], km)
 			if sb.bothStrands {
-				rc := seq.RevComp(km, sb.k)
-				buf[sb.part.ShardOf(rc)] = append(buf[sb.part.ShardOf(rc)], rc)
+				km = seq.Canonical(km, sb.k) // the other strand's count is the same; build writes it
 			}
+			buf[sb.part.ShardOf(km)] = append(buf[sb.part.ShardOf(km)], km)
 		})
 	}
 	for s, batch := range buf {
@@ -232,46 +234,132 @@ func (sb *SpectrumBuilder) countChunk(reads []seq.Read, w *countWorker) {
 	}
 }
 
-// Build finalizes the sorted spectrum: each shard is extracted and sorted
-// independently (in parallel), and because shard s holds exactly the kmers
-// whose high bits equal s, the k-way merge of the sorted shards degenerates
-// to concatenation in shard order — every shard is extracted straight into
-// its window of the final columns. The shards are locked together while
-// their sizes are read, so a concurrent Add cannot move a window; each is
-// released as soon as it is extracted. The builder remains usable afterwards.
+// Build finalizes the sorted spectrum. Each shard is locked while it is
+// extracted; the builder remains usable afterwards.
 func (sb *SpectrumBuilder) Build() *Spectrum {
-	offs := make([]int, len(sb.shards)+1)
-	for s := range sb.shards {
-		sb.shards[s].mu.Lock()
-		offs[s+1] = offs[s] + sb.shards[s].counts.Len()
+	ws := sb.takeWorkers()
+	defer sb.releaseWorkers(ws)
+	spec, _ := sb.build(ws, func(s int, w *countWorker) ([]kmerCount, error) {
+		shard := &sb.shards[s]
+		shard.mu.Lock()
+		defer shard.mu.Unlock()
+		return slices.Clone(shard.counts.sortedPairs(&w.sort)), nil
+	})
+	return spec
+}
+
+// build is the one tail of both builders' Build: list(s, w) returns shard
+// s's entries in ascending order, in a slice of their own, and build writes
+// the final columns from them, once, at their exact size. With bothStrands
+// the entries are canonical kmers (see countChunk), and each (c, n) stands
+// for (c, n) and (rc c, n), or for (c, 2n) when c is a palindrome. Because
+// shard s holds exactly the kmers whose high bits equal s, the columns are
+// one window per shard, in shard order: window t holds list t and every
+// reverse entry that falls in t. The reverse entries are scattered straight
+// into the heads of their windows — a per-(source, target) histogram gives
+// each source its exact offsets — and each window's head is then sorted in
+// its worker's scratch and merged with the window's list back into the
+// window (see DESIGN.md §3). Every phase runs over the shards in parallel,
+// on ws's workers.
+func (sb *SpectrumBuilder) build(ws []countWorker, list func(s int, w *countWorker) ([]kmerCount, error)) (*Spectrum, error) {
+	n := len(sb.shards)
+	lists := make([][]kmerCount, n)
+	errs := make([]error, n)
+	var hist []int // hist[s*n+t]: the reverse entries of list s that fall in shard t
+	if sb.bothStrands {
+		hist = make([]int, n*n)
 	}
-	total := offs[len(sb.shards)]
+	sb.forShards(ws, func(s int, w *countWorker) {
+		if lists[s], errs[s] = list(s, w); errs[s] != nil || hist == nil {
+			return
+		}
+		row := hist[s*n : s*n+n]
+		for i, p := range lists[s] {
+			if rc := seq.RevComp(p.km, sb.k); rc != p.km {
+				row[sb.part.ShardOf(rc)]++
+			} else {
+				lists[s][i].c = saturatingAdd(p.c, p.c) // both strands' windows are this kmer
+			}
+		}
+	})
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	// Window t starts with its reverse entries, source by source: hist turns
+	// from counts into the offset where each source writes its next one.
+	offs := make([]int, n+1)
+	for t := range n {
+		at := offs[t]
+		for s := 0; hist != nil && s < n; s++ {
+			at, hist[s*n+t] = at+hist[s*n+t], at
+		}
+		offs[t+1] = at + len(lists[t])
+	}
 	spec := &Spectrum{
 		K:           sb.k,
 		BothStrands: sb.bothStrands,
-		Kmers:       make([]seq.Kmer, total),
-		Counts:      make([]uint32, total),
+		Kmers:       make([]seq.Kmer, offs[n]),
+		Counts:      make([]uint32, offs[n]),
 	}
-	ws := sb.takeWorkers()
-	defer sb.releaseWorkers(ws)
+	if hist != nil {
+		sb.forShards(ws, func(s int, _ *countWorker) {
+			row := hist[s*n : s*n+n]
+			for _, p := range lists[s] {
+				if rc := seq.RevComp(p.km, sb.k); rc != p.km {
+					i := &row[sb.part.ShardOf(rc)]
+					spec.Kmers[*i], spec.Counts[*i] = rc, p.c
+					*i++
+				}
+			}
+		})
+	}
+	sb.forShards(ws, func(t int, w *countWorker) {
+		kmers, counts := spec.Kmers[offs[t]:offs[t+1]], spec.Counts[offs[t]:offs[t+1]]
+		rev := len(kmers) - len(lists[t])
+		w.sort.grow(rev)
+		a := w.sort.a[:rev]
+		for i := range a {
+			a[i] = kmerCount{kmers[i], counts[i]}
+		}
+		mergeSorted(kmers, counts, lists[t], radixSortPairs(a, w.sort.b[:rev]))
+	})
+	spec.freezeIndex()
+	return spec, nil
+}
+
+// mergeSorted fills kmers and counts, in ascending order, with the entries
+// of a and b: two ascending lists with no kmer in common, as long together
+// as the columns.
+//
+//repro:noalloc
+func mergeSorted(kmers []seq.Kmer, counts []uint32, a, b []kmerCount) {
+	i, j := 0, 0
+	for o := range kmers {
+		var p kmerCount
+		if j == len(b) || i < len(a) && a[i].km < b[j].km {
+			p, i = a[i], i+1
+		} else {
+			p, j = b[j], j+1
+		}
+		kmers[o], counts[o] = p.km, p.c
+	}
+}
+
+// forShards calls fn for every shard on at most len(ws) goroutines, the
+// i-th of which hands fn &ws[i]: the memory it may reuse from shard to shard.
+func (sb *SpectrumBuilder) forShards(ws []countWorker, fn func(s int, w *countWorker)) {
+	var next atomic.Int64
 	var wg sync.WaitGroup
-	work := make(chan int, len(sb.shards))
-	for w := 0; w < min(sb.workers, len(sb.shards)); w++ {
+	for i := range min(len(ws), len(sb.shards)) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for s := range work {
-				shard := &sb.shards[s]
-				shard.counts.AppendSortedInto(spec.Kmers[offs[s]:offs[s]], spec.Counts[offs[s]:offs[s]], &ws[w].sort)
-				shard.mu.Unlock()
+			for s := int(next.Add(1)) - 1; s < len(sb.shards); s = int(next.Add(1)) - 1 {
+				fn(s, &ws[i])
 			}
 		}()
 	}
-	for s := range sb.shards {
-		work <- s
-	}
-	close(work)
 	wg.Wait()
-	spec.freezeIndex()
-	return spec
 }

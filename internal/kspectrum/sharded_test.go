@@ -1,6 +1,7 @@
 package kspectrum
 
 import (
+	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
@@ -26,6 +27,19 @@ func randomReads(t testing.TB, n int) []seq.Read {
 	return simulate.Reads(sim)
 }
 
+// periodicReads appends to reads n copies of ACGT repeated, starting at each
+// of the four phases in turn. A window of even length starting on A or G
+// (ACGT…, GTAC…) is its own reverse complement, so at even k half the
+// distinct kmers these reads hold are palindromes; the other two pair up
+// (CGTA… with TACG…).
+func periodicReads(reads []seq.Read, n int) []seq.Read {
+	const unit = "ACGTACGTACGTACGTACGTACGTACGTACGTACGTACGT"
+	for i := range n {
+		reads = append(reads, seq.Read{ID: "p", Seq: []byte(unit[i%4 : i%4+36])})
+	}
+	return reads
+}
+
 // spectraEqual requires byte-identical Kmers and Counts.
 func spectraEqual(t *testing.T, want, got *Spectrum, label string) {
 	t.Helper()
@@ -43,22 +57,26 @@ func spectraEqual(t *testing.T, want, got *Spectrum, label string) {
 // TestShardedBuildDeterministic verifies the acceptance property of the
 // sharded engine: every (Workers, Shards) choice — including the non-power-
 // of-two shard count 7 — produces a spectrum byte-identical to the
-// sequential single-shard build, on both strand settings.
+// sequential single-shard build and to the map reference, on both strand
+// settings, at odd k and at even k over reads full of palindromes.
 func TestShardedBuildDeterministic(t *testing.T) {
-	reads := randomReads(t, 2000)
-	for _, bothStrands := range []bool{false, true} {
-		want, err := BuildParallel(reads, 13, bothStrands, BuildOptions{Workers: 1, Shards: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, shards := range []int{1, 4, 7} {
-			for _, workers := range []int{1, 3, 8} {
-				got, err := BuildParallel(reads, 13, bothStrands, BuildOptions{Workers: workers, Shards: shards})
-				if err != nil {
-					t.Fatal(err)
+	reads := periodicReads(randomReads(t, 2000), 50)
+	for _, k := range []int{12, 13} {
+		for _, bothStrands := range []bool{false, true} {
+			want, err := BuildParallel(reads, k, bothStrands, BuildOptions{Workers: 1, Shards: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			label := fmt.Sprintf("k=%d both=%v", k, bothStrands)
+			spectraEqual(t, mapReferenceSpectrum(reads, k, bothStrands), want, label)
+			for _, shards := range []int{1, 4, 7} {
+				for _, workers := range []int{1, 3, 8} {
+					got, err := BuildParallel(reads, k, bothStrands, BuildOptions{Workers: workers, Shards: shards})
+					if err != nil {
+						t.Fatal(err)
+					}
+					spectraEqual(t, want, got, label)
 				}
-				label := "both=" + map[bool]string{true: "t", false: "f"}[bothStrands]
-				spectraEqual(t, want, got, label)
 			}
 		}
 	}

@@ -8,6 +8,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -69,8 +70,10 @@ const defaultCheckpointEvery = 1 << 18
 type StreamStats struct {
 	// SpilledRuns is the number of sorted run files written.
 	SpilledRuns int64
-	// SpilledEntries is the total distinct-kmer entries across all runs
-	// (the same kmer may recur in later runs of the same shard).
+	// SpilledEntries is the total entries across all runs: distinct within
+	// a run, though the same kmer may recur in later runs of the same
+	// shard. A both-strands build spills canonical kmers only, so an entry
+	// stands for a kmer and its reverse complement.
 	SpilledEntries int64
 	// SpilledBytes is the total on-disk size of all runs.
 	SpilledBytes int64
@@ -91,11 +94,10 @@ type runInfo struct {
 // high-bit prefix shards exactly as the in-memory engine does, but a shard
 // whose table is full and cannot double within its slice of the MemoryBudget
 // is spilled to a sorted run file in a temp directory and emptied. Build merges each
-// shard's runs with its in-memory residue — the prefix partition keeps shard
-// ranges disjoint and ordered, so the final cross-shard merge is a
-// concatenation — and yields a Spectrum byte-identical to the in-memory
-// path. Unlike SpectrumBuilder, Build is one-shot: it consumes the spilled
-// runs and closes the builder.
+// shard's runs with its in-memory residue and hands the merged shards to the
+// in-memory engine's tail, so the Spectrum is byte-identical to the
+// in-memory path. Unlike SpectrumBuilder, Build is one-shot: it consumes the
+// spilled runs and closes the builder.
 //
 // With StreamOptions.CheckpointDir set the builder is additionally
 // crash-safe; see the manifest machinery in manifest.go.
@@ -192,11 +194,9 @@ func NewStreamBuilder(k int, bothStrands bool, opts StreamOptions) (*StreamBuild
 			return nil, fmt.Errorf("kspectrum: spill dir: %w", err)
 		}
 	}
-	if st.dir != "" {
-		st.runs = make([][]runInfo, len(sb.shards))
-		if st.spillBytes > 0 {
-			sb.full = st.makeRoom
-		}
+	st.runs = make([][]runInfo, len(sb.shards))
+	if st.spillBytes > 0 {
+		sb.full = st.makeRoom
 	}
 	if st.durable {
 		if m != nil {
@@ -522,10 +522,11 @@ func writeRun(path string, h runHeader, pairs []kmerCount, durable bool) (uint32
 }
 
 // Build merges every shard's spilled runs with its in-memory residue and
-// returns the finished spectrum. Shard s holds exactly the kmers whose high
-// bits equal s — in every run and in the residue — so shard ranges are
-// disjoint and ordered and the cross-shard merge is a concatenation,
-// preserving byte-identity with the in-memory engine (see DESIGN.md §4).
+// returns the finished spectrum, written from the merged shards by the tail
+// SpectrumBuilder.Build ends in. Shard s holds exactly the kmers whose high
+// bits equal s — in every run and in the residue — so a merged shard is what
+// the in-memory engine would have extracted from it, preserving
+// byte-identity with that engine (see DESIGN.md §4).
 // Build consumes the builder: the spill directory is removed — including a
 // durable checkpoint directory, whose job ends with a successful build —
 // and further use is an error. On failure a checkpoint directory is kept
@@ -539,59 +540,13 @@ func (st *StreamBuilder) Build() (*Spectrum, error) {
 		st.cleanup()
 		return nil, err
 	}
-	if st.dir == "" {
-		// Nothing can have spilled: extract each shard straight into its
-		// window of the final columns instead of merging and re-appending.
-		return st.sb.Build(), nil
-	}
-
-	type shardRun struct {
-		kmers  []seq.Kmer
-		counts []uint32
-	}
-	merged := make([]shardRun, len(st.sb.shards))
-	errs := make([]error, len(st.sb.shards))
-	work := make(chan int, len(st.sb.shards))
 	ws := st.sb.takeWorkers() // the extraction scratch the spills grew
-	var wg sync.WaitGroup
-	for w := 0; w < min(st.sb.workers, len(st.sb.shards)); w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for s := range work {
-				kmers, counts, err := st.mergeShard(s, &ws[w].sort)
-				merged[s] = shardRun{kmers: kmers, counts: counts}
-				errs[s] = err
-			}
-		}()
+	defer st.sb.releaseWorkers(ws)
+	spec, err := st.sb.build(ws, st.mergeShard)
+	if err != nil {
+		st.cleanup()
+		return nil, err
 	}
-	for s := range st.sb.shards {
-		work <- s
-	}
-	close(work)
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			st.cleanup()
-			return nil, err
-		}
-	}
-
-	total := 0
-	for _, r := range merged {
-		total += len(r.kmers)
-	}
-	spec := &Spectrum{
-		K:           st.sb.k,
-		BothStrands: st.sb.bothStrands,
-		Kmers:       make([]seq.Kmer, 0, total),
-		Counts:      make([]uint32, 0, total),
-	}
-	for _, r := range merged {
-		spec.Kmers = append(spec.Kmers, r.kmers...)
-		spec.Counts = append(spec.Counts, r.counts...)
-	}
-	spec.freezeIndex()
 	st.removeDir()
 	return spec, nil
 }
@@ -623,21 +578,17 @@ func (st *StreamBuilder) removeDir() error {
 	return os.RemoveAll(dir)
 }
 
-// mergeShard produces shard s's slice of the final spectrum: the in-memory
-// residue sorted, then k-way merged with the shard's sorted runs, summing
-// counts of kmers that appear in several sources.
-func (st *StreamBuilder) mergeShard(s int, scratch *sortScratch) ([]seq.Kmer, []uint32, error) {
+// mergeShard produces shard s's entries for build: the in-memory residue
+// sorted, then k-way merged with the shard's sorted runs, summing counts of
+// kmers that appear in several sources.
+func (st *StreamBuilder) mergeShard(s int, w *countWorker) ([]kmerCount, error) {
 	shard := &st.sb.shards[s]
 	shard.mu.Lock()
-	runs := st.runs[s]
-	if len(runs) == 0 {
-		n := shard.counts.Len()
-		kmers, counts := shard.counts.AppendSortedInto(make([]seq.Kmer, 0, n), make([]uint32, 0, n), scratch)
-		shard.mu.Unlock()
-		return kmers, counts, nil
-	}
-	residue := shard.counts.sortedPairs(scratch)
+	runs, residue := st.runs[s], shard.counts.sortedPairs(&w.sort)
 	shard.mu.Unlock()
+	if len(runs) == 0 {
+		return slices.Clone(residue), nil
+	}
 
 	streams := make([]runStream, 0, len(runs)+1)
 	defer func() {
@@ -651,7 +602,7 @@ func (st *StreamBuilder) mergeShard(s int, scratch *sortScratch) ([]seq.Kmer, []
 	for _, ri := range runs {
 		rs, err := openRun(ri, st.sb.k, st.sb.bothStrands)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		streams = append(streams, rs)
 		total += ri.entries
@@ -665,7 +616,7 @@ func (st *StreamBuilder) mergeShard(s int, scratch *sortScratch) ([]seq.Kmer, []
 	for i := range streams {
 		p, ok, err := streams[i].next()
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		if ok {
 			h = append(h, runHead{p, i})
@@ -675,27 +626,25 @@ func (st *StreamBuilder) mergeShard(s int, scratch *sortScratch) ([]seq.Kmer, []
 		h.down(i)
 	}
 
-	outK := make([]seq.Kmer, 0, total)
-	outC := make([]uint32, 0, total)
+	out := make([]kmerCount, 0, total)
 	for n := 0; len(h) > 0; n++ {
 		// The merge is the long tail of an out-of-core build; poll the
 		// context every batch so cancellation aborts it promptly without
 		// a per-record overhead.
 		if n&8191 == 0 {
 			if err := st.ctx.Err(); err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 		}
 		head := h[0]
-		if last := len(outK) - 1; last >= 0 && outK[last] == head.km {
-			outC[last] = saturatingAdd(outC[last], head.c)
+		if last := len(out) - 1; last >= 0 && out[last].km == head.km {
+			out[last].c = saturatingAdd(out[last].c, head.c)
 		} else {
-			outK = append(outK, head.km)
-			outC = append(outC, head.c)
+			out = append(out, head.kmerCount)
 		}
 		p, ok, err := streams[head.src].next()
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		if ok {
 			h[0].kmerCount = p
@@ -705,7 +654,7 @@ func (st *StreamBuilder) mergeShard(s int, scratch *sortScratch) ([]seq.Kmer, []
 		}
 		h.down(0)
 	}
-	return outK, outC, nil
+	return out, nil
 }
 
 // runStream iterates one sorted source of a shard merge: the in-memory
@@ -755,7 +704,8 @@ func (rs *runStream) next() (kmerCount, bool, error) {
 }
 
 // openRun opens ri's file as a stream. Its header must be byte for byte the
-// one a builder of this geometry writes for ri; the first block is read.
+// one a builder of this geometry writes for ri — a mismatch names the first
+// field that differs — and the first block is read.
 func openRun(ri runInfo, k int, bothStrands bool) (runStream, error) {
 	f, err := os.Open(ri.path)
 	if err != nil {
@@ -765,9 +715,11 @@ func openRun(ri runInfo, k int, bothStrands bool) (runStream, error) {
 		f: f, r: faultinject.Reader(faultinject.SiteMerge, f), name: filepath.Base(ri.path),
 		left: ri.entries, want: ri.crc, buf: make([]byte, 0, runBlockBytes+5),
 	}
-	hdr := runHeader{k: k, bothStrands: bothStrands, shard: ri.shard, count: ri.entries}.encode()
-	if err = rs.read(runHeaderLen, "header"); err == nil && [runHeaderLen]byte(rs.buf) != hdr {
-		err = checkpointErr("run %s: header %x, want %x", rs.name, rs.buf, hdr)
+	want := runHeader{k: k, bothStrands: bothStrands, shard: ri.shard, count: ri.entries}
+	if err = rs.read(runHeaderLen, "header"); err == nil {
+		if diff := want.mismatch(rs.buf); diff != "" {
+			err = checkpointErr("run %s: %s", rs.name, diff)
+		}
 	}
 	if err == nil {
 		err = rs.fill()

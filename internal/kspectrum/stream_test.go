@@ -14,17 +14,19 @@ import (
 )
 
 // TestStreamBuilderByteIdentical is the acceptance property of the
-// out-of-core engine: for k ∈ {11, 13, 32} × budget ∈ {unlimited, tiny, the
-// floor — 96-entry tables} × workers ∈ {1, 8}, the StreamBuilder's spectrum
-// is byte-identical to the map reference's. Run under -race this doubles as
-// the spill path's data-race test.
+// out-of-core engine: for k ∈ {11, 12, 13, 32} × budget ∈ {unlimited, tiny,
+// the floor — 96-entry tables} × workers ∈ {1, 8}, the StreamBuilder's
+// spectrum is byte-identical to the map reference's. The reads include
+// periodic ones whose even-length windows are often palindromes, so at k = 12
+// and 32 the doubling of a palindrome's count runs, from one table and from
+// runs. Run under -race this doubles as the spill path's data-race test.
 func TestStreamBuilderByteIdentical(t *testing.T) {
-	all := randomReads(t, 3000)
-	for _, k := range []int{11, 13, 32} {
+	all := periodicReads(randomReads(t, 3000), 100)
+	for _, k := range []int{11, 12, 13, 32} {
 		for _, budget := range []int64{0, 1 << 15, 1} {
 			reads := all
 			if budget == 1 {
-				reads = all[:400] // a run file per 96 entries
+				reads = periodicReads(all[:400:400], 20) // a run file per 96 entries
 			}
 			want := mapReferenceSpectrum(reads, k, true)
 			for _, workers := range []int{1, 8} {
@@ -298,8 +300,71 @@ func TestMergeSaturatesLikeInc(t *testing.T) {
 	}
 }
 
+// TestPalindromeSaturates: a both-strands build counts a window once, by its
+// canonical kmer, and Build writes the other strand. A palindrome is its own
+// other strand, so its count is the canonical count doubled, and past
+// MaxUint32/2 it saturates exactly as the two increments per window of a
+// builder that counted both strands did — whether the canonical count sits
+// in one table or is split across a run and the residue. A kmer that is not
+// a palindrome gives each strand the canonical count, undoubled.
+func TestPalindromeSaturates(t *testing.T) {
+	const k = 12
+	pal, other := seq.MustPack("ACGTACGTACGT"), seq.MustPack("AACCGGTTACGA")
+	if seq.RevComp(pal, k) != pal || seq.Canonical(other, k) != other || seq.RevComp(other, k) == other {
+		t.Fatal("test kmers are not a palindrome and a canonical non-palindrome")
+	}
+	for name, parts := range map[string][]uint32{
+		"one table":             {1<<31 + 3},
+		"a run and the residue": {1 << 30, 1<<30 + 3},
+	} {
+		t.Run(name, func(t *testing.T) {
+			var n uint32 // the canonical count
+			for _, c := range parts {
+				n += c
+			}
+			both := NewCounter(0) // the reference: one increment per strand
+			for _, km := range []seq.Kmer{pal, other} {
+				both.Inc(km, n)
+				both.Inc(seq.RevComp(km, k), n)
+			}
+			st, err := NewStreamBuilder(k, true, StreamOptions{
+				Build:         BuildOptions{Workers: 1},
+				CheckpointDir: filepath.Join(t.TempDir(), "ckpt"),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, c := range parts {
+				if i > 0 {
+					if err := st.Checkpoint(); err != nil {
+						t.Fatal(err)
+					}
+				}
+				st.sb.shards[0].counts.Inc(pal, c)
+				st.sb.shards[0].counts.Inc(other, c)
+			}
+			if got := st.Stats().SpilledRuns; got != int64(len(parts)-1) {
+				t.Fatalf("%d runs, want %d", got, len(parts)-1)
+			}
+			spec, err := st.Build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, km := range []seq.Kmer{pal, other, seq.RevComp(other, k)} {
+				if got, want := spec.Count(km), both.Get(km); spec.Size() != 3 || got != want {
+					t.Fatalf("%s: count %d over %d kmers, both strands counted say %d", km.StringK(k), got, spec.Size(), want)
+				}
+			}
+			if spec.Count(pal) != ^uint32(0) {
+				t.Fatalf("palindrome count %d, want saturated", spec.Count(pal))
+			}
+		})
+	}
+}
+
 // TestRunKernelsDoNotAllocate backs the //repro:noalloc annotations on the
-// merge's two per-record calls, across block boundaries of a real run file.
+// merge's two per-record calls, across block boundaries of a real run file,
+// and on Build's merge of a window's two lists.
 func TestRunKernelsDoNotAllocate(t *testing.T) {
 	pairs := make([]kmerCount, 3*runBlockBytes/runEntryBytes)
 	for i := range pairs {
@@ -331,6 +396,23 @@ func TestRunKernelsDoNotAllocate(t *testing.T) {
 		heap.down(0)
 	}); n != 0 {
 		t.Fatalf("runHeap.down allocates %v times per call", n)
+	}
+	var odd, even []kmerCount
+	for i, p := range pairs {
+		if i%2 == 0 {
+			even = append(even, p)
+		} else {
+			odd = append(odd, p)
+		}
+	}
+	kmers, counts := make([]seq.Kmer, len(pairs)), make([]uint32, len(pairs))
+	if n := testing.AllocsPerRun(10, func() { mergeSorted(kmers, counts, odd, even) }); n != 0 {
+		t.Fatalf("mergeSorted allocates %v times per call", n)
+	}
+	for i, p := range pairs {
+		if kmers[i] != p.km || counts[i] != p.c {
+			t.Fatalf("merged entry %d: (%v, %d), want (%v, %d)", i, kmers[i], counts[i], p.km, p.c)
+		}
 	}
 }
 

@@ -326,6 +326,10 @@ func scoreClosetMeta(t *testing.T, add func(string, any)) {
 	add("ari", ari)
 	add("mapreduce.jobs", len(res.Jobs))
 	add("mapreduce.map_output_records", records)
+	for _, tr := range res.ByThreshold {
+		add(fmt.Sprintf("merge_rounds@%.2f", tr.Threshold), tr.MergeRounds)
+		add(fmt.Sprintf("converged@%.2f", tr.Threshold), tr.Converged)
+	}
 	add("clusters_sha256", closetDigest(res))
 }
 

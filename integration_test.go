@@ -169,12 +169,12 @@ func TestQuickSketchSimilarityBounds(t *testing.T) {
 	f := func(lenA, lenB uint8) bool {
 		a := sketch.Shingles(randomDNA(rng, 30+int(lenA)), 15)
 		b := sketch.Shingles(randomDNA(rng, 30+int(lenB)), 15)
-		s := sketch.Similarity(a, b)
-		if s < 0 || s > 1 {
+		// Containment |A ∩ B| / min(|A|, |B|) lies in [0, 1] ...
+		if n := sketch.IntersectionSize(a, b, 0); n < 0 || n > min(len(a), len(b)) {
 			return false
 		}
-		// Identity on self.
-		return sketch.Similarity(a, a) == 1
+		// ... and is 1 on itself.
+		return sketch.IntersectionSize(a, a, 0) == len(a)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)

@@ -212,6 +212,13 @@ func packPair(i, j int32) uint64 { return uint64(uint32(i))<<32 | uint64(uint32(
 
 func unpackPair(p uint64) (i, j int32) { return int32(p >> 32), int32(uint32(p)) }
 
+// tally is one Task 2 map call's count, by read id, of the groups its read
+// shares with each later read: zero outside touched, which the call resets.
+type tally struct {
+	count   []int32
+	touched []int32
+}
+
 // buildCandidates runs Tasks 1–3 for each sketch round and returns the
 // deduplicated candidate pairs, packed and ascending, plus the raw
 // (pre-dedup) pair count.
@@ -226,6 +233,7 @@ func buildCandidates(shingles [][]uint64, cfg Config, mrCfg mapreduce.Config, re
 	for i := range readIDs {
 		readIDs[i] = int32(i)
 	}
+	tallies := sync.Pool{New: func() any { return &tally{count: make([]int32, len(shingles))} }}
 	var pairs []uint64 // every round's survivors
 	for round := 0; round < cfg.Sketch.Rounds; round++ {
 		// Task 1: sketch selection — emit <sketch value, read id>, group,
@@ -266,33 +274,59 @@ func buildCandidates(shingles [][]uint64, cfg Config, mrCfg mapreduce.Config, re
 				usable = append(usable, g)
 			}
 		}
+		// Read r is in the usable groups groupsOf[off[r]:off[r+1]], ascending:
+		// one array sized from the membership counts, filled from the back.
+		off := make([]int32, len(shingles)+1)
+		for _, g := range usable {
+			for _, r := range g {
+				off[r]++
+			}
+		}
+		for r := 1; r < len(off); r++ {
+			off[r] += off[r-1]
+		}
+		groupsOf := make([]int32, off[len(shingles)])
+		for gi := len(usable) - 1; gi >= 0; gi-- {
+			for _, r := range usable[gi] {
+				off[r]--
+				groupsOf[off[r]] = int32(gi)
+			}
+		}
 
-		// Task 2: edge generation, keyed by the lower read of the pair —
-		// every pair (i < j) within a usable group sends j to i's reducer,
-		// which sorts what it received, counts each j's run, adds back rem
-		// co-occurrence, and applies the Cmin filter on the estimated
-		// similarity J. (Two reads that share a group each have a sketch
+		// Task 2: edge generation, one map call per read i with in-mapper
+		// combining — it tallies every later read j of every usable group
+		// that holds i, adds back rem co-occurrence, applies the Cmin filter
+		// on the estimated similarity J and emits only the surviving pairs,
+		// keyed by i. (Two reads that share a group each have a sketch
 		// value, so the smaller sketch size is never zero.)
 		mrCfg.Name = fmt.Sprintf("task2-edges-round%d", round)
-		survivors, st2, err := mapreduce.Run(mrCfg, usable,
-			func(g []int32, emit mapreduce.Emitter[int32, int32]) {
-				for x, i := range g {
+		survivors, st2, err := mapreduce.Run(mrCfg, readIDs,
+			func(i int32, emit mapreduce.Emitter[int32, int32]) {
+				t := tallies.Get().(*tally)
+				for _, gi := range groupsOf[off[i]:off[i+1]] {
+					g := usable[gi]
+					x, _ := slices.BinarySearch(g, i)
 					for _, j := range g[x+1:] {
+						if t.count[j] == 0 {
+							t.touched = append(t.touched, j)
+						}
+						t.count[j]++
+					}
+				}
+				for _, j := range t.touched {
+					count := int(t.count[j]) + sharedSorted(rem[i], rem[j])
+					t.count[j] = 0
+					mi := min(len(sketches[i][round]), len(sketches[j][round]))
+					if float64(count)/float64(mi) >= cfg.Cmin {
 						emit(i, j)
 					}
 				}
+				t.touched = t.touched[:0]
+				tallies.Put(t)
 			},
 			func(i int32, js []int32, emit func(uint64)) {
-				slices.Sort(js)
-				for lo, hi := 0, 0; lo < len(js); lo = hi {
-					j := js[lo]
-					for hi = lo + 1; hi < len(js) && js[hi] == j; hi++ {
-					}
-					count := hi - lo + sharedSorted(rem[i], rem[j])
-					mi := min(len(sketches[i][round]), len(sketches[j][round]))
-					if float64(count)/float64(mi) >= cfg.Cmin {
-						emit(packPair(i, j))
-					}
+				for _, j := range js {
+					emit(packPair(i, j))
 				}
 			},
 			mapreduce.HashInt32,
@@ -337,27 +371,41 @@ func byPair(a, b Edge) int {
 
 // validateEdges is Tasks 4–5: compute the exact similarity for every
 // candidate pair — the user-defined F when configured, the shared-shingle
-// containment similarity otherwise — and keep those at or above Cmin.
+// containment similarity otherwise — and keep those at or above Cmin. The
+// job is keyed by the lower read, so one reducer scores all of a read's
+// partners against its shingle set. With Validate on, the containment count
+// stops once a pair cannot reach Cmin: such a pair scores below Cmin and is
+// dropped, and a kept pair's F is exact.
 func validateEdges(cands []uint64, reads []seq.Read, shingles [][]uint64, cfg Config, mrCfg mapreduce.Config, res *Result) ([]Edge, error) {
 	similarity := func(i, j int32) float64 {
 		if cfg.SimilarityFn != nil {
 			return cfg.SimilarityFn(reads[i].Seq, reads[j].Seq)
 		}
-		return sketch.Similarity(shingles[i], shingles[j])
+		a, b := shingles[i], shingles[j]
+		mi := min(len(a), len(b))
+		if mi == 0 {
+			return 0
+		}
+		need := 0
+		if cfg.Validate {
+			need = minShared(mi, cfg.Cmin)
+		}
+		return float64(sketch.IntersectionSize(a, b, need)) / float64(mi)
 	}
 	mrCfg.Name = "task5-validate"
 	edges, st, err := mapreduce.Run(mrCfg, cands,
-		func(pair uint64, emit mapreduce.Emitter[uint64, struct{}]) {
-			emit(pair, struct{}{})
+		func(pair uint64, emit mapreduce.Emitter[int32, int32]) {
+			emit(unpackPair(pair))
 		},
-		func(pair uint64, _ []struct{}, emit func(Edge)) {
-			i, j := unpackPair(pair)
-			f := similarity(i, j)
-			if !cfg.Validate || f >= cfg.Cmin {
-				emit(Edge{I: i, J: j, F: f})
+		func(i int32, js []int32, emit func(Edge)) {
+			for _, j := range js {
+				f := similarity(i, j)
+				if !cfg.Validate || f >= cfg.Cmin {
+					emit(Edge{I: i, J: j, F: f})
+				}
 			}
 		},
-		mapreduce.HashUint64,
+		mapreduce.HashInt32,
 	)
 	if err != nil {
 		return nil, err
@@ -365,6 +413,18 @@ func validateEdges(cands []uint64, reads []seq.Read, shingles [][]uint64, cfg Co
 	res.Jobs = append(res.Jobs, st)
 	slices.SortFunc(edges, byPair)
 	return edges, nil
+}
+
+// minShared is the smallest count c of shared shingles with
+// float64(c)/float64(mi) >= cmin, for mi >= 1 and cmin in (0, 1]: the
+// count at which validation keeps a pair whose smaller set holds mi. The
+// product's rounding error is far below 1/mi, so its floor is never above c.
+func minShared(mi int, cmin float64) int {
+	c := int(cmin * float64(mi))
+	for float64(c)/float64(mi) < cmin {
+		c++
+	}
+	return c
 }
 
 // filterEdges is Task 6: keep edges with similarity at or above t.

@@ -586,6 +586,91 @@ func TestTask2MatchesAllPairsCounter(t *testing.T) {
 	}
 }
 
+// containment is the reference for validation's default F, counted by a
+// plain merge: |A ∩ B| / min(|A|, |B|), 0 when a set is empty.
+func containment(a, b []uint64) float64 {
+	if len(a) == 0 || len(b) == 0 {
+		return 0
+	}
+	n := 0
+	for i, j := 0, 0; i < len(a) && j < len(b); {
+		switch {
+		case a[i] < b[j]:
+			i++
+		case a[i] > b[j]:
+			j++
+		default:
+			n, i, j = n+1, i+1, j+1
+		}
+	}
+	return float64(n) / float64(min(len(a), len(b)))
+}
+
+// TestTask5MatchesPairwiseSimilarity holds the read-keyed validation, with
+// its bounded count, to scoring every pair on its own: with Validate on it
+// keeps exactly the pairs whose F reaches Cmin, with Validate off every
+// pair, and in both cases with the exact F.
+func TestTask5MatchesPairwiseSimilarity(t *testing.T) {
+	_, meta := metaSample(t, 200, 8)
+	reads := simulate.MetaReads(meta)
+	shingles := make([][]uint64, len(reads))
+	for i, r := range reads {
+		shingles[i] = sketch.Shingles(r.Seq, 15)
+	}
+	for _, c := range []struct {
+		name     string
+		reads    int32
+		validate bool
+		fn       func(a, b []byte) float64
+	}{
+		{"containment", 200, true, nil},
+		{"no-validation", 200, false, nil},
+		{"alignment", 16, true, align.OverlapIdentity},
+	} {
+		cfg := smallConfig()
+		cfg.Validate, cfg.SimilarityFn = c.validate, c.fn
+		var cands []uint64
+		var want []Edge
+		for i := int32(0); i < c.reads; i++ {
+			for j := i + 1; j < c.reads; j++ {
+				cands = append(cands, packPair(i, j))
+				var f float64
+				if c.fn != nil {
+					f = c.fn(reads[i].Seq, reads[j].Seq)
+				} else {
+					f = containment(shingles[i], shingles[j])
+				}
+				if !c.validate || f >= cfg.Cmin {
+					want = append(want, Edge{I: i, J: j, F: f})
+				}
+			}
+		}
+		if c.validate && (len(want) == 0 || len(want) == len(cands)) {
+			t.Fatalf("%s: %d of %d pairs reach Cmin; the sample cannot tell kept from dropped", c.name, len(want), len(cands))
+		}
+		for _, nodes := range []int{1, 7} {
+			got, err := validateEdges(cands, reads, shingles, cfg, mapreduce.Config{Nodes: nodes}, &Result{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(got, want) {
+				t.Errorf("%s nodes=%d: %d edges, pairwise scoring keeps %d", c.name, nodes, len(got), len(want))
+			}
+		}
+	}
+}
+
+func TestMinShared(t *testing.T) {
+	for _, cmin := range []float64{0.6, 0.9, 0.92, 0.95, 1.0} {
+		for mi := 1; mi <= 1000; mi++ {
+			c := minShared(mi, cmin)
+			if float64(c)/float64(mi) < cmin || float64(c-1)/float64(mi) >= cmin {
+				t.Fatalf("minShared(%d, %v) = %d: not the smallest count reaching Cmin", mi, cmin, c)
+			}
+		}
+	}
+}
+
 func TestAdjacencyMatchesEdgeSet(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	linked := map[[2]int32]bool{}

@@ -105,32 +105,32 @@ func SelectRounds(hashes []uint64, m, rounds int) [][]uint64 {
 	return out
 }
 
-// Similarity is the containment-style measure of §4.3.1:
-// |A ∩ B| / min(|A|, |B|) over sorted distinct hash sets, designed so a
-// read contained in another scores 1.
-func Similarity(a, b []uint64) float64 {
-	if len(a) == 0 || len(b) == 0 {
-		return 0
-	}
-	inter := IntersectionSize(a, b)
-	return float64(inter) / float64(min(len(a), len(b)))
-}
-
-// IntersectionSize counts common elements of two sorted distinct sets. Which
-// cursor advances depends on hash values, which no branch predictor can
+// IntersectionSize counts common elements of two sorted distinct sets, and
+// stops early once they cannot share need: every 64 steps it checks that the
+// count so far plus what is left of the shorter remainder still reaches need,
+// and returns the count so far, below need, when it does not. A result at or
+// above need is the exact count; need 0 counts everything.
+//
+// Which cursor advances depends on hash values, which no branch predictor can
 // learn, so the merge step takes no branch: both cursors and the count move
-// by the borrows of the two subtractions.
+// by the borrows of the two subtractions. Each step moves at least one cursor,
+// so a block of as many steps as the shorter remainder stays inside both sets.
 //
 //repro:noalloc
-func IntersectionSize(a, b []uint64) int {
+func IntersectionSize(a, b []uint64, need int) int {
 	i, j, n := 0, 0, 0
-	for i < len(a) && j < len(b) {
-		x, y := a[i], b[j]
-		_, lt := bits.Sub64(x, y, 0) // 1 iff x < y
-		_, gt := bits.Sub64(y, x, 0) // 1 iff x > y
-		i += int(1 - gt)
-		j += int(1 - lt)
-		n += int(1 - lt - gt)
+	for {
+		rest := min(len(a)-i, len(b)-j)
+		if rest == 0 || n+rest < need {
+			return n
+		}
+		for range min(rest, 64) {
+			x, y := a[i], b[j]
+			_, lt := bits.Sub64(x, y, 0) // 1 iff x < y
+			_, gt := bits.Sub64(y, x, 0) // 1 iff x > y
+			i += int(1 - gt)
+			j += int(1 - lt)
+			n += int(1 - lt - gt)
+		}
 	}
-	return n
 }

@@ -1,6 +1,7 @@
 package sketch
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
 	"slices"
@@ -81,21 +82,30 @@ func TestSelectPartitionsShingles(t *testing.T) {
 	}
 }
 
+// similarity is the containment measure of §4.3.1, |A ∩ B| / min(|A|, |B|)
+// over sorted distinct hash sets: a read contained in another scores 1.
+func similarity(a, b []uint64) float64 {
+	if len(a) == 0 || len(b) == 0 {
+		return 0
+	}
+	return float64(IntersectionSize(a, b, 0)) / float64(min(len(a), len(b)))
+}
+
 func TestSimilarityProperties(t *testing.T) {
 	a := []uint64{1, 2, 3, 4}
 	b := []uint64{3, 4, 5, 6, 7, 8}
-	if got := Similarity(a, b); got != 0.5 {
+	if got := similarity(a, b); got != 0.5 {
 		t.Errorf("similarity = %v want 0.5", got)
 	}
 	// Containment scores 1.
-	if got := Similarity([]uint64{3, 4}, b); got != 1 {
+	if got := similarity([]uint64{3, 4}, b); got != 1 {
 		t.Errorf("containment similarity = %v want 1", got)
 	}
-	if Similarity(nil, b) != 0 {
+	if similarity(nil, b) != 0 {
 		t.Error("empty set similarity should be 0")
 	}
 	// Symmetry.
-	if Similarity(a, b) != Similarity(b, a) {
+	if similarity(a, b) != similarity(b, a) {
 		t.Error("similarity not symmetric")
 	}
 }
@@ -114,8 +124,8 @@ func TestSimilarityTracksSequenceIdentity(t *testing.T) {
 	hBase := Shingles(base, k)
 	hMut := Shingles(mutated, k)
 	hOther := Shingles(other, k)
-	simMut := Similarity(hBase, hMut)
-	simOther := Similarity(hBase, hOther)
+	simMut := similarity(hBase, hMut)
+	simOther := similarity(hBase, hOther)
 	if simMut < 0.4 {
 		t.Errorf("3%%-diverged similarity = %v, too low", simMut)
 	}
@@ -128,11 +138,26 @@ func TestSimilarityTracksSequenceIdentity(t *testing.T) {
 }
 
 func TestIntersectionSize(t *testing.T) {
-	if got := IntersectionSize([]uint64{1, 3, 5}, []uint64{2, 3, 4, 5}); got != 2 {
+	if got := IntersectionSize([]uint64{1, 3, 5}, []uint64{2, 3, 4, 5}, 0); got != 2 {
 		t.Errorf("intersection = %d want 2", got)
 	}
-	if got := IntersectionSize(nil, []uint64{1}); got != 0 {
+	if got := IntersectionSize(nil, []uint64{1}, 0); got != 0 {
 		t.Errorf("empty intersection = %d", got)
+	}
+	// The last 100 of a open b: no count can reach 500 once fewer than 500
+	// of a are left, long before the shared tail.
+	a, b := make([]uint64, 1000), make([]uint64, 1000)
+	for x := range a {
+		a[x], b[x] = uint64(x), uint64(900+x)
+	}
+	if got := IntersectionSize(a, b, 0); got != 100 {
+		t.Errorf("intersection = %d want 100", got)
+	}
+	if got := IntersectionSize(a, b, 100); got != 100 {
+		t.Errorf("intersection with need 100 = %d want 100", got)
+	}
+	if got := IntersectionSize(a, b, 500); got != 0 {
+		t.Errorf("intersection with need 500 = %d, want the early exit's 0", got)
 	}
 }
 
@@ -168,12 +193,8 @@ func TestIntersectionSizeMatchesReference(t *testing.T) {
 		{{5}, {1, 2, 3, 4, 5, 6}},
 	}
 	for _, c := range cases {
-		want := intersectionByMap(c[0], c[1])
-		if got := IntersectionSize(c[0], c[1]); got != want {
-			t.Errorf("IntersectionSize(%v, %v) = %d want %d", c[0], c[1], got, want)
-		}
-		if got := IntersectionSize(c[1], c[0]); got != want {
-			t.Errorf("IntersectionSize(%v, %v) = %d want %d", c[1], c[0], got, want)
+		for need := range 8 {
+			checkIntersection(t, c[0], c[1], need)
 		}
 	}
 	rng := rand.New(rand.NewSource(9))
@@ -189,18 +210,55 @@ func TestIntersectionSizeMatchesReference(t *testing.T) {
 		return slices.Compact(set)
 	}
 	for trial := 0; trial < 2000; trial++ {
-		a, b := randomSet(), randomSet()
-		if got, want := IntersectionSize(a, b), intersectionByMap(a, b); got != want {
-			t.Fatalf("IntersectionSize(%v, %v) = %d want %d", a, b, got, want)
+		checkIntersection(t, randomSet(), randomSet(), rng.Intn(40))
+	}
+}
+
+// checkIntersection holds IntersectionSize(a, b, need), both ways round, to
+// the map reference: equal to it when it reaches need, below need otherwise.
+func checkIntersection(t *testing.T, a, b []uint64, need int) {
+	t.Helper()
+	want := intersectionByMap(a, b)
+	for _, s := range [2][2][]uint64{{a, b}, {b, a}} {
+		got := IntersectionSize(s[0], s[1], need)
+		if want >= need && got != want || want < need && got >= need {
+			t.Fatalf("IntersectionSize(%v, %v, %d) = %d, reference %d", s[0], s[1], need, got, want)
 		}
 	}
+}
+
+// FuzzIntersectionSize decodes two sets from one byte each per candidate
+// value — bit 0 puts it in a, bit 1 in b — with the values offset + x·stride
+// (wrapping, so sets reach both ends and both sides of bit 63), and a need.
+func FuzzIntersectionSize(f *testing.F) {
+	f.Add([]byte{3, 1, 2, 3, 0, 3}, uint64(0), uint64(1), uint16(2))
+	f.Add([]byte{1, 1, 1, 3, 3, 2, 2, 2}, uint64(math.MaxUint64-4), uint64(1), uint16(0))
+	f.Add([]byte{3, 3, 3, 3}, uint64(1<<63-2), uint64(1), uint16(5))
+	f.Add(bytes.Repeat([]byte{1, 2, 3}, 100), uint64(7), uint64(1<<58), uint16(90))
+	f.Fuzz(func(t *testing.T, members []byte, offset, stride uint64, need uint16) {
+		var a, b []uint64
+		for x, m := range members {
+			v := offset + uint64(x)*stride
+			if m&1 != 0 {
+				a = append(a, v)
+			}
+			if m&2 != 0 {
+				b = append(b, v)
+			}
+		}
+		slices.Sort(a)
+		slices.Sort(b)
+		checkIntersection(t, slices.Compact(a), slices.Compact(b), int(need)%(len(members)+2))
+	})
 }
 
 func TestIntersectionSizeDoesNotAllocate(t *testing.T) {
 	a := Shingles([]byte("ACGTACGGTTACGATCAGTTACGGATCGAT"), 8)
 	b := Shingles([]byte("TTACGATCAGTTACGGATCGATACGTACGG"), 8)
-	if allocs := testing.AllocsPerRun(100, func() { IntersectionSize(a, b) }); allocs != 0 {
-		t.Errorf("IntersectionSize allocates %v times per call", allocs)
+	for _, need := range []int{0, len(a) / 2} {
+		if allocs := testing.AllocsPerRun(100, func() { IntersectionSize(a, b, need) }); allocs != 0 {
+			t.Errorf("IntersectionSize with need %d allocates %v times per call", need, allocs)
+		}
 	}
 }
 

@@ -381,11 +381,9 @@ func validateEdges(cands []uint64, reads []seq.Read, shingles [][]uint64, cfg Co
 		if cfg.SimilarityFn != nil {
 			return cfg.SimilarityFn(reads[i].Seq, reads[j].Seq)
 		}
+		// A candidate pair shares a sketch value, so neither set is empty.
 		a, b := shingles[i], shingles[j]
 		mi := min(len(a), len(b))
-		if mi == 0 {
-			return 0
-		}
 		need := 0
 		if cfg.Validate {
 			need = minShared(mi, cfg.Cmin)

@@ -80,64 +80,70 @@ func TestBatchedDriverByteIdentity(t *testing.T) {
 	corpus, spec := serviceFixture(t)
 	corpus = awkwardReads(corpus)
 	ctx := context.Background()
-	for _, d := range []int{1, 2} {
-		for _, overlap := range []int{0, 3} {
-			svc, err := NewService(spec, Params{D: d, Overlap: overlap})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, n := range []int{1, 20, 500, len(corpus)} {
-				reads := corpus[:n]
-				c, prepared, err := svc.corrector(reads, 1)
+	for _, cm := range []uint32{0, 1} {
+		for _, d := range []int{1, 2} {
+			for _, overlap := range []int{0, 3} {
+				svc, err := NewService(spec, Params{D: d, Overlap: overlap, Cm: cm})
 				if err != nil {
 					t.Fatal(err)
 				}
-				want, err := c.CorrectAllCtx(ctx, reads, 1)
-				if err != nil {
-					t.Fatal(err)
-				}
-				guess := c.predictKmers(prepared)
-				for _, guessed := range []bool{true, false} {
-					var first [][]seq.Kmer
-					for _, workers := range []int{1, 4} {
-						name := fmt.Sprintf("d=%d overlap=%d reads=%d guessed=%v workers=%d", d, overlap, n, guessed, workers)
-						src := &fakeBatchSource{NeighborSource: svc.neigh}
-						var batch []seq.Kmer
-						if guessed {
-							batch = guess
-						}
-						got, err := c.correctBatched(ctx, src, reads, workers, batch)
-						if err != nil {
-							t.Fatalf("%s: %v", name, err)
-						}
-						if !reflect.DeepEqual(got, want) {
-							t.Fatalf("%s: batched driver diverges from CorrectAllCtx", name)
-						}
-						for _, kms := range src.batches {
-							if !slices.IsSorted(kms) || len(slices.Compact(slices.Clone(kms))) != len(kms) {
-								t.Fatalf("%s: a fetched batch is not sorted and unique", name)
+				for _, n := range []int{1, 20, 500, len(corpus)} {
+					reads := corpus[:n]
+					c, prepared, err := svc.corrector(reads, 1)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want, err := c.CorrectAllCtx(ctx, reads, 1)
+					if err != nil {
+						t.Fatal(err)
+					}
+					guess := c.predictKmers(prepared)
+					for _, guessed := range []bool{true, false} {
+						var first [][]seq.Kmer
+						for _, workers := range []int{1, 4} {
+							name := fmt.Sprintf("cm=%d d=%d overlap=%d reads=%d guessed=%v workers=%d", cm, d, overlap, n, guessed, workers)
+							src := &fakeBatchSource{NeighborSource: svc.neigh}
+							var batch []seq.Kmer
+							if guessed {
+								batch = guess
+							}
+							got, err := c.correctBatched(ctx, src, reads, workers, batch)
+							if err != nil {
+								t.Fatalf("%s: %v", name, err)
+							}
+							if !reflect.DeepEqual(got, want) {
+								t.Fatalf("%s: batched driver diverges from CorrectAllCtx", name)
+							}
+							for _, kms := range src.batches {
+								if !slices.IsSorted(kms) || len(slices.Compact(slices.Clone(kms))) != len(kms) {
+									t.Fatalf("%s: a fetched batch is not sorted and unique", name)
+								}
+							}
+							if !guessed && n >= 20 && len(src.batches) < 2 {
+								t.Errorf("%s: %d batches — the miss path was not exercised", name, len(src.batches))
+							}
+							if first == nil {
+								first = src.batches
+							} else if !reflect.DeepEqual(src.batches, first) {
+								t.Errorf("%s: fetched batches depend on the worker count", name)
 							}
 						}
-						if !guessed && n >= 20 && len(src.batches) < 2 {
-							t.Errorf("%s: %d batches — the miss path was not exercised", name, len(src.batches))
+						size := n
+						if n == len(corpus) {
+							size = 0
 						}
-						if first == nil {
-							first = src.batches
-						} else if !reflect.DeepEqual(src.batches, first) {
-							t.Errorf("%s: fetched batches depend on the worker count", name)
+						table := fetchRounds
+						if cm == 1 {
+							table = fetchRoundsCm1
 						}
-					}
-					size := n
-					if n == len(corpus) {
-						size = 0
-					}
-					rounds := fetchRounds[[3]int{d, overlap, size}]
-					wantRounds := rounds[0]
-					if !guessed {
-						wantRounds = rounds[1]
-					}
-					if len(first) != wantRounds {
-						t.Errorf("d=%d overlap=%d reads=%d guessed=%v: %d fetch rounds, want %d", d, overlap, n, guessed, len(first), wantRounds)
+						rounds := table[[3]int{d, overlap, size}]
+						wantRounds := rounds[0]
+						if !guessed {
+							wantRounds = rounds[1]
+						}
+						if len(first) != wantRounds {
+							t.Errorf("cm=%d d=%d overlap=%d reads=%d guessed=%v: %d fetch rounds, want %d", cm, d, overlap, n, guessed, len(first), wantRounds)
+						}
 					}
 				}
 			}
@@ -154,6 +160,16 @@ var fetchRounds = map[[3]int][2]int{
 	{1, 3, 1}: {1, 4}, {1, 3, 20}: {1, 4}, {1, 3, 500}: {2, 6}, {1, 3, 0}: {5, 6},
 	{2, 0, 1}: {1, 4}, {2, 0, 20}: {1, 4}, {2, 0, 500}: {1, 4}, {2, 0, 0}: {3, 6},
 	{2, 3, 1}: {1, 4}, {2, 3, 20}: {1, 4}, {2, 3, 500}: {2, 6}, {2, 3, 0}: {4, 6},
+}
+
+// fetchRoundsCm1 is fetchRounds for the same cases with Cm pinned at 1:
+// every tile with Og(t) >= 1 is then judged against mutants of twice its
+// support, so far more walks ask neighborhoods than at the derived Cm.
+var fetchRoundsCm1 = map[[3]int][2]int{
+	{1, 0, 1}: {1, 4}, {1, 0, 20}: {1, 4}, {1, 0, 500}: {3, 5}, {1, 0, 0}: {3, 5},
+	{1, 3, 1}: {1, 4}, {1, 3, 20}: {1, 6}, {1, 3, 500}: {4, 7}, {1, 3, 0}: {5, 6},
+	{2, 0, 1}: {1, 4}, {2, 0, 20}: {1, 4}, {2, 0, 500}: {3, 5}, {2, 0, 0}: {4, 5},
+	{2, 3, 1}: {1, 4}, {2, 3, 20}: {1, 6}, {2, 3, 500}: {4, 8}, {2, 3, 0}: {4, 6},
 }
 
 // TestBatchedDriverFetchFailure: a batch that fails mid-way returns that

@@ -68,16 +68,18 @@ func TestServiceGainByChunkSize(t *testing.T) {
 	}
 }
 
-// countingSource counts the neighborhood queries that reach it, in total
-// and per distinct (kmer, d).
+// countingSource counts the neighborhood queries that reach it, in total,
+// by radius and per distinct (kmer, d).
 type countingSource struct {
 	kspectrum.NeighborSource
-	total int
-	seen  map[[2]uint64]struct{}
+	total    int
+	byRadius [seq.MaxK]int
+	seen     map[[2]uint64]struct{}
 }
 
 func (c *countingSource) Neighborhood(km seq.Kmer, d int, dst []seq.Kmer) ([]seq.Kmer, error) {
 	c.total++
+	c.byRadius[d]++
 	c.seen[[2]uint64{uint64(km), uint64(d)}] = struct{}{}
 	return c.NeighborSource.Neighborhood(km, d, dst)
 }
@@ -120,4 +122,41 @@ func TestNeighborhoodRepeatFactor(t *testing.T) {
 		t.Fatal(err)
 	}
 	report("service chunk (500 reads)", src)
+}
+
+// serviceChunkQueries is how many radius-D neighborhoods the first 500-read
+// chunk of serviceFixture asks of a local source at the default parameters.
+const serviceChunkQueries = 4002
+
+// TestServiceChunkQueries pins the query cost of a daemon-sized request:
+// the radius-D neighborhoods one 500-read serviceFixture chunk asks, with
+// the bytes equal to an uncounted local service's.
+func TestServiceChunkQueries(t *testing.T) {
+	reads, spec := serviceFixture(t)
+	reads = reads[:500]
+	ctx := context.Background()
+	local, err := NewService(spec, Params{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := local.CorrectChunk(ctx, reads, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := &countingSource{NeighborSource: local.neigh, seen: map[[2]uint64]struct{}{}}
+	svc, err := NewServiceBackend(kspectrum.Local(spec), src, Params{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := svc.CorrectChunk(ctx, reads, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("the counted service diverges from the local one")
+	}
+	t.Logf("500-read chunk: %d queries, %d at radius %d", src.total, src.byRadius[svc.p.D], svc.p.D)
+	if n := src.byRadius[svc.p.D]; n != serviceChunkQueries {
+		t.Errorf("a 500-read chunk asks %d radius-%d neighborhoods, want %d", n, svc.p.D, serviceChunkQueries)
+	}
 }

@@ -340,6 +340,115 @@ func (c *Corrector) mutantTilesByProbing(a, b seq.Kmer, d1, d2 int, s *scratch) 
 	return out
 }
 
+// correctTileUnpruned is Algorithm 1 as the dissertation states it, kept as
+// correctTile's reference: every observed d-mutant enumerated by probing,
+// then filtered by line 11 (Og >= Cr·Og(t)) or lines 17-21 (Og >= Cm).
+func (c *Corrector) correctTileUnpruned(bases, qual []byte, pos int, d1, d2 int, s *scratch) decision {
+	p := c.P
+	step := p.K - p.Overlap
+	a, okA := seq.Pack(bases[pos:], p.K)
+	b, okB := seq.Pack(bases[pos+step:], p.K)
+	if !okA || !okB {
+		return decInsufficient
+	}
+	og := c.Tiles.Get(c.Tiles.PackTile(a, b)).Og
+	if og >= p.Cg {
+		return decValid // lines 1-2
+	}
+	mutants := c.mutantTilesByProbing(a, b, d1, d2, s)
+	if len(mutants) == 0 {
+		if og >= p.Cm {
+			return decValid // lines 4-6
+		}
+		return decInsufficient // line 8
+	}
+	if og >= p.Cm {
+		sel := slices.DeleteFunc(slices.Clone(mutants), func(m mutantTile) bool { return float64(m.og) < p.Cr*float64(og) })
+		if len(sel) == 0 {
+			return decValid // line 12
+		}
+		best := closestInto(sel, s)
+		if len(best) != 1 || !c.applyIfLowQuality(bases, qual, pos, best[0], s) {
+			return decInsufficient // line 15, or no low-quality base touched
+		}
+		return decCorrected // line 14
+	}
+	strong := slices.DeleteFunc(slices.Clone(mutants), func(m mutantTile) bool { return m.og < p.Cm })
+	if len(strong) == 1 {
+		c.apply(bases, pos, strong[0], s)
+		return decCorrected // lines 17-21
+	}
+	return decInsufficient
+}
+
+// TestCorrectTileMatchesUnpruned: correctTile reaches the decision the
+// unpruned Algorithm 1 reaches, and writes the same bytes, on every tile
+// position of reads with errors, Ns and missing qualities, at d1 ∈ {0, d},
+// over TestMutantTilesMatchesProbing's grid and Cm ∈ {1, 2, 5} ×
+// Cr ∈ {1.5, 2, 3}. Both branches of the algorithm must correct somewhere.
+func TestCorrectTileMatchesUnpruned(t *testing.T) {
+	_, sim := buildTestData(t, 3000, 300, 40, 0.02, 31)
+	reads := simulate.Reads(sim)
+	rng := rand.New(rand.NewSource(31))
+	for i := range reads {
+		switch i % 7 {
+		case 0:
+			reads[i].Seq[rng.Intn(len(reads[i].Seq))] = 'N'
+		case 1:
+			reads[i].Qual = nil
+		case 2:
+			reads[i].Seq[20], reads[i].Seq[21] = 'N', 'N'
+		}
+	}
+	type ws struct{ workers, shards int }
+	var s, rs scratch
+	var got, want []byte
+	corrected := map[bool]int{} // by Og(t) >= Cm
+	for _, k := range []int{3, 5, 10, 13, 16} {
+		for _, l := range []int{0, 1, k - 1} {
+			for _, d := range []int{0, 1, 2} {
+				for _, o := range []ws{{1, 1}, {4, 16}, {4, 1024}} {
+					p := Params{K: k, D: d, Overlap: l, C: min(k, d+4), Cr: 2, Qc: 15, Qm: 60, DefaultBase: 'A', MaxNPerWindow: 1}
+					p.Build = kspectrum.BuildOptions{Workers: o.workers, Shards: o.shards}
+					base, err := New(reads, p)
+					if err != nil {
+						t.Fatal(err)
+					}
+					base.ensureQuerier()
+					prepared := prepareReads(reads, base.P)
+					for _, cm := range []uint32{1, 2, 5} {
+						for _, cr := range []float64{1.5, 2, 3} {
+							c := *base
+							c.P.Cm, c.P.Cr = cm, cr
+							for _, r := range prepared[:16] {
+								for pos := 0; pos+c.Tiles.TileLen <= len(r.Seq); pos++ {
+									for _, d1 := range []int{0, d} {
+										got, want = append(got[:0], r.Seq...), append(want[:0], r.Seq...)
+										dg := c.correctTile(got, r.Qual, pos, d1, d, &s)
+										dw := c.correctTileUnpruned(want, r.Qual, pos, d1, d, &rs)
+										if dg != dw || !bytes.Equal(got, want) {
+											t.Fatalf("k=%d l=%d d=%d %+v Cm=%d Cr=%v: tile at %d (d1=%d) of %s: decision %d writing %s, want %d writing %s",
+												k, l, d, o, cm, cr, pos, d1, r.Seq, dg, got, dw, want)
+										}
+										if dg == decCorrected {
+											a, _ := seq.Pack(r.Seq[pos:], k)
+											b, _ := seq.Pack(r.Seq[pos+k-l:], k)
+											corrected[c.Tiles.Get(c.Tiles.PackTile(a, b)).Og >= cm]++
+										}
+									}
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	if corrected[true] == 0 || corrected[false] == 0 {
+		t.Fatalf("corrections by branch (Og(t) >= Cm: count) %v; a branch is never compared", corrected)
+	}
+}
+
 // TestMutantTilesMatchesProbing: intersecting each tile run with N(b) finds
 // the mutants probing found, in the same order, for every tile of reads
 // with errors, Ns and missing qualities — frozen column against the

@@ -266,9 +266,11 @@ type tileCounter struct {
 	grow  int
 	// Set by freeze: slots is then the column ascending by tile, and bucket
 	// b = tile>>shift&mask is slots[buckets[b]:buckets[b+1]]. Empty before.
+	// maxOg is the column's largest Og.
 	shift   uint
 	mask    uint64
 	buckets []int32
+	maxOg   uint32
 }
 
 // newTileCounter returns a table that takes hint tiles without a rehash.
@@ -397,10 +399,12 @@ func (tc *tileCounter) freeze(tileBits, shardBits, maxBits uint) {
 	t = t[:tc.mask+2]
 	clear(t)
 	col := tc.slots[:0]
+	tc.maxOg = 0
 	for _, e := range tc.slots {
 		if e.Oc != 0 {
 			col = append(col, e)
 			t[tc.bucketOf(e.Tile)]++
+			tc.maxOg = max(tc.maxOg, e.Og)
 		}
 	}
 	for b := 1; b < len(t); b++ {

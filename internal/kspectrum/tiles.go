@@ -33,6 +33,7 @@ type TileSet struct {
 	workers int
 	part    PrefixPartition // over tiles: K is TileLen
 	shards  []*tileCounter  // one table when workers == 1; nil after Release
+	maxOg   uint32          // the shards' largest Og, set by Freeze
 }
 
 // tileBuf is one worker's pending tiles for one shard. The high-quality flag
@@ -188,9 +189,23 @@ func (ts *TileSet) Freeze() {
 	tileBits, maxBits := uint(2*ts.TileLen), uint(2*ts.K)
 	if len(ts.shards) == 1 { // the daemon's one table: no goroutine, at most one allocation
 		ts.shards[0].freeze(tileBits, ts.part.Bits, maxBits)
-		return
+	} else {
+		forEachParallel(len(ts.shards), ts.workers, func(s int) { ts.shards[s].freeze(tileBits, ts.part.Bits, maxBits) })
 	}
-	forEachParallel(len(ts.shards), ts.workers, func(s int) { ts.shards[s].freeze(tileBits, ts.part.Bits, maxBits) })
+	for _, shard := range ts.shards {
+		ts.maxOg = max(ts.maxOg, shard.maxOg)
+	}
+}
+
+// MaxOg returns the largest Og of any tile in the set: no tile has more
+// high-quality support. It panics before Freeze, which records it.
+//
+//repro:noalloc
+func (ts *TileSet) MaxOg() uint32 {
+	if !ts.frozen() {
+		panic("kspectrum: TileSet.MaxOg before Freeze") //repro:alloc-ok a constant boxes statically
+	}
+	return ts.maxOg
 }
 
 // Run returns the tiles whose first kmer is ka, ascending — so by second

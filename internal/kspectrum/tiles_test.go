@@ -178,8 +178,8 @@ func TestTileSetFreezeRunAndGet(t *testing.T) {
 	}
 }
 
-// TestTileSetFrozenGuards: Run before Freeze and Add after it panic naming
-// the misuse, and a second Freeze changes nothing.
+// TestTileSetFrozenGuards: Run and MaxOg before Freeze and Add after it
+// panic naming the misuse, and a second Freeze changes nothing.
 func TestTileSetFrozenGuards(t *testing.T) {
 	mustPanic := func(misuse string, fn func()) {
 		t.Helper()
@@ -196,11 +196,46 @@ func TestTileSetFrozenGuards(t *testing.T) {
 		t.Fatal(err)
 	}
 	mustPanic("Run before Freeze", func() { ts.Run(0) })
+	mustPanic("MaxOg before Freeze", func() { ts.MaxOg() })
 	before, absent := unfrozenCounts(ts, 100, rand.New(rand.NewSource(1)))
 	ts.Freeze()
 	ts.Freeze()
 	frozenAgrees(t, ts, before, absent, "frozen twice")
 	mustPanic("Add after Freeze", func() { ts.Add(reads[:1]) })
+}
+
+// TestTileSetMaxOg: MaxOg is the highest non-empty OgHistogram bin, on one
+// table and on sixteen shards, and a one-worker table reused through
+// Release reports its own chunk's maximum, not the previous chunk's.
+func TestTileSetMaxOg(t *testing.T) {
+	reads := randomReads(t, 600)
+	for range 40 { // one read's tiles reach Og 41
+		reads = append(reads, reads[0])
+	}
+	highest := func(ts *TileSet) uint32 {
+		h := ts.OgHistogram(2 * len(reads))
+		for og := len(h) - 1; og > 0; og-- {
+			if h[og] != 0 {
+				return uint32(og)
+			}
+		}
+		return 0
+	}
+	for _, o := range []BuildOptions{{Workers: 1}, {Workers: 4, Shards: 16}} {
+		// The repeated chunk first, then two without the repeat: the table
+		// the first releases is reused by the second.
+		for _, chunk := range [][]seq.Read{reads, reads[100:600], reads[1:50]} {
+			ts, err := CountTiles(chunk, 10, 0, 0, o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ts.Freeze()
+			if got, want := ts.MaxOg(), highest(ts); got != want || want == 0 {
+				t.Errorf("%+v, %d reads: MaxOg %d, highest histogram bin %d", o, len(chunk), got, want)
+			}
+			ts.Release()
+		}
+	}
 }
 
 // TestTileSetFreezeSkewedRun: one first kmer heading every 8-mer — a

@@ -126,7 +126,7 @@ func TestNeighborhoodRepeatFactor(t *testing.T) {
 
 // serviceChunkQueries is how many radius-D neighborhoods the first 500-read
 // chunk of serviceFixture asks of a local source at the default parameters.
-const serviceChunkQueries = 4002
+const serviceChunkQueries = 1976
 
 // TestServiceChunkQueries pins the query cost of a daemon-sized request:
 // the radius-D neighborhoods one 500-read serviceFixture chunk asks, with

@@ -351,8 +351,7 @@ type mutantTile struct {
 // CorrectInPlace — draws one from scratchPool for the length of its run.
 type scratch struct {
 	mutants []mutantTile
-	sel     []mutantTile // dominating/strong candidates of the current tile
-	best    []mutantTile // minimum-Hamming subset of sel
+	best    []mutantTile // minimum-Hamming subset of mutants
 	na, nb  []seq.Kmer   // d-neighborhoods of the two constituent kmers
 	tile    []byte       // unpacked replacement tile
 	rcSeq   []byte       // reverse-complement pass: bases
@@ -372,6 +371,11 @@ var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 // per-base qualities at read offset pos; d1 and d2 bound the search distance
 // of the two constituent kmers. On decCorrected, the replacement is written
 // into bases.
+//
+// Only mutants with Og at or above the tile's floor can change the decision
+// — Cr·Og(t) when Og(t) >= Cm (line 11), Cm otherwise (lines 17-21) — so
+// mutantTiles enumerates those alone, and none at all when no tile in the
+// set reaches the floor; line 12 is then "no mutants".
 func (c *Corrector) correctTile(bases, qual []byte, pos int, d1, d2 int, s *scratch) decision {
 	p := c.P
 	step := p.K - p.Overlap
@@ -385,26 +389,19 @@ func (c *Corrector) correctTile(bases, qual []byte, pos int, d1, d2 int, s *scra
 	if og >= p.Cg {
 		return decValid // line 1-2: overwhelming support
 	}
-	mutants := c.mutantTiles(a, b, d1, d2, s)
-	if len(mutants) == 0 {
-		if og >= p.Cm {
-			return decValid // line 4-6
-		}
-		return decInsufficient // line 8
+	floor := float64(p.Cm)
+	if og >= p.Cm {
+		floor = p.Cr * float64(og)
+	}
+	var mutants []mutantTile
+	if float64(c.Tiles.MaxOg()) >= floor {
+		mutants = c.mutantTiles(a, b, d1, d2, floor, s)
 	}
 	if og >= p.Cm {
-		// Line 11: keep only strongly dominating mutants.
-		sel := s.sel[:0]
-		for _, m := range mutants {
-			if float64(m.og) >= p.Cr*float64(og) {
-				sel = append(sel, m)
-			}
+		if len(mutants) == 0 {
+			return decValid // lines 4-6 and 12
 		}
-		s.sel = sel
-		if len(sel) == 0 {
-			return decValid // line 12
-		}
-		best := closestInto(sel, s)
+		best := closestInto(mutants, s)
 		if len(best) != 1 {
 			return decInsufficient // line 15: ambiguous
 		}
@@ -414,52 +411,66 @@ func (c *Corrector) correctTile(bases, qual []byte, pos int, d1, d2 int, s *scra
 		return decCorrected // line 14
 	}
 	// Lines 17-21: very low multiplicity tile.
-	strong := s.sel[:0]
-	for _, m := range mutants {
-		if m.og >= p.Cm {
-			strong = append(strong, m)
-		}
-	}
-	s.sel = strong
-	if len(strong) == 1 {
-		c.apply(bases, pos, strong[0], s)
+	if len(mutants) == 1 {
+		c.apply(bases, pos, mutants[0], s)
 		return decCorrected
 	}
-	return decInsufficient
+	return decInsufficient // line 8, or no single strong mutant
 }
 
-// mutantTiles enumerates the observed d-mutant tiles of (a,b), excluding the
-// tile itself (Definition 2.2 with the overlap-consistency constraint),
-// into the scratch mutant buffer. The candidate kmers arrive by value in
-// ascending order from either neighborhood source, so the enumeration —
-// and every downstream decision — is identical for local and remote
-// backends.
+// longRun is the run length past which mutantTiles searches a run for the
+// members of N(b) instead of walking it.
+const longRun = 16
+
+// mutantTiles enumerates the observed d-mutant tiles of (a,b) with Og at
+// least floor, excluding the tile itself (Definition 2.2 with the
+// overlap-consistency constraint), into the scratch mutant buffer. The
+// candidate kmers arrive by value in ascending order from either
+// neighborhood source, so the enumeration — and every downstream decision —
+// is identical for local and remote backends.
 //
-// Each ka ∈ N(a) is one Run, whose (overlap-consistent) tiles ascend by kb,
-// intersected with N(b) by walking the shorter side and binary-searching
-// the longer: |N(a)| lookups where probing took |N(a)|×|N(b)|, and a
+// Each ka ∈ N(a) is one Run, whose (overlap-consistent) tiles ascend by kb.
+// An entry counts if it reaches the floor, lies within d2 of b and kb is in
+// N(b), which is asked only when the first such entry appears — most tiles
+// have none — and then binary-searched. A run longer than longRun is
+// searched once per member of N(b) when that is the shorter side: a
 // repeat's first kmer heading thousands of tiles costs |N(b)| searches of
-// its run, not a walk of it (TestMutantTilesLongRun).
-func (c *Corrector) mutantTiles(a, b seq.Kmer, d1, d2 int, s *scratch) []mutantTile {
+// its run, not a walk of it (TestMutantTilesLongRun). A failed N(a) still
+// asks N(b), so a cache miss queues both kmers in one round.
+func (c *Corrector) mutantTiles(a, b seq.Kmer, d1, d2 int, floor float64, s *scratch) []mutantTile {
 	s.na = c.hood(a, d1, s.na[:0], s)
-	s.nb = c.hood(b, d2, s.nb[:0], s)
-	na, nb := s.na, s.nb
+	s.nb = s.nb[:0]
+	askedB := s.err != nil
+	if askedB {
+		s.nb = c.hood(b, d2, s.nb, s)
+	}
 	self, kMask := c.Tiles.PackTile(a, b), seq.Kmer(1)<<(2*uint(c.P.K))-1
 	out := s.mutants[:0]
-	for _, ka := range na {
+	for _, ka := range s.na {
 		run := c.Tiles.Run(ka)
-		if len(run) <= len(nb) {
-			for _, e := range run {
-				if _, ok := slices.BinarySearch(nb, e.Tile&kMask); ok && e.Tile != self {
-					out = append(out, c.mutant(a, b, e))
-				}
+		if len(run) > longRun {
+			if !askedB {
+				s.nb, askedB = c.hood(b, d2, s.nb, s), true
 			}
-			continue
+			if len(run) > len(s.nb) {
+				for _, kb := range s.nb {
+					i, ok := slices.BinarySearchFunc(run, kb, func(e kspectrum.TileEntry, kb seq.Kmer) int { return cmp.Compare(e.Tile&kMask, kb) })
+					if ok && float64(run[i].Og) >= floor && run[i].Tile != self {
+						out = append(out, c.mutant(a, b, run[i]))
+					}
+				}
+				continue
+			}
 		}
-		for _, kb := range nb {
-			i, ok := slices.BinarySearchFunc(run, kb, func(e kspectrum.TileEntry, kb seq.Kmer) int { return cmp.Compare(e.Tile&kMask, kb) })
-			if ok && run[i].Tile != self {
-				out = append(out, c.mutant(a, b, run[i]))
+		for _, e := range run {
+			if float64(e.Og) < floor || e.Tile == self || seq.HammingKmer(e.Tile&kMask, b, c.P.K) > d2 {
+				continue
+			}
+			if !askedB {
+				s.nb, askedB = c.hood(b, d2, s.nb, s), true
+			}
+			if _, ok := slices.BinarySearch(s.nb, e.Tile&kMask); ok {
+				out = append(out, c.mutant(a, b, e))
 			}
 		}
 	}

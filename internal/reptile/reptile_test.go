@@ -385,7 +385,9 @@ func (c *Corrector) correctTileUnpruned(bases, qual []byte, pos int, d1, d2 int,
 // unpruned Algorithm 1 reaches, and writes the same bytes, on every tile
 // position of reads with errors, Ns and missing qualities, at d1 ∈ {0, d},
 // over TestMutantTilesMatchesProbing's grid and Cm ∈ {1, 2, 5} ×
-// Cr ∈ {1.5, 2, 3}. Both branches of the algorithm must correct somewhere.
+// Cr ∈ {1.5, 2, 3}. The spectrum comes from two thirds of the reads, as a
+// daemon's comes from a corpus its requests need not belong to, so some
+// tiles' kmers are missing from it. Both branches must correct somewhere.
 func TestCorrectTileMatchesUnpruned(t *testing.T) {
 	_, sim := buildTestData(t, 3000, 300, 40, 0.02, 31)
 	reads := simulate.Reads(sim)
@@ -410,6 +412,10 @@ func TestCorrectTileMatchesUnpruned(t *testing.T) {
 				for _, o := range []ws{{1, 1}, {4, 16}, {4, 1024}} {
 					p := Params{K: k, D: d, Overlap: l, C: min(k, d+4), Cr: 2, Qc: 15, Qm: 60, DefaultBase: 'A', MaxNPerWindow: 1}
 					p.Build = kspectrum.BuildOptions{Workers: o.workers, Shards: o.shards}
+					var err error
+					if p.Spectrum, err = kspectrum.Build(reads[:200], k, true); err != nil {
+						t.Fatal(err)
+					}
 					base, err := New(reads, p)
 					if err != nil {
 						t.Fatal(err)
@@ -449,11 +455,41 @@ func TestCorrectTileMatchesUnpruned(t *testing.T) {
 	}
 }
 
+// TestCorrectTileAtSetBound: a tile whose one outvoting mutant holds the
+// set's largest Og — Og(t') = Cr·Og(t) = MaxOg — is corrected, as the
+// unpruned Algorithm 1 corrects it: the whole-set bound skips the search
+// only when MaxOg is below the floor.
+func TestCorrectTileAtSetBound(t *testing.T) {
+	const good, bad = "ACGTTGCAAC", "ACCTTGCAAC" // one 10-base tile each
+	var reads []seq.Read
+	for _, r := range []string{good, good, good, good, bad, bad} {
+		reads = append(reads, seq.Read{Seq: []byte(r)})
+	}
+	p := defaultTestParams()
+	p.K, p.C, p.Cg, p.Cm = 5, 5, 100, 1
+	c, err := New(reads, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.ensureQuerier()
+	if m := c.Tiles.MaxOg(); m != 4 {
+		t.Fatalf("MaxOg %d, want the good tile's 4", m)
+	}
+	var s scratch
+	for _, correct := range []func([]byte, []byte, int, int, int, *scratch) decision{c.correctTile, c.correctTileUnpruned} {
+		bases := []byte(bad)
+		if dec := correct(bases, nil, 0, 1, 1, &s); dec != decCorrected || string(bases) != good {
+			t.Errorf("Og 2 tile %s beside its Og 4 mutant: decision %d, bases %s; want %d, %s", bad, dec, bases, decCorrected, good)
+		}
+	}
+}
+
 // TestMutantTilesMatchesProbing: intersecting each tile run with N(b) finds
-// the mutants probing found, in the same order, for every tile of reads
-// with errors, Ns and missing qualities — frozen column against the
-// unfrozen hash table, over k, overlap, d and (Workers, Shards). k = 3 at
-// 1024 shards is the case the 2k cap on tile shards exists for.
+// the mutants probing found at or above the floor, in the same order, for
+// every tile of reads with errors, Ns and missing qualities — frozen column
+// against the unfrozen hash table, over k, overlap, d, (Workers, Shards) and
+// the floors 0, Cm and Cr·Og(t). k = 3 at 1024 shards is the case the 2k
+// cap on tile shards exists for.
 func TestMutantTilesMatchesProbing(t *testing.T) {
 	_, sim := buildTestData(t, 3000, 300, 40, 0.02, 31)
 	reads := simulate.Reads(sim)
@@ -494,13 +530,16 @@ func TestMutantTilesMatchesProbing(t *testing.T) {
 							if !okA || !okB {
 								continue
 							}
+							og := float64(c.Tiles.Get(c.Tiles.PackTile(a, b)).Og)
 							for _, d1 := range []int{0, d} {
-								got := c.mutantTiles(a, b, d1, d, &s)
-								want := ref.mutantTilesByProbing(a, b, d1, d, &rs)
-								if !slices.Equal(got, want) {
-									t.Fatalf("k=%d l=%d d=%d %+v: tile at %d of %s: got %+v, want %+v", k, l, d, o, pos, r.Seq, got, want)
+								for _, floor := range []float64{0, float64(c.P.Cm), c.P.Cr * og} {
+									got := c.mutantTiles(a, b, d1, d, floor, &s)
+									want := slices.DeleteFunc(ref.mutantTilesByProbing(a, b, d1, d, &rs), func(m mutantTile) bool { return float64(m.og) < floor })
+									if !slices.Equal(got, want) {
+										t.Fatalf("k=%d l=%d d=%d %+v: tile at %d of %s, floor %v: got %+v, want %+v", k, l, d, o, pos, r.Seq, floor, got, want)
+									}
+									found += len(got)
 								}
-								found += len(got)
 							}
 						}
 					}
@@ -541,7 +580,7 @@ func TestMutantTilesLongRun(t *testing.T) {
 	var took, probing time.Duration
 	for kb := range seq.Kmer(len(reads)) {
 		start := time.Now()
-		got := c.mutantTiles(0, kb, 1, 1, &s)
+		got := c.mutantTiles(0, kb, 1, 1, 0, &s)
 		mid := time.Now()
 		want := ref.mutantTilesByProbing(0, kb, 1, 1, &rs)
 		took, probing = took+mid.Sub(start), probing+time.Since(mid)

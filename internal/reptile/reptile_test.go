@@ -383,11 +383,12 @@ func (c *Corrector) correctTileUnpruned(bases, qual []byte, pos int, d1, d2 int,
 
 // TestCorrectTileMatchesUnpruned: correctTile reaches the decision the
 // unpruned Algorithm 1 reaches, and writes the same bytes, on every tile
-// position of reads with errors, Ns and missing qualities, at d1 ∈ {0, d},
-// over TestMutantTilesMatchesProbing's grid and Cm ∈ {1, 2, 5} ×
-// Cr ∈ {1.5, 2, 3}. The spectrum comes from two thirds of the reads, as a
-// daemon's comes from a corpus its requests need not belong to, so some
-// tiles' kmers are missing from it. Both branches must correct somewhere.
+// position of ten reads with errors, Ns and missing qualities, at
+// d1 ∈ {0, d}, over TestMutantTilesMatchesProbing's grid and
+// Cm ∈ {1, 2, 5} × Cr ∈ {1.5, 2, 3}. The spectrum comes from a third of
+// the reads, as a daemon's comes from a corpus its requests need not
+// belong to, so some tiles' kmers are missing from it. Both branches must
+// correct somewhere.
 func TestCorrectTileMatchesUnpruned(t *testing.T) {
 	_, sim := buildTestData(t, 3000, 300, 40, 0.02, 31)
 	reads := simulate.Reads(sim)
@@ -413,7 +414,7 @@ func TestCorrectTileMatchesUnpruned(t *testing.T) {
 					p := Params{K: k, D: d, Overlap: l, C: min(k, d+4), Cr: 2, Qc: 15, Qm: 60, DefaultBase: 'A', MaxNPerWindow: 1}
 					p.Build = kspectrum.BuildOptions{Workers: o.workers, Shards: o.shards}
 					var err error
-					if p.Spectrum, err = kspectrum.Build(reads[:200], k, true); err != nil {
+					if p.Spectrum, err = kspectrum.Build(reads[:100], k, true); err != nil {
 						t.Fatal(err)
 					}
 					base, err := New(reads, p)
@@ -426,7 +427,7 @@ func TestCorrectTileMatchesUnpruned(t *testing.T) {
 						for _, cr := range []float64{1.5, 2, 3} {
 							c := *base
 							c.P.Cm, c.P.Cr = cm, cr
-							for _, r := range prepared[:16] {
+							for _, r := range prepared[:10] {
 								for pos := 0; pos+c.Tiles.TileLen <= len(r.Seq); pos++ {
 									for _, d1 := range []int{0, d} {
 										got, want = append(got[:0], r.Seq...), append(want[:0], r.Seq...)

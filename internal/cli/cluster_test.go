@@ -10,7 +10,6 @@ import (
 	"net/http/httptest"
 	"path/filepath"
 	"slices"
-	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -127,20 +126,17 @@ func newClusterFixtureD(t *testing.T, d int) *clusterFixture {
 	return fx
 }
 
-// queryCluster POSTs a /v2/query for the given kmers against the
+// queryCluster POSTs a /v2/query frame for the given kmers against the
 // coordinator and returns the raw response.
 func (fx *clusterFixture) queryCluster(t *testing.T, kms []seq.Kmer, d int) (*http.Response, []byte) {
 	t.Helper()
-	req := remote.QueryRequest{D: d}
-	for _, km := range kms {
-		req.Kmers = append(req.Kmers, strconv.FormatUint(uint64(km), 10))
-	}
-	payload, err := json.Marshal(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.Post(fx.coordTS.URL+"/v2/query?spectrum=main",
-		"application/json", bytes.NewReader(payload))
+	return postQuery(t, fx.coordTS.URL+"/v2/query?spectrum=main", remote.AppendQuery(nil, d, kms, nil))
+}
+
+// postQuery POSTs body to a /v2/query URL and returns the raw response.
+func postQuery(t *testing.T, url string, frame []byte) (*http.Response, []byte) {
+	t.Helper()
+	resp, err := http.Post(url, "application/octet-stream", bytes.NewReader(frame))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,6 +146,17 @@ func (fx *clusterFixture) queryCluster(t *testing.T, kms []seq.Kmer, d int) (*ht
 		t.Fatal(err)
 	}
 	return resp, body
+}
+
+// answer decodes the coordinator's answer frame to a radius-d query,
+// holding it to the whole unsharded spectrum.
+func (fx *clusterFixture) answer(t *testing.T, frame []byte, d int) remote.Answer {
+	t.Helper()
+	var a remote.Answer
+	if err := remote.DecodeAnswer(frame, d, kspectrum.PrefixPartition{K: fx.spec.K}, 0, fx.spec.Size(), &a); err != nil {
+		t.Fatalf("decoding the coordinator's answer: %v", err)
+	}
+	return a
 }
 
 // kmerOnShard returns a spectrum kmer the partition assigns to shard.
@@ -324,18 +331,8 @@ func TestClusterQueryRejectsOutOfRangeKmer(t *testing.T) {
 	}
 
 	// The nodes run the same validation on their own query endpoint.
-	req := remote.QueryRequest{Kmers: []string{strconv.FormatUint(uint64(oversized), 10)}}
-	payload, err := json.Marshal(req)
-	if err != nil {
-		t.Fatal(err)
-	}
 	entry := kspectrum.ShardEntryName("main", 0, 4)
-	nresp, err := http.Post(fx.nodes[0].URL+"/v2/query?spectrum="+entry,
-		"application/json", bytes.NewReader(payload))
-	if err != nil {
-		t.Fatal(err)
-	}
-	nresp.Body.Close()
+	nresp, _ := postQuery(t, fx.nodes[0].URL+"/v2/query?spectrum="+entry, remote.AppendQuery(nil, 0, []seq.Kmer{oversized}, nil))
 	if nresp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("oversized kmer on a node: status %d, want 400", nresp.StatusCode)
 	}
@@ -346,11 +343,7 @@ func TestClusterQueryRejectsOutOfRangeKmer(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("valid query after oversized ones: status %d: %s", resp.StatusCode, body)
 	}
-	var qr remote.QueryResponse
-	if err := json.Unmarshal(body, &qr); err != nil {
-		t.Fatal(err)
-	}
-	if qr.Indexes[0] != fx.spec.Index(km) {
+	if qr := fx.answer(t, body, 0); qr.Indexes[0] != fx.spec.Index(km) {
 		t.Errorf("post-attack answer diverged: index %d, local %d", qr.Indexes[0], fx.spec.Index(km))
 	}
 }
@@ -381,6 +374,38 @@ func TestClusterQueryRadiusCap(t *testing.T) {
 	fx.coord.opts.D = 1
 }
 
+// TestClusterQueryRefusals: /v2/query refuses the way /v2/correct does.
+// A body past -max-chunk-bytes is a 413 too_large; a JSON body, a frame
+// with a bad CRC and a truncated frame are each a 400 — there is no second
+// wire to fall back to.
+func TestClusterQueryRefusals(t *testing.T) {
+	fx := newClusterFixture(t)
+	url := fx.coordTS.URL + "/v2/query?spectrum=main"
+	frame := remote.AppendQuery(nil, 1, []seq.Kmer{fx.kmerOnShard(t, 0), fx.kmerOnShard(t, 3)}, nil)
+	badCRC := slices.Clone(frame)
+	badCRC[9] ^= 1
+	for _, tc := range []struct {
+		name   string
+		body   []byte
+		status int
+		want   string
+	}{
+		{"json body", []byte(`{"kmers":["0"]}`), http.StatusBadRequest, "decoding query"},
+		{"bad crc", badCRC, http.StatusBadRequest, "fails its CRC"},
+		{"truncated frame", frame[:len(frame)-5], http.StatusBadRequest, "decoding query"},
+		{"past -max-chunk-bytes", remote.AppendQuery(nil, 0, make([]seq.Kmer, 200), nil), http.StatusRequestEntityTooLarge, "too large"},
+	} {
+		fx.coord.opts.MaxChunkBytes = 1 << 10
+		resp, body := postQuery(t, url, tc.body)
+		if resp.StatusCode != tc.status || !strings.Contains(string(body), tc.want) {
+			t.Errorf("%s: status %d, %s; want %d naming %q", tc.name, resp.StatusCode, body, tc.status, tc.want)
+		}
+	}
+	if resp, body := postQuery(t, url, frame); resp.StatusCode != http.StatusOK {
+		t.Errorf("the frame the refusals were cut from: status %d: %s", resp.StatusCode, body)
+	}
+}
+
 // TestClusterQueryProxy: the coordinator's /v2/query must answer with
 // global indexes and counts identical to the unsharded spectrum.
 func TestClusterQueryProxy(t *testing.T) {
@@ -395,10 +420,7 @@ func TestClusterQueryProxy(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("query: status %d: %s", resp.StatusCode, body)
 	}
-	var qr remote.QueryResponse
-	if err := json.Unmarshal(body, &qr); err != nil {
-		t.Fatal(err)
-	}
+	qr := fx.answer(t, body, 0)
 	if len(qr.Indexes) != len(kms) || len(qr.Counts) != len(kms) {
 		t.Fatalf("query answered %d indexes / %d counts for %d kmers", len(qr.Indexes), len(qr.Counts), len(kms))
 	}
@@ -426,20 +448,13 @@ func TestClusterQueryProxy(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("d=1 query: status %d: %s", resp.StatusCode, body)
 	}
-	qr = remote.QueryResponse{}
-	if err := json.Unmarshal(body, &qr); err != nil {
-		t.Fatal(err)
-	}
-	if len(qr.Neighbors) != len(kms) {
-		t.Fatalf("d=1 query answered %d neighbor lists for %d kmers", len(qr.Neighbors), len(kms))
+	qr = fx.answer(t, body, 1)
+	if len(qr.Ends) != len(kms) {
+		t.Fatalf("d=1 query answered %d neighbor lists for %d kmers", len(qr.Ends), len(kms))
 	}
 	for i, km := range kms {
-		var want []string
-		for _, nb := range ni.NeighborKmers(km, nil) {
-			want = append(want, strconv.FormatUint(uint64(nb), 10))
-		}
-		if !slices.Equal(qr.Neighbors[i], want) {
-			t.Errorf("kmer %d: neighbors %v, local %v", i, qr.Neighbors[i], want)
+		if want := ni.NeighborKmers(km, nil); !slices.Equal(qr.List(i), want) {
+			t.Errorf("kmer %d: neighbors %v, local %v", i, qr.List(i), want)
 		}
 	}
 	if delta := shardRequests(fx.rs) - before; delta > int64(len(fx.rs.Shards())) {
@@ -552,11 +567,7 @@ func TestClusterNodeDeath(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("query for live node's shard after peer death: status %d: %s", resp.StatusCode, body)
 	}
-	var qr remote.QueryResponse
-	if err := json.Unmarshal(body, &qr); err != nil {
-		t.Fatal(err)
-	}
-	if qr.Indexes[0] != fx.spec.Index(kmAlive) {
+	if qr := fx.answer(t, body, 0); qr.Indexes[0] != fx.spec.Index(kmAlive) {
 		t.Errorf("live shard answer diverged after peer death: index %d, local %d",
 			qr.Indexes[0], fx.spec.Index(kmAlive))
 	}

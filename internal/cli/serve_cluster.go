@@ -2,9 +2,9 @@ package cli
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log"
 	"net/http"
 	"sort"
@@ -170,32 +170,32 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	defer e.release()
 
-	var req remote.QueryRequest
-	body := http.MaxBytesReader(w, r.Body, s.opts.MaxChunkBytes)
-	if err := json.NewDecoder(body).Decode(&req); err != nil {
+	frame, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.opts.MaxChunkBytes))
+	if err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			s.errorJSON(w, http.StatusRequestEntityTooLarge, errClassTooLarge, "%v", err)
+		} else {
+			s.errorJSON(w, http.StatusBadRequest, errClassBadRequest, "reading query: %v", err)
+		}
+		return
+	}
+	// The decoder rejects kmer values outside the spectrum's 2k-bit keyspace
+	// before they reach any index structure: the local prefix buckets, or
+	// on a coordinator the remote shard table inside fan-out goroutines,
+	// past the recover middleware.
+	d, kms, err := remote.DecodeQuery(frame, e.backend.K())
+	if err != nil {
 		s.errorJSON(w, http.StatusBadRequest, errClassBadRequest, "decoding query: %v", err)
 		return
 	}
-	if req.D < 0 {
-		s.errorJSON(w, http.StatusBadRequest, errClassBadRequest, "negative neighborhood radius %d", req.D)
-		return
-	}
-	if maxD := s.maxQueryRadius(); req.D > maxD {
+	if maxD := s.maxQueryRadius(); d > maxD {
 		// Each distinct d>0 costs a permanently cached NeighborIndex
 		// build — C(c,d) full-spectrum sorts — on an unauthenticated
 		// endpoint; without the cap a handful of large-d requests is a
 		// trivial CPU/memory exhaustion.
 		s.errorJSON(w, http.StatusBadRequest, errClassBadRequest,
-			"neighborhood radius %d exceeds this server's maximum %d", req.D, maxD)
-		return
-	}
-	// The codec rejects kmer values outside the spectrum's 2k-bit keyspace
-	// before they reach any index structure: the local prefix buckets, or
-	// on a coordinator the remote shard table inside fan-out goroutines,
-	// past the recover middleware.
-	kms, err := remote.DecodeKmers(nil, req.Kmers, e.backend.K())
-	if err != nil {
-		s.errorJSON(w, http.StatusBadRequest, errClassBadRequest, "%v", err)
+			"neighborhood radius %d exceeds this server's maximum %d", d, maxD)
 		return
 	}
 
@@ -206,31 +206,29 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if e.remote != nil {
-		s.proxyQuery(r.Context(), w, e, kms, req.D)
+		s.proxyQuery(r.Context(), w, e, kms, d)
 		return
 	}
 
-	var resp remote.QueryResponse
-	if req.D == 0 {
-		resp.Indexes = make([]int, len(kms))
-		resp.Counts = make([]uint32, len(kms))
+	var ans remote.Answer
+	if d == 0 {
+		ans = remote.Answer{Indexes: make([]int, len(kms)), Counts: make([]uint32, len(kms))}
 		for i, km := range kms {
-			resp.Indexes[i] = e.spec.Index(km)
-			if resp.Indexes[i] >= 0 {
-				resp.Counts[i] = e.spec.Counts[resp.Indexes[i]]
+			ans.Indexes[i] = e.spec.Index(km)
+			if ans.Indexes[i] >= 0 {
+				ans.Counts[i] = e.spec.Counts[ans.Indexes[i]]
 			}
 		}
 	} else {
-		ni, err := e.neighborIndex(req.D)
+		ni, err := e.neighborIndex(d)
 		if err != nil {
-			s.errorJSON(w, http.StatusBadRequest, errClassBadRequest, "neighborhood radius %d: %v", req.D, err)
+			s.errorJSON(w, http.StatusBadRequest, errClassBadRequest, "neighborhood radius %d: %v", d, err)
 			return
 		}
-		resp.Neighbors = make([][]string, len(kms))
-		var buf []seq.Kmer
+		ans.Ends = make([]int, len(kms))
 		for i, km := range kms {
-			buf = ni.NeighborKmers(km, buf[:0])
-			resp.Neighbors[i] = remote.EncodeKmers(buf)
+			ans.Flat = ni.NeighborKmers(km, ans.Flat)
+			ans.Ends[i] = len(ans.Flat)
 		}
 	}
 	// A mapped spectrum that failed lazy validation mid-scan answered
@@ -246,7 +244,8 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if e.shard != nil { // the node-side half of repro_shard_requests_total
 		s.m.shardRequests.With(e.shard.Spectrum, strconv.Itoa(e.shard.Shard), "ok").Inc()
 	}
-	writeJSON(w, http.StatusOK, resp)
+	w.Header().Set("Content-Type", "application/octet-stream")
+	_, _ = w.Write(remote.AppendAnswer(nil, d, &ans)) // a failure only means the client went away
 }
 
 // proxyQuery answers /v2/query against a coordinator's remote entry by
@@ -256,18 +255,17 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 // 503-with-Retry-After the correction path produces. The shard round
 // trips are scoped to the request ctx.
 func (s *server) proxyQuery(ctx context.Context, w http.ResponseWriter, e *entry, kms []seq.Kmer, d int) {
-	var resp remote.QueryResponse
+	var ans remote.Answer
 	var err error
 	if d == 0 {
-		resp.Indexes = make([]int, len(kms))
-		resp.Counts = make([]uint32, len(kms))
-		err = e.remote.IndexCountManyCtx(ctx, kms, resp.Indexes, resp.Counts)
+		ans = remote.Answer{Indexes: make([]int, len(kms)), Counts: make([]uint32, len(kms))}
+		err = e.remote.IndexCountManyCtx(ctx, kms, ans.Indexes, ans.Counts)
 	} else {
 		var hoods [][]seq.Kmer
 		hoods, err = e.remote.NeighborhoodMany(ctx, kms, d)
-		resp.Neighbors = make([][]string, len(hoods))
-		for i, hood := range hoods {
-			resp.Neighbors[i] = remote.EncodeKmers(hood)
+		for _, hood := range hoods {
+			ans.Flat = append(ans.Flat, hood...)
+			ans.Ends = append(ans.Ends, len(ans.Flat))
 		}
 	}
 	if err != nil {
@@ -280,7 +278,8 @@ func (s *server) proxyQuery(ctx context.Context, w http.ResponseWriter, e *entry
 		s.errorJSON(w, http.StatusBadGateway, errClassInternal, "%v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	w.Header().Set("Content-Type", "application/octet-stream")
+	_, _ = w.Write(remote.AppendAnswer(nil, d, &ans))
 }
 
 // handleCluster is GET /v2/cluster: the coordinator's shard map and

@@ -302,7 +302,7 @@ func TestNeighborhoodManyMatchesPerKmer(t *testing.T) {
 // TestFramedBatchByteIdentity: a chunk whose batches need several frames
 // per shard corrects to the same bytes as the local service, and an
 // answer past the read cap is an error naming the cap — not a truncated
-// body handed to the JSON decoder, and not retried.
+// body handed to the frame decoder, and not retried.
 func TestFramedBatchByteIdentity(t *testing.T) {
 	spec := testSpectrum(t)
 	c := startCluster(t, spec, 4, [][]int{{0, 1}, {2, 3}})

@@ -3,7 +3,6 @@ package remote
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -170,26 +169,26 @@ func (r *RemoteSpectrum) shardOf(km seq.Kmer) (int, error) {
 
 // maxFrameKmers bounds the kmers one shard request carries; a shard's
 // share of a batch goes out in consecutive frames of at most this many.
-// 2048 decimal kmers are under 48 KiB of request, far below any node's
-// -max-chunk-bytes, and keep a d=2 answer at the largest k the service
-// path admits (16: at most 1129 neighbors a kmer, 13 bytes each) under
-// half of maxAnswerBytes. It is a variable so the tests can force
-// multi-frame batches.
+// 2048 kmers are a 16 KiB request, far below any node's -max-chunk-bytes,
+// and keep a d=2 answer at the largest k the service path admits (16: at
+// most 1129 neighbors a kmer, 8 bytes each, ≤ 18.5 MB) under half of
+// maxAnswerBytes. It is a variable so the tests can force multi-frame
+// batches.
 var maxFrameKmers = 2048
 
 // fanOut routes every kmer to the shards that can hold part of its
 // radius-d answer (PrefixPartition.NeighborShards; the owner alone at
 // d == 0) and sends each such shard its kmers as d-queries under ctx —
 // shards concurrently, one shard's share in frames of at most
-// maxFrameKmers. Every frame's answer goes to fill with the input
-// positions it covers. fill runs in the shard's goroutine; one shard's
-// calls are sequential and walk its positions in ascending order. A
-// failure ends that shard's frames and is returned — the lowest failed
-// shard's, or ctx.Err() when the caller gave up; healthy shards still
-// fill.
-func (r *RemoteSpectrum) fanOut(ctx context.Context, kms []seq.Kmer, d int, fill func(shard int, positions []int, resp *QueryResponse) error) error {
+// maxFrameKmers. Every frame's answer is checked against the shard
+// (DecodeAnswer) and against the frame — one entry, named what in the
+// error, per kmer — and goes to fill with the input positions it covers.
+// fill runs in the shard's goroutine; one shard's calls are sequential
+// and walk its positions in ascending order. A failure ends that shard's
+// frames and is returned — the lowest failed shard's, or ctx.Err() when
+// the caller gave up; healthy shards still fill.
+func (r *RemoteSpectrum) fanOut(ctx context.Context, kms []seq.Kmer, d int, what string, fill func(shard int, positions []int, ans *Answer) error) error {
 	byShard := make([][]int, len(r.shards))
-	wire := EncodeKmers(kms) // once, however many shards a kmer goes to
 	var route []int
 	for i, km := range kms {
 		// Every d-mutation of an in-range kmer stays in range, so
@@ -211,16 +210,19 @@ func (r *RemoteSpectrum) fanOut(ctx context.Context, kms []seq.Kmer, d int, fill
 		wg.Add(1)
 		go func(shard int, positions []int) {
 			defer wg.Done()
+			var ans Answer
 			for len(positions) > 0 && errs[shard] == nil {
 				frame := positions[:min(len(positions), maxFrameKmers)]
 				positions = positions[len(frame):]
-				req := QueryRequest{Kmers: make([]string, len(frame)), D: d}
-				for j, pos := range frame {
-					req.Kmers[j] = wire[pos]
-				}
-				resp, err := r.query(ctx, shard, req)
+				resp, err := r.query(ctx, shard, AppendQuery(nil, d, kms, frame))
 				if err == nil {
-					err = fill(shard, frame, resp)
+					err = r.malformed(shard, DecodeAnswer(resp, d, r.part, shard, r.shards[shard].Kmers, &ans))
+				}
+				if got := max(len(ans.Indexes), len(ans.Ends)); err == nil && got != len(frame) {
+					err = r.malformed(shard, fmt.Errorf("want %d %s, got %d", len(frame), what, got))
+				}
+				if err == nil {
+					err = fill(shard, frame, &ans)
 				}
 				errs[shard] = err
 			}
@@ -246,12 +248,9 @@ func (r *RemoteSpectrum) CountMany(kms []seq.Kmer, counts []uint32) error {
 	if len(kms) != len(counts) {
 		return fmt.Errorf("remote: CountMany: %d kmers but %d count slots", len(kms), len(counts))
 	}
-	return r.fanOut(context.Background(), kms, 0, func(shard int, positions []int, resp *QueryResponse) error {
-		if len(resp.Counts) != len(positions) {
-			return r.malformed(shard, fmt.Sprintf("%d counts", len(positions)), len(resp.Counts))
-		}
+	return r.fanOut(context.Background(), kms, 0, "counts", func(shard int, positions []int, ans *Answer) error {
 		for j, pos := range positions {
-			counts[pos] = resp.Counts[j]
+			counts[pos] = ans.Counts[j]
 		}
 		return nil
 	})
@@ -268,17 +267,14 @@ func (r *RemoteSpectrum) IndexCountManyCtx(ctx context.Context, kms []seq.Kmer, 
 	if len(kms) != len(idxs) || len(kms) != len(counts) {
 		return fmt.Errorf("remote: IndexCountMany: %d kmers but %d index and %d count slots", len(kms), len(idxs), len(counts))
 	}
-	return r.fanOut(ctx, kms, 0, func(shard int, positions []int, resp *QueryResponse) error {
-		if len(resp.Indexes) != len(positions) || len(resp.Counts) != len(positions) {
-			return r.malformed(shard, fmt.Sprintf("%d indexes and counts", len(positions)), len(resp.Indexes))
-		}
+	return r.fanOut(ctx, kms, 0, "indexes and counts", func(shard int, positions []int, ans *Answer) error {
 		for j, pos := range positions {
-			if resp.Indexes[j] >= 0 {
-				idxs[pos] = r.offsets[shard] + resp.Indexes[j]
+			if ans.Indexes[j] >= 0 {
+				idxs[pos] = r.offsets[shard] + ans.Indexes[j]
 			} else {
 				idxs[pos] = -1
 			}
-			counts[pos] = resp.Counts[j]
+			counts[pos] = ans.Counts[j]
 		}
 		return nil
 	})
@@ -310,35 +306,31 @@ func (r *RemoteSpectrum) NeighborhoodMany(ctx context.Context, kms []seq.Kmer, d
 		return nil, fmt.Errorf("remote: negative neighborhood radius %d", d)
 	}
 	// answers[shard] is that shard's part of every hood routed to it, in
-	// routing order: the j-th routed kmer owns flat[ends[j-1]:ends[j]].
-	type shardAnswer struct {
-		flat []seq.Kmer
-		ends []int
+	// routing order: the j-th routed kmer owns List(j).
+	answers := make([]Answer, len(r.shards))
+	what := "neighbor lists"
+	if d == 0 {
+		what = "indexes"
 	}
-	answers := make([]shardAnswer, len(r.shards))
-	err := r.fanOut(ctx, kms, d, func(shard int, positions []int, resp *QueryResponse) error {
+	err := r.fanOut(ctx, kms, d, what, func(shard int, positions []int, ans *Answer) error {
 		a := &answers[shard]
 		if d == 0 {
-			if len(resp.Indexes) != len(positions) {
-				return r.malformed(shard, fmt.Sprintf("%d indexes", len(positions)), len(resp.Indexes))
-			}
 			for j, pos := range positions {
-				if resp.Indexes[j] >= 0 {
-					a.flat = append(a.flat, kms[pos])
+				if ans.Indexes[j] >= 0 {
+					a.Flat = append(a.Flat, kms[pos])
 				}
-				a.ends = append(a.ends, len(a.flat))
+				a.Ends = append(a.Ends, len(a.Flat))
 			}
 			return nil
 		}
-		if len(resp.Neighbors) != len(positions) {
-			return r.malformed(shard, fmt.Sprintf("%d neighbor lists", len(positions)), len(resp.Neighbors))
+		if len(a.Ends) == 0 { // the usual one frame: keep it
+			*a, *ans = *ans, Answer{}
+			return nil
 		}
-		for _, list := range resp.Neighbors {
-			var err error
-			if a.flat, err = DecodeKmers(a.flat, list, r.part.K); err != nil {
-				return fmt.Errorf("remote: shard %d of %q at %s: malformed answer: %w", shard, r.name, r.shards[shard].Node, err)
-			}
-			a.ends = append(a.ends, len(a.flat))
+		base := len(a.Flat)
+		a.Flat = append(a.Flat, ans.Flat...)
+		for _, end := range ans.Ends {
+			a.Ends = append(a.Ends, base+end)
 		}
 		return nil
 	})
@@ -347,7 +339,7 @@ func (r *RemoteSpectrum) NeighborhoodMany(ctx context.Context, kms []seq.Kmer, d
 	}
 	total := 0
 	for i := range answers {
-		total += len(answers[i].flat)
+		total += len(answers[i].Flat)
 	}
 	// Re-deriving each kmer's route walks the shards in the order fanOut
 	// filled them, so one cursor per shard finds its part.
@@ -361,12 +353,7 @@ func (r *RemoteSpectrum) NeighborhoodMany(ctx context.Context, kms []seq.Kmer, d
 		begin := len(flat)
 		route = r.part.NeighborShards(km, d, route[:0])
 		for _, shard := range route {
-			a, j := &answers[shard], next[shard]
-			from := 0
-			if j > 0 {
-				from = a.ends[j-1]
-			}
-			flat = append(flat, a.flat[from:a.ends[j]]...)
+			flat = append(flat, answers[shard].List(next[shard])...)
 			next[shard]++
 		}
 		hoods[i] = flat[begin:len(flat):len(flat)]
@@ -374,11 +361,13 @@ func (r *RemoteSpectrum) NeighborhoodMany(ctx context.Context, kms []seq.Kmer, d
 	return hoods, nil
 }
 
-// malformed builds the protocol-violation error for a shard answer with
-// the wrong shape.
-func (r *RemoteSpectrum) malformed(shard int, want string, got int) error {
-	return fmt.Errorf("remote: shard %d of %q at %s: malformed answer: want %s, got %d",
-		shard, r.name, r.shards[shard].Node, want, got)
+// malformed wraps a shard answer's protocol violation (nil for none) in
+// the error naming the shard and its node.
+func (r *RemoteSpectrum) malformed(shard int, err error) error {
+	if err == nil {
+		return nil
+	}
+	return fmt.Errorf("remote: shard %d of %q at %s: malformed answer: %w", shard, r.name, r.shards[shard].Node, err)
 }
 
 // query runs one shard query under the retry policy, with every
@@ -387,8 +376,9 @@ func (r *RemoteSpectrum) malformed(shard int, want string, got int) error {
 // Retryable failures (transport, 429, 5xx) are retried with jittered
 // backoff honoring the node's Retry-After; an exhausted budget yields
 // *ShardUnavailableError. Non-retryable node answers (a 4xx, or one past
-// maxAnswerBytes) fail immediately.
-func (r *RemoteSpectrum) query(ctx context.Context, shard int, qr QueryRequest) (*QueryResponse, error) {
+// maxAnswerBytes) fail immediately. The answer frame is returned
+// undecoded.
+func (r *RemoteSpectrum) query(ctx context.Context, shard int, body []byte) ([]byte, error) {
 	if r.closed.Load() {
 		return nil, kspectrum.ErrSpectrumClosed
 	}
@@ -398,10 +388,6 @@ func (r *RemoteSpectrum) query(ctx context.Context, shard int, qr QueryRequest) 
 		return nil, fmt.Errorf("remote: shard %d out of range for %q (%d shards)", shard, r.name, len(r.shards))
 	}
 	loc := r.shards[shard]
-	body, err := json.Marshal(qr)
-	if err != nil {
-		return nil, err
-	}
 	target := loc.Node + "/v2/query?spectrum=" + url.QueryEscape(loc.Entry)
 	var (
 		lastErr        error
@@ -409,14 +395,10 @@ func (r *RemoteSpectrum) query(ctx context.Context, shard int, qr QueryRequest) 
 	)
 	for try := 0; ; try++ {
 		r.stats[shard].requests.Add(1)
-		status, respBody, retryAfter, err := postJSON(ctx, r.httpc, target, body)
+		status, respBody, retryAfter, err := post(ctx, r.httpc, target, body)
 		if err == nil && status == http.StatusOK {
-			var resp QueryResponse
-			if uerr := json.Unmarshal(respBody, &resp); uerr != nil {
-				return nil, fmt.Errorf("remote: shard %d of %q at %s: decoding answer: %w", shard, r.name, loc.Node, uerr)
-			}
 			r.observe(shard, "ok")
-			return &resp, nil
+			return respBody, nil
 		}
 		if err == nil {
 			err = fmt.Errorf("HTTP %d: %s", status, truncate(respBody, 200))
@@ -452,15 +434,15 @@ func (r *RemoteSpectrum) observe(shard int, outcome string) {
 	}
 }
 
-// postJSON sends one query attempt. A transport failure or an answer
-// past maxAnswerBytes returns err; any other HTTP answer returns
-// (status, body, retryAfter, nil).
-func postJSON(ctx context.Context, httpc *http.Client, target string, body []byte) (int, []byte, string, error) {
+// post sends one query attempt. A transport failure or an answer past
+// maxAnswerBytes returns err; any other HTTP answer returns (status,
+// body, retryAfter, nil).
+func post(ctx context.Context, httpc *http.Client, target string, body []byte) (int, []byte, string, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, target, bytes.NewReader(body))
 	if err != nil {
 		return 0, nil, "", err
 	}
-	req.Header.Set("Content-Type", "application/json")
+	req.Header.Set("Content-Type", "application/octet-stream")
 	resp, err := httpc.Do(req)
 	if err != nil {
 		return 0, nil, "", err

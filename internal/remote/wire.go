@@ -8,43 +8,184 @@
 package remote
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"slices"
-	"strconv"
 
+	"repro/internal/kspectrum"
 	"repro/internal/seq"
 )
 
-// Kmers cross the wire as decimal strings, not JSON numbers: a packed
-// k=32 kmer occupies 64 bits and JSON numbers lose integer precision
-// past 2^53. EncodeKmers and DecodeKmers are the only codec, for requests
-// and answers alike, so the keyspace check guards both directions.
+// POST /v2/query speaks one binary frame format in both directions. All
+// integers are little-endian, and every frame ends in the CRC-32C
+// (Castagnoli, as the spectrum stores use) of the bytes before it:
+//
+//	request:      u32 d | u32 n | n × u64 kmer | u32 crc
+//	d = 0 answer: u32 n | n × i64 shard-local index (-1 absent) | n × u32 count | u32 crc
+//	d > 0 answer: u32 n | n × u32 list length | Σ × u64 kmer | u32 crc
+//
+// The decoders refuse a kmer outside the 2k-bit keyspace in both
+// directions: past them a kmer indexes prefix buckets and shard tables.
 
-// EncodeKmers renders kmers as the wire's decimal strings.
-func EncodeKmers(kms []seq.Kmer) []string {
-	out := make([]string, len(kms))
-	for i, km := range kms {
-		out[i] = strconv.FormatUint(uint64(km), 10)
-	}
-	return out
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// Answer is a decoded /v2/query answer. A d = 0 answer fills Indexes
+// and Counts; a d > 0 answer fills Flat and Ends, list i being
+// Flat[Ends[i-1]:Ends[i]] — the kmers within distance d of the i-th
+// kmer asked, ascending.
+type Answer struct {
+	Indexes []int
+	Counts  []uint32
+	Flat    []seq.Kmer
+	Ends    []int
 }
 
-// DecodeKmers appends the kmers of a k-base spectrum that strs spell to
-// dst. A string that is not a decimal uint64 as EncodeKmers writes it (no
-// sign, no leading zeros), or whose value lies outside the 2k-bit
-// keyspace, is an error naming its position: past this point a kmer
-// indexes prefix buckets and shard tables, and a value >= 4^k from a
-// hostile client or a corrupt node would index them out of range.
-func DecodeKmers(dst []seq.Kmer, strs []string, k int) ([]seq.Kmer, error) {
-	dst = slices.Grow(dst, len(strs))
-	kbits := uint(2 * k)
-	for i, str := range strs {
-		v, err := strconv.ParseUint(str, 10, 64)
-		if err != nil || len(str) > 1 && str[0] == '0' {
-			return dst, fmt.Errorf("kmer %d: bad value %q", i, str)
+// List returns the i-th neighbor list of a d > 0 answer.
+func (a *Answer) List(i int) []seq.Kmer {
+	from := 0
+	if i > 0 {
+		from = a.Ends[i-1]
+	}
+	return a.Flat[from:a.Ends[i]]
+}
+
+// AppendQuery appends the request frame asking radius d for kms[p], p in
+// at order, to dst; a nil at asks every kmer of kms in order.
+func AppendQuery(dst []byte, d int, kms []seq.Kmer, at []int) []byte {
+	n := len(kms)
+	if at != nil {
+		n = len(at)
+	}
+	dst = binary.LittleEndian.AppendUint32(slices.Grow(dst, 12+8*n), uint32(d))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(n))
+	for i := range n {
+		if at != nil {
+			i = at[i]
 		}
-		if kbits < 64 && v>>kbits != 0 {
-			return dst, fmt.Errorf("kmer %d: value %q does not fit a packed %d-mer", i, str, k)
+		dst = binary.LittleEndian.AppendUint64(dst, uint64(kms[i]))
+	}
+	return seal(dst)
+}
+
+// DecodeQuery decodes a request frame for a k-base spectrum.
+func DecodeQuery(frame []byte, k int) (d int, kms []seq.Kmer, err error) {
+	body, n, err := open(frame, 8, 8, true)
+	if err == nil {
+		kms, err = appendKmers(nil, body[8:], n, k)
+	}
+	if err != nil {
+		return 0, nil, err
+	}
+	return int(binary.LittleEndian.Uint32(body)), kms, nil
+}
+
+// AppendAnswer appends a's frame to dst: the d = 0 form when d == 0.
+func AppendAnswer(dst []byte, d int, a *Answer) []byte {
+	if d == 0 {
+		dst = binary.LittleEndian.AppendUint32(slices.Grow(dst, 8+12*len(a.Indexes)), uint32(len(a.Indexes)))
+		for _, idx := range a.Indexes {
+			dst = binary.LittleEndian.AppendUint64(dst, uint64(idx))
+		}
+		for _, c := range a.Counts {
+			dst = binary.LittleEndian.AppendUint32(dst, c)
+		}
+		return seal(dst)
+	}
+	dst = binary.LittleEndian.AppendUint32(slices.Grow(dst, 8+4*len(a.Ends)+8*len(a.Flat)), uint32(len(a.Ends)))
+	for i := range a.Ends {
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(len(a.List(i))))
+	}
+	for _, km := range a.Flat {
+		dst = binary.LittleEndian.AppendUint64(dst, uint64(km))
+	}
+	return seal(dst)
+}
+
+// DecodeAnswer decodes frame, the answer to a radius-d query, into a
+// (emptied first), holding it to what shard of part, with size kmers, can
+// say (a whole spectrum is shard 0 of the zero-bit partition): kmers in
+// its slice of the keyspace, strictly ascending lists, indexes in
+// [-1, size), and no count for an absent kmer.
+func DecodeAnswer(frame []byte, d int, part kspectrum.PrefixPartition, shard, size int, a *Answer) error {
+	a.Indexes, a.Counts, a.Flat, a.Ends = a.Indexes[:0], a.Counts[:0], a.Flat[:0], a.Ends[:0]
+	if d == 0 {
+		body, n, err := open(frame, 4, 12, true)
+		if err != nil {
+			return err
+		}
+		for i := range n {
+			idx := int(int64(binary.LittleEndian.Uint64(body[4+8*i:])))
+			count := binary.LittleEndian.Uint32(body[4+8*n+4*i:])
+			if idx < -1 || idx >= size {
+				return fmt.Errorf("kmer %d: index %d outside [-1, %d)", i, idx, size)
+			}
+			if idx < 0 && count != 0 {
+				return fmt.Errorf("kmer %d: count %d for an absent kmer", i, count)
+			}
+			a.Indexes, a.Counts = append(a.Indexes, idx), append(a.Counts, count)
+		}
+		return nil
+	}
+	body, n, err := open(frame, 4, 4, false)
+	if err != nil {
+		return err
+	}
+	total := uint64(0)
+	for i := range n {
+		total += uint64(binary.LittleEndian.Uint32(body[4+4*i:]))
+		a.Ends = append(a.Ends, int(total))
+	}
+	if rest := uint64(len(body) - 4 - 4*n); rest%8 != 0 || rest/8 != total {
+		return fmt.Errorf("frame of %d bytes does not hold its %d neighbor lists of %d kmers", len(frame), n, total)
+	}
+	if a.Flat, err = appendKmers(a.Flat, body[4+4*n:], int(total), part.K); err != nil {
+		return err
+	}
+	for i := range n {
+		list := a.List(i)
+		for j, km := range list {
+			if s := part.ShardOf(km); s != shard {
+				return fmt.Errorf("kmer %d belongs to shard %d, not %d", uint64(km), s, shard)
+			}
+			if j > 0 && km <= list[j-1] {
+				return fmt.Errorf("neighbor list %d is not strictly ascending at %d", i, uint64(km))
+			}
+		}
+	}
+	return nil
+}
+
+// seal appends the CRC trailer to a frame body.
+func seal(body []byte) []byte {
+	return binary.LittleEndian.AppendUint32(body, crc32.Checksum(body, castagnoli))
+}
+
+// open checks frame's CRC trailer and returns its body and the count n at
+// head-4, refusing a body short of n entries of per bytes (or, if exact, longer).
+func open(frame []byte, head, per int, exact bool) (body []byte, n int, err error) {
+	if len(frame) < head+4 {
+		return nil, 0, fmt.Errorf("frame of %d bytes is truncated", len(frame))
+	}
+	body = frame[:len(frame)-4]
+	if crc32.Checksum(body, castagnoli) != binary.LittleEndian.Uint32(frame[len(body):]) {
+		return nil, 0, fmt.Errorf("frame of %d bytes fails its CRC", len(frame))
+	}
+	n = int(binary.LittleEndian.Uint32(body[head-4:]))
+	if rest, need := uint64(len(body)-head), uint64(n)*uint64(per); rest < need || exact && rest != need {
+		return nil, 0, fmt.Errorf("frame of %d bytes cannot hold its %d entries", len(frame), n)
+	}
+	return body, n, nil
+}
+
+// appendKmers appends the n kmers packed at the start of b to dst,
+// refusing a value outside the 2k-bit keyspace.
+func appendKmers(dst []seq.Kmer, b []byte, n, k int) ([]seq.Kmer, error) {
+	dst = slices.Grow(dst, n)
+	for i := range n {
+		v := binary.LittleEndian.Uint64(b[8*i:])
+		if k < seq.MaxK && v>>uint(2*k) != 0 {
+			return dst, fmt.Errorf("kmer %d: value \"%d\" does not fit a packed %d-mer", i, v, k)
 		}
 		dst = append(dst, seq.Kmer(v))
 	}
@@ -73,30 +214,6 @@ type ShardInfo struct {
 // ShardsResponse is the GET /v2/shards payload.
 type ShardsResponse struct {
 	Shards []ShardInfo `json:"shards"`
-}
-
-// QueryRequest is the POST /v2/query body: a batch of kmers (decimal
-// strings) and a neighborhood radius. D == 0 asks membership: the
-// response carries per-kmer shard-local indexes (-1 absent) and counts.
-// D > 0 asks d-neighborhoods: the response carries, per input kmer, the
-// shard's spectrum kmers within Hamming distance D, ascending.
-type QueryRequest struct {
-	Kmers []string `json:"kmers"`
-	D     int      `json:"d,omitempty"`
-}
-
-// QueryResponse is the POST /v2/query answer.
-type QueryResponse struct {
-	// Indexes[i] is the shard-local position of Kmers[i] (-1 when
-	// absent); the coordinator adds the shard's global offset. Present
-	// for D == 0 queries.
-	Indexes []int `json:"indexes,omitempty"`
-	// Counts[i] is the occurrence count of Kmers[i] (0 when absent).
-	// Present for D == 0 queries.
-	Counts []uint32 `json:"counts,omitempty"`
-	// Neighbors[i] lists the shard kmers within distance D of Kmers[i],
-	// ascending, as decimal strings. Present for D > 0 queries.
-	Neighbors [][]string `json:"neighbors,omitempty"`
 }
 
 // ShardUnavailableError reports that a shard's owning node could not

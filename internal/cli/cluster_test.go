@@ -130,7 +130,17 @@ func newClusterFixtureD(t *testing.T, d int) *clusterFixture {
 // coordinator and returns the raw response.
 func (fx *clusterFixture) queryCluster(t *testing.T, kms []seq.Kmer, d int) (*http.Response, []byte) {
 	t.Helper()
-	return postQuery(t, fx.coordTS.URL+"/v2/query?spectrum=main", remote.AppendQuery(nil, d, kms, nil))
+	return postQuery(t, fx.coordTS.URL+"/v2/query?spectrum=main", queryFrame(d, kms))
+}
+
+// queryFrame is the /v2/query request frame asking radius d for every
+// kmer of kms.
+func queryFrame(d int, kms []seq.Kmer) []byte {
+	at := make([]int, len(kms))
+	for i := range at {
+		at[i] = i
+	}
+	return remote.AppendQuery(nil, d, kms, at)
 }
 
 // postQuery POSTs body to a /v2/query URL and returns the raw response.
@@ -152,8 +162,8 @@ func postQuery(t *testing.T, url string, frame []byte) (*http.Response, []byte) 
 // holding it to the whole unsharded spectrum.
 func (fx *clusterFixture) answer(t *testing.T, frame []byte, d int) remote.Answer {
 	t.Helper()
-	var a remote.Answer
-	if err := remote.DecodeAnswer(frame, d, kspectrum.PrefixPartition{K: fx.spec.K}, 0, fx.spec.Size(), &a); err != nil {
+	a, err := remote.DecodeAnswer(frame, d, kspectrum.PrefixPartition{K: fx.spec.K}, 0, fx.spec.Size())
+	if err != nil {
 		t.Fatalf("decoding the coordinator's answer: %v", err)
 	}
 	return a
@@ -332,7 +342,7 @@ func TestClusterQueryRejectsOutOfRangeKmer(t *testing.T) {
 
 	// The nodes run the same validation on their own query endpoint.
 	entry := kspectrum.ShardEntryName("main", 0, 4)
-	nresp, _ := postQuery(t, fx.nodes[0].URL+"/v2/query?spectrum="+entry, remote.AppendQuery(nil, 0, []seq.Kmer{oversized}, nil))
+	nresp, _ := postQuery(t, fx.nodes[0].URL+"/v2/query?spectrum="+entry, queryFrame(0, []seq.Kmer{oversized}))
 	if nresp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("oversized kmer on a node: status %d, want 400", nresp.StatusCode)
 	}
@@ -381,7 +391,7 @@ func TestClusterQueryRadiusCap(t *testing.T) {
 func TestClusterQueryRefusals(t *testing.T) {
 	fx := newClusterFixture(t)
 	url := fx.coordTS.URL + "/v2/query?spectrum=main"
-	frame := remote.AppendQuery(nil, 1, []seq.Kmer{fx.kmerOnShard(t, 0), fx.kmerOnShard(t, 3)}, nil)
+	frame := queryFrame(1, []seq.Kmer{fx.kmerOnShard(t, 0), fx.kmerOnShard(t, 3)})
 	badCRC := slices.Clone(frame)
 	badCRC[9] ^= 1
 	for _, tc := range []struct {
@@ -393,7 +403,7 @@ func TestClusterQueryRefusals(t *testing.T) {
 		{"json body", []byte(`{"kmers":["0"]}`), http.StatusBadRequest, "decoding query"},
 		{"bad crc", badCRC, http.StatusBadRequest, "fails its CRC"},
 		{"truncated frame", frame[:len(frame)-5], http.StatusBadRequest, "decoding query"},
-		{"past -max-chunk-bytes", remote.AppendQuery(nil, 0, make([]seq.Kmer, 200), nil), http.StatusRequestEntityTooLarge, "too large"},
+		{"past -max-chunk-bytes", queryFrame(0, make([]seq.Kmer, 200)), http.StatusRequestEntityTooLarge, "too large"},
 	} {
 		fx.coord.opts.MaxChunkBytes = 1 << 10
 		resp, body := postQuery(t, url, tc.body)

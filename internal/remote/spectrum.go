@@ -210,13 +210,14 @@ func (r *RemoteSpectrum) fanOut(ctx context.Context, kms []seq.Kmer, d int, what
 		wg.Add(1)
 		go func(shard int, positions []int) {
 			defer wg.Done()
-			var ans Answer
 			for len(positions) > 0 && errs[shard] == nil {
 				frame := positions[:min(len(positions), maxFrameKmers)]
 				positions = positions[len(frame):]
+				var ans Answer
 				resp, err := r.query(ctx, shard, AppendQuery(nil, d, kms, frame))
 				if err == nil {
-					err = r.malformed(shard, DecodeAnswer(resp, d, r.part, shard, r.shards[shard].Kmers, &ans))
+					ans, err = DecodeAnswer(resp, d, r.part, shard, r.shards[shard].Kmers)
+					err = r.malformed(shard, err)
 				}
 				if got := max(len(ans.Indexes), len(ans.Ends)); err == nil && got != len(frame) {
 					err = r.malformed(shard, fmt.Errorf("want %d %s, got %d", len(frame), what, got))
@@ -324,7 +325,7 @@ func (r *RemoteSpectrum) NeighborhoodMany(ctx context.Context, kms []seq.Kmer, d
 			return nil
 		}
 		if len(a.Ends) == 0 { // the usual one frame: keep it
-			*a, *ans = *ans, Answer{}
+			*a = *ans
 			return nil
 		}
 		base := len(a.Flat)

@@ -50,20 +50,13 @@ func (a *Answer) List(i int) []seq.Kmer {
 	return a.Flat[from:a.Ends[i]]
 }
 
-// AppendQuery appends the request frame asking radius d for kms[p], p in
-// at order, to dst; a nil at asks every kmer of kms in order.
+// AppendQuery appends to dst the request frame asking radius d for
+// kms[p] of each p in at, in at order.
 func AppendQuery(dst []byte, d int, kms []seq.Kmer, at []int) []byte {
-	n := len(kms)
-	if at != nil {
-		n = len(at)
-	}
-	dst = binary.LittleEndian.AppendUint32(slices.Grow(dst, 12+8*n), uint32(d))
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(n))
-	for i := range n {
-		if at != nil {
-			i = at[i]
-		}
-		dst = binary.LittleEndian.AppendUint64(dst, uint64(kms[i]))
+	dst = binary.LittleEndian.AppendUint32(slices.Grow(dst, 12+8*len(at)), uint32(d))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(at)))
+	for _, p := range at {
+		dst = binary.LittleEndian.AppendUint64(dst, uint64(kms[p]))
 	}
 	return seal(dst)
 }
@@ -102,34 +95,33 @@ func AppendAnswer(dst []byte, d int, a *Answer) []byte {
 	return seal(dst)
 }
 
-// DecodeAnswer decodes frame, the answer to a radius-d query, into a
-// (emptied first), holding it to what shard of part, with size kmers, can
-// say (a whole spectrum is shard 0 of the zero-bit partition): kmers in
-// its slice of the keyspace, strictly ascending lists, indexes in
-// [-1, size), and no count for an absent kmer.
-func DecodeAnswer(frame []byte, d int, part kspectrum.PrefixPartition, shard, size int, a *Answer) error {
-	a.Indexes, a.Counts, a.Flat, a.Ends = a.Indexes[:0], a.Counts[:0], a.Flat[:0], a.Ends[:0]
+// DecodeAnswer decodes frame, the answer to a radius-d query, holding it
+// to what shard of part, with size kmers, can say (a whole spectrum is
+// shard 0 of the zero-bit partition): kmers in its slice of the keyspace,
+// strictly ascending lists, indexes in [-1, size), and no count for an
+// absent kmer.
+func DecodeAnswer(frame []byte, d int, part kspectrum.PrefixPartition, shard, size int) (a Answer, err error) {
 	if d == 0 {
 		body, n, err := open(frame, 4, 12, true)
 		if err != nil {
-			return err
+			return a, err
 		}
 		for i := range n {
 			idx := int(int64(binary.LittleEndian.Uint64(body[4+8*i:])))
 			count := binary.LittleEndian.Uint32(body[4+8*n+4*i:])
 			if idx < -1 || idx >= size {
-				return fmt.Errorf("kmer %d: index %d outside [-1, %d)", i, idx, size)
+				return a, fmt.Errorf("kmer %d: index %d outside [-1, %d)", i, idx, size)
 			}
 			if idx < 0 && count != 0 {
-				return fmt.Errorf("kmer %d: count %d for an absent kmer", i, count)
+				return a, fmt.Errorf("kmer %d: count %d for an absent kmer", i, count)
 			}
 			a.Indexes, a.Counts = append(a.Indexes, idx), append(a.Counts, count)
 		}
-		return nil
+		return a, nil
 	}
 	body, n, err := open(frame, 4, 4, false)
 	if err != nil {
-		return err
+		return a, err
 	}
 	total := uint64(0)
 	for i := range n {
@@ -137,23 +129,23 @@ func DecodeAnswer(frame []byte, d int, part kspectrum.PrefixPartition, shard, si
 		a.Ends = append(a.Ends, int(total))
 	}
 	if rest := uint64(len(body) - 4 - 4*n); rest%8 != 0 || rest/8 != total {
-		return fmt.Errorf("frame of %d bytes does not hold its %d neighbor lists of %d kmers", len(frame), n, total)
+		return a, fmt.Errorf("frame of %d bytes does not hold its %d neighbor lists of %d kmers", len(frame), n, total)
 	}
-	if a.Flat, err = appendKmers(a.Flat, body[4+4*n:], int(total), part.K); err != nil {
-		return err
+	if a.Flat, err = appendKmers(nil, body[4+4*n:], int(total), part.K); err != nil {
+		return a, err
 	}
 	for i := range n {
 		list := a.List(i)
 		for j, km := range list {
 			if s := part.ShardOf(km); s != shard {
-				return fmt.Errorf("kmer %d belongs to shard %d, not %d", uint64(km), s, shard)
+				return a, fmt.Errorf("kmer %d belongs to shard %d, not %d", uint64(km), s, shard)
 			}
 			if j > 0 && km <= list[j-1] {
-				return fmt.Errorf("neighbor list %d is not strictly ascending at %d", i, uint64(km))
+				return a, fmt.Errorf("neighbor list %d is not strictly ascending at %d", i, uint64(km))
 			}
 		}
 	}
-	return nil
+	return a, nil
 }
 
 // seal appends the CRC trailer to a frame body.

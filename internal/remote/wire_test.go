@@ -184,10 +184,19 @@ func TestQueryFixtures(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want := remote.AppendQuery(nil, 0, []seq.Kmer{km}, nil); !bytes.Equal(got, want) {
+		if want := queryFrame(0, []seq.Kmer{km}); !bytes.Equal(got, want) {
 			t.Errorf("%s holds % x, the encoder writes % x", name, got, want)
 		}
 	}
+}
+
+// queryFrame is the request frame asking radius d for every kmer of kms.
+func queryFrame(d int, kms []seq.Kmer) []byte {
+	at := make([]int, len(kms))
+	for i := range at {
+		at[i] = i
+	}
+	return remote.AppendQuery(nil, d, kms, at)
 }
 
 // reseal rewrites a frame's CRC trailer, so an edited seed reaches the
@@ -219,11 +228,11 @@ func inKeyspace(t *testing.T, km seq.Kmer, k int) {
 // accepts holds the declared number of kmers, each inside the 2k-bit
 // keyspace, and re-encodes to the same bytes.
 func FuzzQueryFrame(f *testing.F) {
-	for _, seed := range frameSeeds(remote.AppendQuery(nil, 1, []seq.Kmer{0, 5, 1<<26 - 1}, nil), 4) {
+	for _, seed := range frameSeeds(queryFrame(1, []seq.Kmer{0, 5, 1<<26 - 1}), 4) {
 		f.Add(seed, uint8(13))
 	}
-	f.Add(remote.AppendQuery(nil, 0, []seq.Kmer{1 << 26}, nil), uint8(13)) // 4^13: outside a 13-mer's keyspace
-	f.Add(remote.AppendQuery(nil, 2, []seq.Kmer{1<<64 - 1}, nil), uint8(32))
+	f.Add(queryFrame(0, []seq.Kmer{1 << 26}), uint8(13)) // 4^13: outside a 13-mer's keyspace
+	f.Add(queryFrame(2, []seq.Kmer{1<<64 - 1}), uint8(32))
 	f.Fuzz(func(t *testing.T, frame []byte, kb uint8) {
 		k := 1 + int(kb)%seq.MaxK
 		d, kms, err := remote.DecodeQuery(frame, k)
@@ -236,7 +245,7 @@ func FuzzQueryFrame(f *testing.F) {
 		for _, km := range kms {
 			inKeyspace(t, km, k)
 		}
-		if back := remote.AppendQuery(nil, d, kms, nil); !bytes.Equal(back, frame) {
+		if back := queryFrame(d, kms); !bytes.Equal(back, frame) {
 			t.Fatalf("accepted % x, which re-encodes as % x", frame, back)
 		}
 	})
@@ -262,8 +271,8 @@ func FuzzAnswerFrame(f *testing.F) {
 		k := 1 + int(kb)%seq.MaxK
 		part := kspectrum.PrefixPartition{K: k, Bits: uint(at>>4) % 3}
 		shard := int(at&15) % part.Shards()
-		var a remote.Answer
-		if err := remote.DecodeAnswer(frame, int(d), part, shard, int(size), &a); err != nil {
+		a, err := remote.DecodeAnswer(frame, int(d), part, shard, int(size))
+		if err != nil {
 			return
 		}
 		n := int(binary.LittleEndian.Uint32(frame))

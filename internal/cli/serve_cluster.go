@@ -279,7 +279,7 @@ func (s *server) proxyQuery(ctx context.Context, w http.ResponseWriter, e *entry
 		return
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
-	_, _ = w.Write(remote.AppendAnswer(nil, d, &ans))
+	_, _ = w.Write(remote.AppendAnswer(nil, d, &ans)) // a failure only means the client went away
 }
 
 // handleCluster is GET /v2/cluster: the coordinator's shard map and

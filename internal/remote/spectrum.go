@@ -181,8 +181,8 @@ var maxFrameKmers = 2048
 // d == 0) and sends each such shard its kmers as d-queries under ctx —
 // shards concurrently, one shard's share in frames of at most
 // maxFrameKmers. Every frame's answer is checked against the shard
-// (DecodeAnswer) and against the frame — one entry, named what in the
-// error, per kmer — and goes to fill with the input positions it covers.
+// (DecodeAnswer) and must hold one entry per kmer asked (what names the
+// entries in the error); it goes to fill with the positions it covers.
 // fill runs in the shard's goroutine; one shard's calls are sequential
 // and walk its positions in ascending order. A failure ends that shard's
 // frames and is returned — the lowest failed shard's, or ctx.Err() when

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"repro/internal/mapreduce"
+	"repro/internal/par"
 	"repro/internal/seq"
 	"repro/internal/sketch"
 )
@@ -145,7 +146,7 @@ func Run(reads []seq.Read, cfg Config) (*Result, error) {
 	mrCfg := mapreduce.Config{Nodes: cfg.Nodes}
 
 	shingles := make([][]uint64, len(reads))
-	forEach(len(reads), mrCfg.Workers(), func(i int) {
+	par.Each(len(reads), mrCfg.Workers(), func(_, i int) {
 		shingles[i] = sketch.Shingles(reads[i].Seq, cfg.Sketch.K)
 	})
 
@@ -190,23 +191,6 @@ func Run(reads []seq.Read, cfg Config) (*Result, error) {
 	return res, nil
 }
 
-// forEach calls fn(i) for every i in [0, n) from up to workers goroutines,
-// each taking one contiguous run of indices.
-func forEach(n, workers int, fn func(i int)) {
-	var wg sync.WaitGroup
-	chunk := (n + workers - 1) / workers
-	for lo := 0; lo < n; lo += chunk {
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				fn(i)
-			}
-		}(lo, min(lo+chunk, n))
-	}
-	wg.Wait()
-}
-
 // packPair packs a read pair (i < j) into one integer that sorts by (i, j).
 func packPair(i, j int32) uint64 { return uint64(uint32(i))<<32 | uint64(uint32(j)) }
 
@@ -226,7 +210,7 @@ func buildCandidates(shingles [][]uint64, cfg Config, mrCfg mapreduce.Config, re
 	// sketches[rid][round]: every round's sketch of every read, selected in
 	// one pass over the read's shingles.
 	sketches := make([][][]uint64, len(shingles))
-	forEach(len(shingles), mrCfg.Workers(), func(i int) {
+	par.Each(len(shingles), mrCfg.Workers(), func(_, i int) {
 		sketches[i] = sketch.SelectRounds(shingles[i], cfg.Sketch.M, cfg.Sketch.Rounds)
 	})
 	readIDs := make([]int32, len(shingles))

@@ -7,8 +7,8 @@ package eval
 
 import (
 	"fmt"
-	"sync"
 
+	"repro/internal/par"
 	"repro/internal/seq"
 	"repro/internal/simulate"
 )
@@ -75,30 +75,17 @@ func EvaluateCorrectionParallel(sim []simulate.SimRead, corrected []seq.Read, wo
 	if len(sim) != len(corrected) {
 		return s, fmt.Errorf("eval: %d truth reads but %d corrected reads", len(sim), len(corrected))
 	}
-	if workers <= 1 || len(sim) < 2*workers {
-		return evaluateRange(sim, corrected, 0, len(sim))
-	}
-	chunk := (len(sim) + workers - 1) / workers
-	stats := make([]CorrectionStats, workers)
-	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo, hi := w*chunk, min((w+1)*chunk, len(sim))
-		if lo >= hi {
-			break
+	workers = max(workers, 1)
+	stats := make([]CorrectionStats, par.Workers(len(sim), workers))
+	errs := make([]error, len(stats))
+	par.Ranges(len(sim), workers, func(r, lo, hi int) {
+		stats[r], errs[r] = evaluateRange(sim, corrected, lo, hi)
+	})
+	for r := range errs {
+		if errs[r] != nil {
+			return s, errs[r]
 		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			stats[w], errs[w] = evaluateRange(sim, corrected, lo, hi)
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	for w := range errs {
-		if errs[w] != nil {
-			return s, errs[w]
-		}
-		s.Add(stats[w])
+		s.Add(stats[r])
 	}
 	return s, nil
 }

@@ -3,10 +3,10 @@ package kspectrum
 import (
 	"fmt"
 	"math/bits"
-	"runtime"
 	"slices"
 	"sync"
 
+	"repro/internal/par"
 	"repro/internal/seq"
 )
 
@@ -72,7 +72,7 @@ func NewNeighborIndex(spec *Spectrum, d, c int) (*NeighborIndex, error) {
 	if err := spec.Verify(); err != nil {
 		return nil, err
 	}
-	forEachParallel(len(ni.replicas), runtime.GOMAXPROCS(0), func(r int) { ni.replicas[r].build(spec) })
+	par.Each(len(ni.replicas), 0, func(_, r int) { ni.replicas[r].build(spec) })
 	return ni, nil
 }
 

@@ -4,8 +4,8 @@ import (
 	"runtime"
 	"slices"
 	"sync"
-	"sync/atomic"
 
+	"repro/internal/par"
 	"repro/internal/seq"
 )
 
@@ -142,56 +142,18 @@ func (sb *SpectrumBuilder) releaseWorkers(ws []countWorker) {
 // out to the builder's counting workers. It may be called concurrently.
 func (sb *SpectrumBuilder) Add(reads []seq.Read) {
 	ws := sb.takeWorkers()
-	forEachChunk(reads, sb.workers, func(i int) func([]seq.Read) {
-		return func(c []seq.Read) { sb.countChunk(c, &ws[i]) }
-	})
+	forEachChunk(reads, sb.workers, func(w int, c []seq.Read) { sb.countChunk(c, &ws[w]) })
 	sb.releaseWorkers(ws)
 }
 
 // forEachChunk cuts reads into chunkSize pieces — scatter buffers stay
-// cache-sized — for at most `workers` goroutines (none when one suffices).
-// Goroutine i calls newWorker(i) once, for its per-worker state, and feeds
-// the chunks it claims to the function returned. SpectrumBuilder and TileSet
-// share it.
-func forEachChunk(reads []seq.Read, workers int, newWorker func(i int) func([]seq.Read)) {
-	var next atomic.Int64 // end of the last chunk claimed
-	work := func(i int) {
-		count := newWorker(i)
-		for hi := next.Add(chunkSize); int(hi)-chunkSize < len(reads); hi = next.Add(chunkSize) {
-			count(reads[int(hi)-chunkSize : min(int(hi), len(reads))])
-		}
-	}
-	if workers = min(workers, (len(reads)+chunkSize-1)/chunkSize); workers <= 1 {
-		work(0)
-		return
-	}
-	var wg sync.WaitGroup
-	for i := range workers {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			work(i)
-		}()
-	}
-	wg.Wait()
-}
-
-// forEachParallel calls fn(i) for every i in [0, n), each on its own
-// goroutine, at most `workers` at a time: NewNeighborIndex's replicas and
-// TileSet.Freeze's shards.
-func forEachParallel(n, workers int, fn func(i int)) {
-	sem := make(chan struct{}, workers)
-	var wg sync.WaitGroup
-	for i := range n {
-		sem <- struct{}{}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			fn(i)
-			<-sem
-		}()
-	}
-	wg.Wait()
+// cache-sized — and calls fn(w, chunk) for each on up to `workers`
+// goroutines, w naming the one that calls (par.Each). SpectrumBuilder and
+// TileSet share it.
+func forEachChunk(reads []seq.Read, workers int, fn func(w int, chunk []seq.Read)) {
+	par.Each((len(reads)+chunkSize-1)/chunkSize, workers, func(w, c int) {
+		fn(w, reads[c*chunkSize:min((c+1)*chunkSize, len(reads))])
+	})
 }
 
 // countChunk scatters one read chunk's kmers — canonical ones when both
@@ -350,16 +312,5 @@ func mergeSorted(kmers []seq.Kmer, counts []uint32, a, b []kmerCount) {
 // forShards calls fn for every shard on at most len(ws) goroutines, the
 // i-th of which hands fn &ws[i]: the memory it may reuse from shard to shard.
 func (sb *SpectrumBuilder) forShards(ws []countWorker, fn func(s int, w *countWorker)) {
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for i := range min(len(ws), len(sb.shards)) {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for s := int(next.Add(1)) - 1; s < len(sb.shards); s = int(next.Add(1)) - 1 {
-				fn(s, &ws[i])
-			}
-		}()
-	}
-	wg.Wait()
+	par.Each(len(sb.shards), len(ws), func(w, s int) { fn(s, &ws[w]) })
 }

@@ -3,6 +3,7 @@ package kspectrum
 import (
 	"fmt"
 
+	"repro/internal/par"
 	"repro/internal/seq"
 )
 
@@ -98,14 +99,15 @@ func (ts *TileSet) Add(reads []seq.Read) {
 		}
 		return
 	}
-	forEachChunk(reads, ts.workers, func(int) func([]seq.Read) {
-		buf := make([]tileBuf, len(ts.shards))
-		return func(c []seq.Read) {
-			for _, r := range c {
-				ts.countRead(r.Seq, r.Qual, buf)
-			}
-			ts.flush(buf)
+	bufs := make([][]tileBuf, ts.workers) // each goroutine's, made on its first chunk
+	forEachChunk(reads, ts.workers, func(w int, c []seq.Read) {
+		if bufs[w] == nil {
+			bufs[w] = make([]tileBuf, len(ts.shards))
 		}
+		for _, r := range c {
+			ts.countRead(r.Seq, r.Qual, bufs[w])
+		}
+		ts.flush(bufs[w])
 	})
 }
 
@@ -180,18 +182,14 @@ func (ts *TileSet) Get(tile seq.Kmer) TileCount {
 }
 
 // Freeze ends counting: each table becomes in place the column Run and Get
-// read, one goroutine a shard, up to the set's workers at a time; only the
-// bucket tables are allocated. A second call is a no-op.
+// read, the shards spread over up to the set's workers; only the bucket
+// tables are allocated. A second call is a no-op.
 func (ts *TileSet) Freeze() {
 	if ts.frozen() {
 		return
 	}
 	tileBits, maxBits := uint(2*ts.TileLen), uint(2*ts.K)
-	if len(ts.shards) == 1 { // the daemon's one table: no goroutine, at most one allocation
-		ts.shards[0].freeze(tileBits, ts.part.Bits, maxBits)
-	} else {
-		forEachParallel(len(ts.shards), ts.workers, func(s int) { ts.shards[s].freeze(tileBits, ts.part.Bits, maxBits) })
-	}
+	par.Each(len(ts.shards), ts.workers, func(_, s int) { ts.shards[s].freeze(tileBits, ts.part.Bits, maxBits) })
 	for _, shard := range ts.shards {
 		ts.maxOg = max(ts.maxOg, shard.maxOg)
 	}

@@ -13,6 +13,8 @@ import (
 	"slices"
 	"sync"
 	"time"
+
+	"repro/internal/par"
 )
 
 // Config describes the simulated cluster a job runs on.
@@ -109,45 +111,34 @@ func Run[I any, K comparable, V any, O any](
 		v V
 	}
 	start := time.Now()
-	workerParts := make([][]blocks[kv], workers)
+	workerParts := make([][]blocks[kv], par.Workers(len(input), workers))
+	mapped := make([]int, len(workerParts))
 	var mapErr error
 	var mapErrOnce sync.Once
-	var wg sync.WaitGroup
-	chunk := (len(input) + workers - 1) / workers
-	mapped := make([]int, workers)
-	for w := 0; w < workers; w++ {
-		lo, hi := w*chunk, min((w+1)*chunk, len(input))
-		if lo >= hi {
-			break
+	par.Ranges(len(input), workers, func(w, lo, hi int) {
+		defer func() {
+			if r := recover(); r != nil {
+				mapErrOnce.Do(func() { mapErr = fmt.Errorf("mapreduce: map task panicked: %v", r) })
+			}
+		}()
+		parts := make([]blocks[kv], cfg.Nodes)
+		emitted := 0
+		emit := func(k K, v V) {
+			parts[hash(k)%uint64(cfg.Nodes)].add(kv{k, v})
+			emitted++
 		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					mapErrOnce.Do(func() { mapErr = fmt.Errorf("mapreduce: map task panicked: %v", r) })
-				}
-			}()
-			parts := make([]blocks[kv], cfg.Nodes)
-			emitted := 0
-			emit := func(k K, v V) {
-				parts[hash(k)%uint64(cfg.Nodes)].add(kv{k, v})
-				emitted++
-			}
-			for i := lo; i < hi; i++ {
-				mapFn(input[i], emit)
-			}
-			workerParts[w], mapped[w] = parts, emitted
-		}(w, lo, hi)
-	}
-	wg.Wait()
+		for i := lo; i < hi; i++ {
+			mapFn(input[i], emit)
+		}
+		workerParts[w], mapped[w] = parts, emitted
+	})
 	if mapErr != nil {
 		return nil, stats, mapErr
 	}
 	for _, n := range mapped {
 		stats.MapOutput += n
 	}
-	// Workers beyond the end of a short input mapped nothing.
+	// A short input is cut into fewer runs than there are workers.
 	workerParts = slices.DeleteFunc(workerParts, func(parts []blocks[kv]) bool { return parts == nil })
 	stats.MapDuration = time.Since(start)
 
@@ -161,58 +152,49 @@ func Run[I any, K comparable, V any, O any](
 	}
 	start = time.Now()
 	grouped := make([]groups, cfg.Nodes)
-	var sg sync.WaitGroup
-	sem := make(chan struct{}, workers)
-	for p := 0; p < cfg.Nodes; p++ {
-		sg.Add(1)
-		sem <- struct{}{}
-		go func(p int) {
-			defer sg.Done()
-			defer func() { <-sem }()
-			total := 0
-			for _, parts := range workerParts {
-				total += parts[p].len()
-			}
-			// One map lookup per record names its group; the second pass
-			// places values by that number. (A partition of an in-process
-			// job holds far fewer than 2^31 keys.)
-			g := groups{offsets: []int{0}, values: make([]V, total)}
-			index := make(map[K]int32)
-			ids := make([]int32, 0, total)
-			for _, parts := range workerParts {
-				for _, blk := range parts[p] {
-					for _, pair := range blk {
-						id, ok := index[pair.k]
-						if !ok {
-							id = int32(len(g.keys))
-							index[pair.k] = id
-							g.keys = append(g.keys, pair.k)
-							g.offsets = append(g.offsets, 0)
-						}
-						g.offsets[id+1]++
-						ids = append(ids, id)
+	par.Each(cfg.Nodes, workers, func(_, p int) {
+		total := 0
+		for _, parts := range workerParts {
+			total += parts[p].len()
+		}
+		// One map lookup per record names its group; the second pass
+		// places values by that number. (A partition of an in-process
+		// job holds far fewer than 2^31 keys.)
+		g := groups{offsets: []int{0}, values: make([]V, total)}
+		index := make(map[K]int32)
+		ids := make([]int32, 0, total)
+		for _, parts := range workerParts {
+			for _, blk := range parts[p] {
+				for _, pair := range blk {
+					id, ok := index[pair.k]
+					if !ok {
+						id = int32(len(g.keys))
+						index[pair.k] = id
+						g.keys = append(g.keys, pair.k)
+						g.offsets = append(g.offsets, 0)
 					}
+					g.offsets[id+1]++
+					ids = append(ids, id)
 				}
 			}
-			for i := 1; i < len(g.offsets); i++ {
-				g.offsets[i] += g.offsets[i-1]
-			}
-			next := slices.Clone(g.offsets) // each group's write cursor
-			r := 0
-			for _, parts := range workerParts {
-				for _, blk := range parts[p] {
-					for _, pair := range blk {
-						id := ids[r]
-						g.values[next[id]] = pair.v
-						next[id]++
-						r++
-					}
+		}
+		for i := 1; i < len(g.offsets); i++ {
+			g.offsets[i] += g.offsets[i-1]
+		}
+		next := slices.Clone(g.offsets) // each group's write cursor
+		r := 0
+		for _, parts := range workerParts {
+			for _, blk := range parts[p] {
+				for _, pair := range blk {
+					id := ids[r]
+					g.values[next[id]] = pair.v
+					next[id]++
+					r++
 				}
 			}
-			grouped[p] = g
-		}(p)
-	}
-	sg.Wait()
+		}
+		grouped[p] = g
+	})
 	for _, g := range grouped {
 		stats.DistinctKeys += len(g.keys)
 	}
@@ -221,29 +203,21 @@ func Run[I any, K comparable, V any, O any](
 	// Reduce: one task per partition.
 	start = time.Now()
 	outputs := make([]blocks[O], cfg.Nodes)
-	var rg sync.WaitGroup
 	var redErr error
 	var redErrOnce sync.Once
-	for p := 0; p < cfg.Nodes; p++ {
-		rg.Add(1)
-		sem <- struct{}{}
-		go func(p int) {
-			defer rg.Done()
-			defer func() { <-sem }()
-			defer func() {
-				if r := recover(); r != nil {
-					redErrOnce.Do(func() { redErr = fmt.Errorf("mapreduce: reduce task panicked: %v", r) })
-				}
-			}()
-			emit := outputs[p].add
-			g := grouped[p]
-			for i, k := range g.keys {
-				lo, hi := g.offsets[i], g.offsets[i+1]
-				reduceFn(k, g.values[lo:hi:hi], emit)
+	par.Each(cfg.Nodes, workers, func(_, p int) {
+		defer func() {
+			if r := recover(); r != nil {
+				redErrOnce.Do(func() { redErr = fmt.Errorf("mapreduce: reduce task panicked: %v", r) })
 			}
-		}(p)
-	}
-	rg.Wait()
+		}()
+		emit := outputs[p].add
+		g := grouped[p]
+		for i, k := range g.keys {
+			lo, hi := g.offsets[i], g.offsets[i+1]
+			reduceFn(k, g.values[lo:hi:hi], emit)
+		}
+	})
 	if redErr != nil {
 		return nil, stats, redErr
 	}

@@ -203,30 +203,36 @@ func TestReducerMayGrowItsGroup(t *testing.T) {
 	}
 }
 
+// The panic tests run at one node too, where the map and reduce run on the
+// caller's goroutine: the panic must still come back as an error.
 func TestMapPanicSurfacesAsError(t *testing.T) {
-	_, _, err := Run(Config{Nodes: 2}, []int{1, 2, 3},
-		func(i int, emit Emitter[int, int]) {
-			if i == 2 {
-				panic("boom")
-			}
-			emit(i, i)
-		},
-		func(k int, vs []int, emit func(int)) { emit(k) },
-		func(k int) uint64 { return HashUint64(uint64(k)) },
-	)
-	if err == nil || !strings.Contains(err.Error(), "map task panicked") {
-		t.Errorf("err = %v", err)
+	for _, nodes := range []int{1, 2, 8} {
+		_, _, err := Run(Config{Nodes: nodes}, []int{1, 2, 3},
+			func(i int, emit Emitter[int, int]) {
+				if i == 2 {
+					panic("boom")
+				}
+				emit(i, i)
+			},
+			func(k int, vs []int, emit func(int)) { emit(k) },
+			func(k int) uint64 { return HashUint64(uint64(k)) },
+		)
+		if err == nil || !strings.Contains(err.Error(), "map task panicked") {
+			t.Errorf("Nodes %d: err = %v", nodes, err)
+		}
 	}
 }
 
 func TestReducePanicSurfacesAsError(t *testing.T) {
-	_, _, err := Run(Config{Nodes: 2}, []int{1},
-		func(i int, emit Emitter[int, int]) { emit(i, i) },
-		func(k int, vs []int, emit func(int)) { panic("reduce boom") },
-		func(k int) uint64 { return HashUint64(uint64(k)) },
-	)
-	if err == nil || !strings.Contains(err.Error(), "reduce task panicked") {
-		t.Errorf("err = %v", err)
+	for _, nodes := range []int{1, 2, 8} {
+		_, _, err := Run(Config{Nodes: nodes}, []int{1},
+			func(i int, emit Emitter[int, int]) { emit(i, i) },
+			func(k int, vs []int, emit func(int)) { panic("reduce boom") },
+			func(k int) uint64 { return HashUint64(uint64(k)) },
+		)
+		if err == nil || !strings.Contains(err.Error(), "reduce task panicked") {
+			t.Errorf("Nodes %d: err = %v", nodes, err)
+		}
 	}
 }
 

@@ -16,10 +16,9 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
 
 	"repro/internal/kspectrum"
+	"repro/internal/par"
 	"repro/internal/seq"
 	"repro/internal/simulate"
 	"repro/internal/stats"
@@ -304,18 +303,15 @@ const cancelPollMask = 63
 // also enters the posterior: kmers classified non-genomic (T below it)
 // have estimated genomic occurrence α̂ = 0, so they contribute no prior
 // mass — their single observed instances are explained as misreads of
-// their surviving neighbors. workers bounds parallelism (<=0 uses
-// GOMAXPROCS). Every worker polls ctx every few dozen reads and the pool
+// their surviving neighbors. workers bounds parallelism (<=0 uses every
+// core). Every worker polls ctx every few dozen reads and the pool
 // drains promptly once it is cancelled, returning (nil, ctx.Err()). All
 // workers have exited by the time it returns — cancellation leaks no
 // goroutines.
 func (m *Model) CorrectReadsCtx(ctx context.Context, reads []seq.Read, liberalThreshold float64, workers int) ([]seq.Read, error) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	done := ctx.Done()
 	out := make([]seq.Read, len(reads))
-	run := func(lo, hi int) {
+	par.Ranges(len(reads), workers, func(_, lo, hi int) {
 		// One scratch per worker: the kmer-index buffer is reused across
 		// the whole read range, so per read only the output copy allocates.
 		var s correctScratch
@@ -329,28 +325,7 @@ func (m *Model) CorrectReadsCtx(ctx context.Context, reads []seq.Read, liberalTh
 			}
 			out[i] = m.correctRead(reads[i], liberalThreshold, &s)
 		}
-	}
-	if workers == 1 || len(reads) < 2*workers {
-		run(0, len(reads))
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		return out, nil
-	}
-	var wg sync.WaitGroup
-	chunk := (len(reads) + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo, hi := w*chunk, min((w+1)*chunk, len(reads))
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			run(lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
+	})
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}

@@ -13,11 +13,11 @@ import (
 	"cmp"
 	"context"
 	"fmt"
-	"runtime"
 	"slices"
 	"sync"
 
 	"repro/internal/kspectrum"
+	"repro/internal/par"
 	"repro/internal/seq"
 )
 
@@ -692,29 +692,13 @@ func (c *Corrector) correctReads(ctx context.Context, reads, out []seq.Read, pen
 	if pending != nil {
 		n = len(pending)
 	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	share := max((n+workers-1)/workers, 1)
-	var r shareResult
-	if nw := (n + share - 1) / share; nw <= 1 {
-		r = c.correctShare(ctx, reads, out, pending, 0, n, hc)
-	} else {
-		parts := make([]shareResult, nw)
-		var wg sync.WaitGroup
-		for w := range parts {
-			wg.Add(1)
-			go func(p *shareResult, lo, hi int) {
-				defer wg.Done()
-				*p = c.correctShare(ctx, reads, out, pending, lo, hi, hc)
-			}(&parts[w], w*share, min((w+1)*share, n))
-		}
-		wg.Wait()
-		for _, p := range parts {
-			r.aborted = append(r.aborted, p.aborted...)
-			r.missed = append(r.missed, p.missed...)
-			r.err = cmp.Or(r.err, p.err)
-		}
+	parts := make([]shareResult, max(par.Workers(n, workers), 1))
+	par.Ranges(n, workers, func(w, lo, hi int) { parts[w] = c.correctShare(ctx, reads, out, pending, lo, hi, hc) })
+	r := parts[0]
+	for _, p := range parts[1:] {
+		r.aborted = append(r.aborted, p.aborted...)
+		r.missed = append(r.missed, p.missed...)
+		r.err = cmp.Or(r.err, p.err)
 	}
 	if err := cmp.Or(ctx.Err(), r.err); err != nil {
 		return nil, nil, err

@@ -15,8 +15,8 @@ package shrec
 import (
 	"fmt"
 	"math"
-	"sync"
 
+	"repro/internal/par"
 	"repro/internal/seq"
 )
 
@@ -217,15 +217,7 @@ func correctOnce(reads []seq.Read, cfg Config, stats *Stats) int {
 			masks[b%workers] |= 1 << b
 		}
 		perWorker := make([]int, workers)
-		var wg sync.WaitGroup
-		for w := range masks {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				perWorker[w] = buildShard(masks[w])
-			}(w)
-		}
-		wg.Wait()
+		par.Each(workers, workers, func(_, w int) { perWorker[w] = buildShard(masks[w]) })
 		for _, n := range perWorker {
 			nodes += n
 		}

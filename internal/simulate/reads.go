@@ -4,9 +4,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"runtime"
-	"sync"
 
+	"repro/internal/par"
 	"repro/internal/seq"
 )
 
@@ -131,7 +130,7 @@ func simulateOne(genome []byte, cfg ReadSimConfig, phred []byte, prefix string, 
 
 // SimulateReadsParallel is the read-chunk producer of the sharded spectrum
 // engine's ingestion path: it samples cfg.N reads with `workers` goroutines
-// (<= 0 selects GOMAXPROCS). Each read draws from its own RNG stream derived
+// (<= 0 selects every core). Each read draws from its own RNG stream derived
 // from (seed, read index), so the output is byte-identical for every worker
 // count — though it differs from the single-stream SimulateReads sequence
 // produced by the same seed.
@@ -140,37 +139,23 @@ func SimulateReadsParallel(genome []byte, cfg ReadSimConfig, seed int64, workers
 	if err != nil {
 		return nil, err
 	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	out := make([]SimRead, cfg.N)
-	var wg sync.WaitGroup
-	chunk := (cfg.N + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo, hi := w*chunk, min((w+1)*chunk, cfg.N)
-		if lo >= hi {
-			break
+	par.Ranges(cfg.N, workers, func(_, lo, hi int) {
+		src := &splitmixSource{}
+		rng := rand.New(src)
+		for n := lo; n < hi; n++ {
+			// Each read gets its own SplitMix64 stream keyed by
+			// (seed, read index). The key is scrambled through the
+			// finalizer: raw keys would form an arithmetic progression
+			// with the generator's own increment, making adjacent
+			// streams shifted copies of one sequence. Seeding is O(1)
+			// against the ~5 KB, ~600-step default lagged-Fibonacci
+			// source — seeding would otherwise dominate short-read
+			// sampling.
+			src.state = splitmixFinalize(uint64(seed) + uint64(n)*0x9E3779B97F4A7C15)
+			out[n] = simulateOne(genome, cfg, phred, prefix, n, rng)
 		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			src := &splitmixSource{}
-			rng := rand.New(src)
-			for n := lo; n < hi; n++ {
-				// Each read gets its own SplitMix64 stream keyed by
-				// (seed, read index). The key is scrambled through the
-				// finalizer: raw keys would form an arithmetic progression
-				// with the generator's own increment, making adjacent
-				// streams shifted copies of one sequence. Seeding is O(1)
-				// against the ~5 KB, ~600-step default lagged-Fibonacci
-				// source — seeding would otherwise dominate short-read
-				// sampling.
-				src.state = splitmixFinalize(uint64(seed) + uint64(n)*0x9E3779B97F4A7C15)
-				out[n] = simulateOne(genome, cfg, phred, prefix, n, rng)
-			}
-		}(lo, hi)
-	}
-	wg.Wait()
+	})
 	return out, nil
 }
 

@@ -201,7 +201,7 @@ func (ts *TileSet) Freeze() {
 //repro:noalloc
 func (ts *TileSet) MaxOg() uint32 {
 	if !ts.frozen() {
-		panic("kspectrum: TileSet.MaxOg before Freeze") //repro:alloc-ok a constant boxes statically
+		panic("kspectrum: TileSet.MaxOg before Freeze") //repro:lint-ok noalloc a constant boxes statically
 	}
 	return ts.maxOg
 }
@@ -215,7 +215,7 @@ func (ts *TileSet) Run(ka seq.Kmer) []TileEntry {
 	lo := ka << tail
 	tc := ts.shards[ts.part.ShardOf(lo)]
 	if len(tc.buckets) == 0 { // as frozen(), on the shard in hand
-		panic("kspectrum: TileSet.Run before Freeze") //repro:alloc-ok a constant boxes statically
+		panic("kspectrum: TileSet.Run before Freeze") //repro:lint-ok noalloc a constant boxes statically
 	}
 	r := tc.bucket(lo)
 	r = r[searchTiles(r, lo, false):]

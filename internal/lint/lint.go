@@ -14,12 +14,11 @@
 // together by cmd/reprolint. Fixture-driven tests use
 // internal/lint/linttest, an analysistest-style runner.
 //
-// Suppression: a statement-line comment `//repro:alloc-ok` silences
-// noalloc on that line (the audited escape hatch for a deliberate or
-// provably non-escaping allocation), and `//repro:lint-ok <name>`
-// silences the named analyzer on that line. Both are deliberate,
-// greppable paper trails — the reviewer sees every spot the machine
-// was overruled.
+// Suppression: a statement-line comment `//repro:lint-ok <name> <reason>`
+// silences the one named analyzer on that line; the words after the name
+// are the reason, and are never read as analyzer names. It is a
+// deliberate, greppable paper trail — the reviewer sees every spot the
+// machine was overruled, and why.
 package lint
 
 import (
@@ -95,32 +94,16 @@ type suppressKey struct {
 	line int
 }
 
-// allocOKAnalyzers are the analyzers the legacy-spelled //repro:alloc-ok
-// directive silences; every other analyzer uses //repro:lint-ok <name>.
-const allocOKAnalyzer = "noalloc"
-
 // indexSuppressions collects the (file, line) pairs where the named
-// analyzer is silenced by //repro:alloc-ok or //repro:lint-ok <name>.
+// analyzer is silenced by //repro:lint-ok <name> <reason>. Only the first
+// word names an analyzer; the rest is the reason.
 func indexSuppressions(fset *token.FileSet, files []*ast.File, name string) map[suppressKey]bool {
 	out := make(map[suppressKey]bool)
 	for _, f := range files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
-				text := strings.TrimPrefix(c.Text, "//")
-				text = strings.TrimSpace(text)
-				ok := false
-				switch {
-				case text == "repro:alloc-ok" || strings.HasPrefix(text, "repro:alloc-ok "):
-					ok = name == allocOKAnalyzer
-				case strings.HasPrefix(text, "repro:lint-ok"):
-					rest := strings.TrimPrefix(text, "repro:lint-ok")
-					for _, n := range strings.Fields(rest) {
-						if n == name {
-							ok = true
-						}
-					}
-				}
-				if ok {
+				fields := strings.Fields(strings.TrimPrefix(c.Text, "//"))
+				if len(fields) > 1 && fields[0] == "repro:lint-ok" && fields[1] == name {
 					pos := fset.Position(c.Pos())
 					out[suppressKey{pos.Filename, pos.Line}] = true
 				}

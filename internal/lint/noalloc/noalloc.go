@@ -20,8 +20,8 @@
 // `make` is deliberately not flagged: the Into-style primitives grow
 // their destination when capacity demands it, and the cap-check-guarded
 // make is the documented slow path. A deliberate allocation on a line
-// is whitelisted with //repro:alloc-ok — e.g. a closure that a
-// known-inlined callee (sort.Search) keeps on the stack.
+// is whitelisted with //repro:lint-ok noalloc <reason> — e.g. a panic
+// with a constant message, which boxes statically.
 package noalloc
 
 import (

@@ -32,7 +32,14 @@ func Good(dst []byte, p *T) []byte {
 
 //repro:noalloc
 func Hatch(dst []byte) []byte {
-	tmp := append(dst, 'x') //repro:alloc-ok deliberate copy, caller keeps dst
+	tmp := append(dst, 'x')                  //repro:lint-ok noalloc deliberate copy, caller keeps dst
+	_ = take(func() int { return len(tmp) }) //repro:lint-ok noalloc take does not retain its argument
+	return tmp
+}
+
+//repro:noalloc
+func HatchForOthers(dst []byte) []byte {
+	tmp := append(dst, 'x') //repro:lint-ok shadow noalloc is only a word of the reason // want `appends into a different slice`
 	return tmp
 }
 

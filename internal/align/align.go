@@ -103,11 +103,6 @@ func bandedSemiGlobal(a, b []byte, sc Scoring, band int) (Result, error) {
 	width := band + abs(n-m)
 	prev := make([]cell, m+1)
 	cur := make([]cell, m+1)
-	inBandPrev := func(j int) bool { return j >= 0 && j <= m }
-	_ = inBandPrev
-	for j := range prev {
-		prev[j] = cell{}
-	}
 	best := cell{score: minScore}
 	for i := 1; i <= n; i++ {
 		lo := max(1, i-width)

@@ -50,7 +50,7 @@ func Ranges(n, workers int, fn func(r, lo, hi int)) {
 // per-goroutine scratch with it; no two calls with the same w overlap.
 func Each(n, workers int, fn func(w, i int)) {
 	nw := Workers(n, workers)
-	if nw == 1 {
+	if nw <= 1 {
 		for i := range n {
 			fn(0, i)
 		}

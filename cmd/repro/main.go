@@ -6,8 +6,9 @@
 //
 //	repro reptile -in reads.fastq -out corrected.fastq [flags]
 //	repro redeem  -in reads.fastq -out corrected.fastq [flags]
-//	repro shrec   -in reads.fastq -out corrected.fastq [flags]
 //	repro serve   -spectrum name=spec.kspc [flags]
+//	repro shard   -in spec.kspc -shards 4 [flags]
+//	repro loadgen -url http://host:8424 -in reads.fastq [flags]
 //	repro ngsim   -mode reads|meta -out reads.fastq [flags]
 //	repro eceval  -before a.fastq -after b.fastq -truth t.fastq [flags]
 //	repro closet  -in meta.fastq -out clusters.tsv [flags]

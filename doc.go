@@ -5,7 +5,9 @@
 // (Chapter 3), and the CLOSET MapReduce metagenomic read clusterer
 // (Chapter 4), together with every substrate they rely on — dataset
 // simulators, a read mapper, the SHREC baseline, and an in-process
-// MapReduce engine.
+// MapReduce engine. SHREC is the comparison column of Tables 2.3 and 3.4,
+// not an engine: the benchmarks call internal/shrec directly, and the
+// repro command and the daemon serve Reptile and REDEEM only.
 //
 // The root package holds the benchmark harness: one Benchmark per table and
 // figure of the dissertation's evaluation chapters (see EXPERIMENTS.md for

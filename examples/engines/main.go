@@ -20,7 +20,6 @@ import (
 	"repro/internal/redeem"
 	"repro/internal/reptile"
 	"repro/internal/seq"
-	"repro/internal/shrec"
 	"repro/internal/simulate"
 )
 
@@ -46,8 +45,8 @@ func main() {
 	fmt.Println("registered engines:")
 	for _, eng := range engine.Engines() {
 		caps := eng.Capabilities()
-		fmt.Printf("  %-8s streaming=%-5v spectrumReuse=%-5v maxSpectrumK=%d\n",
-			eng.Name(), caps.Streaming, caps.SpectrumReuse, caps.MaxSpectrumK)
+		fmt.Printf("  %-8s maxSpectrumK=%-2d remoteSpectrum=%v\n",
+			eng.Name(), caps.MaxSpectrumK, caps.RemoteSpectrum)
 	}
 
 	// 3. Correct the same stream with each engine through the one
@@ -66,10 +65,6 @@ func main() {
 			engine.WithK(11),
 			engine.WithWorkers(1),
 			redeem.WithErrorRate(0.008),
-		}},
-		{shrec.EngineName, []engine.Option{
-			engine.WithGenomeLen(len(ds.Genome)),
-			shrec.WithIterations(2),
 		}},
 	}
 	for _, rc := range runs {

@@ -27,7 +27,6 @@ func commands() []command {
 	return []command{
 		{"reptile", "correct reads with representative tiling (Chapter 2)", reptileCmd},
 		{"redeem", "correct reads with EM-based repeat-aware detection (Chapter 3)", redeemCmd},
-		{"shrec", "correct reads with the SHREC suffix-trie baseline (§1.2)", shrecCmd},
 		{"serve", "run the correction-as-a-service HTTP daemon", serveCmd},
 		{"shard", "split a spectrum store into per-prefix shard files", shardCmd},
 		{"loadgen", "replay FASTQ chunks against a serve daemon and report latency", loadgenCmd},

@@ -16,15 +16,19 @@ import (
 )
 
 // TestRunHelp: `repro help` prints the subcommand synopsis and succeeds.
+// SHREC is a reference for the tables, not a subcommand.
 func TestRunHelp(t *testing.T) {
 	var out bytes.Buffer
 	if err := Run([]string{"help"}, &out); err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range []string{"reptile", "redeem", "shrec", "serve", "ngsim", "eceval", "closet"} {
+	for _, name := range []string{"reptile", "redeem", "serve", "ngsim", "eceval", "closet"} {
 		if !strings.Contains(out.String(), name) {
 			t.Errorf("top-level usage misses %q", name)
 		}
+	}
+	if strings.Contains(strings.ToLower(out.String()), "shrec") {
+		t.Errorf("top-level usage lists shrec:\n%s", out.String())
 	}
 }
 
@@ -83,7 +87,6 @@ func TestSubcommandHelp(t *testing.T) {
 	want := map[string]string{
 		"reptile": correction + spectrum + " d genome-len k",
 		"redeem":  correction + spectrum + " detect-only error-rate k",
-		"shrec":   correction + " alpha genome-len iterations",
 		"serve": "cluster-wait coordinator d drain-timeout error-rate listen max-chunk-bytes max-chunk-reads" +
 			" max-inflight max-queue max-spectrum-bytes node read-timeout request-timeout shard-retries" +
 			" shard-spectrum shards-of shards-owned spectra-dir spectrum workers",
@@ -116,7 +119,6 @@ func TestSubcommandMissingArgs(t *testing.T) {
 	}{
 		{"reptile", reptileCmd},
 		{"redeem", redeemCmd},
-		{"shrec", shrecCmd},
 		{"serve", serveCmd},
 		{"ngsim", ngsimCmd},
 		{"eceval", ecevalCmd},
@@ -188,6 +190,35 @@ func TestClosetSubcommand(t *testing.T) {
 	}
 	if !bytes.Equal(tsvs[0], tsvs[1]) {
 		t.Error("-nodes 1 and -nodes 32 wrote different cluster TSVs")
+	}
+}
+
+// TestOutputWriteErrors: a write that fails on any output file fails the
+// subcommand instead of reporting success. /dev/full accepts the open and
+// fails every write with ENOSPC.
+func TestOutputWriteErrors(t *testing.T) {
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full:", err)
+	}
+	dir := t.TempDir()
+	meta := filepath.Join(dir, "m.fastq")
+	reads := []string{"-mode", "reads", "-genome-len", "2000", "-coverage", "2", "-out", filepath.Join(dir, "r.fastq")}
+	cases := []struct {
+		name string
+		run  func([]string, io.Writer) error
+		args []string
+	}{
+		{"ngsim -labels", ngsimCmd, []string{"-mode", "meta", "-n", "50", "-out", meta, "-labels", "/dev/full"}},
+		{"ngsim -out", ngsimCmd, []string{"-mode", "meta", "-n", "50", "-out", "/dev/full"}},
+		{"ngsim -truth", ngsimCmd, append(reads, "-truth", "/dev/full")},
+		{"ngsim -ref", ngsimCmd, append(reads, "-ref", "/dev/full")},
+		{"closet -out", closetCmd, []string{"-in", meta, "-out", "/dev/full"}},
+	}
+	for _, tc := range cases {
+		var stdout bytes.Buffer
+		if err := tc.run(tc.args, &stdout); err == nil {
+			t.Errorf("%s /dev/full: no error; stdout %q", tc.name, stdout.String())
+		}
 	}
 }
 

@@ -83,39 +83,42 @@ func closetCmd(args []string, stdout io.Writer) error {
 			return err
 		}
 	}
-	o, err := os.Create(*out)
-	if err != nil {
-		return err
+	// The TSV is published only once every threshold's rows are out and
+	// every write has succeeded.
+	writeTSV := func(w io.Writer) error {
+		if _, err := fmt.Fprintln(w, "threshold\tcluster\tread"); err != nil {
+			return err
+		}
+		for _, tr := range res.ByThreshold {
+			fmt.Fprintf(stdout, "t=%.2f: %d edges, %d clusters processed, %d resulting clusters",
+				tr.Threshold, tr.EdgesUsed, tr.ClustersProcessed, len(tr.Clusters))
+			if truth != nil {
+				labels := closet.PartitionLabels(tr.Clusters, len(reads))
+				ari, err := eval.ARI(truth, labels)
+				if err != nil {
+					return err
+				}
+				fmt.Fprintf(stdout, ", ARI=%.3f", ari)
+			}
+			if !tr.Converged {
+				fmt.Fprint(stdout, " (merge bound reached)")
+			}
+			fmt.Fprintln(stdout)
+			for ci, c := range tr.Clusters {
+				for _, v := range c.Verts {
+					if _, err := fmt.Fprintf(w, "%.2f\t%d\t%s\n", tr.Threshold, ci, reads[v].ID); err != nil {
+						return err
+					}
+				}
+			}
+		}
+		return nil
 	}
-	defer o.Close()
-	w := bufio.NewWriter(o)
-	fmt.Fprintln(w, "threshold\tcluster\tread")
-	for _, tr := range res.ByThreshold {
-		fmt.Fprintf(stdout, "t=%.2f: %d edges, %d clusters processed, %d resulting clusters",
-			tr.Threshold, tr.EdgesUsed, tr.ClustersProcessed, len(tr.Clusters))
-		if truth != nil {
-			labels := closet.PartitionLabels(tr.Clusters, len(reads))
-			ari, err := eval.ARI(truth, labels)
-			if err != nil {
-				return err
-			}
-			fmt.Fprintf(stdout, ", ARI=%.3f", ari)
-		}
-		if !tr.Converged {
-			fmt.Fprint(stdout, " (merge bound reached)")
-		}
-		fmt.Fprintln(stdout)
-		for ci, c := range tr.Clusters {
-			for _, v := range c.Verts {
-				fmt.Fprintf(w, "%.2f\t%d\t%s\n", tr.Threshold, ci, reads[v].ID)
-			}
-		}
+	if err := writeOutput(*out, writeTSV); err != nil {
+		return err
 	}
 	fmt.Fprintf(stdout, "total %v\n", time.Since(start).Round(time.Millisecond))
-	if err := w.Flush(); err != nil {
-		return err
-	}
-	return o.Close()
+	return nil
 }
 
 // readLabels parses the ngsim label TSV, matching rows to read order.

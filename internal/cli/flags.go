@@ -1,6 +1,7 @@
 package cli
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"flag"
@@ -39,10 +40,8 @@ type correctFlags struct {
 	memprofile string
 }
 
-// register installs the shared correction flags on fs. Engines without a
-// spectrum (SHREC) pass spectrum=false to omit the -load/-save-spectrum
-// pair.
-func (f *correctFlags) register(fs *flag.FlagSet, spectrum bool) {
+// register installs the shared correction flags on fs.
+func (f *correctFlags) register(fs *flag.FlagSet) {
 	fs.StringVar(&f.in, "in", "", "input FASTQ (required)")
 	fs.StringVar(&f.out, "out", "", "output FASTQ (required)")
 	fs.IntVar(&f.workers, "workers", 0, "parallel workers (0 = all cores)")
@@ -51,10 +50,8 @@ func (f *correctFlags) register(fs *flag.FlagSet, spectrum bool) {
 	fs.StringVar(&f.ckptDir, "checkpoint", "", "directory for crash-safe spectrum-build checkpoints (empty = off)")
 	fs.BoolVar(&f.resume, "resume", false, "resume the interrupted build checkpointed in -checkpoint")
 	fs.Int64Var(&f.ckptEvery, "checkpoint-every", 0, "reads between automatic checkpoints (0 = default)")
-	if spectrum {
-		fs.StringVar(&f.loadSpec, "load-spectrum", "", "reuse a persisted k-spectrum instead of counting the input")
-		fs.StringVar(&f.saveSpec, "save-spectrum", "", "persist the run's k-spectrum to this path")
-	}
+	fs.StringVar(&f.loadSpec, "load-spectrum", "", "reuse a persisted k-spectrum instead of counting the input")
+	fs.StringVar(&f.saveSpec, "save-spectrum", "", "persist the run's k-spectrum to this path")
 	fs.StringVar(&f.cpuprofile, "cpuprofile", "", "write a CPU profile to this file")
 	fs.StringVar(&f.memprofile, "memprofile", "", "write a heap profile to this file on exit")
 }
@@ -238,6 +235,28 @@ func createOutput(path string) (*os.File, func(success bool) error, error) {
 		return os.Rename(tmp.Name(), path)
 	}
 	return tmp, commit, nil
+}
+
+// writeOutput writes a whole output file through createOutput: write
+// fills a buffered writer, and the file is published only when every
+// write, the flush and the close succeeded. On any error the attempt is
+// abandoned, so a failed run leaves no truncated file under path.
+func writeOutput(path string, write func(w io.Writer) error) error {
+	f, commit, err := createOutput(path)
+	if err != nil {
+		return err
+	}
+	w := bufio.NewWriter(f)
+	if err = write(w); err == nil {
+		err = w.Flush()
+	}
+	if err == nil {
+		err = commit(true)
+	}
+	if err != nil {
+		commit(false)
+	}
+	return err
 }
 
 // startProfiles starts CPU profiling into cpuPath and arranges a heap

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
-	"os"
 
 	"repro/internal/fastq"
 	"repro/internal/seq"
@@ -86,12 +85,10 @@ func simReads(stdout io.Writer, out, truth, ref string, seed int64, genomeLen in
 		}
 	}
 	if ref != "" {
-		f, err := os.Create(ref)
+		err := writeOutput(ref, func(w io.Writer) error {
+			return fastq.WriteFasta(w, []fastq.FastaRecord{{ID: "ngsim-ref", Seq: ds.Genome}})
+		})
 		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := fastq.WriteFasta(f, []fastq.FastaRecord{{ID: "ngsim-ref", Seq: ds.Genome}}); err != nil {
 			return err
 		}
 	}
@@ -118,14 +115,19 @@ func simMeta(stdout io.Writer, out, labels string, seed int64, n int, errorRate 
 		return err
 	}
 	if labels != "" {
-		f, err := os.Create(labels)
+		err := writeOutput(labels, func(w io.Writer) error {
+			if _, err := fmt.Fprintln(w, "read\tphylum\tgenus\tspecies"); err != nil {
+				return err
+			}
+			for _, r := range reads {
+				if _, err := fmt.Fprintf(w, "%s\t%d\t%d\t%d\n", r.Read.ID, r.Taxon.Phylum, r.Taxon.Genus, r.Taxon.Species); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
 		if err != nil {
 			return err
-		}
-		defer f.Close()
-		fmt.Fprintln(f, "read\tphylum\tgenus\tspecies")
-		for _, r := range reads {
-			fmt.Fprintf(f, "%s\t%d\t%d\t%d\n", r.Read.ID, r.Taxon.Phylum, r.Taxon.Genus, r.Taxon.Species)
 		}
 	}
 	fmt.Fprintf(stdout, "wrote %d metagenomic reads from %d species\n", len(reads), len(tax.Species))
@@ -133,13 +135,5 @@ func simMeta(stdout io.Writer, out, labels string, seed int64, n int, errorRate 
 }
 
 func writeFastqFile(path string, reads []seq.Read) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := fastq.Write(f, reads); err != nil {
-		return err
-	}
-	return f.Close()
+	return writeOutput(path, func(w io.Writer) error { return fastq.Write(w, reads) })
 }

@@ -23,7 +23,7 @@ import (
 func redeemCmd(args []string, stdout io.Writer) error {
 	fs := newFlagSet("redeem")
 	var f correctFlags
-	f.register(fs, true)
+	f.register(fs)
 	var (
 		k          = fs.Int("k", 11, "kmer length")
 		errorRate  = fs.Float64("error-rate", 0.01, "assumed uniform substitution rate for the error model")

@@ -17,7 +17,7 @@ import (
 func reptileCmd(args []string, stdout io.Writer) error {
 	fs := newFlagSet("reptile")
 	var f correctFlags
-	f.register(fs, true)
+	f.register(fs)
 	var (
 		k         = fs.Int("k", 0, "kmer length (0 = derive from genome length)")
 		d         = fs.Int("d", 1, "max Hamming distance per constituent kmer")

@@ -39,12 +39,11 @@ import (
 //	POST /v2/correct?spectrum=NAME&engine=NAME
 //	    A FASTQ chunk in, the corrected chunk out, with X-Kserve-* stat
 //	    headers. Any engine whose declared capabilities allow the request
-//	    is servable — including SHREC, which needs no spectrum — and
-//	    unknown engine names report the registered ones. engine defaults
-//	    to reptile.
+//	    is servable, and unknown engine names report the registered ones.
+//	    engine defaults to reptile.
 //	GET /v2/engines
-//	    JSON list of the registered engines: capabilities plus which
-//	    loaded spectra each can serve.
+//	    JSON list of the registered engines: name, max_spectrum_k and
+//	    which loaded spectra each can serve.
 //	GET /v2/spectra
 //	    JSON list of the loaded spectra (name, k, kmers, both_strands).
 //	POST /v2/spectra?name=NAME
@@ -372,11 +371,7 @@ type server struct {
 	occupancy atomic.Int64
 	// opts is the configuration with every default resolved (newServer).
 	opts ServerOptions
-	// global holds the /v2 service slots of spectrum-free engines
-	// (SHREC): one shared corrector per engine, independent of any
-	// loaded spectrum.
-	global map[string]*serviceSlot
-	m      *serverMetrics
+	m    *serverMetrics
 
 	// ctx scopes the server's background goroutines (startup and upload
 	// verifiers, quarantine probes); close cancels it and waits for wg so
@@ -426,16 +421,12 @@ func newServer(specs map[string]*kspectrum.Spectrum, opts ServerOptions) (*serve
 		opts.QuarantineMax = 30 * time.Second
 	}
 	s := &server{
-		reg:    &specRegistry{entries: make(map[string]*entry, len(specs))},
-		sem:    make(chan struct{}, opts.MaxInflight),
-		opts:   opts,
-		global: make(map[string]*serviceSlot),
-		m:      newServerMetrics(),
+		reg:  &specRegistry{entries: make(map[string]*entry, len(specs))},
+		sem:  make(chan struct{}, opts.MaxInflight),
+		opts: opts,
+		m:    newServerMetrics(),
 	}
 	s.ctx, s.cancel = context.WithCancel(context.Background())
-	for _, engName := range engine.Names() {
-		s.global[engName] = &serviceSlot{}
-	}
 	for name, spec := range specs {
 		e := s.newEntry(name, spec)
 		e.path = opts.SpectrumPaths[name]
@@ -599,21 +590,13 @@ func NewHandler(specs map[string]*kspectrum.Spectrum, opts ServerOptions) (http.
 }
 
 // serviceRun builds the engine.Run a /v2 service is resolved against:
-// the entry's spectrum for engines that reuse spectra, plus the server's
-// request-independent tuning.
-func (s *server) serviceRun(eng engine.Engine, e *entry) *engine.Run {
-	opts := []engine.Option{
-		reptile.WithD(s.opts.D),
-		redeem.WithErrorRate(s.opts.ErrorRate),
+// the entry's spectrum plus the server's request-independent tuning.
+func (s *server) serviceRun(e *entry) *engine.Run {
+	spectrum := engine.WithSpectrum(e.spec)
+	if e.remote != nil {
+		spectrum = engine.WithSpectrumBackend(e.remote)
 	}
-	if eng.Capabilities().SpectrumReuse && e != nil {
-		if e.remote != nil {
-			opts = append(opts, engine.WithSpectrumBackend(e.remote))
-		} else {
-			opts = append(opts, engine.WithSpectrum(e.spec))
-		}
-	}
-	return engine.NewRun(opts...)
+	return engine.NewRun(reptile.WithD(s.opts.D), redeem.WithErrorRate(s.opts.ErrorRate), spectrum)
 }
 
 // checkServable is the cheap capability gate, run before request
@@ -622,11 +605,11 @@ func (s *server) serviceRun(eng engine.Engine, e *entry) *engine.Run {
 // construction error, and without burning a correction slot.
 func (s *server) checkServable(eng engine.Engine, e *entry) error {
 	caps := eng.Capabilities()
-	if caps.SpectrumReuse && e != nil && e.remote != nil && !caps.RemoteSpectrum {
+	if e.remote != nil && !caps.RemoteSpectrum {
 		return fmt.Errorf("engine %q needs its spectrum local and %q is sharded across the cluster",
 			eng.Name(), e.name)
 	}
-	if caps.SpectrumReuse && !caps.ServesSpectrum(e.backend.K()) {
+	if !caps.ServesSpectrum(e.backend.K()) {
 		return fmt.Errorf("engine %q cannot serve spectrum %q (k=%d exceeds max spectrum k %d)",
 			eng.Name(), e.name, e.backend.K(), caps.MaxSpectrumK)
 	}
@@ -646,15 +629,11 @@ func (s *server) service(eng engine.Engine, e *entry) (engine.ChunkCorrector, er
 		return nil, err
 	}
 	sv := eng.(engine.Servicer) // checked by checkServable
-	// Spectrum-reusing engines amortize per spectrum entry; spectrum-free
-	// engines share one server-wide slot. Both maps hold a slot for every
+	// Services amortize per spectrum entry, which holds a slot for every
 	// registered engine: engines register in init, before any server.
-	slot := s.global[eng.Name()]
-	if eng.Capabilities().SpectrumReuse && e != nil {
-		slot = e.services[eng.Name()]
-	}
+	slot := e.services[eng.Name()]
 	slot.once.Do(func() {
-		slot.svc, slot.err = sv.NewService(s.serviceRun(eng, e))
+		slot.svc, slot.err = sv.NewService(s.serviceRun(e))
 	})
 	return slot.svc, slot.err
 }
@@ -711,41 +690,28 @@ func (s *server) handleSpectra(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, out)
 }
 
-// handleEngines reports the registry: each engine's declared capabilities
-// and which loaded spectra it can serve ("*" for engines that need none).
+// handleEngines reports the registry: each engine's largest servable
+// spectrum k and which loaded spectra it can serve.
 func (s *server) handleEngines(w http.ResponseWriter, r *http.Request) {
 	type engineInfo struct {
-		Name          string   `json:"name"`
-		Streaming     bool     `json:"streaming"`
-		SpectrumReuse bool     `json:"spectrum_reuse"`
-		MaxSpectrumK  int      `json:"max_spectrum_k,omitempty"`
-		Spectra       []string `json:"spectra"`
+		Name         string   `json:"name"`
+		MaxSpectrumK int      `json:"max_spectrum_k"`
+		Spectra      []string `json:"spectra"`
 	}
 	entries := s.reg.snapshot()
 	out := make([]engineInfo, 0)
 	for _, eng := range engine.Engines() {
 		caps := eng.Capabilities()
-		info := engineInfo{
-			Name:          eng.Name(),
-			Streaming:     caps.Streaming,
-			SpectrumReuse: caps.SpectrumReuse,
-			MaxSpectrumK:  caps.MaxSpectrumK,
-		}
-		if caps.SpectrumReuse {
-			info.Spectra = make([]string, 0, len(entries))
-			for _, e := range entries {
-				if e.remote != nil && !caps.RemoteSpectrum {
-					continue
-				}
-				if caps.ServesSpectrum(e.backend.K()) {
-					info.Spectra = append(info.Spectra, e.name)
-				}
+		info := engineInfo{Name: eng.Name(), MaxSpectrumK: caps.MaxSpectrumK, Spectra: make([]string, 0, len(entries))}
+		for _, e := range entries {
+			if e.remote != nil && !caps.RemoteSpectrum {
+				continue
 			}
-			sort.Strings(info.Spectra)
-		} else {
-			// No spectrum needed: servable against any request.
-			info.Spectra = []string{"*"}
+			if caps.ServesSpectrum(e.backend.K()) {
+				info.Spectra = append(info.Spectra, e.name)
+			}
 		}
+		sort.Strings(info.Spectra)
 		out = append(out, info)
 	}
 	writeJSON(w, http.StatusOK, out)
@@ -772,14 +738,11 @@ func (s *server) handleCorrect(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	setTrace(w, eng.Name(), "")
-	var e *entry
-	if eng.Capabilities().SpectrumReuse {
-		var ok bool
-		if e, ok = s.selectEntry(w, r); !ok {
-			return
-		}
-		defer e.release()
+	e, ok := s.selectEntry(w, r)
+	if !ok {
+		return
 	}
+	defer e.release()
 	if err := s.checkServable(eng, e); err != nil {
 		s.errorJSON(w, http.StatusBadRequest, errClassBadRequest, "%v", err)
 		return
@@ -797,27 +760,21 @@ func (s *server) handleCorrect(w http.ResponseWriter, r *http.Request) {
 // call, so a concurrent hot swap or delete cannot unmap the spectrum
 // under the correction.
 func (s *server) correctWithEngine(w http.ResponseWriter, r *http.Request, eng engine.Engine, e *entry) {
-	specName := ""
-	if e != nil {
-		specName = e.name
-	}
-	setTrace(w, eng.Name(), specName)
+	setTrace(w, eng.Name(), e.name)
 	// A mapped spectrum that failed its deferred integrity checks (lazy
 	// bucket validation or the background whole-file scan) answers every
 	// query "absent" — correct for library callers but silently useless
 	// corrections for a daemon client. Quarantine it — 503 with
 	// Retry-After, because the repair probe may restore service — rather
 	// than serving garbage or a misleading hard 500.
-	if e != nil {
-		if specErr := e.backend.Err(); specErr != nil && e.spec != nil {
-			s.quarantine(e, specErr)
-		}
-		if e.quarantined.Load() {
-			w.Header().Set("Retry-After", "5")
-			s.errorJSON(w, http.StatusServiceUnavailable, errClassQuarantined,
-				"spectrum %q is quarantined (unserviceable pending repair): %v", e.name, e.backend.Err())
-			return
-		}
+	if specErr := e.backend.Err(); specErr != nil && e.spec != nil {
+		s.quarantine(e, specErr)
+	}
+	if e.quarantined.Load() {
+		w.Header().Set("Retry-After", "5")
+		s.errorJSON(w, http.StatusServiceUnavailable, errClassQuarantined,
+			"spectrum %q is quarantined (unserviceable pending repair): %v", e.name, e.backend.Err())
+		return
 	}
 	ctx := r.Context()
 	if s.opts.RequestTimeout > 0 {
@@ -837,7 +794,7 @@ func (s *server) correctWithEngine(w http.ResponseWriter, r *http.Request, eng e
 	if err == nil {
 		corrected, err = svc.CorrectChunk(ctx, reads, s.opts.Workers)
 	}
-	s.respond(w, r, reads, corrected, err, specName, eng.Name(), start)
+	s.respond(w, r, reads, corrected, err, e.name, eng.Name(), start)
 }
 
 // admit runs the shared request admission. The shed decision is one
@@ -959,9 +916,7 @@ func (s *server) respond(w http.ResponseWriter, r *http.Request, reads, correcte
 
 	h := w.Header()
 	h.Set("Content-Type", "text/x-fastq")
-	if spectrum != "" {
-		h.Set("X-Kserve-Spectrum", spectrum)
-	}
+	h.Set("X-Kserve-Spectrum", spectrum)
 	h.Set("X-Kserve-Method", engineName)
 	h.Set("X-Kserve-Reads", fmt.Sprint(len(reads)))
 	h.Set("X-Kserve-Changed", fmt.Sprint(changed))

@@ -110,12 +110,8 @@ func (e *entry) neighborIndex(d int) (*kspectrum.NeighborIndex, error) {
 func (e *entry) acquire() { e.refs.Add(1) }
 
 // release drops one hold; the last hold on an owned entry closes the
-// spectrum (for mapped spectra: unmaps the file). Safe on nil, so
-// spectrum-free request paths can release unconditionally.
+// spectrum (for mapped spectra: unmaps the file).
 func (e *entry) release() {
-	if e == nil {
-		return
-	}
 	if e.refs.Add(-1) == 0 && e.owned {
 		if err := e.backend.Close(); err != nil {
 			log.Printf("spectrum %q: close after drain: %v", e.name, err)

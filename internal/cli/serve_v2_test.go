@@ -1,8 +1,8 @@
 package cli
 
 import (
-	"bytes"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -13,35 +13,9 @@ import (
 	"repro/internal/simulate"
 )
 
-// TestServeV2Shrec: the capability-driven path makes SHREC servable
-// without any spectrum parameter.
-func TestServeV2Shrec(t *testing.T) {
-	srv, reads, _ := testFixture(t, ServerOptions{Workers: 1})
-	ts := httptest.NewServer(srv.mux())
-	defer ts.Close()
-
-	chunk, err := fastq.EncodeChunk(reads[:200])
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, body := postChunk(t, ts.Client(), ts.URL+"/v2/correct?engine=shrec", chunk)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("/v2 shrec status %d: %s", resp.StatusCode, body)
-	}
-	out, err := fastq.DecodeChunk(bytes.NewReader(body), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != 200 {
-		t.Errorf("shrec returned %d reads want 200", len(out))
-	}
-	if h := resp.Header.Get("X-Kserve-Method"); h != "shrec" {
-		t.Errorf("X-Kserve-Method = %q", h)
-	}
-}
-
 // TestServeV2UnknownEngine: the daemon surfaces the registry's typed
-// lookup error — unknown names report what is registered.
+// lookup error — unknown names report what is registered. SHREC is a
+// reference for the tables, not a registered engine.
 func TestServeV2UnknownEngine(t *testing.T) {
 	srv, reads, _ := testFixture(t, ServerOptions{Workers: 1})
 	ts := httptest.NewServer(srv.mux())
@@ -51,19 +25,23 @@ func TestServeV2UnknownEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, body := postChunk(t, ts.Client(), ts.URL+"/v2/correct?engine=nope", chunk)
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("unknown engine status %d want 400", resp.StatusCode)
-	}
-	for _, name := range []string{"redeem", "reptile", "shrec"} {
-		if !strings.Contains(string(body), name) {
-			t.Errorf("unknown-engine error %q does not list %s", body, name)
+	for _, engine := range []string{"nope", "shrec"} {
+		resp, body := postChunk(t, ts.Client(), ts.URL+"/v2/correct?engine="+engine, chunk)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("engine=%s: status %d want 400", engine, resp.StatusCode)
 		}
+		if !strings.Contains(string(body), "registered: redeem, reptile)") {
+			t.Errorf("engine=%s: error %q does not list redeem and reptile", engine, body)
+		}
+	}
+	if got := srv.m.errors.With(errClassUnknownEngine).Value(); got != 2 {
+		t.Errorf("%s errors = %d want 2", errClassUnknownEngine, got)
 	}
 }
 
-// TestServeV2Engines: /v2/engines reports capabilities and per-spectrum
-// servability, replacing the hand-rolled k>16 special case.
+// TestServeV2Engines: /v2/engines reports each engine's max spectrum k
+// and per-spectrum servability, replacing the hand-rolled k>16 special
+// case.
 func TestServeV2Engines(t *testing.T) {
 	// One k=11 spectrum every engine serves, one k=20 spectrum only
 	// REDEEM can.
@@ -95,15 +73,29 @@ func TestServeV2Engines(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var engines []struct {
-		Name          string   `json:"name"`
-		Streaming     bool     `json:"streaming"`
-		SpectrumReuse bool     `json:"spectrum_reuse"`
-		MaxSpectrumK  int      `json:"max_spectrum_k"`
-		Spectra       []string `json:"spectra"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&engines); err != nil {
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
 		t.Fatal(err)
+	}
+	var fields []map[string]any
+	if err := json.Unmarshal(raw, &fields); err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range fields {
+		if len(f) != 3 || f["name"] == nil || f["max_spectrum_k"] == nil || f["spectra"] == nil {
+			t.Errorf("entry %v: want exactly name, max_spectrum_k, spectra", f)
+		}
+	}
+	var engines []struct {
+		Name         string   `json:"name"`
+		MaxSpectrumK int      `json:"max_spectrum_k"`
+		Spectra      []string `json:"spectra"`
+	}
+	if err := json.Unmarshal(raw, &engines); err != nil {
+		t.Fatal(err)
+	}
+	if len(engines) != 2 {
+		t.Errorf("/v2/engines lists %d engines want 2: %s", len(engines), raw)
 	}
 	byName := map[string]int{}
 	for i, e := range engines {
@@ -113,23 +105,15 @@ func TestServeV2Engines(t *testing.T) {
 	if !ok {
 		t.Fatal("reptile missing from /v2/engines")
 	}
-	if got := engines[rep]; !got.Streaming || !got.SpectrumReuse || got.MaxSpectrumK != 16 ||
-		strings.Join(got.Spectra, ",") != "narrow" {
+	if got := engines[rep]; got.MaxSpectrumK != 16 || strings.Join(got.Spectra, ",") != "narrow" {
 		t.Errorf("reptile entry = %+v", got)
 	}
 	red, ok := byName["redeem"]
 	if !ok {
 		t.Fatal("redeem missing from /v2/engines")
 	}
-	if got := engines[red]; strings.Join(got.Spectra, ",") != "narrow,wide" {
+	if got := engines[red]; got.MaxSpectrumK != 32 || strings.Join(got.Spectra, ",") != "narrow,wide" {
 		t.Errorf("redeem entry = %+v", got)
-	}
-	sh, ok := byName["shrec"]
-	if !ok {
-		t.Fatal("shrec missing from /v2/engines")
-	}
-	if got := engines[sh]; got.SpectrumReuse || strings.Join(got.Spectra, ",") != "*" {
-		t.Errorf("shrec entry = %+v", got)
 	}
 
 	// The declared boundary is enforced: reptile on the wide spectrum is

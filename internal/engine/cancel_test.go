@@ -3,7 +3,6 @@ package engine_test
 import (
 	"context"
 	"errors"
-	"io"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -15,7 +14,6 @@ import (
 	"repro/internal/redeem"
 	"repro/internal/reptile"
 	"repro/internal/seq"
-	"repro/internal/shrec"
 	"repro/internal/simulate"
 )
 
@@ -70,7 +68,6 @@ func TestCorrectStreamCancel(t *testing.T) {
 	}{
 		{reptile.EngineName, samplePass},
 		{redeem.EngineName, 0},
-		{shrec.EngineName, 0},
 	}
 	for _, tc := range engines {
 		t.Run(tc.name, func(t *testing.T) {
@@ -161,32 +158,3 @@ func TestStreamChunksCancel(t *testing.T) {
 		t.Errorf("delivered %d chunks after cancel at 2", n)
 	}
 }
-
-// TestCollectReadsEOF exercises the buffering helper on a finite source.
-func TestCollectReadsEOF(t *testing.T) {
-	chunk := testChunk(t)
-	served := false
-	open := func() (engine.Source, error) {
-		served = false
-		return sourceFunc(func() ([]seq.Read, error) {
-			if served {
-				return nil, io.EOF
-			}
-			served = true
-			return chunk, nil
-		}), nil
-	}
-	reads, err := engine.CollectReads(context.Background(), open)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(reads) != len(chunk) {
-		t.Errorf("collected %d reads want %d", len(reads), len(chunk))
-	}
-}
-
-// sourceFunc adapts a closure to the Source contract.
-type sourceFunc func() ([]seq.Read, error)
-
-func (f sourceFunc) Next() ([]seq.Read, error) { return f() }
-func (f sourceFunc) Close() error              { return nil }

@@ -96,12 +96,11 @@ func TestEngineContract(t *testing.T) {
 			engines = append(engines, eng)
 		}
 	}
-	if len(engines) != 3 {
-		t.Fatalf("registered engines = %v, want reptile, redeem, shrec", engine.Names())
+	if len(engines) != 2 {
+		t.Fatalf("registered engines = %v, want reptile, redeem", engine.Names())
 	}
 
-	// CorrectStream ≡ Correct, in memory and under a spilling budget. For
-	// SHREC this is the buffered fallback of the streaming contract.
+	// CorrectStream ≡ Correct, in memory and under a spilling budget.
 	t.Run("stream_matches_correct", func(t *testing.T) {
 		for _, eng := range engines {
 			t.Run(eng.Name(), func(t *testing.T) {
@@ -124,9 +123,6 @@ func TestEngineContract(t *testing.T) {
 	t.Run("spectrum_reuse", func(t *testing.T) {
 		dir := t.TempDir()
 		for _, eng := range engines {
-			if !eng.Capabilities().SpectrumReuse {
-				continue
-			}
 			path := filepath.Join(dir, eng.Name()+".kspc")
 			fresh, _ := streamFASTQ(t, eng, blob, genome, engine.WithSaveSpectrumPath(path))
 			reused, res := streamFASTQ(t, eng, blob, genome, engine.WithSpectrumPath(path))
@@ -140,9 +136,8 @@ func TestEngineContract(t *testing.T) {
 		}
 	})
 
-	// The stored k is authoritative: a disagreeing WithK is an error, an
-	// unset k adopts it, and spectrum-free engines reject every spectrum
-	// option.
+	// The stored k is authoritative: a disagreeing WithK is an error and
+	// an unset k adopts it.
 	t.Run("spectrum_k_authority", func(t *testing.T) {
 		spec, err := kspectrum.Build(reads, 13, true)
 		if err != nil {
@@ -154,16 +149,6 @@ func TestEngineContract(t *testing.T) {
 		}
 		ctx := context.Background()
 		for _, eng := range engines {
-			if !eng.Capabilities().SpectrumReuse {
-				for _, opt := range []engine.Option{
-					engine.WithSpectrum(spec), engine.WithSpectrumPath(path), engine.WithSaveSpectrumPath(path + ".out"),
-				} {
-					if _, _, err := eng.Correct(ctx, reads, engine.NewRun(genome, opt)); err == nil {
-						t.Errorf("%s: spectrum option accepted", eng.Name())
-					}
-				}
-				continue
-			}
 			if _, _, err := eng.Correct(ctx, reads, engine.NewRun(engine.WithSpectrumPath(path), engine.WithK(12))); err == nil {
 				t.Errorf("%s: explicit k=12 accepted over a stored k=13", eng.Name())
 			}

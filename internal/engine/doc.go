@@ -1,13 +1,13 @@
 // Package engine is the unified, pluggable correction API of the
 // repository — the single seam behind which the dissertation's correction
-// algorithms (Reptile, REDEEM, SHREC) and any future engine live. It is
+// algorithms (Reptile, REDEEM) and any future engine live. It is
 // written as a promotable public API: nothing in it references a concrete
 // algorithm, and every consumer (the repro CLI, the serve daemon,
 // examples, benchmarks) programs against the same three concepts:
 //
 //   - Engine: the algorithm contract. An engine has a Name, declares its
-//     Capabilities (streaming path? spectrum reuse? largest servable
-//     spectrum k?), and corrects either a batch of in-memory reads
+//     Capabilities (largest servable spectrum k? remote spectrum?), and
+//     corrects either a batch of in-memory reads
 //     (Correct) or an arbitrarily large input through the canonical
 //     chunked streaming contract (CorrectStream). Both entry points take
 //     a context.Context and honor cancellation: a cancelled context
@@ -27,10 +27,9 @@
 //     WithSaveSpectrumPath, and WithBuild, which takes the spectrum
 //     build's kspectrum.StreamOptions — memory budget, checkpointing,
 //     shard count — whole and Run.StreamOptions hands it to an engine
-//     under the run's workers and context); engine
-//     packages contribute their own options (reptile.WithD,
-//     redeem.WithErrorRate, shrec.WithAlpha, ...) that tuck
-//     engine-specific payloads into the Run's extension slots. A Run is
+//     under the run's workers and context); engine packages contribute
+//     their own options (reptile.WithD, redeem.WithErrorRate, ...) that
+//     tuck engine-specific payloads into the Run's extension slots. A Run is
 //     inert data: engines resolve it against their defaults at call time,
 //     so the zero Run means "derive everything from the data".
 //     There is one way to load a persisted spectrum: WithSpectrumPath
@@ -41,8 +40,8 @@
 // Streaming uses one chunk-shaped contract for every engine: a Source
 // yields successive []seq.Read chunks (SourceOpener re-opens it, because
 // the correctors take two passes), and a Sink receives (original,
-// corrected) chunk pairs in input order. Engines without a true streaming
-// path (SHREC) satisfy the same contract by buffering, so callers never
+// corrected) chunk pairs in input order. Every engine streams in bounded
+// memory and can adopt a preloaded spectrum, so callers never
 // special-case.
 //
 // The two passes are written once: Reptile and REDEEM supply only their

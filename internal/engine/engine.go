@@ -16,18 +16,13 @@ import (
 // Capabilities declares what an engine can do, so front ends route
 // requests by declaration instead of hand-rolled per-algorithm checks
 // (the daemon's k>16 refusal for Reptile is MaxSpectrumK).
+//
+// Every engine streams in two chunked passes with bounded memory and can
+// adopt a preloaded k-spectrum (WithSpectrum / WithSpectrumPath) instead
+// of counting the input; those are the contract, not capabilities.
 type Capabilities struct {
-	// Streaming reports a true out-of-core streaming path: two chunked
-	// passes, bounded memory. Engines without one still satisfy
-	// CorrectStream by buffering the input.
-	Streaming bool
-	// SpectrumReuse reports that the engine can adopt a preloaded
-	// k-spectrum (WithSpectrum / WithSpectrumPath) instead of counting
-	// the input.
-	SpectrumReuse bool
-	// MaxSpectrumK is the largest spectrum k the engine can operate on
-	// (0 = no engine-specific limit beyond seq.MaxK). Reptile's packed
-	// 2k-base tiles cap it at seq.MaxK/2.
+	// MaxSpectrumK is the largest spectrum k the engine can operate on.
+	// Reptile's packed 2k-base tiles cap it at seq.MaxK/2.
 	MaxSpectrumK int
 	// RemoteSpectrum reports that the engine's service path can run
 	// against a kspectrum.SpectrumBackend (Run.Backend) instead of a
@@ -39,14 +34,8 @@ type Capabilities struct {
 }
 
 // ServesSpectrum reports whether the engine can serve requests against a
-// preloaded spectrum of the given k. Engines that do not reuse spectra
-// never do; the rest are bounded by MaxSpectrumK.
-func (c Capabilities) ServesSpectrum(k int) bool {
-	if !c.SpectrumReuse {
-		return false
-	}
-	return c.MaxSpectrumK == 0 || k <= c.MaxSpectrumK
-}
+// preloaded spectrum of the given k.
+func (c Capabilities) ServesSpectrum(k int) bool { return k <= c.MaxSpectrumK }
 
 // Result reports one correction run. Engines fill the fields they have;
 // the rest stay zero.
@@ -61,9 +50,9 @@ type Result struct {
 	// in-memory Correct, whose caller holds the slices).
 	Reads   int
 	Changed int
-	// Spectrum is the k-spectrum the run built or adopted (nil for
-	// engines without one). One the run loaded from WithSpectrumPath
-	// holds a file mapping and is the caller's to Close.
+	// Spectrum is the k-spectrum the run built or adopted. One the run
+	// loaded from WithSpectrumPath holds a file mapping and is the
+	// caller's to Close.
 	Spectrum *kspectrum.Spectrum
 	// Summary is a one-line, engine-specific description of the resolved
 	// parameters and outcome, suitable for a CLI status line.

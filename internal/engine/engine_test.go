@@ -113,28 +113,15 @@ func TestRunExt(t *testing.T) {
 	}
 }
 
-func TestRejectSpectrumOptions(t *testing.T) {
-	if err := NewRun().RejectSpectrumOptions("x"); err != nil {
-		t.Errorf("zero run rejected: %v", err)
-	}
-	if err := NewRun(WithSpectrumPath("a.kspc")).RejectSpectrumOptions("x"); err == nil {
-		t.Error("spectrum path accepted by spectrum-free engine")
-	}
-	if err := NewRun(WithSaveSpectrumPath("a.kspc")).RejectSpectrumOptions("x"); err == nil {
-		t.Error("save path accepted by spectrum-free engine")
-	}
-}
-
 func TestCapabilitiesServesSpectrum(t *testing.T) {
 	cases := []struct {
 		caps Capabilities
 		k    int
 		want bool
 	}{
-		{Capabilities{}, 11, false},
-		{Capabilities{SpectrumReuse: true}, 31, true},
-		{Capabilities{SpectrumReuse: true, MaxSpectrumK: 16}, 16, true},
-		{Capabilities{SpectrumReuse: true, MaxSpectrumK: 16}, 17, false},
+		{Capabilities{MaxSpectrumK: 32}, 31, true},
+		{Capabilities{MaxSpectrumK: 16}, 16, true},
+		{Capabilities{MaxSpectrumK: 16}, 17, false},
 	}
 	for _, tc := range cases {
 		if got := tc.caps.ServesSpectrum(tc.k); got != tc.want {

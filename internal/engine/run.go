@@ -16,8 +16,7 @@ type Run struct {
 	// K is the kmer length (0 = engine default / data-derived /
 	// adopted from a preloaded spectrum).
 	K int
-	// Workers bounds parallelism; <= 0 uses all cores (engines may
-	// document exceptions, e.g. SHREC's opt-in parallel trie build).
+	// Workers bounds parallelism; <= 0 uses all cores.
 	Workers int
 	// GenomeLen is the (estimated) genome length used for parameter
 	// selection; 0 means unknown.
@@ -187,14 +186,4 @@ func (r *Run) SaveSpectrum(spec *kspectrum.Spectrum) error {
 		return nil
 	}
 	return kspectrum.WriteSpectrumFile(r.SaveSpectrumPath, spec)
-}
-
-// RejectSpectrumOptions is the guard for engines without a k-spectrum
-// (Capabilities.SpectrumReuse == false): any spectrum option on the run
-// is a configuration error reported before work starts.
-func (r *Run) RejectSpectrumOptions(engineName string) error {
-	if r.Spectrum != nil || r.SpectrumPath != "" || r.SaveSpectrumPath != "" {
-		return fmt.Errorf("engine: %q has no k-spectrum to load or save", engineName)
-	}
-	return nil
 }

@@ -38,21 +38,6 @@ func StreamChunks(ctx context.Context, open SourceOpener, fn func([]seq.Read) er
 	return seq.StreamChunksCtx(ctx, open, fn)
 }
 
-// CollectReads drains a source into memory — the buffering fallback for
-// engines without a streaming path. Cancellation stops the drain at the
-// next chunk boundary.
-func CollectReads(ctx context.Context, open SourceOpener) ([]seq.Read, error) {
-	var reads []seq.Read
-	err := StreamChunks(ctx, open, func(chunk []seq.Read) error {
-		reads = append(reads, chunk...)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return reads, nil
-}
-
 // CountChanged tallies the reads whose sequence differs between the
 // original and corrected chunk — the shared throughput accounting of
 // every streaming front end. An engine that returns a different number

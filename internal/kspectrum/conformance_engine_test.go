@@ -18,7 +18,6 @@ import (
 	"repro/internal/redeem"
 	"repro/internal/reptile"
 	"repro/internal/seq"
-	"repro/internal/shrec"
 	"repro/internal/simulate"
 )
 
@@ -94,36 +93,5 @@ func TestEngineConformanceMappedVsCopied(t *testing.T) {
 			}
 			t.Logf("%s: %d of %d reads changed identically under both loaders", name, changed, len(reads))
 		})
-	}
-}
-
-// TestEngineConformanceShrec covers the spectrum-free engine: SHREC has
-// no store to map, so loader identity degenerates to determinism — two
-// runs over the same input must agree byte for byte (and spectrum
-// options must still be rejected as configuration errors rather than
-// ignored).
-func TestEngineConformanceShrec(t *testing.T) {
-	reads, specPath, genomeLen := conformanceCorpus(t)
-	eng, err := engine.Lookup(shrec.EngineName)
-	if err != nil {
-		t.Fatal(err)
-	}
-	correct := func() []seq.Read {
-		t.Helper()
-		run := engine.NewRun(engine.WithGenomeLen(genomeLen), engine.WithWorkers(2))
-		out, _, err := eng.Correct(context.Background(), reads, run)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return out
-	}
-	readsEqual(t, "run 1 vs run 2", correct(), correct())
-
-	run := engine.NewRun(
-		engine.WithGenomeLen(genomeLen),
-		engine.WithSpectrumPath(specPath),
-	)
-	if _, _, err := eng.Correct(context.Background(), reads, run); err == nil {
-		t.Fatal("shrec accepted a spectrum path it cannot use")
 	}
 }

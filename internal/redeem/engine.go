@@ -50,9 +50,7 @@ func (redeemEngine) Name() string { return EngineName }
 
 func (redeemEngine) Capabilities() engine.Capabilities {
 	return engine.Capabilities{
-		Streaming:     true,
-		SpectrumReuse: true,
-		MaxSpectrumK:  seq.MaxK,
+		MaxSpectrumK: seq.MaxK,
 		// The EM fit and the sparse Pe graph walk every spectrum column,
 		// so REDEEM must be colocated with its spectrum: no remote
 		// backend. The coordinator refuses to route redeem requests to a

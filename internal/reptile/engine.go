@@ -45,8 +45,6 @@ func (reptileEngine) Name() string { return EngineName }
 
 func (reptileEngine) Capabilities() engine.Capabilities {
 	return engine.Capabilities{
-		Streaming:     true,
-		SpectrumReuse: true,
 		// A tile packs 2k - overlap bases into one word, so served
 		// spectra are bounded at half the packable kmer length.
 		MaxSpectrumK: seq.MaxK / 2,

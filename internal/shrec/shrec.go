@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/par"
 	"repro/internal/seq"
 )
 
@@ -37,13 +36,6 @@ type Config struct {
 	GenomeLen int
 	// Iterations repeats the whole build-and-correct cycle.
 	Iterations int
-	// Workers > 1 shards trie construction by first base (the top two
-	// bits of the path) across up to four goroutines, each owning
-	// disjoint root branches, so the build is lock-free and its result
-	// independent of the worker count. The zero value (and 1) keeps the
-	// published serial build and its memory profile — parallelism is
-	// opt-in for this deliberately resource-faithful baseline.
-	Workers int
 }
 
 // DefaultConfig mirrors the published defaults: levels around log4 of the
@@ -104,10 +96,9 @@ const arenaBlockNodes = 4096
 // nodeArena allocates trie nodes from slabs instead of one heap object
 // per node: the build creates millions of nodes (SHREC's published
 // resource profile), and slab allocation removes the per-node allocator
-// overhead and GC scan pressure from that hot path. Arenas are
-// per-goroutine — each parallel build shard owns one — so handing out
-// nodes needs no synchronization. Nodes are only reclaimed when the whole
-// trie is dropped, which matches the build-then-discard lifecycle.
+// overhead and GC scan pressure from that hot path. Nodes are only
+// reclaimed when the whole trie is dropped, which matches the
+// build-then-discard lifecycle.
 type nodeArena struct {
 	free []node
 }
@@ -144,17 +135,13 @@ func Correct(reads []seq.Read, cfg Config) ([]seq.Read, Stats, error) {
 func correctOnce(reads []seq.Read, cfg Config, stats *Stats) int {
 	maxDepth := cfg.ToLevel + cfg.ContextDepth
 	root := &node{}
-	// insert walks every suffix of the oriented string whose first base the
-	// worker owns (ownedMask bit set), so disjoint ownership keeps the four
-	// root branches free of cross-goroutine writes; new nodes come from the
-	// caller's arena. It returns the number of trie nodes created.
-	insert := func(arena *nodeArena, ownedMask uint8, bases []byte, readID int32, rc bool, readLen int) int {
+	var arena nodeArena
+	// insert walks every suffix of the oriented string down to maxDepth,
+	// taking new nodes from the arena. It returns the number of trie nodes
+	// created.
+	insert := func(bases []byte, readID int32, rc bool, readLen int) int {
 		nodes := 0
 		for start := 0; start < len(bases); start++ {
-			first, ok := seq.BaseFromChar(bases[start])
-			if !ok || ownedMask&(1<<first) == 0 {
-				continue
-			}
 			cur := root
 			end := min(len(bases), start+maxDepth)
 			for j := start; j < end; j++ {
@@ -184,43 +171,12 @@ func correctOnce(reads []seq.Read, cfg Config, stats *Stats) int {
 		}
 		return nodes
 	}
-	workers := min(cfg.Workers, 4)
+	// Each reverse complement is materialized transiently, keeping the
+	// memory-sensitive corrector's historical footprint.
 	nodes := 0
-	if workers <= 1 {
-		// Serial path: materialize each reverse complement transiently,
-		// keeping the memory-sensitive corrector's historical footprint.
-		mask := uint8(0b1111)
-		var arena nodeArena
-		for i := range reads {
-			nodes += insert(&arena, mask, reads[i].Seq, int32(i), false, len(reads[i].Seq))
-			nodes += insert(&arena, mask, seq.ReverseComplement(reads[i].Seq), int32(i), true, len(reads[i].Seq))
-		}
-	} else {
-		// Reverse complements are shared across workers rather than
-		// recomputed inside each shard's pass.
-		rcs := make([][]byte, len(reads))
-		for i := range reads {
-			rcs[i] = seq.ReverseComplement(reads[i].Seq)
-		}
-		buildShard := func(ownedMask uint8) int {
-			nodes := 0
-			var arena nodeArena // per-shard, so allocation stays lock-free
-			for i := range reads {
-				nodes += insert(&arena, ownedMask, reads[i].Seq, int32(i), false, len(reads[i].Seq))
-				nodes += insert(&arena, ownedMask, rcs[i], int32(i), true, len(reads[i].Seq))
-			}
-			return nodes
-		}
-		// Distribute the four root branches round-robin over the workers.
-		masks := make([]uint8, workers)
-		for b := 0; b < 4; b++ {
-			masks[b%workers] |= 1 << b
-		}
-		perWorker := make([]int, workers)
-		par.Each(workers, workers, func(_, w int) { perWorker[w] = buildShard(masks[w]) })
-		for _, n := range perWorker {
-			nodes += n
-		}
+	for i := range reads {
+		nodes += insert(reads[i].Seq, int32(i), false, len(reads[i].Seq))
+		nodes += insert(seq.ReverseComplement(reads[i].Seq), int32(i), true, len(reads[i].Seq))
 	}
 	stats.NodesBuilt += nodes
 	if nodes > stats.PeakNodes {

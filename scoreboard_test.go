@@ -329,6 +329,17 @@ func scoreClosetMeta(t *testing.T, add func(string, any)) {
 	for _, tr := range res.ByThreshold {
 		add(fmt.Sprintf("merge_rounds@%.2f", tr.Threshold), tr.MergeRounds)
 		add(fmt.Sprintf("converged@%.2f", tr.Threshold), tr.Converged)
+		// Coverage: reads in at least one cluster, and how many clusters
+		// each of them sits in on average (clusters may overlap).
+		covered, memberships := map[int32]bool{}, 0
+		for _, c := range tr.Clusters {
+			memberships += len(c.Verts)
+			for _, v := range c.Verts {
+				covered[v] = true
+			}
+		}
+		add(fmt.Sprintf("covered_reads@%.2f", tr.Threshold), len(covered))
+		add(fmt.Sprintf("memberships_per_read@%.2f", tr.Threshold), float64(memberships)/float64(max(len(covered), 1)))
 	}
 	add("clusters_sha256", closetDigest(res))
 }

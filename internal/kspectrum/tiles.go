@@ -206,6 +206,30 @@ func (ts *TileSet) MaxOg() uint32 {
 	return ts.maxOg
 }
 
+// AppendAtLeast appends the tiles with Og at least minOg to dst, ascending,
+// and returns it, stopping once more than limit have been appended: a caller
+// that wants at most limit of them can tell there are more. It reads the
+// frozen column and panics before Freeze.
+func (ts *TileSet) AppendAtLeast(dst []TileEntry, minOg uint32, limit int) []TileEntry {
+	if !ts.frozen() {
+		panic("kspectrum: TileSet.AppendAtLeast before Freeze")
+	}
+	if ts.maxOg < minOg {
+		return dst
+	}
+	n := len(dst)
+	for _, shard := range ts.shards { // shards partition by top bits: in order
+		for _, e := range shard.slots {
+			if e.Og >= minOg {
+				if dst = append(dst, e); len(dst)-n > limit {
+					return dst
+				}
+			}
+		}
+	}
+	return dst
+}
+
 // Run returns the tiles whose first kmer is ka, ascending — so by second
 // kmer, whose first Overlap bases are ka's last. It panics before Freeze.
 //

@@ -197,6 +197,7 @@ func TestTileSetFrozenGuards(t *testing.T) {
 	}
 	mustPanic("Run before Freeze", func() { ts.Run(0) })
 	mustPanic("MaxOg before Freeze", func() { ts.MaxOg() })
+	mustPanic("AppendAtLeast before Freeze", func() { ts.AppendAtLeast(nil, 0, 1) })
 	before, absent := unfrozenCounts(ts, 100, rand.New(rand.NewSource(1)))
 	ts.Freeze()
 	ts.Freeze()
@@ -234,6 +235,41 @@ func TestTileSetMaxOg(t *testing.T) {
 				t.Errorf("%+v, %d reads: MaxOg %d, highest histogram bin %d", o, len(chunk), got, want)
 			}
 			ts.Release()
+		}
+	}
+}
+
+// TestTileSetAppendAtLeast: AppendAtLeast appends after dst's entries the
+// tiles of Og at least minOg in ascending order — across shards too — and
+// stops once it has appended one more than limit; a minOg above MaxOg
+// appends nothing.
+func TestTileSetAppendAtLeast(t *testing.T) {
+	reads := randomReads(t, 600)
+	for range 10 {
+		reads = append(reads, reads[:20]...)
+	}
+	for _, o := range []BuildOptions{{Workers: 1}, {Workers: 4, Shards: 16}} {
+		ts, err := CountTiles(reads, 10, 0, 0, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before, _ := unfrozenCounts(ts, 0, nil)
+		ts.Freeze()
+		head := []TileEntry{{Tile: 1}}
+		for _, minOg := range []uint32{0, 2, 5, ts.MaxOg(), ts.MaxOg() + 1} {
+			var want []TileEntry
+			for tile, c := range before {
+				if c.Og >= minOg {
+					want = append(want, TileEntry{tile, c})
+				}
+			}
+			slices.SortFunc(want, func(x, y TileEntry) int { return cmp.Compare(x.Tile, y.Tile) })
+			for _, limit := range []int{0, 3, len(want) - 1, len(want)} {
+				got := ts.AppendAtLeast(slices.Clone(head), minOg, limit)
+				if n := min(len(want), limit+1); !slices.Equal(got[:1], head) || !slices.Equal(got[1:], want[:n]) {
+					t.Fatalf("%+v minOg %d limit %d: %d tiles appended, want the first %d of %d", o, minOg, limit, len(got)-1, n, len(want))
+				}
+			}
 		}
 	}
 }

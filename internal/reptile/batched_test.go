@@ -73,13 +73,29 @@ func awkwardReads(reads []seq.Read) []seq.Read {
 // CorrectAllCtx returns on the same Corrector — with the guessed first
 // batch, and with no guess at all, when every neighborhood arrives
 // through the miss path. The second half is the proof that exactness
-// does not rest on the guess; at Cm = 1 a 20-read chunk must reach the
-// miss path. The fetched batches must also be sorted, unique and
-// independent of the worker count, and their number — the fetch rounds a
-// chunk costs — is the one fetchRounds (fetchRoundsCm1 at Cm = 1) records.
+// does not rest on the guess; at Cm = 1 a 100-read chunk, whose strong
+// tiles outnumber crossover so its walks take the run route, must reach
+// the miss path, and at the derived Cm the repeated chunk must reach it
+// through the strong list. The fetched batches must also be sorted, unique
+// and independent of the worker count, and their number — the fetch rounds
+// a chunk costs — is the one fetchRounds (fetchRoundsCm1 at Cm = 1)
+// records.
 func TestBatchedDriverByteIdentity(t *testing.T) {
 	corpus, spec := serviceFixture(t)
 	corpus = awkwardReads(corpus)
+	// repeated is 20 reads four times over, one copy of each with a base
+	// changed: at the derived Cm it has fewer strong tiles than crossover,
+	// and the changed copies' tiles lie in their boxes, so the walks take
+	// the strong list and ask neighbourhoods.
+	var repeated []seq.Read
+	for rep := range 4 {
+		for i, r := range corpus[:20] {
+			if r = r.Clone(); rep == 0 && len(r.Seq) > 0 {
+				r.Seq[(7*i)%len(r.Seq)] = "ACGT"[i%4]
+			}
+			repeated = append(repeated, r)
+		}
+	}
 	ctx := context.Background()
 	for _, cm := range []uint32{0, 1} {
 		for _, d := range []int{1, 2} {
@@ -88,8 +104,8 @@ func TestBatchedDriverByteIdentity(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				for _, n := range []int{1, 20, 500, len(corpus)} {
-					reads := corpus[:n]
+				for _, reads := range [][]seq.Read{corpus[:1], corpus[:100], corpus[:500], repeated, corpus} {
+					n := len(reads)
 					c, prepared, err := svc.corrector(reads, 1)
 					if err != nil {
 						t.Fatal(err)
@@ -120,8 +136,11 @@ func TestBatchedDriverByteIdentity(t *testing.T) {
 									t.Fatalf("%s: a fetched batch is not sorted and unique", name)
 								}
 							}
-							if cm == 1 && !guessed && n >= 20 && len(src.batches) < 2 {
+							if cm == 1 && !guessed && n >= 100 && len(src.batches) < 2 {
 								t.Errorf("%s: %d batches — the miss path was not exercised", name, len(src.batches))
+							}
+							if cm == 0 && !guessed && n == len(repeated) && (c.strong == nil || len(src.batches) == 0) {
+								t.Errorf("%s: list route %v, %d batches — the list route's miss path was not exercised", name, c.strong != nil, len(src.batches))
 							}
 							if first == nil {
 								first = src.batches
@@ -155,24 +174,28 @@ func TestBatchedDriverByteIdentity(t *testing.T) {
 // fetchRounds is how many NeighborhoodMany batches each case of
 // TestBatchedDriverByteIdentity costs, {guessed, unguessed}, keyed by
 // {d, overlap, reads} with 0 reads standing for the whole 6 666-read
-// corpus. Unguessed, a 1- or 20-read chunk asks nothing: no tile in it has
-// the support to outvote another, so no walk queries (correctTile).
+// corpus and 80 for the repeated chunk. Unguessed, a chunk of up to 500
+// corpus reads asks nothing: it holds a few dozen strong tiles at most,
+// none inside a Hamming box of its tiles, so every walk takes the strong
+// list and queries nothing (mutantsByList; the 500-read chunks cost 4 or 5
+// rounds on N(a)'s runs). The repeated chunk's changed copies do lie in
+// its strong tiles' boxes: one miss round.
 var fetchRounds = map[[3]int][2]int{
-	{1, 0, 1}: {1, 0}, {1, 0, 20}: {1, 0}, {1, 0, 500}: {1, 4}, {1, 0, 0}: {2, 5},
-	{1, 3, 1}: {1, 0}, {1, 3, 20}: {1, 0}, {1, 3, 500}: {1, 5}, {1, 3, 0}: {3, 5},
-	{2, 0, 1}: {1, 0}, {2, 0, 20}: {1, 0}, {2, 0, 500}: {1, 4}, {2, 0, 0}: {2, 5},
-	{2, 3, 1}: {1, 0}, {2, 3, 20}: {1, 0}, {2, 3, 500}: {1, 5}, {2, 3, 0}: {3, 5},
+	{1, 0, 1}: {1, 0}, {1, 0, 100}: {1, 0}, {1, 0, 500}: {1, 0}, {1, 0, 80}: {1, 1}, {1, 0, 0}: {2, 5},
+	{1, 3, 1}: {1, 0}, {1, 3, 100}: {1, 0}, {1, 3, 500}: {1, 0}, {1, 3, 80}: {1, 1}, {1, 3, 0}: {3, 5},
+	{2, 0, 1}: {1, 0}, {2, 0, 100}: {1, 0}, {2, 0, 500}: {1, 0}, {2, 0, 80}: {1, 1}, {2, 0, 0}: {2, 5},
+	{2, 3, 1}: {1, 0}, {2, 3, 100}: {1, 0}, {2, 3, 500}: {1, 0}, {2, 3, 80}: {1, 1}, {2, 3, 0}: {3, 5},
 }
 
 // fetchRoundsCm1 is fetchRounds for the same cases with Cm pinned at 1:
 // a tile of Og(t) >= 1 then looks for mutants of twice its support, one of
-// Og(t) = 0 for any supported mutant, so far more walks ask neighborhoods
-// than at the derived Cm — 20-read chunks still miss.
+// Og(t) = 0 for any supported mutant, and from 100 reads up a chunk's
+// strong tiles outnumber crossover, so its walks take N(a)'s runs and miss.
 var fetchRoundsCm1 = map[[3]int][2]int{
-	{1, 0, 1}: {1, 0}, {1, 0, 20}: {1, 4}, {1, 0, 500}: {2, 4}, {1, 0, 0}: {3, 5},
-	{1, 3, 1}: {1, 0}, {1, 3, 20}: {1, 4}, {1, 3, 500}: {4, 6}, {1, 3, 0}: {4, 5},
-	{2, 0, 1}: {1, 0}, {2, 0, 20}: {1, 4}, {2, 0, 500}: {2, 5}, {2, 0, 0}: {4, 5},
-	{2, 3, 1}: {1, 0}, {2, 3, 20}: {1, 4}, {2, 3, 500}: {4, 6}, {2, 3, 0}: {4, 6},
+	{1, 0, 1}: {1, 0}, {1, 0, 100}: {1, 4}, {1, 0, 500}: {2, 4}, {1, 0, 80}: {1, 1}, {1, 0, 0}: {3, 5},
+	{1, 3, 1}: {1, 0}, {1, 3, 100}: {1, 4}, {1, 3, 500}: {4, 6}, {1, 3, 80}: {1, 4}, {1, 3, 0}: {4, 5},
+	{2, 0, 1}: {1, 0}, {2, 0, 100}: {1, 4}, {2, 0, 500}: {2, 5}, {2, 0, 80}: {1, 1}, {2, 0, 0}: {4, 5},
+	{2, 3, 1}: {1, 0}, {2, 3, 100}: {2, 4}, {2, 3, 500}: {4, 6}, {2, 3, 80}: {1, 4}, {2, 3, 0}: {4, 6},
 }
 
 // TestBatchedDriverFetchFailure: a batch that fails mid-way returns that

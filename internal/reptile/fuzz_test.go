@@ -3,6 +3,7 @@ package reptile
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -92,4 +93,49 @@ func fuzzDriverReads(corpus []seq.Read, data []byte) []seq.Read {
 		reads = append(reads, r)
 	}
 	return reads
+}
+
+// FuzzMutantTileRoutes holds the two mutantTiles routes to the same mutants
+// in the same order (compareRoutes). The first byte picks the service — d ∈
+// {1, 2} × overlap ∈ {0, 3} over serviceFixture's spectrum — the next two
+// a chunk's first corpus read, the fourth its length in steps of 8 reads,
+// the next two the strong list's size (listOfSize, modulo the chunk's
+// tiles). The rest, in (read, pos, base) triples, writes bases into the
+// chunk's first 8 reads once its tiles are counted, so the tiles compared
+// need not be the chunk's own.
+func FuzzMutantTileRoutes(f *testing.F) {
+	f.Add([]byte("\x00\x00\x00\x3e\x00\x02"))
+	f.Add([]byte("\x03\x01\x00\x10\x01\x00\x02\x05\x01"))
+	f.Add([]byte("\x01\x10\x00\xff\x01\x01\x00\x11\x02\x07\x20\x03"))
+	f.Add([]byte("\x02\x00\x40\x3e\x00\x00\x00\x03\x00\x01\x03\x01"))
+	corpus, spec := serviceFixture(f)
+	var svcs [4]*Service
+	for i := range svcs {
+		var err error
+		if svcs[i], err = NewService(spec, Params{D: 1 + i/2, Overlap: 3 * (i % 2)}); err != nil {
+			f.Fatal(err)
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 6 {
+			return
+		}
+		lo := (int(data[1])<<8 | int(data[2])) % len(corpus)
+		chunk := corpus[lo:min(lo+1+8*int(data[3]), len(corpus))]
+		c, prepared, err := svcs[int(data[0])%len(svcs)].corrector(chunk, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Tiles.Release()
+		list, cm := listOfSize(c.Tiles, (int(data[4])<<8|int(data[5]))%c.Tiles.Size())
+		reads := make([]seq.Read, min(len(prepared), 8))
+		for i := range reads {
+			reads[i] = prepared[i].Clone()
+		}
+		for mut := data[6:]; len(mut) >= 3; mut = mut[3:] {
+			r := reads[int(mut[0])%len(reads)]
+			r.Seq[int(mut[1])%len(r.Seq)] = "ACGT"[mut[2]%4]
+		}
+		compareRoutes(t, c, list, cm, reads, fmt.Sprintf("D=%d overlap=%d list=%d Cm=%d", c.P.D, c.P.Overlap, len(list), cm))
+	})
 }

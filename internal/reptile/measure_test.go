@@ -2,6 +2,7 @@ package reptile
 
 import (
 	"context"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -86,9 +87,11 @@ func (c *countingSource) Neighborhood(km seq.Kmer, d int, dst []seq.Kmer) ([]seq
 
 // TestNeighborhoodRepeatFactor measures how often the uncached local walk
 // asks the same neighborhood question again: total against distinct
-// queries over one 500-read service chunk and over one worker's share of a
-// two-worker batch run. The ratio bounds what a request-local memo of the
-// local path could save; EXPERIMENTS.md records it.
+// queries over one 2 000-read service chunk and over one worker's share of
+// a two-worker batch run. The ratio bounds what a request-local memo of the
+// local path could save; EXPERIMENTS.md records it. A 500-read chunk asks
+// nothing: its few strong tiles lie outside its tiles' Hamming boxes
+// (mutantsByList); 2 000 reads hold more strong tiles than crossover.
 func TestNeighborhoodRepeatFactor(t *testing.T) {
 	ds := gainCorpus(t)
 	reads := simulate.Reads(ds.Sim)
@@ -118,15 +121,17 @@ func TestNeighborhoodRepeatFactor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := svc.CorrectChunk(ctx, reads[:500], 1); err != nil {
+	if _, err := svc.CorrectChunk(ctx, reads[:2000], 1); err != nil {
 		t.Fatal(err)
 	}
-	report("service chunk (500 reads)", src)
+	report("service chunk (2 000 reads)", src)
 }
 
 // serviceChunkQueries is how many radius-D neighborhoods the first 500-read
-// chunk of serviceFixture asks of a local source at the default parameters.
-const serviceChunkQueries = 1976
+// chunk of serviceFixture asks of a local source at the default parameters:
+// none since its walks take the strong list (1 976 on N(a)'s runs), whose
+// 36 tiles lie outside every one of its tiles' Hamming boxes.
+const serviceChunkQueries = 0
 
 // TestServiceChunkQueries pins the query cost of a daemon-sized request:
 // the radius-D neighborhoods one 500-read serviceFixture chunk asks, with
@@ -158,5 +163,68 @@ func TestServiceChunkQueries(t *testing.T) {
 	t.Logf("500-read chunk: %d queries, %d at radius %d", src.total, src.byRadius[svc.p.D], svc.p.D)
 	if n := src.byRadius[svc.p.D]; n != serviceChunkQueries {
 		t.Errorf("a 500-read chunk asks %d radius-%d neighborhoods, want %d", n, svc.p.D, serviceChunkQueries)
+	}
+}
+
+// BenchmarkMutantTileRoutes measures where the strong list stops paying:
+// one tile's mutant enumeration by each route, over every tile position of
+// the first 500-read chunk of the serve_mapped corpus (D1 at full scale,
+// bench seed 1, k = 13) against strong lists of 16 to 4 096 tiles
+// (listOfSize), the floor correctTile would set, d1 alternating 0 and D.
+// The run route's cost does not depend on the list; the list route's grows
+// with it. crossover is where they meet; EXPERIMENTS.md records the table.
+func BenchmarkMutantTileRoutes(b *testing.B) {
+	spec := simulate.Chapter2Specs(20000)[0] // D1
+	spec.Seed, spec.Workers = 1_000_003+3, 4
+	ds, err := simulate.BuildDataset(spec)
+	if err != nil {
+		b.Fatal(err)
+	}
+	reads := simulate.Reads(ds.Sim)
+	built, err := kspectrum.BuildParallel(reads, 13, true, kspectrum.BuildOptions{Workers: 2})
+	if err != nil {
+		b.Fatal(err)
+	}
+	svc, err := NewService(built, Params{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	c, prepared, err := svc.corrector(reads[:500], 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	type tile struct{ a, b seq.Kmer }
+	var tiles []tile
+	step := c.P.K - c.P.Overlap
+	for _, r := range prepared {
+		for pos := 0; pos+c.Tiles.TileLen <= len(r.Seq); pos++ {
+			a, okA := seq.Pack(r.Seq[pos:], c.P.K)
+			bk, okB := seq.Pack(r.Seq[pos+step:], c.P.K)
+			if okA && okB {
+				tiles = append(tiles, tile{a, bk})
+			}
+		}
+	}
+	var s scratch
+	for _, n := range []int{16, 32, 64, 128, 192, 256, 512, 1024, 2048, 4096} {
+		list, cm := listOfSize(c.Tiles, n)
+		floor := func(t tile) float64 {
+			if og := c.Tiles.Get(c.Tiles.PackTile(t.a, t.b)).Og; og >= cm {
+				return c.P.Cr * float64(og)
+			}
+			return float64(cm)
+		}
+		b.Run(fmt.Sprintf("list=%d/route=runs", n), func(b *testing.B) {
+			for i := range b.N {
+				t := tiles[i%len(tiles)]
+				c.mutantsByRuns(t.a, t.b, (i&1)*c.P.D, c.P.D, floor(t), &s)
+			}
+		})
+		b.Run(fmt.Sprintf("list=%d/route=list", n), func(b *testing.B) {
+			for i := range b.N {
+				t := tiles[i%len(tiles)]
+				c.mutantsByList(list, t.a, t.b, (i&1)*c.P.D, c.P.D, floor(t), &s)
+			}
+		})
 	}
 }

@@ -121,6 +121,12 @@ type Corrector struct {
 	// neigh is the pluggable query seam. When nil it is derived from Spec
 	// and NI before the first correction.
 	neigh kspectrum.NeighborSource
+
+	// strong is the strong list mutantTiles may walk: every frozen tile
+	// with Og >= strongCm, ascending, when there are at most crossover of
+	// them; nil when there are more, or when nothing listed them.
+	strong   []kspectrum.TileEntry
+	strongCm uint32
 }
 
 // ensureQuerier wires the query seam from the Spec/NI fields when the
@@ -132,6 +138,17 @@ func (c *Corrector) ensureQuerier() {
 		c.neigh = kspectrum.LocalNeighbors(c.Spec, c.NI)
 	}
 	c.Tiles.Freeze()
+}
+
+// listStrong makes the strong list for the Cm in force, once the tiles are
+// frozen and before any worker reads them. An empty list is not nil, so it
+// still takes the list route. The scan stops past crossover entries: a
+// batch corpus has ~10⁵ strong tiles and keeps the run route.
+func (c *Corrector) listStrong() {
+	c.strong, c.strongCm = c.Tiles.AppendAtLeast([]kspectrum.TileEntry{}, c.P.Cm, crossover), c.P.Cm
+	if len(c.strong) > crossover {
+		c.strong = nil
+	}
 }
 
 // New runs Phase 1 over the read set. Parameter thresholds Cg and Cm are
@@ -205,8 +222,8 @@ func (b *Builder) Add(reads []seq.Read) {
 	b.tiles.Add(prepared)
 }
 
-// Finish builds the neighborhood index and derives the occurrence
-// thresholds, producing the ready-to-use Corrector.
+// Finish builds the neighborhood index, derives the occurrence thresholds
+// and lists the strong tiles, producing the ready-to-use Corrector.
 func (b *Builder) Finish() (*Corrector, error) {
 	p := b.p
 	spec := p.Spectrum
@@ -228,7 +245,9 @@ func (b *Builder) Finish() (*Corrector, error) {
 	if p.Cm == 0 {
 		p.Cm = cm
 	}
-	return &Corrector{P: p, Spec: spec, NI: ni, Tiles: b.tiles}, nil
+	c := &Corrector{P: p, Spec: spec, NI: ni, Tiles: b.tiles}
+	c.listStrong()
+	return c, nil
 }
 
 // deriveThresholds picks Cm and Cg from the Og histogram of distinct tiles,
@@ -418,26 +437,78 @@ func (c *Corrector) correctTile(bases, qual []byte, pos int, d1, d2 int, s *scra
 	return decInsufficient // line 8, or no single strong mutant
 }
 
-// longRun is the run length past which mutantTiles searches a run for the
-// members of N(b) instead of walking it.
+// longRun is the run length past which mutantsByRuns searches a run for
+// the members of N(b) instead of walking it.
 const longRun = 16
+
+// crossover is the strong-list length up to which mutantTiles walks the
+// list rather than N(a)'s runs: the break-even of the two routes measured
+// on a daemon chunk (EXPERIMENTS.md, PR 43).
+const crossover = 256
 
 // mutantTiles enumerates the observed d-mutant tiles of (a,b) with Og at
 // least floor, excluding the tile itself (Definition 2.2 with the
-// overlap-consistency constraint), into the scratch mutant buffer. The
-// candidate kmers arrive by value in ascending order from either
-// neighborhood source, so the enumeration — and every downstream decision —
-// is identical for local and remote backends.
+// overlap-consistency constraint), into the scratch mutant buffer, in
+// ascending tile order. The candidate kmers arrive by value in ascending
+// order from either neighborhood source, so the enumeration — and every
+// downstream decision — is identical for local and remote backends.
 //
-// Each ka ∈ N(a) is one Run, whose (overlap-consistent) tiles ascend by kb.
-// An entry counts if it reaches the floor, lies within d2 of b and kb is in
-// N(b), which is asked only when the first such entry appears — most tiles
-// have none — and then binary-searched. A run longer than longRun is
-// searched once per member of N(b) when that is the shorter side: a
-// repeat's first kmer heading thousands of tiles costs |N(b)| searches of
-// its run, not a walk of it (TestMutantTilesLongRun). A failed N(a) still
-// asks N(b), so a cache miss queues both kmers in one round.
+// Two routes give the same list. correctTile's floors are at least Cm, so
+// when the Corrector's strong list exists and was made for a Cm at or below
+// floor it holds every tile that can be a mutant, and walking it
+// (mutantsByList) asks no neighborhood unless an entry lies in the tile's
+// Hamming box: a daemon chunk has a handful of strong tiles, and most of
+// its tiles none near them. Otherwise each ka ∈ N(a) is one run to walk
+// (mutantsByRuns).
 func (c *Corrector) mutantTiles(a, b seq.Kmer, d1, d2 int, floor float64, s *scratch) []mutantTile {
+	if c.strong != nil && floor >= float64(c.strongCm) {
+		return c.mutantsByList(c.strong, a, b, d1, d2, floor, s)
+	}
+	return c.mutantsByRuns(a, b, d1, d2, floor, s)
+}
+
+// mutantsByList is mutantTiles over list, ascending tiles that include
+// every one with Og at least floor. An entry counts if it reaches the
+// floor, is not the tile itself, lies in the Hamming box — ka within d1 of
+// a, kb within d2 of b — and ka ∈ N(a), kb ∈ N(b). The first entry in the
+// box asks both neighborhoods, so a cache miss queues both kmers in one
+// round as in mutantsByRuns; each entry then binary-searches them. The
+// list ascends by tile, so by (ka, kb): the order the run walk yields.
+func (c *Corrector) mutantsByList(list []kspectrum.TileEntry, a, b seq.Kmer, d1, d2 int, floor float64, s *scratch) []mutantTile {
+	self, k := c.Tiles.PackTile(a, b), c.P.K
+	out, asked := s.mutants[:0], false
+	for _, e := range list {
+		if float64(e.Og) < floor || e.Tile == self {
+			continue
+		}
+		ka, kb := c.Tiles.SplitTile(e.Tile)
+		if seq.HammingKmer(ka, a, k) > d1 || seq.HammingKmer(kb, b, k) > d2 {
+			continue
+		}
+		if !asked {
+			s.na, s.nb, asked = c.hood(a, d1, s.na[:0], s), c.hood(b, d2, s.nb[:0], s), true
+		}
+		if _, ok := slices.BinarySearch(s.na, ka); !ok {
+			continue
+		}
+		if _, ok := slices.BinarySearch(s.nb, kb); ok {
+			out = append(out, c.mutant(a, b, e))
+		}
+	}
+	s.mutants = out
+	return out
+}
+
+// mutantsByRuns is mutantTiles over the tile runs of N(a). Each ka ∈ N(a)
+// is one Run, whose (overlap-consistent) tiles ascend by kb. An entry
+// counts if it reaches the floor, lies within d2 of b and kb is in N(b),
+// which is asked only when the first such entry appears — most tiles have
+// none — and then binary-searched. A run longer than longRun is searched
+// once per member of N(b) when that is the shorter side: a repeat's first
+// kmer heading thousands of tiles costs |N(b)| searches of its run, not a
+// walk of it (TestMutantTilesLongRun). A failed N(a) still asks N(b), so a
+// cache miss queues both kmers in one round.
+func (c *Corrector) mutantsByRuns(a, b seq.Kmer, d1, d2 int, floor float64, s *scratch) []mutantTile {
 	s.na = c.hood(a, d1, s.na[:0], s)
 	s.nb = s.nb[:0]
 	askedB := s.err != nil

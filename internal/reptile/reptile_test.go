@@ -3,8 +3,11 @@ package reptile
 import (
 	"bytes"
 	"context"
+	"fmt"
+	"math"
 	"math/rand"
 	"slices"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -385,10 +388,11 @@ func (c *Corrector) correctTileUnpruned(bases, qual []byte, pos int, d1, d2 int,
 // unpruned Algorithm 1 reaches, and writes the same bytes, on every tile
 // position of ten reads with errors, Ns and missing qualities, at
 // d1 ∈ {0, d}, over TestMutantTilesMatchesProbing's grid and
-// Cm ∈ {1, 2, 5} × Cr ∈ {1.5, 2, 3}. The spectrum comes from a third of
-// the reads, as a daemon's comes from a corpus its requests need not
-// belong to, so some tiles' kmers are missing from it. Both branches must
-// correct somewhere.
+// Cm ∈ {1, 2, 5} × Cr ∈ {1.5, 2, 3} — by either mutantTiles route: the
+// runs of N(a), and the strong list prepared with every tile of Og >= Cm
+// however long it is. The spectrum comes from a third of the reads, as a
+// daemon's comes from a corpus its requests need not belong to, so some
+// tiles' kmers are missing from it. Both branches must correct somewhere.
 func TestCorrectTileMatchesUnpruned(t *testing.T) {
 	_, sim := buildTestData(t, 3000, 300, 40, 0.02, 31)
 	reads := simulate.Reads(sim)
@@ -406,7 +410,7 @@ func TestCorrectTileMatchesUnpruned(t *testing.T) {
 	type ws struct{ workers, shards int }
 	var s, rs scratch
 	var got, want []byte
-	corrected := map[bool]int{} // by Og(t) >= Cm
+	corrected := map[bool]int{} // by Og(t) >= Cm, both routes agreeing
 	for _, k := range []int{3, 5, 10, 13, 16} {
 		for _, l := range []int{0, 1, k - 1} {
 			for _, d := range []int{0, 1, 2} {
@@ -425,22 +429,27 @@ func TestCorrectTileMatchesUnpruned(t *testing.T) {
 					prepared := prepareReads(reads, base.P)
 					for _, cm := range []uint32{1, 2, 5} {
 						for _, cr := range []float64{1.5, 2, 3} {
-							c := *base
-							c.P.Cm, c.P.Cr = cm, cr
+							byRuns := *base
+							byRuns.P.Cm, byRuns.P.Cr, byRuns.strong = cm, cr, nil
+							byList := byRuns
+							byList.strong, byList.strongCm = base.Tiles.AppendAtLeast([]kspectrum.TileEntry{}, cm, math.MaxInt), cm
 							for _, r := range prepared[:10] {
-								for pos := 0; pos+c.Tiles.TileLen <= len(r.Seq); pos++ {
+								for pos := 0; pos+base.Tiles.TileLen <= len(r.Seq); pos++ {
 									for _, d1 := range []int{0, d} {
-										got, want = append(got[:0], r.Seq...), append(want[:0], r.Seq...)
-										dg := c.correctTile(got, r.Qual, pos, d1, d, &s)
-										dw := c.correctTileUnpruned(want, r.Qual, pos, d1, d, &rs)
-										if dg != dw || !bytes.Equal(got, want) {
-											t.Fatalf("k=%d l=%d d=%d %+v Cm=%d Cr=%v: tile at %d (d1=%d) of %s: decision %d writing %s, want %d writing %s",
-												k, l, d, o, cm, cr, pos, d1, r.Seq, dg, got, dw, want)
+										want = append(want[:0], r.Seq...)
+										dw := byRuns.correctTileUnpruned(want, r.Qual, pos, d1, d, &rs)
+										for _, c := range []*Corrector{&byRuns, &byList} {
+											got = append(got[:0], r.Seq...)
+											dg := c.correctTile(got, r.Qual, pos, d1, d, &s)
+											if dg != dw || !bytes.Equal(got, want) {
+												t.Fatalf("k=%d l=%d d=%d %+v Cm=%d Cr=%v list=%v: tile at %d (d1=%d) of %s: decision %d writing %s, want %d writing %s",
+													k, l, d, o, cm, cr, c.strong != nil, pos, d1, r.Seq, dg, got, dw, want)
+											}
 										}
-										if dg == decCorrected {
+										if dw == decCorrected {
 											a, _ := seq.Pack(r.Seq[pos:], k)
 											b, _ := seq.Pack(r.Seq[pos+k-l:], k)
-											corrected[c.Tiles.Get(c.Tiles.PackTile(a, b)).Og >= cm]++
+											corrected[base.Tiles.Get(base.Tiles.PackTile(a, b)).Og >= cm]++
 										}
 									}
 								}
@@ -592,6 +601,114 @@ func TestMutantTilesLongRun(t *testing.T) {
 	}
 	if took > 3*probing {
 		t.Errorf("mutantTiles over the long run's tiles took %v, probing %v", took, probing)
+	}
+}
+
+// listOfSize returns n of ts's tiles, ascending, and the Cm it is a strong
+// list for: every tile of Og >= cm is in it, topped up to n with tiles of
+// Og cm-1, which no floor at or above cm lets count. n must be below the
+// set's size.
+func listOfSize(ts *kspectrum.TileSet, n int) ([]kspectrum.TileEntry, uint32) {
+	all := ts.AppendAtLeast(nil, 0, math.MaxInt)
+	ogs := make([]uint32, len(all))
+	for i, e := range all {
+		ogs[i] = e.Og
+	}
+	slices.Sort(ogs)
+	cm := ogs[len(ogs)-1-n] + 1 // above the (n+1)-th largest Og
+	pad := n - (len(ogs) - sort.Search(len(ogs), func(i int) bool { return ogs[i] >= cm }))
+	list := []kspectrum.TileEntry{}
+	for _, e := range all {
+		if e.Og >= cm || e.Og == cm-1 && pad > 0 {
+			if e.Og < cm {
+				pad--
+			}
+			list = append(list, e)
+		}
+	}
+	return list, cm
+}
+
+// compareRoutes calls both mutantTiles routes, the list one on list — a
+// strong list for cm — on every tile position of reads, at d1 ∈ {0, D} and
+// the floors cm and Cr·Og(t), failing on the first difference. It returns
+// how many mutants they found.
+func compareRoutes(t testing.TB, c *Corrector, list []kspectrum.TileEntry, cm uint32, reads []seq.Read, name string) int {
+	t.Helper()
+	var s, rs scratch
+	d, step, found := c.P.D, c.P.K-c.P.Overlap, 0
+	for _, r := range reads {
+		for pos := 0; pos+c.Tiles.TileLen <= len(r.Seq); pos++ {
+			a, okA := seq.Pack(r.Seq[pos:], c.P.K)
+			b, okB := seq.Pack(r.Seq[pos+step:], c.P.K)
+			if !okA || !okB {
+				continue
+			}
+			floors := []float64{float64(cm)}
+			if og := c.Tiles.Get(c.Tiles.PackTile(a, b)).Og; og >= cm {
+				floors = append(floors, c.P.Cr*float64(og))
+			}
+			for _, d1 := range []int{0, d} {
+				for _, floor := range floors {
+					want := c.mutantsByRuns(a, b, d1, d, floor, &rs)
+					got := c.mutantsByList(list, a, b, d1, d, floor, &s)
+					if !slices.Equal(got, want) {
+						t.Fatalf("%s: tile at %d of %s, d1=%d, floor %v: list route %+v, runs %+v", name, pos, r.Seq, d1, floor, got, want)
+					}
+					found += len(got)
+				}
+			}
+		}
+	}
+	return found
+}
+
+// TestMutantTileRoutes: the two mutantTiles routes, called directly, give
+// the same mutants in the same order on every tile position of the first
+// 500 reads of two serviceFixture chunks — a daemon-sized one and the
+// whole corpus — at d ∈ {1, 2}, d1 ∈ {0, d}, overlap ∈ {0, 3}, the floors
+// Cm and Cr·Og(t), and strong lists of 0, 1, crossover and crossover+1
+// tiles, each for the Cm it holds every tile of. At those Cm and the
+// derived one, listStrong keeps the exact list when it has at most
+// crossover tiles and none when it has more: the whole corpus has more.
+func TestMutantTileRoutes(t *testing.T) {
+	corpus, spec := serviceFixture(t)
+	found, kept := 0, map[bool]int{}
+	for _, d := range []int{1, 2} {
+		for _, overlap := range []int{0, 3} {
+			svc, err := NewService(spec, Params{D: d, Overlap: overlap})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, chunk := range [][]seq.Read{corpus[:500], corpus} {
+				c, prepared, err := svc.corrector(chunk, 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				derived := c.P.Cm
+				for _, n := range []int{0, 1, crossover, crossover + 1} {
+					list, cm := listOfSize(c.Tiles, n)
+					name := fmt.Sprintf("d=%d overlap=%d reads=%d list=%d Cm=%d", d, overlap, len(chunk), n, cm)
+					if len(list) != n {
+						t.Fatalf("%s: listOfSize made %d tiles", name, len(list))
+					}
+					for _, at := range []uint32{derived, cm} {
+						c.P.Cm = at
+						c.listStrong()
+						strong := c.Tiles.AppendAtLeast([]kspectrum.TileEntry{}, at, math.MaxInt)
+						if fits := len(strong) <= crossover; fits != (c.strong != nil) || fits && !slices.Equal(c.strong, strong) {
+							t.Fatalf("%s: %d tiles of Og >= %d, listStrong kept %d", name, len(strong), at, len(c.strong))
+						}
+						kept[c.strong != nil]++
+					}
+					found += compareRoutes(t, c, list, cm, prepared[:500], name)
+				}
+				c.Tiles.Release()
+			}
+		}
+	}
+	if found == 0 || kept[true] == 0 || kept[false] == 0 {
+		t.Fatalf("%d mutants found, strong lists kept/dropped %v; the comparison is empty", found, kept)
 	}
 }
 

@@ -141,9 +141,10 @@ func (s *Service) CorrectChunk(ctx context.Context, reads []seq.Read, workers in
 	return c.CorrectAllCtx(ctx, reads, workers)
 }
 
-// corrector resolves a chunk's Qc, counts and freezes its tiles and
-// derives Cg and Cm from them, returning the chunk's Corrector and the
-// prepared reads the tiles were counted over. The caller owns the tiles.
+// corrector resolves a chunk's Qc, counts and freezes its tiles, derives
+// Cg and Cm from them and lists the strong tiles, returning the chunk's
+// Corrector and the prepared reads the tiles were counted over. The caller
+// owns the tiles.
 func (s *Service) corrector(reads []seq.Read, workers int) (*Corrector, []seq.Read, error) {
 	p := s.p
 	if p.Qc == 0 {
@@ -163,5 +164,7 @@ func (s *Service) corrector(reads []seq.Read, workers int) (*Corrector, []seq.Re
 	if p.Cm == 0 {
 		p.Cm = cm
 	}
-	return &Corrector{P: p, Tiles: tiles, neigh: s.neigh}, prepared, nil
+	c := &Corrector{P: p, Tiles: tiles, neigh: s.neigh}
+	c.listStrong()
+	return c, prepared, nil
 }

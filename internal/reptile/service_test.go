@@ -105,15 +105,17 @@ func (f *failingSource) Neighborhood(km seq.Kmer, d int, dst []seq.Kmer) ([]seq.
 
 // TestChunkServiceFailureDoesNotLeak: the pooled scratch and tile table a
 // failed chunk hands back carry nothing into the next — chunk 2 after a
-// backend failure on chunk 1 is byte-identical to a fresh service's.
+// backend failure on chunk 1 is byte-identical to a fresh service's. At
+// Cm = 1 a chunk's strong tiles outnumber crossover, so its walks ask the
+// backend.
 func TestChunkServiceFailureDoesNotLeak(t *testing.T) {
 	corpus, spec := serviceFixture(t)
-	local, err := NewService(spec, Params{D: 1})
+	local, err := NewService(spec, Params{D: 1, Cm: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	src := &failingSource{NeighborSource: local.neigh, fail: true}
-	svc, err := NewServiceBackend(kspectrum.Local(spec), src, Params{D: 1})
+	svc, err := NewServiceBackend(kspectrum.Local(spec), src, Params{D: 1, Cm: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +128,7 @@ func TestChunkServiceFailureDoesNotLeak(t *testing.T) {
 	if err != nil {
 		t.Fatalf("chunk 2 after a failed chunk 1: %v", err)
 	}
-	fresh, err := NewService(spec, Params{D: 1})
+	fresh, err := NewService(spec, Params{D: 1, Cm: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,11 +159,12 @@ func (c *cancelSource) Neighborhood(km seq.Kmer, d int, dst []seq.Kmer) ([]seq.K
 // through either driver, return ctx.Err() and no output, and the tile table
 // and scratch they hand back serve the next chunk byte-identically. Eight
 // goroutines share the pools, so under -race a worker outliving its driver
-// and reading a released table is caught.
+// and reading a released table is caught. At Cm = 1 the chunk's strong
+// tiles outnumber crossover, so its walks ask enough queries to cancel at.
 func TestChunkServiceCancelMidChunk(t *testing.T) {
 	corpus, spec := serviceFixture(t)
 	chunk := corpus[:500]
-	local, err := NewService(spec, Params{D: 1})
+	local, err := NewService(spec, Params{D: 1, Cm: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +183,7 @@ func TestChunkServiceCancelMidChunk(t *testing.T) {
 				if g%2 == 1 { // correctBatched: the cancel lands inside a fetch
 					src = &fakeBatchSource{NeighborSource: src}
 				}
-				svc, err := NewServiceBackend(kspectrum.Local(spec), src, Params{D: 1})
+				svc, err := NewServiceBackend(kspectrum.Local(spec), src, Params{D: 1, Cm: 1})
 				if err != nil {
 					t.Error(err)
 					return

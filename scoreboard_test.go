@@ -204,7 +204,7 @@ func scoreBatchInmem(t *testing.T, add func(string, any)) {
 
 // d1 is what the serving routes serve: Table 2.1's D1 at reduced scale, its
 // k=13 spectrum, and its first n chunks of size reads as request bodies.
-func d1(t *testing.T, size, n int) (*kspectrum.Spectrum, [][]byte) {
+func d1(t *testing.T, size, n int) (*simulate.Dataset, *kspectrum.Spectrum, [][]byte) {
 	ds, err := simulate.BuildDataset(simulate.Chapter2Specs(2000)[0])
 	must(t, err)
 	reads := simulate.Reads(ds.Sim)
@@ -215,7 +215,7 @@ func d1(t *testing.T, size, n int) (*kspectrum.Spectrum, [][]byte) {
 		bodies[i], err = fastq.EncodeChunk(reads[i*size : (i+1)*size])
 		must(t, err)
 	}
-	return spec, bodies
+	return ds, spec, bodies
 }
 
 // post serves one correction request in process and returns the reply.
@@ -230,9 +230,10 @@ func post(t *testing.T, h http.Handler, body []byte) []byte {
 
 // scoreServeMapped: 500-read chunks posted one at a time to the daemon's
 // handler over the store opened mapped, one worker a request. An op is a
-// chunk.
+// chunk. The replies, decoded, are scored against the chunks' truth.
 func scoreServeMapped(t *testing.T, add func(string, any)) {
-	spec, bodies := d1(t, 500, 16)
+	const size = 500
+	ds, spec, bodies := d1(t, size, 16)
 	store := filepath.Join(t.TempDir(), "main.kspc")
 	must(t, kspectrum.WriteSpectrumFile(store, spec))
 	mapped, err := kspectrum.OpenMapped(store)
@@ -241,14 +242,24 @@ func scoreServeMapped(t *testing.T, add func(string, any)) {
 	must(t, mapped.Verify()) // the handler's background check then finds it done
 	h, err := cli.NewHandler(map[string]*kspectrum.Spectrum{"main": mapped}, cli.ServerOptions{Workers: 1, MaxInflight: 1})
 	must(t, err)
-	digest := sha256.New()
+	digest, replies := sha256.New(), make([][]byte, len(bodies))
 	heap(add, 2, len(bodies), func() {
 		digest.Reset()
-		for _, body := range bodies {
-			digest.Write(post(t, h, body))
+		for i, body := range bodies {
+			replies[i] = post(t, h, body)
+			digest.Write(replies[i])
 		}
 	})
+	var corrected []seq.Read
+	for _, reply := range replies {
+		reads, err := fastq.DecodeChunk(bytes.NewReader(reply), 0)
+		must(t, err)
+		corrected = append(corrected, reads...)
+	}
+	stats, err := eval.EvaluateCorrection(ds.Sim[:len(corrected)], corrected)
+	must(t, err)
 	add("reply_sha256", digest.Sum(nil))
+	add("gain_pct", 100*stats.Gain())
 }
 
 // scoreBuildSpillStore: a FASTQ file streamed through the out-of-core
@@ -386,7 +397,7 @@ func (p *inProcess) RoundTrip(r *http.Request) (*http.Response, error) {
 // daemon's. An op is a chunk.
 func scoreClusterCoord(t *testing.T, add func(string, any)) {
 	const shards, chunkReads, laps = 4, 20, 4
-	spec, bodies := d1(t, chunkReads, 16)
+	_, spec, bodies := d1(t, chunkReads, 16)
 	_, views, err := kspectrum.SplitShards(spec, shards)
 	must(t, err)
 	wire := &inProcess{hosts: map[string]http.Handler{}}

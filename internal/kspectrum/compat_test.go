@@ -2,6 +2,8 @@ package kspectrum_test
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"fmt"
 	"os"
 	"path/filepath"
 	"slices"
@@ -9,6 +11,7 @@ import (
 
 	"repro/internal/fastq"
 	"repro/internal/kspectrum"
+	"repro/internal/seq"
 )
 
 // TestStoreFormatCompat guards the .kspc store format across commits.
@@ -26,16 +29,7 @@ func TestStoreFormatCompat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := os.Open(filepath.Join(dir, "k13-both.fastq"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	reads, err := fastq.NewReader(f).ReadAll()
-	f.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	built, err := kspectrum.Build(reads, 13, true)
+	built, err := kspectrum.Build(compatReads(t), 13, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,6 +64,82 @@ func TestStoreFormatCompat(t *testing.T) {
 			!slices.Equal(c.s.Kmers, built.Kmers) || !slices.Equal(c.s.Counts, built.Counts) {
 			t.Errorf("%s: k=%d both=%v with %d kmers, want the built k=%d both=%v with %d",
 				c.name, c.s.K, c.s.BothStrands, c.s.Size(), built.K, built.BothStrands, built.Size())
+		}
+	}
+}
+
+// compatReads reads testdata/compat/k13-both.fastq, the fixtures' input.
+func compatReads(t *testing.T) []seq.Read {
+	t.Helper()
+	f, err := os.Open(filepath.Join("testdata", "compat", "k13-both.fastq"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	reads, err := fastq.NewReader(f).ReadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return reads
+}
+
+// krunV2StoreSHA256 is the SHA-256 of the store k13-both.fastq builds to,
+// fresh or resumed from testdata/compat/krun-v2: the committed
+// k13-both.kspc's.
+const krunV2StoreSHA256 = "a614b36f8b95f4532b5f1bad15cf49625624225d228c11efaedee70fa6b74f6d"
+
+// TestResumeRunV2Fixture guards the checkpoint format across commits.
+// testdata/compat/krun-v2 is a checkpoint directory written by an earlier
+// commit: two version-2 runs (k = 13, both strands, two shards) and the
+// manifest covering the first 33 reads of k13-both.fastq. Resuming from a
+// copy of it and counting the whole FASTQ must build the store a fresh
+// build writes, whose SHA-256 is recorded. A run or manifest change that
+// fails here strands every checkpoint on disk: it needs a version bump and
+// a refusal naming it, as krun-v1 has (TestResumeRefusesRunV1), and a new
+// fixture.
+func TestResumeRunV2Fixture(t *testing.T) {
+	reads := compatReads(t)
+	src := filepath.Join("testdata", "compat", "krun-v2")
+	files, err := os.ReadDir(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	for _, e := range files {
+		b, err := os.ReadFile(filepath.Join(src, e.Name()))
+		if err == nil {
+			err = os.WriteFile(filepath.Join(dir, e.Name()), b, 0o644)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	st, err := kspectrum.NewStreamBuilder(13, true, kspectrum.StreamOptions{
+		Build: kspectrum.BuildOptions{Workers: 2, Shards: 2}, CheckpointDir: dir, Resume: true,
+	})
+	if err != nil {
+		t.Fatalf("resume from %s: %v", src, err)
+	}
+	defer st.Close()
+	if n := st.Resumed(); n != 33 {
+		t.Fatalf("resumed at read %d, want 33", n)
+	}
+	st.Add(reads)
+	resumed, err := st.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := kspectrum.Build(reads, 13, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, s := range map[string]*kspectrum.Spectrum{"resumed": resumed, "fresh": fresh} {
+		var b bytes.Buffer
+		if err := kspectrum.WriteSpectrum(&b, s); err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256(b.Bytes())); got != krunV2StoreSHA256 {
+			t.Errorf("%s build writes a store of SHA-256 %s, want %s", name, got, krunV2StoreSHA256)
 		}
 	}
 }

@@ -258,19 +258,20 @@ type TileEntry struct {
 // TileSet: per tile it tracks Oc (total occurrences) and Og (high-quality
 // occurrences). A slot is occupied iff Oc is non-zero — every insertion
 // increments Oc, so the invariant holds. mu is the stripe lock TileSet
-// takes around a shard's table; the methods themselves do not.
+// takes around a shard's table; the methods themselves do not. maxOg is the
+// largest Og counted so far, kept by add so that ending the count scans
+// nothing.
 type tileCounter struct {
 	mu    sync.Mutex
 	slots []TileEntry
 	n     int
 	grow  int
+	maxOg uint32
 	// Set by freeze: slots is then the column ascending by tile, and bucket
 	// b = tile>>shift&mask is slots[buckets[b]:buckets[b+1]]. Empty before.
-	// maxOg is the column's largest Og.
 	shift   uint
 	mask    uint64
 	buckets []int32
-	maxOg   uint32
 }
 
 // newTileCounter returns a table that takes hint tiles without a rehash.
@@ -294,7 +295,7 @@ func reuseTileCounter(hint int) *tileCounter {
 	}
 	tc.slots = tc.slots[:slots]
 	clear(tc.slots)
-	tc.grow, tc.n, tc.buckets = slots*3/4, 0, tc.buckets[:0]
+	tc.grow, tc.n, tc.maxOg, tc.buckets = slots*3/4, 0, 0, tc.buckets[:0]
 	return tc
 }
 
@@ -321,6 +322,7 @@ func (tc *tileCounter) add(tile seq.Kmer, hq bool) {
 			e.Tile, e.Oc = tile, 1
 			if hq {
 				e.Og = 1
+				tc.maxOg = max(tc.maxOg, 1)
 			}
 			tc.n++
 			return
@@ -331,6 +333,7 @@ func (tc *tileCounter) add(tile seq.Kmer, hq bool) {
 			}
 			if hq && e.Og != ^uint32(0) {
 				e.Og++
+				tc.maxOg = max(tc.maxOg, e.Og)
 			}
 			return
 		}
@@ -399,12 +402,10 @@ func (tc *tileCounter) freeze(tileBits, shardBits, maxBits uint) {
 	t = t[:tc.mask+2]
 	clear(t)
 	col := tc.slots[:0]
-	tc.maxOg = 0
 	for _, e := range tc.slots {
 		if e.Oc != 0 {
 			col = append(col, e)
 			t[tc.bucketOf(e.Tile)]++
-			tc.maxOg = max(tc.maxOg, e.Og)
 		}
 	}
 	for b := 1; b < len(t); b++ {
@@ -425,7 +426,7 @@ func (tc *tileCounter) freeze(tileBits, shardBits, maxBits uint) {
 	for b := range len(t) - 1 {
 		bucket := col[t[b]:t[b+1]]
 		if len(bucket) > 16 { // a repeat's first kmer: B log B, not insertion's B²
-			slices.SortFunc(bucket, func(x, y TileEntry) int { return cmp.Compare(x.Tile, y.Tile) })
+			slices.SortFunc(bucket, byTile)
 			continue
 		}
 		for i := 1; i < len(bucket); i++ { // SortFunc's callbacks: +20 % a Freeze
@@ -436,6 +437,8 @@ func (tc *tileCounter) freeze(tileBits, shardBits, maxBits uint) {
 	}
 	tc.slots, tc.buckets = col, t
 }
+
+func byTile(x, y TileEntry) int { return cmp.Compare(x.Tile, y.Tile) }
 
 func (tc *tileCounter) bucketOf(tile seq.Kmer) uint64 {
 	return uint64(tile) >> tc.shift & tc.mask

@@ -114,8 +114,9 @@ func fuzzReads(data []byte) []seq.Read {
 }
 
 // FuzzTileSetReuse counts two read sets one after the other through one
-// worker, the second in the table the first released: each must count what a
-// fresh unpooled set counts, frozen Get and Run included. 0xFE splits the
+// worker, the second in the table the first released sealed but unsorted:
+// each must count what a fresh unpooled set counts, sealed Get, MaxOg and
+// AppendAtLeast included, and the second's frozen Get and Run. 0xFE splits the
 // input into the two sets (see fuzzReads for the rest).
 func FuzzTileSetReuse(f *testing.F) {
 	f.Add([]byte("\x05\x01ACGTACGTTTGACCA\xffGGATCCANNACGTAC\xfeCCATGGATCCAGTTACAGG"))
@@ -142,8 +143,13 @@ func FuzzTileSetReuse(f *testing.F) {
 			if ts.Size() != len(before) {
 				t.Fatalf("set %d, k=%d l=%d: %d tiles through a released table, %d fresh", i, k, overlap, ts.Size(), len(before))
 			}
-			ts.Freeze()
-			frozenAgrees(t, ts, before, absent, fmt.Sprintf("set %d, k=%d l=%d", i, k, overlap))
+			label := fmt.Sprintf("set %d, k=%d l=%d", i, k, overlap)
+			ts.Seal()
+			sealedAgrees(t, ts, before, absent, label)
+			if i == 1 { // the first is released unsorted
+				ts.Freeze()
+				frozenAgrees(t, ts, before, absent, label)
+			}
 			ts.Release()
 		}
 	})

@@ -2,6 +2,7 @@ package kspectrum
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/par"
 	"repro/internal/seq"
@@ -25,6 +26,11 @@ type TileCount struct {
 // no shards, no buffers — the daemon's shape, where buffers for one small
 // chunk per request outweigh the tiles. Counts are identical for every
 // (Workers, Shards) choice. Add is not safe for concurrent calls.
+//
+// A set lives in three states. While counting, Add takes reads. Seal ends
+// the count: Get, MaxOg, Size, OgHistogram and AppendAtLeast then read the
+// hash tables, and concurrent readers are safe. Freeze, needed only by Run,
+// also sorts each table in place into a column.
 type TileSet struct {
 	K       int
 	Overlap int // l, the kmer overlap inside a tile
@@ -34,7 +40,8 @@ type TileSet struct {
 	workers int
 	part    PrefixPartition // over tiles: K is TileLen
 	shards  []*tileCounter  // one table when workers == 1; nil after Release
-	maxOg   uint32          // the shards' largest Og, set by Freeze
+	sealed  bool            // counting is over: Seal (or Freeze) ran
+	maxOg   uint32          // the shards' largest Og, set by Seal
 }
 
 // tileBuf is one worker's pending tiles for one shard. The high-quality flag
@@ -87,11 +94,12 @@ func CountTiles(reads []seq.Read, k, overlap int, qc byte, opts ...BuildOptions)
 }
 
 // Add merges one chunk of reads into the tile counts, enabling the §2.3
-// divide-and-merge construction. It panics after Freeze: a hash insert
-// into the sorted column would corrupt it silently.
+// divide-and-merge construction. It panics once counting is over (Seal):
+// MaxOg would go stale, and a hash insert into the sorted column would
+// corrupt it silently.
 func (ts *TileSet) Add(reads []seq.Read) {
-	if ts.frozen() {
-		panic("kspectrum: TileSet.Add after Freeze")
+	if ts.sealed {
+		panic("kspectrum: TileSet.Add after Seal")
 	}
 	if ts.workers == 1 {
 		for _, r := range reads {
@@ -181,53 +189,78 @@ func (ts *TileSet) Get(tile seq.Kmer) TileCount {
 	return ts.shards[ts.part.ShardOf(tile)].get(tile)
 }
 
-// Freeze ends counting: each table becomes in place the column Run and Get
-// read, the shards spread over up to the set's workers; only the bucket
-// tables are allocated. A second call is a no-op.
-func (ts *TileSet) Freeze() {
-	if ts.frozen() {
+// Seal ends counting. It scans nothing: each table kept its largest Og as
+// it counted, and Seal only takes the largest of them. A second call is a
+// no-op.
+func (ts *TileSet) Seal() {
+	if ts.sealed {
 		return
 	}
-	tileBits, maxBits := uint(2*ts.TileLen), uint(2*ts.K)
-	par.Each(len(ts.shards), ts.workers, func(_, s int) { ts.shards[s].freeze(tileBits, ts.part.Bits, maxBits) })
+	ts.sealed = true
 	for _, shard := range ts.shards {
 		ts.maxOg = max(ts.maxOg, shard.maxOg)
 	}
 }
 
+// Freeze ends counting as Seal does, and makes each table in place the
+// column Run and Get read, the shards spread over up to the set's workers;
+// only the bucket tables are allocated. A second call is a no-op.
+func (ts *TileSet) Freeze() {
+	ts.Seal()
+	if ts.frozen() {
+		return
+	}
+	tileBits, maxBits := uint(2*ts.TileLen), uint(2*ts.K)
+	par.Each(len(ts.shards), ts.workers, func(_, s int) { ts.shards[s].freeze(tileBits, ts.part.Bits, maxBits) })
+}
+
 // MaxOg returns the largest Og of any tile in the set: no tile has more
-// high-quality support. It panics before Freeze, which records it.
+// high-quality support. It panics before Seal, which records it.
 //
 //repro:noalloc
 func (ts *TileSet) MaxOg() uint32 {
-	if !ts.frozen() {
-		panic("kspectrum: TileSet.MaxOg before Freeze") //repro:lint-ok noalloc a constant boxes statically
+	if !ts.sealed {
+		panic("kspectrum: TileSet.MaxOg before Seal") //repro:lint-ok noalloc a constant boxes statically
 	}
 	return ts.maxOg
 }
 
 // AppendAtLeast appends the tiles with Og at least minOg to dst, ascending,
 // and returns it, stopping once more than limit have been appended: a caller
-// that wants at most limit of them can tell there are more. It reads the
-// frozen column and panics before Freeze.
+// that wants at most limit of them can tell there are more, and gets the
+// smallest limit+1. It panics before Seal, and reads the tables sorted or
+// not: it collects the matches, and whenever it holds twice the limit+1 it
+// keeps the smallest limit+1 and skips every tile above them.
 func (ts *TileSet) AppendAtLeast(dst []TileEntry, minOg uint32, limit int) []TileEntry {
-	if !ts.frozen() {
-		panic("kspectrum: TileSet.AppendAtLeast before Freeze")
+	if !ts.sealed {
+		panic("kspectrum: TileSet.AppendAtLeast before Seal")
 	}
 	if ts.maxOg < minOg {
 		return dst
 	}
-	n := len(dst)
-	for _, shard := range ts.shards { // shards partition by top bits: in order
+	n, cut := len(dst), ^seq.Kmer(0)
+	for _, shard := range ts.shards {
 		for _, e := range shard.slots {
-			if e.Og >= minOg {
-				if dst = append(dst, e); len(dst)-n > limit {
-					return dst
-				}
+			if e.Oc == 0 || e.Og < minOg || e.Tile > cut {
+				continue
+			}
+			if dst = append(dst, e); len(dst)-n-1-limit > limit {
+				dst = sortedHead(dst, n, limit)
+				cut = dst[len(dst)-1].Tile
 			}
 		}
 	}
-	return dst
+	return sortedHead(dst, n, limit)
+}
+
+// sortedHead sorts dst[n:] by tile and cuts it to its first limit+1.
+func sortedHead(dst []TileEntry, n, limit int) []TileEntry {
+	s := dst[n:]
+	slices.SortFunc(s, byTile)
+	if len(s)-1 > limit {
+		s = s[:limit+1]
+	}
+	return dst[:n+len(s)]
 }
 
 // Run returns the tiles whose first kmer is ka, ascending — so by second

@@ -3,7 +3,9 @@ package kspectrum
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"math/rand"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -178,8 +180,10 @@ func TestTileSetFreezeRunAndGet(t *testing.T) {
 	}
 }
 
-// TestTileSetFrozenGuards: Run and MaxOg before Freeze and Add after it
-// panic naming the misuse, and a second Freeze changes nothing.
+// TestTileSetFrozenGuards: MaxOg and AppendAtLeast before Seal, Run before
+// Freeze and Add once counting is over panic naming the misuse — Add after
+// a Seal and after a Freeze that was not sealed first. A second Seal or
+// Freeze changes nothing, and a sealed set reads its counts before the sort.
 func TestTileSetFrozenGuards(t *testing.T) {
 	mustPanic := func(misuse string, fn func()) {
 		t.Helper()
@@ -196,18 +200,134 @@ func TestTileSetFrozenGuards(t *testing.T) {
 		t.Fatal(err)
 	}
 	mustPanic("Run before Freeze", func() { ts.Run(0) })
-	mustPanic("MaxOg before Freeze", func() { ts.MaxOg() })
-	mustPanic("AppendAtLeast before Freeze", func() { ts.AppendAtLeast(nil, 0, 1) })
+	mustPanic("MaxOg before Seal", func() { ts.MaxOg() })
+	mustPanic("AppendAtLeast before Seal", func() { ts.AppendAtLeast(nil, 0, 1) })
 	before, absent := unfrozenCounts(ts, 100, rand.New(rand.NewSource(1)))
+	ts.Seal()
+	ts.Seal()
+	sealedAgrees(t, ts, before, absent, "sealed twice")
+	mustPanic("Run before Freeze", func() { ts.Run(0) })
+	mustPanic("Add after Seal", func() { ts.Add(reads[:1]) })
 	ts.Freeze()
 	ts.Freeze()
 	frozenAgrees(t, ts, before, absent, "frozen twice")
-	mustPanic("Add after Freeze", func() { ts.Add(reads[:1]) })
+	sealedAgrees(t, ts, before, absent, "frozen twice")
+	mustPanic("Add after Seal", func() { ts.Add(reads[:1]) })
+
+	unsealed, err := CountTiles(reads, 10, 0, 0, BuildOptions{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	unsealed.Freeze()
+	sealedAgrees(t, unsealed, before, absent, "frozen unsealed")
+	mustPanic("Add after Seal", func() { unsealed.Add(reads[:1]) })
+	unsealed.Release()
 }
 
-// TestTileSetMaxOg: MaxOg is the highest non-empty OgHistogram bin, on one
-// table and on sixteen shards, and a one-worker table reused through
-// Release reports its own chunk's maximum, not the previous chunk's.
+// sealedAgrees checks a sealed set, sorted or not, against the counts it
+// held while counting: Get on every tile and on the absent ones, Size, MaxOg
+// and every tile from AppendAtLeast.
+func sealedAgrees(t testing.TB, ts *TileSet, before map[seq.Kmer]TileCount, absent []seq.Kmer, label string) {
+	t.Helper()
+	var maxOg uint32
+	want := []TileEntry{}
+	for tile, c := range before {
+		if got := ts.Get(tile); got != c {
+			t.Fatalf("%s: sealed Get(%#x) = %+v, counted %+v", label, uint64(tile), got, c)
+		}
+		maxOg = max(maxOg, c.Og)
+		want = append(want, TileEntry{tile, c})
+	}
+	for _, tile := range absent {
+		if got := ts.Get(tile); got != (TileCount{}) {
+			t.Fatalf("%s: sealed Get(%#x) = %+v for an absent tile", label, uint64(tile), got)
+		}
+	}
+	slices.SortFunc(want, byTile)
+	if ts.Size() != len(before) || ts.MaxOg() != maxOg {
+		t.Fatalf("%s: Size %d and MaxOg %d, counted %d tiles of Og at most %d", label, ts.Size(), ts.MaxOg(), len(before), maxOg)
+	}
+	if got := ts.AppendAtLeast([]TileEntry{}, 0, math.MaxInt); !slices.Equal(got, want) {
+		t.Fatalf("%s: AppendAtLeast listed %d tiles, counted %d", label, len(got), len(want))
+	}
+}
+
+// TestTileSetSealedReadsAsFrozen: Seal leaves the hash tables as they are,
+// and everything that reads them — Get, MaxOg, Size, OgHistogram and
+// AppendAtLeast at several minOg and limits of 0, the count and past it —
+// reads the same before the sort as after it, over Workers ∈ {1, 2, 4} and
+// several shard counts, on reads with Ns and missing qualities.
+func TestTileSetSealedReadsAsFrozen(t *testing.T) {
+	reads := randomReads(t, 1200)
+	for i := range reads {
+		switch i % 5 {
+		case 0:
+			reads[i].Seq[i%len(reads[i].Seq)] = 'N'
+		case 1:
+			reads[i].Qual = nil
+		}
+	}
+	for range 8 { // tiles of Og up to ~9, so the minOg below select
+		reads = append(reads, reads[:40]...)
+	}
+	rng := rand.New(rand.NewSource(13))
+	type snapshot struct {
+		gets       []TileCount
+		maxOg      uint32
+		size       int
+		hist       [][]int
+		atLeast    [][]TileEntry
+		absentGets []TileCount
+	}
+	for _, o := range []BuildOptions{{Workers: 1}, {Workers: 2, Shards: 1}, {Workers: 2, Shards: 16}, {Workers: 4, Shards: 7}, {Workers: 4, Shards: 1024}} {
+		ts, err := CountTiles(reads, 10, 2, 25, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before, absent := unfrozenCounts(ts, 200, rng)
+		var tiles []seq.Kmer
+		for tile := range before {
+			tiles = append(tiles, tile)
+		}
+		ts.Seal()
+		read := func() snapshot {
+			var sn snapshot
+			for _, tile := range tiles {
+				sn.gets = append(sn.gets, ts.Get(tile))
+			}
+			for _, tile := range absent {
+				sn.absentGets = append(sn.absentGets, ts.Get(tile))
+			}
+			sn.maxOg, sn.size = ts.MaxOg(), ts.Size()
+			for _, maxBin := range []int{0, 1, 4, 255} {
+				sn.hist = append(sn.hist, ts.OgHistogram(maxBin))
+			}
+			head := []TileEntry{{Tile: 1}}
+			for _, minOg := range []uint32{0, 1, 2, 5, sn.maxOg, sn.maxOg + 1} {
+				count := len(ts.AppendAtLeast(nil, minOg, math.MaxInt))
+				for _, limit := range []int{0, 1, 3, count - 1, count, count + 1, math.MaxInt} {
+					sn.atLeast = append(sn.atLeast, ts.AppendAtLeast(slices.Clone(head), minOg, max(limit, 0)))
+				}
+			}
+			return sn
+		}
+		sealed := read()
+		sealedAgrees(t, ts, before, absent, fmt.Sprintf("sealed %+v", o))
+		ts.Freeze()
+		if frozen := read(); !reflect.DeepEqual(sealed, frozen) {
+			t.Fatalf("%+v: the sealed set reads differently before the sort and after it", o)
+		}
+		if sealed.maxOg < 9 {
+			t.Fatalf("%+v: MaxOg %d; the minOg above select too little", o, sealed.maxOg)
+		}
+		ts.Release()
+	}
+}
+
+// TestTileSetMaxOg: MaxOg is the highest non-empty OgHistogram bin once
+// counting is over, on one table and on sixteen shards, and a one-worker
+// table reused through Release, never sorted, reports its own chunk's
+// maximum, not the previous chunk's.
 func TestTileSetMaxOg(t *testing.T) {
 	reads := randomReads(t, 600)
 	for range 40 { // one read's tiles reach Og 41
@@ -230,7 +350,7 @@ func TestTileSetMaxOg(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ts.Freeze()
+			ts.Seal()
 			if got, want := ts.MaxOg(), highest(ts); got != want || want == 0 {
 				t.Errorf("%+v, %d reads: MaxOg %d, highest histogram bin %d", o, len(chunk), got, want)
 			}
@@ -327,9 +447,11 @@ func TestTileSetFrozenAllocs(t *testing.T) {
 }
 
 // TestTileSetReleaseReuse: one-worker sets counted through released tables
-// — chunks that grow, shrink and repeat, with Ns and missing qualities —
-// answer Get and Run as fresh unpooled sets do, and a released set panics
-// on use instead of reading a table another set now fills.
+// — chunks that grow, shrink and repeat, with Ns and missing qualities,
+// every other one handed back sealed but never sorted — answer Get, MaxOg
+// and AppendAtLeast, or Get and Run, as fresh unpooled sets do, and a
+// released set panics on use instead of reading a table another set now
+// fills.
 func TestTileSetReleaseReuse(t *testing.T) {
 	reads := randomReads(t, 2000)
 	for i := range reads {
@@ -353,8 +475,14 @@ func TestTileSetReleaseReuse(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ts.Freeze()
-		frozenAgrees(t, ts, before, absent, fmt.Sprintf("chunk %d (%d reads)", step, n))
+		label := fmt.Sprintf("chunk %d (%d reads)", step, n)
+		if step%2 == 0 { // handed back unsorted: the next chunk reuses a hash table
+			ts.Seal()
+			sealedAgrees(t, ts, before, absent, label)
+		} else {
+			ts.Freeze()
+			frozenAgrees(t, ts, before, absent, label)
+		}
 		if ts.Size() != len(before) {
 			t.Fatalf("chunk %d: Size %d, fresh set %d", step, ts.Size(), len(before))
 		}

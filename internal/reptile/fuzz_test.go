@@ -127,6 +127,7 @@ func FuzzMutantTileRoutes(f *testing.F) {
 			t.Fatal(err)
 		}
 		defer c.Tiles.Release()
+		c.Tiles.Freeze() // compareRoutes walks the runs by hand
 		list, cm := listOfSize(c.Tiles, (int(data[4])<<8|int(data[5]))%c.Tiles.Size())
 		reads := make([]seq.Read, min(len(prepared), 8))
 		for i := range reads {

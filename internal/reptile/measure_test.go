@@ -172,7 +172,11 @@ func TestServiceChunkQueries(t *testing.T) {
 // bench seed 1, k = 13) against strong lists of 16 to 4 096 tiles
 // (listOfSize), the floor correctTile would set, d1 alternating 0 and D.
 // The run route's cost does not depend on the list; the list route's grows
-// with it. crossover is where they meet; EXPERIMENTS.md records the table.
+// with it. The run route also needs the chunk's tiles sorted, which the
+// list route does not: sort times that one Freeze and reports it spread
+// over the chunk's tile positions (ns/tile). crossover is where the list
+// route meets the run route plus that share; EXPERIMENTS.md records the
+// table.
 func BenchmarkMutantTileRoutes(b *testing.B) {
 	spec := simulate.Chapter2Specs(20000)[0] // D1
 	spec.Seed, spec.Workers = 1_000_003+3, 4
@@ -193,6 +197,7 @@ func BenchmarkMutantTileRoutes(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	c.Tiles.Freeze() // the run route's column
 	type tile struct{ a, b seq.Kmer }
 	var tiles []tile
 	step := c.P.K - c.P.Overlap
@@ -205,8 +210,23 @@ func BenchmarkMutantTileRoutes(b *testing.B) {
 			}
 		}
 	}
+	b.Run("sort", func(b *testing.B) {
+		for range b.N {
+			b.StopTimer()
+			ts, err := kspectrum.CountTiles(prepared, c.P.K, c.P.Overlap, c.P.Qc, kspectrum.BuildOptions{Workers: 1})
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
+			ts.Freeze()
+			b.StopTimer()
+			ts.Release()
+			b.StartTimer()
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(tiles)), "ns/tile")
+	})
 	var s scratch
-	for _, n := range []int{16, 32, 64, 128, 192, 256, 512, 1024, 2048, 4096} {
+	for _, n := range []int{16, 32, 64, 128, 192, 256, 320, 384, 512, 1024, 2048, 4096} {
 		list, cm := listOfSize(c.Tiles, n)
 		floor := func(t tile) float64 {
 			if og := c.Tiles.Get(c.Tiles.PackTile(t.a, t.b)).Og; og >= cm {

@@ -122,7 +122,7 @@ type Corrector struct {
 	// and NI before the first correction.
 	neigh kspectrum.NeighborSource
 
-	// strong is the strong list mutantTiles may walk: every frozen tile
+	// strong is the strong list mutantTiles may walk: every counted tile
 	// with Og >= strongCm, ascending, when there are at most crossover of
 	// them; nil when there are more, or when nothing listed them.
 	strong   []kspectrum.TileEntry
@@ -130,24 +130,30 @@ type Corrector struct {
 }
 
 // ensureQuerier wires the query seam from the Spec/NI fields when the
-// caller did not supply one, and freezes the tile counts mutantTiles reads
-// by run. It runs at every single-threaded entry point, before worker
-// pools fork, so the writes are safely published to the workers.
+// caller did not supply one, and sorts the tile counts into the column
+// mutantTiles reads by run when some walk can take that route: there is no
+// strong list, or the Cm in force is below the one it was made for. It runs
+// at every single-threaded entry point, before worker pools fork, so the
+// writes are safely published to the workers.
 func (c *Corrector) ensureQuerier() {
 	if c.neigh == nil {
 		c.neigh = kspectrum.LocalNeighbors(c.Spec, c.NI)
 	}
-	c.Tiles.Freeze()
+	if c.strong == nil || c.P.Cm < c.strongCm {
+		c.Tiles.Freeze()
+	}
 }
 
-// listStrong makes the strong list for the Cm in force, once the tiles are
-// frozen and before any worker reads them. An empty list is not nil, so it
-// still takes the list route. The scan stops past crossover entries: a
-// batch corpus has ~10⁵ strong tiles and keeps the run route.
+// listStrong makes the strong list for the Cm in force, once counting is
+// over and before any worker reads the tiles. An empty list is not nil, so it
+// still takes the list route. A list past crossover entries is dropped and
+// the tiles sorted for the run route: a batch corpus has ~10⁵ strong tiles.
+// A daemon chunk's list fits, and its tiles stay hash tables.
 func (c *Corrector) listStrong() {
 	c.strong, c.strongCm = c.Tiles.AppendAtLeast([]kspectrum.TileEntry{}, c.P.Cm, crossover), c.P.Cm
 	if len(c.strong) > crossover {
 		c.strong = nil
+		c.Tiles.Freeze()
 	}
 }
 
@@ -237,7 +243,7 @@ func (b *Builder) Finish() (*Corrector, error) {
 	if err != nil {
 		return nil, err
 	}
-	b.tiles.Freeze()
+	b.tiles.Seal()
 	cg, cm := deriveThresholds(b.tiles)
 	if p.Cg == 0 {
 		p.Cg = cg

@@ -426,6 +426,7 @@ func TestCorrectTileMatchesUnpruned(t *testing.T) {
 						t.Fatal(err)
 					}
 					base.ensureQuerier()
+					base.Tiles.Freeze() // byRuns drops the strong list by hand
 					prepared := prepareReads(reads, base.P)
 					for _, cm := range []uint32{1, 2, 5} {
 						for _, cr := range []float64{1.5, 2, 3} {
@@ -526,6 +527,7 @@ func TestMutantTilesMatchesProbing(t *testing.T) {
 						t.Fatal(err)
 					}
 					c.ensureQuerier()
+					c.Tiles.Freeze() // floor 0 is below any list's Cm: the run route
 					prepared := prepareReads(reads, c.P)
 					ref := *c
 					if ref.Tiles, err = kspectrum.CountTiles(prepared, k, l, p.Qc, kspectrum.BuildOptions{Workers: 1}); err != nil {
@@ -580,6 +582,7 @@ func TestMutantTilesLongRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.ensureQuerier()
+	c.Tiles.Freeze() // floor 0 is below any list's Cm: the run route
 	ref := *c
 	if ref.Tiles, err = kspectrum.CountTiles(reads, k, 0, p.Qc, p.Build); err != nil {
 		t.Fatal(err)
@@ -685,6 +688,7 @@ func TestMutantTileRoutes(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				c.Tiles.Freeze() // compareRoutes walks the runs by hand
 				derived := c.P.Cm
 				for _, n := range []int{0, 1, crossover, crossover + 1} {
 					list, cm := listOfSize(c.Tiles, n)

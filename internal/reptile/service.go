@@ -141,10 +141,11 @@ func (s *Service) CorrectChunk(ctx context.Context, reads []seq.Read, workers in
 	return c.CorrectAllCtx(ctx, reads, workers)
 }
 
-// corrector resolves a chunk's Qc, counts and freezes its tiles, derives
-// Cg and Cm from them and lists the strong tiles, returning the chunk's
-// Corrector and the prepared reads the tiles were counted over. The caller
-// owns the tiles.
+// corrector resolves a chunk's Qc, counts its tiles, derives Cg and Cm
+// from them and lists the strong tiles, returning the chunk's Corrector and
+// the prepared reads the tiles were counted over. The tiles are sorted only
+// when the list overflows crossover (listStrong); a daemon chunk's stay hash
+// tables. The caller owns the tiles.
 func (s *Service) corrector(reads []seq.Read, workers int) (*Corrector, []seq.Read, error) {
 	p := s.p
 	if p.Qc == 0 {
@@ -156,7 +157,7 @@ func (s *Service) corrector(reads []seq.Read, workers int) (*Corrector, []seq.Re
 	if err != nil {
 		return nil, nil, err
 	}
-	tiles.Freeze()
+	tiles.Seal()
 	cg, cm := deriveThresholds(tiles)
 	if p.Cg == 0 {
 		p.Cg = cg

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/kspectrum"
 	"repro/internal/seq"
 	"repro/internal/simulate"
@@ -200,4 +201,112 @@ func TestChunkServiceCancelMidChunk(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// serviceChunksSorted is how many of serviceFixture's 14 500-read chunks
+// sort their tiles into the run column at the default parameters: none,
+// since each one's strong tiles fit the list. It was all 14 while every
+// chunk was sorted as soon as its count ended.
+const serviceChunksSorted = 0
+
+// sortedTiles reports whether ts was sorted into the run column: Run panics
+// before the sort.
+func sortedTiles(ts *kspectrum.TileSet) (ok bool) {
+	defer func() { ok = recover() == nil }()
+	ts.Run(0)
+	return true
+}
+
+// TestServiceSortsOnlyForRuns: a Service sorts a chunk's tiles only when
+// its walks may take the run route. Over serviceFixture's 500-read chunks
+// the chunks that sort are pinned (serviceChunksSorted); at Cm = 1, where
+// every chunk's strong tiles outnumber crossover, and for the whole corpus
+// as one chunk, every chunk sorts. Either way CorrectChunk's reply is
+// byte-identical to a Corrector's forced onto the run route: its strong
+// list dropped, its tiles sorted.
+func TestServiceSortsOnlyForRuns(t *testing.T) {
+	corpus, spec := serviceFixture(t)
+	ctx := context.Background()
+	for _, tc := range []struct {
+		cm         uint32
+		size, want int
+	}{{0, 500, serviceChunksSorted}, {1, 500, 14}, {0, len(corpus), 1}} {
+		svc, err := NewService(spec, Params{Cm: tc.cm})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sorted, changed := 0, 0
+		for lo := 0; lo < len(corpus); lo += tc.size {
+			chunk := corpus[lo:min(lo+tc.size, len(corpus))]
+			c, _, err := svc.corrector(chunk, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sortedTiles(c.Tiles) {
+				sorted++
+			}
+			runs := *c
+			runs.strong = nil
+			want, err := runs.CorrectAllCtx(ctx, chunk, 1) // ensureQuerier sorts the shared tiles
+			if err != nil {
+				t.Fatal(err)
+			}
+			c.Tiles.Release()
+			got, err := svc.CorrectChunk(ctx, chunk, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("Cm=%d, reads %d+%d: the reply diverges from the run route's", tc.cm, lo, len(chunk))
+			}
+			changed += engine.CountChanged(chunk, got)
+		}
+		t.Logf("Cm=%d, %d reads a chunk: %d chunks sorted, %d reads changed", tc.cm, tc.size, sorted, changed)
+		if sorted != tc.want {
+			t.Errorf("Cm=%d, %d reads a chunk: %d chunks sorted their tiles, want %d", tc.cm, tc.size, sorted, tc.want)
+		}
+		if changed == 0 {
+			t.Errorf("Cm=%d, %d reads a chunk: no read changed; the comparison is empty", tc.cm, tc.size)
+		}
+	}
+}
+
+// TestLoweredCmSortsForRuns: a Corrector whose Cm is lowered below the one
+// its strong list was made for takes the run route for the floors under
+// the list's, so its first correction sorts the tiles (ensureQuerier), and
+// its reply equals a service's at the lowered Cm.
+func TestLoweredCmSortsForRuns(t *testing.T) {
+	corpus, spec := serviceFixture(t)
+	chunk, ctx := corpus[:500], context.Background()
+	svc, err := NewService(spec, Params{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, _, err := svc.corrector(chunk, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Tiles.Release()
+	if c.strong == nil || c.strongCm < 2 || sortedTiles(c.Tiles) {
+		t.Fatalf("list %v for Cm %d, sorted %v: want an unsorted chunk with a list above Cm 1", c.strong != nil, c.strongCm, sortedTiles(c.Tiles))
+	}
+	c.P.Cm = 1
+	got, err := c.CorrectAllCtx(ctx, chunk, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sortedTiles(c.Tiles) {
+		t.Error("a Corrector at a Cm below its list's did not sort its tiles")
+	}
+	at1, err := NewService(spec, Params{Cm: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := at1.CorrectChunk(ctx, chunk, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Error("the lowered Corrector's reply diverges from a service's at Cm = 1")
+	}
 }

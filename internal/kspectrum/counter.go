@@ -267,8 +267,9 @@ type tileCounter struct {
 	n     int
 	grow  int
 	maxOg uint32
-	// Set by freeze: slots is then the column ascending by tile, and bucket
-	// b = tile>>shift&mask is slots[buckets[b]:buckets[b+1]]. Empty before.
+	// Set by freeze: slots is then the column of the kept tiles ascending by
+	// tile, and bucket b = tile>>shift&mask is slots[buckets[b]:buckets[b+1]].
+	// Empty before.
 	shift   uint
 	mask    uint64
 	buckets []int32
@@ -342,7 +343,8 @@ func (tc *tileCounter) add(tile seq.Kmer, hq bool) {
 }
 
 // get returns the tile's counts (zero counts if unseen): a hash probe, or
-// after freeze a search of the tile's bucket.
+// after freeze a search of the tile's bucket — zero counts too for a tile
+// below the column's floor.
 //
 //repro:noalloc
 func (tc *tileCounter) get(tile seq.Kmer) TileCount {
@@ -384,16 +386,23 @@ func (tc *tileCounter) rehash() {
 	}
 }
 
-// freeze sorts the table in place into a column ascending by tile, with a
-// bucket table over the tiles' top bits — its one allocation, none when a
-// released table's is large enough: the shard's prefix and enough more for
-// ~8 tiles a bucket, at most maxBits of tileBits.
-// The occupied slots are compacted to the front and permuted into bucket
+// freeze sorts the table in place into a column ascending by tile, keeping
+// only the tiles with Og at least minOg, with a bucket table over the tiles'
+// top bits — its one allocation, none when a released table's is large
+// enough: the shard's prefix and enough more for ~8 kept tiles a bucket, at
+// most maxBits of tileBits. n still counts every tile counted.
+// The kept slots are compacted to the front and permuted into bucket
 // order by an American flag pass whose only cursors are the table: t[b]
 // starts at bucket b's end and moves down as it fills, ending at its start.
 // All before i is final, so slot i must move iff it is below its cursor.
-func (tc *tileCounter) freeze(tileBits, shardBits, maxBits uint) {
-	bits := shardBits + prefixBitsFor(tc.n/8, maxBits-shardBits)
+func (tc *tileCounter) freeze(minOg uint32, tileBits, shardBits, maxBits uint) {
+	col := tc.slots[:0]
+	for _, e := range tc.slots {
+		if e.Oc != 0 && e.Og >= minOg {
+			col = append(col, e)
+		}
+	}
+	bits := shardBits + prefixBitsFor(len(col)/8, maxBits-shardBits)
 	tc.shift, tc.mask = tileBits-bits, 1<<(bits-shardBits)-1
 	t := tc.buckets
 	if cap(t) < int(tc.mask)+2 {
@@ -401,12 +410,8 @@ func (tc *tileCounter) freeze(tileBits, shardBits, maxBits uint) {
 	}
 	t = t[:tc.mask+2]
 	clear(t)
-	col := tc.slots[:0]
-	for _, e := range tc.slots {
-		if e.Oc != 0 {
-			col = append(col, e)
-			t[tc.bucketOf(e.Tile)]++
-		}
+	for _, e := range col {
+		t[tc.bucketOf(e.Tile)]++
 	}
 	for b := 1; b < len(t); b++ {
 		t[b] += t[b-1] // t[last] is the sentinel, len(col)

@@ -91,7 +91,7 @@ func FuzzTileSetRun(f *testing.F) {
 			t.Fatal(err)
 		}
 		before, absent := unfrozenCounts(ts, 50, rand.New(rand.NewSource(int64(len(data)))))
-		ts.Freeze()
+		ts.Freeze(0)
 		frozenAgrees(t, ts, before, absent, fmt.Sprintf("k=%d l=%d %+v", k, overlap, opts))
 	})
 }
@@ -147,7 +147,7 @@ func FuzzTileSetReuse(f *testing.F) {
 			ts.Seal()
 			sealedAgrees(t, ts, before, absent, label)
 			if i == 1 { // the first is released unsorted
-				ts.Freeze()
+				ts.Freeze(0)
 				frozenAgrees(t, ts, before, absent, label)
 			}
 			ts.Release()

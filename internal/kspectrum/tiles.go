@@ -27,10 +27,11 @@ type TileCount struct {
 // chunk per request outweigh the tiles. Counts are identical for every
 // (Workers, Shards) choice. Add is not safe for concurrent calls.
 //
-// A set lives in three states. While counting, Add takes reads. Seal ends
+// A set lives in four states. While counting, Add takes reads. Seal ends
 // the count: Get, MaxOg, Size, OgHistogram and AppendAtLeast then read the
 // hash tables, and concurrent readers are safe. Freeze, needed only by Run,
-// also sorts each table in place into a column.
+// also sorts each table in place into a column: the whole set at floor 0,
+// or a floored column of only the tiles with Og at least the floor.
 type TileSet struct {
 	K       int
 	Overlap int // l, the kmer overlap inside a tile
@@ -42,6 +43,7 @@ type TileSet struct {
 	shards  []*tileCounter  // one table when workers == 1; nil after Release
 	sealed  bool            // counting is over: Seal (or Freeze) ran
 	maxOg   uint32          // the shards' largest Og, set by Seal
+	floor   uint32          // the least Og the frozen column keeps
 }
 
 // tileBuf is one worker's pending tiles for one shard. The high-quality flag
@@ -203,16 +205,26 @@ func (ts *TileSet) Seal() {
 }
 
 // Freeze ends counting as Seal does, and makes each table in place the
-// column Run and Get read, the shards spread over up to the set's workers;
-// only the bucket tables are allocated. A second call is a no-op.
-func (ts *TileSet) Freeze() {
+// column Run and Get read, of the tiles with Og at least minOg, the shards
+// spread over up to the set's workers; only the bucket tables are
+// allocated. Get then reads a dropped tile as unseen. A second call at or
+// above the floor is a no-op; below it, it panics: the tiles it would need
+// are gone.
+func (ts *TileSet) Freeze(minOg uint32) {
 	ts.Seal()
 	if ts.frozen() {
+		if minOg < ts.floor {
+			panic(fmt.Sprintf("kspectrum: TileSet.Freeze(%d) below the column's floor %d", minOg, ts.floor))
+		}
 		return
 	}
+	ts.floor = minOg
 	tileBits, maxBits := uint(2*ts.TileLen), uint(2*ts.K)
-	par.Each(len(ts.shards), ts.workers, func(_, s int) { ts.shards[s].freeze(tileBits, ts.part.Bits, maxBits) })
+	par.Each(len(ts.shards), ts.workers, func(_, s int) { ts.shards[s].freeze(minOg, tileBits, ts.part.Bits, maxBits) })
 }
+
+// Floor returns the least Og the frozen column keeps: 0 before Freeze.
+func (ts *TileSet) Floor() uint32 { return ts.floor }
 
 // MaxOg returns the largest Og of any tile in the set: no tile has more
 // high-quality support. It panics before Seal, which records it.
@@ -228,12 +240,16 @@ func (ts *TileSet) MaxOg() uint32 {
 // AppendAtLeast appends the tiles with Og at least minOg to dst, ascending,
 // and returns it, stopping once more than limit have been appended: a caller
 // that wants at most limit of them can tell there are more, and gets the
-// smallest limit+1. It panics before Seal, and reads the tables sorted or
-// not: it collects the matches, and whenever it holds twice the limit+1 it
-// keeps the smallest limit+1 and skips every tile above them.
+// smallest limit+1. It panics before Seal and below a floored column's
+// floor, and reads the tables sorted or not: it collects the matches, and
+// whenever it holds twice the limit+1 it keeps the smallest limit+1 and
+// skips every tile above them.
 func (ts *TileSet) AppendAtLeast(dst []TileEntry, minOg uint32, limit int) []TileEntry {
 	if !ts.sealed {
 		panic("kspectrum: TileSet.AppendAtLeast before Seal")
+	}
+	if minOg < ts.floor {
+		panic(fmt.Sprintf("kspectrum: TileSet.AppendAtLeast(%d) below the column's floor %d", minOg, ts.floor))
 	}
 	if ts.maxOg < minOg {
 		return dst
@@ -297,7 +313,7 @@ func (ts *TileSet) Release() {
 	ts.shards = nil
 }
 
-// Size returns the number of distinct tiles.
+// Size returns the number of distinct tiles counted, floored column or not.
 func (ts *TileSet) Size() int {
 	n := ts.shards[0].n
 	for _, shard := range ts.shards[1:] {
@@ -337,8 +353,12 @@ func (ts *TileSet) SplitTile(tile seq.Kmer) (a, b seq.Kmer) {
 }
 
 // OgHistogram tallies distinct tiles by Og count, binning counts above
-// maxBin into the last bin.
+// maxBin into the last bin. It panics over a floored column, which no
+// longer holds the tiles below its floor.
 func (ts *TileSet) OgHistogram(maxBin int) []int {
+	if ts.floor > 0 {
+		panic(fmt.Sprintf("kspectrum: TileSet.OgHistogram over a column floored at %d", ts.floor))
+	}
 	h := make([]int, maxBin+1)
 	ts.forEach(func(_ seq.Kmer, tc TileCount) {
 		h[min(int(tc.Og), maxBin)]++

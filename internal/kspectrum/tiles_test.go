@@ -171,7 +171,7 @@ func TestTileSetFreezeRunAndGet(t *testing.T) {
 				t.Fatal(err)
 			}
 			before, absent := unfrozenCounts(ts, 1000, rng)
-			ts.Freeze()
+			ts.Freeze(0)
 			frozenAgrees(t, ts, before, absent, fmt.Sprintf("k=%d l=%d %+v", geom.k, geom.overlap, o))
 			if ts.Size() != len(before) {
 				t.Fatalf("frozen Size %d, unfrozen %d", ts.Size(), len(before))
@@ -185,43 +185,120 @@ func TestTileSetFreezeRunAndGet(t *testing.T) {
 // a Seal and after a Freeze that was not sealed first. A second Seal or
 // Freeze changes nothing, and a sealed set reads its counts before the sort.
 func TestTileSetFrozenGuards(t *testing.T) {
-	mustPanic := func(misuse string, fn func()) {
-		t.Helper()
-		defer func() {
-			if msg, _ := recover().(string); !strings.Contains(msg, misuse) {
-				t.Errorf("%s: recovered %q, want a panic naming the misuse", misuse, msg)
-			}
-		}()
-		fn()
-	}
 	reads := randomReads(t, 300)
 	ts, err := CountTiles(reads, 10, 0, 0, BuildOptions{Workers: 2, Shards: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	mustPanic("Run before Freeze", func() { ts.Run(0) })
-	mustPanic("MaxOg before Seal", func() { ts.MaxOg() })
-	mustPanic("AppendAtLeast before Seal", func() { ts.AppendAtLeast(nil, 0, 1) })
+	mustPanic(t, "Run before Freeze", func() { ts.Run(0) })
+	mustPanic(t, "MaxOg before Seal", func() { ts.MaxOg() })
+	mustPanic(t, "AppendAtLeast before Seal", func() { ts.AppendAtLeast(nil, 0, 1) })
 	before, absent := unfrozenCounts(ts, 100, rand.New(rand.NewSource(1)))
 	ts.Seal()
 	ts.Seal()
 	sealedAgrees(t, ts, before, absent, "sealed twice")
-	mustPanic("Run before Freeze", func() { ts.Run(0) })
-	mustPanic("Add after Seal", func() { ts.Add(reads[:1]) })
-	ts.Freeze()
-	ts.Freeze()
+	mustPanic(t, "Run before Freeze", func() { ts.Run(0) })
+	mustPanic(t, "Add after Seal", func() { ts.Add(reads[:1]) })
+	ts.Freeze(0)
+	ts.Freeze(0)
 	frozenAgrees(t, ts, before, absent, "frozen twice")
 	sealedAgrees(t, ts, before, absent, "frozen twice")
-	mustPanic("Add after Seal", func() { ts.Add(reads[:1]) })
+	mustPanic(t, "Add after Seal", func() { ts.Add(reads[:1]) })
 
 	unsealed, err := CountTiles(reads, 10, 0, 0, BuildOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	unsealed.Freeze()
+	unsealed.Freeze(0)
 	sealedAgrees(t, unsealed, before, absent, "frozen unsealed")
-	mustPanic("Add after Seal", func() { unsealed.Add(reads[:1]) })
+	mustPanic(t, "Add after Seal", func() { unsealed.Add(reads[:1]) })
 	unsealed.Release()
+}
+
+// mustPanic fails t unless fn panics with a message naming the misuse.
+func mustPanic(t testing.TB, misuse string, fn func()) {
+	t.Helper()
+	defer func() {
+		if msg, _ := recover().(string); !strings.Contains(msg, misuse) {
+			t.Errorf("%s: recovered %q, want a panic naming the misuse", misuse, msg)
+		}
+	}()
+	fn()
+}
+
+// TestTileSetFreezeFloor: a column frozen at a floor keeps exactly the
+// tiles with Og at least the floor. Get and Run agree with a floor-0
+// column on every kept tile, Get reads a dropped tile as unseen, and Size,
+// MaxOg and AppendAtLeast at or above the floor read as before — over
+// Workers ∈ {1, 2, 4} and several shard counts, on reads with Ns and
+// missing qualities. OgHistogram, AppendAtLeast below the floor and a
+// second Freeze below it panic naming the misuse; a second Freeze at or
+// above it changes nothing.
+func TestTileSetFreezeFloor(t *testing.T) {
+	reads := randomReads(t, 1200)
+	for i := range reads {
+		switch i % 5 {
+		case 0:
+			reads[i].Seq[i%len(reads[i].Seq)] = 'N'
+		case 1:
+			reads[i].Qual = nil
+		}
+	}
+	for range 8 { // tiles of Og up to ~9, so the floors below drop some and keep some
+		reads = append(reads, reads[:40]...)
+	}
+	rng := rand.New(rand.NewSource(17))
+	for _, o := range []BuildOptions{{Workers: 1}, {Workers: 2, Shards: 16}, {Workers: 4, Shards: 7}, {Workers: 4, Shards: 1024}} {
+		whole, err := CountTiles(reads, 10, 2, 25, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		all, absent := unfrozenCounts(whole, 200, rng)
+		whole.Freeze(0)
+		for _, floor := range []uint32{1, 2, 5} {
+			label := fmt.Sprintf("%+v floor %d", o, floor)
+			ts, err := CountTiles(reads, 10, 2, 25, o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ts.Freeze(floor)
+			kept, unseen := map[seq.Kmer]TileCount{}, slices.Clone(absent)
+			for tile, c := range all {
+				if c.Og >= floor {
+					kept[tile] = c
+				} else {
+					unseen = append(unseen, tile)
+				}
+			}
+			if len(kept) == 0 || len(kept) == len(all) {
+				t.Fatalf("%s: keeps %d of %d tiles; the floor selects nothing", label, len(kept), len(all))
+			}
+			frozenAgrees(t, ts, kept, unseen, label)
+			tail := 2 * uint(ts.K-ts.Overlap)
+			for tile := range all {
+				want := slices.DeleteFunc(slices.Clone(whole.Run(tile>>tail)), func(e TileEntry) bool { return e.Og < floor })
+				if got := ts.Run(tile >> tail); !slices.Equal(got, want) {
+					t.Fatalf("%s: Run(%#x) = %+v, the floor-0 column's kept %+v", label, uint64(tile>>tail), got, want)
+				}
+			}
+			if ts.Size() != len(all) || ts.MaxOg() != whole.MaxOg() || ts.Floor() != floor {
+				t.Fatalf("%s: Size %d, MaxOg %d, Floor %d; counted %d tiles of Og at most %d", label, ts.Size(), ts.MaxOg(), ts.Floor(), len(all), whole.MaxOg())
+			}
+			for _, minOg := range []uint32{floor, floor + 1, ts.MaxOg()} {
+				if got, want := ts.AppendAtLeast(nil, minOg, math.MaxInt), whole.AppendAtLeast(nil, minOg, math.MaxInt); !slices.Equal(got, want) {
+					t.Fatalf("%s: AppendAtLeast(%d) listed %d tiles, the floor-0 column %d", label, minOg, len(got), len(want))
+				}
+			}
+			mustPanic(t, "OgHistogram over a column floored", func() { ts.OgHistogram(8) })
+			mustPanic(t, "AppendAtLeast(0) below the column's floor", func() { ts.AppendAtLeast(nil, 0, 1) })
+			mustPanic(t, "below the column's floor", func() { ts.Freeze(floor - 1) })
+			ts.Freeze(floor)
+			ts.Freeze(floor + 1)
+			frozenAgrees(t, ts, kept, unseen, label+", frozen again")
+			ts.Release()
+		}
+		whole.Release()
+	}
 }
 
 // sealedAgrees checks a sealed set, sorted or not, against the counts it
@@ -313,7 +390,7 @@ func TestTileSetSealedReadsAsFrozen(t *testing.T) {
 		}
 		sealed := read()
 		sealedAgrees(t, ts, before, absent, fmt.Sprintf("sealed %+v", o))
-		ts.Freeze()
+		ts.Freeze(0)
 		if frozen := read(); !reflect.DeepEqual(sealed, frozen) {
 			t.Fatalf("%+v: the sealed set reads differently before the sort and after it", o)
 		}
@@ -374,7 +451,7 @@ func TestTileSetAppendAtLeast(t *testing.T) {
 			t.Fatal(err)
 		}
 		before, _ := unfrozenCounts(ts, 0, nil)
-		ts.Freeze()
+		ts.Freeze(0)
 		head := []TileEntry{{Tile: 1}}
 		for _, minOg := range []uint32{0, 2, 5, ts.MaxOg(), ts.MaxOg() + 1} {
 			var want []TileEntry
@@ -415,7 +492,7 @@ func TestTileSetFreezeSkewedRun(t *testing.T) {
 		}
 		before, absent := unfrozenCounts(ts, 100, rand.New(rand.NewSource(2)))
 		start := time.Now()
-		ts.Freeze()
+		ts.Freeze(0)
 		for tile := range before {
 			ts.Get(tile)
 		}
@@ -432,7 +509,7 @@ func TestTileSetFreezeSkewedRun(t *testing.T) {
 // TestTileSetFrozenAllocs: Run and frozen Get allocate nothing.
 func TestTileSetFrozenAllocs(t *testing.T) {
 	ts, _ := CountTiles(randomReads(t, 500), 12, 0, 0, BuildOptions{Workers: 1})
-	ts.Freeze()
+	ts.Freeze(0)
 	tiles := make([]seq.Kmer, 0, ts.Size())
 	ts.forEach(func(tile seq.Kmer, _ TileCount) { tiles = append(tiles, tile) })
 	if n := testing.AllocsPerRun(5, func() {
@@ -480,7 +557,7 @@ func TestTileSetReleaseReuse(t *testing.T) {
 			ts.Seal()
 			sealedAgrees(t, ts, before, absent, label)
 		} else {
-			ts.Freeze()
+			ts.Freeze(0)
 			frozenAgrees(t, ts, before, absent, label)
 		}
 		if ts.Size() != len(before) {
@@ -490,11 +567,11 @@ func TestTileSetReleaseReuse(t *testing.T) {
 	}
 	for _, o := range []BuildOptions{one, {Workers: 2, Shards: 4}} {
 		ts, _ := CountTiles(reads[:10], 12, 2, 25, o)
-		ts.Freeze()
+		ts.Freeze(0)
 		ts.Release()
 		for use, fn := range map[string]func(){
 			"Get": func() { ts.Get(0) }, "Run": func() { ts.Run(0) },
-			"Freeze": ts.Freeze, "Size": func() { ts.Size() },
+			"Freeze": func() { ts.Freeze(0) }, "Size": func() { ts.Size() },
 		} {
 			func() {
 				defer func() {

@@ -126,8 +126,8 @@ func FuzzMutantTileRoutes(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		freezeWhole(t, c, prepared) // compareRoutes walks the runs by hand
 		defer c.Tiles.Release()
-		c.Tiles.Freeze() // compareRoutes walks the runs by hand
 		list, cm := listOfSize(c.Tiles, (int(data[4])<<8|int(data[5]))%c.Tiles.Size())
 		reads := make([]seq.Read, min(len(prepared), 8))
 		for i := range reads {

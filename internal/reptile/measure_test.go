@@ -85,46 +85,69 @@ func (c *countingSource) Neighborhood(km seq.Kmer, d int, dst []seq.Kmer) ([]seq
 	return c.NeighborSource.Neighborhood(km, d, dst)
 }
 
-// TestNeighborhoodRepeatFactor measures how often the uncached local walk
-// asks the same neighborhood question again: total against distinct
-// queries over one 2 000-read service chunk and over one worker's share of
-// a two-worker batch run. The ratio bounds what a request-local memo of the
-// local path could save; EXPERIMENTS.md records it. A 500-read chunk asks
-// nothing: its few strong tiles lie outside its tiles' Hamming boxes
-// (mutantsByList); 2 000 reads hold more strong tiles than crossover.
+// reportRepeats logs how often a walk asked the same neighborhood question
+// again: total against distinct queries. The ratio bounds what a
+// request-local memo of the local path could save; EXPERIMENTS.md records
+// it.
+func reportRepeats(t *testing.T, what string, src *countingSource) {
+	t.Helper()
+	t.Logf("%s: %d queries, %d distinct, repeat factor %.2f", what, src.total, len(src.seen), float64(src.total)/float64(len(src.seen)))
+	if src.total == 0 || len(src.seen) > src.total {
+		t.Errorf("%s: %d queries, %d distinct", what, src.total, len(src.seen))
+	}
+}
+
+// TestNeighborhoodRepeatFactor measures the repeat factor of the uncached
+// local walk over one 2 000-read service chunk (TestBatchQueries measures
+// a batch run's). A 500-read chunk asks nothing: its few strong tiles lie
+// outside its tiles' Hamming boxes (mutantsByList); 2 000 reads hold more
+// strong tiles than crossover.
 func TestNeighborhoodRepeatFactor(t *testing.T) {
 	ds := gainCorpus(t)
 	reads := simulate.Reads(ds.Sim)
-	ctx := context.Background()
-	report := func(what string, src *countingSource) {
-		t.Logf("%s: %d queries, %d distinct, repeat factor %.2f", what, src.total, len(src.seen), float64(src.total)/float64(len(src.seen)))
-		if src.total == 0 || len(src.seen) > src.total {
-			t.Errorf("%s: %d queries, %d distinct", what, src.total, len(src.seen))
-		}
-	}
-
 	batch, err := New(reads, DefaultParams(reads, 20000))
 	if err != nil {
 		t.Fatal(err)
 	}
-	local := kspectrum.LocalNeighbors(batch.Spec, batch.NI)
-	src := &countingSource{NeighborSource: local, seen: map[[2]uint64]struct{}{}}
-	batch.neigh = src
-	share := (len(reads) + 1) / 2
-	if _, err := batch.CorrectAllCtx(ctx, reads[:share], 1); err != nil {
-		t.Fatal(err)
-	}
-	report("batch worker share (8 333 reads)", src)
-
-	src = &countingSource{NeighborSource: local, seen: map[[2]uint64]struct{}{}}
+	src := &countingSource{NeighborSource: kspectrum.LocalNeighbors(batch.Spec, batch.NI), seen: map[[2]uint64]struct{}{}}
 	svc, err := NewServiceBackend(kspectrum.Local(batch.Spec), src, Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := svc.CorrectChunk(ctx, reads[:2000], 1); err != nil {
+	if _, err := svc.CorrectChunk(context.Background(), reads[:2000], 1); err != nil {
 		t.Fatal(err)
 	}
-	report("service chunk (2 000 reads)", src)
+	reportRepeats(t, "service chunk (2 000 reads)", src)
+}
+
+// batchQueries is how many neighborhoods, by radius, a one-worker batch run
+// over gainCorpus (16 666 reads) asks at the default parameters (D = 1):
+// [0] at radius 0, [1] at radius D. Before the Builder's Corrector was
+// closed it asked 8 118 and 21 384 (1.283 a read): N(a) at d1 = 0, and N(b)
+// for every tile with a run entry in its Hamming box. Closed, it asks only
+// N(a) at d1 = D: 0 and 18 022 (1.081 a read).
+var batchQueries = [2]int{0, 18022}
+
+// TestBatchQueries pins the query cost of a batch run (batchQueries) and
+// logs its repeat factor.
+func TestBatchQueries(t *testing.T) {
+	ds := gainCorpus(t)
+	reads := simulate.Reads(ds.Sim)
+	batch, err := New(reads, DefaultParams(reads, 20000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := &countingSource{NeighborSource: kspectrum.LocalNeighbors(batch.Spec, batch.NI), seen: map[[2]uint64]struct{}{}}
+	batch.neigh = src
+	if _, err := batch.CorrectAllCtx(context.Background(), reads, 1); err != nil {
+		t.Fatal(err)
+	}
+	reportRepeats(t, fmt.Sprintf("batch, one worker (%d reads)", len(reads)), src)
+	got := [2]int{src.byRadius[0], src.byRadius[batch.P.D]}
+	t.Logf("radius 0: %d, radius %d: %d (%.3f a read)", got[0], batch.P.D, got[1], float64(got[1])/float64(len(reads)))
+	if batch.P.D != 1 || got != batchQueries {
+		t.Errorf("D = %d: %v neighborhoods at radius 0 and D, want %v", batch.P.D, got, batchQueries)
+	}
 }
 
 // serviceChunkQueries is how many radius-D neighborhoods the first 500-read
@@ -173,10 +196,12 @@ func TestServiceChunkQueries(t *testing.T) {
 // (listOfSize), the floor correctTile would set, d1 alternating 0 and D.
 // The run route's cost does not depend on the list; the list route's grows
 // with it. The run route also needs the chunk's tiles sorted, which the
-// list route does not: sort times that one Freeze and reports it spread
-// over the chunk's tile positions (ns/tile). crossover is where the list
-// route meets the run route plus that share; EXPERIMENTS.md records the
-// table.
+// list route does not: sort times that one Freeze, at the floor the
+// service freezes at, and reports it spread over the chunk's tile
+// positions (ns/tile). crossover is where the list route meets the run
+// route plus that share; EXPERIMENTS.md records the table. The routes walk
+// a column frozen whole (freezeWhole), since listOfSize's Cm can lie below
+// the chunk's floor.
 func BenchmarkMutantTileRoutes(b *testing.B) {
 	spec := simulate.Chapter2Specs(20000)[0] // D1
 	spec.Seed, spec.Workers = 1_000_003+3, 4
@@ -197,7 +222,7 @@ func BenchmarkMutantTileRoutes(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	c.Tiles.Freeze() // the run route's column
+	freezeWhole(b, c, prepared) // the run route's column, for any list's Cm
 	type tile struct{ a, b seq.Kmer }
 	var tiles []tile
 	step := c.P.K - c.P.Overlap
@@ -218,7 +243,7 @@ func BenchmarkMutantTileRoutes(b *testing.B) {
 				b.Fatal(err)
 			}
 			b.StartTimer()
-			ts.Freeze()
+			ts.Freeze(c.columnFloor())
 			b.StopTimer()
 			ts.Release()
 			b.StartTimer()

@@ -127,33 +127,45 @@ type Corrector struct {
 	// them; nil when there are more, or when nothing listed them.
 	strong   []kspectrum.TileEntry
 	strongCm uint32
+
+	// closed is set by Builder.Finish when it counted Spec from the reads
+	// it counted Tiles from: both kmers of every tile are then spectrum
+	// kmers, so a tile's kmer within d of km is in N^d(km) without asking.
+	closed bool
 }
 
 // ensureQuerier wires the query seam from the Spec/NI fields when the
 // caller did not supply one, and sorts the tile counts into the column
 // mutantTiles reads by run when some walk can take that route: there is no
-// strong list, or the Cm in force is below the one it was made for. It runs
-// at every single-threaded entry point, before worker pools fork, so the
-// writes are safely published to the workers.
+// strong list, or the Cm in force is below the one it was made for. It
+// panics when the tiles were frozen above columnFloor(): tiles that can
+// decide are gone. It runs at every single-threaded entry point, before
+// worker pools fork, so the writes are safely published to the workers.
 func (c *Corrector) ensureQuerier() {
 	if c.neigh == nil {
 		c.neigh = kspectrum.LocalNeighbors(c.Spec, c.NI)
 	}
-	if c.strong == nil || c.P.Cm < c.strongCm {
-		c.Tiles.Freeze()
+	if c.strong == nil || c.P.Cm < c.strongCm || c.Tiles.Floor() > c.columnFloor() {
+		c.Tiles.Freeze(c.columnFloor()) // panics below an earlier floor
 	}
 }
+
+// columnFloor is the least Og that can decide a tile: every branch of
+// correctTile and predictKmers reads an Og below both Cm and Cg as it
+// reads zero, so the run column keeps only the tiles at or above it.
+func (c *Corrector) columnFloor() uint32 { return min(c.P.Cm, c.P.Cg) }
 
 // listStrong makes the strong list for the Cm in force, once counting is
 // over and before any worker reads the tiles. An empty list is not nil, so it
 // still takes the list route. A list past crossover entries is dropped and
-// the tiles sorted for the run route: a batch corpus has ~10⁵ strong tiles.
-// A daemon chunk's list fits, and its tiles stay hash tables.
+// the tiles sorted for the run route at columnFloor(): a batch corpus has
+// ~10⁵ strong tiles. A daemon chunk's list fits, and its tiles stay hash
+// tables.
 func (c *Corrector) listStrong() {
 	c.strong, c.strongCm = c.Tiles.AppendAtLeast([]kspectrum.TileEntry{}, c.P.Cm, crossover), c.P.Cm
 	if len(c.strong) > crossover {
 		c.strong = nil
-		c.Tiles.Freeze()
+		c.Tiles.Freeze(c.columnFloor())
 	}
 }
 
@@ -229,7 +241,9 @@ func (b *Builder) Add(reads []seq.Read) {
 }
 
 // Finish builds the neighborhood index, derives the occurrence thresholds
-// and lists the strong tiles, producing the ready-to-use Corrector.
+// and lists the strong tiles, producing the ready-to-use Corrector. Unless
+// the spectrum was preloaded, it was counted from the reads the tiles were,
+// and the Corrector is closed.
 func (b *Builder) Finish() (*Corrector, error) {
 	p := b.p
 	spec := p.Spectrum
@@ -251,7 +265,7 @@ func (b *Builder) Finish() (*Corrector, error) {
 	if p.Cm == 0 {
 		p.Cm = cm
 	}
-	c := &Corrector{P: p, Spec: spec, NI: ni, Tiles: b.tiles}
+	c := &Corrector{P: p, Spec: spec, NI: ni, Tiles: b.tiles, closed: b.st != nil}
 	c.listStrong()
 	return c, nil
 }
@@ -465,7 +479,9 @@ const crossover = 256
 // (mutantsByList) asks no neighborhood unless an entry lies in the tile's
 // Hamming box: a daemon chunk has a handful of strong tiles, and most of
 // its tiles none near them. Otherwise each ka ∈ N(a) is one run to walk
-// (mutantsByRuns).
+// (mutantsByRuns). A closed Corrector's tiles are made of spectrum kmers,
+// so an entry in the box is in both neighborhoods: neither route asks
+// N(b), nor N(a) at d1 = 0, where its one candidate run is Run(a).
 func (c *Corrector) mutantTiles(a, b seq.Kmer, d1, d2 int, floor float64, s *scratch) []mutantTile {
 	if c.strong != nil && floor >= float64(c.strongCm) {
 		return c.mutantsByList(c.strong, a, b, d1, d2, floor, s)
@@ -491,15 +507,16 @@ func (c *Corrector) mutantsByList(list []kspectrum.TileEntry, a, b seq.Kmer, d1,
 		if seq.HammingKmer(ka, a, k) > d1 || seq.HammingKmer(kb, b, k) > d2 {
 			continue
 		}
-		if !asked {
-			s.na, s.nb, asked = c.hood(a, d1, s.na[:0], s), c.hood(b, d2, s.nb[:0], s), true
+		if !c.closed {
+			if !asked {
+				s.na, s.nb, asked = c.hood(a, d1, s.na[:0], s), c.hood(b, d2, s.nb[:0], s), true
+			}
+			_, inA := slices.BinarySearch(s.na, ka)
+			if _, inB := slices.BinarySearch(s.nb, kb); !inA || !inB {
+				continue
+			}
 		}
-		if _, ok := slices.BinarySearch(s.na, ka); !ok {
-			continue
-		}
-		if _, ok := slices.BinarySearch(s.nb, kb); ok {
-			out = append(out, c.mutant(a, b, e))
-		}
+		out = append(out, c.mutant(a, b, e))
 	}
 	s.mutants = out
 	return out
@@ -513,9 +530,14 @@ func (c *Corrector) mutantsByList(list []kspectrum.TileEntry, a, b seq.Kmer, d1,
 // once per member of N(b) when that is the shorter side: a repeat's first
 // kmer heading thousands of tiles costs |N(b)| searches of its run, not a
 // walk of it (TestMutantTilesLongRun). A failed N(a) still asks N(b), so a
-// cache miss queues both kmers in one round.
+// cache miss queues both kmers in one round. A closed Corrector asks N(b)
+// only for such a run, and N(a) only at d1 > 0.
 func (c *Corrector) mutantsByRuns(a, b seq.Kmer, d1, d2 int, floor float64, s *scratch) []mutantTile {
-	s.na = c.hood(a, d1, s.na[:0], s)
+	if c.closed && d1 == 0 {
+		s.na = append(s.na[:0], a) // Run(a) is empty unless a is a spectrum kmer
+	} else {
+		s.na = c.hood(a, d1, s.na[:0], s)
+	}
 	s.nb = s.nb[:0]
 	askedB := s.err != nil
 	if askedB {
@@ -543,12 +565,15 @@ func (c *Corrector) mutantsByRuns(a, b seq.Kmer, d1, d2 int, floor float64, s *s
 			if float64(e.Og) < floor || e.Tile == self || seq.HammingKmer(e.Tile&kMask, b, c.P.K) > d2 {
 				continue
 			}
-			if !askedB {
-				s.nb, askedB = c.hood(b, d2, s.nb, s), true
+			if !c.closed {
+				if !askedB {
+					s.nb, askedB = c.hood(b, d2, s.nb, s), true
+				}
+				if _, ok := slices.BinarySearch(s.nb, e.Tile&kMask); !ok {
+					continue
+				}
 			}
-			if _, ok := slices.BinarySearch(s.nb, e.Tile&kMask); ok {
-				out = append(out, c.mutant(a, b, e))
-			}
+			out = append(out, c.mutant(a, b, e))
 		}
 	}
 	s.mutants = out

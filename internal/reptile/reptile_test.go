@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"slices"
 	"sort"
 	"strings"
@@ -389,10 +391,13 @@ func (c *Corrector) correctTileUnpruned(bases, qual []byte, pos int, d1, d2 int,
 // position of ten reads with errors, Ns and missing qualities, at
 // d1 ∈ {0, d}, over TestMutantTilesMatchesProbing's grid and
 // Cm ∈ {1, 2, 5} × Cr ∈ {1.5, 2, 3} — by either mutantTiles route: the
-// runs of N(a), and the strong list prepared with every tile of Og >= Cm
-// however long it is. The spectrum comes from a third of the reads, as a
+// runs of N(a) in a column floored at min(Cm, Cg), and the strong list
+// prepared with every tile of Og >= Cm however long it is. The oracle reads
+// every tile, unfloored. Two spectra: one the Builder counted from the reads
+// (a closed Corrector), and one preloaded from a third of them, as a
 // daemon's comes from a corpus its requests need not belong to, so some
-// tiles' kmers are missing from it. Both branches must correct somewhere.
+// tiles' kmers are missing from it (not closed). Both branches must
+// correct somewhere.
 func TestCorrectTileMatchesUnpruned(t *testing.T) {
 	_, sim := buildTestData(t, 3000, 300, 40, 0.02, 31)
 	reads := simulate.Reads(sim)
@@ -415,42 +420,58 @@ func TestCorrectTileMatchesUnpruned(t *testing.T) {
 		for _, l := range []int{0, 1, k - 1} {
 			for _, d := range []int{0, 1, 2} {
 				for _, o := range []ws{{1, 1}, {4, 16}, {4, 1024}} {
-					p := Params{K: k, D: d, Overlap: l, C: min(k, d+4), Cr: 2, Qc: 15, Qm: 60, DefaultBase: 'A', MaxNPerWindow: 1}
-					p.Build = kspectrum.BuildOptions{Workers: o.workers, Shards: o.shards}
-					var err error
-					if p.Spectrum, err = kspectrum.Build(reads[:100], k, true); err != nil {
-						t.Fatal(err)
-					}
-					base, err := New(reads, p)
-					if err != nil {
-						t.Fatal(err)
-					}
-					base.ensureQuerier()
-					base.Tiles.Freeze() // byRuns drops the strong list by hand
-					prepared := prepareReads(reads, base.P)
-					for _, cm := range []uint32{1, 2, 5} {
-						for _, cr := range []float64{1.5, 2, 3} {
-							byRuns := *base
-							byRuns.P.Cm, byRuns.P.Cr, byRuns.strong = cm, cr, nil
-							byList := byRuns
-							byList.strong, byList.strongCm = base.Tiles.AppendAtLeast([]kspectrum.TileEntry{}, cm, math.MaxInt), cm
-							for _, r := range prepared[:10] {
-								for pos := 0; pos+base.Tiles.TileLen <= len(r.Seq); pos++ {
-									for _, d1 := range []int{0, d} {
-										want = append(want[:0], r.Seq...)
-										dw := byRuns.correctTileUnpruned(want, r.Qual, pos, d1, d, &rs)
-										for _, c := range []*Corrector{&byRuns, &byList} {
-											got = append(got[:0], r.Seq...)
-											dg := c.correctTile(got, r.Qual, pos, d1, d, &s)
-											if dg != dw || !bytes.Equal(got, want) {
-												t.Fatalf("k=%d l=%d d=%d %+v Cm=%d Cr=%v list=%v: tile at %d (d1=%d) of %s: decision %d writing %s, want %d writing %s",
-													k, l, d, o, cm, cr, c.strong != nil, pos, d1, r.Seq, dg, got, dw, want)
+					for _, preloaded := range []bool{false, true} {
+						p := Params{K: k, D: d, Overlap: l, C: min(k, d+4), Cr: 2, Qc: 15, Qm: 60, DefaultBase: 'A', MaxNPerWindow: 1}
+						p.Build = kspectrum.BuildOptions{Workers: o.workers, Shards: o.shards}
+						var err error
+						if preloaded {
+							if p.Spectrum, err = kspectrum.Build(reads[:100], k, true); err != nil {
+								t.Fatal(err)
+							}
+						}
+						base, err := New(reads, p)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if base.closed == preloaded {
+							t.Fatalf("k=%d l=%d d=%d %+v preloaded=%v: closed %v", k, l, d, o, preloaded, base.closed)
+						}
+						base.ensureQuerier()
+						prepared := prepareReads(reads, base.P)
+						ref := *base
+						if ref.Tiles, err = kspectrum.CountTiles(prepared, k, l, p.Qc, p.Build); err != nil {
+							t.Fatal(err)
+						}
+						ref.Tiles.Seal()
+						for _, cm := range []uint32{1, 2, 5} {
+							byRuns := *base // byRuns drops the strong list by hand
+							byRuns.P.Cm, byRuns.strong = cm, nil
+							if byRuns.Tiles, err = kspectrum.CountTiles(prepared, k, l, p.Qc, p.Build); err != nil {
+								t.Fatal(err)
+							}
+							byRuns.Tiles.Freeze(byRuns.columnFloor())
+							for _, cr := range []float64{1.5, 2, 3} {
+								byRuns.P.Cr, ref.P.Cm, ref.P.Cr = cr, cm, cr
+								byList := byRuns
+								byList.strong, byList.strongCm = byRuns.Tiles.AppendAtLeast([]kspectrum.TileEntry{}, cm, math.MaxInt), cm
+								for _, r := range prepared[:10] {
+									for pos := 0; pos+base.Tiles.TileLen <= len(r.Seq); pos++ {
+										for _, d1 := range []int{0, d} {
+											want = append(want[:0], r.Seq...)
+											dw := ref.correctTileUnpruned(want, r.Qual, pos, d1, d, &rs)
+											for _, c := range []*Corrector{&byRuns, &byList} {
+												got = append(got[:0], r.Seq...)
+												dg := c.correctTile(got, r.Qual, pos, d1, d, &s)
+												if dg != dw || !bytes.Equal(got, want) {
+													t.Fatalf("k=%d l=%d d=%d %+v preloaded=%v Cm=%d Cr=%v list=%v: tile at %d (d1=%d) of %s: decision %d writing %s, want %d writing %s",
+														k, l, d, o, preloaded, cm, cr, c.strong != nil, pos, d1, r.Seq, dg, got, dw, want)
+												}
 											}
-										}
-										if dw == decCorrected {
-											a, _ := seq.Pack(r.Seq[pos:], k)
-											b, _ := seq.Pack(r.Seq[pos+k-l:], k)
-											corrected[base.Tiles.Get(base.Tiles.PackTile(a, b)).Og >= cm]++
+											if dw == decCorrected {
+												a, _ := seq.Pack(r.Seq[pos:], k)
+												b, _ := seq.Pack(r.Seq[pos+k-l:], k)
+												corrected[ref.Tiles.Get(ref.Tiles.PackTile(a, b)).Og >= cm]++
+											}
 										}
 									}
 								}
@@ -500,7 +521,8 @@ func TestCorrectTileAtSetBound(t *testing.T) {
 // every tile of reads with errors, Ns and missing qualities — frozen column
 // against the unfrozen hash table, over k, overlap, d, (Workers, Shards) and
 // the floors 0, Cm and Cr·Og(t). k = 3 at 1024 shards is the case the 2k
-// cap on tile shards exists for.
+// cap on tile shards exists for. The Corrector is closed: the Builder
+// counted its spectrum from the reads, so neither route asks N(b).
 func TestMutantTilesMatchesProbing(t *testing.T) {
 	_, sim := buildTestData(t, 3000, 300, 40, 0.02, 31)
 	reads := simulate.Reads(sim)
@@ -526,9 +548,9 @@ func TestMutantTilesMatchesProbing(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					c.ensureQuerier()
-					c.Tiles.Freeze() // floor 0 is below any list's Cm: the run route
 					prepared := prepareReads(reads, c.P)
+					freezeWhole(t, c, prepared) // floor 0 is below any list's Cm: the run route
+					c.ensureQuerier()
 					ref := *c
 					if ref.Tiles, err = kspectrum.CountTiles(prepared, k, l, p.Qc, kspectrum.BuildOptions{Workers: 1}); err != nil {
 						t.Fatal(err)
@@ -581,8 +603,8 @@ func TestMutantTilesLongRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	freezeWhole(t, c, reads) // floor 0 is below any list's Cm: the run route
 	c.ensureQuerier()
-	c.Tiles.Freeze() // floor 0 is below any list's Cm: the run route
 	ref := *c
 	if ref.Tiles, err = kspectrum.CountTiles(reads, k, 0, p.Qc, p.Build); err != nil {
 		t.Fatal(err)
@@ -605,6 +627,22 @@ func TestMutantTilesLongRun(t *testing.T) {
 	if took > 3*probing {
 		t.Errorf("mutantTiles over the long run's tiles took %v, probing %v", took, probing)
 	}
+}
+
+// freezeWhole swaps c's tiles for a recount of prepared frozen whole, at
+// floor 0, before listStrong runs over them, and releases the set it swaps
+// out: a test that walks N(a)'s runs by hand, at floors below min(Cm, Cg),
+// needs every tile in the column.
+func freezeWhole(t testing.TB, c *Corrector, prepared []seq.Read) {
+	t.Helper()
+	c.Tiles.Release()
+	ts, err := kspectrum.CountTiles(prepared, c.P.K, c.P.Overlap, c.P.Qc, c.P.Build)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts.Freeze(0)
+	c.Tiles = ts
+	c.listStrong()
 }
 
 // listOfSize returns n of ts's tiles, ascending, and the Cm it is a strong
@@ -688,7 +726,7 @@ func TestMutantTileRoutes(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				c.Tiles.Freeze() // compareRoutes walks the runs by hand
+				freezeWhole(t, c, prepared) // compareRoutes walks the runs by hand
 				derived := c.P.Cm
 				for _, n := range []int{0, 1, crossover, crossover + 1} {
 					list, cm := listOfSize(c.Tiles, n)
@@ -807,5 +845,148 @@ func TestChunkedBuilderMatchesWholeSlice(t *testing.T) {
 		if string(a[i].Seq) != string(c[i].Seq) {
 			t.Fatalf("correction differs at read %d", i)
 		}
+	}
+}
+
+// TestCorrectorFloor: a batch Corrector's tiles overflow crossover, so
+// Finish freezes them into the run column at min(Cm, Cg). Size still counts
+// every tile counted — the engine Summary's tile count — and four workers
+// correct to the same bytes as over a column frozen whole. Lowering Cm or Cg
+// below the floor after Finish leaves tiles that can decide out of the
+// column, and the next correction panics naming the floor.
+func TestCorrectorFloor(t *testing.T) {
+	reads, _ := serviceFixture(t)
+	p := DefaultParams(reads, 8000)
+	c, err := New(reads, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	whole := *c
+	if whole.Tiles, err = kspectrum.CountTiles(prepareReads(reads, c.P), p.K, p.Overlap, c.P.Qc, p.Build); err != nil {
+		t.Fatal(err)
+	}
+	whole.Tiles.Freeze(0)
+	floor := min(c.P.Cm, c.P.Cg)
+	if c.strong != nil || floor < 2 || c.Tiles.Floor() != floor {
+		t.Fatalf("list %v, Cm %d, Cg %d: column floored at %d; want the run route at Og >= %d", c.strong != nil, c.P.Cm, c.P.Cg, c.Tiles.Floor(), floor)
+	}
+	if c.Tiles.Size() != whole.Tiles.Size() {
+		t.Fatalf("floored Size %d, %d tiles counted", c.Tiles.Size(), whole.Tiles.Size())
+	}
+	kept := whole.Tiles.AppendAtLeast(nil, floor, math.MaxInt)
+	if got := c.Tiles.AppendAtLeast(nil, floor, math.MaxInt); !slices.Equal(got, kept) || len(kept) >= whole.Tiles.Size() {
+		t.Fatalf("the column keeps %d tiles, %d of the %d counted have Og >= %d", len(got), len(kept), whole.Tiles.Size(), floor)
+	}
+	if got, want := correctAll(t, c, reads, 4), correctAll(t, &whole, reads, 4); !slices.EqualFunc(got, want, func(x, y seq.Read) bool { return bytes.Equal(x.Seq, y.Seq) }) {
+		t.Fatal("the floored column corrects differently from the whole one")
+	}
+	for name, lower := range map[string]func(*Params){"Cm": func(p *Params) { p.Cm = floor - 1 }, "Cg": func(p *Params) { p.Cg = floor - 1 }} {
+		lowered := *c
+		lower(&lowered.P)
+		func() {
+			defer func() {
+				if msg, _ := recover().(string); !strings.Contains(msg, "below the column's floor") {
+					t.Errorf("%s lowered below the floor %d: recovered %q, want a panic naming the floor", name, floor, msg)
+				}
+			}()
+			lowered.CorrectRead(reads[0])
+		}()
+	}
+}
+
+// TestBuilderCorrectorClosed: a Corrector whose Builder counted the
+// spectrum from the reads it counted the tiles from is closed — both kmers
+// of every tile in its run column are spectrum kmers — whether the spectrum
+// was counted in memory, under a MemoryBudget that spills, or resumed from
+// a checkpoint over the same reads; the three correct to the same bytes. A
+// Corrector over a preloaded spectrum that lacks some of the reads' kmers
+// is not closed, and asks N(b) as before; TestCorrectTileMatchesUnpruned
+// holds both kinds to the unpruned Algorithm 1.
+func TestBuilderCorrectorClosed(t *testing.T) {
+	reads, _ := serviceFixture(t)
+	p := DefaultParams(reads, 8000)
+	p.Build = kspectrum.BuildOptions{Workers: 2}
+	builder := func(o kspectrum.StreamOptions) *Builder {
+		t.Helper()
+		q := p
+		q.StreamOptions = o
+		b, err := NewBuilder(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	build := func(o kspectrum.StreamOptions, chunks ...[]seq.Read) *Corrector {
+		t.Helper()
+		b := builder(o)
+		defer b.Close()
+		for _, chunk := range chunks {
+			b.Add(chunk)
+		}
+		c, err := b.Finish()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	spill := kspectrum.StreamOptions{Build: p.Build, MemoryBudget: 64 << 10, TempDir: t.TempDir()}
+	if _, st, err := kspectrum.BuildOutOfCore(prepareReads(reads, p), p.K, true, spill); err != nil || st.SpilledRuns == 0 {
+		t.Fatalf("the budget spills no run (%+v, %v)", st, err)
+	}
+	dir := filepath.Join(t.TempDir(), "ckpt")
+	half := len(reads) / 2
+	killed := builder(kspectrum.StreamOptions{Build: p.Build, CheckpointDir: dir, CheckpointEvery: int64(half)})
+	killed.Add(reads[:half]) // checkpoints, then is abandoned
+	killed.Close()
+	if _, err := os.Stat(filepath.Join(dir, kspectrum.ManifestName)); err != nil {
+		t.Fatalf("no checkpoint to resume: %v", err)
+	}
+	resume := kspectrum.StreamOptions{Build: p.Build, CheckpointDir: dir, Resume: true}
+	var first []seq.Read
+	for name, c := range map[string]*Corrector{
+		"in memory": build(kspectrum.StreamOptions{Build: p.Build}, reads),
+		"spilled":   build(spill, reads),
+		"resumed":   build(resume, reads[:half], reads[half:]),
+	} {
+		if !c.closed || c.strong != nil {
+			t.Fatalf("%s: closed %v, list %v; want a closed Corrector on the run route", name, c.closed, c.strong != nil)
+		}
+		column := c.Tiles.AppendAtLeast(nil, c.Tiles.Floor(), math.MaxInt)
+		for _, e := range column {
+			if ka, kb := c.Tiles.SplitTile(e.Tile); c.Spec.Index(ka) < 0 || c.Spec.Index(kb) < 0 {
+				t.Fatalf("%s: tile %s has a kmer outside the spectrum", name, e.Tile.StringK(c.Tiles.TileLen))
+			}
+		}
+		if len(column) == 0 {
+			t.Fatalf("%s: an empty column", name)
+		}
+		out := correctAll(t, c, reads, 2)
+		if first == nil {
+			first = out
+		} else if !slices.EqualFunc(out, first, func(x, y seq.Read) bool { return bytes.Equal(x.Seq, y.Seq) }) {
+			t.Fatalf("%s: corrects differently from the other builds", name)
+		}
+	}
+
+	q := p
+	var err error
+	if q.Spectrum, err = kspectrum.Build(reads[:len(reads)/3], p.K, true); err != nil {
+		t.Fatal(err)
+	}
+	c, err := New(reads, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.closed {
+		t.Fatal("a Corrector over a preloaded spectrum is closed")
+	}
+	missing := 0
+	for _, e := range c.Tiles.AppendAtLeast(nil, c.Tiles.Floor(), math.MaxInt) {
+		if ka, kb := c.Tiles.SplitTile(e.Tile); c.Spec.Index(ka) < 0 || c.Spec.Index(kb) < 0 {
+			missing++
+		}
+	}
+	if missing == 0 {
+		t.Fatal("the preloaded spectrum holds every tile's kmers; the case tests nothing")
 	}
 }

@@ -144,8 +144,8 @@ func (s *Service) CorrectChunk(ctx context.Context, reads []seq.Read, workers in
 // corrector resolves a chunk's Qc, counts its tiles, derives Cg and Cm
 // from them and lists the strong tiles, returning the chunk's Corrector and
 // the prepared reads the tiles were counted over. The tiles are sorted only
-// when the list overflows crossover (listStrong); a daemon chunk's stay hash
-// tables. The caller owns the tiles.
+// when the list overflows crossover (listStrong), into a column floored at
+// min(Cm, Cg); a daemon chunk's stay hash tables. The caller owns the tiles.
 func (s *Service) corrector(reads []seq.Read, workers int) (*Corrector, []seq.Read, error) {
 	p := s.p
 	if p.Qc == 0 {

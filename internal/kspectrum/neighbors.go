@@ -11,19 +11,22 @@ import (
 )
 
 // NeighborIndex retrieves the d-neighborhood N^d of any kmer within the
-// spectrum: all spectrum kmers at Hamming distance at most d. It implements
-// the replicated masked-sort strategy of §2.3: the k positions are divided
-// into c chunks; for every choice of d chunks the spectrum is sorted with
-// those chunks masked out. Two kmers within Hamming distance d agree on at
-// least c-d chunks, so they collide under at least one of the C(c,d) masks,
-// making retrieval exact.
+// kmer set it indexes: all of its kmers at Hamming distance at most d. The
+// set is a spectrum's kmers (NewNeighborIndex) or any sorted, distinct kmer
+// list (NewNeighborIndexFromKmers). It implements the replicated
+// masked-sort strategy of §2.3: the k positions are divided into c chunks;
+// for every choice of d chunks the set is sorted with those chunks masked
+// out. Two kmers within Hamming distance d agree on at least c-d chunks, so
+// they collide under at least one of the C(c,d) masks, making retrieval
+// exact.
 //
 // A replica stores the kmers themselves, permuted: its d masked chunks are
 // rotated to the low bits, so plain integer order is "sorted by the unmasked
 // chunks" and the kmers agreeing with a query outside the masked chunks are
 // one contiguous run of a flat slice — no comparator, no indirection.
 type NeighborIndex struct {
-	spec     *Spectrum
+	spec     *Spectrum // nil over a kmer list
+	k, n     int       // kmer length, kmers indexed
 	D        int
 	C        int
 	replicas []replica
@@ -32,7 +35,7 @@ type NeighborIndex struct {
 	lazy []sync.Once
 }
 
-// replica is one permuted, sorted copy of the spectrum. build writes keys,
+// replica is one permuted, sorted copy of the kmer set. build writes keys,
 // shift and buckets once; nil buckets mean unbuilt, which answers empty.
 type replica struct {
 	perm, inv []bitMove // kmer -> key and back
@@ -65,16 +68,52 @@ func permute(km seq.Kmer, moves []bitMove) seq.Kmer {
 // each is more selective. Building reads the full spectrum C(c,d) times, so
 // a memory-mapped spectrum is verified (whole-file CRC) first.
 func NewNeighborIndex(spec *Spectrum, d, c int) (*NeighborIndex, error) {
-	ni, err := newNeighborIndex(spec, d, c)
+	ni, err := newNeighborIndex(spec.K, d, c)
 	if err != nil {
 		return nil, err
 	}
 	if err := spec.Verify(); err != nil {
 		return nil, err
 	}
-	par.Each(len(ni.replicas), 0, func(_, r int) { ni.replicas[r].build(spec) })
+	ni.spec = spec
+	ni.buildAll(spec.Kmers)
 	return ni, nil
 }
+
+// NewNeighborIndexFromKmers builds the index eagerly over kmers, which must
+// ascend strictly and lie inside the 2k-bit keyspace: a subset of a
+// spectrum, such as the kmers of a frozen tile column (TileSet.ColumnKmers).
+// Its neighborhoods hold only those kmers, and it answers NeighborKmers
+// only: with no spectrum behind it, Neighbors has no positions to report.
+func NewNeighborIndexFromKmers(kmers []seq.Kmer, k, d, c int) (*NeighborIndex, error) {
+	if k < 1 || k > seq.MaxK {
+		return nil, fmt.Errorf("kspectrum: k=%d outside [1, %d]", k, seq.MaxK)
+	}
+	ni, err := newNeighborIndex(k, d, c)
+	if err != nil {
+		return nil, err
+	}
+	for i := 1; i < len(kmers); i++ {
+		if kmers[i] <= kmers[i-1] {
+			return nil, fmt.Errorf("kspectrum: index kmers not strictly ascending at %d", i)
+		}
+	}
+	if n := len(kmers); n > 0 && kmers[n-1]>>(2*uint(k)) != 0 {
+		return nil, fmt.Errorf("kspectrum: index kmer %#x outside the %d-mer keyspace", uint64(kmers[n-1]), k)
+	}
+	ni.buildAll(kmers)
+	return ni, nil
+}
+
+// buildAll builds every replica over kmers, up to GOMAXPROCS at a time.
+func (ni *NeighborIndex) buildAll(kmers []seq.Kmer) {
+	ni.n = len(kmers)
+	par.Each(len(ni.replicas), 0, func(_, r int) { ni.replicas[r].build(kmers, ni.k) })
+}
+
+// Len returns the number of kmers the index holds, or will hold once a
+// lazy index has built its replicas.
+func (ni *NeighborIndex) Len() int { return ni.n }
 
 // NewNeighborIndexLazy validates the parameters eagerly but defers each
 // replica's sort to its first query, so a service over a freshly-mapped
@@ -84,25 +123,25 @@ func NewNeighborIndex(spec *Spectrum, d, c int) (*NeighborIndex, error) {
 // answer empty rather than serving results computed from corrupt bytes.
 // Materialization is safe for concurrent use.
 func NewNeighborIndexLazy(spec *Spectrum, d, c int) (*NeighborIndex, error) {
-	ni, err := newNeighborIndex(spec, d, c)
+	ni, err := newNeighborIndex(spec.K, d, c)
 	if err != nil {
 		return nil, err
 	}
+	ni.spec, ni.n = spec, len(spec.Kmers)
 	ni.lazy = make([]sync.Once, len(ni.replicas))
 	return ni, nil
 }
 
 // newNeighborIndex checks parameters and computes each replica's chunk
-// permutation — the cheap part both construction modes share.
-func newNeighborIndex(spec *Spectrum, d, c int) (*NeighborIndex, error) {
-	k := spec.K
+// permutation — the cheap part every construction mode shares.
+func newNeighborIndex(k, d, c int) (*NeighborIndex, error) {
 	if d < 0 {
 		return nil, fmt.Errorf("kspectrum: negative d")
 	}
 	if c <= d || c > k {
 		return nil, fmt.Errorf("kspectrum: need d < c <= k, got d=%d c=%d k=%d", d, c, k)
 	}
-	ni := &NeighborIndex{spec: spec, D: d, C: c}
+	ni := &NeighborIndex{k: k, D: d, C: c}
 	for _, masked := range combinations(c, d) {
 		ni.replicas = append(ni.replicas, newReplica(k, c, masked))
 	}
@@ -144,18 +183,18 @@ func newReplica(k, c int, masked []int) replica {
 // build fills the replica by distribution: count the permuted kmers per key
 // prefix, make the counts the bucket table, scatter every key into its
 // bucket, then sort each bucket — slices.Sort on a few plain words.
-func (rep *replica) build(spec *Spectrum) {
-	part := pickIndexPartition(len(spec.Kmers)/4, spec.K)
+func (rep *replica) build(kmers []seq.Kmer, k int) {
+	part := pickIndexPartition(len(kmers)/4, k)
 	rep.shift = part.Shift()
 	t := make([]int32, part.Shards()+1)
-	for _, km := range spec.Kmers {
+	for _, km := range kmers {
 		t[permute(km, rep.perm)>>rep.shift+1]++
 	}
 	for b := 1; b < len(t); b++ {
 		t[b] += t[b-1]
 	}
-	rep.keys = make([]seq.Kmer, len(spec.Kmers))
-	for _, km := range spec.Kmers {
+	rep.keys = make([]seq.Kmer, len(kmers))
+	for _, km := range kmers {
 		key := permute(km, rep.perm)
 		rep.keys[t[key>>rep.shift]] = key
 		t[key>>rep.shift]++
@@ -188,7 +227,7 @@ func (ni *NeighborIndex) replica(r int) *replica {
 			// A full scan, so the deferred whole-file check runs first;
 			// sync.Once publishes the writes to every later caller.
 			if ni.spec.Verify() == nil {
-				rep.build(ni.spec)
+				rep.build(ni.spec.Kmers, ni.k)
 			}
 		})
 	}
@@ -199,9 +238,13 @@ func (ni *NeighborIndex) replica(r int) *replica {
 // positions of all spectrum kmers within distance ni.D of km (km included
 // when present), ascending, mapping each hit back through Spectrum.Index.
 // A reused dst makes it allocation-free up to neighborIndexStack raw hits.
+// It panics on an index over a kmer list, which has no spectrum.
 //
 //repro:noalloc
 func (ni *NeighborIndex) Neighbors(km seq.Kmer, dst []int32) []int32 {
+	if ni.spec == nil {
+		panic("kspectrum: NeighborIndex.Neighbors over a kmer list") //repro:lint-ok noalloc a constant boxes statically
+	}
 	var buf [neighborIndexStack]seq.Kmer
 	for _, nb := range ni.NeighborKmers(km, buf[:0]) {
 		if i := ni.spec.Index(nb); i >= 0 {
@@ -218,7 +261,7 @@ const (
 
 // NeighborKmers appends the kmers of km's d-neighborhood to dst, deduplicated
 // and ascending — the form the correction loop calls through LocalNeighbors.
-// The spectrum is sorted and unique, so ascending kmer order is ascending
+// A spectrum is sorted and unique, so ascending kmer order is ascending
 // index order: the property that makes a merged multi-shard neighborhood
 // byte-identical to a local one. A reused dst makes it allocation-free.
 //
@@ -246,7 +289,7 @@ func (ni *NeighborIndex) NeighborKmers(km seq.Kmer, dst []seq.Kmer) []seq.Kmer {
 				if cand > hi {
 					break
 				}
-				if cand >= lo && seq.HammingKmer(pk, cand, ni.spec.K) <= ni.D {
+				if cand >= lo && seq.HammingKmer(pk, cand, ni.k) <= ni.D {
 					dst = append(dst, permute(cand, rep.inv))
 				}
 			}

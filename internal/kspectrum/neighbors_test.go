@@ -100,6 +100,9 @@ func TestNeighborIndexExactAcrossGeometries(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				if eager.Len() != len(s.Kmers) || lazy.Len() != len(s.Kmers) {
+					t.Fatalf("k=%d d=%d c=%d: Len %d eager, %d lazy over %d kmers", k, d, c, eager.Len(), lazy.Len(), len(s.Kmers))
+				}
 				src := LocalNeighbors(s, eager)
 				for _, km := range neighborProbes(rng, s, 60) {
 					for name, ni := range map[string]*NeighborIndex{"eager": eager, "lazy": lazy} {
@@ -124,6 +127,65 @@ func TestNeighborIndexExactAcrossGeometries(t *testing.T) {
 	}
 }
 
+// TestNeighborIndexFromKmers: an index over a kmer list answers
+// NeighborKmers as a brute-force scan of the list does — for lists that
+// hold every other kmer of a clustered spectrum, so some spectrum
+// neighbours are left out, at d ∈ {1, 2} over the geometries of
+// TestNeighborIndexExactAcrossGeometries. Neighbors, which reports
+// spectrum positions, panics on it. Unsorted or duplicate kmers, a kmer
+// outside the keyspace, and k, d or c out of range are refused.
+func TestNeighborIndexFromKmers(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	for _, k := range []int{3, 5, 10, 13, 17, 31, 32} {
+		for _, d := range []int{1, 2} {
+			for c := d + 1; c <= min(k, d+4); c++ {
+				s := clusteredSpectrum(rng, k, 600, false)
+				var kmers []seq.Kmer
+				for i := 0; i < len(s.Kmers); i += 2 {
+					kmers = append(kmers, s.Kmers[i])
+				}
+				ni, err := NewNeighborIndexFromKmers(kmers, k, d, c)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if ni.Len() != len(kmers) {
+					t.Fatalf("k=%d d=%d c=%d: Len %d over %d kmers", k, d, c, ni.Len(), len(kmers))
+				}
+				for _, km := range neighborProbes(rng, s, 60) {
+					var want []seq.Kmer
+					for _, x := range kmers {
+						if seq.HammingKmer(km, x, k) <= d {
+							want = append(want, x)
+						}
+					}
+					if got := ni.NeighborKmers(km, nil); !slices.Equal(got, want) {
+						t.Fatalf("k=%d d=%d c=%d: NeighborKmers(%s) = %v, scan %v", k, d, c, km.StringK(k), got, want)
+					}
+				}
+				mustPanic(t, "Neighbors over a kmer list", func() { ni.Neighbors(kmers[0], nil) })
+			}
+		}
+	}
+	good := []seq.Kmer{1, 5, 9}
+	for name, bad := range map[string]func() error{
+		"unsorted":         func() error { _, err := NewNeighborIndexFromKmers([]seq.Kmer{5, 1, 9}, 4, 1, 2); return err },
+		"duplicate":        func() error { _, err := NewNeighborIndexFromKmers([]seq.Kmer{1, 5, 5, 9}, 4, 1, 2); return err },
+		"outside 4^k":      func() error { _, err := NewNeighborIndexFromKmers([]seq.Kmer{1, 256}, 4, 1, 2); return err },
+		"negative d":       func() error { _, err := NewNeighborIndexFromKmers(good, 4, -1, 2); return err },
+		"c at d":           func() error { _, err := NewNeighborIndexFromKmers(good, 4, 2, 2); return err },
+		"c above k":        func() error { _, err := NewNeighborIndexFromKmers(good, 4, 1, 5); return err },
+		"k zero":           func() error { _, err := NewNeighborIndexFromKmers(good, 0, 1, 2); return err },
+		"k above seq.MaxK": func() error { _, err := NewNeighborIndexFromKmers(good, seq.MaxK+1, 1, 2); return err },
+	} {
+		if err := bad(); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+	if _, err := NewNeighborIndexFromKmers(nil, 4, 1, 2); err != nil {
+		t.Errorf("an empty list: %v", err)
+	}
+}
+
 // TestNeighborIndexPermutationRoundTrip pins the chunk permutation itself:
 // every replica's inverse undoes it, distances survive it, and the masked
 // chunks land exactly in the low bits.
@@ -132,7 +194,7 @@ func TestNeighborIndexPermutationRoundTrip(t *testing.T) {
 	for _, k := range []int{3, 12, 17, 32} {
 		for _, d := range []int{0, 1, 2} {
 			c := min(k, d+4)
-			ni, err := newNeighborIndex(&Spectrum{K: k}, d, c)
+			ni, err := newNeighborIndex(k, d, c)
 			if err != nil {
 				t.Fatal(err)
 			}

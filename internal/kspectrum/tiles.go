@@ -212,7 +212,7 @@ func (ts *TileSet) Seal() {
 // are gone.
 func (ts *TileSet) Freeze(minOg uint32) {
 	ts.Seal()
-	if ts.frozen() {
+	if ts.Frozen() {
 		if minOg < ts.floor {
 			panic(fmt.Sprintf("kspectrum: TileSet.Freeze(%d) below the column's floor %d", minOg, ts.floor))
 		}
@@ -287,7 +287,7 @@ func (ts *TileSet) Run(ka seq.Kmer) []TileEntry {
 	tail := 2 * uint(ts.K-ts.Overlap)
 	lo := ka << tail
 	tc := ts.shards[ts.part.ShardOf(lo)]
-	if len(tc.buckets) == 0 { // as frozen(), on the shard in hand
+	if len(tc.buckets) == 0 { // as Frozen(), on the shard in hand
 		panic("kspectrum: TileSet.Run before Freeze") //repro:lint-ok noalloc a constant boxes statically
 	}
 	r := tc.bucket(lo)
@@ -295,9 +295,52 @@ func (ts *TileSet) Run(ka seq.Kmer) []TileEntry {
 	return r[:searchTiles(r, lo|(seq.Kmer(1)<<tail-1), true)]
 }
 
-// frozen reports whether Freeze has run: every shard then has its buckets,
+// ColumnKmers returns the distinct kmers, first and second, of the frozen
+// column's tiles, ascending: what a neighborhood index needs to hold for
+// every kmer Run or a search of a run can be asked about. Both halves of
+// every tile are sorted by distribution, as a NeighborIndex replica is:
+// counted per prefix, scattered into their buckets, each bucket sorted. It
+// panics before Freeze.
+func (ts *TileSet) ColumnKmers() []seq.Kmer {
+	if !ts.Frozen() {
+		panic("kspectrum: TileSet.ColumnKmers before Freeze")
+	}
+	tail := 2 * uint(ts.K-ts.Overlap)
+	kMask := seq.Kmer(1)<<(2*uint(ts.K)) - 1
+	n := 0
+	for _, shard := range ts.shards {
+		n += 2 * len(shard.slots)
+	}
+	shift := pickIndexPartition(n/4, ts.K).Shift()
+	t := make([]int32, 1<<(2*uint(ts.K)-shift)+1)
+	for _, shard := range ts.shards {
+		for _, e := range shard.slots {
+			t[e.Tile>>tail>>shift+1]++
+			t[(e.Tile&kMask)>>shift+1]++
+		}
+	}
+	for b := 1; b < len(t); b++ {
+		t[b] += t[b-1]
+	}
+	kms := make([]seq.Kmer, n)
+	for _, shard := range ts.shards {
+		for _, e := range shard.slots {
+			for _, km := range [2]seq.Kmer{e.Tile >> tail, e.Tile & kMask} {
+				kms[t[km>>shift]] = km
+				t[km>>shift]++
+			}
+		}
+	}
+	for b, lo := 0, int32(0); b < len(t)-1; b++ { // t[b] is now bucket b's end
+		slices.Sort(kms[lo:t[b]])
+		lo = t[b]
+	}
+	return slices.Compact(kms)
+}
+
+// Frozen reports whether Freeze has run: every shard then has its buckets,
 // and there is always a shard 0.
-func (ts *TileSet) frozen() bool { return len(ts.shards[0].buckets) != 0 }
+func (ts *TileSet) Frozen() bool { return len(ts.shards[0].buckets) != 0 }
 
 // Release hands a one-worker set's table back for the next one-worker
 // CountTiles to reuse; other sets' tables are only dropped. Get, Run, Size

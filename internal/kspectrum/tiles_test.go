@@ -301,6 +301,62 @@ func TestTileSetFreezeFloor(t *testing.T) {
 	}
 }
 
+// TestTileSetColumnKmers: a frozen column's kmers are the distinct first
+// and second kmers of its tiles, ascending — equal to a map built from a
+// recount's tiles with Og at least the floor — over Workers ∈ {1, 2, 4},
+// floors {0, 2, 5} and overlaps {0, 2}, on reads with Ns and missing
+// qualities. It panics while counting and once sealed, before Freeze.
+func TestTileSetColumnKmers(t *testing.T) {
+	reads := randomReads(t, 1200)
+	for i := range reads {
+		switch i % 5 {
+		case 0:
+			reads[i].Seq[i%len(reads[i].Seq)] = 'N'
+		case 1:
+			reads[i].Qual = nil
+		}
+	}
+	for range 8 { // tiles of Og up to ~9, so the floors below drop some and keep some
+		reads = append(reads, reads[:40]...)
+	}
+	for _, overlap := range []int{0, 2} {
+		for _, o := range []BuildOptions{{Workers: 1}, {Workers: 2, Shards: 16}, {Workers: 4, Shards: 1024}} {
+			ref, err := CountTiles(reads, 10, overlap, 25, o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, floor := range []uint32{0, 2, 5} {
+				label := fmt.Sprintf("l=%d %+v floor %d", overlap, o, floor)
+				set := map[seq.Kmer]bool{}
+				ref.forEach(func(tile seq.Kmer, c TileCount) {
+					if c.Og >= floor {
+						a, b := ref.SplitTile(tile)
+						set[a], set[b] = true, true
+					}
+				})
+				var want []seq.Kmer
+				for km := range set {
+					want = append(want, km)
+				}
+				slices.Sort(want)
+				ts, err := CountTiles(reads, 10, overlap, 25, o)
+				if err != nil {
+					t.Fatal(err)
+				}
+				mustPanic(t, "ColumnKmers before Freeze", func() { ts.ColumnKmers() })
+				ts.Seal()
+				mustPanic(t, "ColumnKmers before Freeze", func() { ts.ColumnKmers() })
+				ts.Freeze(floor)
+				if got := ts.ColumnKmers(); !slices.Equal(got, want) || len(want) == 0 {
+					t.Fatalf("%s: %d column kmers, want the %d of the recount's tiles", label, len(got), len(want))
+				}
+				ts.Release()
+			}
+			ref.Release()
+		}
+	}
+}
+
 // sealedAgrees checks a sealed set, sorted or not, against the counts it
 // held while counting: Get on every tile and on the absent ones, Size, MaxOg
 // and every tile from AppendAtLeast.

@@ -92,7 +92,9 @@ func (reptileEngine) CorrectStream(ctx context.Context, open engine.SourceOpener
 }
 
 // train is Reptile's Phase 1 (engine.Train): parameters from the sample, then
-// spectrum, tiles, neighborhood index and thresholds. Phase 2 is CorrectAllCtx.
+// spectrum, tiles, thresholds and the neighborhood index — over the run
+// column's kmers, or over a preloaded spectrum (Finish). Phase 2 is
+// CorrectAllCtx.
 func train(ctx context.Context, run *engine.Run, spec *kspectrum.Spectrum, in *engine.Input) (*engine.Trained, error) {
 	sample, err := in.Sample()
 	if err != nil {

@@ -101,7 +101,8 @@ func reportRepeats(t *testing.T, what string, src *countingSource) {
 // local walk over one 2 000-read service chunk (TestBatchQueries measures
 // a batch run's). A 500-read chunk asks nothing: its few strong tiles lie
 // outside its tiles' Hamming boxes (mutantsByList); 2 000 reads hold more
-// strong tiles than crossover.
+// strong tiles than crossover. The service asks the spectrum's index, as
+// NewService builds it: the batch Corrector's own indexes only its column.
 func TestNeighborhoodRepeatFactor(t *testing.T) {
 	ds := gainCorpus(t)
 	reads := simulate.Reads(ds.Sim)
@@ -109,7 +110,11 @@ func TestNeighborhoodRepeatFactor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	src := &countingSource{NeighborSource: kspectrum.LocalNeighbors(batch.Spec, batch.NI), seen: map[[2]uint64]struct{}{}}
+	ni, err := kspectrum.NewNeighborIndex(batch.Spec, batch.P.D, batch.P.C)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := &countingSource{NeighborSource: kspectrum.LocalNeighbors(batch.Spec, ni), seen: map[[2]uint64]struct{}{}}
 	svc, err := NewServiceBackend(kspectrum.Local(batch.Spec), src, Params{})
 	if err != nil {
 		t.Fatal(err)

@@ -105,7 +105,9 @@ func (p Params) validate() error {
 }
 
 // Corrector holds the Phase-1 information extraction products (§2.3):
-// the k-spectrum, the Hamming-neighborhood index, and the tile counts.
+// the k-spectrum, a Hamming-neighborhood index, and the tile counts. The
+// index is over the spectrum, except on a closed Corrector, whose index is
+// over its run column's kmers (indexColumn) — nil while it has no column.
 //
 // The walk's only spectrum query is the d-neighborhood, asked through
 // neigh: hand-built Correctors (tests, the batch pipeline) fill only Spec
@@ -132,22 +134,47 @@ type Corrector struct {
 	// it counted Tiles from: both kmers of every tile are then spectrum
 	// kmers, so a tile's kmer within d of km is in N^d(km) without asking.
 	closed bool
+	// indexed is the tile set whose frozen column a closed Corrector's NI
+	// was built over; a set is frozen once, so its column never changes.
+	indexed *kspectrum.TileSet
 }
 
-// ensureQuerier wires the query seam from the Spec/NI fields when the
-// caller did not supply one, and sorts the tile counts into the column
-// mutantTiles reads by run when some walk can take that route: there is no
-// strong list, or the Cm in force is below the one it was made for. It
-// panics when the tiles were frozen above columnFloor(): tiles that can
-// decide are gone. It runs at every single-threaded entry point, before
-// worker pools fork, so the writes are safely published to the workers.
+// ensureQuerier sorts the tile counts into the column mutantTiles reads by
+// run when some walk can take that route — there is no strong list, or the
+// Cm in force is below the one it was made for — and wires the query seam
+// from the Spec/NI fields when the caller did not supply one. It panics
+// when the tiles were frozen above columnFloor(): tiles that can decide
+// are gone. It runs at every single-threaded entry point, before worker
+// pools fork, so the writes are safely published to the workers.
 func (c *Corrector) ensureQuerier() {
-	if c.neigh == nil {
-		c.neigh = kspectrum.LocalNeighbors(c.Spec, c.NI)
-	}
 	if c.strong == nil || c.P.Cm < c.strongCm || c.Tiles.Floor() > c.columnFloor() {
 		c.Tiles.Freeze(c.columnFloor()) // panics below an earlier floor
 	}
+	c.indexColumn()
+	if c.neigh == nil {
+		c.neigh = kspectrum.LocalNeighbors(c.Spec, c.NI)
+	}
+}
+
+// indexColumn gives a closed Corrector whose tiles are frozen an index over
+// the column's kmers, unless NI was built over these tiles. The walk asks
+// neighborhoods only to find the runs and run members of column tiles, and
+// both kmers of each are in the index, so it answers those as the
+// spectrum's index would; a closed Corrector whose tiles are not frozen
+// walks its strong list, which asks nothing. A seam wired from the index
+// it replaces is wired again by ensureQuerier; one plugged in stays.
+func (c *Corrector) indexColumn() {
+	if !c.closed || !c.Tiles.Frozen() || c.indexed == c.Tiles {
+		return
+	}
+	ni, err := kspectrum.NewNeighborIndexFromKmers(c.Tiles.ColumnKmers(), c.P.K, c.P.D, c.P.C)
+	if err != nil {
+		panic(err) // validate() checked k, d and c; the column's kmers ascend
+	}
+	if c.neigh == kspectrum.LocalNeighbors(c.Spec, c.NI) {
+		c.neigh = nil
+	}
+	c.NI, c.indexed = ni, c.Tiles
 }
 
 // columnFloor is the least Og that can decide a tile: every branch of
@@ -158,14 +185,15 @@ func (c *Corrector) columnFloor() uint32 { return min(c.P.Cm, c.P.Cg) }
 // listStrong makes the strong list for the Cm in force, once counting is
 // over and before any worker reads the tiles. An empty list is not nil, so it
 // still takes the list route. A list past crossover entries is dropped and
-// the tiles sorted for the run route at columnFloor(): a batch corpus has
-// ~10⁵ strong tiles. A daemon chunk's list fits, and its tiles stay hash
-// tables.
+// the tiles sorted for the run route at columnFloor() and, on a closed
+// Corrector, indexed (indexColumn): a batch corpus has ~10⁵ strong tiles. A
+// daemon chunk's list fits, and its tiles stay hash tables.
 func (c *Corrector) listStrong() {
 	c.strong, c.strongCm = c.Tiles.AppendAtLeast([]kspectrum.TileEntry{}, c.P.Cm, crossover), c.P.Cm
 	if len(c.strong) > crossover {
 		c.strong = nil
 		c.Tiles.Freeze(c.columnFloor())
+		c.indexColumn()
 	}
 }
 
@@ -240,21 +268,22 @@ func (b *Builder) Add(reads []seq.Read) {
 	b.tiles.Add(prepared)
 }
 
-// Finish builds the neighborhood index, derives the occurrence thresholds
-// and lists the strong tiles, producing the ready-to-use Corrector. Unless
-// the spectrum was preloaded, it was counted from the reads the tiles were,
-// and the Corrector is closed.
+// Finish derives the occurrence thresholds and lists the strong tiles,
+// producing the ready-to-use Corrector. Unless the spectrum was preloaded,
+// it was counted from the reads the tiles were, and the Corrector is
+// closed: its neighborhood index covers only its run column, built when
+// listStrong freezes the column. A preloaded spectrum gets the spectrum's
+// index here.
 func (b *Builder) Finish() (*Corrector, error) {
 	p := b.p
 	spec := p.Spectrum
+	var ni *kspectrum.NeighborIndex
+	var err error
 	if b.st != nil {
-		var err error
 		if spec, err = b.st.Build(); err != nil {
 			return nil, err
 		}
-	}
-	ni, err := kspectrum.NewNeighborIndex(spec, p.D, p.C)
-	if err != nil {
+	} else if ni, err = kspectrum.NewNeighborIndex(spec, p.D, p.C); err != nil {
 		return nil, err
 	}
 	b.tiles.Seal()

@@ -345,6 +345,24 @@ func (c *Corrector) mutantTilesByProbing(a, b seq.Kmer, d1, d2 int, s *scratch) 
 	return out
 }
 
+// spectrumOracle returns a copy of c that asks the spectrum's own index, as
+// the reference kernels (mutantTilesByProbing, correctTileUnpruned) must:
+// they probe N(a)×N(b) over the whole spectrum, and a closed Corrector's
+// index holds only its column's kmers (an open one's is the spectrum's).
+// The copy is not closed.
+func spectrumOracle(t testing.TB, c *Corrector) *Corrector {
+	t.Helper()
+	ref := *c
+	if c.closed {
+		ni, err := kspectrum.NewNeighborIndex(c.Spec, c.P.D, c.P.C)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref.NI, ref.neigh, ref.closed = ni, kspectrum.LocalNeighbors(c.Spec, ni), false
+	}
+	return &ref
+}
+
 // correctTileUnpruned is Algorithm 1 as the dissertation states it, kept as
 // correctTile's reference: every observed d-mutant enumerated by probing,
 // then filtered by line 11 (Og >= Cr·Og(t)) or lines 17-21 (Og >= Cm).
@@ -393,7 +411,9 @@ func (c *Corrector) correctTileUnpruned(bases, qual []byte, pos int, d1, d2 int,
 // Cm ∈ {1, 2, 5} × Cr ∈ {1.5, 2, 3} — by either mutantTiles route: the
 // runs of N(a) in a column floored at min(Cm, Cg), and the strong list
 // prepared with every tile of Og >= Cm however long it is. The oracle reads
-// every tile, unfloored. Two spectra: one the Builder counted from the reads
+// every tile, unfloored, through the spectrum's index (spectrumOracle); the
+// routes read theirs through ensureQuerier, a closed Corrector's over the
+// swapped-in column. Two spectra: one the Builder counted from the reads
 // (a closed Corrector), and one preloaded from a third of them, as a
 // daemon's comes from a corpus its requests need not belong to, so some
 // tiles' kmers are missing from it (not closed). Both branches must
@@ -438,7 +458,7 @@ func TestCorrectTileMatchesUnpruned(t *testing.T) {
 						}
 						base.ensureQuerier()
 						prepared := prepareReads(reads, base.P)
-						ref := *base
+						ref := spectrumOracle(t, base)
 						if ref.Tiles, err = kspectrum.CountTiles(prepared, k, l, p.Qc, p.Build); err != nil {
 							t.Fatal(err)
 						}
@@ -450,6 +470,7 @@ func TestCorrectTileMatchesUnpruned(t *testing.T) {
 								t.Fatal(err)
 							}
 							byRuns.Tiles.Freeze(byRuns.columnFloor())
+							byRuns.ensureQuerier() // a closed Corrector indexes the swapped-in column
 							for _, cr := range []float64{1.5, 2, 3} {
 								byRuns.P.Cr, ref.P.Cm, ref.P.Cr = cr, cm, cr
 								byList := byRuns
@@ -508,7 +529,7 @@ func TestCorrectTileAtSetBound(t *testing.T) {
 		t.Fatalf("MaxOg %d, want the good tile's 4", m)
 	}
 	var s scratch
-	for _, correct := range []func([]byte, []byte, int, int, int, *scratch) decision{c.correctTile, c.correctTileUnpruned} {
+	for _, correct := range []func([]byte, []byte, int, int, int, *scratch) decision{c.correctTile, spectrumOracle(t, c).correctTileUnpruned} {
 		bases := []byte(bad)
 		if dec := correct(bases, nil, 0, 1, 1, &s); dec != decCorrected || string(bases) != good {
 			t.Errorf("Og 2 tile %s beside its Og 4 mutant: decision %d, bases %s; want %d, %s", bad, dec, bases, decCorrected, good)
@@ -898,10 +919,13 @@ func TestCorrectorFloor(t *testing.T) {
 // spectrum from the reads it counted the tiles from is closed — both kmers
 // of every tile in its run column are spectrum kmers — whether the spectrum
 // was counted in memory, under a MemoryBudget that spills, or resumed from
-// a checkpoint over the same reads; the three correct to the same bytes. A
-// Corrector over a preloaded spectrum that lacks some of the reads' kmers
-// is not closed, and asks N(b) as before; TestCorrectTileMatchesUnpruned
-// holds both kinds to the unpruned Algorithm 1.
+// a checkpoint over the same reads; the three correct to the same bytes,
+// and each to the bytes it corrects to when given the spectrum's index in
+// place of its own, which holds only the column's kmers — fewer than the
+// spectrum's. A Corrector over a preloaded spectrum that lacks some of the
+// reads' kmers is not closed, asks N(b) as before, and keeps the spectrum's
+// index; TestCorrectTileMatchesUnpruned holds both kinds to the unpruned
+// Algorithm 1.
 func TestBuilderCorrectorClosed(t *testing.T) {
 	reads, _ := serviceFixture(t)
 	p := DefaultParams(reads, 8000)
@@ -943,6 +967,7 @@ func TestBuilderCorrectorClosed(t *testing.T) {
 	}
 	resume := kspectrum.StreamOptions{Build: p.Build, CheckpointDir: dir, Resume: true}
 	var first []seq.Read
+	var err error
 	for name, c := range map[string]*Corrector{
 		"in memory": build(kspectrum.StreamOptions{Build: p.Build}, reads),
 		"spilled":   build(spill, reads),
@@ -960,7 +985,17 @@ func TestBuilderCorrectorClosed(t *testing.T) {
 		if len(column) == 0 {
 			t.Fatalf("%s: an empty column", name)
 		}
+		if c.NI == nil || c.NI.Len() != len(c.Tiles.ColumnKmers()) || c.NI.Len() >= len(c.Spec.Kmers) {
+			t.Fatalf("%s: the index holds %v kmers; want the column's %d, fewer than the spectrum's %d", name, c.NI, len(c.Tiles.ColumnKmers()), len(c.Spec.Kmers))
+		}
+		full := *c
+		if full.NI, err = kspectrum.NewNeighborIndex(c.Spec, p.D, p.C); err != nil {
+			t.Fatal(err)
+		}
 		out := correctAll(t, c, reads, 2)
+		if !slices.EqualFunc(out, correctAll(t, &full, reads, 2), func(x, y seq.Read) bool { return bytes.Equal(x.Seq, y.Seq) }) {
+			t.Fatalf("%s: the column index corrects differently from the spectrum's", name)
+		}
 		if first == nil {
 			first = out
 		} else if !slices.EqualFunc(out, first, func(x, y seq.Read) bool { return bytes.Equal(x.Seq, y.Seq) }) {
@@ -969,7 +1004,6 @@ func TestBuilderCorrectorClosed(t *testing.T) {
 	}
 
 	q := p
-	var err error
 	if q.Spectrum, err = kspectrum.Build(reads[:len(reads)/3], p.K, true); err != nil {
 		t.Fatal(err)
 	}
@@ -977,8 +1011,8 @@ func TestBuilderCorrectorClosed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.closed {
-		t.Fatal("a Corrector over a preloaded spectrum is closed")
+	if c.closed || c.NI.Len() != len(q.Spectrum.Kmers) {
+		t.Fatalf("a Corrector over a preloaded spectrum: closed %v, index of %d kmers; want open, the spectrum's %d", c.closed, c.NI.Len(), len(q.Spectrum.Kmers))
 	}
 	missing := 0
 	for _, e := range c.Tiles.AppendAtLeast(nil, c.Tiles.Floor(), math.MaxInt) {
@@ -988,5 +1022,60 @@ func TestBuilderCorrectorClosed(t *testing.T) {
 	}
 	if missing == 0 {
 		t.Fatal("the preloaded spectrum holds every tile's kmers; the case tests nothing")
+	}
+}
+
+// TestColumnIndexFollowsTiles: a closed Corrector's index covers the column
+// its walk reads, whatever put the tiles there. Tiles swapped for a recount
+// frozen whole are indexed anew at the next entry point, which also rewires
+// a seam derived from the old index but keeps one plugged in; four workers
+// then correct as they do given the spectrum's index. A closed Corrector
+// whose strong list fits freezes nothing, and has no index.
+func TestColumnIndexFollowsTiles(t *testing.T) {
+	reads, _ := serviceFixture(t)
+	p := DefaultParams(reads, 8000)
+	c, err := New(reads, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.ensureQuerier()
+	old := c.NI
+	whole, err := kspectrum.CountTiles(prepareReads(reads, c.P), p.K, p.Overlap, c.P.Qc, p.Build)
+	if err != nil {
+		t.Fatal(err)
+	}
+	whole.Freeze(0)
+	plugged := *c
+	plugged.neigh = &countingSource{NeighborSource: c.neigh, seen: map[[2]uint64]struct{}{}}
+	for _, x := range []*Corrector{c, &plugged} {
+		x.Tiles = whole
+		x.ensureQuerier()
+	}
+	if c.NI == old || c.NI.Len() != len(whole.ColumnKmers()) || c.NI.Len() <= old.Len() {
+		t.Fatalf("after the swap the index holds %d kmers (%d before); want the whole column's %d", c.NI.Len(), old.Len(), len(whole.ColumnKmers()))
+	}
+	if c.neigh != kspectrum.LocalNeighbors(c.Spec, c.NI) {
+		t.Fatal("the seam derived from the old index was not rewired")
+	}
+	if _, ok := plugged.neigh.(*countingSource); !ok || plugged.NI == old || plugged.NI.Len() != c.NI.Len() {
+		t.Fatalf("plugged seam %T, index of %d kmers; want the plugged seam kept beside a new index of %d", plugged.neigh, plugged.NI.Len(), c.NI.Len())
+	}
+	full := *c
+	if full.NI, err = kspectrum.NewNeighborIndex(c.Spec, p.D, p.C); err != nil {
+		t.Fatal(err)
+	}
+	full.neigh = nil
+	if got, want := correctAll(t, c, reads, 4), correctAll(t, &full, reads, 4); !slices.EqualFunc(got, want, func(x, y seq.Read) bool { return bytes.Equal(x.Seq, y.Seq) }) {
+		t.Fatal("the whole column's index corrects differently from the spectrum's")
+	}
+
+	small, err := New(reads[:500], DefaultParams(reads[:500], 8000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	small.ensureQuerier()
+	if !small.closed || small.strong == nil || small.Tiles.Frozen() || small.NI != nil {
+		t.Fatalf("500 reads: closed %v, list %v, frozen %v, index %v; want a closed list-route Corrector with no index",
+			small.closed, small.strong != nil, small.Tiles.Frozen(), small.NI != nil)
 	}
 }

@@ -239,6 +239,38 @@ func TestFailedRunStopsProfiles(t *testing.T) {
 	}
 }
 
+// TestReptileBuildFlagsNeedSaveSpectrum: `repro reptile` counts a k-spectrum
+// only for -save-spectrum without -load-spectrum, so -mem-budget, -checkpoint
+// and -resume otherwise bound nothing: each is a usage error (exit 2) naming
+// -save-spectrum, refused before -out is touched or the store is opened. With it the run goes ahead
+// (TestGoldenReptileCLI's mem-budget case); `repro redeem` always counts and
+// keeps them (TestRedeemDetectOnlyBuildFlags).
+func TestReptileBuildFlagsNeedSaveSpectrum(t *testing.T) {
+	in, _ := goldenInput(t)
+	dir := t.TempDir()
+	out := filepath.Join(dir, "out.fastq")
+	ckpt := filepath.Join(dir, "ckpt")
+	for _, extra := range [][]string{
+		{"-mem-budget", "64KB"},
+		{"-checkpoint", ckpt},
+		{"-checkpoint", ckpt, "-resume"},
+		{"-mem-budget", "1MB", "-checkpoint", ckpt, "-load-spectrum", filepath.Join(dir, "none.kspc")},
+		{"-mem-budget", "1MB", "-load-spectrum", filepath.Join(dir, "none.kspc"), "-save-spectrum", filepath.Join(dir, "saved.kspc")},
+	} {
+		err := reptileCmd(append([]string{"-in", in, "-out", out}, extra...), io.Discard)
+		var ue *usageError
+		if !errors.As(err, &ue) || !strings.Contains(ue.msg, "-save-spectrum") {
+			t.Errorf("reptile %v: error = %v, want a usage error naming -save-spectrum", extra, err)
+		}
+	}
+	if _, err := os.Stat(out); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("a refused run touched -out: %v", err)
+	}
+	if _, err := os.Stat(ckpt); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("a refused run made its checkpoint directory: %v", err)
+	}
+}
+
 // TestRedeemDetectOnlyBuildFlags: -detect-only builds its spectrum under the
 // same flags as the correcting mode — -resume alone is the same error in
 // both, and a checkpointed detect-only build really writes its manifest (the

@@ -46,8 +46,8 @@ func (f *correctFlags) register(fs *flag.FlagSet) {
 	fs.StringVar(&f.out, "out", "", "output FASTQ (required)")
 	fs.IntVar(&f.workers, "workers", 0, "parallel workers (0 = all cores)")
 	fs.IntVar(&f.shards, "shards", 0, "spectrum shard count (0 = derive from workers)")
-	fs.StringVar(&f.memBudget, "mem-budget", "0", "spectrum accumulator budget, e.g. 64MB (0 = unlimited, in-memory)")
-	fs.StringVar(&f.ckptDir, "checkpoint", "", "directory for crash-safe spectrum-build checkpoints (empty = off)")
+	fs.StringVar(&f.memBudget, "mem-budget", "0", "spectrum accumulator budget, e.g. 64MB (0 = unlimited, in-memory); reptile counts a spectrum only for -save-spectrum without -load-spectrum")
+	fs.StringVar(&f.ckptDir, "checkpoint", "", "directory for crash-safe spectrum-build checkpoints (empty = off); reptile counts a spectrum only for -save-spectrum without -load-spectrum")
 	fs.BoolVar(&f.resume, "resume", false, "resume the interrupted build checkpointed in -checkpoint")
 	fs.Int64Var(&f.ckptEvery, "checkpoint-every", 0, "reads between automatic checkpoints (0 = default)")
 	fs.StringVar(&f.loadSpec, "load-spectrum", "", "reuse a persisted k-spectrum instead of counting the input")
@@ -112,14 +112,14 @@ func signalContext() (context.Context, context.CancelFunc) {
 // correct is the shared tail of the correction subcommands: resolve the
 // engine, stream f.in through it into f.out and print the status line the
 // subcommand renders from the result and the elapsed time.
-func (f *correctFlags) correct(engineName string, opts []engine.Option, stdout io.Writer, status func(*engine.Result, time.Duration) string) error {
+func (f *correctFlags) correct(engineName string, run *engine.Run, stdout io.Writer, status func(*engine.Result, time.Duration) string) error {
 	eng, err := engine.Lookup(engineName)
 	if err != nil {
 		return err
 	}
 	return f.profiled(func() error {
 		start := time.Now()
-		res, err := f.correctToFile(eng, engine.NewRun(opts...))
+		res, err := f.correctToFile(eng, run)
 		if err != nil {
 			return err
 		}

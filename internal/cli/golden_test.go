@@ -163,24 +163,30 @@ func runSubcommand(t *testing.T, run func([]string, io.Writer) error, args []str
 
 // TestGoldenReptileCLI: `repro reptile` matches its reference pipeline and
 // its recorded digest, with and without explicit -k and across a memory
-// budget.
+// budget, which bounds the spectrum count -save-spectrum asks for.
 func TestGoldenReptileCLI(t *testing.T) {
 	in, genomeLen := goldenInput(t)
 	gl := itoa(genomeLen)
 	cases := []struct {
 		name   string
 		args   []string
+		save   bool
 		k, d   int
 		digest string
 	}{
-		{"derived-k", []string{"-in", in, "-workers", "1", "-genome-len", gl}, 0, 1, "884a61be51dd00dc357405b7103e3e342b60a9ea05267f702b6ee32076e4d6a0"},
-		{"explicit-k-d2", []string{"-in", in, "-workers", "1", "-genome-len", gl, "-k", "11", "-d", "2"}, 11, 2, "118344638092c26749bb3ccfd41f500948fce8b58aa6f00ae135ae8085063fcf"},
-		{"mem-budget", []string{"-in", in, "-workers", "1", "-genome-len", gl, "-mem-budget", "64KB"}, 0, 1, "884a61be51dd00dc357405b7103e3e342b60a9ea05267f702b6ee32076e4d6a0"},
+		{"derived-k", []string{"-in", in, "-workers", "1", "-genome-len", gl}, false, 0, 1, "884a61be51dd00dc357405b7103e3e342b60a9ea05267f702b6ee32076e4d6a0"},
+		{"explicit-k-d2", []string{"-in", in, "-workers", "1", "-genome-len", gl, "-k", "11", "-d", "2"}, false, 11, 2, "118344638092c26749bb3ccfd41f500948fce8b58aa6f00ae135ae8085063fcf"},
+		{"mem-budget", []string{"-in", in, "-workers", "1", "-genome-len", gl, "-mem-budget", "64KB"}, true, 0, 1, "884a61be51dd00dc357405b7103e3e342b60a9ea05267f702b6ee32076e4d6a0"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			out := filepath.Join(t.TempDir(), "out.fastq")
-			got := runSubcommand(t, reptileCmd, append(tc.args, "-out", out), out)
+			dir := t.TempDir()
+			out := filepath.Join(dir, "out.fastq")
+			args := append(tc.args, "-out", out)
+			if tc.save {
+				args = append(args, "-save-spectrum", filepath.Join(dir, "run.kspc"))
+			}
+			got := runSubcommand(t, reptileCmd, args, out)
 			checkGolden(t, got, referenceReptileOutput(t, in, tc.k, tc.d, genomeLen, 1), tc.digest)
 		})
 	}

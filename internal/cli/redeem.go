@@ -66,7 +66,7 @@ func redeemCmd(args []string, stdout io.Writer) error {
 		engine.WithK(runK),
 		redeem.WithErrorRate(*errorRate),
 	)
-	return f.correct(redeem.EngineName, opts, stdout, func(res *engine.Result, elapsed time.Duration) string {
+	return f.correct(redeem.EngineName, engine.NewRun(opts...), stdout, func(res *engine.Result, elapsed time.Duration) string {
 		return fmt.Sprintf("%s; corrected %d of %d reads (budget %s) in %v",
 			res.Summary, res.Changed, res.Reads, f.memBudget, elapsed)
 	})

@@ -10,10 +10,12 @@ import (
 )
 
 // reptileCmd corrects substitution errors with the representative-tiling
-// algorithm of Chapter 2 through the engine registry's streaming path:
-// two chunked passes over the input, so with -mem-budget the k-spectrum
-// accumulators spill to disk and peak memory is bounded regardless of
-// input size. The golden tests freeze the output bytes.
+// algorithm of Chapter 2 through the engine registry's streaming path: two
+// chunked passes over the input, the first counting tiles. The k-spectrum is
+// counted only for -save-spectrum without -load-spectrum, so -mem-budget,
+// -checkpoint and -resume, which bound and checkpoint that count and never
+// the tile table, are refused otherwise (reptile.CheckRun). The golden tests
+// freeze the output bytes.
 func reptileCmd(args []string, stdout io.Writer) error {
 	fs := newFlagSet("reptile")
 	var f correctFlags
@@ -33,12 +35,15 @@ func reptileCmd(args []string, stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
-	opts = append(opts,
+	run := engine.NewRun(append(opts,
 		engine.WithK(*k),
 		engine.WithGenomeLen(*genomeLen),
 		reptile.WithD(*d),
-	)
-	return f.correct(reptile.EngineName, opts, stdout, func(res *engine.Result, elapsed time.Duration) string {
+	)...)
+	if reptile.CheckRun(run) != nil {
+		return usagef(fs, "-mem-budget, -checkpoint and -resume bound the k-spectrum count, which runs only with -save-spectrum and no -load-spectrum")
+	}
+	return f.correct(reptile.EngineName, run, stdout, func(res *engine.Result, elapsed time.Duration) string {
 		return fmt.Sprintf("corrected %d of %d reads (%s, budget %s) in %v",
 			res.Changed, res.Reads, res.Summary, f.memBudget, elapsed)
 	})

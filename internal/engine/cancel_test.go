@@ -3,6 +3,7 @@ package engine_test
 import (
 	"context"
 	"errors"
+	"path/filepath"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -120,7 +121,8 @@ func TestCorrectStreamCancel(t *testing.T) {
 // inside its worker pool too, and in its spectrum build: under a memory
 // budget a cancelled ctx stops the spills before they reach the armed
 // fault, so what comes back is ctx.Err(), not the injected error of a
-// build that ran to the end.
+// build that ran to the end. The budget legs save their spectrum, the only
+// reason Reptile builds one.
 func TestCorrectCancelBatch(t *testing.T) {
 	chunk := testChunk(t)
 	ctx, cancel := context.WithCancel(context.Background())
@@ -132,7 +134,11 @@ func TestCorrectCancelBatch(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			_, _, err = eng.Correct(ctx, chunk, engine.NewRun(engine.WithGenomeLen(4000), engine.WithBuild(kspectrum.StreamOptions{MemoryBudget: budget})))
+			var save engine.Option
+			if budget > 0 {
+				save = engine.WithSaveSpectrumPath(filepath.Join(t.TempDir(), name+".kspc"))
+			}
+			_, _, err = eng.Correct(ctx, chunk, engine.NewRun(engine.WithGenomeLen(4000), engine.WithBuild(kspectrum.StreamOptions{MemoryBudget: budget}), save))
 			if !errors.Is(err, context.Canceled) {
 				t.Errorf("%s, budget %d: Correct error = %v, want ctx.Err()", name, budget, err)
 			}

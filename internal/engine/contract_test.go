@@ -100,13 +100,19 @@ func TestEngineContract(t *testing.T) {
 		t.Fatalf("registered engines = %v, want reptile, redeem", engine.Names())
 	}
 
-	// CorrectStream ≡ Correct, in memory and under a spilling budget.
+	// CorrectStream ≡ Correct, in memory and under a spilling budget. The
+	// budget bounds a spectrum build, which Reptile runs only to save one,
+	// so that leg saves.
 	t.Run("stream_matches_correct", func(t *testing.T) {
 		for _, eng := range engines {
 			t.Run(eng.Name(), func(t *testing.T) {
 				want := correctFASTQ(t, eng, reads, genome, engine.WithWorkers(2))
 				for _, budget := range []int64{0, 1 << 15} {
-					got, res := streamFASTQ(t, eng, blob, genome, engine.WithWorkers(2), engine.WithBuild(kspectrum.StreamOptions{MemoryBudget: budget}))
+					var save engine.Option
+					if budget > 0 {
+						save = engine.WithSaveSpectrumPath(filepath.Join(t.TempDir(), "spilled.kspc"))
+					}
+					got, res := streamFASTQ(t, eng, blob, genome, engine.WithWorkers(2), engine.WithBuild(kspectrum.StreamOptions{MemoryBudget: budget}), save)
 					if !bytes.Equal(got, want) {
 						t.Errorf("budget=%d: streamed output diverges from Correct", budget)
 					}

@@ -27,7 +27,9 @@
 //     WithSaveSpectrumPath, and WithBuild, which takes the spectrum
 //     build's kspectrum.StreamOptions — memory budget, checkpointing,
 //     shard count — whole and Run.StreamOptions hands it to an engine
-//     under the run's workers and context); engine packages contribute
+//     under the run's workers and context; the budget and checkpoints
+//     bound a spectrum build, which Reptile runs only for
+//     WithSaveSpectrumPath); engine packages contribute
 //     their own options (reptile.WithD, redeem.WithErrorRate, ...) that
 //     tuck engine-specific payloads into the Run's extension slots. A Run is
 //     inert data: engines resolve it against their defaults at call time,
@@ -48,7 +50,8 @@
 // Phase 1 (Train), and CorrectWith / CorrectStreamWith resolve the run's
 // spectrum, run it over the reads or one pass of the source, correct
 // through the ChunkCorrector it returns, save the spectrum and fill the
-// Result.
+// Result. Result.Spectrum is nil when Phase 1 built none: Reptile's counts
+// tiles alone unless the run saves its spectrum.
 //
 // Engines that can amortize per-corpus state across many independent
 // requests additionally implement Servicer: NewService builds a shared,

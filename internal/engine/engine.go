@@ -50,9 +50,10 @@ type Result struct {
 	// in-memory Correct, whose caller holds the slices).
 	Reads   int
 	Changed int
-	// Spectrum is the k-spectrum the run built or adopted. One the run
-	// loaded from WithSpectrumPath holds a file mapping and is the
-	// caller's to Close.
+	// Spectrum is the k-spectrum the run built or adopted, nil when the
+	// engine built none: Reptile counts one only to save it
+	// (WithSaveSpectrumPath). One the run loaded from WithSpectrumPath
+	// holds a file mapping and is the caller's to Close.
 	Spectrum *kspectrum.Spectrum
 	// Summary is a one-line, engine-specific description of the resolved
 	// parameters and outcome, suitable for a CLI status line.

@@ -15,8 +15,9 @@ import (
 type Train func(ctx context.Context, run *Run, spec *kspectrum.Spectrum, in *Input) (*Trained, error)
 
 // Trained is what Phase 1 hands the pipeline: the corrector Phase 2 applies
-// to each chunk on its own, the spectrum built or adopted, the Result's
-// Summary.
+// to each chunk on its own, the spectrum built or adopted (nil when the
+// engine built none, which it may only when the run saves none), the
+// Result's Summary.
 type Trained struct {
 	Corrector ChunkCorrector
 	Spectrum  *kspectrum.Spectrum

@@ -87,7 +87,7 @@ func (b localBackend) Err() error   { return b.s.Err() }
 func (b localBackend) Close() error { return b.s.Close() }
 
 // localNeighbors answers neighborhood queries from a local spectrum and
-// its NeighborIndex.
+// its NeighborIndex, or from an index over a kmer list alone (s nil).
 type localNeighbors struct {
 	s  *Spectrum
 	ni *NeighborIndex
@@ -95,13 +95,15 @@ type localNeighbors struct {
 
 // LocalNeighbors builds a NeighborSource over a local spectrum. ni may
 // be nil when only d == 0 (membership) queries will be issued; d > 0
-// queries require ni and must satisfy d <= ni.D.
+// queries require ni and must satisfy d <= ni.D. s may be nil when ni was
+// built over a kmer list (NewNeighborIndexFromKmers): every radius,
+// membership included, is then answered from the index's kmers.
 func LocalNeighbors(s *Spectrum, ni *NeighborIndex) NeighborSource {
 	return localNeighbors{s: s, ni: ni}
 }
 
 func (l localNeighbors) Neighborhood(km seq.Kmer, d int, dst []seq.Kmer) ([]seq.Kmer, error) {
-	if d == 0 {
+	if d == 0 && l.s != nil {
 		if i := l.s.Index(km); i >= 0 {
 			dst = append(dst, l.s.Kmers[i])
 		}
@@ -122,7 +124,7 @@ func (l localNeighbors) Neighborhood(km seq.Kmer, d int, dst []seq.Kmer) ([]seq.
 		// byte-identity depends on the local source filtering too.
 		kept := dst[:start]
 		for _, nb := range dst[start:] {
-			if seq.HammingKmer(km, nb, l.s.K) <= d {
+			if seq.HammingKmer(km, nb, l.ni.k) <= d {
 				kept = append(kept, nb)
 			}
 		}

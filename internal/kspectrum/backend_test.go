@@ -2,8 +2,10 @@ package kspectrum
 
 import (
 	"bytes"
+	"math/rand"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/seq"
@@ -116,6 +118,52 @@ func TestLocalNeighborsHonorsRequestedRadius(t *testing.T) {
 	// partial neighborhood.
 	if _, err := src.Neighborhood(s.Kmers[0], 3, nil); err == nil {
 		t.Fatal("Neighborhood(d=3) on a D=2 index answered without error")
+	}
+}
+
+// TestLocalNeighborsOverKmerList: the seam over an index built from a kmer
+// list, with no spectrum behind it, answers every radius up to the index's
+// D — membership included — as a brute-force scan of the list does, for
+// lists that leave out every other kmer of a clustered spectrum. With
+// neither a spectrum nor an index, a membership query is an error, not a
+// nil dereference.
+func TestLocalNeighborsOverKmerList(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	const D = 2
+	for _, k := range []int{3, 5, 10, 13, 17, 32} {
+		s := clusteredSpectrum(rng, k, 600, false)
+		var kmers []seq.Kmer
+		for i := 1; i < len(s.Kmers); i += 2 {
+			kmers = append(kmers, s.Kmers[i])
+		}
+		ni, err := NewNeighborIndexFromKmers(kmers, k, D, min(k, D+3))
+		if err != nil {
+			t.Fatal(err)
+		}
+		src := LocalNeighbors(nil, ni)
+		for _, km := range neighborProbes(rng, s, 60) {
+			for d := 0; d <= D; d++ {
+				got, err := src.Neighborhood(km, d, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var want []seq.Kmer
+				for _, x := range kmers {
+					if seq.HammingKmer(km, x, k) <= d {
+						want = append(want, x)
+					}
+				}
+				if !slices.Equal(got, want) {
+					t.Fatalf("k=%d: Neighborhood(%s, %d) = %v, scan %v", k, km.StringK(k), d, got, want)
+				}
+			}
+		}
+		if _, err := src.Neighborhood(kmers[0], D+1, nil); err == nil {
+			t.Fatalf("k=%d: a radius past the index's answered without error", k)
+		}
+	}
+	if _, err := LocalNeighbors(nil, nil).Neighborhood(1, 0, nil); err == nil {
+		t.Fatal("membership with neither a spectrum nor an index answered without error")
 	}
 }
 

@@ -2,6 +2,7 @@ package reptile
 
 import (
 	"context"
+	"errors"
 	"fmt"
 
 	"repro/internal/engine"
@@ -83,24 +84,55 @@ func resolveParams(ctx context.Context, sample []seq.Read, run *engine.Run, spec
 	return p
 }
 
+// ErrBuildBoundsNothing is CheckRun's refusal: the run sets a memory budget,
+// a checkpoint directory or resume (WithBuild), but counts no k-spectrum for
+// them to bound.
+var ErrBuildBoundsNothing = errors.New("reptile: a memory budget, checkpoint or resume bounds only the k-spectrum count, which runs only when the run saves its spectrum and preloads none")
+
+// countsSpectrum reports whether train counts the k-spectrum: only to save
+// it, and never over a preloaded one. A closed Corrector asks nothing of it.
+func countsSpectrum(run *engine.Run) bool {
+	return run.SaveSpectrumPath != "" && run.Spectrum == nil && run.SpectrumPath == ""
+}
+
+// CheckRun refuses a run whose build options would bound nothing: a
+// MemoryBudget, CheckpointDir or Resume with no k-spectrum count
+// (ErrBuildBoundsNothing). The tile table is never bounded or checkpointed.
+// Correct and CorrectStream call it first; a front end calls it to refuse
+// before it opens anything.
+func CheckRun(run *engine.Run) error {
+	o := run.StreamOptions(context.Background())
+	if !countsSpectrum(run) && (o.MemoryBudget != 0 || o.CheckpointDir != "" || o.Resume) {
+		return ErrBuildBoundsNothing
+	}
+	return nil
+}
+
 func (reptileEngine) Correct(ctx context.Context, reads []seq.Read, run *engine.Run) ([]seq.Read, *engine.Result, error) {
+	if err := CheckRun(run); err != nil {
+		return nil, nil, err
+	}
 	return engine.CorrectWith(ctx, reads, run, EngineName, train)
 }
 
 func (reptileEngine) CorrectStream(ctx context.Context, open engine.SourceOpener, sink engine.Sink, run *engine.Run) (*engine.Result, error) {
+	if err := CheckRun(run); err != nil {
+		return nil, err
+	}
 	return engine.CorrectStreamWith(ctx, open, sink, run, EngineName, train)
 }
 
 // train is Reptile's Phase 1 (engine.Train): parameters from the sample, then
-// spectrum, tiles, thresholds and the neighborhood index — over the run
-// column's kmers, or over a preloaded spectrum (Finish). Phase 2 is
-// CorrectAllCtx.
+// tiles, thresholds and the neighborhood index — over the run column's kmers,
+// or over a preloaded spectrum (Finish). It counts the k-spectrum only when
+// the run saves it (countsSpectrum): a closed Corrector asks nothing of one,
+// so otherwise the Trained spectrum is nil. Phase 2 is CorrectAllCtx.
 func train(ctx context.Context, run *engine.Run, spec *kspectrum.Spectrum, in *engine.Input) (*engine.Trained, error) {
 	sample, err := in.Sample()
 	if err != nil {
 		return nil, err
 	}
-	b, err := NewBuilder(resolveParams(ctx, sample, run, spec))
+	b, err := newBuilder(resolveParams(ctx, sample, run, spec), countsSpectrum(run))
 	if err != nil {
 		return nil, err
 	}
@@ -112,9 +144,13 @@ func train(ctx context.Context, run *engine.Run, spec *kspectrum.Spectrum, in *e
 	if err != nil {
 		return nil, err
 	}
+	spectrum := "spectrum not counted"
+	if c.Spec != nil {
+		spectrum = fmt.Sprintf("spectrum %d kmers", c.Spec.Size())
+	}
 	return &engine.Trained{Corrector: engine.ChunkFunc(c.CorrectAllCtx), Spectrum: c.Spec,
-		Summary: fmt.Sprintf("k=%d d=%d Cg=%d Cm=%d Qc=%d; spectrum %d kmers, %d tiles",
-			c.P.K, c.P.D, c.P.Cg, c.P.Cm, c.P.Qc, c.Spec.Size(), c.Tiles.Size())}, nil
+		Summary: fmt.Sprintf("k=%d d=%d Cg=%d Cm=%d Qc=%d; %s, %d tiles",
+			c.P.K, c.P.D, c.P.Cg, c.P.Cm, c.P.Qc, spectrum, c.Tiles.Size())}, nil
 }
 
 // NewService implements engine.Servicer: the shared-spectrum,

@@ -3,6 +3,7 @@ package reptile
 import (
 	"context"
 	"fmt"
+	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -29,7 +30,7 @@ func gainCorpus(t *testing.T) *simulate.Dataset {
 
 // TestServiceGainByChunkSize measures what chunk-local tile support costs
 // the service: the corpus through batch Correct, then through a Service over
-// batch's spectrum in chunks of 500, 2 000 and 8 000 reads and as one
+// the spectrum batch saved (batch counts one only to save it) in chunks of 500, 2 000 and 8 000 reads and as one
 // whole-corpus chunk. Only the last is asserted — it is batch output by
 // construction, the same reads flowing into the same Phase 1 and walk. The
 // gains are logged; EXPERIMENTS.md records them.
@@ -44,12 +45,17 @@ func TestServiceGainByChunkSize(t *testing.T) {
 		}
 		return 100 * st.Gain()
 	}
-	batch, res, err := reptileEngine{}.Correct(ctx, reads, engine.NewRun(engine.WithGenomeLen(20000)))
+	saved := filepath.Join(t.TempDir(), "batch.kspc")
+	batch, res, err := reptileEngine{}.Correct(ctx, reads, engine.NewRun(engine.WithGenomeLen(20000), engine.WithSaveSpectrumPath(saved)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Logf("batch Correct: gain %.1f%% (%s)", gain(batch), res.Summary)
-	svc, err := NewService(res.Spectrum, Params{})
+	spec, err := kspectrum.ReadSpectrumFile(saved)
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc, err := NewService(spec, Params{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -55,8 +55,9 @@ type Params struct {
 	// cancels it. The spectrum is byte-identical whatever is set. Tile counts
 	// stay in memory (a small multiple of the distinct-tile count) and are
 	// always rebuilt over the full input, so a resume skips ahead only in
-	// the expensive kmer counting. Under a preloaded Spectrum only Build
-	// still applies, to the tile counter.
+	// the expensive kmer counting. Under a preloaded Spectrum, and when the
+	// engine route counts no spectrum (train), only Build still applies, to
+	// the tile counter.
 	kspectrum.StreamOptions
 }
 
@@ -108,6 +109,8 @@ func (p Params) validate() error {
 // the k-spectrum, a Hamming-neighborhood index, and the tile counts. The
 // index is over the spectrum, except on a closed Corrector, whose index is
 // over its run column's kmers (indexColumn) — nil while it has no column.
+// A closed Corrector asks nothing of Spec, which is nil when the engine
+// route counted none (Builder).
 //
 // The walk's only spectrum query is the d-neighborhood, asked through
 // neigh: hand-built Correctors (tests, the batch pipeline) fill only Spec
@@ -130,9 +133,10 @@ type Corrector struct {
 	strong   []kspectrum.TileEntry
 	strongCm uint32
 
-	// closed is set by Builder.Finish when it counted Spec from the reads
-	// it counted Tiles from: both kmers of every tile are then spectrum
-	// kmers, so a tile's kmer within d of km is in N^d(km) without asking.
+	// closed is set by Builder.Finish when no spectrum was preloaded: the
+	// tiles were counted from the reads, so both kmers of every tile belong
+	// to the reads' spectrum whether or not Spec holds it, and a tile's kmer
+	// within d of km is in N^d(km) without asking.
 	closed bool
 	// indexed is the tile set whose frozen column a closed Corrector's NI
 	// was built over; a set is frozen once, so its column never changes.
@@ -214,15 +218,24 @@ func New(reads []seq.Read, p Params) (*Corrector, error) {
 type Builder struct {
 	p Params
 	// st counts the kmers; nil under a preloaded spectrum, where Add feeds
-	// only the tile counts and Finish adopts the spectrum directly.
+	// only the tile counts and Finish adopts the spectrum directly, and in
+	// the tiles-only state the engine route takes when nothing keeps the
+	// spectrum (newBuilder), where Finish has none.
 	st    *kspectrum.StreamBuilder
 	tiles *kspectrum.TileSet
 }
 
-// NewBuilder validates the parameters and prepares an empty accumulator.
-// Whether the spectrum build spills, checkpoints or can be cancelled is
-// Params.StreamOptions' business.
-func NewBuilder(p Params) (*Builder, error) {
+// NewBuilder validates the parameters and prepares an empty accumulator
+// that counts the k-spectrum unless one was preloaded. Whether the spectrum
+// build spills, checkpoints or can be cancelled is Params.StreamOptions'
+// business.
+func NewBuilder(p Params) (*Builder, error) { return newBuilder(p, true) }
+
+// newBuilder is NewBuilder with the spectrum count optional: with
+// countSpectrum false and no preloaded spectrum, the Builder counts tiles
+// only. A closed Corrector needs nothing more, and StreamOptions' budget and
+// checkpoints then bound nothing.
+func newBuilder(p Params, countSpectrum bool) (*Builder, error) {
 	if p.DefaultBase == 0 {
 		p.DefaultBase = 'A'
 	}
@@ -234,7 +247,7 @@ func NewBuilder(p Params) (*Builder, error) {
 	}
 	b := &Builder{p: p}
 	var err error
-	if p.Spectrum == nil {
+	if p.Spectrum == nil && countSpectrum {
 		if b.st, err = kspectrum.NewStreamBuilder(p.K, true, p.StreamOptions); err != nil {
 			return nil, err
 		}
@@ -270,21 +283,25 @@ func (b *Builder) Add(reads []seq.Read) {
 
 // Finish derives the occurrence thresholds and lists the strong tiles,
 // producing the ready-to-use Corrector. Unless the spectrum was preloaded,
-// it was counted from the reads the tiles were, and the Corrector is
-// closed: its neighborhood index covers only its run column, built when
-// listStrong freezes the column. A preloaded spectrum gets the spectrum's
-// index here.
+// the Corrector is closed: its tiles were counted from the reads, and its
+// neighborhood index covers only its run column, built when listStrong
+// freezes the column. Its Spec is the spectrum counted from the same reads,
+// or nil from a tiles-only Builder. A preloaded spectrum gets the
+// spectrum's index here.
 func (b *Builder) Finish() (*Corrector, error) {
 	p := b.p
 	spec := p.Spectrum
 	var ni *kspectrum.NeighborIndex
 	var err error
-	if b.st != nil {
+	switch {
+	case b.st != nil:
 		if spec, err = b.st.Build(); err != nil {
 			return nil, err
 		}
-	} else if ni, err = kspectrum.NewNeighborIndex(spec, p.D, p.C); err != nil {
-		return nil, err
+	case spec != nil:
+		if ni, err = kspectrum.NewNeighborIndex(spec, p.D, p.C); err != nil {
+			return nil, err
+		}
 	}
 	b.tiles.Seal()
 	cg, cm := deriveThresholds(b.tiles)
@@ -294,7 +311,7 @@ func (b *Builder) Finish() (*Corrector, error) {
 	if p.Cm == 0 {
 		p.Cm = cm
 	}
-	c := &Corrector{P: p, Spec: spec, NI: ni, Tiles: b.tiles, closed: b.st != nil}
+	c := &Corrector{P: p, Spec: spec, NI: ni, Tiles: b.tiles, closed: p.Spectrum == nil}
 	c.listStrong()
 	return c, nil
 }

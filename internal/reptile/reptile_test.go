@@ -915,34 +915,37 @@ func TestCorrectorFloor(t *testing.T) {
 	}
 }
 
-// TestBuilderCorrectorClosed: a Corrector whose Builder counted the
-// spectrum from the reads it counted the tiles from is closed — both kmers
-// of every tile in its run column are spectrum kmers — whether the spectrum
-// was counted in memory, under a MemoryBudget that spills, or resumed from
-// a checkpoint over the same reads; the three correct to the same bytes,
-// and each to the bytes it corrects to when given the spectrum's index in
-// place of its own, which holds only the column's kmers — fewer than the
-// spectrum's. A Corrector over a preloaded spectrum that lacks some of the
-// reads' kmers is not closed, asks N(b) as before, and keeps the spectrum's
-// index; TestCorrectTileMatchesUnpruned holds both kinds to the unpruned
+// TestBuilderCorrectorClosed: a Corrector whose Builder counted its tiles
+// from the reads, with no preloaded spectrum, is closed — both kmers of every
+// tile in its run column are kmers of the reads' spectrum — whether that
+// spectrum was counted in memory, under a MemoryBudget that spills, resumed
+// from a checkpoint over the same reads, or not counted at all (the engine
+// route's tiles-only Builder, whose Spec is nil); the four correct to the
+// same bytes, and each to the bytes it corrects to when given the spectrum's
+// index in place of its own, which holds only the column's kmers — fewer
+// than the spectrum's. The column index answers N(b) for a long run even
+// where b's neighbours are second kmers that head no column tile. A
+// Corrector over a preloaded spectrum that lacks some of the reads' kmers is
+// not closed, asks N(b) as before, and keeps the spectrum's index;
+// TestCorrectTileMatchesUnpruned holds both kinds to the unpruned
 // Algorithm 1.
 func TestBuilderCorrectorClosed(t *testing.T) {
 	reads, _ := serviceFixture(t)
 	p := DefaultParams(reads, 8000)
 	p.Build = kspectrum.BuildOptions{Workers: 2}
-	builder := func(o kspectrum.StreamOptions) *Builder {
+	builder := func(o kspectrum.StreamOptions, countSpectrum bool) *Builder {
 		t.Helper()
 		q := p
 		q.StreamOptions = o
-		b, err := NewBuilder(q)
+		b, err := newBuilder(q, countSpectrum)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return b
 	}
-	build := func(o kspectrum.StreamOptions, chunks ...[]seq.Read) *Corrector {
+	build := func(o kspectrum.StreamOptions, countSpectrum bool, chunks ...[]seq.Read) *Corrector {
 		t.Helper()
-		b := builder(o)
+		b := builder(o, countSpectrum)
 		defer b.Close()
 		for _, chunk := range chunks {
 			b.Add(chunk)
@@ -959,7 +962,7 @@ func TestBuilderCorrectorClosed(t *testing.T) {
 	}
 	dir := filepath.Join(t.TempDir(), "ckpt")
 	half := len(reads) / 2
-	killed := builder(kspectrum.StreamOptions{Build: p.Build, CheckpointDir: dir, CheckpointEvery: int64(half)})
+	killed := builder(kspectrum.StreamOptions{Build: p.Build, CheckpointDir: dir, CheckpointEvery: int64(half)}, true)
 	killed.Add(reads[:half]) // checkpoints, then is abandoned
 	killed.Close()
 	if _, err := os.Stat(filepath.Join(dir, kspectrum.ManifestName)); err != nil {
@@ -968,28 +971,43 @@ func TestBuilderCorrectorClosed(t *testing.T) {
 	resume := kspectrum.StreamOptions{Build: p.Build, CheckpointDir: dir, Resume: true}
 	var first []seq.Read
 	var err error
+	inMemory := build(kspectrum.StreamOptions{Build: p.Build}, true, reads)
+	spec := inMemory.Spec
 	for name, c := range map[string]*Corrector{
-		"in memory": build(kspectrum.StreamOptions{Build: p.Build}, reads),
-		"spilled":   build(spill, reads),
-		"resumed":   build(resume, reads[:half], reads[half:]),
+		"in memory":  inMemory,
+		"spilled":    build(spill, true, reads),
+		"resumed":    build(resume, true, reads[:half], reads[half:]),
+		"tiles only": build(spill, false, reads),
 	} {
 		if !c.closed || c.strong != nil {
 			t.Fatalf("%s: closed %v, list %v; want a closed Corrector on the run route", name, c.closed, c.strong != nil)
 		}
+		if (c.Spec == nil) != (name == "tiles only") {
+			t.Fatalf("%s: spectrum counted %v", name, c.Spec != nil)
+		}
+		// Each leg is held to the spectrum it counted; only the tiles-only
+		// leg, which counted none, borrows the in-memory one.
+		s := c.Spec
+		if s == nil {
+			s = spec
+		} else if !slices.Equal(s.Kmers, spec.Kmers) || !slices.Equal(s.Counts, spec.Counts) {
+			t.Fatalf("%s: counted a spectrum of %d kmers that differs from the in-memory one's %d", name, len(s.Kmers), len(spec.Kmers))
+		}
 		column := c.Tiles.AppendAtLeast(nil, c.Tiles.Floor(), math.MaxInt)
 		for _, e := range column {
-			if ka, kb := c.Tiles.SplitTile(e.Tile); c.Spec.Index(ka) < 0 || c.Spec.Index(kb) < 0 {
+			if ka, kb := c.Tiles.SplitTile(e.Tile); s.Index(ka) < 0 || s.Index(kb) < 0 {
 				t.Fatalf("%s: tile %s has a kmer outside the spectrum", name, e.Tile.StringK(c.Tiles.TileLen))
 			}
 		}
 		if len(column) == 0 {
 			t.Fatalf("%s: an empty column", name)
 		}
-		if c.NI == nil || c.NI.Len() != len(c.Tiles.ColumnKmers()) || c.NI.Len() >= len(c.Spec.Kmers) {
-			t.Fatalf("%s: the index holds %v kmers; want the column's %d, fewer than the spectrum's %d", name, c.NI, len(c.Tiles.ColumnKmers()), len(c.Spec.Kmers))
+		if c.NI == nil || c.NI.Len() != len(c.Tiles.ColumnKmers()) || c.NI.Len() >= len(s.Kmers) {
+			t.Fatalf("%s: the index holds %v kmers; want the column's %d, fewer than the spectrum's %d", name, c.NI, len(c.Tiles.ColumnKmers()), len(s.Kmers))
 		}
 		full := *c
-		if full.NI, err = kspectrum.NewNeighborIndex(c.Spec, p.D, p.C); err != nil {
+		full.Spec = s
+		if full.NI, err = kspectrum.NewNeighborIndex(s, p.D, p.C); err != nil {
 			t.Fatal(err)
 		}
 		out := correctAll(t, c, reads, 2)
@@ -1022,6 +1040,52 @@ func TestBuilderCorrectorClosed(t *testing.T) {
 	}
 	if missing == 0 {
 		t.Fatal("the preloaded spectrum holds every tile's kmers; the case tests nothing")
+	}
+
+	// A long run whose second kmers head no column tile: every read is one
+	// tile AAAAAAAA·kb, kb = CC·x·CC over the 256 4-mers x, so Run(AAAAAAAA)
+	// holds 256 tiles, and the reverse strand's tiles start GG…GG. The tile
+	// AAAAAAAA·b, b one base from kb, asks N(b) of the long run, and only the
+	// index's second kmers hold kb.
+	const k = 8
+	long := make([]seq.Read, 256)
+	for x := range long {
+		long[x] = seq.Read{Seq: []byte(strings.Repeat("A", k) + "CC" + seq.Kmer(x).StringK(4) + "CC")}
+	}
+	q = defaultTestParams()
+	q.K, q.Cm, q.Cg, q.Build = k, 1, 2, kspectrum.BuildOptions{Workers: 1}
+	for _, countSpectrum := range []bool{true, false} {
+		b, err := newBuilder(q, countSpectrum)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b.Add(long)
+		c, err := b.Finish()
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.ensureQuerier()
+		if !c.closed || c.strong != nil || len(c.Tiles.Run(0)) <= longRun {
+			t.Fatalf("spectrum counted %v: closed %v, list %v, Run(AAAAAAAA) of %d tiles; want a closed Corrector on a long run", countSpectrum, c.closed, c.strong != nil, len(c.Tiles.Run(0)))
+		}
+		ref := *c
+		if ref.Spec, err = kspectrum.Build(long, k, true); err != nil {
+			t.Fatal(err)
+		}
+		if ref.NI, err = kspectrum.NewNeighborIndex(ref.Spec, q.D, q.C); err != nil {
+			t.Fatal(err)
+		}
+		ref.neigh, ref.closed = kspectrum.LocalNeighbors(ref.Spec, ref.NI), false
+		var s, rs scratch
+		for _, r := range long {
+			kb, _ := seq.Pack(r.Seq[k:], k)
+			b := kb.WithBase(0, k, seq.Base(0)) // one base off kb, and in no tile
+			got := c.mutantTiles(0, b, 0, 1, 1, &s)
+			want := ref.mutantTilesByProbing(0, b, 0, 1, &rs)
+			if !slices.Equal(got, want) || len(got) != 1 || got[0].b != kb {
+				t.Fatalf("spectrum counted %v, tile AAAAAAAA%s: got %+v, want %+v", countSpectrum, b.StringK(k), got, want)
+			}
+		}
 	}
 }
 

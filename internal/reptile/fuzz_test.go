@@ -35,7 +35,6 @@ func FuzzCorrectDrivers(f *testing.F) {
 		if err != nil {
 			f.Fatal(err)
 		}
-		c.ensureQuerier()
 		correctors[i] = c
 	}
 	ctx := context.Background()
@@ -126,9 +125,10 @@ func FuzzMutantTileRoutes(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		freezeWhole(t, c, prepared) // compareRoutes walks the runs by hand
-		defer c.Tiles.Release()
-		list, cm := listOfSize(c.Tiles, (int(data[4])<<8|int(data[5]))%c.Tiles.Size())
+		whole := forRoute(t, c, prepared, routeWhole) // compareRoutes walks the runs by hand
+		c.Tiles.Release()
+		defer whole.Tiles.Release()
+		list, cm := listOfSize(whole.Tiles, (int(data[4])<<8|int(data[5]))%whole.Tiles.Size())
 		reads := make([]seq.Read, min(len(prepared), 8))
 		for i := range reads {
 			reads[i] = prepared[i].Clone()
@@ -137,6 +137,6 @@ func FuzzMutantTileRoutes(f *testing.F) {
 			r := reads[int(mut[0])%len(reads)]
 			r.Seq[int(mut[1])%len(r.Seq)] = "ACGT"[mut[2]%4]
 		}
-		compareRoutes(t, c, list, cm, reads, fmt.Sprintf("D=%d overlap=%d list=%d Cm=%d", c.P.D, c.P.Overlap, len(list), cm))
+		compareRoutes(t, whole, list, cm, reads, fmt.Sprintf("D=%d overlap=%d list=%d Cm=%d", c.P.D, c.P.Overlap, len(list), cm))
 	})
 }

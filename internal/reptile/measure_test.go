@@ -211,7 +211,7 @@ func TestServiceChunkQueries(t *testing.T) {
 // service freezes at, and reports it spread over the chunk's tile
 // positions (ns/tile). crossover is where the list route meets the run
 // route plus that share; EXPERIMENTS.md records the table. The routes walk
-// a column frozen whole (freezeWhole), since listOfSize's Cm can lie below
+// a column frozen whole (forRoute), since listOfSize's Cm can lie below
 // the chunk's floor.
 func BenchmarkMutantTileRoutes(b *testing.B) {
 	spec := simulate.Chapter2Specs(20000)[0] // D1
@@ -229,11 +229,12 @@ func BenchmarkMutantTileRoutes(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	c, prepared, err := svc.corrector(reads[:500], 1)
+	chunk, prepared, err := svc.corrector(reads[:500], 1)
 	if err != nil {
 		b.Fatal(err)
 	}
-	freezeWhole(b, c, prepared) // the run route's column, for any list's Cm
+	c := forRoute(b, chunk, prepared, routeWhole) // the run route's column, for any list's Cm
+	chunk.Tiles.Release()
 	type tile struct{ a, b seq.Kmer }
 	var tiles []tile
 	step := c.P.K - c.P.Overlap

@@ -108,98 +108,82 @@ func (p Params) validate() error {
 // Corrector holds the Phase-1 information extraction products (§2.3):
 // the k-spectrum, a Hamming-neighborhood index, and the tile counts. The
 // index is over the spectrum, except on a closed Corrector, whose index is
-// over its run column's kmers (indexColumn) — nil while it has no column.
-// A closed Corrector asks nothing of Spec, which is nil when the engine
-// route counted none (Builder).
+// over its run column's kmers — nil while it has no column. A closed
+// Corrector asks nothing of Spec, which is nil when the engine route
+// counted none (Builder).
 //
 // The walk's only spectrum query is the d-neighborhood, asked through
-// neigh: hand-built Correctors (tests, the batch pipeline) fill only Spec
-// and NI and the seam self-wires from them on first use (ensureQuerier);
-// the service path can instead plug any kspectrum.NeighborSource — in
-// particular a remote, sharded spectrum — leaving Spec nil.
+// neigh: a Builder's Corrector wires it from Spec and NI; a Service plugs
+// in any kspectrum.NeighborSource — in particular a remote, sharded
+// spectrum — leaving Spec nil.
+//
+// A Corrector is finished when Builder.Finish or a Service makes it (finish),
+// and nothing writes to it after: P, Spec, NI and Tiles are read-only, and
+// CorrectRead, CorrectInPlace and CorrectAllCtx are safe for concurrent use.
 type Corrector struct {
 	P     Params
 	Spec  *kspectrum.Spectrum
 	NI    *kspectrum.NeighborIndex
 	Tiles *kspectrum.TileSet
 
-	// neigh is the pluggable query seam. When nil it is derived from Spec
-	// and NI before the first correction.
+	// neigh is the query seam: plugged in by a Service, else wired from
+	// Spec and NI by finish.
 	neigh kspectrum.NeighborSource
 
-	// strong is the strong list mutantTiles may walk: every counted tile
-	// with Og >= strongCm, ascending, when there are at most crossover of
-	// them; nil when there are more, or when nothing listed them.
-	strong   []kspectrum.TileEntry
-	strongCm uint32
+	// strong is the strong list mutantTiles walks: every counted tile with
+	// Og >= Cm, ascending, when there are at most crossover of them; nil
+	// when there are more, and the tiles are then frozen into the run column.
+	strong []kspectrum.TileEntry
 
 	// closed is set by Builder.Finish when no spectrum was preloaded: the
 	// tiles were counted from the reads, so both kmers of every tile belong
 	// to the reads' spectrum whether or not Spec holds it, and a tile's kmer
 	// within d of km is in N^d(km) without asking.
 	closed bool
-	// indexed is the tile set whose frozen column a closed Corrector's NI
-	// was built over; a set is frozen once, so its column never changes.
-	indexed *kspectrum.TileSet
 }
 
-// ensureQuerier sorts the tile counts into the column mutantTiles reads by
-// run when some walk can take that route — there is no strong list, or the
-// Cm in force is below the one it was made for — and wires the query seam
-// from the Spec/NI fields when the caller did not supply one. It panics
-// when the tiles were frozen above columnFloor(): tiles that can decide
-// are gone. It runs at every single-threaded entry point, before worker
-// pools fork, so the writes are safely published to the workers.
-func (c *Corrector) ensureQuerier() {
-	if c.strong == nil || c.P.Cm < c.strongCm || c.Tiles.Floor() > c.columnFloor() {
-		c.Tiles.Freeze(c.columnFloor()) // panics below an earlier floor
+// finish ends Phase 1 once the tiles are counted, before any worker forks.
+// It seals the tiles, fills a Cg or Cm left at zero from them
+// (deriveThresholds) and lists the strong tiles for the Cm in force. An
+// empty list is not nil, so it still takes the list route; a daemon chunk's
+// list fits, and its tiles stay hash tables. A list past crossover entries
+// is dropped — a batch corpus has ~10⁵ strong tiles — and the tiles are
+// frozen into the run column at columnFloor(). A closed Corrector then
+// indexes the column's kmers: the walk asks neighborhoods only to find the
+// runs and run members of column tiles, and both kmers of each are in the
+// index, so it answers those as the spectrum's index would. Last, the query
+// seam is wired from Spec and NI unless one was plugged in.
+func (c *Corrector) finish() error {
+	c.Tiles.Seal()
+	cg, cm := deriveThresholds(c.Tiles)
+	if c.P.Cg == 0 {
+		c.P.Cg = cg
 	}
-	c.indexColumn()
+	if c.P.Cm == 0 {
+		c.P.Cm = cm
+	}
+	c.strong = c.Tiles.AppendAtLeast([]kspectrum.TileEntry{}, c.P.Cm, crossover)
+	if len(c.strong) > crossover {
+		c.strong = nil
+		c.Tiles.Freeze(c.columnFloor())
+		if c.closed {
+			ni, err := kspectrum.NewNeighborIndexFromKmers(c.Tiles.ColumnKmers(), c.P.K, c.P.D, c.P.C)
+			if err != nil {
+				return err
+			}
+			c.NI = ni
+		}
+	}
 	if c.neigh == nil {
 		c.neigh = kspectrum.LocalNeighbors(c.Spec, c.NI)
 	}
-}
-
-// indexColumn gives a closed Corrector whose tiles are frozen an index over
-// the column's kmers, unless NI was built over these tiles. The walk asks
-// neighborhoods only to find the runs and run members of column tiles, and
-// both kmers of each are in the index, so it answers those as the
-// spectrum's index would; a closed Corrector whose tiles are not frozen
-// walks its strong list, which asks nothing. A seam wired from the index
-// it replaces is wired again by ensureQuerier; one plugged in stays.
-func (c *Corrector) indexColumn() {
-	if !c.closed || !c.Tiles.Frozen() || c.indexed == c.Tiles {
-		return
-	}
-	ni, err := kspectrum.NewNeighborIndexFromKmers(c.Tiles.ColumnKmers(), c.P.K, c.P.D, c.P.C)
-	if err != nil {
-		panic(err) // validate() checked k, d and c; the column's kmers ascend
-	}
-	if c.neigh == kspectrum.LocalNeighbors(c.Spec, c.NI) {
-		c.neigh = nil
-	}
-	c.NI, c.indexed = ni, c.Tiles
+	return nil
 }
 
 // columnFloor is the least Og that can decide a tile: every branch of
 // correctTile and predictKmers reads an Og below both Cm and Cg as it
 // reads zero, so the run column keeps only the tiles at or above it.
 func (c *Corrector) columnFloor() uint32 { return min(c.P.Cm, c.P.Cg) }
-
-// listStrong makes the strong list for the Cm in force, once counting is
-// over and before any worker reads the tiles. An empty list is not nil, so it
-// still takes the list route. A list past crossover entries is dropped and
-// the tiles sorted for the run route at columnFloor() and, on a closed
-// Corrector, indexed (indexColumn): a batch corpus has ~10⁵ strong tiles. A
-// daemon chunk's list fits, and its tiles stay hash tables.
-func (c *Corrector) listStrong() {
-	c.strong, c.strongCm = c.Tiles.AppendAtLeast([]kspectrum.TileEntry{}, c.P.Cm, crossover), c.P.Cm
-	if len(c.strong) > crossover {
-		c.strong = nil
-		c.Tiles.Freeze(c.columnFloor())
-		c.indexColumn()
-	}
-}
 
 // New runs Phase 1 over the read set. Parameter thresholds Cg and Cm are
 // filled from the tile histogram when left at zero.
@@ -281,13 +265,11 @@ func (b *Builder) Add(reads []seq.Read) {
 	b.tiles.Add(prepared)
 }
 
-// Finish derives the occurrence thresholds and lists the strong tiles,
-// producing the ready-to-use Corrector. Unless the spectrum was preloaded,
-// the Corrector is closed: its tiles were counted from the reads, and its
-// neighborhood index covers only its run column, built when listStrong
-// freezes the column. Its Spec is the spectrum counted from the same reads,
-// or nil from a tiles-only Builder. A preloaded spectrum gets the
-// spectrum's index here.
+// Finish produces the ready-to-use Corrector (finish). Unless the spectrum
+// was preloaded, the Corrector is closed: its tiles were counted from the
+// reads, and its neighborhood index covers only its run column. Its Spec is
+// the spectrum counted from the same reads, or nil from a tiles-only
+// Builder. A preloaded spectrum gets the spectrum's index here.
 func (b *Builder) Finish() (*Corrector, error) {
 	p := b.p
 	spec := p.Spectrum
@@ -303,16 +285,10 @@ func (b *Builder) Finish() (*Corrector, error) {
 			return nil, err
 		}
 	}
-	b.tiles.Seal()
-	cg, cm := deriveThresholds(b.tiles)
-	if p.Cg == 0 {
-		p.Cg = cg
-	}
-	if p.Cm == 0 {
-		p.Cm = cm
-	}
 	c := &Corrector{P: p, Spec: spec, NI: ni, Tiles: b.tiles, closed: p.Spectrum == nil}
-	c.listStrong()
+	if err := c.finish(); err != nil {
+		return nil, err
+	}
 	return c, nil
 }
 
@@ -520,16 +496,16 @@ const crossover = 256
 // downstream decision — is identical for local and remote backends.
 //
 // Two routes give the same list. correctTile's floors are at least Cm, so
-// when the Corrector's strong list exists and was made for a Cm at or below
-// floor it holds every tile that can be a mutant, and walking it
-// (mutantsByList) asks no neighborhood unless an entry lies in the tile's
-// Hamming box: a daemon chunk has a handful of strong tiles, and most of
-// its tiles none near them. Otherwise each ka ∈ N(a) is one run to walk
-// (mutantsByRuns). A closed Corrector's tiles are made of spectrum kmers,
-// so an entry in the box is in both neighborhoods: neither route asks
-// N(b), nor N(a) at d1 = 0, where its one candidate run is Run(a).
+// when the Corrector's strong list exists it holds every tile that can be a
+// mutant, and walking it (mutantsByList) asks no neighborhood unless an
+// entry lies in the tile's Hamming box: a daemon chunk has a handful of
+// strong tiles, and most of its tiles none near them. Otherwise each ka ∈
+// N(a) is one run to walk (mutantsByRuns). A closed Corrector's tiles are
+// made of spectrum kmers, so an entry in the box is in both neighborhoods:
+// neither route asks N(b), nor N(a) at d1 = 0, where its one candidate run
+// is Run(a).
 func (c *Corrector) mutantTiles(a, b seq.Kmer, d1, d2 int, floor float64, s *scratch) []mutantTile {
-	if c.strong != nil && floor >= float64(c.strongCm) {
+	if c.strong != nil {
 		return c.mutantsByList(c.strong, a, b, d1, d2, floor, s)
 	}
 	return c.mutantsByRuns(a, b, d1, d2, floor, s)
@@ -699,8 +675,8 @@ func (c *Corrector) tileBytes(m mutantTile, s *scratch) []byte {
 // 3'→5' direction, and returns the corrected read. Beyond the corrected
 // copy itself it allocates nothing: the inner loop runs entirely on pooled
 // scratch buffers (see CorrectInPlace for the fully allocation-free form).
+// It is safe for concurrent use.
 func (c *Corrector) CorrectRead(r seq.Read) seq.Read {
-	c.ensureQuerier()
 	s := scratchPool.Get().(*scratch)
 	out := prepareRead(r, c.P)
 	c.correctInPlace(out.Seq, out.Qual, s)
@@ -718,11 +694,11 @@ func (c *Corrector) correctRead(r seq.Read, s *scratch) seq.Read {
 
 // CorrectInPlace corrects a read's bases in place (mutating bases and,
 // for converted ambiguous positions, qual) — the zero-allocation form of
-// CorrectRead for callers that own their buffers. qual may be nil.
+// CorrectRead for callers that own their buffers. qual may be nil. It is
+// safe for concurrent use on distinct buffers.
 //
 //repro:noalloc
 func (c *Corrector) CorrectInPlace(bases, qual []byte) {
-	c.ensureQuerier()
 	s := scratchPool.Get().(*scratch)
 	convertAmbiguous(bases, qual, c.P)
 	c.correctInPlace(bases, qual, s)
@@ -818,7 +794,6 @@ const cancelPollMask = 63
 // workers within a few dozen reads and returns (nil, ctx.Err()); all have
 // exited by the time it returns — cancellation leaks no goroutines.
 func (c *Corrector) CorrectAllCtx(ctx context.Context, reads []seq.Read, workers int) ([]seq.Read, error) {
-	c.ensureQuerier()
 	out := make([]seq.Read, len(reads))
 	if _, _, err := c.correctReads(ctx, reads, out, nil, nil, workers); err != nil {
 		return nil, err

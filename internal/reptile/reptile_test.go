@@ -11,6 +11,7 @@ import (
 	"slices"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -137,6 +138,41 @@ func TestCorrectAllParallelMatchesSerial(t *testing.T) {
 	for i := range serial {
 		if string(serial[i].Seq) != string(parallel[i].Seq) {
 			t.Fatalf("parallel differs from serial at read %d", i)
+		}
+	}
+}
+
+// TestCorrectReadConcurrentFirstUse: New returns a finished Corrector, so
+// four goroutines whose first use of it is CorrectRead or CorrectInPlace
+// write nothing to it (go test -race) and correct as one worker does.
+func TestCorrectReadConcurrentFirstUse(t *testing.T) {
+	_, sim := buildTestData(t, 5000, 4000, 36, 0.01, 4)
+	reads := simulate.Reads(sim)
+	c, err := New(reads, defaultTestParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make([]seq.Read, len(reads))
+	var wg sync.WaitGroup
+	for g := range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := g; i < len(reads); i += 4 {
+				if g%2 == 0 {
+					got[i] = c.CorrectRead(reads[i])
+					continue
+				}
+				got[i] = reads[i].Clone()
+				c.CorrectInPlace(got[i].Seq, got[i].Qual)
+			}
+		}()
+	}
+	wg.Wait()
+	want := correctAll(t, c, reads, 1)
+	for i := range want {
+		if !bytes.Equal(got[i].Seq, want[i].Seq) || !bytes.Equal(got[i].Qual, want[i].Qual) {
+			t.Fatalf("read %d: concurrent first use corrected to %s, one worker to %s", i, got[i].Seq, want[i].Seq)
 		}
 	}
 }
@@ -345,28 +381,30 @@ func (c *Corrector) mutantTilesByProbing(a, b seq.Kmer, d1, d2 int, s *scratch) 
 	return out
 }
 
-// spectrumOracle returns a copy of c that asks the spectrum's own index, as
-// the reference kernels (mutantTilesByProbing, correctTileUnpruned) must:
-// they probe N(a)×N(b) over the whole spectrum, and a closed Corrector's
-// index holds only its column's kmers (an open one's is the spectrum's).
-// The copy is not closed.
-func spectrumOracle(t testing.TB, c *Corrector) *Corrector {
+// spectrumOracle builds the Corrector the reference kernels
+// (mutantTilesByProbing, correctTileUnpruned) run on: p over a one-worker
+// count of prepared's tiles, never frozen, asking spec's own index. They
+// probe N(a)×N(b) over the whole spectrum, and a closed Corrector's index
+// holds only its column's kmers. The oracle is not closed.
+func spectrumOracle(t testing.TB, p Params, spec *kspectrum.Spectrum, prepared []seq.Read) *Corrector {
 	t.Helper()
-	ref := *c
-	if c.closed {
-		ni, err := kspectrum.NewNeighborIndex(c.Spec, c.P.D, c.P.C)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ref.NI, ref.neigh, ref.closed = ni, kspectrum.LocalNeighbors(c.Spec, ni), false
+	ts, err := kspectrum.CountTiles(prepared, p.K, p.Overlap, p.Qc, kspectrum.BuildOptions{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
 	}
-	return &ref
+	ts.Seal()
+	ni, err := kspectrum.NewNeighborIndex(spec, p.D, p.C)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &Corrector{P: p, Spec: spec, NI: ni, Tiles: ts, neigh: kspectrum.LocalNeighbors(spec, ni)}
 }
 
 // correctTileUnpruned is Algorithm 1 as the dissertation states it, kept as
-// correctTile's reference: every observed d-mutant enumerated by probing,
-// then filtered by line 11 (Og >= Cr·Og(t)) or lines 17-21 (Og >= Cm).
-func (c *Corrector) correctTileUnpruned(bases, qual []byte, pos int, d1, d2 int, s *scratch) decision {
+// correctTile's reference: every observed d-mutant of the tile at pos,
+// enumerated by probing (mutantTilesByProbing), then filtered by line 11
+// (Og >= Cr·Og(t)) or lines 17-21 (Og >= Cm).
+func (c *Corrector) correctTileUnpruned(bases, qual []byte, pos int, mutants []mutantTile, s *scratch) decision {
 	p := c.P
 	step := p.K - p.Overlap
 	a, okA := seq.Pack(bases[pos:], p.K)
@@ -378,7 +416,6 @@ func (c *Corrector) correctTileUnpruned(bases, qual []byte, pos int, d1, d2 int,
 	if og >= p.Cg {
 		return decValid // lines 1-2
 	}
-	mutants := c.mutantTilesByProbing(a, b, d1, d2, s)
 	if len(mutants) == 0 {
 		if og >= p.Cm {
 			return decValid // lines 4-6
@@ -404,21 +441,25 @@ func (c *Corrector) correctTileUnpruned(bases, qual []byte, pos int, d1, d2 int,
 	return decInsufficient
 }
 
-// TestCorrectTileMatchesUnpruned: correctTile reaches the decision the
-// unpruned Algorithm 1 reaches, and writes the same bytes, on every tile
-// position of ten reads with errors, Ns and missing qualities, at
-// d1 ∈ {0, d}, over TestMutantTilesMatchesProbing's grid and
-// Cm ∈ {1, 2, 5} × Cr ∈ {1.5, 2, 3} — by either mutantTiles route: the
-// runs of N(a) in a column floored at min(Cm, Cg), and the strong list
-// prepared with every tile of Og >= Cm however long it is. The oracle reads
-// every tile, unfloored, through the spectrum's index (spectrumOracle); the
-// routes read theirs through ensureQuerier, a closed Corrector's over the
-// swapped-in column. Two spectra: one the Builder counted from the reads
-// (a closed Corrector), and one preloaded from a third of them, as a
-// daemon's comes from a corpus its requests need not belong to, so some
-// tiles' kmers are missing from it (not closed). Both branches must
-// correct somewhere.
-func TestCorrectTileMatchesUnpruned(t *testing.T) {
+// unprunedCell is one cell of the grid TestMutantTilesMatchesProbing and
+// TestCorrectTileMatchesUnpruned share: base as New builds it, the reads it
+// corrects prepared, and ref, the unfloored references' Corrector over the
+// same spectrum (spectrumOracle).
+type unprunedCell struct {
+	name      string
+	preloaded bool
+	base, ref *Corrector
+	prepared  []seq.Read
+}
+
+// forUnprunedGrid calls fn on every cell of k ∈ {3, 5, 10, 13, 16} ×
+// overlap l ∈ {0, 1, k−1} × d ∈ {0, 1, 2} × (Workers, Shards), on reads
+// with errors, Ns and missing qualities. k = 3 at 1024 shards is the case
+// the 2k cap on tile shards exists for. Each cell has two spectra: one the
+// Builder counted from the reads (a closed Corrector), and one preloaded
+// from a third of them, as a daemon's comes from a corpus its requests need
+// not belong to, so some tiles' kmers are missing from it (not closed).
+func forUnprunedGrid(t *testing.T, fn func(cell unprunedCell)) {
 	_, sim := buildTestData(t, 3000, 300, 40, 0.02, 31)
 	reads := simulate.Reads(sim)
 	rng := rand.New(rand.NewSource(31))
@@ -428,19 +469,17 @@ func TestCorrectTileMatchesUnpruned(t *testing.T) {
 			reads[i].Seq[rng.Intn(len(reads[i].Seq))] = 'N'
 		case 1:
 			reads[i].Qual = nil
-		case 2:
+		case 2: // two adjacent Ns stay unconverted
 			reads[i].Seq[20], reads[i].Seq[21] = 'N', 'N'
 		}
 	}
 	type ws struct{ workers, shards int }
-	var s, rs scratch
-	var got, want []byte
-	corrected := map[bool]int{} // by Og(t) >= Cm, both routes agreeing
 	for _, k := range []int{3, 5, 10, 13, 16} {
 		for _, l := range []int{0, 1, k - 1} {
 			for _, d := range []int{0, 1, 2} {
 				for _, o := range []ws{{1, 1}, {4, 16}, {4, 1024}} {
 					for _, preloaded := range []bool{false, true} {
+						name := fmt.Sprintf("k=%d l=%d d=%d %+v preloaded=%v", k, l, d, o, preloaded)
 						p := Params{K: k, D: d, Overlap: l, C: min(k, d+4), Cr: 2, Qc: 15, Qm: 60, DefaultBase: 'A', MaxNPerWindow: 1}
 						p.Build = kspectrum.BuildOptions{Workers: o.workers, Shards: o.shards}
 						var err error
@@ -454,55 +493,115 @@ func TestCorrectTileMatchesUnpruned(t *testing.T) {
 							t.Fatal(err)
 						}
 						if base.closed == preloaded {
-							t.Fatalf("k=%d l=%d d=%d %+v preloaded=%v: closed %v", k, l, d, o, preloaded, base.closed)
+							t.Fatalf("%s: closed %v", name, base.closed)
 						}
-						base.ensureQuerier()
 						prepared := prepareReads(reads, base.P)
-						ref := spectrumOracle(t, base)
-						if ref.Tiles, err = kspectrum.CountTiles(prepared, k, l, p.Qc, p.Build); err != nil {
-							t.Fatal(err)
+						fn(unprunedCell{name, preloaded, base, spectrumOracle(t, base.P, base.Spec, prepared), prepared})
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestMutantTilesMatchesProbing: the runs of N(a) in a column frozen whole
+// give the mutants probing N(a)×N(b) gives at or above the floor, in the
+// same order, on every tile of 60 reads (10 over the preloaded spectrum) at
+// d1 ∈ {0, d} and the floors 0, Cm and Cr·Og(t), over forUnprunedGrid.
+func TestMutantTilesMatchesProbing(t *testing.T) {
+	var s, rs scratch
+	forUnprunedGrid(t, func(cell unprunedCell) {
+		base, ref, k, d := cell.base, cell.ref, cell.base.P.K, cell.base.P.D
+		whole := forRoute(t, base, cell.prepared, routeWhole)
+		n := 60
+		if cell.preloaded {
+			n = 10
+		}
+		found := 0
+		for _, r := range cell.prepared[:n] {
+			for pos := 0; pos+whole.Tiles.TileLen <= len(r.Seq); pos++ {
+				a, okA := seq.Pack(r.Seq[pos:], k)
+				b, okB := seq.Pack(r.Seq[pos+k-base.P.Overlap:], k)
+				if !okA || !okB {
+					continue
+				}
+				og := float64(whole.Tiles.Get(whole.Tiles.PackTile(a, b)).Og)
+				for _, d1 := range []int{0, d} {
+					all := slices.Clone(ref.mutantTilesByProbing(a, b, d1, d, &rs))
+					for _, floor := range []float64{0, float64(base.P.Cm), base.P.Cr * og} {
+						got := whole.mutantTiles(a, b, d1, d, floor, &s)
+						if want := slices.DeleteFunc(slices.Clone(all), func(m mutantTile) bool { return float64(m.og) < floor }); !slices.Equal(got, want) {
+							t.Fatalf("%s: tile at %d of %s (d1=%d), floor %v: got %+v, want %+v", cell.name, pos, r.Seq, d1, floor, got, want)
 						}
-						ref.Tiles.Seal()
-						for _, cm := range []uint32{1, 2, 5} {
-							byRuns := *base // byRuns drops the strong list by hand
-							byRuns.P.Cm, byRuns.strong = cm, nil
-							if byRuns.Tiles, err = kspectrum.CountTiles(prepared, k, l, p.Qc, p.Build); err != nil {
-								t.Fatal(err)
-							}
-							byRuns.Tiles.Freeze(byRuns.columnFloor())
-							byRuns.ensureQuerier() // a closed Corrector indexes the swapped-in column
-							for _, cr := range []float64{1.5, 2, 3} {
-								byRuns.P.Cr, ref.P.Cm, ref.P.Cr = cr, cm, cr
-								byList := byRuns
-								byList.strong, byList.strongCm = byRuns.Tiles.AppendAtLeast([]kspectrum.TileEntry{}, cm, math.MaxInt), cm
-								for _, r := range prepared[:10] {
-									for pos := 0; pos+base.Tiles.TileLen <= len(r.Seq); pos++ {
-										for _, d1 := range []int{0, d} {
-											want = append(want[:0], r.Seq...)
-											dw := ref.correctTileUnpruned(want, r.Qual, pos, d1, d, &rs)
-											for _, c := range []*Corrector{&byRuns, &byList} {
-												got = append(got[:0], r.Seq...)
-												dg := c.correctTile(got, r.Qual, pos, d1, d, &s)
-												if dg != dw || !bytes.Equal(got, want) {
-													t.Fatalf("k=%d l=%d d=%d %+v preloaded=%v Cm=%d Cr=%v list=%v: tile at %d (d1=%d) of %s: decision %d writing %s, want %d writing %s",
-														k, l, d, o, preloaded, cm, cr, c.strong != nil, pos, d1, r.Seq, dg, got, dw, want)
-												}
-											}
-											if dw == decCorrected {
-												a, _ := seq.Pack(r.Seq[pos:], k)
-												b, _ := seq.Pack(r.Seq[pos+k-l:], k)
-												corrected[ref.Tiles.Get(ref.Tiles.PackTile(a, b)).Og >= cm]++
-											}
-										}
-									}
+						found += len(got)
+					}
+				}
+			}
+		}
+		if d > 0 && !cell.preloaded && found == 0 {
+			t.Fatalf("%s: no mutant tile anywhere; the comparison is empty", cell.name)
+		}
+	})
+}
+
+// TestCorrectTileMatchesUnpruned holds the kernel to the unpruned Algorithm
+// 1 over forUnprunedGrid. A cell builds its Correctors once, and probes each
+// tile once, for every Cm and Cr; the reference reads every tile, unfloored,
+// from one hash table, through the spectrum's index (spectrumOracle). At
+// Cm ∈ {1, 2, 5} × Cr ∈ {1.5, 2, 3}, correctTile reaches the decision the
+// unpruned Algorithm 1 reaches, and writes the same bytes, on every tile
+// position of ten reads at d1 ∈ {0, d}, by either mutantTiles route: the
+// runs of N(a) in a column floored at min(Cm, Cg), and a strong list of
+// every tile with Og >= Cm however long it is. Both branches must correct
+// somewhere.
+func TestCorrectTileMatchesUnpruned(t *testing.T) {
+	var s, rs scratch
+	var got, want []byte
+	corrected := map[bool]int{} // by Og(t) >= Cm, both routes agreeing
+	forUnprunedGrid(t, func(cell unprunedCell) {
+		base, ref, k, d := cell.base, cell.ref, cell.base.P.K, cell.base.P.D
+		type routes struct {
+			cm             uint32
+			byRuns, byList *Corrector
+		}
+		var atCm []routes
+		for _, cm := range []uint32{1, 2, 5} {
+			at := *base
+			at.P.Cm = cm
+			atCm = append(atCm, routes{cm, forRoute(t, &at, cell.prepared, routeColumn), forRoute(t, &at, cell.prepared, routeList)})
+		}
+		for _, r := range cell.prepared[:10] {
+			for pos := 0; pos+base.Tiles.TileLen <= len(r.Seq); pos++ {
+				a, okA := seq.Pack(r.Seq[pos:], k)
+				b, okB := seq.Pack(r.Seq[pos+k-base.P.Overlap:], k)
+				for _, d1 := range []int{0, d} {
+					var all []mutantTile
+					if okA && okB {
+						all = slices.Clone(ref.mutantTilesByProbing(a, b, d1, d, &rs))
+					}
+					for _, rt := range atCm {
+						for _, cr := range []float64{1.5, 2, 3} {
+							// Cr enters no Phase-1 product: one build serves every Cr.
+							rt.byRuns.P.Cr, rt.byList.P.Cr, ref.P.Cm, ref.P.Cr = cr, cr, rt.cm, cr
+							want = append(want[:0], r.Seq...)
+							dw := ref.correctTileUnpruned(want, r.Qual, pos, all, &rs)
+							for _, c := range []*Corrector{rt.byRuns, rt.byList} {
+								got = append(got[:0], r.Seq...)
+								dg := c.correctTile(got, r.Qual, pos, d1, d, &s)
+								if dg != dw || !bytes.Equal(got, want) {
+									t.Fatalf("%s Cm=%d Cr=%v list=%v: tile at %d (d1=%d) of %s: decision %d writing %s, want %d writing %s",
+										cell.name, rt.cm, cr, c.strong != nil, pos, d1, r.Seq, dg, got, dw, want)
 								}
+							}
+							if dw == decCorrected {
+								corrected[ref.Tiles.Get(ref.Tiles.PackTile(a, b)).Og >= rt.cm]++
 							}
 						}
 					}
 				}
 			}
 		}
-	}
+	})
 	if corrected[true] == 0 || corrected[false] == 0 {
 		t.Fatalf("corrections by branch (Og(t) >= Cm: count) %v; a branch is never compared", corrected)
 	}
@@ -524,86 +623,19 @@ func TestCorrectTileAtSetBound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.ensureQuerier()
 	if m := c.Tiles.MaxOg(); m != 4 {
 		t.Fatalf("MaxOg %d, want the good tile's 4", m)
 	}
 	var s scratch
-	for _, correct := range []func([]byte, []byte, int, int, int, *scratch) decision{c.correctTile, spectrumOracle(t, c).correctTileUnpruned} {
+	ref := spectrumOracle(t, c.P, c.Spec, reads)
+	a, b := seq.MustPack(bad[:5]), seq.MustPack(bad[5:])
+	unpruned := func(bases, qual []byte, pos, d1, d2 int, s *scratch) decision {
+		return ref.correctTileUnpruned(bases, qual, pos, ref.mutantTilesByProbing(a, b, d1, d2, s), s)
+	}
+	for _, correct := range []func([]byte, []byte, int, int, int, *scratch) decision{c.correctTile, unpruned} {
 		bases := []byte(bad)
 		if dec := correct(bases, nil, 0, 1, 1, &s); dec != decCorrected || string(bases) != good {
 			t.Errorf("Og 2 tile %s beside its Og 4 mutant: decision %d, bases %s; want %d, %s", bad, dec, bases, decCorrected, good)
-		}
-	}
-}
-
-// TestMutantTilesMatchesProbing: intersecting each tile run with N(b) finds
-// the mutants probing found at or above the floor, in the same order, for
-// every tile of reads with errors, Ns and missing qualities — frozen column
-// against the unfrozen hash table, over k, overlap, d, (Workers, Shards) and
-// the floors 0, Cm and Cr·Og(t). k = 3 at 1024 shards is the case the 2k
-// cap on tile shards exists for. The Corrector is closed: the Builder
-// counted its spectrum from the reads, so neither route asks N(b).
-func TestMutantTilesMatchesProbing(t *testing.T) {
-	_, sim := buildTestData(t, 3000, 300, 40, 0.02, 31)
-	reads := simulate.Reads(sim)
-	rng := rand.New(rand.NewSource(31))
-	for i := range reads {
-		switch i % 7 {
-		case 0:
-			reads[i].Seq[rng.Intn(len(reads[i].Seq))] = 'N'
-		case 1:
-			reads[i].Qual = nil
-		case 2: // two adjacent Ns stay unconverted
-			reads[i].Seq[20], reads[i].Seq[21] = 'N', 'N'
-		}
-	}
-	type ws struct{ workers, shards int }
-	for _, k := range []int{3, 5, 10, 13, 16} {
-		for _, l := range []int{0, 1, k - 1} {
-			for _, d := range []int{0, 1, 2} {
-				for _, o := range []ws{{1, 1}, {4, 16}, {4, 1024}} {
-					p := Params{K: k, D: d, Overlap: l, C: min(k, d+4), Cr: 2, Qc: 15, Qm: 60, DefaultBase: 'A', MaxNPerWindow: 1}
-					p.Build = kspectrum.BuildOptions{Workers: o.workers, Shards: o.shards}
-					c, err := New(reads, p)
-					if err != nil {
-						t.Fatal(err)
-					}
-					prepared := prepareReads(reads, c.P)
-					freezeWhole(t, c, prepared) // floor 0 is below any list's Cm: the run route
-					c.ensureQuerier()
-					ref := *c
-					if ref.Tiles, err = kspectrum.CountTiles(prepared, k, l, p.Qc, kspectrum.BuildOptions{Workers: 1}); err != nil {
-						t.Fatal(err)
-					}
-					var s, rs scratch
-					step, tileLen, found := k-l, c.Tiles.TileLen, 0
-					for _, r := range prepared[:60] {
-						for pos := 0; pos+tileLen <= len(r.Seq); pos++ {
-							a, okA := seq.Pack(r.Seq[pos:], k)
-							b, okB := seq.Pack(r.Seq[pos+step:], k)
-							if !okA || !okB {
-								continue
-							}
-							og := float64(c.Tiles.Get(c.Tiles.PackTile(a, b)).Og)
-							for _, d1 := range []int{0, d} {
-								all := slices.Clone(ref.mutantTilesByProbing(a, b, d1, d, &rs))
-								for _, floor := range []float64{0, float64(c.P.Cm), c.P.Cr * og} {
-									got := c.mutantTiles(a, b, d1, d, floor, &s)
-									want := slices.DeleteFunc(slices.Clone(all), func(m mutantTile) bool { return float64(m.og) < floor })
-									if !slices.Equal(got, want) {
-										t.Fatalf("k=%d l=%d d=%d %+v: tile at %d of %s, floor %v: got %+v, want %+v", k, l, d, o, pos, r.Seq, floor, got, want)
-									}
-									found += len(got)
-								}
-							}
-						}
-					}
-					if d > 0 && found == 0 {
-						t.Fatalf("k=%d l=%d d=%d %+v: no mutant tile anywhere; the comparison is empty", k, l, d, o)
-					}
-				}
-			}
 		}
 	}
 }
@@ -620,16 +652,12 @@ func TestMutantTilesLongRun(t *testing.T) {
 	}
 	p := defaultTestParams()
 	p.K, p.Build = k, kspectrum.BuildOptions{Workers: 1}
-	c, err := New(reads, p)
+	built, err := New(reads, p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	freezeWhole(t, c, reads) // floor 0 is below any list's Cm: the run route
-	c.ensureQuerier()
-	ref := *c
-	if ref.Tiles, err = kspectrum.CountTiles(reads, k, 0, p.Qc, p.Build); err != nil {
-		t.Fatal(err)
-	}
+	c := forRoute(t, built, reads, routeWhole) // floor 0 is below any list's Cm: the run route
+	ref := spectrumOracle(t, built.P, built.Spec, reads)
 	if n := len(c.Tiles.Run(0)); n != len(reads) {
 		t.Fatalf("Run(AAAAAAAA) has %d tiles, want %d", n, len(reads))
 	}
@@ -650,20 +678,48 @@ func TestMutantTilesLongRun(t *testing.T) {
 	}
 }
 
-// freezeWhole swaps c's tiles for a recount of prepared frozen whole, at
-// floor 0, before listStrong runs over them, and releases the set it swaps
-// out: a test that walks N(a)'s runs by hand, at floors below min(Cm, Cg),
-// needs every tile in the column.
-func freezeWhole(t testing.TB, c *Corrector, prepared []seq.Read) {
+// route is the mutantTiles route forRoute builds a Corrector for.
+type route int
+
+const (
+	routeList   route = iota // every tile with Og >= Cm listed, however many; tiles unsorted
+	routeColumn              // no list; tiles frozen at columnFloor(), as finish freezes them
+	routeWhole               // no list; tiles frozen at 0, for runs walked below columnFloor()
+)
+
+// forRoute builds a Corrector like c — its parameters, spectrum and
+// closure, and an open one's index and seam — over a fresh count of
+// prepared's tiles. It is finished as finish finishes one, but on route r
+// rather than the route crossover picks; a closed one on a column gets that
+// column's index.
+func forRoute(t testing.TB, c *Corrector, prepared []seq.Read, r route) *Corrector {
 	t.Helper()
-	c.Tiles.Release()
 	ts, err := kspectrum.CountTiles(prepared, c.P.K, c.P.Overlap, c.P.Qc, c.P.Build)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts.Freeze(0)
-	c.Tiles = ts
-	c.listStrong()
+	out := &Corrector{P: c.P, Spec: c.Spec, Tiles: ts, closed: c.closed}
+	if !c.closed {
+		out.NI, out.neigh = c.NI, c.neigh
+	}
+	ts.Seal()
+	switch r {
+	case routeList:
+		out.strong = ts.AppendAtLeast([]kspectrum.TileEntry{}, c.P.Cm, math.MaxInt)
+	case routeColumn:
+		ts.Freeze(out.columnFloor())
+	case routeWhole:
+		ts.Freeze(0)
+	}
+	if out.closed && ts.Frozen() {
+		if out.NI, err = kspectrum.NewNeighborIndexFromKmers(ts.ColumnKmers(), c.P.K, c.P.D, c.P.C); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if out.neigh == nil {
+		out.neigh = kspectrum.LocalNeighbors(out.Spec, out.NI)
+	}
+	return out
 }
 
 // listOfSize returns n of ts's tiles, ascending, and the Cm it is a strong
@@ -731,8 +787,8 @@ func compareRoutes(t testing.TB, c *Corrector, list []kspectrum.TileEntry, cm ui
 // whole corpus — at d ∈ {1, 2}, d1 ∈ {0, d}, overlap ∈ {0, 3}, the floors
 // Cm and Cr·Og(t), and strong lists of 0, 1, crossover and crossover+1
 // tiles, each for the Cm it holds every tile of. At those Cm and the
-// derived one, listStrong keeps the exact list when it has at most
-// crossover tiles and none when it has more: the whole corpus has more.
+// derived one, the chunk's Corrector keeps the exact list when it has at
+// most crossover tiles and none when it has more: the whole corpus has more.
 func TestMutantTileRoutes(t *testing.T) {
 	corpus, spec := serviceFixture(t)
 	found, kept := 0, map[bool]int{}
@@ -747,26 +803,35 @@ func TestMutantTileRoutes(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				freezeWhole(t, c, prepared) // compareRoutes walks the runs by hand
-				derived := c.P.Cm
+				whole := forRoute(t, c, prepared, routeWhole) // compareRoutes walks the runs by hand
+				c.Tiles.Release()
+				cms := []uint32{c.P.Cm}
 				for _, n := range []int{0, 1, crossover, crossover + 1} {
-					list, cm := listOfSize(c.Tiles, n)
+					list, cm := listOfSize(whole.Tiles, n)
 					name := fmt.Sprintf("d=%d overlap=%d reads=%d list=%d Cm=%d", d, overlap, len(chunk), n, cm)
 					if len(list) != n {
 						t.Fatalf("%s: listOfSize made %d tiles", name, len(list))
 					}
-					for _, at := range []uint32{derived, cm} {
-						c.P.Cm = at
-						c.listStrong()
-						strong := c.Tiles.AppendAtLeast([]kspectrum.TileEntry{}, at, math.MaxInt)
-						if fits := len(strong) <= crossover; fits != (c.strong != nil) || fits && !slices.Equal(c.strong, strong) {
-							t.Fatalf("%s: %d tiles of Og >= %d, listStrong kept %d", name, len(strong), at, len(c.strong))
-						}
-						kept[c.strong != nil]++
-					}
-					found += compareRoutes(t, c, list, cm, prepared[:500], name)
+					found += compareRoutes(t, whole, list, cm, prepared[:500], name)
+					cms = append(cms, cm)
 				}
-				c.Tiles.Release()
+				whole.Tiles.Release()
+				for _, cm := range cms {
+					at, err := NewServiceBackend(kspectrum.Local(spec), svc.neigh, Params{D: d, Overlap: overlap, Cm: cm})
+					if err != nil {
+						t.Fatal(err)
+					}
+					atCm, _, err := at.corrector(chunk, 1)
+					if err != nil {
+						t.Fatal(err)
+					}
+					strong := atCm.Tiles.AppendAtLeast([]kspectrum.TileEntry{}, cm, math.MaxInt)
+					if fits := len(strong) <= crossover; fits != (atCm.strong != nil) || fits && !slices.Equal(atCm.strong, strong) {
+						t.Fatalf("d=%d overlap=%d reads=%d: %d tiles of Og >= %d, the Corrector lists %d", d, overlap, len(chunk), len(strong), cm, len(atCm.strong))
+					}
+					kept[atCm.strong != nil]++
+					atCm.Tiles.Release()
+				}
 			}
 		}
 	}
@@ -872,9 +937,7 @@ func TestChunkedBuilderMatchesWholeSlice(t *testing.T) {
 // TestCorrectorFloor: a batch Corrector's tiles overflow crossover, so
 // Finish freezes them into the run column at min(Cm, Cg). Size still counts
 // every tile counted — the engine Summary's tile count — and four workers
-// correct to the same bytes as over a column frozen whole. Lowering Cm or Cg
-// below the floor after Finish leaves tiles that can decide out of the
-// column, and the next correction panics naming the floor.
+// correct to the same bytes as over a column frozen whole.
 func TestCorrectorFloor(t *testing.T) {
 	reads, _ := serviceFixture(t)
 	p := DefaultParams(reads, 8000)
@@ -882,11 +945,7 @@ func TestCorrectorFloor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	whole := *c
-	if whole.Tiles, err = kspectrum.CountTiles(prepareReads(reads, c.P), p.K, p.Overlap, c.P.Qc, p.Build); err != nil {
-		t.Fatal(err)
-	}
-	whole.Tiles.Freeze(0)
+	whole := forRoute(t, c, prepareReads(reads, c.P), routeWhole)
 	floor := min(c.P.Cm, c.P.Cg)
 	if c.strong != nil || floor < 2 || c.Tiles.Floor() != floor {
 		t.Fatalf("list %v, Cm %d, Cg %d: column floored at %d; want the run route at Og >= %d", c.strong != nil, c.P.Cm, c.P.Cg, c.Tiles.Floor(), floor)
@@ -898,20 +957,8 @@ func TestCorrectorFloor(t *testing.T) {
 	if got := c.Tiles.AppendAtLeast(nil, floor, math.MaxInt); !slices.Equal(got, kept) || len(kept) >= whole.Tiles.Size() {
 		t.Fatalf("the column keeps %d tiles, %d of the %d counted have Og >= %d", len(got), len(kept), whole.Tiles.Size(), floor)
 	}
-	if got, want := correctAll(t, c, reads, 4), correctAll(t, &whole, reads, 4); !slices.EqualFunc(got, want, func(x, y seq.Read) bool { return bytes.Equal(x.Seq, y.Seq) }) {
+	if got, want := correctAll(t, c, reads, 4), correctAll(t, whole, reads, 4); !slices.EqualFunc(got, want, func(x, y seq.Read) bool { return bytes.Equal(x.Seq, y.Seq) }) {
 		t.Fatal("the floored column corrects differently from the whole one")
-	}
-	for name, lower := range map[string]func(*Params){"Cm": func(p *Params) { p.Cm = floor - 1 }, "Cg": func(p *Params) { p.Cg = floor - 1 }} {
-		lowered := *c
-		lower(&lowered.P)
-		func() {
-			defer func() {
-				if msg, _ := recover().(string); !strings.Contains(msg, "below the column's floor") {
-					t.Errorf("%s lowered below the floor %d: recovered %q, want a panic naming the floor", name, floor, msg)
-				}
-			}()
-			lowered.CorrectRead(reads[0])
-		}()
 	}
 }
 
@@ -923,12 +970,10 @@ func TestCorrectorFloor(t *testing.T) {
 // route's tiles-only Builder, whose Spec is nil); the four correct to the
 // same bytes, and each to the bytes it corrects to when given the spectrum's
 // index in place of its own, which holds only the column's kmers — fewer
-// than the spectrum's. The column index answers N(b) for a long run even
-// where b's neighbours are second kmers that head no column tile. A
-// Corrector over a preloaded spectrum that lacks some of the reads' kmers is
-// not closed, asks N(b) as before, and keeps the spectrum's index;
-// TestCorrectTileMatchesUnpruned holds both kinds to the unpruned
-// Algorithm 1.
+// than the spectrum's. A Corrector over a preloaded spectrum that lacks
+// some of the reads' kmers is not closed, asks N(b) as before, and keeps the
+// spectrum's index. TestCorrectTileMatchesUnpruned holds both kinds to the
+// unpruned Algorithm 1.
 func TestBuilderCorrectorClosed(t *testing.T) {
 	reads, _ := serviceFixture(t)
 	p := DefaultParams(reads, 8000)
@@ -1010,6 +1055,7 @@ func TestBuilderCorrectorClosed(t *testing.T) {
 		if full.NI, err = kspectrum.NewNeighborIndex(s, p.D, p.C); err != nil {
 			t.Fatal(err)
 		}
+		full.neigh = kspectrum.LocalNeighbors(s, full.NI)
 		out := correctAll(t, c, reads, 2)
 		if !slices.EqualFunc(out, correctAll(t, &full, reads, 2), func(x, y seq.Read) bool { return bytes.Equal(x.Seq, y.Seq) }) {
 			t.Fatalf("%s: the column index corrects differently from the spectrum's", name)
@@ -1041,6 +1087,23 @@ func TestBuilderCorrectorClosed(t *testing.T) {
 	if missing == 0 {
 		t.Fatal("the preloaded spectrum holds every tile's kmers; the case tests nothing")
 	}
+}
+
+// TestColumnIndexFollowsTiles: a closed Corrector's index covers the column
+// its walk reads, and nothing else it needs. On a long run whose second
+// kmers head no column tile, the column index answers N(b) as probing the
+// whole spectrum does, whether or not the Builder counted a spectrum. A
+// closed Corrector whose strong list fits freezes nothing, and has no index.
+func TestColumnIndexFollowsTiles(t *testing.T) {
+	reads, _ := serviceFixture(t)
+	small, err := New(reads[:500], DefaultParams(reads[:500], 8000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !small.closed || small.strong == nil || small.Tiles.Frozen() || small.NI != nil {
+		t.Fatalf("500 reads: closed %v, list %v, frozen %v, index %v; want a closed list-route Corrector with no index",
+			small.closed, small.strong != nil, small.Tiles.Frozen(), small.NI != nil)
+	}
 
 	// A long run whose second kmers head no column tile: every read is one
 	// tile AAAAAAAA·kb, kb = CC·x·CC over the 256 4-mers x, so Run(AAAAAAAA)
@@ -1052,7 +1115,11 @@ func TestBuilderCorrectorClosed(t *testing.T) {
 	for x := range long {
 		long[x] = seq.Read{Seq: []byte(strings.Repeat("A", k) + "CC" + seq.Kmer(x).StringK(4) + "CC")}
 	}
-	q = defaultTestParams()
+	longSpec, err := kspectrum.Build(long, k, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := defaultTestParams()
 	q.K, q.Cm, q.Cg, q.Build = k, 1, 2, kspectrum.BuildOptions{Workers: 1}
 	for _, countSpectrum := range []bool{true, false} {
 		b, err := newBuilder(q, countSpectrum)
@@ -1064,18 +1131,10 @@ func TestBuilderCorrectorClosed(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c.ensureQuerier()
 		if !c.closed || c.strong != nil || len(c.Tiles.Run(0)) <= longRun {
 			t.Fatalf("spectrum counted %v: closed %v, list %v, Run(AAAAAAAA) of %d tiles; want a closed Corrector on a long run", countSpectrum, c.closed, c.strong != nil, len(c.Tiles.Run(0)))
 		}
-		ref := *c
-		if ref.Spec, err = kspectrum.Build(long, k, true); err != nil {
-			t.Fatal(err)
-		}
-		if ref.NI, err = kspectrum.NewNeighborIndex(ref.Spec, q.D, q.C); err != nil {
-			t.Fatal(err)
-		}
-		ref.neigh, ref.closed = kspectrum.LocalNeighbors(ref.Spec, ref.NI), false
+		ref := spectrumOracle(t, c.P, longSpec, long)
 		var s, rs scratch
 		for _, r := range long {
 			kb, _ := seq.Pack(r.Seq[k:], k)
@@ -1086,60 +1145,5 @@ func TestBuilderCorrectorClosed(t *testing.T) {
 				t.Fatalf("spectrum counted %v, tile AAAAAAAA%s: got %+v, want %+v", countSpectrum, b.StringK(k), got, want)
 			}
 		}
-	}
-}
-
-// TestColumnIndexFollowsTiles: a closed Corrector's index covers the column
-// its walk reads, whatever put the tiles there. Tiles swapped for a recount
-// frozen whole are indexed anew at the next entry point, which also rewires
-// a seam derived from the old index but keeps one plugged in; four workers
-// then correct as they do given the spectrum's index. A closed Corrector
-// whose strong list fits freezes nothing, and has no index.
-func TestColumnIndexFollowsTiles(t *testing.T) {
-	reads, _ := serviceFixture(t)
-	p := DefaultParams(reads, 8000)
-	c, err := New(reads, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.ensureQuerier()
-	old := c.NI
-	whole, err := kspectrum.CountTiles(prepareReads(reads, c.P), p.K, p.Overlap, c.P.Qc, p.Build)
-	if err != nil {
-		t.Fatal(err)
-	}
-	whole.Freeze(0)
-	plugged := *c
-	plugged.neigh = &countingSource{NeighborSource: c.neigh, seen: map[[2]uint64]struct{}{}}
-	for _, x := range []*Corrector{c, &plugged} {
-		x.Tiles = whole
-		x.ensureQuerier()
-	}
-	if c.NI == old || c.NI.Len() != len(whole.ColumnKmers()) || c.NI.Len() <= old.Len() {
-		t.Fatalf("after the swap the index holds %d kmers (%d before); want the whole column's %d", c.NI.Len(), old.Len(), len(whole.ColumnKmers()))
-	}
-	if c.neigh != kspectrum.LocalNeighbors(c.Spec, c.NI) {
-		t.Fatal("the seam derived from the old index was not rewired")
-	}
-	if _, ok := plugged.neigh.(*countingSource); !ok || plugged.NI == old || plugged.NI.Len() != c.NI.Len() {
-		t.Fatalf("plugged seam %T, index of %d kmers; want the plugged seam kept beside a new index of %d", plugged.neigh, plugged.NI.Len(), c.NI.Len())
-	}
-	full := *c
-	if full.NI, err = kspectrum.NewNeighborIndex(c.Spec, p.D, p.C); err != nil {
-		t.Fatal(err)
-	}
-	full.neigh = nil
-	if got, want := correctAll(t, c, reads, 4), correctAll(t, &full, reads, 4); !slices.EqualFunc(got, want, func(x, y seq.Read) bool { return bytes.Equal(x.Seq, y.Seq) }) {
-		t.Fatal("the whole column's index corrects differently from the spectrum's")
-	}
-
-	small, err := New(reads[:500], DefaultParams(reads[:500], 8000))
-	if err != nil {
-		t.Fatal(err)
-	}
-	small.ensureQuerier()
-	if !small.closed || small.strong == nil || small.Tiles.Frozen() || small.NI != nil {
-		t.Fatalf("500 reads: closed %v, list %v, frozen %v, index %v; want a closed list-route Corrector with no index",
-			small.closed, small.strong != nil, small.Tiles.Frozen(), small.NI != nil)
 	}
 }

@@ -141,11 +141,10 @@ func (s *Service) CorrectChunk(ctx context.Context, reads []seq.Read, workers in
 	return c.CorrectAllCtx(ctx, reads, workers)
 }
 
-// corrector resolves a chunk's Qc, counts its tiles, derives Cg and Cm
-// from them and lists the strong tiles, returning the chunk's Corrector and
-// the prepared reads the tiles were counted over. The tiles are sorted only
-// when the list overflows crossover (listStrong), into a column floored at
-// min(Cm, Cg); a daemon chunk's stay hash tables. The caller owns the tiles.
+// corrector resolves a chunk's Qc, counts its tiles and finishes the chunk's
+// Corrector over them (finish), returning it and the prepared reads the
+// tiles were counted over. A daemon chunk's strong list fits crossover, so
+// its tiles stay hash tables. The caller owns the tiles.
 func (s *Service) corrector(reads []seq.Read, workers int) (*Corrector, []seq.Read, error) {
 	p := s.p
 	if p.Qc == 0 {
@@ -157,15 +156,9 @@ func (s *Service) corrector(reads []seq.Read, workers int) (*Corrector, []seq.Re
 	if err != nil {
 		return nil, nil, err
 	}
-	tiles.Seal()
-	cg, cm := deriveThresholds(tiles)
-	if p.Cg == 0 {
-		p.Cg = cg
-	}
-	if p.Cm == 0 {
-		p.Cm = cm
-	}
 	c := &Corrector{P: p, Tiles: tiles, neigh: s.neigh}
-	c.listStrong()
+	if err := c.finish(); err != nil {
+		return nil, nil, err
+	}
 	return c, prepared, nil
 }

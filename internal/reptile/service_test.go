@@ -222,8 +222,8 @@ func sortedTiles(ts *kspectrum.TileSet) (ok bool) {
 // the chunks that sort are pinned (serviceChunksSorted); at Cm = 1, where
 // every chunk's strong tiles outnumber crossover, and for the whole corpus
 // as one chunk, every chunk sorts. Either way CorrectChunk's reply is
-// byte-identical to a Corrector's forced onto the run route: its strong
-// list dropped, its tiles sorted.
+// byte-identical to a Corrector's built for the run route (forRoute): no
+// strong list, its tiles sorted into the column at min(Cm, Cg).
 func TestServiceSortsOnlyForRuns(t *testing.T) {
 	corpus, spec := serviceFixture(t)
 	ctx := context.Background()
@@ -238,20 +238,20 @@ func TestServiceSortsOnlyForRuns(t *testing.T) {
 		sorted, changed := 0, 0
 		for lo := 0; lo < len(corpus); lo += tc.size {
 			chunk := corpus[lo:min(lo+tc.size, len(corpus))]
-			c, _, err := svc.corrector(chunk, 1)
+			c, prepared, err := svc.corrector(chunk, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if sortedTiles(c.Tiles) {
 				sorted++
 			}
-			runs := *c
-			runs.strong = nil
-			want, err := runs.CorrectAllCtx(ctx, chunk, 1) // ensureQuerier sorts the shared tiles
+			c.Tiles.Release()
+			runs := forRoute(t, c, prepared, routeColumn)
+			want, err := runs.CorrectAllCtx(ctx, chunk, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
-			c.Tiles.Release()
+			runs.Tiles.Release()
 			got, err := svc.CorrectChunk(ctx, chunk, 1)
 			if err != nil {
 				t.Fatal(err)
@@ -268,45 +268,5 @@ func TestServiceSortsOnlyForRuns(t *testing.T) {
 		if changed == 0 {
 			t.Errorf("Cm=%d, %d reads a chunk: no read changed; the comparison is empty", tc.cm, tc.size)
 		}
-	}
-}
-
-// TestLoweredCmSortsForRuns: a Corrector whose Cm is lowered below the one
-// its strong list was made for takes the run route for the floors under
-// the list's, so its first correction sorts the tiles (ensureQuerier), and
-// its reply equals a service's at the lowered Cm.
-func TestLoweredCmSortsForRuns(t *testing.T) {
-	corpus, spec := serviceFixture(t)
-	chunk, ctx := corpus[:500], context.Background()
-	svc, err := NewService(spec, Params{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, _, err := svc.corrector(chunk, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Tiles.Release()
-	if c.strong == nil || c.strongCm < 2 || sortedTiles(c.Tiles) {
-		t.Fatalf("list %v for Cm %d, sorted %v: want an unsorted chunk with a list above Cm 1", c.strong != nil, c.strongCm, sortedTiles(c.Tiles))
-	}
-	c.P.Cm = 1
-	got, err := c.CorrectAllCtx(ctx, chunk, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !sortedTiles(c.Tiles) {
-		t.Error("a Corrector at a Cm below its list's did not sort its tiles")
-	}
-	at1, err := NewService(spec, Params{Cm: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := at1.CorrectChunk(ctx, chunk, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Error("the lowered Corrector's reply diverges from a service's at Cm = 1")
 	}
 }

@@ -273,7 +273,7 @@ func TestResumeAdoptsShardGeometry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := len(st2.sb.shards); got != 4 {
+	if got := len(st2.sb.tables); got != 4 {
 		t.Fatalf("resume built %d shards, want the manifest's 4", got)
 	}
 	st2.Add(reads)

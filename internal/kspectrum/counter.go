@@ -257,12 +257,10 @@ type TileEntry struct {
 // tileCounter is the paired-uint32-value variant of Counter backing
 // TileSet: per tile it tracks Oc (total occurrences) and Og (high-quality
 // occurrences). A slot is occupied iff Oc is non-zero — every insertion
-// increments Oc, so the invariant holds. mu is the stripe lock TileSet
-// takes around a shard's table; the methods themselves do not. maxOg is the
-// largest Og counted so far, kept by add so that ending the count scans
-// nothing.
+// increments Oc, so the invariant holds. One goroutine at a time writes a
+// table (TileSet.Add). maxOg is the largest Og counted so far, kept by add
+// so that ending the count scans nothing.
 type tileCounter struct {
-	mu    sync.Mutex
 	slots []TileEntry
 	n     int
 	grow  int

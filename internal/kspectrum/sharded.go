@@ -3,7 +3,6 @@ package kspectrum
 import (
 	"runtime"
 	"slices"
-	"sync"
 
 	"repro/internal/par"
 	"repro/internal/seq"
@@ -16,8 +15,7 @@ import (
 // of the sorted order — so parallelism is purely a throughput knob.
 type BuildOptions struct {
 	// Workers is the number of counting goroutines each Add call fans its
-	// read chunks out to (<= 0 selects GOMAXPROCS). The bound is per call:
-	// callers streaming chunks through concurrent Adds multiply it.
+	// read chunks out to (<= 0 selects GOMAXPROCS).
 	Workers int
 	// Shards is the number of kmer-space partitions. Kmers are routed by
 	// their high bits, so each shard owns one contiguous range of the
@@ -43,48 +41,41 @@ func (o BuildOptions) resolve(k int) (workers int, shardBits uint) {
 	return workers, prefixBitsFor(shards, min(10, uint(2*k)))
 }
 
-// chunkSize is the read-batch granularity of the producer: large enough to
-// amortize channel and lock traffic, small enough to balance uneven chunks.
+// chunkSize is the read-batch granularity of the counting waves: large
+// enough to amortize a wave's fork and join, small enough that a chunk's
+// scatter buffers stay cache-sized.
 const chunkSize = 512
-
-// countShard is one stripe of the accumulator: a contiguous high-bit range
-// of kmer space with its own lock, so concurrent writers only contend when
-// flushing into the same range. Counting goes through the open-addressing
-// Counter rather than a Go map — see counter.go.
-type countShard struct {
-	mu     sync.Mutex
-	counts *Counter
-}
 
 // SpectrumBuilder accumulates the k-spectrum incrementally, supporting the
 // §2.3 divide-and-merge strategy: read chunks are streamed through Add and
-// need not be retained. Internally it is a sharded parallel engine — each
-// Add scatters kmers into per-shard buffers by high bits and flushes them
-// into striped accumulators, so Add is safe to call from multiple
-// goroutines and large chunks are counted by a worker pool. A both-strands
-// builder counts each window once, under its canonical kmer; Build writes
-// the reverse complements.
+// need not be retained. Internally it is a sharded parallel engine: each
+// Add scatters kmers into per-shard buffers by high bits, then counts each
+// shard's buffers into its table on one goroutine (inWaves), so every table
+// has one writer and sees its kmers in read order. Add is not safe for
+// concurrent calls. A both-strands builder counts each window once, under
+// its canonical kmer; Build writes the reverse complements.
 type SpectrumBuilder struct {
 	k           int
 	bothStrands bool
 	workers     int
 	part        PrefixPartition
-	shards      []countShard
+	// tables[s] counts shard s through the open-addressing Counter rather
+	// than a Go map — see counter.go.
+	tables []*Counter
 
-	// full, when set, bounds the shard tables: a flush never inserts more
-	// keys than a table has room for, and calls full — under the shard's
-	// stripe lock — whenever there is none left. It must make room. The
+	// full, when set, bounds the shard tables: counting never inserts more
+	// keys than a table has room for, and calls full — on the goroutine that
+	// counts shard s — whenever there is none left. It must make room. The
 	// StreamBuilder doubles or spills the table from here (see stream.go).
 	full func(s int, w *countWorker)
 
-	// idle holds the worker state of Adds that have returned, for the next
-	// Add to reuse: its buffers are sized by the chunk, not by the call.
-	idleMu sync.Mutex
-	idle   [][]countWorker
+	// ws is the memory the counting reuses from wave to wave and Add to Add:
+	// ws[c].buf holds a wave's chunk c, ws[w].sort goroutine w's scratch.
+	ws []countWorker
 }
 
-// countWorker is the memory one counting goroutine reuses from chunk to
-// chunk and, through SpectrumBuilder.idle, from Add to Add.
+// countWorker is one wave slot's scatter buffers and one counting
+// goroutine's sort scratch.
 type countWorker struct {
 	buf  [][]seq.Kmer // per-shard scatter buffers
 	sort sortScratch  // extraction, when the worker spills a table or builds
@@ -108,60 +99,52 @@ func NewSpectrumBuilder(k int, bothStrands bool, opts ...BuildOptions) (*Spectru
 		bothStrands: bothStrands,
 		workers:     workers,
 		part:        part,
-		shards:      make([]countShard, part.Shards()),
+		tables:      make([]*Counter, part.Shards()),
+		ws:          make([]countWorker, workers),
 	}
-	for i := range sb.shards {
-		sb.shards[i].counts = NewCounter(0)
+	for s := range sb.tables {
+		sb.tables[s] = NewCounter(0)
+	}
+	for w := range sb.ws {
+		sb.ws[w].buf = make([][]seq.Kmer, len(sb.tables))
 	}
 	return sb, nil
 }
 
-// takeWorkers pops an idle set of per-worker state, or makes one.
-func (sb *SpectrumBuilder) takeWorkers() []countWorker {
-	sb.idleMu.Lock()
-	defer sb.idleMu.Unlock()
-	if n := len(sb.idle); n > 0 {
-		ws := sb.idle[n-1]
-		sb.idle = sb.idle[:n-1]
-		return ws
-	}
-	ws := make([]countWorker, sb.workers)
-	for i := range ws {
-		ws[i].buf = make([][]seq.Kmer, len(sb.shards))
-	}
-	return ws
-}
-
-func (sb *SpectrumBuilder) releaseWorkers(ws []countWorker) {
-	sb.idleMu.Lock()
-	sb.idle = append(sb.idle, ws)
-	sb.idleMu.Unlock()
-}
-
 // Add merges one chunk of reads into the accumulator, fanning large chunks
-// out to the builder's counting workers. It may be called concurrently.
+// out to the builder's counting workers. It is not safe for concurrent calls.
 func (sb *SpectrumBuilder) Add(reads []seq.Read) {
-	ws := sb.takeWorkers()
-	forEachChunk(reads, sb.workers, func(w int, c []seq.Read) { sb.countChunk(c, &ws[w]) })
-	sb.releaseWorkers(ws)
+	inWaves(reads, sb.workers, len(sb.tables),
+		func(c int, chunk []seq.Read) { sb.scatter(chunk, sb.ws[c].buf) },
+		func(w, s, n int) {
+			for c := range n {
+				sb.count(s, sb.ws[c].buf[s], &sb.ws[w])
+			}
+		})
 }
 
-// forEachChunk cuts reads into chunkSize pieces — scatter buffers stay
-// cache-sized — and calls fn(w, chunk) for each on up to `workers`
-// goroutines, w naming the one that calls (par.Each). SpectrumBuilder and
-// TileSet share it.
-func forEachChunk(reads []seq.Read, workers int, fn func(w int, chunk []seq.Read)) {
-	par.Each((len(reads)+chunkSize-1)/chunkSize, workers, func(w, c int) {
-		fn(w, reads[c*chunkSize:min((c+1)*chunkSize, len(reads))])
-	})
+// inWaves is the one schedule of SpectrumBuilder.Add and TileSet.Add. It
+// cuts reads into chunkSize pieces and takes them a wave of `workers` at a
+// time: scatter(c, chunk) first fills wave slot c's per-shard buffers, the
+// chunks in parallel; count(w, s, n) then empties shard s's buffers of the
+// wave's n slots into its table, in slot order, the shards in parallel on
+// goroutines w (par.Each). No table is written by two goroutines, and each
+// sees its entries in read order whatever the scheduling.
+func inWaves(reads []seq.Read, workers, shards int, scatter func(c int, chunk []seq.Read), count func(w, s, n int)) {
+	chunks := (len(reads) + chunkSize - 1) / chunkSize
+	for first := 0; first < chunks; first += workers {
+		n := min(workers, chunks-first)
+		par.Each(n, workers, func(_, c int) {
+			lo := (first + c) * chunkSize
+			scatter(c, reads[lo:min(lo+chunkSize, len(reads))])
+		})
+		par.Each(shards, workers, func(w, s int) { count(w, s, n) })
+	}
 }
 
-// countChunk scatters one read chunk's kmers — canonical ones when both
-// strands count — into the worker's per-shard buffers (reset here), then
-// flushes each buffer into its striped accumulator under the stripe lock.
-// Buffering keeps the critical section to a tight increment loop.
-func (sb *SpectrumBuilder) countChunk(reads []seq.Read, w *countWorker) {
-	buf := w.buf
+// scatter empties buf and fills it with one read chunk's kmers — canonical
+// ones when both strands count — by shard.
+func (sb *SpectrumBuilder) scatter(reads []seq.Read, buf [][]seq.Kmer) {
 	for s := range buf {
 		buf[s] = buf[s][:0]
 	}
@@ -173,39 +156,32 @@ func (sb *SpectrumBuilder) countChunk(reads []seq.Read, w *countWorker) {
 			buf[sb.part.ShardOf(km)] = append(buf[sb.part.ShardOf(km)], km)
 		})
 	}
-	for s, batch := range buf {
-		if len(batch) == 0 {
-			continue
-		}
-		shard := &sb.shards[s]
-		shard.mu.Lock()
-		for len(batch) > 0 {
-			n := len(batch)
-			if sb.full != nil {
-				if n = min(n, shard.counts.room()); n == 0 {
-					sb.full(s, w)
-					continue
-				}
+}
+
+// count adds batch to shard s's table, calling full whenever the table has
+// no room left; w is the calling goroutine's memory.
+func (sb *SpectrumBuilder) count(s int, batch []seq.Kmer, w *countWorker) {
+	table := sb.tables[s]
+	for len(batch) > 0 {
+		n := len(batch)
+		if sb.full != nil {
+			if n = min(n, table.room()); n == 0 {
+				sb.full(s, w)
+				continue
 			}
-			for _, km := range batch[:n] {
-				shard.counts.Inc(km, 1)
-			}
-			batch = batch[n:]
 		}
-		shard.mu.Unlock()
+		for _, km := range batch[:n] {
+			table.Inc(km, 1)
+		}
+		batch = batch[n:]
 	}
 }
 
-// Build finalizes the sorted spectrum. Each shard is locked while it is
-// extracted; the builder remains usable afterwards.
+// Build finalizes the sorted spectrum; the builder remains usable
+// afterwards. It must not run beside Add.
 func (sb *SpectrumBuilder) Build() *Spectrum {
-	ws := sb.takeWorkers()
-	defer sb.releaseWorkers(ws)
-	spec, _ := sb.build(ws, func(s int, w *countWorker) ([]kmerCount, error) {
-		shard := &sb.shards[s]
-		shard.mu.Lock()
-		defer shard.mu.Unlock()
-		return slices.Clone(shard.counts.sortedPairs(&w.sort)), nil
+	spec, _ := sb.build(func(s int, w *countWorker) ([]kmerCount, error) {
+		return slices.Clone(sb.tables[s].sortedPairs(&w.sort)), nil
 	})
 	return spec
 }
@@ -213,7 +189,7 @@ func (sb *SpectrumBuilder) Build() *Spectrum {
 // build is the one tail of both builders' Build: list(s, w) returns shard
 // s's entries in ascending order, in a slice of their own, and build writes
 // the final columns from them, once, at their exact size. With bothStrands
-// the entries are canonical kmers (see countChunk), and each (c, n) stands
+// the entries are canonical kmers (see scatter), and each (c, n) stands
 // for (c, n) and (rc c, n), or for (c, 2n) when c is a palindrome. Because
 // shard s holds exactly the kmers whose high bits equal s, the columns are
 // one window per shard, in shard order: window t holds list t and every
@@ -222,16 +198,16 @@ func (sb *SpectrumBuilder) Build() *Spectrum {
 // each source its exact offsets — and each window's head is then sorted in
 // its worker's scratch and merged with the window's list back into the
 // window (see DESIGN.md §3). Every phase runs over the shards in parallel,
-// on ws's workers.
-func (sb *SpectrumBuilder) build(ws []countWorker, list func(s int, w *countWorker) ([]kmerCount, error)) (*Spectrum, error) {
-	n := len(sb.shards)
+// on the builder's workers.
+func (sb *SpectrumBuilder) build(list func(s int, w *countWorker) ([]kmerCount, error)) (*Spectrum, error) {
+	n := len(sb.tables)
 	lists := make([][]kmerCount, n)
 	errs := make([]error, n)
 	var hist []int // hist[s*n+t]: the reverse entries of list s that fall in shard t
 	if sb.bothStrands {
 		hist = make([]int, n*n)
 	}
-	sb.forShards(ws, func(s int, w *countWorker) {
+	sb.forShards(func(s int, w *countWorker) {
 		if lists[s], errs[s] = list(s, w); errs[s] != nil || hist == nil {
 			return
 		}
@@ -266,7 +242,7 @@ func (sb *SpectrumBuilder) build(ws []countWorker, list func(s int, w *countWork
 		Counts:      make([]uint32, offs[n]),
 	}
 	if hist != nil {
-		sb.forShards(ws, func(s int, _ *countWorker) {
+		sb.forShards(func(s int, _ *countWorker) {
 			row := hist[s*n : s*n+n]
 			for _, p := range lists[s] {
 				if rc := seq.RevComp(p.km, sb.k); rc != p.km {
@@ -277,7 +253,7 @@ func (sb *SpectrumBuilder) build(ws []countWorker, list func(s int, w *countWork
 			}
 		})
 	}
-	sb.forShards(ws, func(t int, w *countWorker) {
+	sb.forShards(func(t int, w *countWorker) {
 		kmers, counts := spec.Kmers[offs[t]:offs[t+1]], spec.Counts[offs[t]:offs[t+1]]
 		rev := len(kmers) - len(lists[t])
 		w.sort.grow(rev)
@@ -309,8 +285,9 @@ func mergeSorted(kmers []seq.Kmer, counts []uint32, a, b []kmerCount) {
 	}
 }
 
-// forShards calls fn for every shard on at most len(ws) goroutines, the
-// i-th of which hands fn &ws[i]: the memory it may reuse from shard to shard.
-func (sb *SpectrumBuilder) forShards(ws []countWorker, fn func(s int, w *countWorker)) {
-	par.Each(len(sb.shards), len(ws), func(w, s int) { fn(s, &ws[w]) })
+// forShards calls fn for every shard on at most sb.workers goroutines, the
+// i-th of which hands fn &sb.ws[i]: the memory it may reuse from shard to
+// shard.
+func (sb *SpectrumBuilder) forShards(fn func(s int, w *countWorker)) {
+	par.Each(len(sb.tables), sb.workers, func(w, s int) { fn(s, &sb.ws[w]) })
 }

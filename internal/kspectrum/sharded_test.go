@@ -3,7 +3,6 @@ package kspectrum
 import (
 	"fmt"
 	"math/rand"
-	"sync"
 	"testing"
 
 	"repro/internal/seq"
@@ -98,32 +97,24 @@ func TestShardedBuildSmallK(t *testing.T) {
 	spectraEqual(t, want, got, "small-k")
 }
 
-// TestSpectrumBuilderConcurrentAdd drives Add from many goroutines at once —
-// the divide-and-merge ingestion pattern — and checks the merged spectrum
-// matches a one-shot sequential build. Run under -race this doubles as the
-// engine's data-race test.
+// TestSpectrumBuilderConcurrentAdd drives Add's concurrent counting waves:
+// each Add spans six chunks, so a wave scatters Workers chunks at once and
+// counts the seven shards on Workers goroutines, a short wave closing each
+// Add. The merged spectrum must match a one-shot sequential build. Run under
+// -race this is the waves' data-race test for the in-memory builder.
 func TestSpectrumBuilderConcurrentAdd(t *testing.T) {
-	reads := randomReads(t, 3000)
+	reads := randomReads(t, 6*chunkSize*2)
 	want, err := BuildParallel(reads, 11, true, BuildOptions{Workers: 1, Shards: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sb, err := NewSpectrumBuilder(11, true, BuildOptions{Workers: 2, Shards: 7})
+	sb, err := NewSpectrumBuilder(11, true, BuildOptions{Workers: 4, Shards: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
-	const chunks = 9
-	var wg sync.WaitGroup
-	size := (len(reads) + chunks - 1) / chunks
-	for lo := 0; lo < len(reads); lo += size {
-		hi := min(lo+size, len(reads))
-		wg.Add(1)
-		go func(chunk []seq.Read) {
-			defer wg.Done()
-			sb.Add(chunk)
-		}(reads[lo:hi])
-	}
-	wg.Wait()
+	half := len(reads) / 2
+	sb.Add(reads[:half])
+	sb.Add(reads[half:])
 	spectraEqual(t, want, sb.Build(), "concurrent-add")
 }
 

@@ -37,9 +37,8 @@ type StreamOptions struct {
 	// directory alongside a periodically rewritten manifest recording the
 	// read cursor they cover. The directory survives failures and
 	// cancellation (that is its purpose) and is removed only by a
-	// successful Build. Checkpointed Adds are serialized internally, and
-	// resume is only correct when the caller streams the same reads in
-	// the same order as the interrupted build.
+	// successful Build. Resume is only correct when the caller streams the
+	// same reads in the same order as the interrupted build.
 	CheckpointDir string
 	// Resume adopts the manifest already in CheckpointDir: surviving runs
 	// are revalidated (header + full CRC), unlisted runs are deleted, and
@@ -90,14 +89,17 @@ type runInfo struct {
 }
 
 // StreamBuilder is the out-of-core variant of SpectrumBuilder (§2.3's
-// divide-and-merge taken past memory): counting workers scatter kmers into
-// high-bit prefix shards exactly as the in-memory engine does, but a shard
-// whose table is full and cannot double within its slice of the MemoryBudget
-// is spilled to a sorted run file in a temp directory and emptied. Build merges each
+// divide-and-merge taken past memory): it counts in the in-memory engine's
+// waves, one goroutine per shard table, but a shard whose table is full and
+// cannot double within its slice of the MemoryBudget is spilled, by the
+// goroutine counting it, to a sorted run file in a temp directory and
+// emptied. Each table sees its kmers in read order, so the spills, and the
+// Stats, are the same from run to run. Build merges each
 // shard's runs with its in-memory residue and hands the merged shards to the
 // in-memory engine's tail, so the Spectrum is byte-identical to the
 // in-memory path. Unlike SpectrumBuilder, Build is one-shot: it consumes the
-// spilled runs and closes the builder.
+// spilled runs and closes the builder. Add, Checkpoint and Build are not safe
+// for concurrent calls.
 //
 // With StreamOptions.CheckpointDir set the builder is additionally
 // crash-safe; see the manifest machinery in manifest.go.
@@ -114,18 +116,15 @@ type StreamBuilder struct {
 	// Build.
 	durable   bool
 	ckptEvery int64
-	// runs[s] lists shard s's spilled run files, in spill order; guarded
-	// by shard s's stripe lock (only flushers of s append).
+	// runs[s] lists shard s's spilled run files, in spill order; only the
+	// goroutine counting shard s appends.
 	runs [][]runInfo
 	// runSeq names run files uniquely across shards.
 	runSeq atomic.Int64
 
-	// addMu serializes Add/Checkpoint in durable mode, making the read
-	// cursor well-defined.
-	addMu sync.Mutex
 	// seen counts reads streamed through Add (including skipped ones);
 	// cursor is the resume skip threshold; lastCkpt the cursor at the
-	// newest manifest. All guarded by addMu.
+	// newest manifest.
 	seen, cursor, lastCkpt int64
 	resumedFrom            int64
 
@@ -175,7 +174,7 @@ func NewStreamBuilder(k int, bothStrands bool, opts StreamOptions) (*StreamBuild
 		// Floor each shard's slice at the footprint of a table holding
 		// minSpillEntries, so pathological budgets degrade into many small
 		// runs rather than a run per flush.
-		st.spillBytes = max(opts.MemoryBudget/int64(len(sb.shards)),
+		st.spillBytes = max(opts.MemoryBudget/int64(len(sb.tables)),
 			ApproxAccumulatorBytes(minSpillEntries))
 	}
 	switch {
@@ -194,14 +193,14 @@ func NewStreamBuilder(k int, bothStrands bool, opts StreamOptions) (*StreamBuild
 			return nil, fmt.Errorf("kspectrum: spill dir: %w", err)
 		}
 	}
-	st.runs = make([][]runInfo, len(sb.shards))
+	st.runs = make([][]runInfo, len(sb.tables))
 	if st.spillBytes > 0 {
 		sb.full = st.makeRoom
 	}
 	if st.durable {
 		if m != nil {
-			if len(sb.shards) != m.Shards {
-				return nil, checkpointErr("manifest shards=%d resolved to %d; geometry caps changed", m.Shards, len(sb.shards))
+			if len(sb.tables) != m.Shards {
+				return nil, checkpointErr("manifest shards=%d resolved to %d; geometry caps changed", m.Shards, len(sb.tables))
 			}
 			if err := st.adoptManifest(m); err != nil {
 				return nil, err
@@ -283,18 +282,16 @@ func (st *StreamBuilder) removeStrayRuns(keep map[string]bool) error {
 	return nil
 }
 
-// Add merges one chunk of reads into the accumulator; safe for concurrent
-// use, exactly like SpectrumBuilder.Add. In durable mode Adds serialize
-// internally, leading reads up to the resumed cursor are skipped (their
-// counts already live in the adopted runs), and an automatic checkpoint
-// fires every CheckpointEvery reads.
+// Add merges one chunk of reads into the accumulator. Like
+// SpectrumBuilder.Add it is not safe for concurrent calls. In durable mode
+// leading reads up to the resumed cursor are skipped (their counts already
+// live in the adopted runs), and an automatic checkpoint fires every
+// CheckpointEvery reads.
 func (st *StreamBuilder) Add(reads []seq.Read) {
 	if !st.durable {
 		st.sb.Add(reads)
 		return
 	}
-	st.addMu.Lock()
-	defer st.addMu.Unlock()
 	batch := reads
 	if skip := st.cursor - st.seen; skip > 0 {
 		if skip >= int64(len(reads)) {
@@ -306,7 +303,7 @@ func (st *StreamBuilder) Add(reads []seq.Read) {
 	st.sb.Add(batch)
 	st.seen += int64(len(reads))
 	if st.seen-st.lastCkpt >= st.ckptEvery {
-		if err := st.checkpointLocked(); err != nil {
+		if err := st.checkpoint(); err != nil {
 			st.fail(err)
 		}
 	}
@@ -314,17 +311,16 @@ func (st *StreamBuilder) Add(reads []seq.Read) {
 
 // Checkpoint forces a durable checkpoint covering every read Added so
 // far: all accumulators flush to fsynced runs and the manifest is
-// atomically rewritten. Only valid on a builder with a CheckpointDir.
+// atomically rewritten. Only valid on a builder with a CheckpointDir, and
+// it must not run beside Add.
 func (st *StreamBuilder) Checkpoint() error {
 	if !st.durable {
 		return fmt.Errorf("kspectrum: Checkpoint on a builder without a CheckpointDir")
 	}
-	st.addMu.Lock()
-	defer st.addMu.Unlock()
 	if st.closed {
 		return fmt.Errorf("kspectrum: StreamBuilder used after Build/Close")
 	}
-	return st.checkpointLocked()
+	return st.checkpoint()
 }
 
 // Resumed reports the read cursor adopted from a manifest at
@@ -332,36 +328,29 @@ func (st *StreamBuilder) Checkpoint() error {
 // fresh build.
 func (st *StreamBuilder) Resumed() int64 { return st.resumedFrom }
 
-// checkpointLocked (addMu held) drains every shard's accumulator to a
-// durable run, then publishes a manifest covering st.seen reads. On
-// failure the manifest is not advanced: the previous checkpoint stays
-// authoritative and any runs written here are strays a resume deletes.
-func (st *StreamBuilder) checkpointLocked() error {
+// checkpoint drains every shard's accumulator to a durable run, then
+// publishes a manifest covering st.seen reads. On failure the manifest is
+// not advanced: the previous checkpoint stays authoritative and any runs
+// written here are strays a resume deletes.
+func (st *StreamBuilder) checkpoint() error {
 	// A failed build has emptied full tables without writing them (makeRoom):
 	// st.seen covers reads whose counts are gone, so nothing is published.
 	if err := st.failed(); err != nil {
 		return err
 	}
-	ws := st.sb.takeWorkers()
-	defer st.sb.releaseWorkers(ws)
-	for s := range st.sb.shards {
-		shard := &st.sb.shards[s]
-		shard.mu.Lock()
-		var err error
-		if shard.counts.Len() > 0 {
-			if err = st.spillShard(s, &ws[0]); err == nil {
-				shard.counts.Reset()
-			}
+	for s, table := range st.sb.tables {
+		if table.Len() == 0 {
+			continue
 		}
-		shard.mu.Unlock()
-		if err != nil {
+		if err := st.spillShard(s, &st.sb.ws[0]); err != nil {
 			return err
 		}
+		table.Reset()
 	}
 	m := &manifest{
 		K:           st.sb.k,
 		BothStrands: st.sb.bothStrands,
-		Shards:      len(st.sb.shards),
+		Shards:      len(st.sb.tables),
 		Reads:       st.seen,
 		NextRun:     st.runSeq.Load(),
 	}
@@ -413,16 +402,16 @@ func (st *StreamBuilder) Stats() StreamStats {
 	}
 }
 
-// makeRoom runs under shard s's stripe lock when a flush finds its table
+// makeRoom runs on the goroutine counting shard s when it finds the table
 // full. The table doubles while the doubled table still fits the shard's
 // slice of the budget; past that it is drained to a sorted run file and
 // emptied in place, so every spill cycle reuses the same arrays and no table
 // ever outgrows its slice. An I/O error or a cancelled context is recorded
 // once and surfaced by Build; from then on the build is lost, so full tables
 // are emptied without being written rather than left to grow, and
-// checkpointLocked publishes nothing further.
+// checkpoint publishes nothing further.
 func (st *StreamBuilder) makeRoom(s int, w *countWorker) {
-	counts := st.sb.shards[s].counts
+	counts := st.sb.tables[s]
 	if 2*counts.ResidentBytes() <= st.spillBytes {
 		counts.rehash()
 		return
@@ -437,11 +426,11 @@ func (st *StreamBuilder) makeRoom(s int, w *countWorker) {
 	counts.Reset()
 }
 
-// spillShard (stripe lock held) writes shard s's table as one sorted run,
-// extracting through w's scratch, and records the run. The table is left
-// for the caller to empty.
+// spillShard writes shard s's table as one sorted run, extracting through
+// w's scratch, and records the run; only shard s's writer calls it. The
+// table is left for the caller to empty.
 func (st *StreamBuilder) spillShard(s int, w *countWorker) error {
-	pairs := st.sb.shards[s].counts.sortedPairs(&w.sort)
+	pairs := st.sb.tables[s].sortedPairs(&w.sort)
 	path := filepath.Join(st.dir, runFileName(st.runSeq.Add(1)))
 	h := runHeader{k: st.sb.k, bothStrands: st.sb.bothStrands, shard: s, count: int64(len(pairs))}
 	sum, err := writeRun(path, h, pairs, st.durable)
@@ -540,9 +529,7 @@ func (st *StreamBuilder) Build() (*Spectrum, error) {
 		st.cleanup()
 		return nil, err
 	}
-	ws := st.sb.takeWorkers() // the extraction scratch the spills grew
-	defer st.sb.releaseWorkers(ws)
-	spec, err := st.sb.build(ws, st.mergeShard)
+	spec, err := st.sb.build(st.mergeShard)
 	if err != nil {
 		st.cleanup()
 		return nil, err
@@ -582,10 +569,7 @@ func (st *StreamBuilder) removeDir() error {
 // sorted, then k-way merged with the shard's sorted runs, summing counts of
 // kmers that appear in several sources.
 func (st *StreamBuilder) mergeShard(s int, w *countWorker) ([]kmerCount, error) {
-	shard := &st.sb.shards[s]
-	shard.mu.Lock()
-	runs, residue := st.runs[s], shard.counts.sortedPairs(&w.sort)
-	shard.mu.Unlock()
+	runs, residue := st.runs[s], st.sb.tables[s].sortedPairs(&w.sort)
 	if len(runs) == 0 {
 		return slices.Clone(residue), nil
 	}

@@ -6,7 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sync"
+	"runtime"
 	"testing"
 
 	"repro/internal/faultinject"
@@ -81,8 +81,8 @@ func TestMemoryBudgetIsABound(t *testing.T) {
 				}
 				for step, lo := len(reads)/3+1, 0; lo < len(reads); lo += step {
 					st.Add(reads[lo:min(lo+step, len(reads))])
-					for s := range st.sb.shards {
-						if got := st.sb.shards[s].counts.ResidentBytes(); got > st.spillBytes {
+					for s := range st.sb.tables {
+						if got := st.sb.tables[s].ResidentBytes(); got > st.spillBytes {
 							t.Fatalf("workers=%d shards=%d budget=%d: shard %d holds %d bytes, slice is %d",
 								workers, shards, budget, s, got, st.spillBytes)
 						}
@@ -129,8 +129,8 @@ func TestFailedBuildStopsGrowing(t *testing.T) {
 				t.Fatal(err)
 			}
 			st.Add(reads)
-			for s := range st.sb.shards {
-				c := st.sb.shards[s].counts
+			for s := range st.sb.tables {
+				c := st.sb.tables[s]
 				if c.ResidentBytes() > st.spillBytes || int64(c.Len()) > shardLimit(st) {
 					t.Fatalf("shard %d: %d entries in %d bytes after the failure, slice is %d",
 						s, c.Len(), c.ResidentBytes(), st.spillBytes)
@@ -286,11 +286,11 @@ func TestMergeSaturatesLikeInc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st.sb.shards[0].counts.Inc(km, big)
+	st.sb.tables[0].Inc(km, big)
 	if err := st.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	st.sb.shards[0].counts.Inc(km, more)
+	st.sb.tables[0].Inc(km, more)
 	spec, err := st.Build()
 	if err != nil {
 		t.Fatal(err)
@@ -340,8 +340,8 @@ func TestPalindromeSaturates(t *testing.T) {
 						t.Fatal(err)
 					}
 				}
-				st.sb.shards[0].counts.Inc(pal, c)
-				st.sb.shards[0].counts.Inc(other, c)
+				st.sb.tables[0].Inc(pal, c)
+				st.sb.tables[0].Inc(other, c)
 			}
 			if got := st.Stats().SpilledRuns; got != int64(len(parts)-1) {
 				t.Fatalf("%d runs, want %d", got, len(parts)-1)
@@ -416,40 +416,91 @@ func TestRunKernelsDoNotAllocate(t *testing.T) {
 	}
 }
 
-// TestStreamBuilderConcurrentAdd drives Add from many goroutines with a
-// spill-forcing budget — the full out-of-core ingestion pattern.
+// TestSequentialAddsDeterministic: a builder fed chunk after chunk counts
+// each shard table on one goroutine, in read order, so neither the worker
+// count nor the scheduling reaches the result. Nine Adds of two counting
+// chunks each, at every Workers × GOMAXPROCS cell, in memory and
+// checkpointed, must give the one-worker spectrum and identical spill
+// statistics. Run under -race this is the counting waves' data-race test.
+func TestSequentialAddsDeterministic(t *testing.T) {
+	const adds, perAdd = 9, chunkSize + 88
+	reads := randomReads(t, adds*perAdd)
+	want, err := BuildParallel(reads, 11, true, BuildOptions{Workers: 1, Shards: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	var first *StreamStats
+	for _, procs := range []int{1, 4} {
+		runtime.GOMAXPROCS(procs)
+		for _, workers := range []int{1, 2, 4} {
+			build := BuildOptions{Workers: workers, Shards: 7}
+			sb, err := NewSpectrumBuilder(11, true, build)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, checkpointed := range []bool{false, true} {
+				label := fmt.Sprintf("GOMAXPROCS=%d workers=%d checkpointed=%v", procs, workers, checkpointed)
+				opts := StreamOptions{Build: build, MemoryBudget: 1 << 15, TempDir: t.TempDir()}
+				if checkpointed {
+					opts.CheckpointDir = filepath.Join(opts.TempDir, "ckpt")
+				}
+				st, err := NewStreamBuilder(11, true, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for lo := 0; lo < len(reads); lo += perAdd {
+					st.Add(reads[lo : lo+perAdd])
+					if !checkpointed {
+						sb.Add(reads[lo : lo+perAdd])
+					}
+				}
+				got, err := st.Build()
+				if err != nil {
+					t.Fatal(err)
+				}
+				spectraEqual(t, want, got, label)
+				stats := st.Stats()
+				if stats.SpilledRuns == 0 {
+					t.Fatalf("%s: the budget spilled nothing", label)
+				}
+				if first == nil {
+					first = &stats
+				} else if stats != *first {
+					t.Fatalf("%s: stats %+v, want %+v", label, stats, *first)
+				}
+			}
+			spectraEqual(t, want, sb.Build(), fmt.Sprintf("GOMAXPROCS=%d workers=%d SpectrumBuilder", procs, workers))
+		}
+	}
+}
+
+// TestStreamBuilderConcurrentAdd drives the spilling builder's concurrent
+// counting waves: each Add spans six chunks at Workers 4 over seven shards,
+// with a budget small enough that makeRoom spills from inside the waves.
 func TestStreamBuilderConcurrentAdd(t *testing.T) {
-	reads := randomReads(t, 3000)
+	reads := randomReads(t, 6*chunkSize*2)
 	want, err := BuildParallel(reads, 11, true, BuildOptions{Workers: 1, Shards: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	st, err := NewStreamBuilder(11, true, StreamOptions{
-		Build:        BuildOptions{Workers: 2, Shards: 7},
+		Build:        BuildOptions{Workers: 4, Shards: 7},
 		MemoryBudget: 1 << 15,
 		TempDir:      t.TempDir(),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	const chunks = 9
-	var wg sync.WaitGroup
-	size := (len(reads) + chunks - 1) / chunks
-	for lo := 0; lo < len(reads); lo += size {
-		hi := min(lo+size, len(reads))
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			st.Add(reads[lo:hi])
-		}(lo, hi)
-	}
-	wg.Wait()
+	half := len(reads) / 2
+	st.Add(reads[:half])
+	st.Add(reads[half:])
 	got, err := st.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if st.Stats().SpilledRuns == 0 {
-		t.Fatal("tiny budget spilled nothing under concurrent Add")
+		t.Fatal("tiny budget spilled nothing under concurrent waves")
 	}
 	spectraEqual(t, want, got, "stream-concurrent-add")
 }

@@ -20,12 +20,13 @@ type TileCount struct {
 // length 2k-l (Definition 2.1 with |t| = 2k-l). Tiles are packed like kmers,
 // so 2k-l must not exceed seq.MaxK.
 //
-// Counting follows the SpectrumBuilder scheme: workers scatter each chunk's
-// tiles by high bits into per-shard buffers and flush them into striped
-// tables. One worker is the exception: it adds straight into a single table,
-// no shards, no buffers — the daemon's shape, where buffers for one small
-// chunk per request outweigh the tiles. Counts are identical for every
-// (Workers, Shards) choice. Add is not safe for concurrent calls.
+// Counting follows the SpectrumBuilder scheme (inWaves): workers scatter
+// each chunk's tiles by high bits into per-shard buffers, then count each
+// shard's buffers into its table on one goroutine. One worker is the
+// exception: it adds straight into a single table, no shards, no buffers —
+// the daemon's shape, where buffers for one small chunk per request
+// outweigh the tiles. Counts are identical for every (Workers, Shards)
+// choice. Add is not safe for concurrent calls.
 //
 // A set lives in four states. While counting, Add takes reads. Seal ends
 // the count: Get, MaxOg, Size, OgHistogram and AppendAtLeast then read the
@@ -46,8 +47,8 @@ type TileSet struct {
 	floor   uint32          // the least Og the frozen column keeps
 }
 
-// tileBuf is one worker's pending tiles for one shard. The high-quality flag
-// is which slice a tile is in, so a buffered tile stays a bare word.
+// tileBuf is one wave slot's pending tiles for one shard. The high-quality
+// flag is which slice a tile is in, so a buffered tile stays a bare word.
 type tileBuf struct{ hq, lq []seq.Kmer }
 
 // CountTiles scans all reads (both strands) and records tile multiplicities.
@@ -109,16 +110,29 @@ func (ts *TileSet) Add(reads []seq.Read) {
 		}
 		return
 	}
-	bufs := make([][]tileBuf, ts.workers) // each goroutine's, made on its first chunk
-	forEachChunk(reads, ts.workers, func(w int, c []seq.Read) {
-		if bufs[w] == nil {
-			bufs[w] = make([]tileBuf, len(ts.shards))
-		}
-		for _, r := range c {
-			ts.countRead(r.Seq, r.Qual, bufs[w])
-		}
-		ts.flush(bufs[w])
-	})
+	bufs := make([][]tileBuf, ts.workers) // each wave slot's, made on its first chunk
+	inWaves(reads, ts.workers, len(ts.shards),
+		func(c int, chunk []seq.Read) {
+			if bufs[c] == nil {
+				bufs[c] = make([]tileBuf, len(ts.shards))
+			}
+			for _, r := range chunk {
+				ts.countRead(r.Seq, r.Qual, bufs[c])
+			}
+		},
+		func(_, s, n int) {
+			shard := ts.shards[s]
+			for _, buf := range bufs[:n] {
+				b := &buf[s]
+				for _, tile := range b.hq {
+					shard.add(tile, true)
+				}
+				for _, tile := range b.lq {
+					shard.add(tile, false)
+				}
+				b.hq, b.lq = b.hq[:0], b.lq[:0]
+			}
+		})
 }
 
 // countRead is the tile counting kernel: one pass packs every clean
@@ -126,7 +140,7 @@ func (ts *TileSet) Add(reads []seq.Read) {
 // below Qc — a window is high-quality iff that position lies before it. The
 // reverse strand needs no second pass: its tiles are the reverse complements
 // of the forward windows, over the same qualities. A nil buf adds to the
-// single table; otherwise the tiles are scattered into buf for flush.
+// single table; otherwise the tiles are scattered into buf for Add to count.
 //
 //repro:noalloc
 func (ts *TileSet) countRead(bases, qual []byte, buf []tileBuf) {
@@ -161,26 +175,6 @@ func (ts *TileSet) countRead(bases, qual []byte, buf []tileBuf) {
 			fwd.lq = append(fwd.lq, tile)
 			rev.lq = append(rev.lq, rc)
 		}
-	}
-}
-
-// flush empties a worker's buffers into their shards under the stripe locks.
-func (ts *TileSet) flush(buf []tileBuf) {
-	for s := range buf {
-		b := &buf[s]
-		if len(b.hq)+len(b.lq) == 0 {
-			continue
-		}
-		shard := ts.shards[s]
-		shard.mu.Lock()
-		for _, tile := range b.hq {
-			shard.add(tile, true)
-		}
-		for _, tile := range b.lq {
-			shard.add(tile, false)
-		}
-		shard.mu.Unlock()
-		b.hq, b.lq = b.hq[:0], b.lq[:0]
 	}
 }
 

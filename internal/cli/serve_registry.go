@@ -86,16 +86,7 @@ func (e *entry) neighborIndex(d int) (*kspectrum.NeighborIndex, error) {
 	if ni, ok := e.nis[d]; ok {
 		return ni, nil
 	}
-	c := min(e.spec.K, d+4)
-	var (
-		ni  *kspectrum.NeighborIndex
-		err error
-	)
-	if e.spec.Mapped() {
-		ni, err = kspectrum.NewNeighborIndexLazy(e.spec, d, c)
-	} else {
-		ni, err = kspectrum.NewNeighborIndex(e.spec, d, c)
-	}
+	ni, err := kspectrum.NewServingNeighborIndex(e.spec, d, min(e.spec.K, d+4))
 	if err != nil {
 		return nil, err
 	}

@@ -27,27 +27,14 @@ func (c Cluster) Density() float64 {
 	return float64(len(c.Edges)) / (float64(n) * float64(n-1) / 2)
 }
 
-// key identifies the vertex set for deduplication (Task 8's hash h).
-func (c Cluster) key() uint64 {
+// vertexSetKey hashes a vertex set for Task 8's grouping (the paper's hash h).
+func vertexSetKey(verts []int32) uint64 {
 	h := uint64(1469598103934665603) // FNV offset
-	for _, v := range c.Verts {
+	for _, v := range verts {
 		h ^= uint64(uint32(v))
 		h *= 1099511628211
 	}
 	return h
-}
-
-// sameVerts reports exact vertex-set equality (guards hash collisions).
-func sameVerts(a, b []int32) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 func unionSorted(a, b []int32) []int32 {
@@ -59,33 +46,6 @@ func unionSorted(a, b []int32) []int32 {
 			out = append(out, a[i])
 			i++
 		case i == len(a) || b[j] < a[i]:
-			out = append(out, b[j])
-			j++
-		default:
-			out = append(out, a[i])
-			i++
-			j++
-		}
-	}
-	return out
-}
-
-func pairLess(a, b [2]int32) bool {
-	if a[0] != b[0] {
-		return a[0] < b[0]
-	}
-	return a[1] < b[1]
-}
-
-func unionSortedPairs(a, b [][2]int32) [][2]int32 {
-	out := make([][2]int32, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) || j < len(b) {
-		switch {
-		case j == len(b) || (i < len(a) && pairLess(a[i], b[j])):
-			out = append(out, a[i])
-			i++
-		case i == len(a) || pairLess(b[j], a[i]):
 			out = append(out, b[j])
 			j++
 		default:
@@ -165,43 +125,49 @@ func (adj adjacency) inducedEdges(verts []int32) [][2]int32 {
 // two-cliques from the filtered edges, join with the clusters carried from
 // the previous (higher) threshold, then iterate Task 7 (merge clusters
 // sharing vertices when the union stays a γ-quasi-clique) and Task 8
-// (deduplicate by vertex set) until no change or the round bound. Density
-// is evaluated on the subgraph induced by the union vertex set, per the
-// formal cluster definition of §4.1.
+// (deduplicate by vertex set) until a round changes nothing or the round
+// bound. Density is evaluated on the subgraph induced by the union vertex
+// set, per the formal cluster definition of §4.1, so the rounds carry vertex
+// sets alone: each cluster's edges are that induced subgraph, listed once
+// when the level is done. Every round's input is sorted largest first and
+// holds no set twice, and nothing writes to a vertex set once it is made.
 // The result carries the final clusters, the total number of clusters
 // processed (generated and examined) — the Table 4.2 "clusters processed"
 // quantity — and how the iteration ended.
 func enumerateQuasiCliques(carried []Cluster, edges []Edge, cfg Config, mrCfg mapreduce.Config, res *Result) (ThresholdResult, error) {
 	adj := buildAdjacency(edges)
-	current := make([]Cluster, 0, len(carried)+len(edges))
-	current = append(current, carried...)
-	for _, e := range edges {
-		current = append(current, Cluster{
-			Verts: []int32{e.I, e.J},
-			Edges: [][2]int32{{e.I, e.J}},
-		})
+	current := make([][]int32, 0, len(carried)+len(edges))
+	for _, c := range carried {
+		current = append(current, c.Verts)
 	}
-	current = dedupeClusters(current)
+	pairs := make([]int32, 2*len(edges))
+	for i, e := range edges {
+		pairs[2*i], pairs[2*i+1] = e.I, e.J
+		current = append(current, pairs[2*i:2*i+2:2*i+2])
+	}
+	slices.SortFunc(current, largestFirst)
+	current = slices.CompactFunc(current, slices.Equal[[]int32])
 	tr := ThresholdResult{ClustersProcessed: len(current)}
 
-	before := clusterKeySet(current)
 	for round := 0; round < cfg.MaxMergeRounds && !tr.Converged; round++ {
-		// Task 7: route each cluster to one of its vertices — rotating the
-		// anchor across rounds so clusters sharing any vertex eventually
-		// co-locate — and greedily merge co-resident clusters when the
-		// union remains a γ-quasi-clique. (The dissertation routes every
-		// cluster to all of its vertices; anchoring on one vertex per
-		// round keeps the same fixpoint semantics while avoiding the
-		// duplicated-variant blow-up its Table 4.2 "clusters processed"
-		// column records.)
+		// Task 7: route each vertex set to one of its vertices, the anchor,
+		// and greedily merge the sets that meet there while the union stays
+		// a γ-quasi-clique. The anchor rotates across rounds so that sets
+		// sharing any vertex can meet. This is a heuristic, not the
+		// dissertation's routing, which sends every cluster to all of its
+		// vertices: mergeGroup is greedy, so what merges depends on which
+		// sets meet, and the two routings reach different fixpoints
+		// (DESIGN §13.1). Anchoring on one vertex a round avoids the
+		// duplicated variants the all-vertex routing counts in Table 4.2's
+		// "clusters processed" column.
 		mrCfg.Name = fmt.Sprintf("task7-merge-round%d", round)
 		merged, st7, err := mapreduce.Run(mrCfg, current,
-			func(c Cluster, emit mapreduce.Emitter[int32, Cluster]) {
-				emit(c.Verts[round%len(c.Verts)], c)
+			func(verts []int32, emit mapreduce.Emitter[int32, []int32]) {
+				emit(verts[round%len(verts)], verts)
 			},
-			func(_ int32, cs []Cluster, emit func(Cluster)) {
-				for _, c := range mergeGroup(cs, cfg.Gamma, adj) {
-					emit(c)
+			func(_ int32, group [][]int32, emit func([]int32)) {
+				for _, verts := range mergeGroup(group, cfg.Gamma, adj) {
+					emit(verts)
 				}
 			},
 			mapreduce.HashInt32,
@@ -212,16 +178,17 @@ func enumerateQuasiCliques(carried []Cluster, edges []Edge, cfg Config, mrCfg ma
 		res.Jobs = append(res.Jobs, st7)
 		tr.ClustersProcessed += len(merged)
 
-		// Task 8: deduplicate clusters sharing the same vertex set,
-		// unioning their edges.
+		// Task 8: deduplicate vertex sets. A group holds more than one
+		// distinct set only on a hash collision.
 		mrCfg.Name = fmt.Sprintf("task8-dedupe-round%d", round)
 		deduped, st8, err := mapreduce.Run(mrCfg, merged,
-			func(c Cluster, emit mapreduce.Emitter[uint64, Cluster]) {
-				emit(c.key(), c)
+			func(verts []int32, emit mapreduce.Emitter[uint64, []int32]) {
+				emit(vertexSetKey(verts), verts)
 			},
-			func(_ uint64, cs []Cluster, emit func(Cluster)) {
-				for _, c := range dedupeClusters(cs) {
-					emit(c)
+			func(_ uint64, group [][]int32, emit func([]int32)) {
+				slices.SortFunc(group, slices.Compare[[]int32])
+				for _, verts := range slices.CompactFunc(group, slices.Equal[[]int32]) {
+					emit(verts)
 				}
 			},
 			mapreduce.HashUint64,
@@ -230,103 +197,74 @@ func enumerateQuasiCliques(carried []Cluster, edges []Edge, cfg Config, mrCfg ma
 			return tr, err
 		}
 		res.Jobs = append(res.Jobs, st8)
-		current = dropAbsorbed(deduped)
+		next := dropAbsorbed(deduped)
 		tr.MergeRounds++
-		after := clusterKeySet(current)
-		tr.Converged = keySetEqual(before, after)
-		before = after
+		tr.Converged = slices.EqualFunc(current, next, slices.Equal[[]int32])
+		current = next
 	}
-	// Materialize the final induced edge sets.
-	for i := range current {
-		current[i].Edges = adj.inducedEdges(current[i].Verts)
+	tr.Clusters = make([]Cluster, len(current))
+	for i, verts := range current {
+		tr.Clusters[i] = Cluster{Verts: verts, Edges: adj.inducedEdges(verts)}
 	}
-	sortClusters(current)
-	tr.Clusters = current
 	return tr, nil
 }
 
-// mergeGroup greedily merges clusters sharing a reducer vertex when the
+// mergeGroup greedily merges vertex sets sharing a reducer vertex when the
 // union's induced subgraph remains a γ-quasi-clique (Algorithm 4 lines
-// 10–15, density per the §4.1 definition). Larger clusters are tried first
-// so growth is monotone and deterministic.
-func mergeGroup(cs []Cluster, gamma float64, adj adjacency) []Cluster {
-	sorted := append([]Cluster(nil), cs...)
-	sortClusters(sorted)
-	out := make([]Cluster, 0, len(sorted))
-	for _, c := range sorted {
+// 10–15, density per the §4.1 definition). Larger sets are tried first so
+// growth is monotone and deterministic: the group arrives largest first,
+// because a round's input is sorted that way and a group keeps input order.
+func mergeGroup(group [][]int32, gamma float64, adj adjacency) [][]int32 {
+	out := make([][]int32, 0, len(group))
+	for _, verts := range group {
 		mergedIn := false
 		for i := range out {
-			verts := unionSorted(out[i].Verts, c.Verts)
-			if len(verts) == len(out[i].Verts) {
-				// c is a vertex subset of out[i]: absorbed outright.
+			union := unionSorted(out[i], verts)
+			if len(union) == len(out[i]) {
+				// verts is a subset of out[i]: absorbed outright.
 				mergedIn = true
 				break
 			}
-			n := len(verts)
+			n := len(union)
 			need := gamma * float64(n) * float64(n-1) / 2
-			if float64(adj.inducedEdgeCount(verts)) >= need {
-				out[i] = Cluster{Verts: verts}
+			if float64(adj.inducedEdgeCount(union)) >= need {
+				out[i] = union
 				mergedIn = true
 				break
 			}
 		}
 		if !mergedIn {
-			out = append(out, c)
+			out = append(out, verts)
 		}
 	}
 	return out
 }
 
-// dedupeClusters collapses clusters with identical vertex sets, unioning
-// their edge sets, in place: the first cluster of each vertex set keeps its
-// position.
-func dedupeClusters(cs []Cluster) []Cluster {
-	first := make(map[uint64]int, len(cs)) // key -> its first cluster in out
-	out := cs[:0]
-	for _, c := range cs {
-		k := c.key()
-		i, ok := first[k]
-		if ok && !sameVerts(out[i].Verts, c.Verts) {
-			// A hash collision: look for c's vertex set the slow way.
-			i = slices.IndexFunc(out, func(o Cluster) bool { return sameVerts(o.Verts, c.Verts) })
-		}
-		switch {
-		case ok && i >= 0:
-			out[i].Edges = unionSortedPairs(out[i].Edges, c.Edges)
-		case ok:
-			out = append(out, c)
-		default:
-			first[k] = len(out)
-			out = append(out, c)
-		}
-	}
-	return out
-}
-
-// dropAbsorbed removes clusters whose vertex set is a strict subset of
-// another cluster's (maximality of the enumerated quasi-cliques), in place.
-func dropAbsorbed(cs []Cluster) []Cluster {
-	sortClusters(cs)
+// dropAbsorbed removes every vertex set contained in another — a strict
+// superset or an earlier copy of itself (maximality of the enumerated
+// quasi-cliques) — in place, and leaves the rest sorted largest first.
+func dropAbsorbed(sets [][]int32) [][]int32 {
+	slices.SortFunc(sets, largestFirst)
 	// A superset comes before c and contains c's first vertex. Each vertex
-	// chains the kept clusters it is in: head[v] is 1 + the index of v's
-	// latest link, and each link names a kept cluster and the link before it.
+	// chains the kept sets it is in: head[v] is 1 + the index of v's latest
+	// link, and each link names a kept set and the link before it.
 	n, total := int32(0), 0
-	for _, c := range cs {
-		n, total = max(n, c.Verts[len(c.Verts)-1]+1), total+len(c.Verts)
+	for _, c := range sets {
+		n, total = max(n, c[len(c)-1]+1), total+len(c)
 	}
 	head := make([]int32, n)
-	type link struct{ cluster, next int32 }
+	type link struct{ set, next int32 }
 	chain := make([]link, 0, total)
-	kept := cs[:0]
-	for _, c := range cs {
+	kept := sets[:0]
+	for _, c := range sets {
 		absorbed := false
-		for l := head[c.Verts[0]]; l > 0 && !absorbed; l = chain[l-1].next {
-			absorbed = subsetSorted(c.Verts, kept[chain[l-1].cluster].Verts)
+		for l := head[c[0]]; l > 0 && !absorbed; l = chain[l-1].next {
+			absorbed = subsetSorted(c, kept[chain[l-1].set])
 		}
 		if absorbed {
 			continue
 		}
-		for _, v := range c.Verts {
+		for _, v := range c {
 			chain = append(chain, link{int32(len(kept)), head[v]})
 			head[v] = int32(len(chain))
 		}
@@ -353,31 +291,9 @@ func subsetSorted(a, b []int32) bool {
 	return true
 }
 
-func clusterKeySet(cs []Cluster) map[uint64]bool {
-	m := make(map[uint64]bool, len(cs))
-	for _, c := range cs {
-		m[c.key()] = true
-	}
-	return m
-}
-
-func keySetEqual(a, b map[uint64]bool) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k := range a {
-		if !b[k] {
-			return false
-		}
-	}
-	return true
-}
-
-// sortClusters orders clusters largest first, equal sizes by vertex list.
-func sortClusters(cs []Cluster) {
-	slices.SortFunc(cs, func(a, b Cluster) int {
-		return cmp.Or(cmp.Compare(len(b.Verts), len(a.Verts)), slices.Compare(a.Verts, b.Verts))
-	})
+// largestFirst orders vertex sets largest first, equal sizes by vertex list.
+func largestFirst(a, b []int32) int {
+	return cmp.Or(cmp.Compare(len(b), len(a)), slices.Compare(a, b))
 }
 
 // PartitionLabels resolves the (possibly overlapping) clusters into a hard
@@ -389,8 +305,8 @@ func PartitionLabels(clusters []Cluster, nReads int) []int {
 	for i := range labels {
 		labels[i] = -1
 	}
-	ordered := append([]Cluster(nil), clusters...)
-	sortClusters(ordered)
+	ordered := slices.Clone(clusters)
+	slices.SortFunc(ordered, func(a, b Cluster) int { return largestFirst(a.Verts, b.Verts) })
 	for ci, c := range ordered {
 		for _, v := range c.Verts {
 			if int(v) < nReads && labels[v] < 0 {

@@ -116,8 +116,11 @@ type ThresholdResult struct {
 	Threshold         float64
 	EdgesUsed         int
 	ClustersProcessed int // clusters generated and examined during merging
-	// MergeRounds is how many Task 7/8 rounds ran; Converged is false when
-	// the last of them (the MaxMergeRounds-th) still changed the cluster set.
+	// MergeRounds is how many Task 7/8 rounds ran. Converged reports that
+	// the last of them left the vertex sets unchanged at its anchors; it is
+	// false when the MaxMergeRounds-th round still changed them. It is not a
+	// fixpoint of the merge rule: the same sets routed to other anchors may
+	// still merge.
 	MergeRounds int
 	Converged   bool
 	Clusters    []Cluster

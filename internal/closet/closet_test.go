@@ -294,11 +294,10 @@ func TestDeterministicAcrossRuns(t *testing.T) {
 		t.Errorf("edge counts differ: %d/%d vs %d/%d", a.UniqueEdges, a.ConfirmedEdges, b.UniqueEdges, b.ConfirmedEdges)
 	}
 	for i := range a.ByThreshold {
-		ka := clusterKeySet(a.ByThreshold[i].Clusters)
-		kb := clusterKeySet(b.ByThreshold[i].Clusters)
-		if !keySetEqual(ka, kb) {
-			t.Errorf("threshold %v: cluster sets differ (%d vs %d)",
-				a.ByThreshold[i].Threshold, len(ka), len(kb))
+		ca, cb := a.ByThreshold[i].Clusters, b.ByThreshold[i].Clusters
+		if !reflect.DeepEqual(ca, cb) {
+			t.Errorf("threshold %v: clusters differ (%d vs %d)",
+				a.ByThreshold[i].Threshold, len(ca), len(cb))
 		}
 	}
 }
@@ -306,13 +305,10 @@ func TestDeterministicAcrossRuns(t *testing.T) {
 func TestMergeGroupRespectsGamma(t *testing.T) {
 	// Two 2-cliques sharing a vertex: union has 3 verts, 2 edges,
 	// density 2/3 — mergeable at gamma=2/3 but not at gamma=0.9.
-	cs := []Cluster{
-		{Verts: []int32{1, 2}, Edges: [][2]int32{{1, 2}}},
-		{Verts: []int32{2, 3}, Edges: [][2]int32{{2, 3}}},
-	}
+	cs := [][]int32{{1, 2}, {2, 3}}
 	adj := buildAdjacency([]Edge{{I: 1, J: 2}, {I: 2, J: 3}})
 	merged := mergeGroup(cs, 2.0/3.0, adj)
-	if len(merged) != 1 || len(merged[0].Verts) != 3 {
+	if len(merged) != 1 || len(merged[0]) != 3 {
 		t.Errorf("gamma=2/3 merge failed: %+v", merged)
 	}
 	kept := mergeGroup(cs, 0.9, adj)
@@ -328,18 +324,14 @@ func TestMergeGroupRespectsGamma(t *testing.T) {
 }
 
 func TestDropAbsorbed(t *testing.T) {
-	cs := []Cluster{
-		{Verts: []int32{1, 2, 3}, Edges: [][2]int32{{1, 2}, {2, 3}}},
-		{Verts: []int32{1, 2}, Edges: [][2]int32{{1, 2}}},
-		{Verts: []int32{4, 5}, Edges: [][2]int32{{4, 5}}},
-	}
+	cs := [][]int32{{1, 2}, {4, 5}, {1, 2, 3}}
 	out := dropAbsorbed(cs)
 	if len(out) != 2 {
-		t.Fatalf("got %d clusters want 2: %+v", len(out), out)
+		t.Fatalf("got %d vertex sets want 2: %v", len(out), out)
 	}
 	for _, c := range out {
-		if len(c.Verts) == 2 && c.Verts[0] == 1 {
-			t.Error("subset cluster survived")
+		if len(c) == 2 && c[0] == 1 {
+			t.Error("subset vertex set survived")
 		}
 	}
 }

@@ -226,7 +226,7 @@ func conformanceCheckNeighbors(t *testing.T, s *Spectrum, ref, mapped *Spectrum)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lazy, err := NewNeighborIndexLazy(mapped, d, c)
+	lazy, err := newNeighborIndexLazy(mapped, d, c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -371,7 +371,7 @@ func TestMappedConcurrentLazyMaterialization(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer spec.Close()
-	ni, err := NewNeighborIndexLazy(spec, 1, 5)
+	ni, err := newNeighborIndexLazy(spec, 1, 5)
 	if err != nil {
 		t.Fatal(err)
 	}

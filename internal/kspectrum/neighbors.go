@@ -30,7 +30,7 @@ type NeighborIndex struct {
 	D        int
 	C        int
 	replicas []replica
-	// lazy, when non-nil (NewNeighborIndexLazy), defers replicas[r]'s build
+	// lazy, when non-nil (newNeighborIndexLazy), defers replicas[r]'s build
 	// to its first use, once, under lazy[r] — and only if Verify passes.
 	lazy []sync.Once
 }
@@ -115,14 +115,26 @@ func (ni *NeighborIndex) buildAll(kmers []seq.Kmer) {
 // lazy index has built its replicas.
 func (ni *NeighborIndex) Len() int { return ni.n }
 
-// NewNeighborIndexLazy validates the parameters eagerly but defers each
+// NewServingNeighborIndex is the index a long-lived service holds over spec.
+// Over a memory-mapped spectrum it is lazy, so registering the spectrum is
+// instant: the replica sorts (and the whole-file check they trigger) wait
+// for the first request that needs a neighborhood. Over a copied spectrum it
+// is built eagerly, so the first request pays no index-build latency.
+func NewServingNeighborIndex(spec *Spectrum, d, c int) (*NeighborIndex, error) {
+	if spec.Mapped() {
+		return newNeighborIndexLazy(spec, d, c)
+	}
+	return NewNeighborIndex(spec, d, c)
+}
+
+// newNeighborIndexLazy validates the parameters eagerly but defers each
 // replica's sort to its first query, so a service over a freshly-mapped
 // spectrum starts serving without paying C(c,d) full-spectrum sorts up
 // front. The first materialization verifies the spectrum; if verification
 // fails, the failure is sticky on the spectrum (Spectrum.Err) and queries
 // answer empty rather than serving results computed from corrupt bytes.
 // Materialization is safe for concurrent use.
-func NewNeighborIndexLazy(spec *Spectrum, d, c int) (*NeighborIndex, error) {
+func newNeighborIndexLazy(spec *Spectrum, d, c int) (*NeighborIndex, error) {
 	ni, err := newNeighborIndex(spec.K, d, c)
 	if err != nil {
 		return nil, err

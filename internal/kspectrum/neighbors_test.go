@@ -96,7 +96,7 @@ func TestNeighborIndexExactAcrossGeometries(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				lazy, err := NewNeighborIndexLazy(s, d, c)
+				lazy, err := newNeighborIndexLazy(s, d, c)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -230,7 +230,7 @@ func TestNeighborIndexPermutationRoundTrip(t *testing.T) {
 func TestNeighborIndexLazyConcurrentFirstUse(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	s := clusteredSpectrum(rng, 13, 2000, true)
-	lazy, err := NewNeighborIndexLazy(s, 2, 5)
+	lazy, err := newNeighborIndexLazy(s, 2, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +276,7 @@ func TestNeighborIndexFailedVerifyAnswersEmpty(t *testing.T) {
 	if _, err := NewNeighborIndex(spec, 1, 5); err == nil {
 		t.Fatal("eager index built over a store that fails Verify")
 	}
-	lazy, err := NewNeighborIndexLazy(spec, 1, 5)
+	lazy, err := newNeighborIndexLazy(spec, 1, 5)
 	if err != nil {
 		t.Fatal(err)
 	}

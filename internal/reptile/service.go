@@ -40,18 +40,7 @@ func NewService(spec *kspectrum.Spectrum, p Params) (*Service, error) {
 	if err := p.validate(); err != nil {
 		return nil, err
 	}
-	// A memory-mapped spectrum keeps service construction instant: the
-	// replica sorts (and the deferred whole-file check they trigger)
-	// materialize on the first request that needs a neighborhood, not at
-	// registration. Copied spectra keep the historical eager build, so a
-	// daemon's first request pays no index-build latency.
-	var ni *kspectrum.NeighborIndex
-	var err error
-	if spec.Mapped() {
-		ni, err = kspectrum.NewNeighborIndexLazy(spec, p.D, p.C)
-	} else {
-		ni, err = kspectrum.NewNeighborIndex(spec, p.D, p.C)
-	}
+	ni, err := kspectrum.NewServingNeighborIndex(spec, p.D, p.C)
 	if err != nil {
 		return nil, err
 	}

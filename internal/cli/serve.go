@@ -11,6 +11,7 @@ import (
 	"net"
 	"net/http"
 	"os"
+	"reflect"
 	"runtime"
 	"sort"
 	"strconv"
@@ -782,19 +783,85 @@ func (s *server) correctWithEngine(w http.ResponseWriter, r *http.Request, eng e
 		ctx, cancel = context.WithTimeout(ctx, s.opts.RequestTimeout)
 		defer cancel()
 	}
-	reads, ok := s.admit(ctx, w, r)
+	rb, reads, ok := s.admit(ctx, w, r)
 	if !ok {
 		return
 	}
 	defer s.releaseSlot()
+	defer putRequest(rb)
 
 	start := time.Now()
-	var corrected []seq.Read
 	svc, err := s.service(eng, e)
-	if err == nil {
+	orig, corrected := reads, reads
+	switch ip, inPlace := svc.(inPlaceCorrector); {
+	case err != nil:
+	case inPlace:
+		// The decoded reads are the request's own: correct them where
+		// they lie, and count against a copy of their bases.
+		orig = rb.keepBases(reads)
+		err = ip.CorrectChunkInPlace(ctx, reads, s.opts.Workers)
+	default:
 		corrected, err = svc.CorrectChunk(ctx, reads, s.opts.Workers)
 	}
-	s.respond(w, r, reads, corrected, err, e.name, eng.Name(), start)
+	s.respond(w, r, rb, orig, corrected, err, e.name, eng.Name(), start)
+}
+
+// inPlaceCorrector is a service that can correct a chunk in the reads' own
+// buffers (reptile.Service): the daemon's reads are its request's to
+// overwrite, so it hands them over rather than have them copied.
+type inPlaceCorrector interface {
+	CorrectChunkInPlace(ctx context.Context, reads []seq.Read, workers int) error
+}
+
+// requestBuf is the memory a correction request borrows from requestPool:
+// the decoded chunk (fastq.Buffer), a copy of its bases when the reads are
+// corrected in place (keepBases), and the reply body. It goes back when the
+// handler returns: after w.Write, which keeps no reference to the body, and
+// after every correction worker has exited, which the one worker loop
+// guarantees, cancellation included.
+type requestBuf struct {
+	decode fastq.Buffer
+	orig   []seq.Read // the decoded bases before an in-place correction
+	bases  []byte     // what orig's bases are carved from
+	reply  []byte
+}
+
+var requestPool = sync.Pool{New: func() any { return new(requestBuf) }}
+
+// maxPooledRequest bounds the bytes a pooled request buffer keeps. One that
+// served a larger chunk (MaxChunkBytes allows 64 MiB) is dropped instead of
+// put back, so a rare large request is not pinned by the pool for good.
+const maxPooledRequest = 4 << 20
+
+var readSize = int(reflect.TypeFor[seq.Read]().Size())
+
+// kept is the bytes rb holds for its next request.
+func (rb *requestBuf) kept() int {
+	return rb.decode.Kept() + cap(rb.orig)*readSize + cap(rb.bases) + cap(rb.reply)
+}
+
+// putRequest returns rb to requestPool unless it outgrew maxPooledRequest.
+func putRequest(rb *requestBuf) {
+	if rb.kept() <= maxPooledRequest {
+		requestPool.Put(rb)
+	}
+}
+
+// keepBases copies the reads' bases into rb and returns reads that hold only
+// the copies, for respond to count the corrections against.
+func (rb *requestBuf) keepBases(reads []seq.Read) []seq.Read {
+	rb.bases = rb.bases[:0]
+	for _, r := range reads {
+		rb.bases = append(rb.bases, r.Seq...)
+	}
+	rb.orig = rb.orig[:0]
+	off := 0
+	for _, r := range reads {
+		end := off + len(r.Seq)
+		rb.orig = append(rb.orig, seq.Read{Seq: rb.bases[off:end:end]})
+		off = end
+	}
+	return rb.orig
 }
 
 // admit runs the shared request admission. The shed decision is one
@@ -802,16 +869,18 @@ func (s *server) correctWithEngine(w http.ResponseWriter, r *http.Request, eng e
 // sustained over-capacity load turns into immediate 429s instead of an
 // unbounded queue of doomed requests; under the bound the request waits
 // for a semaphore slot (deadline and client disconnect both abort the
-// wait), then decodes the body under the size caps. On false the
-// response has been written and all admission state released.
-func (s *server) admit(ctx context.Context, w http.ResponseWriter, r *http.Request) ([]seq.Read, bool) {
+// wait), then decodes the body under the size caps into a request buffer
+// from requestPool, which the caller puts back (putRequest) once the reply
+// is written. On false the response has been written and all admission
+// state and the buffer released.
+func (s *server) admit(ctx context.Context, w http.ResponseWriter, r *http.Request) (*requestBuf, []seq.Read, bool) {
 	// A declared-oversize body is refused before it costs anything — no
 	// admission token, no slot, no read. MaxBytesReader below remains
 	// the backstop for chunked uploads that never declare a length.
 	if s.opts.MaxChunkBytes > 0 && r.ContentLength > s.opts.MaxChunkBytes {
 		s.errorJSON(w, http.StatusRequestEntityTooLarge, errClassTooLarge,
 			"request body %d bytes exceeds the %d-byte chunk cap", r.ContentLength, s.opts.MaxChunkBytes)
-		return nil, false
+		return nil, nil, false
 	}
 	if occ := s.occupancy.Add(1); occ > int64(s.opts.MaxInflight+s.opts.MaxQueue) {
 		s.occupancy.Add(-1)
@@ -822,7 +891,7 @@ func (s *server) admit(ctx context.Context, w http.ResponseWriter, r *http.Reque
 		w.Header().Set("Retry-After", "1")
 		s.errorJSON(w, http.StatusTooManyRequests, errClassShed,
 			"server saturated: %d requests in flight and %d queued; retry later", s.opts.MaxInflight, s.opts.MaxQueue)
-		return nil, false
+		return nil, nil, false
 	}
 	s.m.occupancy.Set(s.occupancy.Load())
 	// Bounded in-flight concurrency: wait for a slot, give up if the
@@ -841,26 +910,29 @@ func (s *server) admit(ctx context.Context, w http.ResponseWriter, r *http.Reque
 			s.errorJSON(w, http.StatusGatewayTimeout, errClassDeadline,
 				"request timed out after %v waiting for a correction slot", s.opts.RequestTimeout)
 		}
-		return nil, false
+		return nil, nil, false
 	}
 	capped := http.MaxBytesReader(w, r.Body, s.opts.MaxChunkBytes)
-	reads, err := fastq.DecodeChunk(capped, s.opts.MaxChunkReads)
-	if err != nil {
+	rb := requestPool.Get().(*requestBuf)
+	reads, err := fastq.DecodeChunkInto(capped, s.opts.MaxChunkReads, &rb.decode)
+	if err != nil || len(reads) == 0 {
+		putRequest(rb)
 		s.releaseSlot()
+	}
+	if err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.Is(err, fastq.ErrChunkTooLarge) || errors.As(err, &tooBig) {
 			s.errorJSON(w, http.StatusRequestEntityTooLarge, errClassTooLarge, "%v", err)
 		} else {
 			s.errorJSON(w, http.StatusBadRequest, errClassBadRequest, "%v", err)
 		}
-		return nil, false
+		return nil, nil, false
 	}
 	if len(reads) == 0 {
-		s.releaseSlot()
 		s.errorJSON(w, http.StatusBadRequest, errClassBadRequest, "empty chunk")
-		return nil, false
+		return nil, nil, false
 	}
-	return reads, true
+	return rb, reads, true
 }
 
 // releaseSlot returns a semaphore slot and its admission token.
@@ -870,13 +942,9 @@ func (s *server) releaseSlot() {
 	s.m.occupancy.Set(s.occupancy.Load())
 }
 
-// replyPool holds reply buffers: a body is encoded into one and it goes back
-// once w.Write has returned, which keeps no reference to it.
-var replyPool = sync.Pool{New: func() any { return new([]byte) }}
-
 // respond finishes a correction request: error mapping, stats, headers,
-// body.
-func (s *server) respond(w http.ResponseWriter, r *http.Request, reads, corrected []seq.Read, err error, spectrum, engineName string, start time.Time) {
+// body, encoded into rb's reply buffer.
+func (s *server) respond(w http.ResponseWriter, r *http.Request, rb *requestBuf, reads, corrected []seq.Read, err error, spectrum, engineName string, start time.Time) {
 	if err != nil {
 		var sue *remote.ShardUnavailableError
 		switch {
@@ -898,10 +966,8 @@ func (s *server) respond(w http.ResponseWriter, r *http.Request, reads, correcte
 		}
 		return
 	}
-	buf := replyPool.Get().(*[]byte)
-	defer replyPool.Put(buf)
-	body, err := fastq.AppendChunk((*buf)[:0], corrected)
-	*buf = body
+	body, err := fastq.AppendChunk(rb.reply[:0], corrected)
+	rb.reply = body
 	if err != nil {
 		s.errorJSON(w, http.StatusInternalServerError, errClassInternal, "%v", err)
 		return

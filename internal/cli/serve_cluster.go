@@ -12,6 +12,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/kspectrum"
 	"repro/internal/remote"
 	"repro/internal/seq"
 )
@@ -141,7 +142,7 @@ func (s *server) handleShards(w http.ResponseWriter, r *http.Request) {
 // accepts when the serve -d flag does not ask for more. d=4 already
 // covers every radius the correction engines issue in practice while
 // keeping the per-d index builds (C(min(k,d+4),d) spectrum sorts each,
-// cached forever) and the nis map bounded.
+// cached forever) and the indexes the spectrum keeps bounded.
 const defaultMaxQueryRadius = 4
 
 // maxQueryRadius is the largest d the node answers: the configured
@@ -220,7 +221,7 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 	} else {
-		ni, err := e.neighborIndex(d)
+		ni, err := queryIndex(e.spec, d)
 		if err != nil {
 			s.errorJSON(w, http.StatusBadRequest, errClassBadRequest, "neighborhood radius %d: %v", d, err)
 			return
@@ -246,6 +247,14 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
 	_, _ = w.Write(remote.AppendAnswer(nil, d, &ans)) // a failure only means the client went away
+}
+
+// queryIndex is the index POST /v2/query answers radius d from: the
+// spectrum's serving index at c = min(k, d+4), the derivation the correction
+// engines use, so node answers are identical to local ones and a Reptile
+// service at the same d shares it.
+func queryIndex(spec *kspectrum.Spectrum, d int) (*kspectrum.NeighborIndex, error) {
+	return spec.ServingNeighborIndex(d, min(spec.K, d+4))
 }
 
 // proxyQuery answers /v2/query against a coordinator's remote entry by

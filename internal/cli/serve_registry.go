@@ -20,10 +20,11 @@ import (
 )
 
 // entry is one registry slot: a loaded spectrum plus the per-engine
-// service slots derived from it — one neighbor index and one EM fit per
-// (spectrum, engine). The Reptile slot is built eagerly at registration
-// (the first request pays no index-build latency), the rest on first
-// use, because many deployments serve a single algorithm.
+// service slots derived from it, such as REDEEM's EM fit; the neighbor
+// indexes belong to the spectrum (ServingNeighborIndex). The Reptile slot
+// is built eagerly at registration (the first request pays no index-build
+// latency), the rest on first use, because many deployments serve a
+// single algorithm.
 type entry struct {
 	name string
 	// backend is the spectrum as the query seam shows it — Local(spec) on
@@ -70,31 +71,6 @@ type entry struct {
 	// shard is set on node-side shard entries: the metadata GET
 	// /v2/shards advertises to discovering coordinators.
 	shard *remote.ShardInfo
-	// nis caches the per-radius neighbor indexes POST /v2/query d>0
-	// answers are served from, built lazily per distinct d.
-	nimu sync.Mutex
-	nis  map[int]*kspectrum.NeighborIndex
-}
-
-// neighborIndex resolves the entry's shared NeighborIndex for radius d,
-// building it at most once per distinct d (c = min(k, d+4), the same
-// derivation the correction engines use, so node answers are identical
-// to local ones). Only valid on local entries.
-func (e *entry) neighborIndex(d int) (*kspectrum.NeighborIndex, error) {
-	e.nimu.Lock()
-	defer e.nimu.Unlock()
-	if ni, ok := e.nis[d]; ok {
-		return ni, nil
-	}
-	ni, err := kspectrum.NewServingNeighborIndex(e.spec, d, min(e.spec.K, d+4))
-	if err != nil {
-		return nil, err
-	}
-	if e.nis == nil {
-		e.nis = make(map[int]*kspectrum.NeighborIndex)
-	}
-	e.nis[d] = ni
-	return ni, nil
 }
 
 // acquire takes a request hold on the entry.

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"reflect"
 	"slices"
 	"strings"
 
@@ -25,8 +26,46 @@ var ErrChunkTooLarge = errors.New("fastq: chunk exceeds read limit")
 // rejected rather than truncated, so a service endpoint can enforce a
 // request-size limit without silently correcting half a chunk.
 func DecodeChunk(r io.Reader, maxReads int) ([]seq.Read, error) {
-	fr := NewReader(r)
-	out, err := fr.readUpTo(maxReads)
+	return decodeChunk(NewReader(r), nil, maxReads)
+}
+
+// Buffer is decode memory that DecodeChunkInto reuses from one chunk to the
+// next: the arena the reads' bases and qualities are carved from, the
+// []seq.Read and the scanner's line buffer. The zero Buffer is ready to use.
+type Buffer struct {
+	arena seq.Arena
+	reads []seq.Read
+	line  []byte
+}
+
+// DecodeChunkInto is DecodeChunk decoding into buf's memory. The reads it
+// returns, and their bases and qualities, are buf's: the next decode into buf
+// rewinds its arena (seq.Arena.Rewind) and overwrites them, so the caller must
+// be done with them first. Once buf has held the largest chunk it is given, a
+// decode allocates only the reads' IDs and the reader itself.
+func DecodeChunkInto(r io.Reader, maxReads int, buf *Buffer) ([]seq.Read, error) {
+	buf.arena.Rewind()
+	if buf.line == nil {
+		buf.line = make([]byte, 0, 64<<10) // reused, so made at the largest size a reader starts with
+	}
+	out, err := decodeChunk(newReader(r, buf), buf.reads[:0], maxReads)
+	if out != nil {
+		// A slot past the chunk would keep a longer chunk's ID and bases alive.
+		clear(out[len(out):cap(out)])
+		buf.reads = out
+	}
+	return out, err
+}
+
+// Kept reports the bytes buf holds for its next decode.
+func (buf *Buffer) Kept() int {
+	return buf.arena.Kept() + cap(buf.reads)*int(reflect.TypeFor[seq.Read]().Size()) + cap(buf.line)
+}
+
+// decodeChunk is the bounded decode both entry points share: fr's reads
+// appended to out, and a look past the cap.
+func decodeChunk(fr *Reader, out []seq.Read, maxReads int) ([]seq.Read, error) {
+	out, err := fr.readUpTo(out, maxReads)
 	if err == nil && maxReads > 0 && len(out) == maxReads {
 		if _, err = fr.Next(); err == nil {
 			err = fmt.Errorf("%w (%d reads)", ErrChunkTooLarge, maxReads)

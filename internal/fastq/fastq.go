@@ -26,15 +26,20 @@ const MaxQuality = 93
 type Reader struct {
 	s     *bufio.Scanner
 	line  int
-	arena seq.Arena
+	arena *seq.Arena
 	// What readUpTo sizes from: the bytes a source that can tell held at
 	// NewReader (else 0), and the bytes and records consumed since.
 	size, taken, reads int
 }
 
 // NewReader wraps r in a FASTQ reader.
-func NewReader(r io.Reader) *Reader {
-	fr := &Reader{s: bufio.NewScanner(r)}
+func NewReader(r io.Reader) *Reader { return newReader(r, new(Buffer)) }
+
+// newReader wraps r in a reader that carves from buf's arena and scans with
+// buf's line buffer, made here when buf has none: 4 to 64 KiB, as large as the
+// source says it is.
+func newReader(r io.Reader, buf *Buffer) *Reader {
+	fr := &Reader{s: bufio.NewScanner(r), arena: &buf.arena}
 	switch src := r.(type) {
 	case interface{ Len() int }:
 		fr.size = src.Len()
@@ -43,7 +48,10 @@ func NewReader(r io.Reader) *Reader {
 			fr.size = int(fi.Size())
 		}
 	}
-	fr.s.Buffer(make([]byte, 0, min(max(fr.size, 4<<10), 64<<10)), 16<<20)
+	if buf.line == nil {
+		buf.line = make([]byte, 0, min(max(fr.size, 4<<10), 64<<10))
+	}
+	fr.s.Buffer(buf.line, 16<<20)
 	return fr
 }
 
@@ -90,13 +98,13 @@ func (r *Reader) Next() (seq.Read, error) {
 }
 
 // ReadAll drains the stream. On a parse error it returns the reads before it.
-func (r *Reader) ReadAll() ([]seq.Read, error) { return r.readUpTo(0) }
+func (r *Reader) ReadAll() ([]seq.Read, error) { return r.readUpTo(nil, 0) }
 
-// readUpTo is the one decode loop: the next reads of the stream (at most limit
-// when limit > 0), and a nil error at its end. The slice grows to the records a
-// sized source's remaining bytes make at the record size so far, else doubles.
-func (r *Reader) readUpTo(limit int) ([]seq.Read, error) {
-	var out []seq.Read
+// readUpTo is the one decode loop: it appends the next reads of the stream to
+// out (at most limit of them when limit > 0) and returns a nil error at its
+// end. A full out grows to the records a sized source's remaining bytes make at
+// the record size so far, else doubles.
+func (r *Reader) readUpTo(out []seq.Read, limit int) ([]seq.Read, error) {
 	for limit <= 0 || len(out) < limit {
 		rd, err := r.Next()
 		if err == io.EOF {

@@ -193,6 +193,19 @@ func TestReaderLargeStreamNoAliasing(t *testing.T) {
 	routes := map[string]func(r io.Reader) ([]seq.Read, error){
 		"ReadAll":     func(r io.Reader) ([]seq.Read, error) { return NewReader(r).ReadAll() },
 		"DecodeChunk": func(r io.Reader) ([]seq.Read, error) { return DecodeChunk(r, len(in)) },
+		// Into a buffer that decoded a longer chunk first: the rewound arena
+		// hands out the same memory again.
+		"DecodeChunkInto": func(r io.Reader) ([]seq.Read, error) {
+			var buf Buffer
+			longer, err := EncodeChunk(manyReads(len(in) + 700))
+			if err != nil {
+				return nil, err
+			}
+			if _, err := DecodeChunkInto(bytes.NewReader(longer), 0, &buf); err != nil {
+				return nil, err
+			}
+			return DecodeChunkInto(r, len(in), &buf)
+		},
 		"ChunkReader": func(r io.Reader) ([]seq.Read, error) {
 			var all []seq.Read
 			cr := NewChunkReader(nopCloser{r}, 777)

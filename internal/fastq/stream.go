@@ -39,7 +39,7 @@ func (cr *ChunkReader) Next() ([]seq.Read, error) {
 	if cr.done {
 		return nil, io.EOF
 	}
-	chunk, err := cr.r.readUpTo(cr.size)
+	chunk, err := cr.r.readUpTo(nil, cr.size)
 	cr.done = err != nil || len(chunk) < cr.size
 	if err != nil {
 		return nil, err

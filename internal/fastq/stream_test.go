@@ -2,9 +2,11 @@ package fastq
 
 import (
 	"bytes"
+	"errors"
 	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -198,5 +200,53 @@ func TestChunkReaderSizesChunksFromTheInput(t *testing.T) {
 	}
 	if got := after.TotalAlloc - before.TotalAlloc; got >= 1024 {
 		t.Errorf("finding the end of the stream allocated %d bytes", got)
+	}
+}
+
+// TestDecodeChunkIntoReuses: chunks decoded one after another into one Buffer
+// each come back as written, a refused decode leaves the buffer fit for the
+// next, the slots past a shorter chunk hold nothing of the longer one before
+// it, and once the buffer has held a chunk, decoding it again allocates only
+// the reads' IDs and the reader.
+func TestDecodeChunkIntoReuses(t *testing.T) {
+	var buf Buffer
+	decode := func(in []seq.Read, maxReads int) ([]seq.Read, error) {
+		data, err := EncodeChunk(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return DecodeChunkInto(bytes.NewReader(data), maxReads, &buf)
+	}
+	long, short := manyReads(900), manyReads(300)[100:]
+	for round, in := range [][]seq.Read{long, short, long, short} {
+		out, err := decode(in, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(out, in) {
+			t.Fatalf("round %d: the chunk did not come back as written", round)
+		}
+		for i, r := range out[len(out):cap(out)] {
+			if r.ID != "" || r.Seq != nil || r.Qual != nil {
+				t.Fatalf("round %d: slot %d past the chunk still holds read %q", round, len(out)+i, r.ID)
+			}
+		}
+		if _, err := decode(long, 500); !errors.Is(err, ErrChunkTooLarge) {
+			t.Fatalf("round %d: a chunk past the cap gave %v", round, err)
+		}
+		if _, err := DecodeChunkInto(strings.NewReader("@r\nACGT\n+\n!!\n"), 0, &buf); err == nil {
+			t.Fatalf("round %d: a malformed chunk decoded", round)
+		}
+	}
+	data, err := EncodeChunk(long)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(10, func() {
+		if _, err := DecodeChunkInto(bytes.NewReader(data), 0, &buf); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs > float64(len(long)+4) {
+		t.Errorf("a warmed decode of %d reads made %v allocations, want the IDs and at most 4 more", len(long), allocs)
 	}
 }

@@ -115,16 +115,37 @@ func (ni *NeighborIndex) buildAll(kmers []seq.Kmer) {
 // lazy index has built its replicas.
 func (ni *NeighborIndex) Len() int { return ni.n }
 
-// NewServingNeighborIndex is the index a long-lived service holds over spec.
-// Over a memory-mapped spectrum it is lazy, so registering the spectrum is
-// instant: the replica sorts (and the whole-file check they trigger) wait
-// for the first request that needs a neighborhood. Over a copied spectrum it
-// is built eagerly, so the first request pays no index-build latency.
-func NewServingNeighborIndex(spec *Spectrum, d, c int) (*NeighborIndex, error) {
-	if spec.Mapped() {
-		return newNeighborIndexLazy(spec, d, c)
+// ServingNeighborIndex is the index every long-lived service over s shares
+// for radius d and c chunks: the spectrum owns it, builds it on the first ask
+// and hands the same index to every later one, so a daemon entry's correction
+// service and its /v2/query endpoint at one d keep one copy. Over a
+// memory-mapped spectrum it is lazy, so registering the spectrum is instant:
+// the replica sorts (and the whole-file check they trigger) wait for the
+// first request that needs a neighborhood. Over a copied spectrum it is built
+// eagerly, so the first request pays no index-build latency. A failed build
+// is not kept; the next ask tries again.
+func (s *Spectrum) ServingNeighborIndex(d, c int) (*NeighborIndex, error) {
+	s.nimu.Lock()
+	defer s.nimu.Unlock()
+	key := [2]int{d, c}
+	if ni, ok := s.nis[key]; ok {
+		return ni, nil
 	}
-	return NewNeighborIndex(spec, d, c)
+	var ni *NeighborIndex
+	var err error
+	if s.Mapped() {
+		ni, err = newNeighborIndexLazy(s, d, c)
+	} else {
+		ni, err = NewNeighborIndex(s, d, c)
+	}
+	if err != nil {
+		return nil, err
+	}
+	if s.nis == nil {
+		s.nis = make(map[[2]int]*NeighborIndex)
+	}
+	s.nis[key] = ni
+	return ni, nil
 }
 
 // newNeighborIndexLazy validates the parameters eagerly but defers each

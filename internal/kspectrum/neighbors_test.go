@@ -257,6 +257,49 @@ func TestNeighborIndexLazyConcurrentFirstUse(t *testing.T) {
 	}
 }
 
+// TestServingNeighborIndexShared: a spectrum builds one serving index per
+// (d, c) and hands it to every caller, concurrent first callers included, on
+// a copied and on a mapped spectrum; another (d, c) is another index, and a
+// refused geometry is not kept.
+func TestServingNeighborIndexShared(t *testing.T) {
+	copied := storeTestSpectrum(t, 12, 400, true)
+	mapped, err := OpenMapped(writeStoreFile(t, encodeSpectrum(t, copied)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mapped.Close()
+	for _, s := range []*Spectrum{copied, mapped} {
+		got := make([]*NeighborIndex, 8)
+		var wg sync.WaitGroup
+		for i := range got {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				got[i], _ = s.ServingNeighborIndex(1, 5)
+			}()
+		}
+		wg.Wait()
+		for i, ni := range got {
+			if ni == nil || ni != got[0] {
+				t.Fatalf("mapped=%v: caller %d got index %p, caller 0 %p", s.Mapped(), i, ni, got[0])
+			}
+		}
+		other, err := s.ServingNeighborIndex(2, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if other == got[0] || other.D != 2 {
+			t.Fatalf("mapped=%v: (2, 5) gave %p (D %d); (1, 5) is %p", s.Mapped(), other, other.D, got[0])
+		}
+		if _, err := s.ServingNeighborIndex(5, 5); err == nil {
+			t.Fatalf("mapped=%v: d = c accepted", s.Mapped())
+		}
+		if len(s.nis) != 2 {
+			t.Fatalf("mapped=%v: the spectrum keeps %d indexes, want 2", s.Mapped(), len(s.nis))
+		}
+	}
+}
+
 // TestNeighborIndexFailedVerifyAnswersEmpty: an index over a mapped store
 // whose whole-file check fails must never serve neighborhoods computed
 // from the corrupt bytes — the eager build refuses, the lazy one answers

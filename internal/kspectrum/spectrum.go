@@ -8,6 +8,7 @@ package kspectrum
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"repro/internal/seq"
 )
@@ -47,6 +48,11 @@ type Spectrum struct {
 	// defined (queries answer absent, Err reports it).
 	mapped   *mappedState
 	closeErr error
+
+	// nis holds the serving neighbor indexes by (d, c), built on the first
+	// ask (ServingNeighborIndex).
+	nimu sync.Mutex
+	nis  map[[2]int]*NeighborIndex
 }
 
 func errInvalidK(k int) error { return fmt.Errorf("kspectrum: invalid k=%d", k) }

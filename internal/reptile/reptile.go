@@ -417,7 +417,7 @@ type scratch struct {
 	tile    []byte       // unpacked replacement tile
 	rcSeq   []byte       // reverse-complement pass: bases
 	rcQual  []byte       // reverse-complement pass: qualities
-	out     seq.Arena    // the worker's corrected copies (correctRead)
+	out     seq.Arena    // the worker's corrected copies (correctShare)
 
 	// err records the first backend failure seen by the current read.
 	// Local backends never fail; a remote one can, and a failed
@@ -684,14 +684,6 @@ func (c *Corrector) CorrectRead(r seq.Read) seq.Read {
 	return out
 }
 
-// correctRead is a worker's CorrectRead: the copy is carved from its arena.
-func (c *Corrector) correctRead(r seq.Read, s *scratch) seq.Read {
-	out := r.CloneIn(&s.out)
-	convertAmbiguous(out.Seq, out.Qual, c.P)
-	c.correctInPlace(out.Seq, out.Qual, s)
-	return out
-}
-
 // CorrectInPlace corrects a read's bases in place (mutating bases and,
 // for converted ambiguous positions, qual) — the zero-allocation form of
 // CorrectRead for callers that own their buffers. qual may be nil. It is
@@ -700,9 +692,15 @@ func (c *Corrector) correctRead(r seq.Read, s *scratch) seq.Read {
 //repro:noalloc
 func (c *Corrector) CorrectInPlace(bases, qual []byte) {
 	s := scratchPool.Get().(*scratch)
+	c.correctOwn(bases, qual, s)
+	scratchPool.Put(s)
+}
+
+// correctOwn corrects a read in its own buffers: its correctable ambiguous
+// bases converted, then both tiling passes.
+func (c *Corrector) correctOwn(bases, qual []byte, s *scratch) {
 	convertAmbiguous(bases, qual, c.P)
 	c.correctInPlace(bases, qual, s)
-	scratchPool.Put(s)
 }
 
 // correctInPlace runs both tiling passes over prepared bases using the
@@ -801,15 +799,18 @@ func (c *Corrector) CorrectAllCtx(ctx context.Context, reads []seq.Read, workers
 	return out, nil
 }
 
-// correctReads is the one worker loop behind CorrectAllCtx and
-// correctBatched: it corrects reads[i] into out[i] for every i in pending
-// (every read when pending is nil) in contiguous shares over up to
-// `workers` goroutines, a lone share on the caller's. Without a hood cache
-// any backend error fails the run. Over one (hc non-nil), a walk asking
-// for a neighborhood the cache does not hold leaves out[i] unset: i comes
-// back in aborted, in input order, and the kmers missed sorted and unique —
-// both independent of the split, so the next fetch is too. A cancelled ctx
-// returns ctx.Err(), and every worker has exited by the time it returns.
+// correctReads is the one worker loop behind CorrectAllCtx,
+// Service.CorrectChunkInPlace and correctBatched: it corrects reads[i] for
+// every i in pending (every read when pending is nil) in contiguous shares
+// over up to `workers` goroutines, a lone share on the caller's. With out
+// nil each read is corrected in its own buffers; otherwise out[i] gets a
+// corrected copy and reads[i] is left as it was. Without a hood cache any
+// backend error fails the run. Over one (hc non-nil, out given), a walk
+// asking for a neighborhood the cache does not hold leaves out[i] to be
+// written again: i comes back in aborted, in input order, and the kmers
+// missed sorted and unique — both independent of the split, so the next
+// fetch is too. A cancelled ctx returns ctx.Err(), and every worker has
+// exited by the time it returns.
 func (c *Corrector) correctReads(ctx context.Context, reads, out []seq.Read, pending []int, hc *hoodCache, workers int) (aborted []int, missed []seq.Kmer, err error) {
 	n := len(reads)
 	if pending != nil {
@@ -838,7 +839,8 @@ type shareResult struct {
 }
 
 // correctShare corrects positions [lo, hi) of pending (of reads when
-// pending is nil) on one pooled scratch, polling ctx every few dozen reads.
+// pending is nil) on one pooled scratch, polling ctx every few dozen reads:
+// in place when out is nil, else a copy carved from the scratch's arena.
 // Over a hood cache the walk reads through the worker's own cacheView. It
 // hands the scratch back with err cleared, so no failure outlives its run.
 func (c *Corrector) correctShare(ctx context.Context, reads, out []seq.Read, pending []int, lo, hi int, hc *hoodCache) (r shareResult) {
@@ -859,11 +861,15 @@ func (c *Corrector) correctShare(ctx context.Context, reads, out []seq.Read, pen
 		if pending != nil {
 			i = pending[j]
 		}
-		corrected := cw.correctRead(reads[i], s)
+		rd := reads[i]
+		if out != nil {
+			rd = rd.CloneIn(&s.out)
+			out[i] = rd
+		}
+		cw.correctOwn(rd.Seq, rd.Qual, s)
 		switch {
 		case s.err == nil:
-			out[i] = corrected
-		case view != nil: // a miss: the read re-runs after the next fetch
+		case view != nil: // a miss: the read re-runs from reads[i] after the next fetch
 			s.err = nil
 			r.aborted = append(r.aborted, i)
 		default:

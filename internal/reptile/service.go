@@ -40,7 +40,7 @@ func NewService(spec *kspectrum.Spectrum, p Params) (*Service, error) {
 	if err := p.validate(); err != nil {
 		return nil, err
 	}
-	ni, err := kspectrum.NewServingNeighborIndex(spec, p.D, p.C)
+	ni, err := spec.ServingNeighborIndex(p.D, p.C)
 	if err != nil {
 		return nil, err
 	}
@@ -128,6 +128,35 @@ func (s *Service) CorrectChunk(ctx context.Context, reads []seq.Read, workers in
 		return c.correctBatched(ctx, src, reads, workers, c.predictKmers(prepared))
 	}
 	return c.CorrectAllCtx(ctx, reads, workers)
+}
+
+// CorrectChunkInPlace is CorrectChunk writing each correction into the read's
+// own bases and qualities, which are the caller's to overwrite (the daemon's
+// decoded request); a read keeps its length. Over a local source the
+// same worker loop corrects each read where it lies, and nothing is copied.
+// A batch source still corrects copies (CorrectChunk), because its driver
+// re-runs an aborted walk from the read's original bases, and they are
+// written back. On an error the reads may be part corrected; every worker has
+// exited by the time it returns.
+func (s *Service) CorrectChunkInPlace(ctx context.Context, reads []seq.Read, workers int) error {
+	if _, ok := s.neigh.(kspectrum.BatchNeighborSource); ok {
+		out, err := s.CorrectChunk(ctx, reads, workers)
+		if err != nil {
+			return err
+		}
+		for i, r := range out {
+			copy(reads[i].Seq, r.Seq)
+			copy(reads[i].Qual, r.Qual)
+		}
+		return nil
+	}
+	c, _, err := s.corrector(reads, workers)
+	if err != nil {
+		return err
+	}
+	defer c.Tiles.Release()
+	_, _, err = c.correctReads(ctx, reads, nil, nil, nil, workers)
+	return err
 }
 
 // corrector resolves a chunk's Qc, counts its tiles and finishes the chunk's

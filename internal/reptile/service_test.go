@@ -203,6 +203,85 @@ func TestChunkServiceCancelMidChunk(t *testing.T) {
 	wg.Wait()
 }
 
+// cloneReads deep-copies a chunk.
+func cloneReads(reads []seq.Read) []seq.Read {
+	out := make([]seq.Read, len(reads))
+	for i, r := range reads {
+		out[i] = r.Clone()
+	}
+	return out
+}
+
+// TestChunkInPlaceMatchesCopy: CorrectChunkInPlace writes into each read
+// what CorrectChunk returns for it, over a local and a batch source, at one
+// and three workers, on reads with Ns, reads shorter than a tile and reads
+// without qualities, and CorrectChunk leaves its input as it was. A local
+// service asks its spectrum's own serving index. An in-place chunk cancelled
+// part-way returns ctx.Err(), and the next one is corrected as if it had not
+// been.
+func TestChunkInPlaceMatchesCopy(t *testing.T) {
+	corpus, spec := serviceFixture(t)
+	reads := awkwardReads(corpus[:400])
+	local, err := NewService(spec, Params{D: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ni, err := spec.ServingNeighborIndex(local.p.D, local.p.C)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if local.neigh != kspectrum.LocalNeighbors(spec, ni) {
+		t.Fatal("the service does not ask its spectrum's serving index")
+	}
+	batched, err := NewServiceBackend(kspectrum.Local(spec), &fakeBatchSource{NeighborSource: local.neigh}, Params{D: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	for name, svc := range map[string]*Service{"local": local, "batched": batched} {
+		for _, workers := range []int{1, 3} {
+			before := cloneReads(reads)
+			want, err := svc.CorrectChunk(ctx, reads, workers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(reads, before) {
+				t.Fatalf("%s, workers=%d: CorrectChunk modified its input", name, workers)
+			}
+			if engine.CountChanged(reads, want) == 0 {
+				t.Fatalf("%s, workers=%d: nothing corrected", name, workers)
+			}
+			got := cloneReads(reads)
+			if err := svc.CorrectChunkInPlace(ctx, got, workers); err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s, workers=%d: in-place correction diverges from CorrectChunk", name, workers)
+			}
+		}
+	}
+
+	chunk := corpus[:500]
+	want, err := local.CorrectChunk(ctx, chunk, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	src := &cancelSource{NeighborSource: local.neigh, at: 50, cancel: cancel}
+	cancelling, err := NewServiceBackend(kspectrum.Local(spec), src, Params{D: 1, Cm: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cancelling.CorrectChunkInPlace(cctx, cloneReads(chunk), 1); err != context.Canceled {
+		t.Fatalf("a cancelled in-place chunk returned %v, want ctx.Err()", err)
+	}
+	got := cloneReads(chunk)
+	if err := local.CorrectChunkInPlace(ctx, got, 1); err != nil || !reflect.DeepEqual(got, want) {
+		t.Fatalf("the in-place chunk after a cancelled one diverges (err %v)", err)
+	}
+}
+
 // serviceChunksSorted is how many of serviceFixture's 14 500-read chunks
 // sort their tiles into the run column at the default parameters: none,
 // since each one's strong tiles fit the list. It was all 14 while every

@@ -251,13 +251,22 @@ func (r Read) CloneIn(a *Arena) Read {
 }
 
 // Arena carves byte slices from shared blocks, one malloc a block: a FASTQ
-// reader's reads, a correction worker's output. Blocks start at 4 KiB and double
-// to 64 KiB, so a small batch costs little and one retained slice pins at most
-// 64 KiB beyond itself; slices have cap == len, so an append moves away instead
-// of reaching the neighbour. A nil Arena allocates each slice on its own.
+// reader's reads, a correction worker's output, a daemon request's decode.
+// Blocks start at 4 KiB and double to 64 KiB, so a small batch costs little
+// and one retained slice pins at most 64 KiB beyond itself; slices have
+// cap == len, so an append moves away instead of reaching the neighbour. A nil
+// Arena allocates each slice on its own.
+//
+// An owner that is done with every slice it carved may Rewind the arena and
+// carve the next use from the same memory: one kept block, the size of the
+// largest use so far, zeroed again before it is handed out. Nothing is handed
+// out twice within one use, and one slice kept past its use pins at most its
+// block, which after a Rewind is that kept block.
 type Arena struct {
 	free []byte
-	size int // of the last block
+	size int    // of the last block
+	kept []byte // the block a Rewind carves from again
+	used int    // bytes handed out since the last Rewind
 }
 
 // Alloc returns a zeroed n-byte slice.
@@ -271,8 +280,26 @@ func (a *Arena) Alloc(n int) []byte {
 	}
 	b := a.free[:n:n]
 	a.free = a.free[n:]
+	a.used += n
 	return b
 }
+
+// Rewind starts a new use of the arena. Every slice carved before it may be
+// carved again, so the caller must hold none of them. The use that just ended
+// carved a prefix of the kept block when it fit there, and that prefix is
+// cleared; when it did not fit, the kept block is replaced by a zeroed one of
+// the size it carved, which the same use then fits in without a malloc.
+func (a *Arena) Rewind() {
+	if a.used > len(a.kept) {
+		a.kept = make([]byte, a.used)
+	} else {
+		clear(a.kept[:a.used])
+	}
+	a.free, a.size, a.used = a.kept, 0, 0
+}
+
+// Kept reports the bytes the arena holds for its next use after a Rewind.
+func (a *Arena) Kept() int { return max(len(a.kept), a.used) }
 
 // CountAmbiguous returns the number of non-ACGT characters in the read.
 func (r Read) CountAmbiguous() int {

@@ -327,3 +327,66 @@ func TestArenaSlicesAreSeparate(t *testing.T) {
 		t.Errorf("CloneIn of a read without qualities = %+v", c)
 	}
 }
+
+// TestArenaRewind: after a Rewind the arena carves the next use from one kept
+// block the size of the largest use so far. Within a use no slice is handed out
+// twice; every slice comes back zeroed, whatever the last use wrote; a use that
+// fits the kept block allocates nothing, and one that outgrows it grows as a
+// fresh arena does until the next Rewind keeps a block it fits.
+func TestArenaRewind(t *testing.T) {
+	var a Arena
+	use := func(sizes []int, mark byte) [][]byte {
+		out := make([][]byte, 0, len(sizes))
+		for _, n := range sizes {
+			b := a.Alloc(n)
+			for _, x := range b {
+				if x != 0 {
+					t.Fatalf("a %d-byte slice came back holding %d", n, x)
+				}
+			}
+			for j := range b {
+				b[j] = mark
+			}
+			out = append(out, b)
+		}
+		for i, b := range out {
+			for _, x := range b {
+				if x != mark {
+					t.Fatalf("slice %d of the use was handed out twice", i)
+				}
+			}
+		}
+		return out
+	}
+	small := []int{100, 3000, 17, 5000, 64}
+	large := append(append([]int{}, small...), 70000, 9000)
+	use(small, 1)
+	if a.Kept() != 8181 {
+		t.Fatalf("Kept %d before the first Rewind, want the 8 181 bytes carved", a.Kept())
+	}
+	a.Rewind()
+	use(small, 2)
+	a.Rewind()
+	if got := testing.AllocsPerRun(10, func() {
+		use(small, 3)
+		a.Rewind()
+	}); got != 1 { // the [][]byte of use itself
+		t.Errorf("a use that fits the kept block made %v allocations beyond its own", got-1)
+	}
+	use(large, 4)
+	a.Rewind()
+	if a.Kept() != 8181+79000 {
+		t.Fatalf("Kept %d after a larger use, want %d", a.Kept(), 8181+79000)
+	}
+	use(small, 5)
+	a.Rewind()
+	if a.Kept() != 8181+79000 {
+		t.Fatalf("a smaller use shrank the kept block to %d", a.Kept())
+	}
+	if got := testing.AllocsPerRun(10, func() {
+		use(large, 6)
+		a.Rewind()
+	}); got != 1 {
+		t.Errorf("a use that fits the grown block made %v allocations beyond its own", got-1)
+	}
+}

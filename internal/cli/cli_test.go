@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"repro/internal/faultinject"
+	"repro/internal/kspectrum"
 )
 
 // TestRunHelp: `repro help` prints the subcommand synopsis and succeeds.
@@ -243,8 +244,9 @@ func TestFailedRunStopsProfiles(t *testing.T) {
 // only for -save-spectrum without -load-spectrum, so -mem-budget, -checkpoint
 // and -resume otherwise bound nothing: each is a usage error (exit 2) naming
 // -save-spectrum, refused before -out is touched or the store is opened. With it the run goes ahead
-// (TestGoldenReptileCLI's mem-budget case); `repro redeem` always counts and
-// keeps them (TestRedeemDetectOnlyBuildFlags).
+// (TestGoldenReptileCLI's mem-budget case); `repro redeem` counts unless it
+// preloads a spectrum and keeps them then (TestRedeemDetectOnlyBuildFlags),
+// and refuses them the same way under -load-spectrum, in both modes.
 func TestReptileBuildFlagsNeedSaveSpectrum(t *testing.T) {
 	in, _ := goldenInput(t)
 	dir := t.TempDir()
@@ -261,6 +263,14 @@ func TestReptileBuildFlagsNeedSaveSpectrum(t *testing.T) {
 		var ue *usageError
 		if !errors.As(err, &ue) || !strings.Contains(ue.msg, "-save-spectrum") {
 			t.Errorf("reptile %v: error = %v, want a usage error naming -save-spectrum", extra, err)
+		}
+	}
+	for _, mode := range [][]string{{"-out", out}, {"-detect-only"}} {
+		args := append([]string{"-in", in, "-load-spectrum", filepath.Join(dir, "none.kspc"), "-mem-budget", "64MB"}, mode...)
+		err := redeemCmd(args, io.Discard)
+		var ue *usageError
+		if !errors.As(err, &ue) || !strings.Contains(ue.msg, "-load-spectrum") {
+			t.Errorf("redeem %v: error = %v, want a usage error naming -load-spectrum", args, err)
 		}
 	}
 	if _, err := os.Stat(out); !errors.Is(err, os.ErrNotExist) {
@@ -293,6 +303,34 @@ func TestRedeemDetectOnlyBuildFlags(t *testing.T) {
 	}
 	if runs, _ := filepath.Glob(filepath.Join(ckpt, "run*.bin")); len(runs) == 0 {
 		t.Error("the failed build kept no runs in its checkpoint directory")
+	}
+}
+
+// TestRedeemDetectOnlySpills: -detect-only counts its spectrum through the
+// engine's pass, so a -mem-budget that spills changes nothing it prints but
+// the elapsed time.
+func TestRedeemDetectOnlySpills(t *testing.T) {
+	in, _ := goldenInput(t)
+	if _, st, err := kspectrum.BuildOutOfCore(readGolden(t, in), 11, true, kspectrum.StreamOptions{
+		Build: kspectrum.BuildOptions{Workers: 1}, MemoryBudget: 64 << 10,
+	}); err != nil || st.SpilledRuns == 0 {
+		t.Fatalf("64KB spills no run (%+v, %v)", st, err)
+	}
+	elapsed := regexp.MustCompile(` in [0-9.]+[a-zµ]+\n`)
+	detect := func(extra ...string) string {
+		t.Helper()
+		var stdout bytes.Buffer
+		if err := redeemCmd(append([]string{"-in", in, "-detect-only", "-workers", "1"}, extra...), &stdout); err != nil {
+			t.Fatal(err)
+		}
+		return elapsed.ReplaceAllString(stdout.String(), "\n")
+	}
+	unbounded, spilled := detect(), detect("-mem-budget", "64KB")
+	if !strings.HasPrefix(unbounded, "spectrum ") || strings.Count(unbounded, "\n") < 4 {
+		t.Fatalf("unexpected detect-only report:\n%s", unbounded)
+	}
+	if spilled != unbounded {
+		t.Errorf("a spilling budget changes the report:\n%s\nwant\n%s", spilled, unbounded)
 	}
 }
 

@@ -46,8 +46,8 @@ func (f *correctFlags) register(fs *flag.FlagSet) {
 	fs.StringVar(&f.out, "out", "", "output FASTQ (required)")
 	fs.IntVar(&f.workers, "workers", 0, "parallel workers (0 = all cores)")
 	fs.IntVar(&f.shards, "shards", 0, "spectrum shard count (0 = derive from workers)")
-	fs.StringVar(&f.memBudget, "mem-budget", "0", "spectrum accumulator budget, e.g. 64MB (0 = unlimited, in-memory); reptile counts a spectrum only for -save-spectrum without -load-spectrum")
-	fs.StringVar(&f.ckptDir, "checkpoint", "", "directory for crash-safe spectrum-build checkpoints (empty = off); reptile counts a spectrum only for -save-spectrum without -load-spectrum")
+	fs.StringVar(&f.memBudget, "mem-budget", "0", "k-spectrum count budget, e.g. 64MB (0 = unlimited, in-memory); the spectrum is counted when redeem runs or -save-spectrum is set, and never with -load-spectrum")
+	fs.StringVar(&f.ckptDir, "checkpoint", "", "directory for crash-safe k-spectrum count checkpoints (empty = off); the spectrum is counted when redeem runs or -save-spectrum is set, and never with -load-spectrum")
 	fs.BoolVar(&f.resume, "resume", false, "resume the interrupted build checkpointed in -checkpoint")
 	fs.Int64Var(&f.ckptEvery, "checkpoint-every", 0, "reads between automatic checkpoints (0 = default)")
 	fs.StringVar(&f.loadSpec, "load-spectrum", "", "reuse a persisted k-spectrum instead of counting the input")
@@ -56,36 +56,42 @@ func (f *correctFlags) register(fs *flag.FlagSet) {
 	fs.StringVar(&f.memprofile, "memprofile", "", "write a heap profile to this file on exit")
 }
 
-// streamOptions is the one translation of the spectrum-build flags
-// (-workers, -shards, -mem-budget, -checkpoint, -resume, -checkpoint-every):
-// every mode of every correction subcommand builds under its result.
-func (f *correctFlags) streamOptions() (kspectrum.StreamOptions, error) {
-	budget, err := parseByteSize(f.memBudget)
-	if err != nil {
-		return kspectrum.StreamOptions{}, err
-	}
-	if f.resume && f.ckptDir == "" {
-		return kspectrum.StreamOptions{}, errors.New("-resume requires -checkpoint")
-	}
-	return kspectrum.StreamOptions{
-		Build:        kspectrum.BuildOptions{Workers: f.workers, Shards: f.shards},
-		MemoryBudget: budget, CheckpointDir: f.ckptDir, Resume: f.resume, CheckpointEvery: f.ckptEvery,
-	}, nil
-}
-
-// engineOptions translates the shared flags into cross-engine run
-// options.
+// engineOptions is the one translation of the shared flags into
+// cross-engine run options, the spectrum-count flags (-workers, -shards,
+// -mem-budget, -checkpoint, -resume, -checkpoint-every) among them: every
+// mode of every correction subcommand runs under its result.
 func (f *correctFlags) engineOptions() ([]engine.Option, error) {
-	o, err := f.streamOptions()
+	budget, err := parseByteSize(f.memBudget)
 	if err != nil {
 		return nil, err
 	}
+	if f.resume && f.ckptDir == "" {
+		return nil, errors.New("-resume requires -checkpoint")
+	}
 	return []engine.Option{
 		engine.WithWorkers(f.workers),
-		engine.WithBuild(o),
+		engine.WithBuild(kspectrum.StreamOptions{
+			Build:        kspectrum.BuildOptions{Workers: f.workers, Shards: f.shards},
+			MemoryBudget: budget, CheckpointDir: f.ckptDir, Resume: f.resume, CheckpointEvery: f.ckptEvery,
+		}),
 		engine.WithSpectrumPath(f.loadSpec),
 		engine.WithSaveSpectrumPath(f.saveSpec),
 	}, nil
+}
+
+// checkRun refuses, as a usage error (exit 2) before anything is opened,
+// build flags that would bound nothing: the engine counts the k-spectrum
+// only when REDEEM runs or the run saves it, and never over a preloaded one
+// (engine.CheckRun).
+func checkRun(fs *flag.FlagSet, engineName string, run *engine.Run) error {
+	eng, err := engine.Lookup(engineName)
+	if err != nil {
+		return err
+	}
+	if engine.CheckRun(eng, run) != nil {
+		return usagef(fs, "-mem-budget, -checkpoint and -resume bound the k-spectrum count, which runs when redeem runs or -save-spectrum is set, and never with -load-spectrum")
+	}
+	return nil
 }
 
 // opener returns the re-openable chunked source over the input file the

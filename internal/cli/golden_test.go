@@ -229,6 +229,58 @@ func TestGoldenSpectrumRoundTrip(t *testing.T) {
 	}
 }
 
+// goldenInputWithN copies the golden input with an N in the middle of every
+// 50th read, so Reptile's counting step has ambiguous bases to convert.
+func goldenInputWithN(t *testing.T, in string) string {
+	t.Helper()
+	reads := readGolden(t, in)
+	for i := 0; i < len(reads); i += 50 {
+		reads[i].Seq[len(reads[i].Seq)/2] = 'N'
+	}
+	path := filepath.Join(t.TempDir(), "reads-n.fastq")
+	if err := os.WriteFile(path, encodeGolden(t, reads), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// TestGoldenSavedSpectrum: the store -save-spectrum writes keeps the SHA-256
+// recorded when the case was frozen — Reptile's with and without a spilling
+// -mem-budget, REDEEM's, and both -detect-only's — on the golden input and
+// on a copy with an N in every 50th read. Reptile counts the reads as its
+// tile step leaves them, N converted; REDEEM counts them as read.
+func TestGoldenSavedSpectrum(t *testing.T) {
+	in, genomeLen := goldenInput(t)
+	withN := goldenInputWithN(t, in)
+	gl := itoa(genomeLen)
+	cases := []struct {
+		name   string
+		run    func([]string, io.Writer) error
+		in     string
+		args   []string
+		digest string
+	}{
+		{"reptile", reptileCmd, in, []string{"-genome-len", gl}, "4de1560302f82e9c2f3c611b154822052de614741be85e0f707f46755df831fb"},
+		{"reptile-mem-budget", reptileCmd, in, []string{"-genome-len", gl, "-mem-budget", "64KB"}, "4de1560302f82e9c2f3c611b154822052de614741be85e0f707f46755df831fb"},
+		{"redeem", redeemCmd, in, nil, "e499f9dab909d4a2b1d817d43e94ca37c683c390de0ab81a6135785526234dd6"},
+		{"redeem-detect-only", redeemCmd, in, []string{"-detect-only"}, "e499f9dab909d4a2b1d817d43e94ca37c683c390de0ab81a6135785526234dd6"},
+		{"reptile-n", reptileCmd, withN, []string{"-genome-len", gl}, "1b57f887b127b79b738cfd21e69ab8c594ed4e52bdb8afe04c0c52b9ae5f6a87"},
+		{"reptile-n-mem-budget", reptileCmd, withN, []string{"-genome-len", gl, "-mem-budget", "64KB"}, "1b57f887b127b79b738cfd21e69ab8c594ed4e52bdb8afe04c0c52b9ae5f6a87"},
+		{"redeem-n", redeemCmd, withN, nil, "776841beadc96c7108fbabd2303defc944c279b7de0075f1cd5008756e47ced1"},
+		{"redeem-n-detect-only", redeemCmd, withN, []string{"-detect-only"}, "776841beadc96c7108fbabd2303defc944c279b7de0075f1cd5008756e47ced1"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			store := filepath.Join(t.TempDir(), "run.kspc")
+			args := append([]string{"-in", tc.in, "-out", os.DevNull, "-workers", "1", "-save-spectrum", store}, tc.args...)
+			got := runSubcommand(t, tc.run, args, store)
+			if sum := fmt.Sprintf("%x", sha256.Sum256(got)); sum != tc.digest {
+				t.Errorf("saved store SHA-256 %s, recorded %s", sum, tc.digest)
+			}
+		})
+	}
+}
+
 // TestCorruptStoreFailsBeforeOutput: every image of the store corruption
 // matrix makes `repro reptile|redeem -load-spectrum` and `repro shard -in`
 // fail at load with an error wrapping ErrSpectrumStore — nothing written at

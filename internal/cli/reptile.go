@@ -14,8 +14,8 @@ import (
 // chunked passes over the input, the first counting tiles. The k-spectrum is
 // counted only for -save-spectrum without -load-spectrum, so -mem-budget,
 // -checkpoint and -resume, which bound and checkpoint that count and never
-// the tile table, are refused otherwise (reptile.CheckRun). The golden tests
-// freeze the output bytes.
+// the tile table, are refused otherwise (checkRun). The golden tests freeze
+// the output bytes.
 func reptileCmd(args []string, stdout io.Writer) error {
 	fs := newFlagSet("reptile")
 	var f correctFlags
@@ -40,8 +40,8 @@ func reptileCmd(args []string, stdout io.Writer) error {
 		engine.WithGenomeLen(*genomeLen),
 		reptile.WithD(*d),
 	)...)
-	if reptile.CheckRun(run) != nil {
-		return usagef(fs, "-mem-budget, -checkpoint and -resume bound the k-spectrum count, which runs only with -save-spectrum and no -load-spectrum")
+	if err := checkRun(fs, reptile.EngineName, run); err != nil {
+		return err
 	}
 	return f.correct(reptile.EngineName, run, stdout, func(res *engine.Result, elapsed time.Duration) string {
 		return fmt.Sprintf("corrected %d of %d reads (%s, budget %s) in %v",

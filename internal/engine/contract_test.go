@@ -3,16 +3,19 @@ package engine_test
 import (
 	"bytes"
 	"context"
+	"errors"
 	"io"
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/engine"
 	"repro/internal/eval"
 	"repro/internal/fastq"
+	"repro/internal/faultinject"
 	"repro/internal/kspectrum"
 	"repro/internal/redeem"
 	"repro/internal/reptile"
@@ -78,6 +81,22 @@ func encodeFASTQ(t *testing.T, reads []seq.Read) []byte {
 	return buf.Bytes()
 }
 
+// registeredEngines lists the real engines: the package's own tests
+// register fake-* probes in the same binary.
+func registeredEngines(t *testing.T) []engine.Engine {
+	t.Helper()
+	var engines []engine.Engine
+	for _, eng := range engine.Engines() {
+		if !strings.HasPrefix(eng.Name(), "fake-") {
+			engines = append(engines, eng)
+		}
+	}
+	if len(engines) != 2 {
+		t.Fatalf("registered engines = %v, want reptile, redeem", engine.Names())
+	}
+	return engines
+}
+
 // TestEngineContract asserts, for every registered engine, the
 // cross-entry-point properties no single engine's own tests cover: the
 // two entry points agree byte for byte, a persisted spectrum is
@@ -89,16 +108,7 @@ func TestEngineContract(t *testing.T) {
 	blob := encodeFASTQ(t, reads)
 	genome := engine.WithGenomeLen(len(ds.Genome))
 
-	// The package's own tests register fake-* probes in the same binary.
-	var engines []engine.Engine
-	for _, eng := range engine.Engines() {
-		if !strings.HasPrefix(eng.Name(), "fake-") {
-			engines = append(engines, eng)
-		}
-	}
-	if len(engines) != 2 {
-		t.Fatalf("registered engines = %v, want reptile, redeem", engine.Names())
-	}
+	engines := registeredEngines(t)
 
 	// CorrectStream ≡ Correct, in memory and under a spilling budget. The
 	// budget bounds a spectrum build, which Reptile runs only to save one,
@@ -257,5 +267,152 @@ func TestFailedRunUnmapsSpectrumPath(t *testing.T) {
 	}
 	if n := storeMappings(t, path); n != 1 {
 		t.Errorf("caller-owned spectrum has %d mappings after a failed run, want 1", n)
+	}
+}
+
+// TestCheckRun: a memory budget, a checkpoint directory or resume bounds only
+// the k-spectrum count, which a run makes when its engine needs a spectrum
+// (REDEEM) or it saves one, and never over a preloaded spectrum. For every
+// engine, a run that counts none is refused with ErrBuildBoundsNothing by
+// CheckRun, and by Correct and CorrectStream before they read anything; a
+// run that counts, or sets no build bound, passes.
+func TestCheckRun(t *testing.T) {
+	reads := simulate.Reads(contractDataset(t, 21).Sim)
+	spec, err := kspectrum.Build(reads[:100], 11, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	save := engine.WithSaveSpectrumPath(filepath.Join(t.TempDir(), "s.kspc"))
+	budget := engine.WithBuild(kspectrum.StreamOptions{MemoryBudget: 1 << 20})
+	checkpoint := engine.WithBuild(kspectrum.StreamOptions{CheckpointDir: t.TempDir()})
+	both, reptileOnly := []string{reptile.EngineName, redeem.EngineName}, []string{reptile.EngineName}
+	for _, c := range []struct {
+		name   string
+		opts   []engine.Option
+		refuse []string // the engines that refuse the run
+	}{
+		{"no bound", nil, nil},
+		{"no bound, preloaded", []engine.Option{engine.WithSpectrum(spec)}, nil},
+		{"budget, saved", []engine.Option{budget, save}, nil},
+		{"budget", []engine.Option{budget}, reptileOnly},
+		{"checkpoint", []engine.Option{checkpoint}, reptileOnly},
+		{"resume", []engine.Option{engine.WithBuild(kspectrum.StreamOptions{Resume: true}), save, engine.WithSpectrumPath("none.kspc")}, both},
+		{"budget, preloaded and saved", []engine.Option{budget, save, engine.WithSpectrum(spec)}, both},
+		{"budget, preloaded", []engine.Option{budget, engine.WithSpectrum(spec)}, both},
+		{"checkpoint, preloaded", []engine.Option{checkpoint, engine.WithSpectrum(spec)}, both},
+	} {
+		for _, eng := range registeredEngines(t) {
+			name := eng.Name() + ", " + c.name
+			run := engine.NewRun(c.opts...)
+			refuse := slices.Contains(c.refuse, eng.Name())
+			if err := engine.CheckRun(eng, run); errors.Is(err, engine.ErrBuildBoundsNothing) != refuse || (err != nil && !refuse) {
+				t.Errorf("%s: CheckRun = %v, refuse %v", name, err, refuse)
+			}
+			if !refuse {
+				continue
+			}
+			if _, _, err := eng.Correct(context.Background(), reads, run); !errors.Is(err, engine.ErrBuildBoundsNothing) {
+				t.Errorf("%s: Correct = %v, want ErrBuildBoundsNothing", name, err)
+			}
+			opened := false
+			open := func() (engine.Source, error) { opened = true; return nil, errors.New("opened") }
+			if _, err := eng.CorrectStream(context.Background(), open, nil, run); !errors.Is(err, engine.ErrBuildBoundsNothing) || opened {
+				t.Errorf("%s: CorrectStream = %v, opened %v; want ErrBuildBoundsNothing before opening", name, err, opened)
+			}
+		}
+	}
+}
+
+// TestEngineCountSpillsAndResumes: the engine's one k-spectrum count is the
+// in-memory one, whether it spills or is killed and resumed. For every
+// engine, the spectrum a streamed run counts under a MemoryBudget that
+// spills, and the one it counts after resuming the checkpoint of a run
+// killed at its second checkpoint, equal the engine package's own in-memory
+// count (reptile.New, redeem.New), and each run corrects to the in-memory
+// reference bytes — for Reptile, those of the closed Corrector reptile.New
+// makes.
+func TestEngineCountSpillsAndResumes(t *testing.T) {
+	ds := contractDataset(t, 23)
+	reads := simulate.Reads(ds.Sim)
+	blob := encodeFASTQ(t, reads)
+	ctx := context.Background()
+	const workers = 2
+	build := kspectrum.BuildOptions{Workers: workers}
+	reference := map[string]func() (*kspectrum.Spectrum, []seq.Read){
+		reptile.EngineName: func() (*kspectrum.Spectrum, []seq.Read) {
+			p := reptile.DefaultParams(reads, len(ds.Genome))
+			p.Build = build
+			c, err := reptile.New(reads, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out, err := c.CorrectAllCtx(ctx, reads, workers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return c.Spec, out
+		},
+		redeem.EngineName: func() (*kspectrum.Spectrum, []seq.Read) {
+			cfg := redeem.DefaultConfig(11)
+			cfg.Build = build
+			m, err := redeem.New(reads, simulate.NewUniformKmerModel(11, 0.01), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m.Run()
+			thr, _, err := m.InferThreshold(1, redeem.MixtureMaxG)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out, err := m.CorrectReadsCtx(ctx, reads, thr, workers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return m.Spec, out
+		},
+	}
+	for _, eng := range registeredEngines(t) {
+		t.Run(eng.Name(), func(t *testing.T) {
+			spec, out := reference[eng.Name()]()
+			want := encodeFASTQ(t, out)
+			dir := t.TempDir()
+			opts := func(name string, o kspectrum.StreamOptions) []engine.Option {
+				return []engine.Option{engine.WithGenomeLen(len(ds.Genome)), engine.WithWorkers(workers),
+					engine.WithBuild(o), engine.WithSaveSpectrumPath(filepath.Join(dir, name+".kspc"))}
+			}
+			check := func(leg string, got []byte, res *engine.Result) {
+				t.Helper()
+				if res.Spectrum == nil || !slices.Equal(res.Spectrum.Kmers, spec.Kmers) || !slices.Equal(res.Spectrum.Counts, spec.Counts) {
+					t.Errorf("%s: counted a spectrum that differs from the in-memory one's %d kmers", leg, spec.Size())
+				}
+				if !bytes.Equal(got, want) {
+					t.Errorf("%s: corrects differently from the in-memory reference", leg)
+				}
+			}
+
+			spill := kspectrum.StreamOptions{MemoryBudget: 64 << 10, TempDir: t.TempDir()}
+			if _, st, err := kspectrum.BuildOutOfCore(reads, spec.K, true, kspectrum.StreamOptions{Build: build, MemoryBudget: spill.MemoryBudget}); err != nil || st.SpilledRuns == 0 {
+				t.Fatalf("the budget spills no run (%+v, %v)", st, err)
+			}
+			got, res := streamFASTQ(t, eng, blob, opts("spilled", spill)...)
+			check("spilled", got, res)
+
+			ckpt := kspectrum.StreamOptions{CheckpointDir: filepath.Join(dir, "ckpt"), CheckpointEvery: fastq.DefaultChunkSize}
+			open := func() (engine.Source, error) {
+				return fastq.NewChunkReader(io.NopCloser(bytes.NewReader(blob)), 0), nil
+			}
+			disable := faultinject.Enable(&faultinject.Rule{Site: string(faultinject.SiteManifest), Op: faultinject.OpRename, Nth: 2})
+			_, err := eng.CorrectStream(ctx, open, engine.SinkFunc(func(_, _ []seq.Read) error { return nil }), engine.NewRun(opts("killed", ckpt)...))
+			disable()
+			if !errors.Is(err, faultinject.ErrInjected) {
+				t.Fatalf("killed: error = %v, want the injected one at the second checkpoint", err)
+			}
+			if _, err := os.Stat(filepath.Join(ckpt.CheckpointDir, kspectrum.ManifestName)); err != nil {
+				t.Fatalf("no checkpoint to resume: %v", err)
+			}
+			ckpt.Resume = true
+			got, res = streamFASTQ(t, eng, blob, opts("resumed", ckpt)...)
+			check("resumed", got, res)
+		})
 	}
 }

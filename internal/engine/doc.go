@@ -24,12 +24,10 @@
 //   - Run: the per-invocation configuration, built from functional
 //     options. Cross-engine knobs live here (WithK, WithWorkers,
 //     WithGenomeLen, WithSpectrum, WithSpectrumBackend, WithSpectrumPath,
-//     WithSaveSpectrumPath, and WithBuild, which takes the spectrum
-//     build's kspectrum.StreamOptions — memory budget, checkpointing,
-//     shard count — whole and Run.StreamOptions hands it to an engine
-//     under the run's workers and context; the budget and checkpoints
-//     bound a spectrum build, which Reptile runs only for
-//     WithSaveSpectrumPath); engine packages contribute
+//     WithSaveSpectrumPath, and WithBuild, which takes the k-spectrum
+//     count's kspectrum.StreamOptions — memory budget, checkpointing,
+//     shard count — whole, applied under the run's workers and context
+//     (Run.StreamOptions)); engine packages contribute
 //     their own options (reptile.WithD, redeem.WithErrorRate, ...) that
 //     tuck engine-specific payloads into the Run's extension slots. A Run is
 //     inert data: engines resolve it against their defaults at call time,
@@ -50,8 +48,17 @@
 // Phase 1 (Train), and CorrectWith / CorrectStreamWith resolve the run's
 // spectrum, run it over the reads or one pass of the source, correct
 // through the ChunkCorrector it returns, save the spectrum and fill the
-// Result. Result.Spectrum is nil when Phase 1 built none: Reptile's counts
-// tiles alone unless the run saves its spectrum.
+// Result (TrainStreamWith stops after Phase 1).
+//
+// The k-spectrum is counted in one place, Phase 1's pass (Input.Each), by
+// one rule: the engine counts when REDEEM runs or the run saves, and never
+// over a preloaded spectrum — REDEEM declares Capabilities.NeedsSpectrum,
+// Reptile counts one only for WithSaveSpectrumPath. The pass feeds each
+// chunk, as the engine's step leaves it, to one kspectrum.StreamBuilder
+// under Run.StreamOptions. Result.Spectrum is the spectrum counted or
+// adopted, nil when there is none. A memory budget, checkpoint or resume on
+// a run that counts nothing bounds nothing, and CheckRun refuses it with
+// ErrBuildBoundsNothing before anything is opened.
 //
 // Engines that can amortize per-corpus state across many independent
 // requests additionally implement Servicer: NewService builds a shared,

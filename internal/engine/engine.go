@@ -31,6 +31,10 @@ type Capabilities struct {
 	// (REDEEM fits its model over every spectrum entry) leave it false
 	// and stay colocated with their spectrum.
 	RemoteSpectrum bool
+	// NeedsSpectrum reports that Phase 1 needs the input's k-spectrum
+	// (REDEEM fits its model over it): a run that preloads none counts one.
+	// An engine without it is counted one only when the run saves it.
+	NeedsSpectrum bool
 }
 
 // ServesSpectrum reports whether the engine can serve requests against a
@@ -50,10 +54,10 @@ type Result struct {
 	// in-memory Correct, whose caller holds the slices).
 	Reads   int
 	Changed int
-	// Spectrum is the k-spectrum the run built or adopted, nil when the
-	// engine built none: Reptile counts one only to save it
-	// (WithSaveSpectrumPath). One the run loaded from WithSpectrumPath
-	// holds a file mapping and is the caller's to Close.
+	// Spectrum is the k-spectrum the run counted or adopted, nil when it
+	// had none: the run counts one only when the engine needs it or the run
+	// saves it (CheckRun). One the run loaded from WithSpectrumPath holds a
+	// file mapping and is the caller's to Close.
 	Spectrum *kspectrum.Spectrum
 	// Summary is a one-line, engine-specific description of the resolved
 	// parameters and outcome, suitable for a CLI status line.

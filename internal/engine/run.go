@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"errors"
 	"fmt"
 
 	"repro/internal/kspectrum"
@@ -89,11 +90,12 @@ func WithWorkers(n int) Option { return func(r *Run) { r.Workers = n } }
 // WithGenomeLen sets the estimated genome length for parameter selection.
 func WithGenomeLen(n int) Option { return func(r *Run) { r.GenomeLen = n } }
 
-// WithBuild configures the run's spectrum build in kspectrum's own terms:
+// WithBuild configures the run's k-spectrum count in kspectrum's own terms:
 // the memory budget past which shard tables spill to sorted runs, the
 // checkpoint directory, resume and interval that make counting crash-safe,
 // and the shard count (o.Build.Shards). The value is kept whole; its
-// worker count and Context are the run's (StreamOptions).
+// worker count and Context are the run's (StreamOptions). A budget,
+// checkpoint or resume on a run that counts nothing is refused (CheckRun).
 func WithBuild(o kspectrum.StreamOptions) Option { return func(r *Run) { r.stream = o } }
 
 // WithSpectrum supplies a preloaded in-memory spectrum the engine adopts
@@ -169,9 +171,9 @@ func (r *Run) CloseOpened(spec *kspectrum.Spectrum, err *error) {
 	}
 }
 
-// StreamOptions is the one value that configures an engine's spectrum
-// build (kspectrum.NewStreamBuilder): what WithBuild set, with the run's
-// Workers as its parallelism and ctx cancelling its spill and merge loops.
+// StreamOptions is the one value that configures the run's k-spectrum count
+// (Input.Each): what WithBuild set, with the run's Workers as its
+// parallelism and ctx cancelling its spill and merge loops.
 func (r *Run) StreamOptions(ctx context.Context) kspectrum.StreamOptions {
 	o := r.stream
 	o.Build.Workers = r.Workers
@@ -186,4 +188,28 @@ func (r *Run) SaveSpectrum(spec *kspectrum.Spectrum) error {
 		return nil
 	}
 	return kspectrum.WriteSpectrumFile(r.SaveSpectrumPath, spec)
+}
+
+// ErrBuildBoundsNothing is CheckRun's refusal: the run sets a memory budget,
+// a checkpoint directory or resume (WithBuild), but counts no k-spectrum for
+// them to bound.
+var ErrBuildBoundsNothing = errors.New("engine: a memory budget, checkpoint or resume bounds only the k-spectrum count, which runs when the engine needs a spectrum or the run saves one, and never over a preloaded one")
+
+// countsSpectrum reports whether the run's Phase 1 pass counts the
+// k-spectrum for an engine of caps: when no spectrum is preloaded, and the
+// engine needs one or the run saves one.
+func (r *Run) countsSpectrum(caps Capabilities) bool {
+	return r.Spectrum == nil && r.SpectrumPath == "" && (caps.NeedsSpectrum || r.SaveSpectrumPath != "")
+}
+
+// CheckRun refuses a run of e whose build options would bound nothing: a
+// MemoryBudget, CheckpointDir or Resume when the run counts no k-spectrum
+// (ErrBuildBoundsNothing). Every pipeline calls it before it opens
+// anything; a front end calls it to refuse before it opens its own files.
+func CheckRun(e Engine, run *Run) error {
+	o := run.stream
+	if !run.countsSpectrum(e.Capabilities()) && (o.MemoryBudget != 0 || o.CheckpointDir != "" || o.Resume) {
+		return ErrBuildBoundsNothing
+	}
+	return nil
 }

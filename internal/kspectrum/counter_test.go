@@ -253,11 +253,11 @@ func tileSetEqualsReference(t *testing.T, ts *TileSet, ref map[seq.Kmer]TileCoun
 		}
 	}
 	// Histograms agree too (iteration-order independent).
-	wantHist := make([]int, 9)
+	var wantHist [256]int
 	for _, tc := range ref {
-		wantHist[min(int(tc.Og), 8)]++
+		wantHist[min(int(tc.Og), 255)]++
 	}
-	gotHist := ts.OgHistogram(8)
+	gotHist := ts.OgHistogram()
 	for i := range wantHist {
 		if gotHist[i] != wantHist[i] {
 			t.Fatalf("%s: OgHistogram[%d] = %d want %d", label, i, gotHist[i], wantHist[i])

@@ -389,16 +389,16 @@ func (ts *TileSet) SplitTile(tile seq.Kmer) (a, b seq.Kmer) {
 	return a, b
 }
 
-// OgHistogram tallies distinct tiles by Og count, binning counts above
-// maxBin into the last bin. It panics over a floored column, which no
-// longer holds the tiles below its floor.
-func (ts *TileSet) OgHistogram(maxBin int) []int {
+// OgHistogram tallies distinct tiles by Og count, binning counts above 255
+// into the last bin. The result is a value, so a caller that reads it once
+// allocates nothing. It panics over a floored column, which no longer holds
+// the tiles below its floor.
+func (ts *TileSet) OgHistogram() (h [256]int) {
 	if ts.floor > 0 {
 		panic(fmt.Sprintf("kspectrum: TileSet.OgHistogram over a column floored at %d", ts.floor))
 	}
-	h := make([]int, maxBin+1)
 	ts.forEach(func(_ seq.Kmer, tc TileCount) {
-		h[min(int(tc.Og), maxBin)]++
+		h[min(tc.Og, uint32(len(h)-1))]++
 	})
 	return h
 }

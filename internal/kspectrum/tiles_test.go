@@ -289,7 +289,7 @@ func TestTileSetFreezeFloor(t *testing.T) {
 					t.Fatalf("%s: AppendAtLeast(%d) listed %d tiles, the floor-0 column %d", label, minOg, len(got), len(want))
 				}
 			}
-			mustPanic(t, "OgHistogram over a column floored", func() { ts.OgHistogram(8) })
+			mustPanic(t, "OgHistogram over a column floored", func() { ts.OgHistogram() })
 			mustPanic(t, "AppendAtLeast(0) below the column's floor", func() { ts.AppendAtLeast(nil, 0, 1) })
 			mustPanic(t, "below the column's floor", func() { ts.Freeze(floor - 1) })
 			ts.Freeze(floor)
@@ -408,7 +408,7 @@ func TestTileSetSealedReadsAsFrozen(t *testing.T) {
 		gets       []TileCount
 		maxOg      uint32
 		size       int
-		hist       [][]int
+		hist       [256]int
 		atLeast    [][]TileEntry
 		absentGets []TileCount
 	}
@@ -432,9 +432,7 @@ func TestTileSetSealedReadsAsFrozen(t *testing.T) {
 				sn.absentGets = append(sn.absentGets, ts.Get(tile))
 			}
 			sn.maxOg, sn.size = ts.MaxOg(), ts.Size()
-			for _, maxBin := range []int{0, 1, 4, 255} {
-				sn.hist = append(sn.hist, ts.OgHistogram(maxBin))
-			}
+			sn.hist = ts.OgHistogram()
 			head := []TileEntry{{Tile: 1}}
 			for _, minOg := range []uint32{0, 1, 2, 5, sn.maxOg, sn.maxOg + 1} {
 				count := len(ts.AppendAtLeast(nil, minOg, math.MaxInt))
@@ -467,7 +465,7 @@ func TestTileSetMaxOg(t *testing.T) {
 		reads = append(reads, reads[0])
 	}
 	highest := func(ts *TileSet) uint32 {
-		h := ts.OgHistogram(2 * len(reads))
+		h := ts.OgHistogram()
 		for og := len(h) - 1; og > 0; og-- {
 			if h[og] != 0 {
 				return uint32(og)

@@ -8,6 +8,7 @@ import (
 	"repro/internal/kspectrum"
 	"repro/internal/seq"
 	"repro/internal/simulate"
+	"repro/internal/stats"
 )
 
 // EngineName is REDEEM's registry key.
@@ -56,6 +57,9 @@ func (redeemEngine) Capabilities() engine.Capabilities {
 		// backend. The coordinator refuses to route redeem requests to a
 		// sharded spectrum on this declaration.
 		RemoteSpectrum: false,
+		// The model is fitted over the spectrum: a run that preloads none
+		// counts one.
+		NeedsSpectrum: true,
 	}
 }
 
@@ -86,41 +90,65 @@ func resolveConfig(run *engine.Run, spec *kspectrum.Spectrum) (Config, *simulate
 	return cfg, model
 }
 
-func (redeemEngine) Correct(ctx context.Context, reads []seq.Read, run *engine.Run) ([]seq.Read, *engine.Result, error) {
-	return engine.CorrectWith(ctx, reads, run, EngineName, train)
+func (e redeemEngine) Correct(ctx context.Context, reads []seq.Read, run *engine.Run) ([]seq.Read, *engine.Result, error) {
+	return engine.CorrectWith(ctx, reads, run, e, train)
 }
 
-func (redeemEngine) CorrectStream(ctx context.Context, open engine.SourceOpener, sink engine.Sink, run *engine.Run) (*engine.Result, error) {
-	return engine.CorrectStreamWith(ctx, open, sink, run, EngineName, train)
+func (e redeemEngine) CorrectStream(ctx context.Context, open engine.SourceOpener, sink engine.Sink, run *engine.Run) (*engine.Result, error) {
+	return engine.CorrectStreamWith(ctx, open, sink, run, e, train)
+}
+
+// Fit is REDEEM's Phase 1 product: the model after EM (one LogLik entry an
+// iteration), the §3.7 mixture and the threshold inferred from it. The model
+// is read-only from here on, so Fit corrects chunks concurrently
+// (engine.ChunkCorrector).
+type Fit struct {
+	Model     *Model
+	Mixture   *stats.Mixture
+	Threshold float64
+}
+
+// CorrectChunk corrects reads against the fitted model at its threshold.
+func (f *Fit) CorrectChunk(ctx context.Context, reads []seq.Read, workers int) ([]seq.Read, error) {
+	return f.Model.CorrectReadsCtx(ctx, reads, f.Threshold, workers)
+}
+
+// Detect is REDEEM's Phase 1 alone over one pass of open
+// (engine.TrainStreamWith), with no correction pass: the run's spectrum,
+// preloaded or counted under its build options and saved when the run asks,
+// then the misread graph, EM and the §3.7 threshold.
+func Detect(ctx context.Context, open engine.SourceOpener, run *engine.Run) (*Fit, error) {
+	c, err := engine.TrainStreamWith(ctx, open, run, redeemEngine{}, train)
+	f, _ := c.(*Fit)
+	return f, err
 }
 
 // train is REDEEM's Phase 1 (engine.Train): the spectrum (counted over one
 // pass of in, or spec as given, when in may be nil), the misread graph, EM
-// and the §3.7 threshold. The fitted model is read-only from here on, so
-// Phase 2 may correct chunks concurrently.
+// and the §3.7 threshold. A bad config or model is rejected before the
+// pass.
 func train(ctx context.Context, run *engine.Run, spec *kspectrum.Spectrum, in *engine.Input) (*engine.Trained, error) {
 	cfg, model := resolveConfig(run, spec)
-	cfg.StreamOptions = run.StreamOptions(ctx)
-	spec, err := buildSpectrum(model, cfg, in.Each)
-	if err != nil {
+	if err := cfg.check(model); err != nil {
 		return nil, err
+	}
+	if spec == nil {
+		var err error
+		if spec, err = in.Each(cfg.K, nil); err != nil {
+			return nil, err
+		}
 	}
 	m, err := NewFromSpectrum(spec, model, cfg)
 	if err != nil {
 		return nil, err
 	}
 	m.Run()
-	thr, _, err := m.InferThreshold(1, MixtureMaxG)
-	if err != nil {
+	f := &Fit{Model: m}
+	if f.Threshold, f.Mixture, err = m.InferThreshold(1, MixtureMaxG); err != nil {
 		return nil, err
 	}
-	return &engine.Trained{
-		Corrector: engine.ChunkFunc(func(ctx context.Context, reads []seq.Read, workers int) ([]seq.Read, error) {
-			return m.CorrectReadsCtx(ctx, reads, thr, workers)
-		}),
-		Spectrum: m.Spec,
-		Summary:  fmt.Sprintf("spectrum %d kmers; inferred threshold %.2f", m.Spec.Size(), thr),
-	}, nil
+	return &engine.Trained{Corrector: f,
+		Summary: fmt.Sprintf("spectrum %d kmers; inferred threshold %.2f", spec.Size(), f.Threshold)}, nil
 }
 
 // NewService implements engine.Servicer: Phase 1 once over the run's

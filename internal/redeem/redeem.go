@@ -34,19 +34,16 @@ type Config struct {
 	// Tol is the relative log-likelihood improvement at which EM stops.
 	Tol float64
 	// Spectrum, when non-nil, is a preloaded k-spectrum (typically from
-	// kspectrum.ReadSpectrumFile): New and the engine's Phase 1 skip the
-	// counting pass and model the preloaded counts directly. It must
-	// match K and have been built from both strands.
+	// kspectrum.ReadSpectrumFile): New skips the counting pass and models
+	// the preloaded counts directly. It must match K and have been built
+	// from both strands.
 	Spectrum *kspectrum.Spectrum
-	// StreamOptions configures the spectrum build (see
-	// kspectrum.StreamOptions): its parallelism, a MemoryBudget that bounds
-	// the accumulators by spilling, a CheckpointDir that makes it crash-safe
-	// and resumable, the Context that cancels it. The EM state itself (Y,
-	// T, the sparse misread graph) scales with the distinct-kmer count, not
-	// the read count: it stays in memory and is recomputed from the finished
-	// spectrum, so it needs no checkpointing of its own. Ignored when
-	// Spectrum is preloaded.
-	kspectrum.StreamOptions
+	// Build is the parallelism of the k-spectrum New counts in memory. The
+	// engine route counts it in its pass instead, under the run's own build
+	// options (engine.Input.Each). The EM state itself (Y, T, the sparse
+	// misread graph) scales with the distinct-kmer count, not the read
+	// count, and is recomputed from the finished spectrum.
+	Build kspectrum.BuildOptions
 }
 
 // MixtureMaxG bounds the component count of the §3.7 threshold mixture's
@@ -59,7 +56,9 @@ func DefaultConfig(k int) Config {
 	return Config{K: k, Dmax: 1, C: min(k, 5), MaxIter: 50, Tol: 1e-6}
 }
 
-func (c Config) validate() error {
+// check rejects a bad config, or an error model of another k, before any
+// work.
+func (c Config) check(errModel *simulate.KmerErrorModel) error {
 	if c.K <= 1 || c.K > seq.MaxK {
 		return fmt.Errorf("redeem: invalid k=%d", c.K)
 	}
@@ -79,6 +78,9 @@ func (c Config) validate() error {
 		if !c.Spectrum.BothStrands {
 			return fmt.Errorf("redeem: preloaded spectrum was not built from both strands")
 		}
+	}
+	if errModel == nil || errModel.K != c.K {
+		return fmt.Errorf("redeem: error model k mismatch")
 	}
 	return nil
 }
@@ -108,48 +110,28 @@ type Model struct {
 }
 
 // New builds the spectrum, the sparse misread graph, and initializes T = Y.
+// The spectrum is cfg.Spectrum, or the reads' counted in memory; a bad
+// config or model is rejected before any counting.
 func New(reads []seq.Read, errModel *simulate.KmerErrorModel, cfg Config) (*Model, error) {
-	spec, err := buildSpectrum(errModel, cfg, func(add func([]seq.Read) error) error { return add(reads) })
-	if err != nil {
+	if err := cfg.check(errModel); err != nil {
 		return nil, err
+	}
+	spec := cfg.Spectrum
+	if spec == nil {
+		var err error
+		if spec, err = kspectrum.BuildParallel(reads, cfg.K, true, cfg.Build); err != nil {
+			return nil, err
+		}
 	}
 	return NewFromSpectrum(spec, errModel, cfg)
 }
 
-// buildSpectrum is the one spectrum build step: the preloaded spectrum if
-// there is one, else whatever feed hands to add, counted through the one
-// builder — cfg.StreamOptions decides whether it spills, checkpoints or can
-// be cancelled. A bad config or model is rejected before any counting.
-func buildSpectrum(errModel *simulate.KmerErrorModel, cfg Config, feed func(add func([]seq.Read) error) error) (*kspectrum.Spectrum, error) {
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	if errModel == nil || errModel.K != cfg.K {
-		return nil, fmt.Errorf("redeem: error model k mismatch")
-	}
-	if cfg.Spectrum != nil {
-		return cfg.Spectrum, nil
-	}
-	st, err := kspectrum.NewStreamBuilder(cfg.K, true, cfg.StreamOptions)
-	if err != nil {
-		return nil, err
-	}
-	defer st.Close() // reclaim spill files if the feed aborts
-	if err := feed(func(chunk []seq.Read) error { st.Add(chunk); return nil }); err != nil {
-		return nil, err
-	}
-	return st.Build()
-}
-
 // NewFromSpectrum builds the model over an already-constructed spectrum —
-// the entry point for streaming construction, where the spectrum arrives
-// from a StreamBuilder rather than an in-memory read set.
+// the engine's entry point, where the spectrum arrives from its pass or a
+// store rather than an in-memory read set.
 func NewFromSpectrum(spec *kspectrum.Spectrum, errModel *simulate.KmerErrorModel, cfg Config) (*Model, error) {
-	if err := cfg.validate(); err != nil {
+	if err := cfg.check(errModel); err != nil {
 		return nil, err
-	}
-	if errModel == nil || errModel.K != cfg.K {
-		return nil, fmt.Errorf("redeem: error model k mismatch")
 	}
 	if spec == nil || spec.K != cfg.K {
 		return nil, fmt.Errorf("redeem: spectrum k mismatch")

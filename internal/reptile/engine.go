@@ -2,7 +2,6 @@ package reptile
 
 import (
 	"context"
-	"errors"
 	"fmt"
 
 	"repro/internal/engine"
@@ -58,8 +57,8 @@ func (reptileEngine) Capabilities() engine.Capabilities {
 // resolveParams finalizes the parameter block from the run, the sampled
 // reads, and the (possibly preloaded) spectrum, in the one order the
 // golden tests freeze: data-derived DefaultParams, then WithK, then a
-// stored spectrum's k (when no k was requested), then WithD. ctx cancels
-// the spectrum build.
+// stored spectrum's k (when no k was requested), then WithD; the tile
+// counter takes the run's parallelism.
 func resolveParams(ctx context.Context, sample []seq.Read, run *engine.Run, spec *kspectrum.Spectrum) Params {
 	e := extOf(run)
 	p := DefaultParams(sample, run.GenomeLen)
@@ -80,64 +79,33 @@ func resolveParams(ctx context.Context, sample []seq.Read, run *engine.Run, spec
 			p.C = p.D + 2
 		}
 	}
-	p.StreamOptions = run.StreamOptions(ctx)
+	p.Build = run.StreamOptions(ctx).Build
 	return p
 }
 
-// ErrBuildBoundsNothing is CheckRun's refusal: the run sets a memory budget,
-// a checkpoint directory or resume (WithBuild), but counts no k-spectrum for
-// them to bound.
-var ErrBuildBoundsNothing = errors.New("reptile: a memory budget, checkpoint or resume bounds only the k-spectrum count, which runs only when the run saves its spectrum and preloads none")
-
-// countsSpectrum reports whether train counts the k-spectrum: only to save
-// it, and never over a preloaded one. A closed Corrector asks nothing of it.
-func countsSpectrum(run *engine.Run) bool {
-	return run.SaveSpectrumPath != "" && run.Spectrum == nil && run.SpectrumPath == ""
+func (e reptileEngine) Correct(ctx context.Context, reads []seq.Read, run *engine.Run) ([]seq.Read, *engine.Result, error) {
+	return engine.CorrectWith(ctx, reads, run, e, train)
 }
 
-// CheckRun refuses a run whose build options would bound nothing: a
-// MemoryBudget, CheckpointDir or Resume with no k-spectrum count
-// (ErrBuildBoundsNothing). The tile table is never bounded or checkpointed.
-// Correct and CorrectStream call it first; a front end calls it to refuse
-// before it opens anything.
-func CheckRun(run *engine.Run) error {
-	o := run.StreamOptions(context.Background())
-	if !countsSpectrum(run) && (o.MemoryBudget != 0 || o.CheckpointDir != "" || o.Resume) {
-		return ErrBuildBoundsNothing
-	}
-	return nil
-}
-
-func (reptileEngine) Correct(ctx context.Context, reads []seq.Read, run *engine.Run) ([]seq.Read, *engine.Result, error) {
-	if err := CheckRun(run); err != nil {
-		return nil, nil, err
-	}
-	return engine.CorrectWith(ctx, reads, run, EngineName, train)
-}
-
-func (reptileEngine) CorrectStream(ctx context.Context, open engine.SourceOpener, sink engine.Sink, run *engine.Run) (*engine.Result, error) {
-	if err := CheckRun(run); err != nil {
-		return nil, err
-	}
-	return engine.CorrectStreamWith(ctx, open, sink, run, EngineName, train)
+func (e reptileEngine) CorrectStream(ctx context.Context, open engine.SourceOpener, sink engine.Sink, run *engine.Run) (*engine.Result, error) {
+	return engine.CorrectStreamWith(ctx, open, sink, run, e, train)
 }
 
 // train is Reptile's Phase 1 (engine.Train): parameters from the sample, then
 // tiles, thresholds and the neighborhood index — over the run column's kmers,
-// or over a preloaded spectrum (Finish). It counts the k-spectrum only when
-// the run saves it (countsSpectrum): a closed Corrector asks nothing of one,
-// so otherwise the Trained spectrum is nil. Phase 2 is CorrectAllCtx.
+// or over a preloaded spectrum (Finish). The pass counts the k-spectrum, from
+// the reads as the tiles see them, only when the run saves it: a closed
+// Corrector asks nothing of one. Phase 2 is CorrectAllCtx.
 func train(ctx context.Context, run *engine.Run, spec *kspectrum.Spectrum, in *engine.Input) (*engine.Trained, error) {
 	sample, err := in.Sample()
 	if err != nil {
 		return nil, err
 	}
-	b, err := newBuilder(resolveParams(ctx, sample, run, spec), countsSpectrum(run))
+	b, err := newBuilder(resolveParams(ctx, sample, run, spec), false)
 	if err != nil {
 		return nil, err
 	}
-	defer b.Close() // reclaim spill files if the pass aborts
-	if err = in.Each(func(chunk []seq.Read) error { b.Add(chunk); return nil }); err != nil {
+	if spec, err = in.Each(b.p.K, b.Add); err != nil {
 		return nil, err
 	}
 	c, err := b.Finish()
@@ -145,10 +113,10 @@ func train(ctx context.Context, run *engine.Run, spec *kspectrum.Spectrum, in *e
 		return nil, err
 	}
 	spectrum := "spectrum not counted"
-	if c.Spec != nil {
-		spectrum = fmt.Sprintf("spectrum %d kmers", c.Spec.Size())
+	if spec != nil {
+		spectrum = fmt.Sprintf("spectrum %d kmers", spec.Size())
 	}
-	return &engine.Trained{Corrector: engine.ChunkFunc(c.CorrectAllCtx), Spectrum: c.Spec,
+	return &engine.Trained{Corrector: engine.ChunkFunc(c.CorrectAllCtx),
 		Summary: fmt.Sprintf("k=%d d=%d Cg=%d Cm=%d Qc=%d; %s, %d tiles",
 			c.P.K, c.P.D, c.P.Cg, c.P.Cm, c.P.Qc, spectrum, c.Tiles.Size())}, nil
 }

@@ -3,7 +3,6 @@ package reptile
 import (
 	"bytes"
 	"context"
-	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -13,7 +12,6 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/fastq"
-	"repro/internal/kspectrum"
 	"repro/internal/seq"
 )
 
@@ -78,50 +76,6 @@ func TestEngineSpectrumOnlyWhenSaved(t *testing.T) {
 					t.Fatalf("%s: the run with no spectrum corrects differently from the one that saves it", name)
 				}
 			}
-		}
-	}
-}
-
-// TestCheckRun: a memory budget, a checkpoint directory or resume bounds only
-// the k-spectrum count, so a run that counts none — no save path, or a
-// preloaded spectrum — is refused with ErrBuildBoundsNothing by CheckRun and
-// by Correct and CorrectStream before they read anything. A run that saves
-// its spectrum, or sets no build bound, passes.
-func TestCheckRun(t *testing.T) {
-	reads, _ := serviceFixture(t)
-	spec, err := kspectrum.Build(reads[:100], 11, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	save := engine.WithSaveSpectrumPath(filepath.Join(t.TempDir(), "s.kspc"))
-	budget := engine.WithBuild(kspectrum.StreamOptions{MemoryBudget: 1 << 20})
-	for _, c := range []struct {
-		name   string
-		opts   []engine.Option
-		refuse bool
-	}{
-		{"no bound", nil, false},
-		{"no bound, preloaded", []engine.Option{engine.WithSpectrum(spec)}, false},
-		{"budget, saved", []engine.Option{budget, save}, false},
-		{"budget", []engine.Option{budget}, true},
-		{"checkpoint", []engine.Option{engine.WithBuild(kspectrum.StreamOptions{CheckpointDir: t.TempDir()})}, true},
-		{"resume", []engine.Option{engine.WithBuild(kspectrum.StreamOptions{Resume: true}), save, engine.WithSpectrumPath("none.kspc")}, true},
-		{"budget, preloaded and saved", []engine.Option{budget, save, engine.WithSpectrum(spec)}, true},
-	} {
-		run := engine.NewRun(c.opts...)
-		if err := CheckRun(run); errors.Is(err, ErrBuildBoundsNothing) != c.refuse || (err != nil && !c.refuse) {
-			t.Errorf("%s: CheckRun = %v, refuse %v", c.name, err, c.refuse)
-		}
-		if !c.refuse {
-			continue
-		}
-		if _, _, err := (reptileEngine{}).Correct(context.Background(), reads, run); !errors.Is(err, ErrBuildBoundsNothing) {
-			t.Errorf("%s: Correct = %v, want ErrBuildBoundsNothing", c.name, err)
-		}
-		opened := false
-		open := func() (engine.Source, error) { opened = true; return nil, errors.New("opened") }
-		if _, err := (reptileEngine{}).CorrectStream(context.Background(), open, nil, run); !errors.Is(err, ErrBuildBoundsNothing) || opened {
-			t.Errorf("%s: CorrectStream = %v, opened %v; want ErrBuildBoundsNothing before opening", c.name, err, opened)
 		}
 	}
 }

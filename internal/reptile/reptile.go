@@ -48,17 +48,11 @@ type Params struct {
 	// strands — the corrector's reverse-complement pass depends on the
 	// spectrum being RC-closed.
 	Spectrum *kspectrum.Spectrum
-	// StreamOptions configures Phase 1's spectrum build (see
-	// kspectrum.StreamOptions): Build is its parallelism — the tile counter
-	// shares it — a MemoryBudget bounds the accumulators by spilling, a
-	// CheckpointDir makes the build crash-safe and resumable, and Context
-	// cancels it. The spectrum is byte-identical whatever is set. Tile counts
-	// stay in memory (a small multiple of the distinct-tile count) and are
-	// always rebuilt over the full input, so a resume skips ahead only in
-	// the expensive kmer counting. Under a preloaded Spectrum, and when the
-	// engine route counts no spectrum (train), only Build still applies, to
-	// the tile counter.
-	kspectrum.StreamOptions
+	// Build is Phase 1's parallelism: the tile counter's, and that of the
+	// k-spectrum NewBuilder counts in memory. On the engine route the run's
+	// pass counts the spectrum, under the run's own build options, when the
+	// run keeps one (engine.Input.Each).
+	Build kspectrum.BuildOptions
 }
 
 // DefaultParams derives parameters from the data per §2.3: Qc at the
@@ -109,8 +103,8 @@ func (p Params) validate() error {
 // the k-spectrum, a Hamming-neighborhood index, and the tile counts. The
 // index is over the spectrum, except on a closed Corrector, whose index is
 // over its run column's kmers — nil while it has no column. A closed
-// Corrector asks nothing of Spec, which is nil when the engine route
-// counted none (Builder).
+// Corrector asks nothing of Spec, which is nil on the engine route: its
+// pass counts any spectrum the run keeps outside the Builder.
 //
 // The walk's only spectrum query is the d-neighborhood, asked through
 // neigh: a Builder's Corrector wires it from Spec and NI; a Service plugs
@@ -201,24 +195,21 @@ func New(reads []seq.Read, p Params) (*Corrector, error) {
 // memory: stream each chunk through Add, discard it, and call Finish once.
 type Builder struct {
 	p Params
-	// st counts the kmers; nil under a preloaded spectrum, where Add feeds
-	// only the tile counts and Finish adopts the spectrum directly, and in
-	// the tiles-only state the engine route takes when nothing keeps the
-	// spectrum (newBuilder), where Finish has none.
-	st    *kspectrum.StreamBuilder
+	// spec counts the kmers in memory; nil under a preloaded spectrum, where
+	// Add feeds only the tile counts and Finish adopts the spectrum directly,
+	// and on the engine route (newBuilder), whose pass counts the spectrum
+	// itself when the run keeps one.
+	spec  *kspectrum.SpectrumBuilder
 	tiles *kspectrum.TileSet
 }
 
 // NewBuilder validates the parameters and prepares an empty accumulator
-// that counts the k-spectrum unless one was preloaded. Whether the spectrum
-// build spills, checkpoints or can be cancelled is Params.StreamOptions'
-// business.
+// that counts the k-spectrum in memory unless one was preloaded.
 func NewBuilder(p Params) (*Builder, error) { return newBuilder(p, true) }
 
 // newBuilder is NewBuilder with the spectrum count optional: with
 // countSpectrum false and no preloaded spectrum, the Builder counts tiles
-// only. A closed Corrector needs nothing more, and StreamOptions' budget and
-// checkpoints then bound nothing.
+// only. A closed Corrector needs nothing more.
 func newBuilder(p Params, countSpectrum bool) (*Builder, error) {
 	if p.DefaultBase == 0 {
 		p.DefaultBase = 'A'
@@ -232,37 +223,27 @@ func newBuilder(p Params, countSpectrum bool) (*Builder, error) {
 	b := &Builder{p: p}
 	var err error
 	if p.Spectrum == nil && countSpectrum {
-		if b.st, err = kspectrum.NewStreamBuilder(p.K, true, p.StreamOptions); err != nil {
+		if b.spec, err = kspectrum.NewSpectrumBuilder(p.K, true, p.Build); err != nil {
 			return nil, err
 		}
 	}
-	b.tiles, err = kspectrum.CountTiles(nil, p.K, p.Overlap, p.Qc, p.Build)
-	if err != nil {
-		b.Close()
+	if b.tiles, err = kspectrum.CountTiles(nil, p.K, p.Overlap, p.Qc, p.Build); err != nil {
 		return nil, err
 	}
 	return b, nil
 }
 
-// Close abandons the builder, reclaiming any out-of-core spill files. It is
-// a no-op after Finish (which consumes them) and when nothing spilled, so
-// deferring it is always safe.
-func (b *Builder) Close() error {
-	if b.st != nil {
-		return b.st.Close()
-	}
-	return nil
-}
-
 // Add streams one chunk of reads into the Phase 1 accumulators. Ambiguous
 // bases are pre-converted per §2.4, so the spectrum contains the tiles the
-// corrector will query; the chunk may be released afterwards.
-func (b *Builder) Add(reads []seq.Read) {
+// corrector will query; the chunk may be released afterwards. Add returns
+// the chunk as counted, which the engine's pass counts the spectrum from.
+func (b *Builder) Add(reads []seq.Read) []seq.Read {
 	prepared := prepareReads(reads, b.p)
-	if b.st != nil {
-		b.st.Add(prepared)
+	if b.spec != nil {
+		b.spec.Add(prepared)
 	}
 	b.tiles.Add(prepared)
+	return prepared
 }
 
 // Finish produces the ready-to-use Corrector (finish). Unless the spectrum
@@ -274,13 +255,11 @@ func (b *Builder) Finish() (*Corrector, error) {
 	p := b.p
 	spec := p.Spectrum
 	var ni *kspectrum.NeighborIndex
-	var err error
 	switch {
-	case b.st != nil:
-		if spec, err = b.st.Build(); err != nil {
-			return nil, err
-		}
+	case b.spec != nil:
+		spec = b.spec.Build()
 	case spec != nil:
+		var err error
 		if ni, err = kspectrum.NewNeighborIndex(spec, p.D, p.C); err != nil {
 			return nil, err
 		}
@@ -298,10 +277,9 @@ func (b *Builder) Finish() (*Corrector, error) {
 // a valley, and a coverage peak for genuine tiles. Cm sits at the valley and
 // Cg between the valley and the peak.
 func deriveThresholds(tiles *kspectrum.TileSet) (cg, cm uint32) {
-	const maxBin = 255
-	h := tiles.OgHistogram(maxBin)
+	h := tiles.OgHistogram()
 	// Smooth lightly to stabilize valley detection on small datasets.
-	sm := make([]float64, len(h))
+	var sm [len(h)]float64
 	for i := range h {
 		sum, n := 0.0, 0.0
 		for j := max(0, i-1); j <= min(len(h)-1, i+1); j++ {

@@ -6,8 +6,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"slices"
 	"sort"
 	"strings"
@@ -965,64 +963,40 @@ func TestCorrectorFloor(t *testing.T) {
 // TestBuilderCorrectorClosed: a Corrector whose Builder counted its tiles
 // from the reads, with no preloaded spectrum, is closed — both kmers of every
 // tile in its run column are kmers of the reads' spectrum — whether that
-// spectrum was counted in memory, under a MemoryBudget that spills, resumed
-// from a checkpoint over the same reads, or not counted at all (the engine
-// route's tiles-only Builder, whose Spec is nil); the four correct to the
-// same bytes, and each to the bytes it corrects to when given the spectrum's
-// index in place of its own, which holds only the column's kmers — fewer
-// than the spectrum's. A Corrector over a preloaded spectrum that lacks
-// some of the reads' kmers is not closed, asks N(b) as before, and keeps the
-// spectrum's index. TestCorrectTileMatchesUnpruned holds both kinds to the
-// unpruned Algorithm 1.
+// spectrum was counted in memory or not counted at all (the engine route's
+// tiles-only Builder, whose Spec is nil); the two correct to the same bytes,
+// and each to the bytes it corrects to when given the spectrum's index in
+// place of its own, which holds only the column's kmers — fewer than the
+// spectrum's. (The engine's own count, spilled or killed and resumed, is held
+// to this in-memory spectrum and these bytes by
+// engine.TestEngineCountSpillsAndResumes.) A Corrector over a preloaded
+// spectrum that lacks some of the reads' kmers is not closed, asks N(b) as
+// before, and keeps the spectrum's index. TestCorrectTileMatchesUnpruned
+// holds both kinds to the unpruned Algorithm 1.
 func TestBuilderCorrectorClosed(t *testing.T) {
 	reads, _ := serviceFixture(t)
 	p := DefaultParams(reads, 8000)
 	p.Build = kspectrum.BuildOptions{Workers: 2}
-	builder := func(o kspectrum.StreamOptions, countSpectrum bool) *Builder {
+	build := func(countSpectrum bool) *Corrector {
 		t.Helper()
-		q := p
-		q.StreamOptions = o
-		b, err := newBuilder(q, countSpectrum)
+		b, err := newBuilder(p, countSpectrum)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return b
-	}
-	build := func(o kspectrum.StreamOptions, countSpectrum bool, chunks ...[]seq.Read) *Corrector {
-		t.Helper()
-		b := builder(o, countSpectrum)
-		defer b.Close()
-		for _, chunk := range chunks {
-			b.Add(chunk)
-		}
+		b.Add(reads)
 		c, err := b.Finish()
 		if err != nil {
 			t.Fatal(err)
 		}
 		return c
 	}
-	spill := kspectrum.StreamOptions{Build: p.Build, MemoryBudget: 64 << 10, TempDir: t.TempDir()}
-	if _, st, err := kspectrum.BuildOutOfCore(prepareReads(reads, p), p.K, true, spill); err != nil || st.SpilledRuns == 0 {
-		t.Fatalf("the budget spills no run (%+v, %v)", st, err)
-	}
-	dir := filepath.Join(t.TempDir(), "ckpt")
-	half := len(reads) / 2
-	killed := builder(kspectrum.StreamOptions{Build: p.Build, CheckpointDir: dir, CheckpointEvery: int64(half)}, true)
-	killed.Add(reads[:half]) // checkpoints, then is abandoned
-	killed.Close()
-	if _, err := os.Stat(filepath.Join(dir, kspectrum.ManifestName)); err != nil {
-		t.Fatalf("no checkpoint to resume: %v", err)
-	}
-	resume := kspectrum.StreamOptions{Build: p.Build, CheckpointDir: dir, Resume: true}
 	var first []seq.Read
 	var err error
-	inMemory := build(kspectrum.StreamOptions{Build: p.Build}, true, reads)
+	inMemory := build(true)
 	spec := inMemory.Spec
 	for name, c := range map[string]*Corrector{
 		"in memory":  inMemory,
-		"spilled":    build(spill, true, reads),
-		"resumed":    build(resume, true, reads[:half], reads[half:]),
-		"tiles only": build(spill, false, reads),
+		"tiles only": build(false),
 	} {
 		if !c.closed || c.strong != nil {
 			t.Fatalf("%s: closed %v, list %v; want a closed Corrector on the run route", name, c.closed, c.strong != nil)
@@ -1030,14 +1004,9 @@ func TestBuilderCorrectorClosed(t *testing.T) {
 		if (c.Spec == nil) != (name == "tiles only") {
 			t.Fatalf("%s: spectrum counted %v", name, c.Spec != nil)
 		}
-		// Each leg is held to the spectrum it counted; only the tiles-only
-		// leg, which counted none, borrows the in-memory one.
-		s := c.Spec
-		if s == nil {
-			s = spec
-		} else if !slices.Equal(s.Kmers, spec.Kmers) || !slices.Equal(s.Counts, spec.Counts) {
-			t.Fatalf("%s: counted a spectrum of %d kmers that differs from the in-memory one's %d", name, len(s.Kmers), len(spec.Kmers))
-		}
+		// The tiles-only leg, which counted none, borrows the in-memory
+		// leg's spectrum.
+		s := spec
 		column := c.Tiles.AppendAtLeast(nil, c.Tiles.Floor(), math.MaxInt)
 		for _, e := range column {
 			if ka, kb := c.Tiles.SplitTile(e.Tile); s.Index(ka) < 0 || s.Index(kb) < 0 {
